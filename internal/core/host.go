@@ -233,7 +233,11 @@ func (h *replicaHost) process(item dispatchItem) {
 	switch item.kind {
 	case itemRequest:
 		h.node.tracer.Hop(item.env.Trace, h.node.addr, obs.HopDelivered)
-		h.node.spans.Mark(item.env.Trace, obs.SpanDelivered)
+		// Non-creating marks from here on: the delivery loop opened this
+		// node's span at the ordered point, and a replica that gets to the
+		// request only after the client's span closed (a peer's reply won)
+		// must not re-open an empty fragment of it.
+		h.node.spans.MarkOpen(item.env.Trace, obs.SpanDelivered)
 		if item.execute {
 			h.executeRequest(item.env, false)
 			if h.style != ftcorba.Active {
@@ -296,8 +300,9 @@ func (h *replicaHost) auditReport(epoch uint64) {
 }
 
 // executeRequest injects one invocation into the replica's ORB and
-// multicasts the reply. force bypasses duplicate suppression during log
-// replay (the log was already deduplicated when written).
+// multicasts the reply — unless a peer replica's copy of that reply is
+// already ordered (replyMarks). force bypasses duplicate suppression during
+// log replay (the log was already deduplicated when written).
 func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 	first := h.reqFilter.FirstDelivery(env.Conn, env.OpID)
 	if !first && !force {
@@ -317,7 +322,7 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 	}
 	if env.Oneway {
 		h.node.tracer.Hop(env.Trace, h.node.addr, obs.HopExecuted)
-		h.node.spans.Mark(env.Trace, obs.SpanExecuted)
+		h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
 		return
 	}
 	// Bound the wait: a server ORB that discards the request (e.g. an
@@ -333,7 +338,13 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 			return
 		}
 		if rep.Type == giop.MsgReply {
-			h.node.spans.Mark(env.Trace, obs.SpanExecuted)
+			h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
+			h.node.tracer.Hop(env.Trace, h.node.addr, obs.HopExecuted)
+			if h.node.replyWithdrawn(env.Conn, env.OpID) {
+				// A peer's copy is already ordered (a late replica, or one
+				// replaying its held queue or its log): ours stays home.
+				return
+			}
 			h.node.multicast(&replication.Envelope{
 				Kind:    replication.KReply,
 				Conn:    env.Conn,
@@ -341,7 +352,6 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 				Trace:   env.Trace,
 				Payload: rep.Marshal(),
 			})
-			h.node.tracer.Hop(env.Trace, h.node.addr, obs.HopExecuted)
 			return
 		}
 	}

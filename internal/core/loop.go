@@ -65,11 +65,16 @@ func (n *Node) handleDelivery(d totem.Delivery) {
 		n.handleView(d.View)
 		return
 	}
-	env, err := replication.Decode(d.Payload)
-	if err != nil {
-		return
+	if env := envelopeOf(d); env != nil {
+		n.handleEnvelope(d.Seq, env)
 	}
-	n.handleEnvelope(d.Seq, env)
+}
+
+// envelopeOf returns the envelope the ordered-point hook decoded for a
+// message delivery (replyMarks.ordered), nil if it did not parse.
+func envelopeOf(d totem.Delivery) *replication.Envelope {
+	env, _ := d.App.(*replication.Envelope)
+	return env
 }
 
 // --- metadata synchronization for joining nodes ---
@@ -88,8 +93,8 @@ func (n *Node) handleUnsynced(d totem.Delivery) {
 		}
 		return
 	}
-	env, err := replication.Decode(d.Payload)
-	if err != nil {
+	env := envelopeOf(d)
+	if env == nil {
 		return
 	}
 	switch {

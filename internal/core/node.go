@@ -167,6 +167,10 @@ type Node struct {
 	// here, and the node reacts by removing the faulty replica.
 	faults *faultdetect.Notifier
 
+	// replyMarks is the per-connection high-water mark of ordered replies
+	// behind sender-side duplicate-reply suppression.
+	replyMarks *replyMarks
+
 	// counters back the Stats surface.
 	counters nodeCounters
 
@@ -242,6 +246,8 @@ func Start(cfg Config) (*Node, error) {
 	tc.Metrics = metrics
 	tc.Recorder = recorder
 	tc.Spans = spans
+	marks := newReplyMarks()
+	tc.Ordered = marks.ordered
 	proc, err := totem.Start(tc)
 	if err != nil {
 		return nil, err
@@ -250,6 +256,7 @@ func Start(cfg Config) (*Node, error) {
 		addr:       cfg.Transport.Addr(),
 		cfg:        cfg,
 		proc:       proc,
+		replyMarks: marks,
 		recorder:   recorder,
 		factories:  make(map[string]ftcorba.Factory),
 		table:      replication.NewTable(),
@@ -653,11 +660,17 @@ func (n *Node) multicast(env *replication.Envelope) {
 	enc := cdr.AcquireEncoder(cdr.BigEndian)
 	env.EncodeTo(enc)
 	switch {
+	case env.Kind == replication.KReply:
+		// A reply stays withdrawable until a token visit sequences it: if
+		// a peer's copy is ordered first, ours never reaches the wire. It
+		// carries the request's trace, stamped onto the reply phases.
+		conn, op := env.Conn, env.OpID
+		_ = n.proc.MulticastWithdrawable(enc.Bytes(), env.Trace, true,
+			func() bool { return n.replyWithdrawn(conn, op) })
 	case env.Trace != 0:
-		// Traced invocation traffic: the totem layer stamps the enqueue
-		// and transmit phases onto the trace's span as the message crosses
-		// it (replies onto the mirrored reply phases).
-		_ = n.proc.MulticastTraced(enc.Bytes(), env.Trace, env.Kind == replication.KReply)
+		// Traced requests: the totem layer stamps the enqueue and transmit
+		// phases onto the trace's span as the message crosses it.
+		_ = n.proc.MulticastTraced(enc.Bytes(), env.Trace, false)
 	case env.Kind == replication.KAudit:
 		// Audit marks and reports are background traffic: they ride the
 		// paced token instead of waking it, so a quiescent ring stays
@@ -667,6 +680,18 @@ func (n *Node) multicast(env *replication.Envelope) {
 		_ = n.proc.Multicast(enc.Bytes())
 	}
 	cdr.ReleaseEncoder(enc)
+}
+
+// replyWithdrawn reports whether some replica's copy of the reply to
+// (conn, op) is already ordered on this node, and counts the local copy it
+// thereby makes unnecessary. Callers ask once per copy they would
+// otherwise send (totem polls its withdraw callback until the first true).
+func (n *Node) replyWithdrawn(conn replication.ConnID, op uint32) bool {
+	if !n.replyMarks.covers(conn, op) {
+		return false
+	}
+	n.counters.repliesWithdrawn.Add(1)
+	return true
 }
 
 // subscribe returns a channel closed when key is signaled. A key already

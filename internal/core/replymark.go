@@ -1,0 +1,73 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"eternal/internal/replication"
+	"eternal/internal/totem"
+)
+
+// replyMarks is the sender-side half of duplicate-reply suppression: the
+// highest reply operation id this node has seen ordered on each logical
+// connection, whichever replica multicast it. Operation ids increase
+// monotonically per connection, so one high-water mark per connection —
+// the structure replication.DupFilter already is — says whether a copy of
+// a given reply is already in the total order, and the state stays bounded
+// by the number of connections however many replies are tombstoned or
+// rings reset.
+//
+// The mark is advanced by ordered, on totem's ordering goroutine at the
+// reply's agreed position, and read from replica dispatchers (before they
+// multicast a reply) and from the ordering goroutine again (when a token
+// visit is about to sequence a pending reply). Deciding at the ordered
+// point is what makes withdrawal effective: the token that would sequence
+// this node's copy sits in the same inbox right behind the frame that
+// carried the peer's, so a mark advanced later, by the delivery loop,
+// loses that race nearly every time.
+type replyMarks struct {
+	mu   sync.Mutex
+	seen *replication.DupFilter
+	// hook is a test-only observer of ordered replies (see setReplyHook).
+	hook atomic.Value
+}
+
+func newReplyMarks() *replyMarks {
+	return &replyMarks{seen: replication.NewDupFilter()}
+}
+
+// ordered is the node's totem.Config.Ordered hook. It decodes the
+// envelope once, on the ordering goroutine — the delivery loop picks the
+// result up from d.App instead of decoding again — and advances the mark
+// for replies.
+func (m *replyMarks) ordered(d *totem.Delivery) {
+	env, err := replication.Decode(d.Payload)
+	if err != nil {
+		return
+	}
+	d.App = env
+	if env.Kind == replication.KReply {
+		m.mu.Lock()
+		m.seen.FirstDelivery(env.Conn, env.OpID)
+		m.mu.Unlock()
+		if hook, ok := m.hook.Load().(func(string, *replication.Envelope)); ok && hook != nil {
+			hook(d.Sender, env)
+		}
+	}
+}
+
+// setReplyHook installs a test-only observer called on the ordering
+// goroutine for every reply ordered on this node, right after its mark
+// advances, with the node whose copy it was. Pass nil to remove.
+func (n *Node) setReplyHook(hook func(sender string, env *replication.Envelope)) {
+	n.replyMarks.hook.Store(hook)
+}
+
+// covers reports whether a reply to (conn, op) — or to a later operation
+// on the connection — has been ordered.
+func (m *replyMarks) covers(conn replication.ConnID, op uint32) bool {
+	m.mu.Lock()
+	hi, ok := m.seen.Peek(conn)
+	m.mu.Unlock()
+	return ok && op <= hi
+}

@@ -1,0 +1,196 @@
+package core
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"eternal/internal/cdr"
+	"eternal/internal/ftcorba"
+	"eternal/internal/replication"
+	"eternal/internal/simnet"
+)
+
+// slowCounter is counter with a fixed service time, so a test can decide
+// which replica's reply is ordered first.
+type slowCounter struct {
+	counter
+	delay time.Duration
+}
+
+func (s *slowCounter) Invoke(op string, args []byte, order cdr.ByteOrder) ([]byte, error) {
+	time.Sleep(s.delay)
+	return s.counter.Invoke(op, args, order)
+}
+
+func TestReplyMarksHighWater(t *testing.T) {
+	m := newReplyMarks()
+	conn := replication.ConnID{Client: "c", Group: "g"}
+	other := replication.ConnID{Client: "c", Group: "g", Seq: 1}
+	if m.covers(conn, 1) {
+		t.Fatal("empty marks cover an operation")
+	}
+	m.seen.FirstDelivery(conn, 7)
+	m.seen.FirstDelivery(conn, 5) // a late duplicate never lowers the mark
+	for op, want := range map[uint32]bool{1: true, 7: true, 8: false} {
+		if got := m.covers(conn, op); got != want {
+			t.Fatalf("covers(op %d) = %v with the mark at 7", op, got)
+		}
+	}
+	if m.covers(other, 1) {
+		t.Fatal("mark leaked across connections")
+	}
+}
+
+// TestWinningReplicaDiesOnceItsReplyIsOrdered is the hazard sender-side
+// suppression must survive. n2's reply is ordered at n3 — which therefore
+// never sends its own copy — and n2 drops dead at that very point, before
+// the client's node n1 has the frame (n1 is deaf to n2's broadcasts, so it
+// could only ever learn the frame by retransmission). The one copy of the
+// reply on the wire is now held by n3 alone, in totem's store, where it
+// stays until every member has it: n1 asks for it once the ring has
+// reformed without n2, and the client gets its reply — exactly one.
+func TestWinningReplicaDiesOnceItsReplyIsOrdered(t *testing.T) {
+	c := newTestCluster(t, simnet.Config{}, "n1", "n2", "n3")
+	// n3 is slow, so n2's copy of every reply is ordered first.
+	c.nodes["n3"].RegisterFactory("Counter", func(string) ftcorba.Replica {
+		return &slowCounter{delay: 20 * time.Millisecond}
+	})
+	c.createGroup("ctr", ftcorba.Active, []string{"n2", "n3"}, 1)
+	obj := c.client("n1", "driver", "ctr")
+	if got := add(t, obj, 1); got != 1 {
+		t.Fatalf("warm-up add = %d", got)
+	}
+	time.Sleep(50 * time.Millisecond) // n3 finishes the warm-up operation
+	before := c.nodes["n1"].Stats()
+
+	c.net.SetLink("n2", "n1", simnet.LinkOverride{Drop: true})
+	var once sync.Once
+	died := make(chan struct{})
+	c.nodes["n3"].setReplyHook(func(sender string, env *replication.Envelope) {
+		if sender == "n2" {
+			// On n3's ordering goroutine, at the reply's ordered point.
+			once.Do(func() { c.net.Isolate("n2"); close(died) })
+		}
+	})
+	if got := add(t, obj, 1); got != 2 {
+		t.Fatalf("add across the winner's death = %d, want 2", got)
+	}
+	select {
+	case <-died:
+	default:
+		t.Fatal("n2's reply was never ordered at n3: the test did not exercise the hazard")
+	}
+	c.nodes["n3"].setReplyHook(nil)
+	time.Sleep(50 * time.Millisecond) // n3 finishes; its copy must stay home
+	after := c.nodes["n1"].Stats()
+	if got := after.RepliesDelivered - before.RepliesDelivered; got != 1 {
+		t.Fatalf("client's node delivered %d replies, want exactly 1", got)
+	}
+	if got := after.DuplicateReplies - before.DuplicateReplies; got != 0 {
+		t.Fatalf("client's node saw %d duplicate replies: n3 did not withdraw", got)
+	}
+	if got := c.nodes["n3"].Stats().RepliesWithdrawn; got < 2 {
+		t.Fatalf("n3 withdrew %d replies, want its copy of both", got)
+	}
+	// n3 is the group now and answers on its own.
+	c.crashNode("n2")
+	if got := add(t, obj, 1); got != 3 {
+		t.Fatalf("add after the failover = %d, want 3", got)
+	}
+}
+
+// TestRecoveringReplicaReplaysWithoutReplying: a recovering replica holds
+// its queue from its synchronization point until the state arrives, then
+// replays it. Every request in that queue was answered long ago by the
+// operational replicas, and the replies were ordered on this node too — so
+// the replay multicasts none of them.
+func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
+	c := newXferCluster(t, 16<<10, func(cfg *Config) {
+		cfg.StateChunkBytes = 2048
+	}, "n1", "n2", "n3")
+	createBlobGroup(t, c, "blob", 1, "n1", "n2", "n3")
+	obj := c.client("n1", "driver", "blob")
+	ping(t, obj)
+
+	// Every reply ordered anywhere is ordered on n1: note whose copy came
+	// first for each operation, and whose came second.
+	var mu sync.Mutex
+	first := make(map[uint32]string)
+	surplus := make(map[string]int)
+	c.nodes["n1"].setReplyHook(func(sender string, env *replication.Envelope) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := first[env.OpID]; dup {
+			surplus[sender]++
+		} else {
+			first[env.OpID] = sender
+		}
+	})
+
+	if err := c.nodes["n3"].KillReplica("blob", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Losing one chunk and then the request to resend it stretches the
+	// recovery by a retry interval (250 ms), during which the client keeps
+	// the held queue growing.
+	var chunk sync.Once
+	c.nodes["n3"].setChunkHook(func(env *replication.Envelope) bool {
+		keep := true
+		if env.Kind == replication.KStateChunk && env.OpID == 1 {
+			chunk.Do(func() { keep = false })
+		}
+		return keep
+	})
+	for _, donor := range []string{"n1", "n2"} { // whichever serves the transfer
+		var nak sync.Once
+		c.nodes[donor].setChunkHook(func(env *replication.Envelope) bool {
+			keep := true
+			if env.Kind == replication.KStateRetransmit {
+				nak.Do(func() { keep = false })
+			}
+			return keep
+		})
+	}
+	stop := make(chan struct{})
+	traffic := make(chan struct{})
+	go func() {
+		defer close(traffic)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				ping(t, obj)
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	err := c.nodes["n3"].RecoverReplica("blob", 15*time.Second)
+	close(stop)
+	<-traffic
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	tls := c.nodes["n3"].RecoveryTimelines()
+	if len(tls) == 0 {
+		t.Fatal("no recovery timeline on n3")
+	}
+	held := tls[0].Enqueued
+	if held < 10 {
+		t.Fatalf("only %d requests were held while recovering: the test did not build a queue", held)
+	}
+	// All but the request in flight when the state arrived had its reply
+	// ordered before the replay got to it.
+	if got := c.nodes["n3"].Stats().RepliesWithdrawn; int(got) < held-1 {
+		t.Fatalf("n3 replayed %d held requests but kept only %d replies home", held, got)
+	}
+	t.Logf("n3 held %d requests while recovering and kept %d replies home", held, c.nodes["n3"].Stats().RepliesWithdrawn)
+	mu.Lock()
+	defer mu.Unlock()
+	if n := surplus["n3"]; n != 0 {
+		t.Fatalf("%d replies from the recovered replica were ordered behind a peer's copy", n)
+	}
+}

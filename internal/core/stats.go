@@ -23,6 +23,11 @@ type Stats struct {
 	RepliesDelivered uint64
 	// DuplicateReplies counts replies suppressed at client connections.
 	DuplicateReplies uint64
+	// RepliesWithdrawn counts replies this node's replicas produced but
+	// never put on the wire because a peer replica's copy was already
+	// ordered: not multicast at all, or withdrawn from totem's pending
+	// queue before a token visit sequenced them.
+	RepliesWithdrawn uint64
 	// StateCaptures counts get_state() captures performed as donor or
 	// checkpointing primary.
 	StateCaptures uint64
@@ -75,6 +80,7 @@ type nodeCounters struct {
 	duplicatesSuppressed *obs.Counter
 	repliesDelivered     *obs.Counter
 	duplicateReplies     *obs.Counter
+	repliesWithdrawn     *obs.Counter
 	stateCaptures        *obs.Counter
 	stateApplied         *obs.Counter
 	promotions           *obs.Counter
@@ -99,6 +105,7 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		duplicatesSuppressed: r.Counter("eternal_duplicates_suppressed_total", "invocations dropped by operation-id filtering"),
 		repliesDelivered:     r.Counter("eternal_replies_delivered_total", "replies written into local client ORBs"),
 		duplicateReplies:     r.Counter("eternal_duplicate_replies_total", "replies suppressed at client connections"),
+		repliesWithdrawn:     r.Counter("eternal_replies_withdrawn_total", "local replies never transmitted because a peer replica's copy was already ordered"),
 		stateCaptures:        r.Counter("eternal_state_captures_total", "get_state() captures performed as donor or checkpointing primary"),
 		stateApplied:         r.Counter("eternal_state_applied_total", "set_state() assignments performed"),
 		promotions:           r.Counter("eternal_promotions_total", "backup-to-primary promotions"),
@@ -124,6 +131,7 @@ func (c *nodeCounters) snapshot() Stats {
 		DuplicatesSuppressed:    c.duplicatesSuppressed.Value(),
 		RepliesDelivered:        c.repliesDelivered.Value(),
 		DuplicateReplies:        c.duplicateReplies.Value(),
+		RepliesWithdrawn:        c.repliesWithdrawn.Value(),
 		StateCaptures:           c.stateCaptures.Value(),
 		StateApplied:            c.stateApplied.Value(),
 		Promotions:              c.promotions.Value(),

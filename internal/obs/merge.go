@@ -383,19 +383,27 @@ func (m *MergedTrace) Client() string {
 	return ""
 }
 
-// Executor returns the node whose replica executed first (active
-// replication executes everywhere; the earliest execution's reply is the
-// one the client sees), or "" if no reporting node executed.
+// Executor returns the node whose replica produced the reply the client
+// saw: active replication executes everywhere, but a replica withdraws its
+// reply once a peer's copy is ordered, so the copy that reached the wire
+// first is the one that counts. When no reporting node transmitted a reply
+// (oneway, partial feeds) it falls back to the earliest execution; "" if
+// no reporting node executed.
 func (m *MergedTrace) Executor() string {
-	var best string
-	var bestAt int64
-	for node, sp := range m.Spans {
-		at := sp.Phases[SpanExecuted]
-		if at != 0 && (best == "" || at < bestAt) {
-			best, bestAt = node, at
+	for _, phase := range []SpanPhase{SpanReplyTransmitted, SpanExecuted} {
+		var best string
+		var bestAt int64
+		for node, sp := range m.Spans {
+			at := sp.Phases[phase]
+			if at != 0 && (best == "" || at < bestAt) {
+				best, bestAt = node, at
+			}
+		}
+		if best != "" {
+			return best
 		}
 	}
-	return best
+	return ""
 }
 
 // Start is the trace's earliest timestamp across all nodes (unix nanos).

@@ -1,0 +1,114 @@
+package totem
+
+import (
+	"testing"
+	"time"
+
+	"eternal/internal/simnet"
+)
+
+// discardTransport swallows every frame; for driving a Processor's token
+// handling directly, without a run goroutine.
+type discardTransport struct{}
+
+func (discardTransport) Addr() string              { return "a" }
+func (discardTransport) Send(string, []byte) error { return nil }
+func (discardTransport) Broadcast([]byte) error    { return nil }
+func (discardTransport) Recv() <-chan Packet       { return nil }
+func (discardTransport) MTU() int                  { return simnet.EthernetMTU }
+func (discardTransport) Close() error              { return nil }
+
+// offlineProcessor builds an operational member "a" of the given ring
+// with no run goroutine, so a test can feed it tokens, frames and ring
+// formations one at a time and read its state in between.
+func offlineProcessor(members ...string) *Processor {
+	ring := ringIdentity{Epoch: 1, Rep: members[0]}
+	p := &Processor{
+		cfg:        Config{}.withDefaults(),
+		tr:         discardTransport{},
+		addr:       "a",
+		members:    members,
+		state:      stateOperational,
+		ring:       ring,
+		prevRing:   ring,
+		store:      make(map[uint64]*dataMsg),
+		reasm:      make(map[string]*partial),
+		miss:       make(map[uint64]int),
+		sendTimes:  make(map[uint64]sendMeta),
+		deliveries: newPump[Delivery](),
+		views:      newPump[Membership](),
+	}
+	p.registerMetrics(nil)
+	return p
+}
+
+// TestUnservableRequestIsTombstoned: a sequence number nobody can
+// retransmit (its frame died with its sender) rides the token's request
+// list rotation after rotation. Every visit must count against it, so that
+// after MissThreshold visits the member skips it and delivery moves on —
+// counting only the visit that first listed it left the ring wedged behind
+// the hole for good.
+func TestUnservableRequestIsTombstoned(t *testing.T) {
+	p := offlineProcessor("a", "b", "c")
+	p.myAru, p.gcLow, p.seqHigh = 5, 5, 5
+	now := time.Now()
+	var carried []uint64
+	for visit := 1; visit <= p.cfg.MissThreshold+1; visit++ {
+		tok := &tokenMsg{Ring: p.ring, Round: uint64(3 * visit), Seq: 6, Rtr: carried}
+		p.handleToken(tok, now)
+		carried = tok.Rtr // b and c cannot serve it either: it comes back as it left
+		if visit <= p.cfg.MissThreshold && p.myAru != 5 {
+			t.Fatalf("visit %d: aru = %d, hole skipped before the threshold", visit, p.myAru)
+		}
+	}
+	if p.myAru != 6 {
+		t.Fatalf("aru = %d after %d visits with seq 6 unservable: delivery is wedged", p.myAru, p.cfg.MissThreshold+1)
+	}
+	if n := p.Stats().Tombstones; n != 1 {
+		t.Fatalf("Tombstones = %d, want 1", n)
+	}
+}
+
+// TestDepartedMembersLastFramesStillComplete: a member that dies leaves a
+// message half-delivered here while a faster peer already has all of it.
+// The ring reforms, and the old ring's last frame reaches this member
+// afterwards, by retransmission. The message must complete — the peer
+// delivered it — and only then, at the view's position in the stream, may
+// the departed member's reassembly state go.
+func TestDepartedMembersLastFramesStillComplete(t *testing.T) {
+	p := offlineProcessor("a", "b", "d")
+	now := time.Now()
+	frag := func(seq uint64, idx uint32, body string) *dataMsg {
+		return &dataMsg{Ring: p.ring, Seq: seq, Chunks: []chunk{{
+			Sender: "d", MsgID: 1, FragIdx: idx, FragTotal: 3, Payload: []byte(body),
+		}}}
+	}
+	p.handleData(frag(1, 0, "one "), now)
+	p.handleData(frag(2, 1, "two "), now)
+	// d dies; b saw seq 3, so the new ring starts after it.
+	next := ringIdentity{Epoch: 2, Rep: "a"}
+	p.enterGather(now, "token-loss")
+	p.installRing(&formMsg{Ring: next, Members: []string{"a", "b"}, Lineage: p.prevRing, StartSeq: 3}, now)
+	last := frag(3, 2, "three")
+	last.Ring = next // b retransmits it under the new ring
+	p.handleData(last, now)
+
+	var got []Delivery
+	for len(got) < 2 {
+		select {
+		case d := <-p.Deliveries():
+			got = append(got, d)
+		case <-time.After(time.Second):
+			t.Fatalf("got %d deliveries, want d's message then the view", len(got))
+		}
+	}
+	if string(got[0].Payload) != "one two three" || got[0].Sender != "d" {
+		t.Fatalf("first delivery = %q from %q, want d's whole message", got[0].Payload, got[0].Sender)
+	}
+	if got[1].View == nil || len(got[1].View.Members) != 2 {
+		t.Fatalf("second delivery = %+v, want the two-member view", got[1])
+	}
+	if len(p.reasm) != 0 {
+		t.Fatalf("reassembly state for %d departed senders kept past the view", len(p.reasm))
+	}
+}

@@ -100,6 +100,9 @@ type Delivery struct {
 	Sender  string
 	Payload []byte
 	View    *Membership
+	// App is whatever Config.Ordered attached to this message at its
+	// ordered point (nil without the hook, and for views).
+	App any
 }
 
 // Membership is a view change. Members is sorted. Reset reports that this
@@ -143,6 +146,9 @@ type Stats struct {
 	// ForwardedChunks counts chunks this member forwarded to the
 	// fast-path leader for sequencing (first transmissions and retries).
 	ForwardedChunks uint64
+	// WithdrawnMessages counts submitted messages their sender withdrew
+	// before a token visit sequenced them (see MulticastWithdrawable).
+	WithdrawnMessages uint64
 }
 
 // PackingFlag is a three-valued toggle whose zero value means "on", so
@@ -285,6 +291,16 @@ type Config struct {
 	// RotationCapacity bounds the token-rotation profiler's sample ring
 	// (default obs.DefaultRotationCapacity; negative disables profiling).
 	RotationCapacity int
+	// Ordered, when set, is called on the ordering goroutine for every
+	// application message at its agreed position in the total order, just
+	// before the message is queued on Deliveries; it may set d.App, which
+	// travels with the Delivery. Whatever it records is visible to every
+	// later token visit — the token sits in the same inbox behind the
+	// frame that carried the message — which is what lets a withdraw
+	// callback (MulticastWithdrawable) decide on "a peer's copy is already
+	// ordered" without racing the consumer of Deliveries. It must not
+	// block or call into the Processor.
+	Ordered func(d *Delivery)
 }
 
 func (c Config) withDefaults() Config {
@@ -415,12 +431,15 @@ type Processor struct {
 	// did foreground protocol work (sent or forwarded non-background
 	// chunks, served or requested retransmissions); the pacer holds wire
 	// speed for IdleGrace past it. hurried marks that a hurry nudge allows
-	// the next forward to skip pacing once. lastPaceTicks is the backoff
-	// applied by the most recent forward (0 = wire speed), recorded into
-	// the rotation profile.
+	// the next forward to skip pacing; every forward clears it. canNudge
+	// is set when the token leaves this member with IdleHops > 0 — only
+	// then can it complete an idle rotation and be parked elsewhere before
+	// it returns — and cleared by the one nudge that buys. lastPaceTicks
+	// is the backoff applied by the most recent forward (0 = wire speed),
+	// recorded into the rotation profile.
 	lastActivityAt time.Time
-	lastHurryAt    time.Time
 	hurried        bool
+	canNudge       bool
 	lastPaceTicks  int
 
 	// Leader-ordered fast path state (see FastPathMode). fastPath and
@@ -453,6 +472,7 @@ type Processor struct {
 	nPacedHops  atomic.Uint64
 	nFastChunks atomic.Uint64
 	nFwdChunks  atomic.Uint64
+	nWithdrawn  atomic.Uint64
 
 	// Metrics export (nil-safe via a private registry when unconfigured).
 	mPktsIn   *obs.Counter
@@ -482,12 +502,14 @@ type Processor struct {
 // submission is one application message queued for the run goroutine:
 // its pre-fragmented chunks plus the span-tracing metadata. background
 // marks low-urgency control traffic (audit marks and reports) that rides
-// the paced token instead of waking it.
+// the paced token instead of waking it. withdraw, when set, lets the
+// sender take the message back until a token visit sequences it.
 type submission struct {
 	chunks     [][]byte
 	trace      uint64
 	reply      bool
 	background bool
+	withdraw   func() bool
 }
 
 // sendMeta is what the processor remembers about a locally originated
@@ -497,6 +519,7 @@ type sendMeta struct {
 	trace      uint64
 	reply      bool
 	background bool
+	withdraw   func() bool
 }
 
 // Start creates a processor on the given transport and begins gathering
@@ -569,6 +592,7 @@ func (p *Processor) registerMetrics(r *obs.Registry) {
 		{"eternal_totem_paced_hops_total", "token hops parked for idle pacing before forwarding", &p.nPacedHops},
 		{"eternal_totem_fastpath_chunks_total", "chunks the fast-path leader sequenced immediately, without a token visit", &p.nFastChunks},
 		{"eternal_totem_fastpath_forwards_total", "chunks forwarded to the fast-path leader for sequencing (including retries)", &p.nFwdChunks},
+		{"eternal_totem_withdrawn_messages_total", "submitted messages withdrawn by their sender before a token visit sequenced them", &p.nWithdrawn},
 	} {
 		v := c.v
 		r.CounterFunc(c.name, c.help, func() float64 { return float64(v.Load()) })
@@ -594,20 +618,21 @@ func (p *Processor) Views() <-chan Membership { return p.views.Out() }
 // Stats returns a snapshot of the protocol counters.
 func (p *Processor) Stats() Stats {
 	return Stats{
-		Multicasts:      p.nMulticasts.Load(),
-		ChunksSent:      p.nChunks.Load(),
-		Retransmits:     p.nRetrans.Load(),
-		TokenRotations:  p.nRotations.Load(),
-		Deliveries:      p.nDeliveries.Load(),
-		ViewChanges:     p.nViews.Load(),
-		Tombstones:      p.nTombstones.Load(),
-		DataFrames:      p.nDataFrames.Load(),
-		PackedChunks:    p.nPacked.Load(),
-		HurriesSent:     p.nHurrySent.Load(),
-		HurriesReceived: p.nHurryRecv.Load(),
-		PacedHops:       p.nPacedHops.Load(),
-		FastPathChunks:  p.nFastChunks.Load(),
-		ForwardedChunks: p.nFwdChunks.Load(),
+		Multicasts:        p.nMulticasts.Load(),
+		ChunksSent:        p.nChunks.Load(),
+		Retransmits:       p.nRetrans.Load(),
+		TokenRotations:    p.nRotations.Load(),
+		Deliveries:        p.nDeliveries.Load(),
+		ViewChanges:       p.nViews.Load(),
+		Tombstones:        p.nTombstones.Load(),
+		DataFrames:        p.nDataFrames.Load(),
+		PackedChunks:      p.nPacked.Load(),
+		HurriesSent:       p.nHurrySent.Load(),
+		HurriesReceived:   p.nHurryRecv.Load(),
+		PacedHops:         p.nPacedHops.Load(),
+		FastPathChunks:    p.nFastChunks.Load(),
+		ForwardedChunks:   p.nFwdChunks.Load(),
+		WithdrawnMessages: p.nWithdrawn.Load(),
 	}
 }
 
@@ -631,7 +656,7 @@ func (p *Processor) Multicast(payload []byte) error {
 // triggering a hurry nudge, so a quiescent ring stays paced across audit
 // epochs. Ordering and reliability guarantees are identical.
 func (p *Processor) MulticastBackground(payload []byte) error {
-	return p.submit(payload, 0, false, true)
+	return p.submit(payload, submission{background: true})
 }
 
 // MulticastTraced is Multicast carrying span-tracing metadata: the
@@ -639,10 +664,24 @@ func (p *Processor) MulticastBackground(payload []byte) error {
 // so the configured span recorder can stamp the enqueue and transmit
 // phases under the right name.
 func (p *Processor) MulticastTraced(payload []byte, trace uint64, reply bool) error {
-	return p.submit(payload, trace, reply, false)
+	return p.submit(payload, submission{trace: trace, reply: reply})
 }
 
-func (p *Processor) submit(payload []byte, trace uint64, reply, background bool) error {
+// MulticastWithdrawable is MulticastTraced for a message the sender may
+// stop wanting while it waits for the token — a reply of which a peer's
+// copy gets ordered first. withdraw is polled on the ordering goroutine
+// when a token visit is about to sequence the message's first chunk: true
+// drops the whole message (it is never sent, in part or in full, and
+// leaves the pending count), false sends it. It may be polled again while
+// it answers false; its first true is final. Only a member that sequences
+// its own chunks polls — the classic token visit — so a fast-path
+// follower's forward window is left alone. Like Config.Ordered it must
+// not block or call into the Processor.
+func (p *Processor) MulticastWithdrawable(payload []byte, trace uint64, reply bool, withdraw func() bool) error {
+	return p.submit(payload, submission{trace: trace, reply: reply, withdraw: withdraw})
+}
+
+func (p *Processor) submit(payload []byte, sub submission) error {
 	chunkSize := p.tr.MTU() - fragMargin - len(p.addr)
 	// One defensive copy of the whole payload; chunks are subslices of it
 	// rather than per-chunk allocations.
@@ -656,8 +695,9 @@ func (p *Processor) submit(payload []byte, trace uint64, reply, background bool)
 		end := min(off+chunkSize, len(buf))
 		chunks = append(chunks, buf[off:end:end])
 	}
+	sub.chunks = chunks
 	select {
-	case p.submitCh <- submission{chunks: chunks, trace: trace, reply: reply, background: background}:
+	case p.submitCh <- sub:
 		p.nMulticasts.Add(1)
 		return nil
 	case <-p.done:
@@ -720,7 +760,7 @@ func (p *Processor) enqueue(sub submission) {
 			Payload:   c,
 		})
 	}
-	p.sendTimes[id] = sendMeta{at: time.Now(), trace: sub.trace, reply: sub.reply, background: sub.background}
+	p.sendTimes[id] = sendMeta{at: time.Now(), trace: sub.trace, reply: sub.reply, background: sub.background, withdraw: sub.withdraw}
 	if sub.trace != 0 {
 		if sub.reply {
 			p.cfg.Spans.MarkOpen(sub.trace, obs.SpanReplyEnqueued)
@@ -782,12 +822,16 @@ func (p *Processor) kick(background bool, now time.Time) {
 		p.releaseParked(now)
 		return
 	}
-	if len(p.members) > 1 && now.Sub(p.lastHurryAt) >= p.cfg.Tick {
-		// The token may be parked at another member: nudge it loose
-		// rather than waiting out up to members×MaxPaceTicks×Tick of
-		// pacing. Rate-limited to one nudge per tick; during an active
-		// burst the extra frame is noise the holder ignores.
-		p.lastHurryAt = now
+	if p.canNudge {
+		// The token left us already idle, so it may have completed an idle
+		// rotation and be parked at another member: nudge it loose rather
+		// than waiting out up to members×MaxPaceTicks×Tick of pacing. One
+		// nudge per departure is all that can help — it releases the token
+		// wherever it is parked and un-paces every hop back to us. A token
+		// that left with IdleHops == 0 cannot be parked before it returns
+		// (the member that completes the idle rotation is this one), so
+		// it needs none.
+		p.canNudge = false
 		p.hurried = true
 		p.nHurrySent.Add(1)
 		p.bcastMsg(&hurryMsg{Ring: p.ring, Origin: p.addr})
@@ -796,7 +840,9 @@ func (p *Processor) kick(background bool, now time.Time) {
 
 // handleHurry reacts to a peer's hurry nudge: release a parked token at
 // once and let the next forward skip pacing, so the token crosses the
-// ring at wire speed until the nudging enqueuer is served.
+// ring at wire speed until the nudging enqueuer is served. The flag lasts
+// until this member's next forward, whether or not that forward would
+// have paced.
 func (p *Processor) handleHurry(m *hurryMsg, now time.Time) {
 	if p.state != stateOperational || m.Ring != p.ring || m.Origin == p.addr {
 		return
@@ -897,24 +943,34 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 		rtrDone = time.Now()
 	}
 
-	// 2. Request what we are missing.
+	// 2. Request what we are missing. Every visit on which a sequence
+	// number is still missing counts against it, whether this member adds
+	// the request or finds it already on the token: a request nobody can
+	// serve rides the token for good, and counting only fresh additions
+	// would leave it one short of the threshold forever — delivery wedged
+	// behind a frame that died with its sender.
 	rtr := unsatisfied
 	have := make(map[uint64]bool, len(rtr))
 	for _, s := range rtr {
 		have[s] = true
 	}
-	for s := p.myAru + 1; s <= tok.Seq && len(rtr) < maxRtrPerToken; s++ {
-		if _, ok := p.store[s]; ok || have[s] {
+	for s := p.myAru + 1; s <= tok.Seq; s++ {
+		if _, ok := p.store[s]; ok {
 			continue
 		}
-		rtr = append(rtr, s)
+		if !have[s] {
+			if len(rtr) >= maxRtrPerToken {
+				break
+			}
+			rtr = append(rtr, s)
+		}
 		p.miss[s]++
 		if p.miss[s] > p.cfg.MissThreshold {
 			// No live member holds this message: skip it with a chunkless
-			// tombstone so delivery can proceed (see package doc).
+			// tombstone so delivery can proceed (see package doc). The
+			// request stays on the token for the members still counting.
 			p.store[s] = &dataMsg{Ring: p.ring, Seq: s}
 			delete(p.miss, s)
-			rtr = rtr[:len(rtr)-1]
 			p.nTombstones.Add(1)
 		}
 	}
@@ -1019,16 +1075,23 @@ func tokenAlloc(tok *tokenMsg) func() uint64 {
 // frame and one sequence number; the conservative wireCost bound keeps
 // each packed frame within the MTU without a trial encode. fast marks
 // frames sequenced by the leader-ordered fast path (counters only; the
-// wire format is identical).
+// wire format is identical). Messages their sender withdrew are dropped
+// here, whole, instead of being sequenced (dropWithdrawn).
 func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent int) {
 	mtu := p.tr.MTU()
-	for sent < p.cfg.MaxPerToken && p.pending.Len() > 0 {
-		first, _ := p.pending.Pop()
+	queued := p.pending.Len()
+	for sent < p.cfg.MaxPerToken {
+		p.dropWithdrawn()
+		first, ok := p.pending.Pop()
+		if !ok {
+			break
+		}
 		sent++
 		frame := &dataMsg{Chunks: []chunk{first}}
 		size := packedFrameOverhead + len(p.ring.Rep) + first.wireCost()
 		if p.packing {
 			for sent < p.cfg.MaxPerToken {
+				p.dropWithdrawn()
 				next, ok := p.pending.Peek()
 				if !ok || size+next.wireCost() > mtu {
 					break
@@ -1072,11 +1135,37 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 			}
 		}
 	}
-	if sent > 0 {
+	if p.pending.Len() != queued {
 		p.mPending.Set(int64(p.pending.Len()))
+	}
+	if sent > 0 {
 		p.advanceAru()
 	}
 	return sent, fgSent
+}
+
+// dropWithdrawn discards messages at the head of the pending queue whose
+// sender withdrew them (MulticastWithdrawable). The question is asked only
+// at a message's first chunk, so a message is dropped whole or sent whole:
+// once chunk 0 has a sequence number the rest follow, however many token
+// visits that takes. enqueue pushes a message's chunks back to back, so
+// the FragTotal chunks from the head are exactly the message.
+func (p *Processor) dropWithdrawn() {
+	for {
+		head, ok := p.pending.Peek()
+		if !ok || head.FragIdx != 0 {
+			return
+		}
+		meta, ok := p.sendTimes[head.MsgID]
+		if !ok || meta.withdraw == nil || !meta.withdraw() {
+			return
+		}
+		for i := uint32(0); i < head.FragTotal; i++ {
+			p.pending.Pop()
+		}
+		delete(p.sendTimes, head.MsgID)
+		p.nWithdrawn.Add(1)
+	}
 }
 
 // fastDrain sequences locally enqueued chunks immediately — the
@@ -1130,9 +1219,7 @@ func (p *Processor) paceTicks(tok *tokenMsg, now time.Time) int {
 		return 0
 	}
 	if p.hurried {
-		// A nudged token crosses this hop at wire speed (once).
-		p.hurried = false
-		return 0
+		return 0 // a nudged token crosses this hop at wire speed
 	}
 	if now.Sub(p.lastActivityAt) < p.cfg.IdleGrace {
 		return 1
@@ -1160,6 +1247,8 @@ func (p *Processor) park(tok *tokenMsg, now time.Time, ticks int) {
 }
 
 func (p *Processor) transmitToken(tok *tokenMsg, succ string, now time.Time) {
+	p.hurried = false
+	p.canNudge = tok.IdleHops > 0
 	p.lastSentToken = tok
 	p.lastSentAt = now
 	p.tokenResends = 0
@@ -1400,6 +1489,18 @@ func (p *Processor) releaseViews() {
 		pv := p.pendingViews[0]
 		p.pendingViews = p.pendingViews[1:]
 		v := pv.view
+		if !v.Reset {
+			// Partial reassemblies from members that did not survive end
+			// here, at the view's position in the stream — not when the
+			// ring was installed: the old ring's last frames may still be
+			// on their way to this member, and one that already had them
+			// delivered the message they complete.
+			for sender := range p.reasm {
+				if !slices.Contains(v.Members, sender) {
+					delete(p.reasm, sender)
+				}
+			}
+		}
 		p.nViews.Add(1)
 		p.views.In(v)
 		p.deliveries.In(Delivery{Seq: pv.at, View: &v})
@@ -1475,6 +1576,9 @@ func (p *Processor) deliverChunk(seq uint64, c *chunk) {
 
 func (p *Processor) emit(d Delivery) {
 	p.nDeliveries.Add(1)
+	if p.cfg.Ordered != nil {
+		p.cfg.Ordered(&d)
+	}
 	p.deliveries.In(d)
 }
 
@@ -1515,6 +1619,7 @@ func (p *Processor) enterGather(now time.Time, reason string) {
 	p.lastSentToken = nil
 	p.parkedToken = nil
 	p.hurried = false
+	p.canNudge = false
 	p.fastPath = false
 	p.sendJoin(now)
 }
@@ -1604,6 +1709,7 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	p.lastAnnounceAt = now
 	p.lastActivityAt = now
 	p.hurried = false
+	p.canNudge = false
 	p.lastPaceTicks = 0
 	// Fast-path fallback on view change: mode and leadership are fixed
 	// per ring, the forward window restarts from scratch, and chunks
@@ -1645,12 +1751,6 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	} else {
 		if f.StartSeq > p.seqHigh {
 			p.seqHigh = f.StartSeq
-		}
-		// Drop partial reassemblies from members that did not survive.
-		for sender := range p.reasm {
-			if !slices.Contains(p.members, sender) {
-				delete(p.reasm, sender)
-			}
 		}
 	}
 	p.pendingViews = append(p.pendingViews, pendingView{

@@ -130,8 +130,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Fatalf("phase %s negative: %v", phase, tl.PhaseDuration(phase))
 		}
 	}
-	if tl.PhaseDuration(obs.PhaseTransfer) == 0 {
-		t.Fatal("transfer phase not measured")
+	// Transfer is the recovering node's wait minus the donor-measured
+	// capture — a difference of two clocks that clamps to zero when the
+	// capture covers the whole wait — so only the sum is strictly positive.
+	if tl.Total() <= 0 {
+		t.Fatalf("recovery timeline measured nothing: %+v", tl.Phases)
 	}
 	// The phase decomposition cannot exceed what the caller measured: the
 	// timeline starts at the synchronization point, which is at or after
