@@ -9,7 +9,7 @@
 //	ablation       BenchmarkCheckpointInterval   checkpoint frequency trade-off (§5)
 //	substrate      BenchmarkTotemMulticast       ordered-multicast cost by group size
 //	perf           BenchmarkSustainedThroughput  sustained invocation rate under concurrent clients
-//	E8 (§5.1)      BenchmarkRecoveryVsStateSize  foreground latency during recovery, chunked vs monolithic transfer
+//	E8 (§5.1)      BenchmarkRecoveryVsStateSize  foreground latency during recovery, many paced chunks vs one chunk
 //	E11 (perf)     BenchmarkTwoWayLatency        2-way active cliff: leader fast path vs classic token rotation
 package eternal_test
 
@@ -398,82 +398,69 @@ func BenchmarkRecoveryUnderLoad(b *testing.B) {
 }
 
 // BenchmarkOrderingAblation compares the token-ring total order (Totem,
-// what Eternal uses) against a fixed-sequencer baseline on the same
-// medium — the DESIGN.md §5 ablation. The sequencer is cheaper per
-// message on a quiet network but has a leader bottleneck and, crucially,
-// none of the ring's failure handling; the bench quantifies only the
-// fault-free latency gap that Eternal pays for Totem's robustness.
+// what Eternal uses at N >= 3) against a fixed-sequencer baseline on the
+// same medium — the DESIGN.md §5 ablation. The baseline is the same
+// Processor with the leader-ordered fast path forced on, submitting from
+// a follower (the common case): one unicast to the leader, one multicast
+// back, no token on the submit path.
 func BenchmarkOrderingAblation(b *testing.B) {
 	const members = 3
-	b.Run("token-ring", func(b *testing.B) {
-		net := simnet.New(paperLAN())
-		var procs []*totem.Processor
-		for i := 0; i < members; i++ {
-			ep, _ := net.Join(fmt.Sprintf("p%d", i))
-			cfg := benchTotem()
-			cfg.Transport = totem.NewSimnetTransport(ep)
-			p, err := totem.Start(cfg)
-			if err != nil {
-				b.Fatal(err)
+	for _, v := range []struct {
+		name      string
+		fastPath  totem.FastPathMode
+		submitter int
+	}{
+		{"token-ring", totem.FastPathOff, 0},
+		{"sequencer", totem.FastPathOn, 1},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			net := simnet.New(paperLAN())
+			var procs []*totem.Processor
+			for i := 0; i < members; i++ {
+				ep, _ := net.Join(fmt.Sprintf("p%d", i))
+				cfg := benchTotem()
+				cfg.FastPath = v.fastPath
+				cfg.Transport = totem.NewSimnetTransport(ep)
+				p, err := totem.Start(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				procs = append(procs, p)
 			}
-			procs = append(procs, p)
-		}
-		b.Cleanup(func() {
-			for _, p := range procs {
-				p.Stop()
-			}
-		})
-		deadline := time.After(10 * time.Second)
-		for {
-			var v totem.Membership
-			select {
-			case v = <-procs[0].Views():
-			case <-deadline:
-				b.Fatal("ring never formed")
-			}
-			if len(v.Members) == members {
-				break
-			}
-		}
-		payload := make([]byte, 100)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := procs[0].Multicast(payload); err != nil {
-				b.Fatal(err)
-			}
+			b.Cleanup(func() {
+				for _, p := range procs {
+					p.Stop()
+				}
+			})
+			sub := procs[v.submitter]
+			deadline := time.After(10 * time.Second)
 			for {
-				d := <-procs[0].Deliveries()
-				if d.View == nil {
+				var view totem.Membership
+				select {
+				case view = <-sub.Views():
+				case <-deadline:
+					b.Fatal("ring never formed")
+				}
+				if len(view.Members) == members {
 					break
 				}
 			}
-		}
-	})
-	b.Run("sequencer", func(b *testing.B) {
-		net := simnet.New(paperLAN())
-		var seqs []*totem.Sequencer
-		for i := 0; i < members; i++ {
-			ep, _ := net.Join(fmt.Sprintf("p%d", i))
-			seqs = append(seqs, totem.NewSequencer(totem.NewSimnetTransport(ep), "p0"))
-		}
-		b.Cleanup(func() {
-			for _, s := range seqs {
-				s.Stop()
+			payload := make([]byte, 100)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sub.Multicast(payload); err != nil {
+					b.Fatal(err)
+				}
+				for {
+					d := <-sub.Deliveries()
+					if d.View == nil {
+						break
+					}
+				}
 			}
 		})
-		payload := make([]byte, 100)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Submit from a non-leader (the common case) and await
-			// self-delivery.
-			if err := seqs[1].Multicast(payload); err != nil {
-				b.Fatal(err)
-			}
-			<-seqs[1].Deliveries()
-		}
-	})
+	}
 }
 
 // BenchmarkTotemMulticast measures the raw ordered-multicast cost by ring
@@ -541,9 +528,9 @@ func BenchmarkTotemMulticast(b *testing.B) {
 // Reported per variant: inv/s (aggregate sustained rate), frames/inv
 // (simulated-medium frames per invocation, the packing win) and allocs/op.
 func BenchmarkSustainedThroughput(b *testing.B) {
-	for _, packing := range []totem.PackingFlag{totem.PackingOn, totem.PackingOff} {
+	for _, packing := range []totem.PackingFlag{totem.PackingDefault, totem.PackingOff} {
 		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("packing=%v/clients=%d", packing == totem.PackingOn, clients), func(b *testing.B) {
+			b.Run(fmt.Sprintf("packing=%v/clients=%d", packing != totem.PackingOff, clients), func(b *testing.B) {
 				nodes := []string{"n1", "n2", "n3"}
 				sys, err := eternal.NewSystem(eternal.SystemConfig{
 					Nodes:   nodes,
@@ -677,8 +664,7 @@ func BenchmarkCheckpointInterval(b *testing.B) {
 }
 
 // chunkBenchSystem is benchSystem with the state-transfer chunking knobs
-// exposed: chunkBytes 0 selects the default (~32 KiB), negative disables
-// chunking (the pre-chunking monolithic set_state); perToken caps chunk
+// exposed: chunkBytes 0 selects the default (~32 KiB); perToken caps chunk
 // multicasts per token rotation (0 = default).
 func chunkBenchSystem(b *testing.B, netCfg simnet.Config, size, chunkBytes, perToken int, nodes ...string) (*eternal.System, *eternal.ObjectRef) {
 	b.Helper()
@@ -733,9 +719,10 @@ func p99Of(samples []time.Duration) time.Duration {
 // state transfer buys. A packet driver streams two-way invocations while a
 // replica with 64 KiB – 8 MiB of state is killed and recovered; the
 // per-invocation latencies are split into a steady-state window and the
-// recovery window. Three modes: monolithic (chunking disabled — every
-// foreground invocation submitted behind the state queues for the full
-// serialization of the bundle), chunked (the 32 KiB default, tuned for
+// recovery window. Three modes: one-chunk (a chunk bound no bundle here
+// reaches, so the whole state is one envelope and every foreground
+// invocation submitted behind it queues for its full serialization — the
+// unpaced baseline), chunked (the 32 KiB default, tuned for
 // transfer throughput), and paced (8 KiB chunks at one per token rotation,
 // tuned for foreground latency — see doc/PERFORMANCE.md).
 func BenchmarkRecoveryVsStateSize(b *testing.B) {
@@ -743,7 +730,7 @@ func BenchmarkRecoveryVsStateSize(b *testing.B) {
 		name                 string
 		chunkBytes, perToken int
 	}{
-		{"monolithic", -1, 0},
+		{"one-chunk", 1 << 30, 0},
 		{"chunked", 0, 0},
 		{"paced", 8 << 10, 1},
 	}

@@ -80,7 +80,7 @@ type sustainedRow struct {
 func main() {
 	n := flag.Int("n", 2000, "invocations per configuration")
 	jsonPath := flag.String("json", "", "also write the results as JSON to this file (e.g. BENCH_overhead.json)")
-	recoveryJSON := flag.String("recovery-json", "", "run the E8 recovery sweep (foreground latency during chunked vs monolithic state transfer) and write it to this file (e.g. BENCH_5.json)")
+	recoveryJSON := flag.String("recovery-json", "", "run the E8 recovery sweep (foreground latency during state transfer: one chunk vs 32 KiB chunks vs paced 8 KiB chunks) and write it to this file (e.g. BENCH_5.json)")
 	spansJSON := flag.String("spans-json", "", "run the span phase-attribution bench (where the microseconds of a 2-way active invocation go) and write it to this file (e.g. BENCH_6.json)")
 	maxSpanOverhead := flag.Float64("max-span-overhead-pct", 5,
 		"fail the -spans-json run if span recording costs more than this percent of sustained inv/s")
@@ -1031,13 +1031,13 @@ var recoveryModes = []struct {
 	name                 string
 	chunkBytes, perToken int
 }{
-	{"monolithic", -1, 0}, // chunking disabled: one KSetState bundle
-	{"chunked", 0, 0},     // 32 KiB default: transfer-throughput tuning
-	{"paced", 8 << 10, 1}, // 8 KiB × 1/token: foreground-latency tuning
+	{"one-chunk", 1 << 30, 0}, // bound above every bundle: the unpaced baseline
+	{"chunked", 0, 0},         // 32 KiB default: transfer-throughput tuning
+	{"paced", 8 << 10, 1},     // 8 KiB × 1/token: foreground-latency tuning
 }
 
 func runRecoverySweep(path string) {
-	fmt.Println("E8 — foreground latency during recovery, chunked vs monolithic state transfer")
+	fmt.Println("E8 — foreground latency during recovery, one chunk vs chunked vs paced state transfer")
 	fmt.Printf("%-10s %-11s %12s %14s %16s %10s\n",
 		"state", "mode", "recovery ms", "steady p99 µs", "recovery p99 µs", "p99 ratio")
 	var rows []recoveryRow

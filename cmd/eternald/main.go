@@ -15,8 +15,8 @@
 //
 // Add -admin host:port to serve the observability endpoints: /metrics
 // (Prometheus text), /healthz (membership and roles; 503 until
-// synchronized), /trace (recent message-lifecycle traces), /events (the
-// flight-recorder feed eternalctl merges into a cluster timeline),
+// synchronized), /events (the flight-recorder feed eternalctl merges into
+// a cluster timeline),
 // /spans (per-invocation phase spans and the token-rotation profile,
 // the feed behind eternalctl trace and critical-path), /audit (the
 // consistency-audit digest journal behind eternalctl audit; /healthz
@@ -93,10 +93,10 @@ func main() {
 			"MinimumNumberReplicas for -create; below this the Resource Manager re-replicates onto a live node")
 		drive    = flag.Bool("drive", false, "run a demo client loop against the -create group")
 		logLevel = flag.String("log-level", "", "log mechanism events at this level: debug|info|warn|error (empty disables)")
-		admin    = flag.String("admin", "", "serve /metrics, /healthz, /trace and pprof on this host:port")
+		admin    = flag.String("admin", "", "serve /metrics, /healthz, /events, /spans, /audit, /cluster and pprof on this host:port")
 
 		chunkBytes = flag.Int("state-chunk-bytes", 0,
-			"state-transfer chunk size in bytes (0 = default ~32KiB, negative disables chunking)")
+			"state-transfer chunk size in bytes (0 = default ~32KiB)")
 		chunksPerToken = flag.Int("state-chunks-per-token", 0,
 			"state chunks multicast per token rotation during a transfer (0 = default 2)")
 		spanCapacity = flag.Int("span-capacity", 0,
@@ -162,7 +162,7 @@ func main() {
 	if *admin != "" {
 		adminSrv = &http.Server{Addr: *admin, Handler: node.AdminHandler()}
 		go func() {
-			log.Printf("admin endpoint on http://%s/ (metrics, healthz, trace, events, spans, audit, cluster, debug/pprof)", *admin)
+			log.Printf("admin endpoint on http://%s/ (metrics, healthz, events, spans, audit, cluster, debug/pprof)", *admin)
 			if err := adminSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Printf("admin endpoint: %v", err)
 			}

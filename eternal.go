@@ -106,15 +106,12 @@ func StartNode(cfg NodeConfig) (*Node, error) { return core.Start(cfg) }
 
 // Observability surface (see doc/OBSERVABILITY.md): each Node carries a
 // metrics Registry (Node.Metrics, scrapeable via Node.AdminHandler), a
-// message-lifecycle Tracer (Node.Tracer), and a log of per-phase recovery
-// timelines (Node.RecoveryTimelines).
+// per-invocation span journal (Node.Spans), and a log of per-phase
+// recovery timelines (Node.RecoveryTimelines).
 type (
 	// MetricsRegistry is a node's named collection of counters, gauges and
 	// latency histograms.
 	MetricsRegistry = obs.Registry
-	// MessageTrace follows one invocation through interception, multicast,
-	// total ordering, execution and reply delivery.
-	MessageTrace = obs.Trace
 	// RecoveryTimeline is one recovery's per-phase decomposition (capture,
 	// transfer, apply, replay) — the live form of the paper's Figure 6.
 	RecoveryTimeline = obs.RecoveryTimeline

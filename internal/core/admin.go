@@ -17,7 +17,6 @@ import (
 //	          the audit summary (503 while the node has not yet
 //	          synchronized, or while the consistency audit holds a
 //	          divergence)
-//	/trace    — JSON: the last n message-lifecycle traces (?n=K, default 20)
 //	/events   — JSON: flight-recorder events (?since=<index>&n=K), paginated
 //	          by recorder index for eternalctl's cluster-timeline merge
 //	/spans    — JSON: invocation phase spans (?since=<index>&n=K), paginated
@@ -40,7 +39,6 @@ func (n *Node) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", n.serveMetrics)
 	mux.HandleFunc("/healthz", n.serveHealthz)
-	mux.HandleFunc("/trace", n.serveTrace)
 	mux.HandleFunc("/events", n.serveEvents)
 	mux.HandleFunc("/spans", n.serveSpans)
 	mux.HandleFunc("/audit", n.serveAudit)
@@ -197,20 +195,6 @@ func (n *Node) serveCluster(w http.ResponseWriter, _ *http.Request) {
 	rep.EventsDropped = n.recorder.Dropped()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(rep)
-}
-
-func (n *Node) serveTrace(w http.ResponseWriter, r *http.Request) {
-	count := 20
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			jsonError(w, "bad n", http.StatusBadRequest)
-			return
-		}
-		count = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(n.tracer.Last(count))
 }
 
 // eventsPage is the /events body: one page of the node's flight-recorder

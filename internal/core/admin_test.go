@@ -26,22 +26,26 @@ func adminServer(t *testing.T) (*Node, *httptest.Server) {
 
 func TestAdminUnknownPath(t *testing.T) {
 	_, srv := adminServer(t)
-	resp, err := http.Get(srv.URL + "/no-such-endpoint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path status = %d, want 404", resp.StatusCode)
+	// /trace was the hop tracer's feed; /spans replaced it.
+	for _, path := range []string{"/no-such-endpoint", "/trace"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
 func TestAdminBadParameters(t *testing.T) {
 	_, srv := adminServer(t)
 	for _, path := range []string{
-		"/trace?n=bogus",
-		"/trace?n=-1",
-		"/trace?n=1.5",
+		"/spans?since=bogus",
+		"/spans?n=-1",
+		"/spans?n=1.5",
+		"/spans?rot=bogus",
 		"/events?since=bogus",
 		"/events?since=-1",
 		"/events?n=bogus",
@@ -68,7 +72,7 @@ func TestAdminContentTypes(t *testing.T) {
 	for path, want := range map[string]string{
 		"/metrics": "text/plain",
 		"/healthz": "application/json",
-		"/trace":   "application/json",
+		"/spans":   "application/json",
 		"/events":  "application/json",
 		"/audit":   "application/json",
 		"/cluster": "application/json",

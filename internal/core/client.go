@@ -218,12 +218,9 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 		Payload: wire.Marshal(),
 	}
 	node.spans.Mark(traceID, obs.SpanMarshalled)
-	node.tracer.Begin(traceID, ec.id.Group, ec.id.String(), logical)
-	node.tracer.Hop(traceID, node.addr, obs.HopIntercepted)
 	if !env.Oneway {
 		ec.entity.recordInvocationStart(traceID)
 	}
-	node.tracer.Hop(traceID, node.addr, obs.HopMulticast)
 	node.multicast(env)
 }
 
@@ -259,7 +256,6 @@ func (ce *clientEntity) deliverReply(env *replication.Envelope) {
 		}
 	}
 	msg.WriteTo(ec.mech)
-	ce.node.tracer.Hop(env.Trace, ce.node.addr, obs.HopReplyDelivered)
 	ce.node.spans.Mark(env.Trace, obs.SpanReplyDelivered)
 	ce.node.spans.Finish(env.Trace)
 	if start, ok := ce.takeInvocationStart(env.Trace); ok {

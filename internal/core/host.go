@@ -232,7 +232,6 @@ func (h *replicaHost) run(recovering bool) {
 func (h *replicaHost) process(item dispatchItem) {
 	switch item.kind {
 	case itemRequest:
-		h.node.tracer.Hop(item.env.Trace, h.node.addr, obs.HopDelivered)
 		// Non-creating marks from here on: the delivery loop opened this
 		// node's span at the ordered point, and a replica that gets to the
 		// request only after the client's span closed (a peer's reply won)
@@ -248,7 +247,6 @@ func (h *replicaHost) process(item dispatchItem) {
 		} else {
 			h.log.Append(item.env)
 			h.node.counters.requestsLogged.Add(1)
-			h.node.tracer.Hop(item.env.Trace, h.node.addr, obs.HopLogged)
 		}
 	case itemCapture:
 		h.capture(item.xferID, item.checkpoint)
@@ -321,7 +319,6 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 		return
 	}
 	if env.Oneway {
-		h.node.tracer.Hop(env.Trace, h.node.addr, obs.HopExecuted)
 		h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
 		return
 	}
@@ -339,7 +336,6 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 		}
 		if rep.Type == giop.MsgReply {
 			h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
-			h.node.tracer.Hop(env.Trace, h.node.addr, obs.HopExecuted)
 			if h.node.replyWithdrawn(env.Conn, env.OpID) {
 				// A peer's copy is already ordered (a late replica, or one
 				// replaying its held queue or its log): ours stays home.
@@ -428,7 +424,8 @@ func (h *replicaHost) invokeInternal(op string, args []byte) ([]byte, error) {
 
 // capture is the donor side of a state transfer (Figure 5 steps i–iv):
 // retrieve application-level state with get_state(), piggyback ORB-level
-// and infrastructure-level state, and multicast the fabricated set_state.
+// and infrastructure-level state, and hand the fabricated set_state to the
+// chunk streamer (xfer.go).
 // checkpoint distinguishes the periodic captures of passive replication
 // from recovery transfers (only the latter feed the recovery histogram).
 func (h *replicaHost) capture(xferID uint64, checkpoint bool) {
@@ -471,20 +468,7 @@ func (h *replicaHost) capture(xferID uint64, checkpoint bool) {
 	h.node.logger().Info("state captured", "group", h.group, "xfer", xferID,
 		"appStateBytes", len(bundle.AppState), "serverConns", len(bundle.ORB.ServerConns),
 		"captureDuration", captureDur, "checkpoint", checkpoint)
-	enc := bundle.Encode()
-	// Small bundles (and chunking disabled) take the monolithic Figure 5
-	// path; anything larger streams as paced chunks closed by a manifest.
-	if chunkBytes := h.node.stateChunkBytes(); chunkBytes > 0 && len(enc) > chunkBytes {
-		h.node.sendChunked(h.group, xferID, enc, chunkBytes)
-		return
-	}
-	h.node.multicast(&replication.Envelope{
-		Kind:    replication.KSetState,
-		Group:   h.group,
-		Node:    h.node.addr,
-		XferID:  xferID,
-		Payload: enc,
-	})
+	h.node.sendChunked(h.group, xferID, bundle.Encode())
 }
 
 // applyState is the recovering side (Figure 5 steps v–vi): assign the

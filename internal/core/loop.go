@@ -9,7 +9,6 @@ import (
 	"eternal/internal/faultdetect"
 	"eternal/internal/ftcorba"
 	"eternal/internal/obs"
-	"eternal/internal/recovery"
 	"eternal/internal/replication"
 	"eternal/internal/totem"
 )
@@ -273,8 +272,6 @@ func (n *Node) handleEnvelope(seq uint64, env *replication.Envelope) {
 		n.handleRemove(seq, env)
 	case replication.KAddMember:
 		n.handleAdd(seq, env)
-	case replication.KSetState:
-		n.handleSetState(seq, env)
 	case replication.KStateChunk:
 		n.handleStateChunk(env)
 	case replication.KStateManifest:
@@ -301,7 +298,6 @@ func (n *Node) handleEnvelope(seq uint64, env *replication.Envelope) {
 }
 
 func (n *Node) handleRequest(seq uint64, env *replication.Envelope) {
-	n.tracer.Hop(env.Trace, n.addr, obs.HopOrdered)
 	n.spans.Annotate(env.Trace, env.Group)
 	n.spans.MarkSeq(env.Trace, obs.SpanOrdered, seq)
 	g, ok := n.table.Get(env.Group)
@@ -445,59 +441,6 @@ func (n *Node) handleAdd(seq uint64, env *replication.Envelope) {
 		// set_state clears only the log entries it subsumes.
 		if h := n.hosts[env.Group]; h != nil && !h.recovering {
 			h.q.push(dispatchItem{kind: itemCheckpointMark, xferID: env.XferID})
-		}
-	}
-}
-
-func (n *Node) handleSetState(seq uint64, env *replication.Envelope) {
-	g, ok := n.table.Get(env.Group)
-	if !ok {
-		return
-	}
-	bundle, err := recovery.DecodeBundle(env.Payload)
-	if err != nil {
-		return
-	}
-	// The delivered set_state is the point in the total order at which
-	// every recovering member is cured (Figure 5 step v).
-	n.recorder.Record(obs.Event{
-		Type: obs.EventSetState, Seq: seq, Ordered: true,
-		Group: env.Group, Node: env.Node, XferID: env.XferID,
-		Value: int64(len(bundle.AppState)),
-	})
-	// Every recovering member is cured by this state (they all held their
-	// queues from their own synchronization points; duplicate suppression
-	// makes the replayed overlap idempotent).
-	for _, m := range g.Members {
-		if m.State != replication.MemberRecovering {
-			continue
-		}
-		if err := n.table.MarkOperational(env.Group, m.Node); err != nil {
-			continue
-		}
-		if m.Node == n.addr {
-			if h := n.hosts[env.Group]; h != nil && h.recovering {
-				h.recovering = false
-				select {
-				case h.stateCh <- stateDelivery{bundle: bundle, xferID: env.XferID}:
-				default:
-				}
-				// The replica is (about to be) operational: begin pull
-				// monitoring it.
-				n.startMonitor(h, g.Spec.Props.FaultMonitoringInterval)
-			}
-		} else {
-			// Remote recovery completion is observable here (the precise
-			// reinstatement is signaled locally by the dispatcher).
-			n.signal(recoveredKey(env.Group, m.Node))
-		}
-		n.reconcile(env.Group)
-	}
-	// Operational passive backups absorb the checkpoint (warm: into the
-	// instance; cold: into the log).
-	if env.Node != n.addr && g.Spec.Props.Style != ftcorba.Active && !g.IsPrimary(n.addr) {
-		if h := n.hosts[env.Group]; h != nil && !h.recovering {
-			h.q.push(dispatchItem{kind: itemApplyCheckpoint, bundle: bundle, xferID: env.XferID})
 		}
 	}
 }

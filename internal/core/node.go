@@ -62,9 +62,9 @@ type Config struct {
 	// cold-start case where no node has state yet (default 750ms; slow
 	// rings want it longer, tests shorter).
 	SyncSelfDeclare time.Duration
-	// StateChunkBytes bounds one state-transfer chunk's payload. Zero
-	// selects recovery.DefaultChunkBytes (~32 KiB); negative disables
-	// chunking entirely, reverting to the monolithic set_state.
+	// StateChunkBytes bounds one state-transfer chunk's payload (default
+	// recovery.DefaultChunkBytes, ~32 KiB). A bundle that fits is sent as
+	// one chunk and its manifest.
 	StateChunkBytes int
 	// StateChunksPerToken caps how many state chunks the transfer
 	// streamer multicasts per token rotation, so foreground traffic
@@ -77,9 +77,6 @@ type Config struct {
 	// creates a private registry, retrievable via Node.Metrics(). Sharing a
 	// registry between nodes of one process merges their totem metrics.
 	Metrics *obs.Registry
-	// TraceCapacity bounds the message-lifecycle tracer's ring buffer
-	// (default obs.DefaultTraceCapacity).
-	TraceCapacity int
 	// EventCapacity bounds the flight recorder's ring buffer (default
 	// obs.DefaultEventCapacity). Oldest events are dropped beyond it; the
 	// drop count is exported as eternal_events_dropped_total.
@@ -174,11 +171,10 @@ type Node struct {
 	// counters back the Stats surface.
 	counters nodeCounters
 
-	// Observability: the metrics registry, the message-lifecycle tracer,
-	// the recovery timeline log (paper Figure 6, live), and the flight
-	// recorder (sequence-stamped membership/recovery/fault events).
+	// Observability: the metrics registry, the recovery timeline log
+	// (paper Figure 6, live), the flight recorder (sequence-stamped
+	// membership/recovery/fault events) and the per-invocation span journal.
 	metrics      *obs.Registry
-	tracer       *obs.Tracer
 	timelines    *obs.TimelineLog
 	recorder     *obs.Recorder
 	spans        *obs.SpanRecorder   // nil when SpanCapacity < 0
@@ -273,7 +269,6 @@ func Start(cfg Config) (*Node, error) {
 		calls:      make(chan func(), 16),
 		faults:     faultdetect.NewNotifier(),
 		metrics:    metrics,
-		tracer:     obs.NewTracer(cfg.TraceCapacity),
 		spans:      spans,
 		audit:      audit,
 		auditDue:   make(map[string]time.Time),
@@ -433,9 +428,9 @@ func (n *Node) GroupIOR(name string) (*ior.IOR, error) {
 
 // nextXfer generates a transfer id unique across the domain: the high
 // half identifies the initiating node, the low half counts locally. Every
-// capture marker (KAddMember, KCheckpoint) and its KSetState share one id
-// space, so passive backups can pair markers with the checkpoints they
-// produce.
+// capture marker (KAddMember, KCheckpoint) and its KStateManifest share
+// one id space, so passive backups can pair markers with the checkpoints
+// they produce.
 func (n *Node) nextXfer() uint64 {
 	return hashName(n.addr)<<32 | (n.xferCounter.Add(1) & 0xFFFFFFFF)
 }

@@ -158,10 +158,6 @@ func (n *Node) Stats() Stats { return n.counters.snapshot() }
 // traffic metrics, all scrapeable through AdminHandler or directly.
 func (n *Node) Metrics() *obs.Registry { return n.metrics }
 
-// Tracer returns the node's message-lifecycle tracer: the recent
-// invocations this node observed, each with its timestamped hops.
-func (n *Node) Tracer() *obs.Tracer { return n.tracer }
-
 // RecoveryTimelines returns the per-phase timelines of recoveries this
 // node completed as the recovering side, newest first — the live form of
 // the paper's Figure 6 decomposition.

@@ -10,14 +10,14 @@ import (
 	"eternal/internal/replication"
 )
 
-// This file is the chunked, flow-controlled state-transfer pipeline. The
-// monolithic set_state of Figure 5 becomes a stream of KStateChunk
-// envelopes — paced so foreground invocations interleave with them on the
-// token ring — closed by one totally-ordered KStateManifest that plays
-// the sync-point role the single KSetState played: every node marks the
-// recovering members operational at the manifest's position, and only the
-// local assembly of the chunk payloads may lag behind it (cured by
-// retransmit-by-index).
+// This file is the state-transfer pipeline, the one route every set_state
+// of Figure 5 takes, recovery and passive checkpoint alike: a stream of
+// KStateChunk envelopes — paced so foreground invocations interleave with
+// them on the token ring — closed by one totally-ordered KStateManifest,
+// the transfer's sync point: every node marks the recovering members
+// operational at the manifest's position, and only the local assembly of
+// the chunk payloads may lag behind it (cured by retransmit-by-index). A
+// bundle that fits one chunk is the one-chunk case of the same stream.
 
 const (
 	// xferRetryInterval is how often the sweep re-requests chunks still
@@ -60,28 +60,14 @@ type inboundXfer struct {
 	donor   string
 	asm     *recovery.Assembly
 	started time.Time
-	// Routing decided at the manifest's ordered position (the same
-	// decisions handleSetState takes): cure completes this node's
-	// recovering host; ckpt applies the bundle to an operational passive
-	// backup.
+	// Routing decided at the manifest's ordered position: cure completes
+	// this node's recovering host; ckpt applies the bundle to an
+	// operational passive backup.
 	manifested bool
 	cure       bool
 	ckpt       bool
 	retries    int
 	lastNak    time.Time
-}
-
-// stateChunkBytes resolves the configured chunk size: 0 means the
-// default, negative disables chunking (monolithic KSetState).
-func (n *Node) stateChunkBytes() int {
-	b := n.cfg.StateChunkBytes
-	if b < 0 {
-		return 0
-	}
-	if b == 0 {
-		return recovery.DefaultChunkBytes
-	}
-	return b
 }
 
 func (n *Node) stopped() bool {
@@ -100,7 +86,8 @@ func (n *Node) stopped() bool {
 // multicasts happen on the node's single streaming goroutine, whose FIFO
 // order guarantees each transfer's manifest follows its chunks and that
 // concurrent captures do not interleave their streams.
-func (n *Node) sendChunked(group string, xferID uint64, enc []byte, chunkBytes int) {
+func (n *Node) sendChunked(group string, xferID uint64, enc []byte) {
+	chunkBytes := n.cfg.StateChunkBytes // <= 0: recovery.DefaultChunkBytes
 	chunks := recovery.SplitChunks(enc, chunkBytes)
 	manifest := recovery.NewManifest(enc, chunks, chunkBytes)
 	n.cacheOutbound(group, xferID, chunks)
@@ -264,6 +251,22 @@ func (n *Node) handleStateRetransmit(env *replication.Envelope) {
 
 // --- receiving side (delivery-loop handlers) ---
 
+// inbound returns the assembly of the transfer a chunk or manifest
+// belongs to, opening it on the transfer's first envelope.
+func (n *Node) inbound(env *replication.Envelope) *inboundXfer {
+	x := n.inXfers[env.XferID]
+	if x == nil {
+		x = &inboundXfer{
+			group:   env.Group,
+			donor:   env.Node,
+			asm:     recovery.NewAssembly(),
+			started: time.Now(),
+		}
+		n.inXfers[env.XferID] = x
+	}
+	return x
+}
+
 // handleStateChunk stores one streamed chunk. Chunks are local payload
 // delivery, not state-machine transitions: nothing in the replicated
 // tables moves until the manifest.
@@ -276,16 +279,7 @@ func (n *Node) handleStateChunk(env *replication.Envelope) {
 	if _, ok := n.table.Get(env.Group); !ok {
 		return
 	}
-	x := n.inXfers[env.XferID]
-	if x == nil {
-		x = &inboundXfer{
-			group:   env.Group,
-			donor:   env.Node,
-			asm:     recovery.NewAssembly(),
-			started: time.Now(),
-		}
-		n.inXfers[env.XferID] = x
-	}
+	x := n.inbound(env)
 	if err := x.asm.AddChunk(int(env.OpID), env.Payload); err != nil {
 		n.counters.stateChunksRejected.Inc()
 		return
@@ -295,14 +289,14 @@ func (n *Node) handleStateChunk(env *replication.Envelope) {
 	}
 }
 
-// handleStateManifest is the transfer's sync point. The replicated state
-// machine transitions here, identically on every node, exactly as it did
-// at a monolithic KSetState: every recovering member of the group becomes
-// operational at this position. What may lag is purely local — if this
-// node's copy of the chunk payloads is incomplete, it requests the
-// missing indexes and applies the bundle when they arrive; invocations
-// delivered meanwhile queue behind the pending state in the replica's
-// dispatcher, preserving the Figure 5 ordering.
+// handleStateManifest is the transfer's sync point (Figure 5 step v). The
+// replicated state machine transitions here, identically on every node:
+// every recovering member of the group becomes operational at this
+// position. What may lag is purely local — if this node's copy of the
+// chunk payloads is incomplete, it requests the missing indexes and
+// applies the bundle when they arrive; invocations delivered meanwhile
+// queue behind the pending state in the replica's dispatcher, preserving
+// the Figure 5 ordering.
 func (n *Node) handleStateManifest(seq uint64, env *replication.Envelope) {
 	g, ok := n.table.Get(env.Group)
 	if !ok {
@@ -312,32 +306,24 @@ func (n *Node) handleStateManifest(seq uint64, env *replication.Envelope) {
 	if err != nil {
 		return
 	}
-	// Ordered at the manifest position on every node, mirroring the
-	// EventSetState of a monolithic transfer (Value: encoded bundle bytes).
+	// Ordered at the manifest position on every node (Value: encoded
+	// bundle bytes).
 	n.recorder.Record(obs.Event{
 		Type: obs.EventSetState, Seq: seq, Ordered: true,
 		Group: env.Group, Node: env.Node, XferID: env.XferID,
 		Value:  int64(m.TotalBytes),
 		Detail: fmt.Sprintf("chunks=%d", m.Count()),
 	})
-	x := n.inXfers[env.XferID]
-	if x == nil {
-		x = &inboundXfer{
-			group:   env.Group,
-			donor:   env.Node,
-			asm:     recovery.NewAssembly(),
-			started: time.Now(),
-		}
-		n.inXfers[env.XferID] = x
-	}
+	x := n.inbound(env)
 	missing, dropped := x.asm.SetManifest(m)
 	if dropped > 0 {
 		n.counters.stateChunksRejected.Add(uint64(dropped))
 	}
 	x.manifested = true
 
-	// The state-machine transitions of handleSetState, verbatim: cure
-	// every recovering member at this position.
+	// Every recovering member is cured by this state (they all held their
+	// queues from their own synchronization points; duplicate suppression
+	// makes the replayed overlap idempotent).
 	for _, member := range g.Members {
 		if member.State != replication.MemberRecovering {
 			continue
@@ -397,11 +383,12 @@ func (n *Node) requestMissing(xferID uint64, x *inboundXfer, missing []uint32) {
 	})
 }
 
-// finishInbound decodes a completed assembly and routes the bundle the
-// way handleSetState routed a monolithic one. Routing conditions that
-// could have changed since the manifest (a backup promoted to primary
-// must not roll itself back to the checkpoint) are re-checked here
-// against the current table.
+// finishInbound decodes a completed assembly and routes the bundle: to
+// the recovering host's dispatcher (cure) or, as a checkpoint, to an
+// operational passive backup (warm: into the instance; cold: into the
+// log). Routing conditions that could have changed since the manifest (a
+// backup promoted to primary must not roll itself back to the checkpoint)
+// are re-checked here against the current table.
 func (n *Node) finishInbound(xferID uint64, x *inboundXfer) {
 	delete(n.inXfers, xferID)
 	bundle, err := recovery.DecodeBundle(x.asm.Bytes())

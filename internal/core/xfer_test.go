@@ -10,6 +10,7 @@ import (
 	"eternal/internal/ftcorba"
 	"eternal/internal/obs"
 	"eternal/internal/orb"
+	"eternal/internal/recovery"
 	"eternal/internal/replication"
 	"eternal/internal/simnet"
 	"eternal/internal/totem"
@@ -409,6 +410,180 @@ func TestAsymmetricNakDropFreshXferRestart(t *testing.T) {
 		t.Error("no manifest under a fresh xfer id: recovery did not restart cleanly")
 	}
 	// The recovered replica must serve: fail n1 over and ask n2's copy.
+	if err := c.nodes["n1"].KillReplica("blob", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := ping(t, obj); got != 2 {
+		t.Fatalf("ping after failover = %d, want 2", got)
+	}
+}
+
+// setStates lists a node's ordered set-state events for the group.
+func setStates(n *Node, group string) []obs.Event {
+	var out []obs.Event
+	for _, ev := range n.Events(0, 0) {
+		if ev.Type == obs.EventSetState && ev.Group == group {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestStateTransferEverySize: a bundle that fits one chunk takes the one
+// state-transfer route there is — one KStateChunk and its KStateManifest —
+// whether it cures a recovering active replica or checkpoints a warm or
+// cold passive backup, and the ordered set-state event reads the same for
+// every size: one per transfer id, at one agreed position, Value the
+// encoded bundle's bytes.
+func TestStateTransferEverySize(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		style            ftcorba.ReplicationStyle
+		blob, chunkBytes int
+		oneChunk         bool
+	}{
+		{"active-10B", ftcorba.Active, 10, 0, true},
+		{"warm-passive-10B", ftcorba.WarmPassive, 10, 0, true},
+		{"cold-passive-10B", ftcorba.ColdPassive, 10, 0, true},
+		{"active-20KiB", ftcorba.Active, 20 << 10, 2048, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newXferCluster(t, tc.blob, func(cfg *Config) {
+				cfg.StateChunkBytes = tc.chunkBytes
+			}, "n1", "n2")
+			props := ftcorba.Properties{Style: tc.style, InitialReplicas: 2, MinReplicas: 1}
+			if tc.style != ftcorba.Active {
+				props.CheckpointInterval = time.Hour // only the count trigger fires
+				props.CheckpointEveryN = 3
+			}
+			if err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
+				Name: "blob", TypeName: "Blob", Props: props, Nodes: []string{"n1", "n2"},
+			}, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			obj := c.client("n1", "driver", "blob")
+			pings, transfers := uint64(3), 1
+			for i := uint64(1); i <= pings; i++ {
+				if got := ping(t, obj); got != i {
+					t.Fatalf("ping = %d, want %d", got, i)
+				}
+			}
+			if tc.style == ftcorba.Active {
+				if err := c.nodes["n2"].KillReplica("blob", 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.nodes["n2"].RecoverReplica("blob", 15*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// Two checkpoints, each triggered by three logged messages.
+				transfers = 2
+				awaitSetStates(t, c.nodes["n2"], "blob", 1)
+				for ; pings < 6; pings++ {
+					ping(t, obj)
+				}
+			}
+			awaitSetStates(t, c.nodes["n2"], "blob", transfers)
+			awaitSetStates(t, c.nodes["n1"], "blob", transfers)
+
+			// Quiescent now: nothing else captures. Donor and receiver hold
+			// the same set-state events, one per transfer.
+			donor, rcvr := setStates(c.nodes["n1"], "blob"), setStates(c.nodes["n2"], "blob")
+			if len(donor) != transfers || len(rcvr) != transfers {
+				t.Fatalf("set-state events: donor %d, receiver %d, want %d each", len(donor), len(rcvr), transfers)
+			}
+			var bundleBytes uint64
+			seen := make(map[uint64]bool)
+			for i, ev := range donor {
+				if seen[ev.XferID] {
+					t.Fatalf("transfer %d has two set-state events", ev.XferID)
+				}
+				seen[ev.XferID] = true
+				if !ev.Ordered || ev.Node != "n1" || ev.Seq != rcvr[i].Seq || ev.XferID != rcvr[i].XferID || ev.Value != rcvr[i].Value {
+					t.Fatalf("set-state %d: donor %+v, receiver %+v", i, ev, rcvr[i])
+				}
+				if tc.oneChunk && ev.Detail != "chunks=1" {
+					t.Fatalf("set-state detail = %q, want chunks=1", ev.Detail)
+				}
+				if ev.Value <= int64(tc.blob) {
+					t.Fatalf("set-state value %d is not the encoded bundle size (application state alone is %d bytes)", ev.Value, tc.blob)
+				}
+				bundleBytes += uint64(ev.Value)
+			}
+			// Every bundle byte went out as chunk payload, none another way.
+			st := c.nodes["n1"].Stats()
+			if st.StateChunkBytes != bundleBytes || st.StateChunksResent != 0 {
+				t.Fatalf("donor streamed %d chunk bytes (%d resent chunks), set-state events total %d",
+					st.StateChunkBytes, st.StateChunksResent, bundleBytes)
+			}
+			if tc.oneChunk && st.StateChunksSent != uint64(transfers) {
+				t.Fatalf("donor sent %d chunks for %d one-chunk transfers", st.StateChunksSent, transfers)
+			}
+			if !tc.oneChunk && st.StateChunksSent < 10 {
+				t.Fatalf("donor sent %d chunks for a 20 KiB state at 2 KiB/chunk", st.StateChunksSent)
+			}
+
+			// Only n2's copy answers now: the counter continuing proves the
+			// transferred state (and, passive, the log behind it) was applied.
+			if err := c.nodes["n1"].KillReplica("blob", 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if tc.style != ftcorba.Active {
+				if err := c.nodes["n2"].AwaitPromoted("blob", "n2", 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ping(t, obj); got != pings+1 {
+				t.Fatalf("ping after failover = %d, want %d", got, pings+1)
+			}
+		})
+	}
+}
+
+// awaitSetStates waits until the node has recorded at least want ordered
+// set-state events for the group.
+func awaitSetStates(t *testing.T, n *Node, group string, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(setStates(n, group)) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d set-state events for %s, want %d", n.Addr(), len(setStates(n, group)), group, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHostileChunkIndex: a KStateChunk's index comes straight off the wire
+// on every node that knows the group. One past the manifest bound must be
+// rejected outright (held by index, it once sized a slice), and one just
+// inside it held at the cost of one chunk; neither disturbs the transfer
+// that follows.
+func TestHostileChunkIndex(t *testing.T) {
+	c := newXferCluster(t, 10, nil, "n1", "n2")
+	createBlobGroup(t, c, "blob", 1, "n1", "n2")
+	obj := c.client("n1", "driver", "blob")
+	ping(t, obj)
+	for _, idx := range []uint32{recovery.MaxChunks, recovery.MaxChunks - 1} {
+		c.nodes["n1"].multicast(&replication.Envelope{
+			Kind: replication.KStateChunk, Group: "blob", Node: "n1",
+			OpID: idx, XferID: 0xBAD, Payload: []byte("stray"),
+		})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, a := range []string{"n1", "n2"} {
+		for c.nodes[a].Stats().StateChunksRejected != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s rejected %d chunks, want exactly the out-of-range one", a, c.nodes[a].Stats().StateChunksRejected)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if err := c.nodes["n2"].KillReplica("blob", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes["n2"].RecoverReplica("blob", 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.nodes["n1"].KillReplica("blob", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -123,62 +123,6 @@ type AuditMemberStatus struct {
 	Stalled bool `json:"stalled,omitempty"`
 }
 
-// auditRing is the bounded journal shared by observations and alarms:
-// same arithmetic as the flight recorder's ring, generic over the entry.
-type auditRing[T any] struct {
-	buf     []T
-	head, n int
-	next    uint64 // next Index to assign (starts at 1)
-	dropped uint64
-}
-
-func newAuditRing[T any](capacity int) auditRing[T] {
-	return auditRing[T]{buf: make([]T, capacity), next: 1}
-}
-
-// add stores v (whose Index the caller set to r.next) and advances.
-func (r *auditRing[T]) add(v T) {
-	r.next++
-	if r.n == len(r.buf) {
-		r.buf[r.head] = v
-		r.head = (r.head + 1) % len(r.buf)
-		r.dropped++
-		return
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-}
-
-// since returns up to max retained entries with Index > after, oldest
-// first (max <= 0 returns all retained).
-func (r *auditRing[T]) since(after uint64, max int) []T {
-	first := r.next - uint64(r.n)
-	skip := 0
-	if after >= first {
-		skip = int(after - first + 1)
-	}
-	if skip >= r.n {
-		return nil
-	}
-	count := r.n - skip
-	if max > 0 && count > max {
-		count = max
-	}
-	out := make([]T, count)
-	for i := 0; i < count; i++ {
-		out[i] = r.buf[(r.head+skip+i)%len(r.buf)]
-	}
-	return out
-}
-
-// last returns the most recent max entries, oldest first.
-func (r *auditRing[T]) last(max int) []T {
-	if max <= 0 || max > r.n {
-		max = r.n
-	}
-	return r.since(r.next-1-uint64(max), max)
-}
-
 // auditEpoch is one epoch's matching state for one group.
 type auditEpoch struct {
 	epoch uint64
@@ -247,8 +191,8 @@ type AuditCollector struct {
 	origin string
 	lag    int
 
-	obsRing   auditRing[AuditObservation]
-	alarmRing auditRing[AuditAlarm]
+	obsRing   journal[AuditObservation]
+	alarmRing journal[AuditAlarm]
 
 	groups    map[string]*auditGroup
 	lastEpoch uint64
@@ -272,8 +216,8 @@ func NewAuditCollector(origin string, capacity, lagEpochs int) *AuditCollector {
 	return &AuditCollector{
 		origin:    origin,
 		lag:       lagEpochs,
-		obsRing:   newAuditRing[AuditObservation](capacity),
-		alarmRing: newAuditRing[AuditAlarm](auditAlarmCapacity),
+		obsRing:   newJournal[AuditObservation](capacity),
+		alarmRing: newJournal[AuditAlarm](auditAlarmCapacity),
 		groups:    make(map[string]*auditGroup),
 	}
 }
@@ -535,7 +479,7 @@ func (c *AuditCollector) Total() uint64 {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.obsRing.next - 1
+	return c.obsRing.total()
 }
 
 // Dropped reports how many observations were evicted to bound the ring.
@@ -567,7 +511,7 @@ func (c *AuditCollector) Summary() AuditSummary {
 	defer c.mu.Unlock()
 	s := AuditSummary{
 		LastEpoch:    c.lastEpoch,
-		Observations: c.obsRing.next - 1,
+		Observations: c.obsRing.total(),
 		Divergences:  c.divergences,
 		Lags:         c.lags,
 		Stalls:       c.stalls,

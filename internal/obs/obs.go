@@ -1,8 +1,8 @@
 // Package obs is Eternal's observability substrate: a dependency-free
 // metrics registry (atomic counters, gauges, fixed-bucket latency
-// histograms with percentile summaries), a message-lifecycle tracer that
-// follows one invocation through the interception → multicast → total
-// order → execution → reply pipeline, and a per-phase recovery timeline
+// histograms with percentile summaries), a span journal that follows one
+// invocation through the interception → multicast → total order →
+// execution → reply pipeline, and a per-phase recovery timeline
 // log that reproduces the paper's Figure 6 measurement path from live
 // instrumentation.
 //

@@ -225,3 +225,17 @@ func TestParseLevel(t *testing.T) {
 		t.Fatal("ParseLevel must reject unknown levels")
 	}
 }
+
+func TestTimelineLogNewestFirstBounded(t *testing.T) {
+	l := NewTimelineLog(3)
+	for i := 1; i <= 5; i++ {
+		l.Add(RecoveryTimeline{XferID: uint64(i)})
+	}
+	all := l.Last(0)
+	if len(all) != 3 || all[0].XferID != 5 || all[2].XferID != 3 {
+		t.Fatalf("Last(0) = %+v, want transfers 5,4,3", all)
+	}
+	if got := l.Last(1); len(got) != 1 || got[0].XferID != 5 {
+		t.Fatalf("Last(1) = %+v, want transfer 5", got)
+	}
+}

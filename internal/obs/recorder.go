@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -135,14 +134,10 @@ const DefaultEventCapacity = 1024
 // message hot path — events fire on membership, recovery and fault
 // transitions, never per request.
 type Recorder struct {
-	mu      sync.Mutex
-	origin  string
-	buf     []Event // ring storage, preallocated
-	head    int     // index of the oldest retained event
-	n       int     // retained count
-	next    uint64  // next Index to assign (starts at 1)
-	dropped atomic.Uint64
-	seqFn   func() uint64 // stamps Seq on events recorded without one
+	mu     sync.Mutex
+	origin string
+	events journal[Event]
+	seqFn  func() uint64 // stamps Seq on events recorded without one
 }
 
 // NewRecorder creates a recorder for the named node retaining up to
@@ -151,7 +146,7 @@ func NewRecorder(capacity int, origin string) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	return &Recorder{origin: origin, buf: make([]Event, capacity), next: 1}
+	return &Recorder{origin: origin, events: newJournal[Event](capacity)}
 }
 
 // SetSeqSource installs the function used to stamp Seq on events recorded
@@ -179,16 +174,8 @@ func (r *Recorder) Record(ev Event) {
 	if ev.Seq == 0 && r.seqFn != nil {
 		ev.Seq = r.seqFn()
 	}
-	ev.Index = r.next
-	r.next++
-	if r.n == len(r.buf) {
-		r.buf[r.head] = ev
-		r.head = (r.head + 1) % len(r.buf)
-		r.dropped.Add(1)
-		return
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = ev
-	r.n++
+	ev.Index = r.events.next
+	r.events.add(ev)
 }
 
 // Since returns up to max retained events with Index > after, oldest
@@ -197,43 +184,29 @@ func (r *Recorder) Record(ev Event) {
 func (r *Recorder) Since(after uint64, max int) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Indexes are contiguous within the ring: the oldest retained event has
-	// Index next-n, so the offset of the first match is computable directly.
-	first := r.next - uint64(r.n) // Index of the oldest retained event
-	skip := 0
-	if after >= first {
-		skip = int(after - first + 1)
-	}
-	if skip >= r.n {
-		return nil
-	}
-	count := r.n - skip
-	if max > 0 && count > max {
-		count = max
-	}
-	out := make([]Event, count)
-	for i := 0; i < count; i++ {
-		out[i] = r.buf[(r.head+skip+i)%len(r.buf)]
-	}
-	return out
+	return r.events.since(after, max)
 }
 
 // Len reports how many events are currently retained.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.events.n
 }
 
 // Total reports how many events were ever recorded.
 func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next - 1
+	return r.events.total()
 }
 
 // Dropped reports how many events were evicted to bound the ring.
-func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
+func (r *Recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.events.dropped
+}
 
 // Origin returns the recording node's name.
 func (r *Recorder) Origin() string { return r.origin }

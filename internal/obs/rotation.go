@@ -50,10 +50,8 @@ const DefaultRotationCapacity = 256
 // layer's per-visit profiler output. Recording is a mutex and a struct
 // copy into a preallocated ring; a nil log is ignored.
 type RotationLog struct {
-	mu   sync.Mutex
-	buf  []TokenRotation
-	head int
-	n    int
+	mu      sync.Mutex
+	samples journal[TokenRotation]
 }
 
 // NewRotationLog creates a log retaining up to capacity samples
@@ -62,7 +60,7 @@ func NewRotationLog(capacity int) *RotationLog {
 	if capacity <= 0 {
 		capacity = DefaultRotationCapacity
 	}
-	return &RotationLog{buf: make([]TokenRotation, capacity)}
+	return &RotationLog{samples: newJournal[TokenRotation](capacity)}
 }
 
 // Record appends a sample, evicting the oldest when full.
@@ -71,12 +69,7 @@ func (l *RotationLog) Record(s TokenRotation) {
 		return
 	}
 	l.mu.Lock()
-	if l.n == len(l.buf) {
-		l.head = (l.head + 1) % len(l.buf)
-		l.n--
-	}
-	l.buf[(l.head+l.n)%len(l.buf)] = s
-	l.n++
+	l.samples.add(s)
 	l.mu.Unlock()
 }
 
@@ -88,13 +81,5 @@ func (l *RotationLog) Last(max int) []TokenRotation {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	count := l.n
-	if max > 0 && count > max {
-		count = max
-	}
-	out := make([]TokenRotation, count)
-	for i := 0; i < count; i++ {
-		out[i] = l.buf[(l.head+l.n-count+i)%len(l.buf)]
-	}
-	return out
+	return l.samples.last(max)
 }

@@ -175,11 +175,7 @@ type SpanRecorder struct {
 	mu      sync.Mutex
 	active  map[uint64]*Span
 	order   []uint64 // active-set creation order, oldest first
-	journal []Span   // ring, preallocated
-	next    uint64   // next journal index to assign (starts at 1)
-	head    int      // ring position of the oldest journalled span
-	n       int      // journalled spans currently retained
-	dropped uint64
+	journal journal[Span]
 	pool    sync.Pool
 }
 
@@ -193,8 +189,7 @@ func NewSpanRecorder(node string, capacity int) *SpanRecorder {
 	r := &SpanRecorder{
 		node:    node,
 		active:  make(map[uint64]*Span),
-		journal: make([]Span, capacity),
-		next:    1,
+		journal: newJournal[Span](capacity),
 	}
 	r.pool.New = func() any { return new(Span) }
 	return r
@@ -338,7 +333,7 @@ func (r *SpanRecorder) get(trace uint64) *Span {
 	*sp = Span{Trace: trace, Node: r.node}
 	r.active[trace] = sp
 	r.order = append(r.order, trace)
-	for len(r.order) > len(r.journal) {
+	for len(r.order) > len(r.journal.buf) {
 		oldest := r.order[0]
 		old := r.active[oldest]
 		r.removeActive(oldest)
@@ -362,15 +357,8 @@ func (r *SpanRecorder) removeActive(trace uint64) {
 // journalSpan assigns the next index, copies the span into the ring and
 // returns the struct to the pool, under the held lock.
 func (r *SpanRecorder) journalSpan(sp *Span) {
-	sp.Index = r.next
-	r.next++
-	if r.n == len(r.journal) {
-		r.head = (r.head + 1) % len(r.journal)
-		r.n--
-		r.dropped++
-	}
-	r.journal[(r.head+r.n)%len(r.journal)] = *sp
-	r.n++
+	sp.Index = r.journal.next
+	r.journal.add(*sp)
 	r.pool.Put(sp)
 }
 
@@ -384,26 +372,7 @@ func (r *SpanRecorder) Since(after uint64, max int) []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == 0 {
-		return nil
-	}
-	first := r.next - uint64(r.n) // index of the oldest retained span
-	skip := 0
-	if after >= first {
-		skip = int(after - first + 1)
-	}
-	if skip >= r.n {
-		return nil
-	}
-	count := r.n - skip
-	if max > 0 && count > max {
-		count = max
-	}
-	out := make([]Span, count)
-	for i := 0; i < count; i++ {
-		out[i] = r.journal[(r.head+skip+i)%len(r.journal)]
-	}
-	return out
+	return r.journal.since(after, max)
 }
 
 // Total reports how many spans were ever journalled.
@@ -413,7 +382,7 @@ func (r *SpanRecorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next - 1
+	return r.journal.total()
 }
 
 // Dropped reports how many journalled spans ring eviction discarded.
@@ -423,7 +392,7 @@ func (r *SpanRecorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.journal.dropped
 }
 
 // Open reports how many spans are still accumulating phases.

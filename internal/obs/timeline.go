@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -37,7 +38,7 @@ type Phase struct {
 type RecoveryTimeline struct {
 	Group string `json:"group"`
 	Node  string `json:"node"`
-	// XferID correlates the timeline with the KAddMember/KSetState pair.
+	// XferID correlates the timeline with the KAddMember/KStateManifest pair.
 	XferID uint64 `json:"xfer_id"`
 	// Start is the local processing time of the KAddMember that opened
 	// the recovery (the synchronization point); End is the reinstatement
@@ -77,8 +78,7 @@ const DefaultTimelineCapacity = 64
 // TimelineLog retains the most recent recovery timelines of one node.
 type TimelineLog struct {
 	mu      sync.Mutex
-	cap     int
-	entries []RecoveryTimeline
+	entries journal[RecoveryTimeline]
 }
 
 // NewTimelineLog creates a log retaining up to capacity timelines
@@ -87,17 +87,14 @@ func NewTimelineLog(capacity int) *TimelineLog {
 	if capacity <= 0 {
 		capacity = DefaultTimelineCapacity
 	}
-	return &TimelineLog{cap: capacity}
+	return &TimelineLog{entries: newJournal[RecoveryTimeline](capacity)}
 }
 
 // Add appends a timeline, evicting the oldest beyond capacity.
 func (l *TimelineLog) Add(t RecoveryTimeline) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = append(l.entries, t)
-	if len(l.entries) > l.cap {
-		l.entries = l.entries[len(l.entries)-l.cap:]
-	}
+	l.entries.add(t)
 }
 
 // Last returns copies of the most recent n timelines, newest first
@@ -105,12 +102,7 @@ func (l *TimelineLog) Add(t RecoveryTimeline) {
 func (l *TimelineLog) Last(n int) []RecoveryTimeline {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n <= 0 || n > len(l.entries) {
-		n = len(l.entries)
-	}
-	out := make([]RecoveryTimeline, 0, n)
-	for i := len(l.entries) - 1; i >= 0 && len(out) < n; i-- {
-		out = append(out, l.entries[i])
-	}
+	out := l.entries.last(n)
+	slices.Reverse(out)
 	return out
 }

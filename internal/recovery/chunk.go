@@ -13,6 +13,10 @@ import (
 // that foreground traffic interleaves between chunks on the token ring.
 const DefaultChunkBytes = 32 * 1024
 
+// MaxChunks bounds one transfer's chunk count, and so its chunk indexes
+// (16M chunks ≈ 512 GiB at the default size): anything past it is garbage.
+const MaxChunks = 1 << 24
+
 // ErrBadManifest reports an undecodable or inconsistent manifest.
 var ErrBadManifest = errors.New("recovery: bad manifest")
 
@@ -44,8 +48,8 @@ func SplitChunks(enc []byte, chunkBytes int) [][]byte {
 
 // Manifest describes one chunked state transfer: how the encoded bundle
 // was split and a CRC-32 (IEEE) checksum per chunk. Its delivery position
-// in the total order is the transfer's sync point — the same role the
-// monolithic set_state played — so it carries everything a receiver needs
+// in the total order is the transfer's sync point — the paper's set_state
+// — so it carries everything a receiver needs
 // to validate the chunks that streamed ahead of it.
 type Manifest struct {
 	// TotalBytes is the length of the encoded bundle.
@@ -106,7 +110,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	if n > 1<<24 { // 16M chunks ≈ 512 GiB at the default size: reject garbage
+	if n > MaxChunks {
 		return nil, fmt.Errorf("%w: absurd chunk count %d", ErrBadManifest, n)
 	}
 	m.Checksums = make([]uint32, n)
@@ -137,20 +141,23 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 //
 // Assembly is confined to the owning node's delivery goroutine.
 type Assembly struct {
-	chunks   [][]byte
+	// chunks is keyed by index so memory tracks the chunks held, not the
+	// largest index seen: before the manifest the index comes straight off
+	// the wire with nothing to check it against.
+	chunks   map[int][]byte
 	manifest *Manifest
 }
 
 // NewAssembly creates an empty assembly.
-func NewAssembly() *Assembly { return &Assembly{} }
+func NewAssembly() *Assembly { return &Assembly{chunks: make(map[int][]byte)} }
 
 // AddChunk stores one chunk by index. Before the manifest is known any
-// index is accepted provisionally. After the manifest, out-of-range
-// indexes and checksum/size mismatches are rejected with an error and the
-// stored state is unchanged.
+// index below MaxChunks is accepted provisionally. After the manifest,
+// out-of-range indexes and checksum/size mismatches are rejected with an
+// error and the stored state is unchanged.
 func (a *Assembly) AddChunk(idx int, payload []byte) error {
-	if idx < 0 {
-		return fmt.Errorf("%w: negative index %d", ErrChunkMismatch, idx)
+	if idx < 0 || idx >= MaxChunks {
+		return fmt.Errorf("%w: index %d out of range", ErrChunkMismatch, idx)
 	}
 	if a.manifest != nil {
 		if idx >= a.manifest.Count() {
@@ -159,9 +166,6 @@ func (a *Assembly) AddChunk(idx int, payload []byte) error {
 		if err := a.manifest.verifyChunk(idx, payload); err != nil {
 			return err
 		}
-	}
-	for idx >= len(a.chunks) {
-		a.chunks = append(a.chunks, nil)
 	}
 	a.chunks[idx] = payload
 	return nil
@@ -189,31 +193,18 @@ func (m *Manifest) verifyChunk(idx int, payload []byte) error {
 // SetManifest installs the transfer's manifest, verifies every chunk held
 // so far, and drops any that fail (they become missing, to be
 // retransmitted). It returns the indexes still missing, and the count of
-// held chunks it dropped for checksum/size mismatch.
+// held chunks it dropped: past the manifest's count, or checksum/size
+// mismatch.
 func (a *Assembly) SetManifest(m *Manifest) (missing []uint32, dropped int) {
 	a.manifest = m
-	if len(a.chunks) > m.Count() {
-		for i := m.Count(); i < len(a.chunks); i++ {
-			if a.chunks[i] != nil {
-				dropped++
-			}
-		}
-		a.chunks = a.chunks[:m.Count()]
-	}
 	for i, c := range a.chunks {
-		if c == nil {
-			continue
-		}
-		if err := m.verifyChunk(i, c); err != nil {
-			a.chunks[i] = nil
+		if i >= m.Count() || m.verifyChunk(i, c) != nil {
+			delete(a.chunks, i)
 			dropped++
 		}
 	}
 	return a.Missing(), dropped
 }
-
-// Manifest returns the installed manifest, or nil before SetManifest.
-func (a *Assembly) Manifest() *Manifest { return a.manifest }
 
 // Missing lists the chunk indexes not yet held, in order. It is only
 // meaningful after SetManifest.
@@ -223,7 +214,7 @@ func (a *Assembly) Missing() []uint32 {
 	}
 	var missing []uint32
 	for i := 0; i < a.manifest.Count(); i++ {
-		if i >= len(a.chunks) || a.chunks[i] == nil {
+		if _, held := a.chunks[i]; !held {
 			missing = append(missing, uint32(i))
 		}
 	}
@@ -239,8 +230,8 @@ func (a *Assembly) Complete() bool {
 // called when Complete() is true.
 func (a *Assembly) Bytes() []byte {
 	out := make([]byte, 0, a.manifest.TotalBytes)
-	for _, c := range a.chunks {
-		out = append(out, c...)
+	for i := 0; i < a.manifest.Count(); i++ {
+		out = append(out, a.chunks[i]...)
 	}
 	return out
 }
@@ -262,7 +253,7 @@ func DecodeIndexList(buf []byte) ([]uint32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	if n > 1<<24 {
+	if n > MaxChunks {
 		return nil, fmt.Errorf("%w: absurd index count %d", ErrBadManifest, n)
 	}
 	idx := make([]uint32, n)

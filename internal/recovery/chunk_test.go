@@ -3,6 +3,7 @@ package recovery
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -281,5 +282,37 @@ func TestLogTruncateAndReset(t *testing.T) {
 	}
 	if !l.CheckpointDue(time.Now()) {
 		t.Fatal("policy lost across Reset")
+	}
+}
+
+// TestAssemblyPreManifestIndexIsBounded: before the manifest a chunk's
+// index is whatever the wire said. Holding it must cost one chunk, not a
+// table sized by the index, and an index no manifest could name is
+// rejected outright.
+func TestAssemblyPreManifestIndexIsBounded(t *testing.T) {
+	enc := testPayload(4000)
+	chunks := SplitChunks(enc, 2048)
+	a := NewAssembly()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := a.AddChunk(MaxChunks-1, testPayload(100)); err != nil {
+		t.Fatalf("largest nameable index refused before the manifest: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("holding one stray chunk at index %d allocated %d bytes", MaxChunks-1, grew)
+	}
+	for _, idx := range []int{-1, MaxChunks, 0xFFFFFFFF} {
+		if err := a.AddChunk(idx, testPayload(100)); !errors.Is(err, ErrChunkMismatch) {
+			t.Fatalf("index %d: err = %v, want ErrChunkMismatch", idx, err)
+		}
+	}
+	_ = a.AddChunk(1, chunks[1])
+	missing, dropped := a.SetManifest(NewManifest(enc, chunks, 2048))
+	if len(missing) != 1 || missing[0] != 0 || dropped != 1 {
+		t.Fatalf("missing=%v dropped=%d, want chunk 0 missing and the stray dropped", missing, dropped)
+	}
+	if err := a.AddChunk(0, chunks[0]); err != nil || !a.Complete() || !bytes.Equal(a.Bytes(), enc) {
+		t.Fatalf("assembly after the stray: err=%v complete=%t", err, a.Complete())
 	}
 }

@@ -32,10 +32,8 @@ const (
 	// in the total order is the state synchronization point: the paper's
 	// get_state() marker (Figure 5 step i).
 	KAddMember Kind = 5
-	// KSetState carries the retrieved state — application-level, with
-	// ORB-level and infrastructure-level state piggybacked (Figure 5
-	// steps iii–v).
-	KSetState Kind = 6
+	// Kind 6 is retired (the monolithic set_state envelope; every state
+	// transfer is KStateChunk + KStateManifest) and is not reused.
 	// KCheckpoint is the periodic state-retrieval marker for passive
 	// replication (paper §3.3); it triggers get_state() on the primary at
 	// a consistent point in the total order.
@@ -47,16 +45,17 @@ const (
 	// KSyncState carries the table snapshot taken at the matching
 	// KSyncRequest's position.
 	KSyncState Kind = 9
-	// KStateChunk carries one bounded slice of an encoded state bundle,
-	// streamed ahead of its KStateManifest and interleaved with
-	// foreground traffic. OpID is the chunk index within the transfer
-	// XferID; Node is the donor.
+	// KStateChunk carries one bounded slice of the encoded state bundle —
+	// application-level state with ORB-level and infrastructure-level
+	// state piggybacked (Figure 5 steps iii–v) — streamed ahead of its
+	// KStateManifest and interleaved with foreground traffic. OpID is the
+	// chunk index within the transfer XferID; Node is the donor.
 	KStateChunk Kind = 10
-	// KStateManifest is the chunked transfer's sync point: it closes the
-	// transfer XferID at one position in the total order (the role the
-	// monolithic KSetState played) and carries the manifest — chunk
-	// count, chunk size, and per-chunk checksums — the receiver uses to
-	// validate and assemble the streamed chunks.
+	// KStateManifest is the state transfer's sync point, the paper's
+	// set_state: it closes the transfer XferID at one position in the
+	// total order and carries the manifest — chunk count, chunk size, and
+	// per-chunk checksums — the receiver uses to validate and assemble the
+	// streamed chunks.
 	KStateManifest Kind = 11
 	// KStateRetransmit asks the donor (or any node holding the transfer
 	// cached) to re-multicast the listed chunk indexes of transfer
@@ -75,8 +74,7 @@ const (
 var kindNames = map[Kind]string{
 	KRequest: "Request", KReply: "Reply", KCreateGroup: "CreateGroup",
 	KRemoveMember: "RemoveMember", KAddMember: "AddMember",
-	KSetState: "SetState", KCheckpoint: "Checkpoint",
-	KSyncRequest: "SyncRequest", KSyncState: "SyncState",
+	KCheckpoint: "Checkpoint", KSyncRequest: "SyncRequest", KSyncState: "SyncState",
 	KStateChunk: "StateChunk", KStateManifest: "StateManifest",
 	KStateRetransmit: "StateRetransmit", KAudit: "Audit",
 }
@@ -114,7 +112,7 @@ type Envelope struct {
 	// addressed by Conn).
 	Group string
 	// Node is the node an administrative operation concerns (KAddMember,
-	// KRemoveMember) or the sender of a KSetState.
+	// KRemoveMember) or the donor of a state transfer.
 	Node string
 	// Conn identifies the logical client connection for KRequest/KReply.
 	Conn ConnID
@@ -125,15 +123,17 @@ type Envelope struct {
 	OpID uint32
 	// Oneway marks invocations that expect no response.
 	Oneway bool
-	// XferID correlates a KAddMember/KCheckpoint with its KSetState.
+	// XferID correlates a KAddMember/KCheckpoint with the KStateChunk/
+	// KStateManifest stream it triggers.
 	XferID uint64
 	// Trace is the Eternal-assigned trace id stamped at interception (0
 	// when untraced): every hop of the invocation — and its KReply —
-	// carries it, so each node's tracer can reconstruct the message's
-	// lifecycle timeline.
+	// carries it, so each node's span journal can reconstruct the
+	// message's lifecycle timeline.
 	Trace uint64
 	// Payload is the raw IIOP message (KRequest/KReply), the encoded
-	// group spec (KCreateGroup), or the encoded state bundle (KSetState).
+	// group spec (KCreateGroup), one slice of the encoded state bundle
+	// (KStateChunk) or the encoded manifest (KStateManifest).
 	Payload []byte
 }
 

@@ -265,8 +265,8 @@ func (t *Table) AddRecovering(group, node string) (*Group, error) {
 	return g, nil
 }
 
-// MarkOperational applies the completion of a state transfer (KSetState
-// delivered): the recovering member becomes operational.
+// MarkOperational applies the completion of a state transfer
+// (KStateManifest delivered): the recovering member becomes operational.
 func (t *Table) MarkOperational(group, node string) error {
 	g, ok := t.groups[group]
 	if !ok {

@@ -180,13 +180,13 @@ func TestPackedFramesAcrossReformation(t *testing.T) {
 }
 
 // TestPackingDisabledInterop runs a mixed ring — one member with packing
-// off, one with it on — through small and fragmented messages. Receivers
-// always understand packed frames regardless of their own flag, and a
-// packing-off sender must emit exactly one chunk per frame.
+// off, one with it on — through small and fragmented messages. The frame
+// layout does not depend on the flag, and a packing-off sender must emit
+// exactly one chunk per frame.
 func TestPackingDisabledInterop(t *testing.T) {
 	c := &cluster{t: t, net: simnet.New(simnet.Config{}), procs: make(map[string]*Processor)}
 	c.addWithPacking("a", PackingOff)
-	c.addWithPacking("b", PackingOn)
+	c.addWithPacking("b", PackingDefault)
 	t.Cleanup(func() {
 		for _, p := range c.procs {
 			p.Stop()

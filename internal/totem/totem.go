@@ -33,6 +33,7 @@ package totem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -151,23 +152,25 @@ type Stats struct {
 	WithdrawnMessages uint64
 }
 
-// PackingFlag is a three-valued toggle whose zero value means "on", so
-// packing is the default without every Config literal naming it.
+// PackingFlag is a toggle whose zero value means "on", so packing is the
+// default without every Config literal naming it.
 type PackingFlag int
 
 const (
 	// PackingDefault enables packing (the zero value).
 	PackingDefault PackingFlag = iota
-	// PackingOff disables packing: one chunk per data frame, the
-	// pre-packing wire behaviour. Receivers always understand packed
-	// frames regardless of this flag, so mixed rings interoperate.
+	// PackingOff bounds a data frame to one chunk — the ablation
+	// baseline. The frame layout is the same, so mixed rings interoperate.
 	PackingOff
-	// PackingOn enables packing explicitly.
-	PackingOn
 )
 
-// Enabled reports whether the flag turns packing on.
-func (f PackingFlag) Enabled() bool { return f != PackingOff }
+// chunksPerFrame is the bound the flag puts on one data frame's chunks.
+func (f PackingFlag) chunksPerFrame() int {
+	if f == PackingOff {
+		return 1
+	}
+	return math.MaxInt
+}
 
 // FastPathMode gates the leader-ordered fast path: an LLFT-style fixed
 // sequencer riding on the Totem ring, where the ring leader (the
@@ -399,7 +402,6 @@ type Processor struct {
 	// ring buffer so delivered chunks are released, not retained by a
 	// shifted slice's backing array.
 	pending ring.Buffer[chunk]
-	packing bool
 	msgID   uint64
 	reasm   map[string]*partial
 	round   uint64
@@ -550,7 +552,6 @@ func Start(cfg Config) (*Processor, error) {
 		miss:       make(map[uint64]int),
 		joinInfo:   make(map[string]joinRecord),
 		sendTimes:  make(map[uint64]sendMeta),
-		packing:    cfg.Packing.Enabled(),
 	}
 	if cfg.RotationCapacity >= 0 {
 		p.rotations = obs.NewRotationLog(cfg.RotationCapacity)
@@ -1070,15 +1071,16 @@ func tokenAlloc(tok *tokenMsg) func() uint64 {
 // sendPending multicasts queued chunks under sequence numbers from alloc,
 // bounded by MaxPerToken chunks. It returns how many chunks were sent and
 // how many of those were foreground (non-background) — the count that
-// feeds the idle pacer. With packing enabled, consecutive sub-MTU chunks
-// — possibly belonging to different application messages — share one
-// frame and one sequence number; the conservative wireCost bound keeps
-// each packed frame within the MTU without a trial encode. fast marks
-// frames sequenced by the leader-ordered fast path (counters only; the
-// wire format is identical). Messages their sender withdrew are dropped
-// here, whole, instead of being sequenced (dropWithdrawn).
+// feeds the idle pacer. Consecutive sub-MTU chunks — possibly belonging
+// to different application messages — share one frame and one sequence
+// number, up to the Packing flag's chunksPerFrame; the conservative
+// wireCost bound keeps each frame within the MTU without a trial encode.
+// fast marks frames sequenced by the leader-ordered fast path (counters
+// only; the wire format is identical). Messages their sender withdrew are
+// dropped here, whole, instead of being sequenced (dropWithdrawn).
 func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent int) {
 	mtu := p.tr.MTU()
+	perFrame := p.cfg.Packing.chunksPerFrame()
 	queued := p.pending.Len()
 	for sent < p.cfg.MaxPerToken {
 		p.dropWithdrawn()
@@ -1089,18 +1091,16 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 		sent++
 		frame := &dataMsg{Chunks: []chunk{first}}
 		size := packedFrameOverhead + len(p.ring.Rep) + first.wireCost()
-		if p.packing {
-			for sent < p.cfg.MaxPerToken {
-				p.dropWithdrawn()
-				next, ok := p.pending.Peek()
-				if !ok || size+next.wireCost() > mtu {
-					break
-				}
-				p.pending.Pop()
-				sent++
-				frame.Chunks = append(frame.Chunks, next)
-				size += next.wireCost()
+		for sent < p.cfg.MaxPerToken && len(frame.Chunks) < perFrame {
+			p.dropWithdrawn()
+			next, ok := p.pending.Peek()
+			if !ok || size+next.wireCost() > mtu {
+				break
 			}
+			p.pending.Pop()
+			sent++
+			frame.Chunks = append(frame.Chunks, next)
+			size += next.wireCost()
 		}
 		frame.Ring = p.ring
 		frame.Seq = alloc()
@@ -1433,14 +1433,13 @@ func (p *Processor) acceptForward(m *forwardMsg, now time.Time) bool {
 // token-visit path.
 func (p *Processor) sequenceForwarded(chunks []chunk, now time.Time, foreground bool) {
 	mtu := p.tr.MTU()
+	perFrame := p.cfg.Packing.chunksPerFrame()
 	for start := 0; start < len(chunks); {
 		end := start + 1
 		size := packedFrameOverhead + len(p.ring.Rep) + chunks[start].wireCost()
-		if p.packing {
-			for end < len(chunks) && size+chunks[end].wireCost() <= mtu {
-				size += chunks[end].wireCost()
-				end++
-			}
+		for end-start < perFrame && end < len(chunks) && size+chunks[end].wireCost() <= mtu {
+			size += chunks[end].wireCost()
+			end++
 		}
 		p.seqHigh++
 		// Chunk payloads alias the forward packet's buffer, exactly as

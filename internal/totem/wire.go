@@ -7,9 +7,9 @@ import (
 	"eternal/internal/cdr"
 )
 
-// packet type discriminants on the wire.
+// packet type discriminants on the wire. 1 is retired (the pre-packing
+// single-chunk data frame) and is not reused.
 const (
-	ptData     byte = 1
 	ptToken    byte = 2
 	ptJoin     byte = 3
 	ptForm     byte = 4
@@ -51,12 +51,12 @@ type chunk struct {
 	Payload   []byte
 }
 
-// dataMsg is one totally-ordered data frame: a single sequence number
-// carrying one or more chunks. A frame holding several chunks travels as
-// ptPacked — Totem's message packing, which lets many sub-MTU messages
-// share one frame and one sequence number while the sender holds the
-// token. A frame with no chunks is the local tombstone for an
-// unrecoverable sequence number; tombstones never go on the wire.
+// dataMsg is one totally-ordered data frame (ptPacked): a single sequence
+// number carrying one or more chunks — Totem's message packing, which
+// lets many sub-MTU messages share one frame and one sequence number
+// while the sender holds the token. A frame with no chunks is the local
+// tombstone for an unrecoverable sequence number; tombstones never go on
+// the wire, and decodePacket rejects a chunkless frame.
 type dataMsg struct {
 	Ring   ringIdentity
 	Seq    uint64
@@ -236,16 +236,6 @@ const (
 func (c *chunk) wireCost() int { return packedChunkOverhead + len(c.Sender) + len(c.Payload) }
 
 func (m *dataMsg) encodeTo(e *cdr.Encoder) {
-	if len(m.Chunks) == 1 {
-		// Single-chunk frames keep the pre-packing ptData layout, so a
-		// packing sender interoperates with a Packing-off receiver.
-		c := &m.Chunks[0]
-		e.WriteOctet(ptData)
-		encodeRing(e, m.Ring)
-		e.WriteULongLong(m.Seq)
-		encodeChunk(e, c)
-		return
-	}
 	e.WriteOctet(ptPacked)
 	encodeRing(e, m.Ring)
 	e.WriteULongLong(m.Seq)
@@ -324,19 +314,6 @@ func decodePacket(buf []byte) (any, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadPacket, err)
 	}
 	switch t {
-	case ptData:
-		var m dataMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.Seq, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		m.Chunks = make([]chunk, 1)
-		if err = decodeChunk(d, &m.Chunks[0]); err != nil {
-			break
-		}
-		return &m, nil
 	case ptPacked:
 		var m dataMsg
 		if m.Ring, err = decodeRing(d); err != nil {
@@ -347,6 +324,13 @@ func decodePacket(buf []byte) (any, error) {
 		}
 		var n uint32
 		if n, err = d.ReadULong(); err != nil {
+			break
+		}
+		if n == 0 {
+			// A chunkless frame is the local tombstone; accepted off the
+			// wire it would make this member skip a sequence number its
+			// peers deliver.
+			err = errors.New("data frame with no chunks")
 			break
 		}
 		// Each chunk costs at least ~25 wire bytes; a declared count far

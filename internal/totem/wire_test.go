@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"eternal/internal/cdr"
 )
@@ -14,60 +15,38 @@ func encodeMsg(m wireMsg) []byte {
 	return bytes.Clone(e.Bytes())
 }
 
+// TestPackedFrameRoundTrip covers the one data-frame layout at one chunk
+// (count 1, not a layout of its own) and at several.
 func TestPackedFrameRoundTrip(t *testing.T) {
-	in := &dataMsg{
-		Ring: ringIdentity{Epoch: 7, Rep: "node-a"},
-		Seq:  42,
-		Chunks: []chunk{
-			{Sender: "node-a", MsgID: 1, FragIdx: 0, FragTotal: 1, Payload: []byte("alpha")},
-			{Sender: "node-b", MsgID: 9, FragIdx: 2, FragTotal: 3, Payload: []byte{}},
-			{Sender: "node-a", MsgID: 2, FragIdx: 0, FragTotal: 1, Payload: bytes.Repeat([]byte{0xAB}, 300)},
-		},
+	chunks := []chunk{
+		{Sender: "node-a", MsgID: 1, FragIdx: 0, FragTotal: 1, Payload: []byte("alpha")},
+		{Sender: "node-b", MsgID: 9, FragIdx: 2, FragTotal: 3, Payload: []byte{}},
+		{Sender: "node-a", MsgID: 2, FragIdx: 0, FragTotal: 1, Payload: bytes.Repeat([]byte{0xAB}, 300)},
 	}
-	buf := encodeMsg(in)
-	if buf[0] != ptPacked {
-		t.Fatalf("multi-chunk frame encoded as type %d, want ptPacked", buf[0])
-	}
-	got, err := decodePacket(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, ok := got.(*dataMsg)
-	if !ok {
-		t.Fatalf("decoded %T", got)
-	}
-	if out.Ring != in.Ring || out.Seq != in.Seq || len(out.Chunks) != len(in.Chunks) {
-		t.Fatalf("frame mismatch: %+v", out)
-	}
-	for i := range in.Chunks {
-		a, b := &in.Chunks[i], &out.Chunks[i]
-		if a.Sender != b.Sender || a.MsgID != b.MsgID || a.FragIdx != b.FragIdx ||
-			a.FragTotal != b.FragTotal || !bytes.Equal(a.Payload, b.Payload) {
-			t.Fatalf("chunk %d mismatch: %+v vs %+v", i, a, b)
+	for _, n := range []int{1, len(chunks)} {
+		in := &dataMsg{Ring: ringIdentity{Epoch: 7, Rep: "node-a"}, Seq: 42, Chunks: chunks[:n]}
+		buf := encodeMsg(in)
+		if buf[0] != ptPacked {
+			t.Fatalf("%d-chunk frame encoded as type %d, want ptPacked", n, buf[0])
 		}
-	}
-}
-
-// TestSingleChunkKeepsLegacyLayout pins the interop property: a frame
-// carrying one chunk uses the pre-packing ptData wire form, so senders
-// with packing enabled interoperate with older/packing-off receivers.
-func TestSingleChunkKeepsLegacyLayout(t *testing.T) {
-	in := &dataMsg{
-		Ring:   ringIdentity{Epoch: 3, Rep: "x"},
-		Seq:    5,
-		Chunks: []chunk{{Sender: "x", MsgID: 4, FragIdx: 0, FragTotal: 1, Payload: []byte("hi")}},
-	}
-	buf := encodeMsg(in)
-	if buf[0] != ptData {
-		t.Fatalf("single-chunk frame encoded as type %d, want ptData", buf[0])
-	}
-	got, err := decodePacket(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := got.(*dataMsg)
-	if len(out.Chunks) != 1 || out.Chunks[0].MsgID != 4 || string(out.Chunks[0].Payload) != "hi" {
-		t.Fatalf("decoded %+v", out)
+		got, err := decodePacket(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, ok := got.(*dataMsg)
+		if !ok {
+			t.Fatalf("decoded %T", got)
+		}
+		if out.Ring != in.Ring || out.Seq != in.Seq || len(out.Chunks) != len(in.Chunks) {
+			t.Fatalf("frame mismatch: %+v", out)
+		}
+		for i := range in.Chunks {
+			a, b := &in.Chunks[i], &out.Chunks[i]
+			if a.Sender != b.Sender || a.MsgID != b.MsgID || a.FragIdx != b.FragIdx ||
+				a.FragTotal != b.FragTotal || !bytes.Equal(a.Payload, b.Payload) {
+				t.Fatalf("chunk %d mismatch: %+v vs %+v", i, a, b)
+			}
+		}
 	}
 }
 
@@ -85,9 +64,6 @@ func TestWireCostBoundsEncodedSize(t *testing.T) {
 			c := chunk{Sender: rep, MsgID: uint64(i), FragIdx: 0, FragTotal: 1, Payload: pl}
 			frame.Chunks = append(frame.Chunks, c)
 			estimate += c.wireCost()
-			if len(frame.Chunks) < 2 {
-				continue // single-chunk layout is bounded trivially
-			}
 			if got := len(encodeMsg(frame)); got > estimate {
 				t.Fatalf("rep=%q chunks=%d: encoded %d bytes > estimate %d",
 					rep, len(frame.Chunks), got, estimate)
@@ -104,6 +80,38 @@ func TestPackedDecodeRejectsBogusCount(t *testing.T) {
 	e.WriteULong(1 << 30) // claims a billion chunks in an empty stream
 	if _, err := decodePacket(bytes.Clone(e.Bytes())); err == nil {
 		t.Fatal("decodePacket accepted a hostile chunk count")
+	}
+}
+
+// TestChunklessFrameOffTheWireIsRejected: a frame with no chunks is the
+// local tombstone for an unrecoverable sequence number. One arriving from
+// the network (corrupt or hostile) must not be stored, or this member
+// skips a sequence number its peers deliver.
+func TestChunklessFrameOffTheWireIsRejected(t *testing.T) {
+	p := offlineProcessor("a", "b")
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteOctet(ptPacked)
+	encodeRing(e, p.ring)
+	e.WriteULongLong(1)
+	e.WriteULong(0)
+	empty := bytes.Clone(e.Bytes())
+	if _, err := decodePacket(empty); err == nil {
+		t.Fatal("decodePacket accepted a data frame with no chunks")
+	}
+	now := time.Now()
+	p.handlePacket(Packet{From: "b", Payload: empty}, now)
+	if p.myAru != 0 || p.Stats().Tombstones != 0 {
+		t.Fatalf("aru = %d, tombstones = %d: the chunkless frame was taken as seq 1", p.myAru, p.Stats().Tombstones)
+	}
+	real := &dataMsg{Ring: p.ring, Seq: 1, Chunks: []chunk{{Sender: "b", MsgID: 1, FragTotal: 1, Payload: []byte("kept")}}}
+	p.handlePacket(Packet{From: "b", Payload: encodeMsg(real)}, now)
+	select {
+	case d := <-p.Deliveries():
+		if string(d.Payload) != "kept" || d.Seq != 1 {
+			t.Fatalf("delivered %q at seq %d, want b's message at seq 1", d.Payload, d.Seq)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("seq 1 was skipped: peers deliver b's message, this member never does")
 	}
 }
 

@@ -14,20 +14,25 @@ import (
 	"eternal/internal/obs"
 )
 
-// awaitTrace polls the node's tracer until some retained trace carries
-// every named hop (hops are recorded asynchronously with respect to the
-// client's reply read).
-func awaitTrace(t *testing.T, node *eternal.Node, hops ...string) eternal.MessageTrace {
+// awaitSpan polls the node's span journal until some span carries every
+// named phase (a span is journalled when its reply is delivered,
+// asynchronously with respect to the client's reply read).
+func awaitSpan(t *testing.T, node *eternal.Node, phases ...obs.SpanPhase) eternal.Span {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		for _, tr := range node.Tracer().Last(0) {
-			if tr.HasHops(hops...) {
-				return tr
+		spans := node.Spans(0, 0)
+	next:
+		for _, sp := range spans {
+			for _, ph := range phases {
+				if sp.Phases[ph] == 0 {
+					continue next
+				}
 			}
+			return sp
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no trace with hops %v on %v", hops, node.Tracer().Last(3))
+			t.Fatalf("no span with phases %v among %d on %s", phases, len(spans), node.Addr())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -35,7 +40,7 @@ func awaitTrace(t *testing.T, node *eternal.Node, hops ...string) eternal.Messag
 
 // TestObservabilityEndToEnd drives a replicated group through fault-free
 // invocations and a kill/recover cycle, then checks that the metrics
-// registry, the message-lifecycle tracer and the recovery timeline all
+// registry, the span journal and the recovery timeline all
 // observed it — including through the admin HTTP surface.
 func TestObservabilityEndToEnd(t *testing.T) {
 	// Classic token ordering: the recovery-phase decomposition checked
@@ -80,22 +85,23 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("implausible invocation percentiles: %+v", s)
 	}
 
-	// The client's node hosts a replica too, so its tracer holds the full
-	// lifecycle of at least one invocation.
-	tr := awaitTrace(t, n1,
-		obs.HopIntercepted, obs.HopMulticast, obs.HopOrdered,
-		obs.HopDelivered, obs.HopExecuted, obs.HopReplyDelivered)
-	if tr.Group != "reg" {
-		t.Fatalf("trace group = %q", tr.Group)
+	// The client's node hosts a replica too, so one span of its journal
+	// holds the full lifecycle of an invocation, in pipeline order.
+	lifecycle := []obs.SpanPhase{
+		obs.SpanIntercepted, obs.SpanMarshalled, obs.SpanOrdered,
+		obs.SpanDelivered, obs.SpanExecuted, obs.SpanReplyDelivered,
 	}
-	if tr.Elapsed() <= 0 {
-		t.Fatalf("trace elapsed = %v", tr.Elapsed())
+	sp := awaitSpan(t, n1, lifecycle...)
+	if sp.Group != "reg" || sp.Node != "n1" || sp.Seq == 0 {
+		t.Fatalf("span identity = group %q node %q seq %d", sp.Group, sp.Node, sp.Seq)
 	}
-	// The pipeline order must hold within the trace.
-	iTime, _ := tr.HopTime(obs.HopIntercepted)
-	rTime, _ := tr.HopTime(obs.HopReplyDelivered)
-	if rTime.Before(iTime) {
-		t.Fatalf("reply-delivered (%v) precedes interception (%v)", rTime, iTime)
+	for i := 1; i < len(lifecycle); i++ {
+		if d := sp.Phases[lifecycle[i]] - sp.Phases[lifecycle[i-1]]; d < 0 {
+			t.Fatalf("%v precedes %v by %d ns", lifecycle[i], lifecycle[i-1], -d)
+		}
+	}
+	if sp.End()-sp.Start() <= 0 {
+		t.Fatalf("span elapsed = %d ns", sp.End()-sp.Start())
 	}
 
 	// Totem-level metrics on the client node saw the multicasts.
@@ -261,24 +267,36 @@ func checkAdminSurface(t *testing.T, n1, n2 *eternal.Node) {
 		t.Fatalf("healthz groups missing reg: %+v", health.Groups)
 	}
 
-	// /trace returns recent traces as JSON, newest first, and validates n.
-	var traces []eternal.MessageTrace
-	tb, _ := httpGet(t, srv1.URL+"/trace?n=5")
-	if err := json.Unmarshal([]byte(tb), &traces); err != nil {
-		t.Fatalf("trace decode: %v", err)
+	// /spans pages the span journal as JSON, oldest first, and validates n.
+	var page struct {
+		Node  string
+		Next  uint64
+		Spans []struct {
+			Index  uint64
+			Phases map[string]int64
+		}
 	}
-	if len(traces) == 0 || len(traces) > 5 {
-		t.Fatalf("trace count = %d", len(traces))
+	sb, _ := httpGet(t, srv1.URL+"/spans?n=5")
+	if err := json.Unmarshal([]byte(sb), &page); err != nil {
+		t.Fatalf("spans decode: %v", err)
 	}
-	if len(traces[0].Hops) == 0 {
-		t.Fatalf("trace without hops: %+v", traces[0])
+	if page.Node != "n1" || len(page.Spans) == 0 || len(page.Spans) > 5 {
+		t.Fatalf("spans page = node %q, %d spans", page.Node, len(page.Spans))
 	}
-	if resp, err := http.Get(srv1.URL + "/trace?n=bogus"); err != nil {
-		t.Fatal(err)
-	} else {
+	if len(page.Spans[0].Phases) == 0 || page.Next != page.Spans[len(page.Spans)-1].Index {
+		t.Fatalf("span without phases or cursor off the last index: %+v next=%d", page.Spans[0], page.Next)
+	}
+	for path, want := range map[string]int{
+		"/spans?n=bogus": http.StatusBadRequest,
+		"/trace":         http.StatusNotFound, // the hop tracer's feed, retired for /spans
+	} {
+		resp, err := http.Get(srv1.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad n status = %d", resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 }

@@ -31,8 +31,7 @@ type SystemConfig struct {
 	// SyncSelfDeclare is the cold-start self-declaration delay of a node
 	// whose metadata sync request goes unanswered (default 750ms).
 	SyncSelfDeclare time.Duration
-	// StateChunkBytes bounds one state-transfer chunk (0 = default
-	// ~32 KiB; negative disables chunking — monolithic set_state).
+	// StateChunkBytes bounds one state-transfer chunk (default ~32 KiB).
 	StateChunkBytes int
 	// StateChunksPerToken caps state-chunk multicasts per token rotation
 	// during a transfer (default 2).
