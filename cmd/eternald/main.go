@@ -98,7 +98,7 @@ func main() {
 		chunkBytes = flag.Int("state-chunk-bytes", 0,
 			"state-transfer chunk size in bytes (0 = default ~32KiB)")
 		chunksPerToken = flag.Int("state-chunks-per-token", 0,
-			"state chunks multicast per token rotation during a transfer (0 = default 2)")
+			"state chunks a token visit lets from the donor's bulk lane onto the ring, behind queued foreground messages (0 = default 2)")
 		spanCapacity = flag.Int("span-capacity", 0,
 			"invocation span journal size (0 = default, negative disables span recording)")
 		auditInterval = flag.Duration("audit-interval", 0,
@@ -106,7 +106,7 @@ func main() {
 		auditCapacity = flag.Int("audit-capacity", 0,
 			"audit observation journal size (0 = default)")
 		tokenTick = flag.Duration("token-tick", 0,
-			"totem timer resolution; an idle-paced token moves up to a few ticks per hop (0 = default 2ms)")
+			"totem timer resolution: an idle-paced token moves up to a few ticks per hop, a token resting at the ring's only sender goes round once per tick, a lazy reply waits one tick; the rest threshold (IdleGrace) is two ticks (0 = default 2ms)")
 		fastPath = flag.String("fast-path", "auto",
 			"leader-ordered fast path: auto (2-member rings only), on, off")
 	)

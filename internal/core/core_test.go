@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -359,12 +360,36 @@ func TestResourceManagerMaintainsMinReplicas(t *testing.T) {
 	}
 }
 
+// TestClientOnDifferentNodeThanReplicas: requests from a node that hosts
+// no replica leave every reply urgent — nobody's copy is "the one next to
+// the client" — so an invocation takes token hops, not ticks. The Tick is
+// made long enough for the difference to show.
 func TestClientOnDifferentNodeThanReplicas(t *testing.T) {
-	c := newTestCluster(t, simnet.Config{}, "n1", "n2", "n3", "n4")
+	const tick = 20 * time.Millisecond
+	c := newXferCluster(t, 0, func(cfg *Config) {
+		cfg.Totem.Tick = tick
+		cfg.Totem.TokenLossTimeout = 100 * tick
+	}, "n1", "n2", "n3", "n4")
 	c.createGroup("ctr", ftcorba.Active, []string{"n1", "n2"}, 1)
 	obj := c.client("n4", "remote-driver", "ctr")
 	if got := add(t, obj, 3); got != 3 {
 		t.Fatalf("got %d", got)
+	}
+	const calls = 30
+	took := make([]time.Duration, calls)
+	for i := range took {
+		start := time.Now()
+		add(t, obj, 1)
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	if median := took[calls/2]; median > tick/2 {
+		t.Fatalf("median invocation %v with a %v Tick: replies waited out a tick", median, tick)
+	}
+	for _, nd := range []string{"n1", "n2"} {
+		if got := c.nodes[nd].Stats().LazyReplies; got != 0 {
+			t.Fatalf("%s submitted %d lazy replies to a client whose node hosts no replica", nd, got)
+		}
 	}
 }
 

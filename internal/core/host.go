@@ -56,6 +56,9 @@ type dispatchItem struct {
 	// passive primary). When false for itemRequest, the invocation is
 	// logged instead (passive backup).
 	execute bool
+	// lazyReply: the reply to this itemRequest is insurance only (see
+	// handleRequest) and is submitted lazy.
+	lazyReply bool
 	// bundle for itemApplyCheckpoint.
 	bundle *recovery.Bundle
 	// xferID for itemCapture.
@@ -238,7 +241,7 @@ func (h *replicaHost) process(item dispatchItem) {
 		// must not re-open an empty fragment of it.
 		h.node.spans.MarkOpen(item.env.Trace, obs.SpanDelivered)
 		if item.execute {
-			h.executeRequest(item.env, false)
+			h.executeRequest(item.env, false, item.lazyReply)
 			if h.style != ftcorba.Active {
 				// The primary executes rather than logs, but its message
 				// count still drives the every-N checkpoint trigger.
@@ -300,8 +303,9 @@ func (h *replicaHost) auditReport(epoch uint64) {
 // executeRequest injects one invocation into the replica's ORB and
 // multicasts the reply — unless a peer replica's copy of that reply is
 // already ordered (replyMarks). force bypasses duplicate suppression during
-// log replay (the log was already deduplicated when written).
-func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
+// log replay (the log was already deduplicated when written); lazy submits
+// the reply as insurance behind the requester's own replica.
+func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool) {
 	first := h.reqFilter.FirstDelivery(env.Conn, env.OpID)
 	if !first && !force {
 		h.node.counters.duplicatesSuppressed.Add(1)
@@ -341,13 +345,13 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force bool) {
 				// replaying its held queue or its log): ours stays home.
 				return
 			}
-			h.node.multicast(&replication.Envelope{
+			h.node.multicastReply(&replication.Envelope{
 				Kind:    replication.KReply,
 				Conn:    env.Conn,
 				OpID:    env.OpID,
 				Trace:   env.Trace,
 				Payload: rep.Marshal(),
-			})
+			}, lazy)
 			return
 		}
 	}
@@ -425,7 +429,7 @@ func (h *replicaHost) invokeInternal(op string, args []byte) ([]byte, error) {
 // capture is the donor side of a state transfer (Figure 5 steps i–iv):
 // retrieve application-level state with get_state(), piggyback ORB-level
 // and infrastructure-level state, and hand the fabricated set_state to the
-// chunk streamer (xfer.go).
+// chunk stream (xfer.go).
 // checkpoint distinguishes the periodic captures of passive replication
 // from recovery transfers (only the latter feed the recovery histogram).
 func (h *replicaHost) capture(xferID uint64, checkpoint bool) {
@@ -634,7 +638,7 @@ func (h *replicaHost) promote() {
 	}
 	replayed := h.log.Len()
 	h.log.Each(func(env *replication.Envelope) {
-		h.executeRequest(env, true)
+		h.executeRequest(env, true, false)
 	})
 	// Reset in place: the Log pointer stays valid for the delivery loop's
 	// concurrent CheckpointDue polls, and the policy/instrumentation

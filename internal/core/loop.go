@@ -65,7 +65,7 @@ func (n *Node) handleDelivery(d totem.Delivery) {
 		return
 	}
 	if env := envelopeOf(d); env != nil {
-		n.handleEnvelope(d.Seq, env)
+		n.handleEnvelope(d.Seq, d.Sender, env)
 	}
 }
 
@@ -253,14 +253,14 @@ func (n *Node) reconcile(name string) {
 
 // --- envelope handling (the replicated state machine) ---
 
-// handleEnvelope applies one delivered envelope at its agreed position
-// seq in the total order. Membership, recovery and checkpoint envelopes
-// leave seq-stamped ordered events in the flight recorder; the request
-// and reply hot paths record nothing.
-func (n *Node) handleEnvelope(seq uint64, env *replication.Envelope) {
+// handleEnvelope applies one delivered envelope, multicast by node
+// sender, at its agreed position seq in the total order. Membership,
+// recovery and checkpoint envelopes leave seq-stamped ordered events in
+// the flight recorder; the request and reply hot paths record nothing.
+func (n *Node) handleEnvelope(seq uint64, sender string, env *replication.Envelope) {
 	switch env.Kind {
 	case replication.KRequest:
-		n.handleRequest(seq, env)
+		n.handleRequest(seq, sender, env)
 	case replication.KReply:
 		n.spans.MarkOpen(env.Trace, obs.SpanReplyOrdered)
 		if ce := n.clientEntityIfExists(env.Conn.Client); ce != nil {
@@ -297,7 +297,7 @@ func (n *Node) handleEnvelope(seq uint64, env *replication.Envelope) {
 	}
 }
 
-func (n *Node) handleRequest(seq uint64, env *replication.Envelope) {
+func (n *Node) handleRequest(seq uint64, sender string, env *replication.Envelope) {
 	n.spans.Annotate(env.Trace, env.Group)
 	n.spans.MarkSeq(env.Trace, obs.SpanOrdered, seq)
 	g, ok := n.table.Get(env.Group)
@@ -308,12 +308,22 @@ func (n *Node) handleRequest(seq uint64, env *replication.Envelope) {
 	if h == nil {
 		return
 	}
-	execute := true
+	execute, lazy := true, false
 	if g.Spec.Props.Style != ftcorba.Active {
 		// Passive replication: only the primary executes; backups log.
 		execute = g.IsPrimary(n.addr)
+	} else if sender != n.addr && g.IsOperational(sender) {
+		// The node that multicast the request hosts an operational
+		// replica, and the client behind the request sits on that node:
+		// its replica's reply is the one that gets there without a token
+		// rotation. Every other replica's copy is insurance against that
+		// replica dying between here and its reply — decided here, at the
+		// ordered point against the replicated table, so every node makes
+		// the same call. A request from a node without a replica
+		// (client-only node) leaves all replies urgent.
+		lazy = true
 	}
-	h.q.push(dispatchItem{kind: itemRequest, env: env, execute: execute})
+	h.q.push(dispatchItem{kind: itemRequest, env: env, execute: execute, lazyReply: lazy})
 }
 
 func (n *Node) handleCreate(seq uint64, env *replication.Envelope) {

@@ -66,9 +66,11 @@ type Config struct {
 	// recovery.DefaultChunkBytes, ~32 KiB). A bundle that fits is sent as
 	// one chunk and its manifest.
 	StateChunkBytes int
-	// StateChunksPerToken caps how many state chunks the transfer
-	// streamer multicasts per token rotation, so foreground traffic
-	// interleaves with a large transfer (default 2).
+	// StateChunksPerToken caps how many state chunks (and manifests) one
+	// token visit lets from the donor's bulk lane onto the ring, behind
+	// the foreground messages queued there, so foreground traffic
+	// interleaves with a large transfer (default 2). It is handed to
+	// totem as its BulkPerVisit.
 	StateChunksPerToken int
 	// Logger receives structured mechanism events (group lifecycle, state
 	// transfers, faults). Nil disables logging.
@@ -149,10 +151,6 @@ type Node struct {
 
 	xferCounter atomic.Uint64
 
-	// Chunked state-transfer egress: captures enqueue outbound transfers
-	// here and the single streaming goroutine paces them onto the ring
-	// (FIFO, so each manifest follows its own chunks).
-	xferQ *queue[outboundXfer]
 	// xferCacheMu guards the donor-side retransmit cache.
 	xferCacheMu    sync.Mutex
 	xferCache      map[uint64]*cachedXfer
@@ -242,6 +240,7 @@ func Start(cfg Config) (*Node, error) {
 	tc.Metrics = metrics
 	tc.Recorder = recorder
 	tc.Spans = spans
+	tc.BulkPerVisit = cfg.StateChunksPerToken
 	marks := newReplyMarks()
 	tc.Ordered = marks.ordered
 	proc, err := totem.Start(tc)
@@ -260,7 +259,6 @@ func Start(cfg Config) (*Node, error) {
 		primaryOf:  make(map[string]bool),
 		pendingAdd: make(map[string]bool),
 		inXfers:    make(map[uint64]*inboundXfer),
-		xferQ:      newQueue[outboundXfer](),
 		xferCache:  make(map[uint64]*cachedXfer),
 		groupSet:   make(map[string]*replication.GroupSpec),
 		clients:    make(map[string]*clientEntity),
@@ -280,6 +278,9 @@ func Start(cfg Config) (*Node, error) {
 	n.faults.AttachRecorder(recorder)
 	n.counters = newNodeCounters(metrics)
 	registerProcessMetrics(metrics)
+	metrics.CounterFunc("eternal_state_chunk_stalls_total",
+		"token visits that left state chunks waiting in the bulk lane behind the StateChunksPerToken quota",
+		func() float64 { return float64(proc.Stats().BulkStalls) })
 	metrics.CounterFunc("eternal_events_recorded_total",
 		"flight-recorder events recorded",
 		func() float64 { return float64(recorder.Total()) })
@@ -317,7 +318,6 @@ func Start(cfg Config) (*Node, error) {
 		"items queued across this node's replica dispatchers")
 	go n.loop()
 	go n.faultLoop()
-	go n.xferStreamer()
 	return n, nil
 }
 
@@ -353,7 +353,6 @@ func (n *Node) Addr() string { return n.addr }
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		close(n.stopCh)
-		n.xferQ.close()
 		n.proc.Stop()
 	})
 	<-n.loopDone
@@ -649,7 +648,12 @@ func (n *Node) GroupMembers(group string) ([]replication.Member, error) {
 
 // --- internals shared with host/client files ---
 
-func (n *Node) multicast(env *replication.Envelope) {
+func (n *Node) multicast(env *replication.Envelope) { n.multicastReply(env, false) }
+
+// multicastReply is multicast with the one choice the envelope does not
+// carry: whether a reply is lazy — insurance behind the copy the
+// requester's own replica sends (see handleRequest).
+func (n *Node) multicastReply(env *replication.Envelope, lazy bool) {
 	// Pooled encode: Processor.Multicast copies the payload into its own
 	// chunk buffer before returning, so the encoder can be released here.
 	enc := cdr.AcquireEncoder(cdr.BigEndian)
@@ -660,8 +664,17 @@ func (n *Node) multicast(env *replication.Envelope) {
 		// a peer's copy is ordered first, ours never reaches the wire. It
 		// carries the request's trace, stamped onto the reply phases.
 		conn, op := env.Conn, env.OpID
-		_ = n.proc.MulticastWithdrawable(enc.Bytes(), env.Trace, true,
-			func() bool { return n.replyWithdrawn(conn, op) })
+		withdraw := func() bool { return n.replyWithdrawn(conn, op) }
+		if lazy {
+			n.counters.lazyReplies.Inc()
+			_ = n.proc.MulticastLazy(enc.Bytes(), env.Trace, withdraw)
+		} else {
+			_ = n.proc.MulticastWithdrawable(enc.Bytes(), env.Trace, true, withdraw)
+		}
+	case env.Kind == replication.KStateChunk, env.Kind == replication.KStateManifest:
+		// State transfer rides the bulk lane: totem lets
+		// StateChunksPerToken of these onto the ring per token visit.
+		_ = n.proc.MulticastBulk(enc.Bytes())
 	case env.Trace != 0:
 		// Traced requests: the totem layer stamps the enqueue and transmit
 		// phases onto the trace's span as the message crosses it.

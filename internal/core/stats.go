@@ -28,6 +28,12 @@ type Stats struct {
 	// ordered: not multicast at all, or withdrawn from totem's pending
 	// queue before a token visit sequenced them.
 	RepliesWithdrawn uint64
+	// LazyReplies counts replies this node's replicas submitted as lazy:
+	// the requester's own node hosts an operational replica whose copy is
+	// the one expected to answer, so this one waits a tick, off the
+	// sending queue, and is usually withdrawn (and then counted in
+	// RepliesWithdrawn too).
+	LazyReplies uint64
 	// StateCaptures counts get_state() captures performed as donor or
 	// checkpointing primary.
 	StateCaptures uint64
@@ -46,8 +52,9 @@ type Stats struct {
 	StateChunksResent uint64
 	// StateChunkBytes counts payload bytes across sent and resent chunks.
 	StateChunkBytes uint64
-	// StateChunkStalls counts times the transfer streamer exhausted its
-	// per-rotation chunk budget and waited for the next token rotation.
+	// StateChunkStalls counts token visits at this node that left state
+	// chunks waiting in totem's bulk lane behind the StateChunksPerToken
+	// quota.
 	StateChunkStalls uint64
 	// StateRetransmitRequests counts missing-chunk requests this node
 	// multicast while assembling transfers.
@@ -81,6 +88,7 @@ type nodeCounters struct {
 	repliesDelivered     *obs.Counter
 	duplicateReplies     *obs.Counter
 	repliesWithdrawn     *obs.Counter
+	lazyReplies          *obs.Counter
 	stateCaptures        *obs.Counter
 	stateApplied         *obs.Counter
 	promotions           *obs.Counter
@@ -88,7 +96,6 @@ type nodeCounters struct {
 	stateChunksSent      *obs.Counter
 	stateChunksResent    *obs.Counter
 	stateChunkBytes      *obs.Counter
-	stateChunkStalls     *obs.Counter
 	stateRetransmitReqs  *obs.Counter
 	stateChunksRejected  *obs.Counter
 	auditMarks           *obs.Counter
@@ -106,6 +113,7 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		repliesDelivered:     r.Counter("eternal_replies_delivered_total", "replies written into local client ORBs"),
 		duplicateReplies:     r.Counter("eternal_duplicate_replies_total", "replies suppressed at client connections"),
 		repliesWithdrawn:     r.Counter("eternal_replies_withdrawn_total", "local replies never transmitted because a peer replica's copy was already ordered"),
+		lazyReplies:          r.Counter("eternal_replies_lazy_total", "local replies submitted as lazy insurance behind the requester's own replica"),
 		stateCaptures:        r.Counter("eternal_state_captures_total", "get_state() captures performed as donor or checkpointing primary"),
 		stateApplied:         r.Counter("eternal_state_applied_total", "set_state() assignments performed"),
 		promotions:           r.Counter("eternal_promotions_total", "backup-to-primary promotions"),
@@ -113,7 +121,6 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		stateChunksSent:      r.Counter("eternal_state_chunks_sent_total", "state chunks multicast as donor (first transmissions)"),
 		stateChunksResent:    r.Counter("eternal_state_chunks_resent_total", "state chunks re-multicast on retransmit requests"),
 		stateChunkBytes:      r.Counter("eternal_state_chunk_bytes_total", "payload bytes across sent and resent state chunks"),
-		stateChunkStalls:     r.Counter("eternal_state_chunk_stalls_total", "transfer-streamer waits for the next token rotation"),
 		stateRetransmitReqs:  r.Counter("eternal_state_retransmit_requests_total", "missing-chunk requests multicast while assembling"),
 		stateChunksRejected:  r.Counter("eternal_state_chunks_rejected_total", "received chunks dropped for checksum or size mismatch"),
 		auditMarks:           r.Counter("eternal_audit_marks_total", "consistency-audit epoch markers multicast as primary"),
@@ -132,6 +139,7 @@ func (c *nodeCounters) snapshot() Stats {
 		RepliesDelivered:        c.repliesDelivered.Value(),
 		DuplicateReplies:        c.duplicateReplies.Value(),
 		RepliesWithdrawn:        c.repliesWithdrawn.Value(),
+		LazyReplies:             c.lazyReplies.Value(),
 		StateCaptures:           c.stateCaptures.Value(),
 		StateApplied:            c.stateApplied.Value(),
 		Promotions:              c.promotions.Value(),
@@ -139,7 +147,6 @@ func (c *nodeCounters) snapshot() Stats {
 		StateChunksSent:         c.stateChunksSent.Value(),
 		StateChunksResent:       c.stateChunksResent.Value(),
 		StateChunkBytes:         c.stateChunkBytes.Value(),
-		StateChunkStalls:        c.stateChunkStalls.Value(),
 		StateRetransmitRequests: c.stateRetransmitReqs.Value(),
 		StateChunksRejected:     c.stateChunksRejected.Value(),
 		AuditMarks:              c.auditMarks.Value(),
@@ -151,7 +158,11 @@ func (c *nodeCounters) snapshot() Stats {
 }
 
 // Stats returns a snapshot of the node's mechanism counters.
-func (n *Node) Stats() Stats { return n.counters.snapshot() }
+func (n *Node) Stats() Stats {
+	s := n.counters.snapshot()
+	s.StateChunkStalls = n.proc.Stats().BulkStalls
+	return s
+}
 
 // Metrics returns the node's metrics registry: mechanism counters, the
 // invocation and recovery latency histograms, and the totem processor's

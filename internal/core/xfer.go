@@ -12,8 +12,10 @@ import (
 
 // This file is the state-transfer pipeline, the one route every set_state
 // of Figure 5 takes, recovery and passive checkpoint alike: a stream of
-// KStateChunk envelopes — paced so foreground invocations interleave with
-// them on the token ring — closed by one totally-ordered KStateManifest,
+// KStateChunk envelopes — submitted to totem's bulk lane, which lets
+// StateChunksPerToken of them onto the ring per token visit, behind the
+// foreground invocations queued there — closed by one totally-ordered
+// KStateManifest,
 // the transfer's sync point: every node marks the recovering members
 // operational at the manifest's position, and only the local assembly of
 // the chunk payloads may lag behind it (cured by retransmit-by-index). A
@@ -35,17 +37,6 @@ const (
 	// bytes; each entry lives until evicted by newer transfers).
 	xferCacheMax = 8
 )
-
-// outboundXfer is one unit of work for the streaming goroutine: a full
-// transfer (all chunks, then the manifest) or a retransmission (the
-// listed indexes only).
-type outboundXfer struct {
-	group    string
-	xferID   uint64
-	chunks   [][]byte
-	manifest []byte   // nil for retransmissions
-	indices  []uint32 // nil = all chunks in order
-}
 
 // cachedXfer is a completed outbound transfer kept for retransmit-by-index.
 type cachedXfer struct {
@@ -70,33 +61,43 @@ type inboundXfer struct {
 	lastNak    time.Time
 }
 
-func (n *Node) stopped() bool {
-	select {
-	case <-n.stopCh:
-		return true
-	default:
-		return false
-	}
-}
-
 // --- donor side ---
 
-// sendChunked ships an encoded bundle as a paced chunk stream closed by a
-// manifest. Called from a replica dispatcher (capture); the actual
-// multicasts happen on the node's single streaming goroutine, whose FIFO
-// order guarantees each transfer's manifest follows its chunks and that
-// concurrent captures do not interleave their streams.
+// sendChunked ships an encoded bundle as a chunk stream closed by a
+// manifest. Called from a replica dispatcher (capture). Everything is
+// handed to totem at once: the bulk lane is FIFO, so the manifest follows
+// its chunks, and it is the lane — at the token, where the pacing
+// decision belongs — that meters the stream onto the ring.
 func (n *Node) sendChunked(group string, xferID uint64, enc []byte) {
 	chunkBytes := n.cfg.StateChunkBytes // <= 0: recovery.DefaultChunkBytes
 	chunks := recovery.SplitChunks(enc, chunkBytes)
 	manifest := recovery.NewManifest(enc, chunks, chunkBytes)
 	n.cacheOutbound(group, xferID, chunks)
-	n.xferQ.push(outboundXfer{
-		group:    group,
-		xferID:   xferID,
-		chunks:   chunks,
-		manifest: manifest.Encode(),
+	for i, payload := range chunks {
+		n.sendChunk(group, xferID, uint32(i), payload, n.counters.stateChunksSent)
+	}
+	n.multicast(&replication.Envelope{
+		Kind:    replication.KStateManifest,
+		Group:   group,
+		Node:    n.addr,
+		XferID:  xferID,
+		Payload: manifest.Encode(),
 	})
+}
+
+// sendChunk submits chunk idx of a transfer, counting it as a first
+// transmission or a retransmission.
+func (n *Node) sendChunk(group string, xferID uint64, idx uint32, payload []byte, count *obs.Counter) {
+	n.multicast(&replication.Envelope{
+		Kind:    replication.KStateChunk,
+		Group:   group,
+		Node:    n.addr,
+		OpID:    idx,
+		XferID:  xferID,
+		Payload: payload,
+	})
+	count.Inc()
+	n.counters.stateChunkBytes.Add(uint64(len(payload)))
 }
 
 // cacheOutbound remembers a transfer's chunks for retransmit-by-index. A
@@ -122,102 +123,6 @@ func (n *Node) cacheOutbound(group string, xferID uint64, chunks [][]byte) {
 	n.xferCacheOrder = append(n.xferCacheOrder, xferID)
 }
 
-// xferStreamer is the node's state-transfer egress goroutine.
-func (n *Node) xferStreamer() {
-	for {
-		x, ok := n.xferQ.pop()
-		if !ok {
-			return
-		}
-		if n.stopped() {
-			return
-		}
-		n.streamTransfer(x)
-	}
-}
-
-// streamTransfer multicasts a transfer's chunks under the token-aware
-// budget — at most StateChunksPerToken chunk multicasts per observed
-// token rotation — then its manifest. The budget is what keeps the
-// donor's totem pending queue shallow, so foreground envelopes submitted
-// by this node interleave with the stream instead of queueing behind the
-// entire state.
-func (n *Node) streamTransfer(x outboundXfer) {
-	budget := n.cfg.StateChunksPerToken
-	rotation := n.proc.Stats().TokenRotations
-	sent := 0
-	resend := x.manifest == nil
-	emit := func(idx uint32) bool {
-		if sent >= budget {
-			stalled := false
-			for {
-				if n.stopped() {
-					return false
-				}
-				// Two conditions before the next batch: the prior batch has
-				// fully left this node's sequencing queue (so batches never
-				// bunch onto one token hold), and the token has rotated
-				// since (so foreground traffic had a full cycle to slip
-				// in between).
-				if n.proc.PendingChunks() == 0 {
-					if cur := n.proc.Stats().TokenRotations; cur != rotation {
-						rotation = cur
-						sent = 0
-						break
-					}
-				}
-				if !stalled {
-					stalled = true
-					n.counters.stateChunkStalls.Inc()
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-		payload := x.chunks[idx]
-		n.multicast(&replication.Envelope{
-			Kind:    replication.KStateChunk,
-			Group:   x.group,
-			Node:    n.addr,
-			OpID:    idx,
-			XferID:  x.xferID,
-			Payload: payload,
-		})
-		sent++
-		if resend {
-			n.counters.stateChunksResent.Inc()
-		} else {
-			n.counters.stateChunksSent.Inc()
-		}
-		n.counters.stateChunkBytes.Add(uint64(len(payload)))
-		return true
-	}
-	if x.indices != nil {
-		for _, i := range x.indices {
-			if int(i) >= len(x.chunks) {
-				continue
-			}
-			if !emit(i) {
-				return
-			}
-		}
-	} else {
-		for i := range x.chunks {
-			if !emit(uint32(i)) {
-				return
-			}
-		}
-	}
-	if x.manifest != nil {
-		n.multicast(&replication.Envelope{
-			Kind:    replication.KStateManifest,
-			Group:   x.group,
-			Node:    n.addr,
-			XferID:  x.xferID,
-			Payload: x.manifest,
-		})
-	}
-}
-
 // handleStateRetransmit serves a receiver's missing-chunk request from
 // the donor-side cache. Only the node that originated the transfer holds
 // it cached, so exactly one node answers; the response is a multicast, so
@@ -241,12 +146,11 @@ func (n *Node) handleStateRetransmit(env *replication.Envelope) {
 	if c == nil {
 		return
 	}
-	n.xferQ.push(outboundXfer{
-		group:   c.group,
-		xferID:  env.XferID,
-		chunks:  c.chunks,
-		indices: idx,
-	})
+	for _, i := range idx {
+		if int(i) < len(c.chunks) {
+			n.sendChunk(c.group, env.XferID, i, c.chunks[i], n.counters.stateChunksResent)
+		}
+	}
 }
 
 // --- receiving side (delivery-loop handlers) ---

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -663,5 +664,57 @@ func TestSyncSelfDeclareConfigurable(t *testing.T) {
 	// Default still applies when unset.
 	if n2 := newXferCluster(t, 0, nil, "other"); n2.nodes["other"].cfg.SyncSelfDeclare != 750*time.Millisecond {
 		t.Fatal("default SyncSelfDeclare wrong")
+	}
+}
+
+// TestStateTransferFromNonRepresentativeDonor recovers the replica on the
+// ring representative's node, so the donor (the group's first operational
+// member, n2) is not the representative. The old streamer paced itself on
+// a counter that only the representative ever increments, so any transfer
+// of more than one budget from such a donor stalled for good — and took
+// the donor's streamer with it, so the second recovery could not even
+// start. On the 2-node ring the donor is a fast-path follower, whose bulk
+// lane has to be drained by token visits that forward, not sequence.
+func TestStateTransferFromNonRepresentativeDonor(t *testing.T) {
+	for _, nodes := range [][]string{{"n1", "n2", "n3"}, {"n1", "n2"}} {
+		t.Run(strings.Join(nodes, ""), func(t *testing.T) {
+			c := newXferCluster(t, 20<<10, func(cfg *Config) {
+				cfg.StateChunkBytes = 2048
+			}, nodes...)
+			createBlobGroup(t, c, "blob", 1, nodes...)
+			obj := c.client("n1", "driver", "blob")
+			want := uint64(0)
+			for round := 1; round <= 2; round++ {
+				want++
+				if got := ping(t, obj); got != want {
+					t.Fatalf("round %d: ping = %d, want %d", round, got, want)
+				}
+				if err := c.nodes["n1"].KillReplica("blob", 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				if err := c.nodes["n1"].RecoverReplica("blob", 15*time.Second); err != nil {
+					t.Fatalf("round %d: recovery through donor n2: %v (donor sent %d chunks)",
+						round, err, c.nodes["n2"].Stats().StateChunksSent)
+				}
+				t.Logf("round %d: recovered in %v", round, time.Since(start))
+				if sent := c.nodes["n2"].Stats().StateChunksSent; sent < uint64(10*round) {
+					t.Fatalf("round %d: donor n2 sent %d chunks, want ≥ %d", round, sent, 10*round)
+				}
+				if sent := c.nodes["n1"].Stats().StateChunksSent; sent != 0 {
+					t.Fatalf("n1 sent %d chunks: it was never the donor", sent)
+				}
+			}
+			// Only the recovered replica is left to answer: the counter
+			// going on proves it holds the transferred state.
+			for _, nd := range nodes[1:] {
+				if err := c.nodes[nd].KillReplica("blob", 10*time.Second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ping(t, obj); got != want+1 {
+				t.Fatalf("ping at the recovered replica = %d, want %d", got, want+1)
+			}
+		})
 	}
 }

@@ -40,6 +40,13 @@ type TokenRotation struct {
 	// (idle pacing), and PaceTicks for how many ticks.
 	Paced     bool `json:"paced,omitempty"`
 	PaceTicks int  `json:"pace_ticks,omitempty"`
+	// Resting reports that the holder kept the token after this visit
+	// because it was the ring's only data sender; it moves on within a
+	// tick, or at once when a peer nudges.
+	Resting bool `json:"resting,omitempty"`
+	// BulkWaiting counts the bulk (state-transfer) messages this visit's
+	// quota left in the holder's lane; a holder with any never rests.
+	BulkWaiting int `json:"bulk_waiting,omitempty"`
 }
 
 // DefaultRotationCapacity bounds a rotation log when no capacity is

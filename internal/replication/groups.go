@@ -140,6 +140,12 @@ func (g *Group) HasMember(node string) bool {
 	return g.memberIndex(node) >= 0
 }
 
+// IsOperational reports whether node hosts an operational replica.
+func (g *Group) IsOperational(node string) bool {
+	i := g.memberIndex(node)
+	return i >= 0 && g.Members[i].State == MemberOperational
+}
+
 func (g *Group) memberIndex(node string) int {
 	for i, m := range g.Members {
 		if m.Node == node {

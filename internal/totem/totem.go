@@ -148,8 +148,22 @@ type Stats struct {
 	// fast-path leader for sequencing (first transmissions and retries).
 	ForwardedChunks uint64
 	// WithdrawnMessages counts submitted messages their sender withdrew
-	// before a token visit sequenced them (see MulticastWithdrawable).
+	// before a token visit sequenced them (see MulticastWithdrawable),
+	// lazy ones (LazyDropped) included.
 	WithdrawnMessages uint64
+	// Rests counts token visits that ended with this member keeping the
+	// token because it was the ring's only data sender (see forwardToken).
+	Rests uint64
+	// LazySent counts lazy messages a token visit found a Tick old and
+	// still wanted, and moved into the sending queue; LazyDropped counts
+	// those it found withdrawn instead (see MulticastLazy).
+	LazySent    uint64
+	LazyDropped uint64
+	// BulkPromoted counts bulk messages token visits moved into the
+	// sending queue; BulkStalls counts visits that left bulk waiting
+	// behind the per-visit quota (see MulticastBulk).
+	BulkPromoted uint64
+	BulkStalls   uint64
 }
 
 // PackingFlag is a toggle whose zero value means "on", so packing is the
@@ -266,9 +280,14 @@ type Config struct {
 	// FastPath gates the leader-ordered fast path (see FastPathMode). The
 	// zero value enables it on 2-member rings only.
 	FastPath FastPathMode
-	// IdleGrace is how long after the last foreground activity the token
-	// keeps rotating at wire speed before idle pacing starts (default
-	// 2*Tick). Larger values spend CPU to keep request/reply gaps fast;
+	// IdleGrace is the ordering layer's one "has it been like this for a
+	// while" threshold (default 2*Tick). Idle pacing: the token keeps
+	// rotating at wire speed this long after a member's last foreground
+	// activity before that member backs its hops off. Resting: a member
+	// keeps the token instead of forwarding it once it has been the
+	// ring's only data sender for this long (see forwardToken), and a
+	// peer nudges a token it believes is resting by the same measure.
+	// Larger values spend token frames to keep request/reply gaps fast;
 	// smaller ones park the ring sooner.
 	IdleGrace time.Duration
 	// MaxPaceTicks caps the idle pacer's exponential backoff: a long-idle
@@ -294,6 +313,11 @@ type Config struct {
 	// RotationCapacity bounds the token-rotation profiler's sample ring
 	// (default obs.DefaultRotationCapacity; negative disables profiling).
 	RotationCapacity int
+	// BulkPerVisit is how many bulk messages (MulticastBulk) one token
+	// visit moves into the sending queue; zero or less means all of them.
+	// It is wiring, not a knob of its own: core sets it from
+	// Config.StateChunksPerToken.
+	BulkPerVisit int
 	// Ordered, when set, is called on the ordering goroutine for every
 	// application message at its agreed position in the total order, just
 	// before the message is queued on Deliveries; it may set d.App, which
@@ -402,10 +426,16 @@ type Processor struct {
 	// ring buffer so delivered chunks are released, not retained by a
 	// shifted slice's backing array.
 	pending ring.Buffer[chunk]
-	msgID   uint64
-	reasm   map[string]*partial
-	round   uint64
-	miss    map[uint64]int
+	// lazy and bulk hold whole messages that wait outside pending, so they
+	// never stand in front of urgent chunks: lazy ones until a token visit
+	// finds them a Tick old and still not withdrawn, bulk ones until a
+	// visit's quota lets them through. See promoteHeld.
+	lazy  ring.Buffer[heldMsg]
+	bulk  ring.Buffer[heldMsg]
+	msgID uint64
+	reasm map[string]*partial
+	round uint64
+	miss  map[uint64]int
 
 	joinInfo     map[string]joinRecord
 	stableSince  time.Time
@@ -422,26 +452,40 @@ type Processor struct {
 	lastSentAt    time.Time
 	tokenResends  int
 	// parkedToken holds the token while pacing an idle ring (including the
-	// single-member self-delivery case); it is released once parkedUntil
-	// passes (the adaptive pacer's backoff), or immediately when new
-	// foreground messages are enqueued or a hurry nudge arrives.
+	// single-member self-delivery case) or while resting at the ring's only
+	// sender; it is released once parkedUntil passes (the adaptive pacer's
+	// backoff, or one Tick after the rest began), or immediately when a
+	// hurry nudge arrives. A local urgent enqueue releases a paced token
+	// and is served in place by a resting one.
 	parkedToken    *tokenMsg
 	parkedUntil    time.Time
+	resting        bool
 	lastAnnounceAt time.Time
 
 	// Adaptive pacing state. lastActivityAt is the last time this member
 	// did foreground protocol work (sent or forwarded non-background
 	// chunks, served or requested retransmissions); the pacer holds wire
-	// speed for IdleGrace past it. hurried marks that a hurry nudge allows
-	// the next forward to skip pacing; every forward clears it. canNudge
-	// is set when the token leaves this member with IdleHops > 0 — only
-	// then can it complete an idle rotation and be parked elsewhere before
-	// it returns — and cleared by the one nudge that buys. lastPaceTicks
-	// is the backoff applied by the most recent forward (0 = wire speed),
+	// speed for IdleGrace past it. hurried marks that a hurry nudge has
+	// arrived (or been sent) since this member's last forward: the next
+	// forward neither paces nor rests, and clears it. canNudge is the one
+	// nudge each token departure buys; it is spent only while wantToken —
+	// urgent or bulk work was enqueued since the token was last here — and
+	// only if the token may be held somewhere: leftIdle says it left this
+	// member with IdleHops > 0, so an idle rotation can complete and park
+	// it before it returns, and restingElsewhere says another member looks
+	// like a resting sole sender. soleSender is the member whose data
+	// frames were the last delivered here and soleSince the first of its
+	// unbroken run — every member sees every data frame, so "I have been
+	// the only sender for IdleGrace" is local knowledge. lastPaceTicks is
+	// the backoff applied by the most recent forward (0 = wire speed),
 	// recorded into the rotation profile.
 	lastActivityAt time.Time
 	hurried        bool
 	canNudge       bool
+	leftIdle       bool
+	wantToken      bool
+	soleSender     string
+	soleSince      time.Time
 	lastPaceTicks  int
 
 	// Leader-ordered fast path state (see FastPathMode). fastPath and
@@ -475,6 +519,11 @@ type Processor struct {
 	nFastChunks atomic.Uint64
 	nFwdChunks  atomic.Uint64
 	nWithdrawn  atomic.Uint64
+	nRests      atomic.Uint64
+	nLazySent   atomic.Uint64
+	nLazyDrop   atomic.Uint64
+	nBulkProm   atomic.Uint64
+	nBulkStalls atomic.Uint64
 
 	// Metrics export (nil-safe via a private registry when unconfigured).
 	mPktsIn   *obs.Counter
@@ -501,27 +550,55 @@ type Processor struct {
 	sendTimes map[uint64]sendMeta
 }
 
+// class says how badly a submission wants the token.
+type class uint8
+
+const (
+	// classUrgent wakes a token parked here and may nudge one held
+	// elsewhere: requests, replies their client is waiting for, membership
+	// and recovery control.
+	classUrgent class = iota
+	// classBackground rides whatever visit comes without waking, nudging
+	// or counting as activity (audit marks and reports).
+	classBackground
+	// classLazy is a withdrawable message that is only insurance — a reply
+	// another replica is expected to send first. It waits outside the
+	// sending queue and a token visit sends it only once it is a Tick old
+	// and still not withdrawn.
+	classLazy
+	// classBulk is state-transfer payload: it waits outside the sending
+	// queue and each token visit lets Config.BulkPerVisit messages in,
+	// behind whatever urgent work is queued.
+	classBulk
+)
+
 // submission is one application message queued for the run goroutine:
-// its pre-fragmented chunks plus the span-tracing metadata. background
-// marks low-urgency control traffic (audit marks and reports) that rides
-// the paced token instead of waking it. withdraw, when set, lets the
-// sender take the message back until a token visit sequences it.
+// its pre-fragmented chunks, its class and the span-tracing metadata.
+// withdraw, when set, lets the sender take the message back until a token
+// visit sequences it.
 type submission struct {
-	chunks     [][]byte
-	trace      uint64
-	reply      bool
-	background bool
-	withdraw   func() bool
+	chunks   [][]byte
+	trace    uint64
+	reply    bool
+	class    class
+	withdraw func() bool
 }
 
 // sendMeta is what the processor remembers about a locally originated
 // message between submission and self-delivery.
 type sendMeta struct {
-	at         time.Time
-	trace      uint64
-	reply      bool
-	background bool
-	withdraw   func() bool
+	at       time.Time
+	trace    uint64
+	reply    bool
+	class    class
+	withdraw func() bool
+}
+
+// heldMsg is one whole message in a holding queue (lazy or bulk), not yet
+// cut into the sending queue's chunks.
+type heldMsg struct {
+	id     uint64
+	chunks [][]byte
 }
 
 // Start creates a processor on the given transport and begins gathering
@@ -582,18 +659,22 @@ func (p *Processor) registerMetrics(r *obs.Registry) {
 		{"eternal_totem_multicasts_total", "application messages submitted for total ordering", &p.nMulticasts},
 		{"eternal_totem_chunks_sent_total", "MTU-sized chunks multicast while holding the token", &p.nChunks},
 		{"eternal_totem_retransmits_total", "chunks retransmitted to serve token Rtr requests", &p.nRetrans},
-		{"eternal_totem_token_rotations_total", "completed token rotations observed as aru setter", &p.nRotations},
+		{"eternal_totem_token_rotations_total", "completed token rotations observed as aru setter (the ring representative)", &p.nRotations},
 		{"eternal_totem_deliveries_total", "messages delivered in agreed order", &p.nDeliveries},
 		{"eternal_totem_view_changes_total", "membership views delivered", &p.nViews},
 		{"eternal_totem_tombstones_total", "unrecoverable sequence numbers skipped", &p.nTombstones},
 		{"eternal_totem_data_frames_total", "data frames initially transmitted (retransmissions excluded)", &p.nDataFrames},
 		{"eternal_totem_packed_messages_total", "chunks that shared a packed frame with at least one other chunk", &p.nPacked},
-		{"eternal_totem_hurries_sent_total", "token hurry nudges broadcast on enqueue into an idle-paced ring", &p.nHurrySent},
+		{"eternal_totem_hurries_sent_total", "token hurry nudges broadcast for urgent work while the token may be parked or resting elsewhere", &p.nHurrySent},
 		{"eternal_totem_hurries_received_total", "token hurry nudges received from peers", &p.nHurryRecv},
 		{"eternal_totem_paced_hops_total", "token hops parked for idle pacing before forwarding", &p.nPacedHops},
 		{"eternal_totem_fastpath_chunks_total", "chunks the fast-path leader sequenced immediately, without a token visit", &p.nFastChunks},
 		{"eternal_totem_fastpath_forwards_total", "chunks forwarded to the fast-path leader for sequencing (including retries)", &p.nFwdChunks},
 		{"eternal_totem_withdrawn_messages_total", "submitted messages withdrawn by their sender before a token visit sequenced them", &p.nWithdrawn},
+		{"eternal_totem_rests_total", "token visits that ended with the token resting at this member, the ring's only data sender", &p.nRests},
+		{"eternal_totem_lazy_sent_total", "lazy messages moved into the sending queue: a Tick old and still not withdrawn", &p.nLazySent},
+		{"eternal_totem_lazy_dropped_total", "lazy messages found withdrawn by the token visit that would have sent them", &p.nLazyDrop},
+		{"eternal_totem_bulk_promoted_total", "bulk messages moved into the sending queue by token visits", &p.nBulkProm},
 	} {
 		v := c.v
 		r.CounterFunc(c.name, c.help, func() float64 { return float64(v.Load()) })
@@ -634,14 +715,13 @@ func (p *Processor) Stats() Stats {
 		FastPathChunks:    p.nFastChunks.Load(),
 		ForwardedChunks:   p.nFwdChunks.Load(),
 		WithdrawnMessages: p.nWithdrawn.Load(),
+		Rests:             p.nRests.Load(),
+		LazySent:          p.nLazySent.Load(),
+		LazyDropped:       p.nLazyDrop.Load(),
+		BulkPromoted:      p.nBulkProm.Load(),
+		BulkStalls:        p.nBulkStalls.Load(),
 	}
 }
-
-// PendingChunks reports the current depth of this member's sequencing
-// queue: chunks submitted locally and not yet multicast on a token visit.
-// Zero means everything this member submitted has reached the wire — the
-// self-clocking signal the state-transfer streamer paces on.
-func (p *Processor) PendingChunks() int64 { return p.mPending.Value() }
 
 // Multicast submits one application message for reliable totally-ordered
 // delivery to all ring members (including the sender). The payload is
@@ -657,7 +737,20 @@ func (p *Processor) Multicast(payload []byte) error {
 // triggering a hurry nudge, so a quiescent ring stays paced across audit
 // epochs. Ordering and reliability guarantees are identical.
 func (p *Processor) MulticastBackground(payload []byte) error {
-	return p.submit(payload, submission{background: true})
+	return p.submit(payload, submission{class: classBackground})
+}
+
+// MulticastBulk is Multicast for state-transfer payload: the message
+// waits in a lane of its own, in submission order, and each token visit
+// lets at most Config.BulkPerVisit whole messages into the sending queue,
+// behind whatever urgent work is already there — so a large transfer
+// shares every visit with foreground traffic instead of standing in front
+// of it. Pacing is by token visit on every kind of ring: a fast-path
+// follower forwards what its visit let in, the leader sequences it. A
+// member with bulk waiting keeps the token moving: it neither paces nor
+// rests.
+func (p *Processor) MulticastBulk(payload []byte) error {
+	return p.submit(payload, submission{class: classBulk})
 }
 
 // MulticastTraced is Multicast carrying span-tracing metadata: the
@@ -680,6 +773,17 @@ func (p *Processor) MulticastTraced(payload []byte, trace uint64, reply bool) er
 // not block or call into the Processor.
 func (p *Processor) MulticastWithdrawable(payload []byte, trace uint64, reply bool, withdraw func() bool) error {
 	return p.submit(payload, submission{trace: trace, reply: reply, withdraw: withdraw})
+}
+
+// MulticastLazy is MulticastWithdrawable for a reply that is only
+// insurance: another member is expected to send its copy first, and this
+// one matters only if that member dies before it does. The message
+// neither wakes nor nudges the token and waits outside the sending queue,
+// so it never stands in front of urgent messages; a token visit sends it
+// only once it is at least one Tick old and withdraw still answers false,
+// and drops it when withdraw answers true.
+func (p *Processor) MulticastLazy(payload []byte, trace uint64, withdraw func() bool) error {
+	return p.submit(payload, submission{trace: trace, reply: true, class: classLazy, withdraw: withdraw})
 }
 
 func (p *Processor) submit(payload []byte, sub submission) error {
@@ -735,8 +839,9 @@ func (p *Processor) run() {
 		case <-p.closeCh:
 			return
 		case sub := <-p.submitCh:
-			p.enqueue(sub)
-			p.kick(sub.background, time.Now())
+			now := time.Now()
+			p.enqueue(sub, now)
+			p.kick(sub.class, now)
 		case pkt, ok := <-p.tr.Recv():
 			if !ok {
 				return
@@ -748,20 +853,10 @@ func (p *Processor) run() {
 	}
 }
 
-func (p *Processor) enqueue(sub submission) {
+func (p *Processor) enqueue(sub submission, now time.Time) {
 	p.msgID++
-	id := p.msgID
-	total := uint32(len(sub.chunks))
-	for i, c := range sub.chunks {
-		p.pending.Push(chunk{
-			Sender:    p.addr,
-			MsgID:     id,
-			FragIdx:   uint32(i),
-			FragTotal: total,
-			Payload:   c,
-		})
-	}
-	p.sendTimes[id] = sendMeta{at: time.Now(), trace: sub.trace, reply: sub.reply, background: sub.background, withdraw: sub.withdraw}
+	m := heldMsg{id: p.msgID, chunks: sub.chunks}
+	p.sendTimes[m.id] = sendMeta{at: now, trace: sub.trace, reply: sub.reply, class: sub.class, withdraw: sub.withdraw}
 	if sub.trace != 0 {
 		if sub.reply {
 			p.cfg.Spans.MarkOpen(sub.trace, obs.SpanReplyEnqueued)
@@ -769,7 +864,73 @@ func (p *Processor) enqueue(sub submission) {
 			p.cfg.Spans.Mark(sub.trace, obs.SpanEnqueued)
 		}
 	}
+	switch sub.class {
+	case classLazy:
+		p.lazy.Push(m)
+	case classBulk:
+		p.bulk.Push(m)
+	default:
+		p.admit(m)
+	}
+}
+
+// admit cuts one whole message into the sending queue. Its chunks go in
+// back to back, which is what keeps a sender's multi-fragment messages
+// from interleaving (receivers reassemble per sender) and what lets
+// dropWithdrawn treat the FragTotal chunks from a first fragment as the
+// message.
+func (p *Processor) admit(m heldMsg) {
+	total := uint32(len(m.chunks))
+	for i, c := range m.chunks {
+		p.pending.Push(chunk{
+			Sender:    p.addr,
+			MsgID:     m.id,
+			FragIdx:   uint32(i),
+			FragTotal: total,
+			Payload:   c,
+		})
+	}
 	p.mPending.Set(int64(p.pending.Len()))
+}
+
+// promoteHeld is a token visit's intake from the two holding queues, run
+// once per visit (handleToken) before the visit sends, so what it admits
+// queues behind the urgent work already there. Lazy messages leave in
+// submission order once a Tick old: withdrawn ones are dropped, the rest
+// admitted (a younger one keeps the ones behind it waiting; they are all
+// younger still). Bulk messages are admitted up to the visit's quota, and
+// only while the sending queue is shorter than one visit can drain, so a
+// quota larger than the ring's flow-control window cannot build a backlog
+// in front of later urgent messages.
+func (p *Processor) promoteHeld(now time.Time) {
+	for {
+		m, ok := p.lazy.Peek()
+		if !ok {
+			break
+		}
+		meta := p.sendTimes[m.id]
+		if now.Sub(meta.at) < p.cfg.Tick {
+			break
+		}
+		p.lazy.Pop()
+		if meta.withdraw != nil && meta.withdraw() {
+			delete(p.sendTimes, m.id)
+			p.nWithdrawn.Add(1)
+			p.nLazyDrop.Add(1)
+			continue
+		}
+		p.nLazySent.Add(1)
+		p.admit(m)
+	}
+	for n := 0; p.bulk.Len() > 0 && p.pending.Len() < p.cfg.MaxPerToken &&
+		(p.cfg.BulkPerVisit <= 0 || n < p.cfg.BulkPerVisit); n++ {
+		m, _ := p.bulk.Pop()
+		p.nBulkProm.Add(1)
+		p.admit(m)
+	}
+	if p.bulk.Len() > 0 {
+		p.nBulkStalls.Add(1)
+	}
 }
 
 func (p *Processor) handlePacket(pkt Packet, now time.Time) {
@@ -798,14 +959,16 @@ func (p *Processor) handlePacket(pkt Packet, now time.Time) {
 }
 
 // kick dispatches a freshly enqueued submission onto whatever path gets
-// it sequenced fastest. Background traffic takes none of them: it rides
-// the next (possibly paced) token visit so audit marks do not keep a
-// quiescent ring spinning.
-func (p *Processor) kick(background bool, now time.Time) {
-	if p.state != stateOperational {
+// it sequenced fastest. Lazy and background traffic take none of them:
+// they ride the next (possibly paced) token visit, so neither insurance
+// replies nor audit marks keep a quiescent ring spinning. Bulk waits for
+// token visits on every kind of ring, so it wakes and nudges the token
+// like urgent work does, fast path or not.
+func (p *Processor) kick(c class, now time.Time) {
+	if p.state != stateOperational || c == classLazy {
 		return
 	}
-	if p.fastPath {
+	if p.fastPath && c != classBulk {
 		// Leader ordering: no token involvement on the submit path at all.
 		if p.addr == p.leader {
 			p.fastDrain(now)
@@ -814,36 +977,65 @@ func (p *Processor) kick(background bool, now time.Time) {
 		}
 		return
 	}
-	if background {
+	if c == classBackground {
 		return
 	}
 	if p.parkedToken != nil {
+		if p.resting && c == classUrgent && now.Before(p.parkedUntil) {
+			// The token rests here: sequence from it at once and keep it.
+			// The rest's deadline stands, so housekeeping still gets its
+			// rotation once per Tick however busy this member is.
+			if _, fgSent := p.sendPending(tokenAlloc(p.parkedToken), false); fgSent > 0 {
+				p.lastActivityAt = now
+			}
+			if p.pending.Len() == 0 {
+				return
+			}
+		}
 		// Wake our own paced token immediately so enqueueing does not
-		// cost a tick of latency.
+		// cost a tick of latency; a rest ends when its deadline has
+		// passed, when bulk arrives or when one visit's window is full.
 		p.releaseParked(now)
 		return
 	}
-	if p.canNudge {
-		// The token left us already idle, so it may have completed an idle
-		// rotation and be parked at another member: nudge it loose rather
-		// than waiting out up to members×MaxPaceTicks×Tick of pacing. One
-		// nudge per departure is all that can help — it releases the token
-		// wherever it is parked and un-paces every hop back to us. A token
-		// that left with IdleHops == 0 cannot be parked before it returns
-		// (the member that completes the idle rotation is this one), so
-		// it needs none.
-		p.canNudge = false
-		p.hurried = true
-		p.nHurrySent.Add(1)
-		p.bcastMsg(&hurryMsg{Ring: p.ring, Origin: p.addr})
-	}
+	p.wantToken = true
+	p.maybeNudge(now)
 }
 
-// handleHurry reacts to a peer's hurry nudge: release a parked token at
-// once and let the next forward skip pacing, so the token crosses the
-// ring at wire speed until the nudging enqueuer is served. The flag lasts
-// until this member's next forward, whether or not that forward would
-// have paced.
+// maybeNudge broadcasts a hurry if work is waiting for the token here and
+// the token may be held somewhere. One nudge per token departure is all
+// that can help — it releases the token wherever it is parked or resting
+// and un-paces every hop back to this member. A token that left with
+// IdleHops == 0 cannot be parked before it returns (the member that
+// completes the idle rotation is this one), and it rests only at a member
+// that has been the ring's only sender for IdleGrace; when neither can be
+// the case the token is on its way and a nudge would be one more frame in
+// front of it. kick calls this at enqueue; deliverMsg calls it again, as
+// the would-be nudger may learn that another member is the sole sender
+// only from frames that arrive after it enqueued.
+func (p *Processor) maybeNudge(now time.Time) {
+	if !p.wantToken || !p.canNudge || !(p.leftIdle || p.restingElsewhere(now)) {
+		return
+	}
+	p.canNudge = false
+	p.hurried = true
+	p.nHurrySent.Add(1)
+	p.bcastMsg(&hurryMsg{Ring: p.ring, Origin: p.addr})
+}
+
+// restingElsewhere reports whether another member has been the ring's only
+// data sender for IdleGrace, the condition under which it keeps the token.
+func (p *Processor) restingElsewhere(now time.Time) bool {
+	return !p.fastPath && p.soleSender != "" && p.soleSender != p.addr &&
+		now.Sub(p.soleSince) >= p.cfg.IdleGrace
+}
+
+// handleHurry reacts to a peer's hurry nudge: release a parked or resting
+// token at once and let the next forward skip pacing and resting, so the
+// token crosses the ring at wire speed until the nudging enqueuer is
+// served. The flag lasts until this member's next forward, whether or not
+// that forward would have held the token — a nudge that arrives while the
+// token is still on its way here must keep it from resting on arrival.
 func (p *Processor) handleHurry(m *hurryMsg, now time.Time) {
 	if p.state != stateOperational || m.Ring != p.ring || m.Origin == p.addr {
 		return
@@ -978,10 +1170,13 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	tok.Rtr = rtr
 	p.advanceAru()
 
-	// 3. Multicast pending chunks while we hold the token. Fast-path
-	// followers never sequence: their pending queue is the
-	// un-acknowledged forward window, drained as sequenced copies are
-	// delivered; anything not yet forwarded goes to the leader now.
+	// 3. Let held messages in, then multicast pending chunks while we
+	// hold the token. Fast-path followers never sequence: their pending
+	// queue is the un-acknowledged forward window, drained as sequenced
+	// copies are delivered; anything not yet forwarded goes to the leader
+	// now.
+	p.wantToken = false
+	p.promoteHeld(now)
 	pendingBefore := p.pending.Len()
 	var sent, fgSent int
 	if p.fastPath && p.addr != p.leader {
@@ -1031,7 +1226,7 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	if p.rotations != nil {
 		end = time.Now()
 	}
-	p.forwardToken(tok, now)
+	p.forwardToken(tok, now, fgSent)
 	if p.rotations != nil {
 		sample := obs.TokenRotation{
 			At:            now,
@@ -1046,6 +1241,8 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 			IdleHops:      idleHops,
 			Paced:         p.lastPaceTicks > 0,
 			PaceTicks:     p.lastPaceTicks,
+			Resting:       p.resting,
+			BulkWaiting:   p.bulk.Len(),
 		}
 		if !prevVisit.IsZero() {
 			sample.IntervalUs = float64(now.Sub(prevVisit).Nanoseconds()) / 1e3
@@ -1120,7 +1317,7 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 		for i := range frame.Chunks {
 			c := &frame.Chunks[i]
 			meta, ok := p.sendTimes[c.MsgID]
-			if !ok || !meta.background {
+			if !ok || meta.class != classBackground {
 				fgSent++
 			}
 			if p.cfg.Spans == nil || c.FragIdx != c.FragTotal-1 {
@@ -1184,7 +1381,11 @@ func (p *Processor) fastDrain(now time.Time) {
 	}
 }
 
-func (p *Processor) forwardToken(tok *tokenMsg, now time.Time) {
+// forwardToken ends a token visit on which fgSent foreground chunks were
+// sent. The token leaves in one of three states: forwarded at wire speed,
+// paced (parked for some ticks because the whole ring is idle), or resting
+// (kept, because this member is the only one with anything to say).
+func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 	tok.Round++
 	p.lastPaceTicks = 0
 	succ := p.successor()
@@ -1197,11 +1398,38 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time) {
 		p.park(tok, now, max(1, p.paceTicks(tok, now)))
 		return
 	}
+	if p.mayRest(tok, now, fgSent) {
+		// Forwarding would send the token round past members with nothing
+		// to send while this member's next message waits for it to come
+		// back. Keep it: kick sequences from it directly. The deadline is
+		// set once, here, so aru and garbage collection, background and
+		// lazy traffic and the peers' token-loss clocks all still advance
+		// once per Tick.
+		p.parkedToken = tok
+		p.parkedUntil = now.Add(p.cfg.Tick)
+		p.resting = true
+		p.nRests.Add(1)
+		return
+	}
 	if ticks := p.paceTicks(tok, now); ticks > 0 {
 		p.park(tok, now, ticks)
 		return
 	}
 	p.transmitToken(tok, succ, now)
+}
+
+// mayRest decides whether a visit ends with the token staying here: this
+// member sent foreground data on the visit and has nothing left over, it
+// has been the ring's only data sender for IdleGrace, nobody has nudged
+// since its last forward, nothing is missing anywhere (an empty request
+// list) and no bulk is waiting. Never on a fast-path ring, where the token
+// is not on the submit path to begin with. The rule reads only what every
+// workload shows the protocol — who sends — so with two active senders
+// nobody rests and the ring rotates as it always did.
+func (p *Processor) mayRest(tok *tokenMsg, now time.Time, fgSent int) bool {
+	return fgSent > 0 && !p.fastPath && !p.hurried &&
+		p.pending.Len() == 0 && p.bulk.Len() == 0 && len(tok.Rtr) == 0 &&
+		p.soleSender == p.addr && now.Sub(p.soleSince) >= p.cfg.IdleGrace
 }
 
 // paceTicks decides whether this hop should pace the token and for how
@@ -1218,8 +1446,8 @@ func (p *Processor) paceTicks(tok *tokenMsg, now time.Time) int {
 	if int(tok.IdleHops) < members {
 		return 0
 	}
-	if p.hurried {
-		return 0 // a nudged token crosses this hop at wire speed
+	if p.hurried || p.bulk.Len() > 0 {
+		return 0 // a nudged token, or one bulk is waiting for, crosses at wire speed
 	}
 	if now.Sub(p.lastActivityAt) < p.cfg.IdleGrace {
 		return 1
@@ -1248,20 +1476,29 @@ func (p *Processor) park(tok *tokenMsg, now time.Time, ticks int) {
 
 func (p *Processor) transmitToken(tok *tokenMsg, succ string, now time.Time) {
 	p.hurried = false
-	p.canNudge = tok.IdleHops > 0
+	p.canNudge = true
+	p.leftIdle = tok.IdleHops > 0
 	p.lastSentToken = tok
 	p.lastSentAt = now
 	p.tokenResends = 0
 	p.sendMsg(succ, tok)
 }
 
-// releaseParked resumes a paced token: any newly-enqueued chunks are sent
-// first, then the token moves on (or is re-handled on single-member rings).
+// releaseParked resumes a paced or resting token: any newly-enqueued
+// chunks are sent first, then the token moves on (a single-member ring
+// re-handles it instead). Held messages stay where they are — they enter
+// at token visits only, which is what makes the bulk quota "per visit" —
+// but bulk waiting here is foreground work, so the token leaves marked
+// busy and no member paces it on its way round and back.
 func (p *Processor) releaseParked(now time.Time) {
 	tok := p.parkedToken
 	p.parkedToken = nil
+	p.resting = false
 	if p.state != stateOperational || tok.Ring != p.ring {
 		return // ring changed while parked; the new ring mints a new token
+	}
+	if p.bulk.Len() > 0 {
+		tok.IdleHops = 0
 	}
 	if p.pending.Len() > 0 && !(p.fastPath && p.addr != p.leader) {
 		if p.fastPath && p.seqHigh > tok.Seq {
@@ -1323,7 +1560,7 @@ func (p *Processor) forwardPending(now time.Time, from int) {
 		}
 		var flags byte
 		meta, ok := p.sendTimes[c.MsgID]
-		if ok && meta.background {
+		if ok && meta.class == classBackground {
 			flags |= fwdFlagBackground
 		}
 		frame.Chunks = append(frame.Chunks, *c)
@@ -1332,7 +1569,7 @@ func (p *Processor) forwardPending(now time.Time, from int) {
 		if pos >= p.fwdCount {
 			// First forward of this chunk: it is on its way to the
 			// sequencer, the moment the span model calls "transmitted".
-			if !meta.background {
+			if meta.class != classBackground {
 				p.lastActivityAt = now
 			}
 			if p.cfg.Spans != nil && c.FragIdx == c.FragTotal-1 && ok && meta.trace != 0 {
@@ -1511,6 +1748,17 @@ func (p *Processor) releaseViews() {
 // Chunks packed into one frame share its sequence number, so consecutive
 // Deliveries may carry equal Seq values.
 func (p *Processor) deliverMsg(m *dataMsg) {
+	if len(m.Chunks) > 0 {
+		// The sole-sender clock: a frame from anyone but the current sole
+		// sender restarts it. A frame that continues a peer's run is when
+		// a member waiting for the token may find out that the peer has
+		// been alone long enough to be resting on it.
+		if sender := m.Chunks[0].Sender; sender != p.soleSender {
+			p.soleSender, p.soleSince = sender, time.Now()
+		} else if p.wantToken {
+			p.maybeNudge(time.Now())
+		}
+	}
 	for i := range m.Chunks {
 		p.deliverChunk(m.Seq, &m.Chunks[i])
 	}
@@ -1617,6 +1865,7 @@ func (p *Processor) enterGather(now time.Time, reason string) {
 	p.aliveKey = ""
 	p.lastSentToken = nil
 	p.parkedToken = nil
+	p.resting = false
 	p.hurried = false
 	p.canNudge = false
 	p.fastPath = false
@@ -1705,10 +1954,14 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	p.lastTokenAt = now
 	p.lastSentToken = nil
 	p.parkedToken = nil
+	p.resting = false
 	p.lastAnnounceAt = now
 	p.lastActivityAt = now
 	p.hurried = false
 	p.canNudge = false
+	p.leftIdle = false
+	p.wantToken = false
+	p.soleSender = ""
 	p.lastPaceTicks = 0
 	// Fast-path fallback on view change: mode and leadership are fixed
 	// per ring, the forward window restarts from scratch, and chunks
@@ -1733,13 +1986,17 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 		p.store = make(map[uint64]*dataMsg)
 		p.reasm = make(map[string]*partial)
 		// Own messages already multicast under the abandoned lineage will
-		// never be delivered; keep submit times only for still-pending chunks.
+		// never be delivered; keep submit times only for messages still
+		// waiting to be sent.
 		live := make(map[uint64]sendMeta, p.pending.Len())
-		p.pending.Each(func(c *chunk) {
-			if meta, ok := p.sendTimes[c.MsgID]; ok {
-				live[c.MsgID] = meta
+		keep := func(id uint64) {
+			if meta, ok := p.sendTimes[id]; ok {
+				live[id] = meta
 			}
-		})
+		}
+		p.pending.Each(func(c *chunk) { keep(c.MsgID) })
+		p.lazy.Each(func(m *heldMsg) { keep(m.id) })
+		p.bulk.Each(func(m *heldMsg) { keep(m.id) })
 		p.sendTimes = live
 		p.myAru = f.StartSeq
 		p.gcLow = f.StartSeq
@@ -1773,7 +2030,7 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 			AruSetter: p.addr,
 			GCSeq:     p.gcLow,
 		}
-		p.forwardToken(tok, now)
+		p.forwardToken(tok, now, 0)
 	}
 }
 

@@ -76,8 +76,8 @@ func TestWithdrawnMessageIsNeverSent(t *testing.T) {
 	if st.ChunksSent != 2 {
 		t.Fatalf("ChunksSent = %d, want 2: a withdrawn message reached the wire", st.ChunksSent)
 	}
-	if n := a.PendingChunks(); n != 0 {
-		t.Fatalf("PendingChunks = %d after withdrawal, want 0", n)
+	if n := a.mPending.Value(); n != 0 {
+		t.Fatalf("sequencer queue depth = %d after withdrawal, want 0", n)
 	}
 	select {
 	case d := <-b.Deliveries():
@@ -189,9 +189,11 @@ func (n *keyedNode) consume(chunkSize int) {
 }
 
 // TestWithdrawalInvariantsUnderLossAndReformation is the totem-level safety
-// net for withdrawal: four members each submit a copy of every key and
-// withdraw it when a peer's copy is ordered first, on a medium losing 15 %
-// of all frames, while one member is killed mid-run. The survivors must
+// net for withdrawal and for the submission classes: four members each
+// submit a copy of every key — urgent, lazy or bulk by turns — and withdraw
+// it (bulk copies excepted) when a peer's copy is ordered first, on a
+// medium losing 15 % of all frames, while one member is killed mid-run. The
+// survivors must
 // agree on one delivery order; every copy a survivor submitted is either
 // delivered exactly once or was withdrawn, never both, never neither;
 // every key gets through; every payload is intact; and no message is ever
@@ -207,6 +209,7 @@ func TestWithdrawalInvariantsUnderLossAndReformation(t *testing.T) {
 	}
 	procs := classicRing(t, net, func(addr string, cfg *Config) {
 		cfg.MaxPerToken = 3 // four-chunk messages span token visits
+		cfg.BulkPerVisit = 2
 		cfg.Ordered = nodes[addr].ordered
 	}, addrs...)
 	chunkSize := procs["a"].tr.MTU() - fragMargin - 1
@@ -224,14 +227,25 @@ func TestWithdrawalInvariantsUnderLossAndReformation(t *testing.T) {
 			defer submitters.Done()
 			for key := uint32(0); key < keys; key++ {
 				key := key
-				err := n.p.MulticastWithdrawable(keyedPayload(n.idx, key, chunkSize), 0, true, func() bool {
+				payload := keyedPayload(n.idx, key, chunkSize)
+				withdraw := func() bool {
 					n.mu.Lock()
 					defer n.mu.Unlock()
 					if n.seen[key] {
 						n.withdrawn[key] = true
 					}
 					return n.seen[key]
-				})
+				}
+				// Every key goes through every lane at some member.
+				var err error
+				switch (key + uint32(n.idx)) % 4 {
+				case 1:
+					err = n.p.MulticastLazy(payload, 0, withdraw)
+				case 2:
+					err = n.p.MulticastBulk(payload) // cannot be withdrawn: always delivered
+				default:
+					err = n.p.MulticastWithdrawable(payload, 0, true, withdraw)
+				}
 				if err != nil {
 					return // the member that gets killed
 				}
@@ -264,7 +278,7 @@ func TestWithdrawalInvariantsUnderLossAndReformation(t *testing.T) {
 			n.mu.Lock()
 			total += len(n.order)
 			n.mu.Unlock()
-			pending += n.p.PendingChunks()
+			pending += n.p.mPending.Value()
 		}
 		if pending == 0 && total == last {
 			settled++
@@ -329,6 +343,15 @@ func TestWithdrawalInvariantsUnderLossAndReformation(t *testing.T) {
 	if withdrawals == 0 {
 		t.Fatal("no copy was ever withdrawn: the test exercised nothing")
 	}
+	var lazy, bulk uint64
+	for _, n := range survivors {
+		st := n.p.Stats()
+		lazy += st.LazySent + st.LazyDropped
+		bulk += st.BulkPromoted
+	}
+	if lazy == 0 || bulk == 0 {
+		t.Fatalf("%d lazy and %d bulk messages left their lanes: the test exercised one of them not at all", lazy, bulk)
+	}
 	for _, n := range survivors {
 		var want uint64
 		for key := uint32(0); key < keys; key++ {
@@ -372,26 +395,59 @@ func TestNudgeOnlyWhenTokenLeftIdle(t *testing.T) {
 // TestHurriedClearedOnEveryForward: a nudge that arrives while the token is
 // still busy (IdleHops < members, so the forward would not have paced
 // anyway) is spent by that forward; it must not stay armed and cancel an
-// unrelated park many rotations later. And the nudge permit follows the
-// rule: armed only by a token that leaves already idle.
+// unrelated park many rotations later. And the nudge rule: every departure
+// buys one nudge, spent only for urgent work and only when the token may be
+// held somewhere — it left here idle, or another member has been the only
+// sender for IdleGrace, which the member that wants the token may find out
+// only from a frame that arrives after it enqueued.
 func TestHurriedClearedOnEveryForward(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
 	now := time.Now()
 	p.lastActivityAt = now.Add(-time.Hour)
+	urgent := func() submission { return submission{chunks: [][]byte{[]byte("x")}} }
+	fromB := func(seq uint64) *dataMsg {
+		return &dataMsg{Ring: p.ring, Seq: seq, Chunks: []chunk{{Sender: "b", MsgID: seq, FragTotal: 1, Payload: []byte("y")}}}
+	}
+	nudges := func() uint64 { return p.Stats().HurriesSent }
 
 	p.hurried = true
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now) // busy token: forwarded at wire speed regardless
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now, 0) // busy token: forwarded at wire speed regardless
 	if p.hurried {
 		t.Fatal("hurried survived a forward that had no pacing to skip")
-	}
-	if p.canNudge {
-		t.Fatal("nudge armed by a token that left with IdleHops == 0")
 	}
 	if p.parkedToken != nil {
 		t.Fatal("busy token parked")
 	}
+	if !p.canNudge || p.leftIdle {
+		t.Fatalf("canNudge=%v leftIdle=%v after a busy departure, want the nudge bought but no idle reason to spend it", p.canNudge, p.leftIdle)
+	}
 
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now) // idle rotation complete, no nudge pending: must pace
+	// Urgent work behind a token that left busy, with no sole sender in
+	// sight: the token is on its way, a nudge would only be in front of it.
+	p.enqueue(urgent(), now)
+	p.kick(classUrgent, now)
+	if nudges() != 0 || !p.wantToken {
+		t.Fatalf("nudges=%d wantToken=%v, want the work noted and no nudge", nudges(), p.wantToken)
+	}
+	p.handleData(fromB(1), now) // b starts a run: nobody has been alone for IdleGrace yet
+	if nudges() != 0 {
+		t.Fatal("nudged a sender that has only just started")
+	}
+	p.soleSince = now.Add(-time.Second) // b has been the only sender for a while: it may be resting
+	p.handleData(fromB(2), now)
+	if nudges() != 1 || p.canNudge || !p.hurried {
+		t.Fatalf("nudges=%d canNudge=%v hurried=%v, want the one nudge sent when b's run was found out", nudges(), p.canNudge, p.hurried)
+	}
+	p.handleData(fromB(3), now)
+	if nudges() != 1 {
+		t.Fatal("a second nudge for the same token departure")
+	}
+	p.handleToken(&tokenMsg{Ring: p.ring, Round: 1, Seq: 3}, now)
+	if p.wantToken || p.hurried || p.pending.Len() != 0 {
+		t.Fatalf("wantToken=%v hurried=%v pending=%d after the visit that served the work", p.wantToken, p.hurried, p.pending.Len())
+	}
+
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0) // idle rotation complete, no nudge pending: must pace
 	if p.parkedToken == nil {
 		t.Fatal("idle token not paced: a stale nudge cancelled the park")
 	}
@@ -400,7 +456,17 @@ func TestHurriedClearedOnEveryForward(t *testing.T) {
 	if p.hurried {
 		t.Fatal("hurried survived the release of the parked token")
 	}
-	if !p.canNudge {
-		t.Fatal("nudge not armed by a token that left idle")
+	if !p.canNudge || !p.leftIdle {
+		t.Fatal("a token that left idle did not arm the nudge")
+	}
+	p.enqueue(submission{chunks: [][]byte{[]byte("audit")}, class: classBackground}, now)
+	p.kick(classBackground, now)
+	if nudges() != 1 {
+		t.Fatal("background work nudged")
+	}
+	p.enqueue(urgent(), now)
+	p.kick(classUrgent, now)
+	if nudges() != 2 {
+		t.Fatal("urgent work behind a token that left idle did not nudge")
 	}
 }

@@ -33,8 +33,8 @@ type SystemConfig struct {
 	SyncSelfDeclare time.Duration
 	// StateChunkBytes bounds one state-transfer chunk (default ~32 KiB).
 	StateChunkBytes int
-	// StateChunksPerToken caps state-chunk multicasts per token rotation
-	// during a transfer (default 2).
+	// StateChunksPerToken caps the state chunks one token visit lets from
+	// the donor's bulk lane onto the ring during a transfer (default 2).
 	StateChunksPerToken int
 	// SpanCapacity bounds each node's causal span journal (0 = default;
 	// negative disables span recording — the overhead baseline).
