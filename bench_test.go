@@ -5,12 +5,10 @@
 //	E2 (§6 text)   BenchmarkInvocationOverhead   fault-tolerant vs unreplicated response time
 //	E3 (§3/§6)     BenchmarkReplicationStyles    failover/recovery cost by replication style
 //	ablation       BenchmarkRecoveryUnderLoad    recovery concurrent with normal operation
-//	ablation       BenchmarkOrderingAblation     token ring vs fixed sequencer
 //	ablation       BenchmarkCheckpointInterval   checkpoint frequency trade-off (§5)
 //	substrate      BenchmarkTotemMulticast       ordered-multicast cost by group size
 //	perf           BenchmarkSustainedThroughput  sustained invocation rate under concurrent clients
 //	E8 (§5.1)      BenchmarkRecoveryVsStateSize  foreground latency during recovery, many paced chunks vs one chunk
-//	E11 (perf)     BenchmarkTwoWayLatency        2-way active cliff: leader fast path vs classic token rotation
 package eternal_test
 
 import (
@@ -109,17 +107,10 @@ func benchTotem() totem.Config {
 
 func benchSystem(b *testing.B, netCfg simnet.Config, size int, style eternal.ReplicationStyle, nodes ...string) (*eternal.System, *eternal.ObjectRef) {
 	b.Helper()
-	return benchSystemTotem(b, netCfg, benchTotem(), size, style, nodes...)
-}
-
-// benchSystemTotem is benchSystem with the totem configuration exposed —
-// the fast-path/classic comparisons pin FastPath explicitly.
-func benchSystemTotem(b *testing.B, netCfg simnet.Config, tot totem.Config, size int, style eternal.ReplicationStyle, nodes ...string) (*eternal.System, *eternal.ObjectRef) {
-	b.Helper()
 	sys, err := eternal.NewSystem(eternal.SystemConfig{
 		Nodes:          nodes,
 		Network:        netCfg,
-		Totem:          tot,
+		Totem:          benchTotem(),
 		ManagerTick:    5 * time.Millisecond,
 		DefaultTimeout: 60 * time.Second,
 	})
@@ -257,35 +248,6 @@ func BenchmarkInvocationOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkTwoWayLatency is E11: the 2-way active replication cliff. The
-// classic subtest pins token-visit ordering (every invocation waits for
-// the rotating token to reach its sender); the fast-path subtest lets the
-// ring leader assign sequence numbers immediately. Same medium, same
-// group — the delta is pure ordering-protocol latency.
-func BenchmarkTwoWayLatency(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		fp   totem.FastPathMode
-	}{
-		{"classic", totem.FastPathOff},
-		{"fast-path", totem.FastPathAuto},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			tot := benchTotem()
-			tot.FastPath = tc.fp
-			_, obj := benchSystemTotem(b, paperLAN(), tot, 10, eternal.Active, "n1", "n2")
-			ping(b, obj)
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				ping(b, obj)
-			}
-			b.ReportMetric(float64(time.Since(start).Microseconds())/float64(b.N), "µs/inv")
-		})
-	}
-}
-
 // BenchmarkReplicationStyles is E3: the recovery/failover cost of the
 // three replication styles (paper §3, §6: active masks failures and
 // recovers fastest; warm passive must replay the log; cold passive must
@@ -393,72 +355,6 @@ func BenchmarkRecoveryUnderLoad(b *testing.B) {
 			close(stop)
 			wg.Wait()
 			b.ReportMetric(float64(total.Microseconds())/float64(b.N)/1000, "ms/recovery")
-		})
-	}
-}
-
-// BenchmarkOrderingAblation compares the token-ring total order (Totem,
-// what Eternal uses at N >= 3) against a fixed-sequencer baseline on the
-// same medium — the DESIGN.md §5 ablation. The baseline is the same
-// Processor with the leader-ordered fast path forced on, submitting from
-// a follower (the common case): one unicast to the leader, one multicast
-// back, no token on the submit path.
-func BenchmarkOrderingAblation(b *testing.B) {
-	const members = 3
-	for _, v := range []struct {
-		name      string
-		fastPath  totem.FastPathMode
-		submitter int
-	}{
-		{"token-ring", totem.FastPathOff, 0},
-		{"sequencer", totem.FastPathOn, 1},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			net := simnet.New(paperLAN())
-			var procs []*totem.Processor
-			for i := 0; i < members; i++ {
-				ep, _ := net.Join(fmt.Sprintf("p%d", i))
-				cfg := benchTotem()
-				cfg.FastPath = v.fastPath
-				cfg.Transport = totem.NewSimnetTransport(ep)
-				p, err := totem.Start(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				procs = append(procs, p)
-			}
-			b.Cleanup(func() {
-				for _, p := range procs {
-					p.Stop()
-				}
-			})
-			sub := procs[v.submitter]
-			deadline := time.After(10 * time.Second)
-			for {
-				var view totem.Membership
-				select {
-				case view = <-sub.Views():
-				case <-deadline:
-					b.Fatal("ring never formed")
-				}
-				if len(view.Members) == members {
-					break
-				}
-			}
-			payload := make([]byte, 100)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sub.Multicast(payload); err != nil {
-					b.Fatal(err)
-				}
-				for {
-					d := <-sub.Deliveries()
-					if d.View == nil {
-						break
-					}
-				}
-			}
 		})
 	}
 }

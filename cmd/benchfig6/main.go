@@ -138,10 +138,6 @@ func measure(stateSize, iters int) sizePoint {
 			JoinInterval:     10 * time.Millisecond,
 			StableFor:        20 * time.Millisecond,
 			Tick:             time.Millisecond,
-			// Classic token ordering, as the paper ran: on this 2-member
-			// ring the default leader fast path wedges under the closed-loop
-			// packet driver (bench/README.md, finding (a)).
-			FastPath: totem.FastPathOff,
 		},
 		ManagerTick:    5 * time.Millisecond,
 		DefaultTimeout: 120 * time.Second,

@@ -87,9 +87,9 @@ func main() {
 	auditJSON := flag.String("audit-json", "", "run the consistency-audit bench (digest matching correctness plus the audit layer's sustained-throughput overhead) and write it to this file (e.g. BENCH_7.json)")
 	maxAuditOverhead := flag.Float64("max-audit-overhead-pct", 2,
 		"fail the -audit-json run if the audit costs more than this percent of sustained inv/s")
-	cliffJSON := flag.String("cliff-json", "", "run the 2-way replication-cliff bench (leader fast path vs classic token rotation vs unreplicated baseline) and write it to this file (e.g. BENCH_8.json)")
+	cliffJSON := flag.String("cliff-json", "", "run the 2-way replication-cliff bench (1-way and 2-way active groups against the unreplicated baseline) and write it to this file (e.g. BENCH_8.json)")
 	maxCliffRatio := flag.Float64("max-cliff-ratio", 5,
-		"fail the -cliff-json run if the 2-way fast-path response time exceeds this multiple of the unreplicated TCP baseline")
+		"fail the -cliff-json run if a 2-way response time exceeds this multiple of the unreplicated TCP baseline")
 	chaosJSON := flag.String("chaos-json", "", "run the E12 chaos scenario suite (every registered scenario, quick and soak tiers) and write per-scenario pass/latency/recovery-epoch results to this file (e.g. BENCH_9.json); exits non-zero after writing if any scenario failed")
 	flag.Parse()
 
@@ -434,7 +434,6 @@ func benchEternal(n, replicas int) configRow {
 type cliffRow struct {
 	Configuration   string            `json:"configuration"`
 	Replicas        int               `json:"replicas"`
-	FastPath        string            `json:"fast_path,omitempty"`
 	ClientNode      string            `json:"client_node,omitempty"`
 	UsPerInv        float64           `json:"us_per_inv"`
 	RatioToBaseline float64           `json:"ratio_to_baseline"`
@@ -442,15 +441,12 @@ type cliffRow struct {
 	Invocation      *latencyQuantiles `json:"invocation_latency,omitempty"`
 	HurriesSent     uint64            `json:"hurries_sent"`
 	PacedHops       uint64            `json:"paced_hops"`
-	FastPathChunks  uint64            `json:"fastpath_chunks"`
-	ForwardedChunks uint64            `json:"forwarded_chunks"`
 }
 
-// benchCliff times n invocations through a replicas-way active group with
-// the given ordering mode, the client attached to nodes[clientIdx], and
-// span recording on so the token-wait share of the end-to-end p50 can be
-// attributed afterwards.
-func benchCliff(n, replicas, clientIdx int, fp totem.FastPathMode) cliffRow {
+// benchCliff times n invocations through a replicas-way active group, the
+// client attached to nodes[clientIdx], with span recording on so the
+// token-wait share of the end-to-end p50 can be attributed afterwards.
+func benchCliff(n, replicas, clientIdx int) cliffRow {
 	nodes := []string{"n1", "n2", "n3"}[:replicas]
 	sys, err := eternal.NewSystem(eternal.SystemConfig{
 		Nodes: nodes,
@@ -463,7 +459,6 @@ func benchCliff(n, replicas, clientIdx int, fp totem.FastPathMode) cliffRow {
 			JoinInterval:     10 * time.Millisecond,
 			StableFor:        20 * time.Millisecond,
 			Tick:             time.Millisecond,
-			FastPath:         fp,
 		},
 		ManagerTick:    5 * time.Millisecond,
 		SpanCapacity:   n + 1024,
@@ -520,44 +515,38 @@ func benchCliff(n, replicas, clientIdx int, fp totem.FastPathMode) cliffRow {
 		tokenWaitPct = tokenWaitP50 / att.EndToEnd.P50Us * 100
 	}
 
-	var hurries, paced, fastChunks, forwarded float64
+	var hurries, paced float64
 	for _, nd := range nodes {
 		reg := sys.Node(nd).Metrics()
 		hurries += scrapeCounter(reg, "eternal_totem_hurries_sent_total")
 		paced += scrapeCounter(reg, "eternal_totem_paced_hops_total")
-		fastChunks += scrapeCounter(reg, "eternal_totem_fastpath_chunks_total")
-		forwarded += scrapeCounter(reg, "eternal_totem_fastpath_forwards_total")
 	}
-	name := fmt.Sprintf("Eternal, %d-way active, %s ordering", replicas, fp)
+	name := fmt.Sprintf("Eternal, %d-way active", replicas)
 	if replicas > 1 {
 		if clientIdx == 0 {
-			name += ", leader-local client"
+			name += ", client at the representative"
 		} else {
-			name += ", follower client"
+			name += ", client at the other member"
 		}
 	}
 	return cliffRow{
-		Configuration:   name,
-		Replicas:        replicas,
-		FastPath:        fp.String(),
-		ClientNode:      nodes[clientIdx],
-		UsPerInv:        us,
-		TokenWaitPct:    tokenWaitPct,
-		Invocation:      quantilesOf(sys.Node(nodes[clientIdx]).Metrics(), "eternal_invocation_seconds"),
-		HurriesSent:     uint64(hurries),
-		PacedHops:       uint64(paced),
-		FastPathChunks:  uint64(fastChunks),
-		ForwardedChunks: uint64(forwarded),
+		Configuration: name,
+		Replicas:      replicas,
+		ClientNode:    nodes[clientIdx],
+		UsPerInv:      us,
+		TokenWaitPct:  tokenWaitPct,
+		Invocation:    quantilesOf(sys.Node(nodes[clientIdx]).Metrics(), "eternal_invocation_seconds"),
+		HurriesSent:   uint64(hurries),
+		PacedHops:     uint64(paced),
 	}
 }
 
 // runCliffBench is the -cliff-json mode: the 2-way active replication
 // cliff (BENCH_3 measured 1-way at ~21 µs/inv but 2-way at ~344 µs/inv,
-// ~59% of it token-wait) against the adaptive scheduling stack — hurry
-// nudges, idle pacing, and the leader-ordered fast path. Writes
-// BENCH_8.json and fails (non-zero exit) when either 2-way fast-path
-// configuration exceeds maxRatio times the unreplicated TCP baseline —
-// the CI regression gate for the cliff.
+// ~59% of it token-wait) against the token scheduler — hurry nudges, idle
+// pacing and the resting token. Writes BENCH_8.json and fails (non-zero
+// exit) when either 2-way configuration exceeds maxRatio times the
+// unreplicated TCP baseline — the CI regression gate for the cliff.
 func runCliffBench(path string, n int, maxRatio float64) {
 	base := benchTCP(n)
 	fmt.Println("E11 — the 2-way active replication cliff")
@@ -565,30 +554,18 @@ func runCliffBench(path string, n int, maxRatio float64) {
 	fmt.Printf("%-58s %10.1f %8s %11s\n", "unreplicated IIOP over TCP", base, "1.0", "—")
 
 	rows := []cliffRow{{Configuration: "unreplicated IIOP over TCP", UsPerInv: base, RatioToBaseline: 1}}
-	configs := []struct {
-		replicas, clientIdx int
-		fp                  totem.FastPathMode
-	}{
-		{1, 0, totem.FastPathAuto},
-		{2, 0, totem.FastPathOff},
-		{2, 0, totem.FastPathAuto},
-		{2, 1, totem.FastPathAuto},
-	}
-	// The gate rides the leader-local configuration — the direct successor
-	// of the BENCH_3 measurement that exposed the cliff (client on
-	// nodes[0]). The follower-client row is reported ungated: with
-	// ordering no longer on the critical path its response time is bound
-	// by the simulated medium's bandwidth (4+ frames per invocation on a
-	// shared 100 Mbps wire), not by the scheduling stack under test.
-	var gated float64
-	for _, c := range configs {
-		row := benchCliff(n, c.replicas, c.clientIdx, c.fp)
+	// Both 2-way rows are gated: the client next to the representative is
+	// the direct successor of the BENCH_3 measurement that exposed the
+	// cliff, and the token rests wherever the one client's node is.
+	var worst float64
+	for _, c := range []struct{ replicas, clientIdx int }{{1, 0}, {2, 0}, {2, 1}} {
+		row := benchCliff(n, c.replicas, c.clientIdx)
 		row.RatioToBaseline = row.UsPerInv / base
 		rows = append(rows, row)
 		fmt.Printf("%-58s %10.1f %8.1f %10.1f%%\n",
 			row.Configuration, row.UsPerInv, row.RatioToBaseline, row.TokenWaitPct)
-		if c.replicas == 2 && c.clientIdx == 0 && c.fp != totem.FastPathOff {
-			gated = row.RatioToBaseline
+		if c.replicas == 2 {
+			worst = max(worst, row.RatioToBaseline)
 		}
 	}
 
@@ -600,9 +577,9 @@ func runCliffBench(path string, n int, maxRatio float64) {
 		"max_ratio":      maxRatio,
 		"configurations": rows,
 	})
-	if gated > maxRatio {
-		log.Fatalf("cliff bench: 2-way fast-path runs at %.1fx the unreplicated baseline (budget %.1fx)",
-			gated, maxRatio)
+	if worst > maxRatio {
+		log.Fatalf("cliff bench: a 2-way row runs at %.1fx the unreplicated baseline (budget %.1fx)",
+			worst, maxRatio)
 	}
 }
 

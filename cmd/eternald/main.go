@@ -107,8 +107,6 @@ func main() {
 			"audit observation journal size (0 = default)")
 		tokenTick = flag.Duration("token-tick", 0,
 			"totem timer resolution: an idle-paced token moves up to a few ticks per hop, a token resting at the ring's only sender goes round once per tick, a lazy reply waits one tick; the rest threshold (IdleGrace) is two ticks (0 = default 2ms)")
-		fastPath = flag.String("fast-path", "auto",
-			"leader-ordered fast path: auto (2-member rings only), on, off")
 	)
 	flag.Parse()
 	if *name == "" {
@@ -130,10 +128,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fpMode, err := totem.ParseFastPathMode(*fastPath)
-	if err != nil {
-		log.Fatalf("eternald: %v", err)
-	}
 	nodeCfg := eternal.NodeConfig{
 		Transport:           tr,
 		StateChunkBytes:     *chunkBytes,
@@ -143,7 +137,6 @@ func main() {
 		AuditCapacity:       *auditCapacity,
 	}
 	nodeCfg.Totem.Tick = *tokenTick
-	nodeCfg.Totem.FastPath = fpMode
 	if *logLevel != "" {
 		level, err := eternal.ParseLogLevel(*logLevel)
 		if err != nil {

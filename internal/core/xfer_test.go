@@ -673,8 +673,8 @@ func TestSyncSelfDeclareConfigurable(t *testing.T) {
 // a counter that only the representative ever increments, so any transfer
 // of more than one budget from such a donor stalled for good — and took
 // the donor's streamer with it, so the second recovery could not even
-// start. On the 2-node ring the donor is a fast-path follower, whose bulk
-// lane has to be drained by token visits that forward, not sequence.
+// start. The 2-node ring is the smallest on which the donor is not the
+// representative.
 func TestStateTransferFromNonRepresentativeDonor(t *testing.T) {
 	for _, nodes := range [][]string{{"n1", "n2", "n3"}, {"n1", "n2"}} {
 		t.Run(strings.Join(nodes, ""), func(t *testing.T) {

@@ -311,7 +311,7 @@ func (n *Network) transmit(src string, dsts []*Endpoint, payload []byte) time.Du
 	// destinations' address order (see destinations), so the PRNG stream —
 	// and with it every seeded replay — stays deterministic. plan groups
 	// the survivors by their extra link latency; with no overrides in
-	// force it stays nil and the fast path below delivers like always.
+	// force it stays nil and the common path below delivers like always.
 	var plan map[time.Duration][]*Endpoint
 	var perLinkLost uint64
 	if !lost && len(n.links) > 0 {

@@ -23,10 +23,10 @@ func FuzzDecodePacket(f *testing.F) {
 		&formMsg{Ring: ringIdentity{Epoch: 4, Rep: "node-a"}, Members: []string{"node-a", "node-c"}, Lineage: ring, StartSeq: 42},
 		&announceMsg{Ring: ring},
 		&hurryMsg{Ring: ring, Origin: "node-b"},
-		&forwardMsg{Ring: ring, Sender: "node-b", Start: 5, Flags: []byte{0, fwdFlagBackground}, Chunks: chunks},
 	} {
 		f.Add(encodeMsg(m))
 	}
+	f.Add(retiredForwardFrame)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := decodePacket(buf)
 		if err != nil {

@@ -140,13 +140,6 @@ type Stats struct {
 	// PacedHops counts token hops parked for idle pacing before being
 	// forwarded.
 	PacedHops uint64
-	// FastPathChunks counts chunks the fast-path leader sequenced
-	// immediately (its own and forwarded ones) without a token visit;
-	// ChunksSent minus FastPathChunks is the token-ordered share.
-	FastPathChunks uint64
-	// ForwardedChunks counts chunks this member forwarded to the
-	// fast-path leader for sequencing (first transmissions and retries).
-	ForwardedChunks uint64
 	// WithdrawnMessages counts submitted messages their sender withdrew
 	// before a token visit sequenced them (see MulticastWithdrawable),
 	// lazy ones (LazyDropped) included.
@@ -186,64 +179,6 @@ func (f PackingFlag) chunksPerFrame() int {
 	return math.MaxInt
 }
 
-// FastPathMode gates the leader-ordered fast path: an LLFT-style fixed
-// sequencer riding on the Totem ring, where the ring leader (the
-// representative) assigns sequence numbers immediately on receipt and
-// multicasts speculatively instead of waiting for a token visit.
-// Delivery still happens only at the totally-ordered point; the token
-// keeps rotating behind the fast path to aggregate aru, serve
-// retransmissions and garbage-collect.
-type FastPathMode int
-
-const (
-	// FastPathAuto (the zero value) enables the fast path only on
-	// 2-member rings — the configuration whose token-wait cliff it exists
-	// to close — and uses classic token rotation elsewhere.
-	FastPathAuto FastPathMode = iota
-	// FastPathOff forces classic token-ordered sequencing everywhere.
-	FastPathOff
-	// FastPathOn enables leader ordering on any multi-member ring.
-	FastPathOn
-)
-
-// enabled reports whether the mode activates leader ordering for a ring
-// of the given size.
-func (f FastPathMode) enabled(members int) bool {
-	switch f {
-	case FastPathOff:
-		return false
-	case FastPathOn:
-		return members >= 2
-	default:
-		return members == 2
-	}
-}
-
-// String renders the mode the way the -fast-path flag spells it.
-func (f FastPathMode) String() string {
-	switch f {
-	case FastPathOff:
-		return "off"
-	case FastPathOn:
-		return "on"
-	default:
-		return "auto"
-	}
-}
-
-// ParseFastPathMode parses "auto", "off" or "on" (the -fast-path flag).
-func ParseFastPathMode(s string) (FastPathMode, error) {
-	switch s {
-	case "auto", "":
-		return FastPathAuto, nil
-	case "off":
-		return FastPathOff, nil
-	case "on":
-		return FastPathOn, nil
-	}
-	return FastPathAuto, fmt.Errorf("totem: unknown fast-path mode %q (want auto, off or on)", s)
-}
-
 // Config configures a Processor. Zero durations get defaults sized for
 // LAN-scale simulation; tests shrink them for fast reformations.
 type Config struct {
@@ -277,9 +212,6 @@ type Config struct {
 	// recovers the waste on the sub-MTU tail. The zero value enables it;
 	// set PackingOff for the ablation baseline.
 	Packing PackingFlag
-	// FastPath gates the leader-ordered fast path (see FastPathMode). The
-	// zero value enables it on 2-member rings only.
-	FastPath FastPathMode
 	// IdleGrace is the ordering layer's one "has it been like this for a
 	// while" threshold (default 2*Tick). Idle pacing: the token keeps
 	// rotating at wire speed this long after a member's last foreground
@@ -488,22 +420,6 @@ type Processor struct {
 	soleSince      time.Time
 	lastPaceTicks  int
 
-	// Leader-ordered fast path state (see FastPathMode). fastPath and
-	// leader are fixed per ring at install time. Followers keep submitted
-	// chunks in pending until their sequenced copies are delivered:
-	// headFseq is the forward sequence number of the pending head and
-	// fwdCount the number of chunks (from the head) already forwarded
-	// once; the leader's fwdMarks holds the per-sender in-order acceptance
-	// watermark, and fwdHeld parks frames that arrived ahead of a gap
-	// (the medium reorders back-to-back unicasts) until the gap fills.
-	fastPath  bool
-	leader    string
-	headFseq  uint64
-	fwdCount  int
-	lastFwdAt time.Time
-	fwdMarks  map[string]uint64
-	fwdHeld   map[string]map[uint64]*forwardMsg
-
 	nMulticasts atomic.Uint64
 	nChunks     atomic.Uint64
 	nRetrans    atomic.Uint64
@@ -516,8 +432,6 @@ type Processor struct {
 	nHurrySent  atomic.Uint64
 	nHurryRecv  atomic.Uint64
 	nPacedHops  atomic.Uint64
-	nFastChunks atomic.Uint64
-	nFwdChunks  atomic.Uint64
 	nWithdrawn  atomic.Uint64
 	nRests      atomic.Uint64
 	nLazySent   atomic.Uint64
@@ -668,8 +582,6 @@ func (p *Processor) registerMetrics(r *obs.Registry) {
 		{"eternal_totem_hurries_sent_total", "token hurry nudges broadcast for urgent work while the token may be parked or resting elsewhere", &p.nHurrySent},
 		{"eternal_totem_hurries_received_total", "token hurry nudges received from peers", &p.nHurryRecv},
 		{"eternal_totem_paced_hops_total", "token hops parked for idle pacing before forwarding", &p.nPacedHops},
-		{"eternal_totem_fastpath_chunks_total", "chunks the fast-path leader sequenced immediately, without a token visit", &p.nFastChunks},
-		{"eternal_totem_fastpath_forwards_total", "chunks forwarded to the fast-path leader for sequencing (including retries)", &p.nFwdChunks},
 		{"eternal_totem_withdrawn_messages_total", "submitted messages withdrawn by their sender before a token visit sequenced them", &p.nWithdrawn},
 		{"eternal_totem_rests_total", "token visits that ended with the token resting at this member, the ring's only data sender", &p.nRests},
 		{"eternal_totem_lazy_sent_total", "lazy messages moved into the sending queue: a Tick old and still not withdrawn", &p.nLazySent},
@@ -712,8 +624,6 @@ func (p *Processor) Stats() Stats {
 		HurriesSent:       p.nHurrySent.Load(),
 		HurriesReceived:   p.nHurryRecv.Load(),
 		PacedHops:         p.nPacedHops.Load(),
-		FastPathChunks:    p.nFastChunks.Load(),
-		ForwardedChunks:   p.nFwdChunks.Load(),
 		WithdrawnMessages: p.nWithdrawn.Load(),
 		Rests:             p.nRests.Load(),
 		LazySent:          p.nLazySent.Load(),
@@ -745,10 +655,8 @@ func (p *Processor) MulticastBackground(payload []byte) error {
 // lets at most Config.BulkPerVisit whole messages into the sending queue,
 // behind whatever urgent work is already there — so a large transfer
 // shares every visit with foreground traffic instead of standing in front
-// of it. Pacing is by token visit on every kind of ring: a fast-path
-// follower forwards what its visit let in, the leader sequences it. A
-// member with bulk waiting keeps the token moving: it neither paces nor
-// rests.
+// of it. A member with bulk waiting keeps the token moving: it neither
+// paces nor rests.
 func (p *Processor) MulticastBulk(payload []byte) error {
 	return p.submit(payload, submission{class: classBulk})
 }
@@ -767,9 +675,7 @@ func (p *Processor) MulticastTraced(payload []byte, trace uint64, reply bool) er
 // when a token visit is about to sequence the message's first chunk: true
 // drops the whole message (it is never sent, in part or in full, and
 // leaves the pending count), false sends it. It may be polled again while
-// it answers false; its first true is final. Only a member that sequences
-// its own chunks polls — the classic token visit — so a fast-path
-// follower's forward window is left alone. Like Config.Ordered it must
+// it answers false; its first true is final. Like Config.Ordered it must
 // not block or call into the Processor.
 func (p *Processor) MulticastWithdrawable(payload []byte, trace uint64, reply bool, withdraw func() bool) error {
 	return p.submit(payload, submission{trace: trace, reply: reply, withdraw: withdraw})
@@ -953,31 +859,17 @@ func (p *Processor) handlePacket(pkt Packet, now time.Time) {
 		p.handleAnnounce(m, now)
 	case *hurryMsg:
 		p.handleHurry(m, now)
-	case *forwardMsg:
-		p.handleForward(m, now)
 	}
 }
 
-// kick dispatches a freshly enqueued submission onto whatever path gets
-// it sequenced fastest. Lazy and background traffic take none of them:
-// they ride the next (possibly paced) token visit, so neither insurance
-// replies nor audit marks keep a quiescent ring spinning. Bulk waits for
-// token visits on every kind of ring, so it wakes and nudges the token
-// like urgent work does, fast path or not.
+// kick gets the token to a freshly enqueued submission: it sequences from
+// a token resting here, wakes one parked here, or nudges one held
+// elsewhere. Lazy and background traffic do none of that: they ride the
+// next (possibly paced) token visit, so neither insurance replies nor
+// audit marks keep a quiescent ring spinning. Bulk waits for token visits,
+// so it wakes and nudges the token like urgent work does.
 func (p *Processor) kick(c class, now time.Time) {
-	if p.state != stateOperational || c == classLazy {
-		return
-	}
-	if p.fastPath && c != classBulk {
-		// Leader ordering: no token involvement on the submit path at all.
-		if p.addr == p.leader {
-			p.fastDrain(now)
-		} else {
-			p.forwardPending(now, p.fwdCount)
-		}
-		return
-	}
-	if c == classBackground {
+	if p.state != stateOperational || c == classLazy || c == classBackground {
 		return
 	}
 	if p.parkedToken != nil {
@@ -985,7 +877,7 @@ func (p *Processor) kick(c class, now time.Time) {
 			// The token rests here: sequence from it at once and keep it.
 			// The rest's deadline stands, so housekeeping still gets its
 			// rotation once per Tick however busy this member is.
-			if _, fgSent := p.sendPending(tokenAlloc(p.parkedToken), false); fgSent > 0 {
+			if _, fgSent := p.sendPending(p.parkedToken); fgSent > 0 {
 				p.lastActivityAt = now
 			}
 			if p.pending.Len() == 0 {
@@ -1026,7 +918,7 @@ func (p *Processor) maybeNudge(now time.Time) {
 // restingElsewhere reports whether another member has been the ring's only
 // data sender for IdleGrace, the condition under which it keeps the token.
 func (p *Processor) restingElsewhere(now time.Time) bool {
-	return !p.fastPath && p.soleSender != "" && p.soleSender != p.addr &&
+	return p.soleSender != "" && p.soleSender != p.addr &&
 		now.Sub(p.soleSince) >= p.cfg.IdleGrace
 }
 
@@ -1110,12 +1002,6 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	if tok.Seq > p.seqHigh {
 		p.seqHigh = tok.Seq
 	}
-	if p.fastPath && p.addr == p.leader && p.seqHigh > tok.Seq {
-		// Fast-path sequencing ran ahead of the token; advertise the high
-		// mark so followers can request anything the speculative
-		// multicasts lost.
-		tok.Seq = p.seqHigh
-	}
 
 	// 1. Serve retransmission requests we can satisfy.
 	served := 0
@@ -1171,21 +1057,11 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	p.advanceAru()
 
 	// 3. Let held messages in, then multicast pending chunks while we
-	// hold the token. Fast-path followers never sequence: their pending
-	// queue is the un-acknowledged forward window, drained as sequenced
-	// copies are delivered; anything not yet forwarded goes to the leader
-	// now.
+	// hold the token.
 	p.wantToken = false
 	p.promoteHeld(now)
 	pendingBefore := p.pending.Len()
-	var sent, fgSent int
-	if p.fastPath && p.addr != p.leader {
-		if p.pending.Len() > p.fwdCount {
-			p.forwardPending(now, p.fwdCount)
-		}
-	} else {
-		sent, fgSent = p.sendPending(tokenAlloc(tok), false)
-	}
+	sent, fgSent := p.sendPending(tok)
 
 	// Token idling: IdleHops counts consecutive hops on which no holder
 	// did foreground work — the ring-wide idleness signal the adaptive
@@ -1259,23 +1135,16 @@ func (p *Processor) Rotations(max int) []obs.TokenRotation {
 	return p.rotations.Last(max)
 }
 
-// tokenAlloc is the classic sequence allocator: each frame takes the
-// token's next sequence number.
-func tokenAlloc(tok *tokenMsg) func() uint64 {
-	return func() uint64 { tok.Seq++; return tok.Seq }
-}
-
-// sendPending multicasts queued chunks under sequence numbers from alloc,
-// bounded by MaxPerToken chunks. It returns how many chunks were sent and
-// how many of those were foreground (non-background) — the count that
-// feeds the idle pacer. Consecutive sub-MTU chunks — possibly belonging
+// sendPending multicasts queued chunks, each frame under the token's next
+// sequence number, bounded by MaxPerToken chunks. It returns how many
+// chunks were sent and how many of those were foreground (non-background)
+// — the count that feeds the idle pacer. Consecutive sub-MTU chunks — possibly belonging
 // to different application messages — share one frame and one sequence
 // number, up to the Packing flag's chunksPerFrame; the conservative
 // wireCost bound keeps each frame within the MTU without a trial encode.
-// fast marks frames sequenced by the leader-ordered fast path (counters
-// only; the wire format is identical). Messages their sender withdrew are
-// dropped here, whole, instead of being sequenced (dropWithdrawn).
-func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent int) {
+// Messages their sender withdrew are dropped here, whole, instead of being
+// sequenced (dropWithdrawn).
+func (p *Processor) sendPending(tok *tokenMsg) (sent, fgSent int) {
 	mtu := p.tr.MTU()
 	perFrame := p.cfg.Packing.chunksPerFrame()
 	queued := p.pending.Len()
@@ -1300,7 +1169,8 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 			size += next.wireCost()
 		}
 		frame.Ring = p.ring
-		frame.Seq = alloc()
+		tok.Seq++
+		frame.Seq = tok.Seq
 		p.store[frame.Seq] = frame
 		if frame.Seq > p.seqHigh {
 			p.seqHigh = frame.Seq
@@ -1310,9 +1180,6 @@ func (p *Processor) sendPending(alloc func() uint64, fast bool) (sent, fgSent in
 		p.nDataFrames.Add(1)
 		if len(frame.Chunks) > 1 {
 			p.nPacked.Add(uint64(len(frame.Chunks)))
-		}
-		if fast {
-			p.nFastChunks.Add(uint64(len(frame.Chunks)))
 		}
 		for i := range frame.Chunks {
 			c := &frame.Chunks[i]
@@ -1365,22 +1232,6 @@ func (p *Processor) dropWithdrawn() {
 	}
 }
 
-// fastDrain sequences locally enqueued chunks immediately — the
-// leader-ordered fast path's submit side. The leader stamps and
-// multicasts without waiting for a token visit; the rotating token still
-// aggregates aru, serves retransmissions and garbage-collects behind it.
-func (p *Processor) fastDrain(now time.Time) {
-	for p.pending.Len() > 0 {
-		sent, fgSent := p.sendPending(func() uint64 { p.seqHigh++; return p.seqHigh }, true)
-		if fgSent > 0 {
-			p.lastActivityAt = now
-		}
-		if sent == 0 {
-			return
-		}
-	}
-}
-
 // forwardToken ends a token visit on which fgSent foreground chunks were
 // sent. The token leaves in one of three states: forwarded at wire speed,
 // paced (parked for some ticks because the whole ring is idle), or resting
@@ -1393,7 +1244,7 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 		// Single-member ring: drain everything pending, then pace the
 		// self-rotation (wire speed would be a hot loop).
 		for p.pending.Len() > 0 {
-			p.sendPending(tokenAlloc(tok), false)
+			p.sendPending(tok)
 		}
 		p.park(tok, now, max(1, p.paceTicks(tok, now)))
 		return
@@ -1422,12 +1273,11 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 // member sent foreground data on the visit and has nothing left over, it
 // has been the ring's only data sender for IdleGrace, nobody has nudged
 // since its last forward, nothing is missing anywhere (an empty request
-// list) and no bulk is waiting. Never on a fast-path ring, where the token
-// is not on the submit path to begin with. The rule reads only what every
-// workload shows the protocol — who sends — so with two active senders
-// nobody rests and the ring rotates as it always did.
+// list) and no bulk is waiting. The rule reads only what every workload
+// shows the protocol — who sends — so with two active senders nobody rests
+// and the ring rotates as it always did.
 func (p *Processor) mayRest(tok *tokenMsg, now time.Time, fgSent int) bool {
-	return fgSent > 0 && !p.fastPath && !p.hurried &&
+	return fgSent > 0 && !p.hurried &&
 		p.pending.Len() == 0 && p.bulk.Len() == 0 && len(tok.Rtr) == 0 &&
 		p.soleSender == p.addr && now.Sub(p.soleSince) >= p.cfg.IdleGrace
 }
@@ -1500,11 +1350,8 @@ func (p *Processor) releaseParked(now time.Time) {
 	if p.bulk.Len() > 0 {
 		tok.IdleHops = 0
 	}
-	if p.pending.Len() > 0 && !(p.fastPath && p.addr != p.leader) {
-		if p.fastPath && p.seqHigh > tok.Seq {
-			tok.Seq = p.seqHigh
-		}
-		if _, fgSent := p.sendPending(tokenAlloc(tok), false); fgSent > 0 {
+	if p.pending.Len() > 0 {
+		if _, fgSent := p.sendPending(tok); fgSent > 0 {
 			tok.IdleHops = 0
 			p.lastActivityAt = now
 		}
@@ -1523,179 +1370,6 @@ func (p *Processor) successor() string {
 		return p.addr
 	}
 	return p.members[(i+1)%len(p.members)]
-}
-
-// forwardPending unicasts pending chunks from position from onward to the
-// fast-path leader for immediate sequencing, splitting across MTU-sized
-// forward frames. Each chunk carries a per-ring forward sequence number
-// (headFseq + position) that stays stable across retries, so the leader's
-// in-order acceptance window sequences every chunk exactly once no matter
-// how forwards are lost, duplicated or reordered. from == fwdCount sends
-// only new chunks (the submit path); from == 0 resends everything
-// un-acknowledged (the retry path, which must be cumulative: the leader
-// rejects out-of-order arrivals, so a lost frame's chunks have to be
-// re-offered before anything after them).
-func (p *Processor) forwardPending(now time.Time, from int) {
-	n := p.pending.Len()
-	if n == 0 || from >= n {
-		return
-	}
-	p.lastFwdAt = now
-	mtu := p.tr.MTU()
-	overhead := fwdFrameOverhead + len(p.addr) + len(p.ring.Rep)
-	frame := &forwardMsg{Ring: p.ring, Sender: p.addr, Start: p.headFseq + uint64(from)}
-	size := overhead
-	i := 0
-	p.pending.Each(func(c *chunk) {
-		pos := i
-		i++
-		if pos < from {
-			return
-		}
-		if len(frame.Chunks) > 0 && size+c.wireCost() > mtu {
-			p.nFwdChunks.Add(uint64(len(frame.Chunks)))
-			p.sendMsg(p.leader, frame)
-			frame = &forwardMsg{Ring: p.ring, Sender: p.addr, Start: p.headFseq + uint64(pos)}
-			size = overhead
-		}
-		var flags byte
-		meta, ok := p.sendTimes[c.MsgID]
-		if ok && meta.class == classBackground {
-			flags |= fwdFlagBackground
-		}
-		frame.Chunks = append(frame.Chunks, *c)
-		frame.Flags = append(frame.Flags, flags)
-		size += c.wireCost()
-		if pos >= p.fwdCount {
-			// First forward of this chunk: it is on its way to the
-			// sequencer, the moment the span model calls "transmitted".
-			if meta.class != classBackground {
-				p.lastActivityAt = now
-			}
-			if p.cfg.Spans != nil && c.FragIdx == c.FragTotal-1 && ok && meta.trace != 0 {
-				if meta.reply {
-					p.cfg.Spans.MarkOpen(meta.trace, obs.SpanReplyTransmitted)
-				} else {
-					p.cfg.Spans.Mark(meta.trace, obs.SpanTransmitted)
-				}
-			}
-		}
-	})
-	if len(frame.Chunks) > 0 {
-		p.nFwdChunks.Add(uint64(len(frame.Chunks)))
-		p.sendMsg(p.leader, frame)
-	}
-	p.fwdCount = n
-}
-
-// maxHeldForwards bounds the per-sender buffer of out-of-order forward
-// frames the leader parks while a gap fills. Past the cap the frame is
-// dropped and the follower's cumulative retry covers it — the buffer only
-// has to absorb medium reordering, not sustained loss.
-const maxHeldForwards = 32
-
-// handleForward sequences a follower's forwarded chunks — the leader side
-// of the fast path. The per-sender watermark admits only the chunks that
-// extend the contiguous forward sequence: duplicates (from cumulative
-// retries) fall below it and are dropped. A frame that arrives ahead of a
-// gap is parked in fwdHeld and sequenced the moment the gap fills — the
-// medium reorders back-to-back unicasts routinely, and bouncing the frame
-// to the follower's retry timer would turn every swap into a stall. Only
-// a genuinely lost frame leaves a hole for the cumulative retry.
-// Sequencing is therefore exactly-once and submission-ordered per sender.
-func (p *Processor) handleForward(m *forwardMsg, now time.Time) {
-	if p.state != stateOperational || m.Ring != p.ring {
-		return
-	}
-	if !p.fastPath || p.addr != p.leader || len(m.Chunks) == 0 {
-		return // mode or leadership changed in flight; the sender will retry or fall back to the token
-	}
-	if !p.acceptForward(m, now) {
-		return
-	}
-	// Drain any parked frames the new watermark reaches.
-	for held := p.fwdHeld[m.Sender]; len(held) > 0; {
-		var next *forwardMsg
-		for s, f := range held {
-			if s <= p.fwdMarks[m.Sender]+1 {
-				next = f
-				delete(held, s)
-				break
-			}
-		}
-		if next == nil {
-			return
-		}
-		p.acceptForward(next, now)
-	}
-}
-
-// acceptForward admits one forward frame against the sender's watermark:
-// chunks at or below it are dropped as duplicates, a frame strictly ahead
-// of it is parked in fwdHeld, and the in-order remainder is sequenced.
-// Returns whether the watermark advanced.
-func (p *Processor) acceptForward(m *forwardMsg, now time.Time) bool {
-	wm := p.fwdMarks[m.Sender]
-	if m.Start > wm+1 {
-		held := p.fwdHeld[m.Sender]
-		if held == nil {
-			held = make(map[uint64]*forwardMsg)
-			p.fwdHeld[m.Sender] = held
-		}
-		if len(held) < maxHeldForwards {
-			held[m.Start] = m
-		}
-		return false
-	}
-	skip := 0
-	if wm >= m.Start {
-		skip = int(wm - m.Start + 1)
-	}
-	if skip >= len(m.Chunks) {
-		return false
-	}
-	p.fwdMarks[m.Sender] = m.Start + uint64(len(m.Chunks)) - 1
-	foreground := false
-	for _, f := range m.Flags[skip:] {
-		if f&fwdFlagBackground == 0 {
-			foreground = true
-		}
-	}
-	p.sequenceForwarded(m.Chunks[skip:], now, foreground)
-	return true
-}
-
-// sequenceForwarded stamps and multicasts chunks the fast-path leader
-// accepted from a follower, packing sub-MTU chunks exactly like the
-// token-visit path.
-func (p *Processor) sequenceForwarded(chunks []chunk, now time.Time, foreground bool) {
-	mtu := p.tr.MTU()
-	perFrame := p.cfg.Packing.chunksPerFrame()
-	for start := 0; start < len(chunks); {
-		end := start + 1
-		size := packedFrameOverhead + len(p.ring.Rep) + chunks[start].wireCost()
-		for end-start < perFrame && end < len(chunks) && size+chunks[end].wireCost() <= mtu {
-			size += chunks[end].wireCost()
-			end++
-		}
-		p.seqHigh++
-		// Chunk payloads alias the forward packet's buffer, exactly as
-		// handleData's stored frames alias theirs.
-		frame := &dataMsg{Ring: p.ring, Seq: p.seqHigh, Chunks: chunks[start:end]}
-		start = end
-		p.store[frame.Seq] = frame
-		p.bcastMsg(frame)
-		p.nChunks.Add(uint64(len(frame.Chunks)))
-		p.nDataFrames.Add(1)
-		p.nFastChunks.Add(uint64(len(frame.Chunks)))
-		if len(frame.Chunks) > 1 {
-			p.nPacked.Add(uint64(len(frame.Chunks)))
-		}
-	}
-	if foreground {
-		p.lastActivityAt = now
-	}
-	p.advanceAru()
 }
 
 // pendingView is a view change waiting for its stream position.
@@ -1767,20 +1441,6 @@ func (p *Processor) deliverMsg(m *dataMsg) {
 func (p *Processor) deliverChunk(seq uint64, c *chunk) {
 	if c.FragTotal == 0 {
 		return // malformed chunk; a wire frame never carries one
-	}
-	if c.Sender == p.addr {
-		// Fast-path followers keep submitted chunks pending until their
-		// sequenced copies come back; deliveries arrive in forward order,
-		// so each own delivery acknowledges the pending head. Chunks the
-		// classic path sequenced were popped at send time and never match.
-		if head, ok := p.pending.Peek(); ok && head.MsgID == c.MsgID && head.FragIdx == c.FragIdx {
-			p.pending.Pop()
-			p.headFseq++
-			if p.fwdCount > 0 {
-				p.fwdCount--
-			}
-			p.mPending.Set(int64(p.pending.Len()))
-		}
 	}
 	if c.FragTotal == 1 {
 		p.observeOwn(c)
@@ -1868,7 +1528,6 @@ func (p *Processor) enterGather(now time.Time, reason string) {
 	p.resting = false
 	p.hurried = false
 	p.canNudge = false
-	p.fastPath = false
 	p.sendJoin(now)
 }
 
@@ -1963,20 +1622,6 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	p.wantToken = false
 	p.soleSender = ""
 	p.lastPaceTicks = 0
-	// Fast-path fallback on view change: mode and leadership are fixed
-	// per ring, the forward window restarts from scratch, and chunks
-	// still pending (forwarded but not yet sequenced, or never forwarded)
-	// drain through whichever path the new ring uses. A chunk the old
-	// leader sequenced whose delivery is still in flight can be sequenced
-	// a second time this way; the replication layer's duplicate filter
-	// absorbs it (see DESIGN.md).
-	p.fastPath = p.cfg.FastPath.enabled(len(p.members))
-	p.leader = f.Ring.Rep
-	p.headFseq = 1
-	p.fwdCount = 0
-	p.lastFwdAt = time.Time{}
-	p.fwdMarks = make(map[string]uint64)
-	p.fwdHeld = make(map[string]map[uint64]*forwardMsg)
 	p.miss = make(map[uint64]int)
 	if f.Ring.Epoch > p.maxEpoch {
 		p.maxEpoch = f.Ring.Epoch
@@ -2089,13 +1734,6 @@ func (p *Processor) onTick(now time.Time) {
 			p.lastAnnounceAt = now
 			ann := announceMsg{Ring: p.ring}
 			p.bcastMsg(&ann)
-		}
-		if p.fastPath && p.addr != p.leader && p.pending.Len() > 0 &&
-			now.Sub(p.lastFwdAt) >= p.cfg.TokenResend {
-			// Forward retry, cumulative from the un-acknowledged head so
-			// the leader's in-order window can fill any gap a lost
-			// forward frame left.
-			p.forwardPending(now, 0)
 		}
 		if p.parkedToken != nil {
 			if !now.Before(p.parkedUntil) {

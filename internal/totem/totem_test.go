@@ -524,14 +524,10 @@ func TestFlowControlMaxPerToken(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	epA, _ := net.Join("a")
 	epB, _ := net.Join("b")
-	// Pin classic token-visit sending: the leader fast path would drain
-	// the burst without consuming token allowances.
 	cfgA := fastConfig(NewSimnetTransport(epA))
 	cfgA.MaxPerToken = 4
-	cfgA.FastPath = FastPathOff
 	cfgB := fastConfig(NewSimnetTransport(epB))
 	cfgB.MaxPerToken = 4
-	cfgB.FastPath = FastPathOff
 	pa, err := Start(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -606,9 +602,6 @@ func TestTracedMulticastSpansAndRotationProfiler(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := fastConfig(NewSimnetTransport(ep))
-		// This test profiles the classic token-visit drain; the 2-member
-		// fast path would sequence the chunks outside any token hold.
-		cfg.FastPath = FastPathOff
 		if addr == "a" {
 			cfg.Spans = spans
 			cfg.Metrics = reg

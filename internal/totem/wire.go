@@ -7,8 +7,9 @@ import (
 	"eternal/internal/cdr"
 )
 
-// packet type discriminants on the wire. 1 is retired (the pre-packing
-// single-chunk data frame) and is not reused.
+// packet type discriminants on the wire. 1 and 8 are retired (the
+// pre-packing single-chunk data frame; the frame that forwarded chunks to
+// a ring leader for sequencing) and are not reused.
 const (
 	ptToken    byte = 2
 	ptJoin     byte = 3
@@ -16,15 +17,10 @@ const (
 	ptAnnounce byte = 5
 	ptPacked   byte = 6
 	ptHurry    byte = 7
-	ptForward  byte = 8
 )
 
 // ErrBadPacket reports an undecodable totem packet.
 var ErrBadPacket = errors.New("totem: bad packet")
-
-// fwdFlagBackground marks a forwarded chunk as background traffic that
-// must not cancel the receiver's idle pacing.
-const fwdFlagBackground byte = 1
 
 // ringIdentity names one ring incarnation. Epoch increases on every
 // reformation; Rep is the representative that formed the ring. The pair is
@@ -91,21 +87,6 @@ type tokenMsg struct {
 type hurryMsg struct {
 	Ring   ringIdentity
 	Origin string
-}
-
-// forwardMsg carries a fast-path follower's chunks to the ring leader for
-// immediate sequencing (the LLFT-style leader-ordered fast path). Start
-// is the per-ring forward sequence number of the first chunk and the
-// chunks are consecutive, so the leader's per-sender in-order acceptance
-// window filters duplicates and rejects out-of-order arrivals, which the
-// follower's cumulative retry then fills. Flags carries one octet per
-// chunk (bit 0: background traffic that must not cancel idle pacing).
-type forwardMsg struct {
-	Ring   ringIdentity
-	Sender string
-	Start  uint64
-	Flags  []byte
-	Chunks []chunk
 }
 
 // announceMsg is a low-rate beacon broadcast by the ring representative so
@@ -226,10 +207,6 @@ const (
 	// packedChunkOverhead bounds one chunk's encoding beyond its sender
 	// name and payload bytes.
 	packedChunkOverhead = 48
-	// fwdFrameOverhead bounds a forward frame's header beyond the sender
-	// and representative names: type octet, ring identity, start forward
-	// sequence, flags sequence and chunk count.
-	fwdFrameOverhead = 64
 )
 
 // wireCost conservatively bounds the bytes c adds to a packed frame.
@@ -280,22 +257,6 @@ func (m *hurryMsg) encodeTo(e *cdr.Encoder) {
 	e.WriteString(m.Origin)
 }
 
-func (m *forwardMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptForward)
-	encodeRing(e, m.Ring)
-	e.WriteString(m.Sender)
-	e.WriteULongLong(m.Start)
-	e.WriteULong(uint32(len(m.Chunks)))
-	for i := range m.Chunks {
-		var f byte
-		if i < len(m.Flags) {
-			f = m.Flags[i]
-		}
-		e.WriteOctet(f)
-		encodeChunk(e, &m.Chunks[i])
-	}
-}
-
 func (m *formMsg) encodeTo(e *cdr.Encoder) {
 	e.WriteOctet(ptForm)
 	encodeRing(e, m.Ring)
@@ -305,8 +266,8 @@ func (m *formMsg) encodeTo(e *cdr.Encoder) {
 }
 
 // decodePacket parses any totem packet, returning one of *dataMsg,
-// *tokenMsg, *joinMsg, *formMsg, *announceMsg, *hurryMsg or *forwardMsg.
-// Chunk payloads in the returned dataMsg/forwardMsg alias buf.
+// *tokenMsg, *joinMsg, *formMsg, *announceMsg or *hurryMsg. Chunk payloads
+// in the returned dataMsg alias buf.
 func decodePacket(buf []byte) (any, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	t, err := d.ReadOctet()
@@ -436,39 +397,6 @@ func decodePacket(buf []byte) (any, error) {
 			break
 		}
 		if m.Origin, err = d.ReadString(); err != nil {
-			break
-		}
-		return &m, nil
-	case ptForward:
-		var m forwardMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.Sender, err = d.ReadString(); err != nil {
-			break
-		}
-		if m.Start, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		var n uint32
-		if n, err = d.ReadULong(); err != nil {
-			break
-		}
-		if uint64(n)*16 > uint64(d.Remaining()+16) {
-			err = cdr.ErrLengthOverflow
-			break
-		}
-		m.Flags = make([]byte, n)
-		m.Chunks = make([]chunk, n)
-		for i := uint32(0); i < n; i++ {
-			if m.Flags[i], err = d.ReadOctet(); err != nil {
-				break
-			}
-			if err = decodeChunk(d, &m.Chunks[i]); err != nil {
-				break
-			}
-		}
-		if err != nil {
 			break
 		}
 		return &m, nil

@@ -2,6 +2,7 @@ package totem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -112,6 +113,47 @@ func TestChunklessFrameOffTheWireIsRejected(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("seq 1 was skipped: peers deliver b's message, this member never does")
+	}
+}
+
+// retiredForwardFrame is a well-formed type-8 frame as members that still
+// forwarded chunks to a ring leader encoded it (the encoder is gone, hence
+// raw bytes): ring(1@a), sender "b", forward sequence 1, one chunk with
+// flags 0 carrying b's single-fragment message 1, payload "x".
+var retiredForwardFrame = []byte{
+	8, 0, 0, 0, 0, 0, 0, 0, // type, padding
+	0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 'a', 0, 0, 0, // ring
+	0, 0, 0, 2, 'b', 0, 0, 0, // sender
+	0, 0, 0, 0, 0, 0, 0, 1, // start
+	0, 0, 0, 1, // chunk count
+	0, 0, 0, 0, // flags, padding
+	0, 0, 0, 2, 'b', 0, 0, 0, // chunk sender
+	0, 0, 0, 0, 0, 0, 0, 1, // message id
+	0, 0, 0, 0, 0, 0, 0, 1, // fragment 0 of 1
+	0, 0, 0, 1, 'x', // payload
+}
+
+// TestRetiredForwardFrameIsRejected: type 8 is retired, so a frame an old
+// member (or an attacker replaying one) sends must be a bad packet, and a
+// processor that receives it must neither sequence nor deliver anything.
+func TestRetiredForwardFrameIsRejected(t *testing.T) {
+	if _, err := decodePacket(retiredForwardFrame); !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("decodePacket(type 8) = %v, want ErrBadPacket", err)
+	}
+	p := offlineProcessor("a", "b")
+	before := p.Stats()
+	p.handlePacket(Packet{From: "b", Payload: retiredForwardFrame}, time.Now())
+	if after := p.Stats(); after != before {
+		t.Fatalf("stats moved: %+v -> %+v", before, after)
+	}
+	if p.seqHigh != 0 || p.myAru != 0 || len(p.store) != 0 || p.pending.Len() != 0 || p.state != stateOperational {
+		t.Fatalf("state moved: seqHigh=%d aru=%d stored=%d pending=%d state=%d",
+			p.seqHigh, p.myAru, len(p.store), p.pending.Len(), p.state)
+	}
+	select {
+	case d := <-p.Deliveries():
+		t.Fatalf("delivered %+v from a retired frame", d)
+	default:
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"eternal/internal/simnet"
 )
 
-// classicRing starts one classic-token processor per address on net, each
-// configured by mod, and waits for the full view.
+// classicRing starts one processor per address on net, each configured by
+// mod, and waits for the full view.
 func classicRing(t *testing.T, net *simnet.Network, mod func(addr string, cfg *Config), addrs ...string) map[string]*Processor {
 	t.Helper()
 	procs := make(map[string]*Processor)
@@ -22,7 +22,6 @@ func classicRing(t *testing.T, net *simnet.Network, mod func(addr string, cfg *C
 			t.Fatal(err)
 		}
 		cfg := fastConfig(NewSimnetTransport(ep))
-		cfg.FastPath = FastPathOff
 		if mod != nil {
 			mod(a, &cfg)
 		}

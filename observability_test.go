@@ -43,12 +43,7 @@ func awaitSpan(t *testing.T, node *eternal.Node, phases ...obs.SpanPhase) eterna
 // registry, the span journal and the recovery timeline all
 // observed it — including through the admin HTTP surface.
 func TestObservabilityEndToEnd(t *testing.T) {
-	// Classic token ordering: the recovery-phase decomposition checked
-	// below assumes the recovering node's wait contains the donor's
-	// capture, which the 2-member leader fast path breaks (the leader
-	// captures before the follower's synchronization point, leaving a
-	// sub-microsecond transfer residue).
-	sys := classicSystem(t, "n1", "n2")
+	sys := fastSystem(t, "n1", "n2")
 	if err := sys.CreateGroup(eternal.GroupSpec{
 		Name: "reg", TypeName: "Register",
 		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},

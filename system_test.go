@@ -2,6 +2,8 @@ package eternal_test
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,19 +89,140 @@ func (r *register) SetState(st eternal.Any) error {
 	return nil
 }
 
+// counterSum adds the named counter over every node's metrics registry.
+func counterSum(sys *eternal.System, name string) float64 {
+	var sum float64
+	for _, nd := range sys.Nodes() {
+		var buf strings.Builder
+		sys.Node(nd).Metrics().WritePrometheus(&buf)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				v, _ := strconv.ParseFloat(rest, 64)
+				sum += v
+			}
+		}
+	}
+	return sum
+}
+
+// TestTwoRingClosedLoopKeepsServing is bench finding (a) as a regression
+// test: a 2-way active group on a 2-member ring, the benchmark's medium and
+// timers, and one client that sends its next ping the moment the last one
+// is answered — first next to the ring representative, then next to the
+// other member. With a second orderer beside the token and no flow control
+// on it, the member without the client fell thousands of requests behind
+// inside four seconds, the ring reformed again and again, and the group was
+// lost. Not skipped under -short: the race job runs it too.
+func TestTwoRingClosedLoopKeepsServing(t *testing.T) {
+	nodes := []string{"n1", "n2"}
+	for _, clientNode := range nodes {
+		t.Run("client-"+clientNode, func(t *testing.T) {
+			sys, err := eternal.NewSystem(eternal.SystemConfig{
+				Nodes:          nodes,
+				Network:        paperLAN(),
+				Totem:          benchTotem(),
+				ManagerTick:    5 * time.Millisecond,
+				DefaultTimeout: 20 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Shutdown()
+			replicas := make(map[string]*blob)
+			for _, nd := range nodes {
+				b := newBlob(10)
+				replicas[nd] = b
+				sys.Node(nd).RegisterFactory("Blob", func(string) eternal.Replica { return b })
+			}
+			if err := sys.CreateGroup(eternal.GroupSpec{
+				Name: "blob", TypeName: "Blob", Nodes: nodes,
+				Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			cl, err := sys.Client(clientNode, "driver")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			obj, err := cl.Resolve("blob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := obj.InvokeTimeout("ping", nil, 2*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			views := counterSum(sys, "eternal_totem_view_changes_total")
+			tombstones := counterSum(sys, "eternal_totem_tombstones_total")
+
+			// The lag is the spread of executed requests across the two
+			// nodes, sampled beside the client every 100 ms.
+			var lagMax uint64
+			stop, sampled := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(sampled)
+				tick := time.NewTicker(100 * time.Millisecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+					}
+					a := sys.Node("n1").Stats().RequestsExecuted
+					b := sys.Node("n2").Stats().RequestsExecuted
+					lagMax = max(lagMax, max(a, b)-min(a, b))
+				}
+			}()
+			var acked, failed uint64
+			for end := time.Now().Add(4 * time.Second); time.Now().Before(end); {
+				if _, err := obj.InvokeTimeout("ping", nil, 2*time.Second); err != nil {
+					failed++
+				} else {
+					acked++
+				}
+			}
+			close(stop)
+			<-sampled
+			t.Logf("acked %d, failed %d, lag max %d", acked, failed, lagMax)
+
+			if failed > 0 {
+				t.Errorf("%d of %d invocations failed", failed, acked+failed)
+			}
+			if lagMax >= 1000 {
+				t.Errorf("one member fell %d requests behind the other", lagMax)
+			}
+			if d := counterSum(sys, "eternal_totem_view_changes_total") - views; d != 0 {
+				t.Errorf("%v view changes after the ring had formed", d)
+			}
+			if d := counterSum(sys, "eternal_totem_tombstones_total") - tombstones; d != 0 {
+				t.Errorf("%v sequence numbers tombstoned", d)
+			}
+			// Quiesce: both replicas alive, equal, and holding every
+			// acknowledged ping (plus the warm-up one).
+			count := func(nd string) uint64 {
+				replicas[nd].mu.Lock()
+				defer replicas[nd].mu.Unlock()
+				return replicas[nd].n
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				n1, n2 := count("n1"), count("n2")
+				alive := sys.Node("n1").HostsReplica("blob") && sys.Node("n2").HostsReplica("blob")
+				if alive && n1 == n2 && n1 >= acked+1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("after quiesce: both alive %v, n1 executed %d, n2 executed %d, client holds %d replies",
+						alive, n1, n2, acked+1)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+}
+
 func fastSystem(t *testing.T, nodes ...string) *eternal.System {
-	return fastSystemMode(t, totem.FastPathAuto, nodes...)
-}
-
-// classicSystem pins the leader fast path off, for tests that assert
-// classic token-ordered timing decompositions (e.g. a recovery wait that
-// contains the donor's capture because the recovering sender self-delivers
-// at sequencing time).
-func classicSystem(t *testing.T, nodes ...string) *eternal.System {
-	return fastSystemMode(t, totem.FastPathOff, nodes...)
-}
-
-func fastSystemMode(t *testing.T, fp totem.FastPathMode, nodes ...string) *eternal.System {
 	t.Helper()
 	sys, err := eternal.NewSystem(eternal.SystemConfig{
 		Nodes: nodes,
@@ -108,7 +231,6 @@ func fastSystemMode(t *testing.T, fp totem.FastPathMode, nodes ...string) *etern
 			JoinInterval:     10 * time.Millisecond,
 			StableFor:        20 * time.Millisecond,
 			Tick:             time.Millisecond,
-			FastPath:         fp,
 		},
 		ManagerTick:    10 * time.Millisecond,
 		DefaultTimeout: 20 * time.Second,
