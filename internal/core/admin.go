@@ -211,6 +211,20 @@ type eventsPage struct {
 	Events  []obs.Event `json:"events"`
 }
 
+// queryInt parses a non-negative integer query parameter; def when absent.
+func queryInt(w http.ResponseWriter, r *http.Request, name string, def int) (int, bool) {
+	s := r.URL.Query().Get(name)
+	if s == "" {
+		return def, true
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 0 {
+		jsonError(w, "bad "+name, http.StatusBadRequest)
+		return 0, false
+	}
+	return v, true
+}
+
 // pageParams parses the shared ?since / ?n pagination query parameters.
 func pageParams(w http.ResponseWriter, r *http.Request, defCount int) (since uint64, count int, ok bool) {
 	if s := r.URL.Query().Get("since"); s != "" {
@@ -221,16 +235,26 @@ func pageParams(w http.ResponseWriter, r *http.Request, defCount int) (since uin
 		}
 		since = v
 	}
-	count = defCount
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			jsonError(w, "bad n", http.StatusBadRequest)
-			return 0, 0, false
-		}
-		count = v
+	count, ok = queryInt(w, r, "n", defCount)
+	return since, count, ok
+}
+
+// writePage finishes and sends one page of a journal feed; /events, /spans
+// and /audit all paginate through it. page is a pointer to the body, items
+// and next point at its entries and its cursor. *next arrives holding the
+// request's cursor and leaves holding the one the next request should pass:
+// the index of the page's last entry, or the same cursor when the page is
+// empty. A nil page is sent as [], and the cursor is repeated in
+// X-Eternal-Next.
+func writePage[T any](w http.ResponseWriter, page any, items *[]T, next *uint64, index func(T) uint64) {
+	if n := len(*items); n > 0 {
+		*next = index((*items)[n-1])
+	} else {
+		*items = []T{}
 	}
-	return since, count, true
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Eternal-Next", strconv.FormatUint(*next, 10))
+	json.NewEncoder(w).Encode(page)
 }
 
 func (n *Node) serveEvents(w http.ResponseWriter, r *http.Request) {
@@ -244,14 +268,7 @@ func (n *Node) serveEvents(w http.ResponseWriter, r *http.Request) {
 		Next:    since,
 		Events:  n.recorder.Since(since, count),
 	}
-	if len(page.Events) > 0 {
-		page.Next = page.Events[len(page.Events)-1].Index
-	} else {
-		page.Events = []obs.Event{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Eternal-Next", strconv.FormatUint(page.Next, 10))
-	json.NewEncoder(w).Encode(page)
+	writePage(w, &page, &page.Events, &page.Next, func(e obs.Event) uint64 { return e.Index })
 }
 
 // spansPage is the /spans body: one page of the node's invocation span
@@ -270,14 +287,9 @@ func (n *Node) serveSpans(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rot := 0
-	if s := r.URL.Query().Get("rot"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			jsonError(w, "bad rot", http.StatusBadRequest)
-			return
-		}
-		rot = v
+	rot, ok := queryInt(w, r, "rot", 0)
+	if !ok {
+		return
 	}
 	page := spansPage{
 		Node:    n.addr,
@@ -285,17 +297,10 @@ func (n *Node) serveSpans(w http.ResponseWriter, r *http.Request) {
 		Next:    since,
 		Spans:   n.Spans(since, count),
 	}
-	if len(page.Spans) > 0 {
-		page.Next = page.Spans[len(page.Spans)-1].Index
-	} else {
-		page.Spans = []obs.Span{}
-	}
 	if rot > 0 {
 		page.Rotations = n.proc.Rotations(rot)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Eternal-Next", strconv.FormatUint(page.Next, 10))
-	json.NewEncoder(w).Encode(page)
+	writePage(w, &page, &page.Spans, &page.Next, func(sp obs.Span) uint64 { return sp.Index })
 }
 
 // auditPage is the /audit body: one page of the node's consistency-audit
@@ -316,14 +321,9 @@ func (n *Node) serveAudit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	alarms := 0
-	if s := r.URL.Query().Get("alarms"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			jsonError(w, "bad alarms", http.StatusBadRequest)
-			return
-		}
-		alarms = v
+	alarms, ok := queryInt(w, r, "alarms", 0)
+	if !ok {
+		return
 	}
 	page := auditPage{
 		Node:    n.addr,
@@ -333,15 +333,8 @@ func (n *Node) serveAudit(w http.ResponseWriter, r *http.Request) {
 		Next:    since,
 		Audits:  n.audit.Since(since, count),
 	}
-	if len(page.Audits) > 0 {
-		page.Next = page.Audits[len(page.Audits)-1].Index
-	} else {
-		page.Audits = []obs.AuditObservation{}
-	}
 	if alarms > 0 {
 		page.Alarms = n.audit.LastAlarms(alarms)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Eternal-Next", strconv.FormatUint(page.Next, 10))
-	json.NewEncoder(w).Encode(page)
+	writePage(w, &page, &page.Audits, &page.Next, func(o obs.AuditObservation) uint64 { return o.Index })
 }

@@ -79,30 +79,20 @@ type Config struct {
 	// creates a private registry, retrievable via Node.Metrics(). Sharing a
 	// registry between nodes of one process merges their totem metrics.
 	Metrics *obs.Registry
-	// EventCapacity bounds the flight recorder's ring buffer (default
-	// obs.DefaultEventCapacity). Oldest events are dropped beyond it; the
-	// drop count is exported as eternal_events_dropped_total.
-	EventCapacity int
 	// SpanCapacity bounds the causal span journal (default
 	// obs.DefaultSpanCapacity). Negative disables span recording entirely:
-	// every phase mark becomes a nil-receiver no-op, the configuration the
-	// span-overhead benchmark compares against.
+	// every phase mark becomes a nil-receiver no-op.
 	SpanCapacity int
 	// AuditInterval is the live consistency audit's period: each group's
 	// primary multicasts a KAudit mark at this interval, every
 	// instance-bearing member digests its state at the mark's agreed
 	// position, and every node's collector matches the digests epoch by
 	// epoch. Zero selects the 1s default; negative disables the audit
-	// entirely — the configuration the audit-overhead benchmark compares
-	// against.
+	// entirely.
 	AuditInterval time.Duration
 	// AuditCapacity bounds the audit collector's observation journal
 	// (default obs.DefaultAuditCapacity).
 	AuditCapacity int
-	// AuditLagEpochs is how many completed audit epochs a member may miss
-	// before the collector raises a lag alarm (default
-	// obs.DefaultAuditLagEpochs).
-	AuditLagEpochs int
 }
 
 // auditStallFactor sets the stall deadline as a multiple of the audit
@@ -226,14 +216,14 @@ func Start(cfg Config) (*Node, error) {
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
-	recorder := obs.NewRecorder(cfg.EventCapacity, cfg.Transport.Addr())
+	recorder := obs.NewRecorder(0, cfg.Transport.Addr())
 	var spans *obs.SpanRecorder
 	if cfg.SpanCapacity >= 0 {
 		spans = obs.NewSpanRecorder(cfg.Transport.Addr(), cfg.SpanCapacity)
 	}
 	var audit *obs.AuditCollector
 	if cfg.AuditInterval > 0 {
-		audit = obs.NewAuditCollector(cfg.Transport.Addr(), cfg.AuditCapacity, cfg.AuditLagEpochs)
+		audit = obs.NewAuditCollector(cfg.Transport.Addr(), cfg.AuditCapacity, 0)
 	}
 	tc := cfg.Totem
 	tc.Transport = cfg.Transport

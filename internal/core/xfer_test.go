@@ -447,8 +447,14 @@ func TestStateTransferEverySize(t *testing.T) {
 		{"warm-passive-10B", ftcorba.WarmPassive, 10, 0, true},
 		{"cold-passive-10B", ftcorba.ColdPassive, 10, 0, true},
 		{"active-20KiB", ftcorba.Active, 20 << 10, 2048, false},
+		// The largest state anything in the repository moves: 8 MiB at the
+		// default chunk size, far past the bulk lane's per-visit quota.
+		{"active-8MiB", ftcorba.Active, 8 << 20, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.blob > 1<<20 {
+				t.Skip("megabytes of state under the race detector outlast this test's timeouts")
+			}
 			c := newXferCluster(t, tc.blob, func(cfg *Config) {
 				cfg.StateChunkBytes = tc.chunkBytes
 			}, "n1", "n2")
@@ -521,7 +527,7 @@ func TestStateTransferEverySize(t *testing.T) {
 				t.Fatalf("donor sent %d chunks for %d one-chunk transfers", st.StateChunksSent, transfers)
 			}
 			if !tc.oneChunk && st.StateChunksSent < 10 {
-				t.Fatalf("donor sent %d chunks for a 20 KiB state at 2 KiB/chunk", st.StateChunksSent)
+				t.Fatalf("donor sent %d chunks for %d bytes of state", st.StateChunksSent, tc.blob)
 			}
 
 			// Only n2's copy answers now: the counter continuing proves the

@@ -27,9 +27,9 @@ const (
 // configured.
 const DefaultAuditCapacity = 1024
 
-// DefaultAuditLagEpochs is the default lag threshold: a member trailing
+// defaultAuditLag is the default lag threshold: a member trailing
 // by more than this many completed epochs raises a lag alarm.
-const DefaultAuditLagEpochs = 3
+const defaultAuditLag = 3
 
 // auditAlarmCapacity bounds the alarm journal. Alarms are raised once per
 // condition episode (latched), so the ring stays tiny in healthy clusters.
@@ -205,13 +205,13 @@ type AuditCollector struct {
 // NewAuditCollector creates a collector for the named node retaining up
 // to capacity observations (DefaultAuditCapacity when capacity <= 0) and
 // raising lag alarms beyond lagEpochs missed epochs
-// (DefaultAuditLagEpochs when <= 0).
+// (defaultAuditLag when <= 0).
 func NewAuditCollector(origin string, capacity, lagEpochs int) *AuditCollector {
 	if capacity <= 0 {
 		capacity = DefaultAuditCapacity
 	}
 	if lagEpochs <= 0 {
-		lagEpochs = DefaultAuditLagEpochs
+		lagEpochs = defaultAuditLag
 	}
 	return &AuditCollector{
 		origin:    origin,

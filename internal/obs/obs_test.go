@@ -96,7 +96,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramQuantileClampedToObserved(t *testing.T) {
 	h := newHistogram(LatencyBuckets) // includes the (2.5e-4, 5e-4] bucket
 	for i := 0; i < 1000; i++ {
-		h.Observe(344e-6) // the BENCH_3 2-way p50, mid-bucket
+		h.Observe(344e-6) // mid-bucket (once the 2-way p50)
 	}
 	for _, q := range []float64{0.50, 0.95, 0.99} {
 		if got := h.Quantile(q); math.Abs(got-344e-6) > 1e-12 {

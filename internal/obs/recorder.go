@@ -124,8 +124,8 @@ type Event struct {
 	Ordered bool `json:"ordered"`
 }
 
-// DefaultEventCapacity bounds a Recorder when no capacity is given.
-const DefaultEventCapacity = 1024
+// defaultRecorderCapacity bounds a Recorder when no capacity is given.
+const defaultRecorderCapacity = 1024
 
 // Recorder is a node's flight recorder: a fixed-capacity ring of Events.
 // The ring is preallocated; recording overwrites the oldest entry when
@@ -141,10 +141,10 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder for the named node retaining up to
-// capacity events (DefaultEventCapacity when capacity <= 0).
+// capacity events (defaultRecorderCapacity when capacity <= 0).
 func NewRecorder(capacity int, origin string) *Recorder {
 	if capacity <= 0 {
-		capacity = DefaultEventCapacity
+		capacity = defaultRecorderCapacity
 	}
 	return &Recorder{origin: origin, events: newJournal[Event](capacity)}
 }

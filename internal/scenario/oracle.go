@@ -73,7 +73,7 @@ func (r *runner) scrapeAudits() map[string][]eternal.AuditObservation {
 // faults healed. Matching digests at a totally-ordered audit mark are
 // the proof that all members hold identical object state, so this is
 // also the identical-final-state oracle. Returns how many audit epochs
-// convergence took (the recovery-epoch metric in BENCH_9.json).
+// convergence took (epochsToClean on the phase's log line).
 func (r *runner) auditOracle(phase string) int {
 	n := r.sys.Node(r.anchor)
 	if n == nil {

@@ -69,8 +69,8 @@ type PhaseResult struct {
 	OracleMs float64 `json:"oracle_ms"`
 }
 
-// Result is one scenario run's machine-readable outcome (BENCH_9.json
-// rows are these, verbatim).
+// Result is one scenario run's machine-readable outcome; the verdict
+// line the runner logs is its summary.
 type Result struct {
 	Scenario string   `json:"scenario"`
 	Seed     int64    `json:"seed"`

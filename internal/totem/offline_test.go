@@ -45,7 +45,7 @@ func offlineProcessor(members ...string) *Processor {
 // TestUnservableRequestIsTombstoned: a sequence number nobody can
 // retransmit (its frame died with its sender) rides the token's request
 // list rotation after rotation. Every visit must count against it, so that
-// after MissThreshold visits the member skips it and delivery moves on —
+// after missThreshold visits the member skips it and delivery moves on —
 // counting only the visit that first listed it left the ring wedged behind
 // the hole for good.
 func TestUnservableRequestIsTombstoned(t *testing.T) {
@@ -53,16 +53,16 @@ func TestUnservableRequestIsTombstoned(t *testing.T) {
 	p.myAru, p.gcLow, p.seqHigh = 5, 5, 5
 	now := time.Now()
 	var carried []uint64
-	for visit := 1; visit <= p.cfg.MissThreshold+1; visit++ {
+	for visit := 1; visit <= missThreshold+1; visit++ {
 		tok := &tokenMsg{Ring: p.ring, Round: uint64(3 * visit), Seq: 6, Rtr: carried}
 		p.handleToken(tok, now)
 		carried = tok.Rtr // b and c cannot serve it either: it comes back as it left
-		if visit <= p.cfg.MissThreshold && p.myAru != 5 {
+		if visit <= missThreshold && p.myAru != 5 {
 			t.Fatalf("visit %d: aru = %d, hole skipped before the threshold", visit, p.myAru)
 		}
 	}
 	if p.myAru != 6 {
-		t.Fatalf("aru = %d after %d visits with seq 6 unservable: delivery is wedged", p.myAru, p.cfg.MissThreshold+1)
+		t.Fatalf("aru = %d after %d visits with seq 6 unservable: delivery is wedged", p.myAru, missThreshold+1)
 	}
 	if n := p.Stats().Tombstones; n != 1 {
 		t.Fatalf("Tombstones = %d, want 1", n)

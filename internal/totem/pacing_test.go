@@ -137,7 +137,7 @@ func TestHurryNudgeWakesIdlePacedRing(t *testing.T) {
 	awaitView(t, pa, []string{"a", "b"}, 5*time.Second)
 	awaitView(t, pb, []string{"a", "b"}, 5*time.Second)
 	// Reach deep pacing: several fully idle rotations at up to
-	// MaxPaceTicks×tick (120ms) per hop.
+	// maxPaceTicks×tick (120ms) per hop.
 	time.Sleep(500 * time.Millisecond)
 
 	// PacedHops increments when a member parks the token, so a fresh
@@ -158,7 +158,7 @@ func TestHurryNudgeWakesIdlePacedRing(t *testing.T) {
 	}
 	collect(t, pa, 1, 3*time.Second)
 	elapsed := time.Since(start)
-	// The token is parked at "a" for up to MaxPaceTicks×tick = 120ms;
+	// The token is parked at "a" for up to maxPaceTicks×tick = 120ms;
 	// without the nudge the delivery would wait most of that out. The
 	// nudged path is ~2 wire hops.
 	if elapsed > 60*time.Millisecond {

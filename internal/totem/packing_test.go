@@ -9,23 +9,6 @@ import (
 	"eternal/internal/simnet"
 )
 
-// addWithPacking joins a processor with an explicit packing flag.
-func (c *cluster) addWithPacking(addr string, packing PackingFlag) *Processor {
-	c.t.Helper()
-	ep, err := c.net.Join(addr)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	cfg := fastConfig(NewSimnetTransport(ep))
-	cfg.Packing = packing
-	p, err := Start(cfg)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	c.procs[addr] = p
-	return p
-}
-
 // TestPackedFrameMixesTwoMessages pins the core packing behaviour
 // deterministically: both messages are enqueued before the ring forms, so
 // the first token visit sees all three chunks pending. Message A is sized
@@ -176,65 +159,5 @@ func TestPackedFramesAcrossReformation(t *testing.T) {
 
 	if st := c.procs["a"].Stats(); st.PackedChunks == 0 {
 		t.Fatal("expected packed frames across the bursts")
-	}
-}
-
-// TestPackingDisabledInterop runs a mixed ring — one member with packing
-// off, one with it on — through small and fragmented messages. The frame
-// layout does not depend on the flag, and a packing-off sender must emit
-// exactly one chunk per frame.
-func TestPackingDisabledInterop(t *testing.T) {
-	c := &cluster{t: t, net: simnet.New(simnet.Config{}), procs: make(map[string]*Processor)}
-	c.addWithPacking("a", PackingOff)
-	c.addWithPacking("b", PackingDefault)
-	t.Cleanup(func() {
-		for _, p := range c.procs {
-			p.Stop()
-		}
-	})
-	for _, p := range c.procs {
-		awaitView(t, p, []string{"a", "b"}, 3*time.Second)
-	}
-	const small = 20
-	big := bytes.Repeat([]byte{0xC3}, 40_000) // fragmented: >> one MTU
-	for i := 0; i < small; i++ {
-		if err := c.procs["a"].Multicast([]byte(fmt.Sprintf("a-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.procs["a"].Multicast(big); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < small; i++ {
-		if err := c.procs["b"].Multicast([]byte(fmt.Sprintf("b-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.procs["b"].Multicast(big); err != nil {
-		t.Fatal(err)
-	}
-	total := 2*small + 2
-	dsA := collect(t, c.procs["a"], total, 15*time.Second)
-	dsB := collect(t, c.procs["b"], total, 15*time.Second)
-	for i := range dsA {
-		if !bytes.Equal(dsA[i].Payload, dsB[i].Payload) || dsA[i].Sender != dsB[i].Sender {
-			t.Fatalf("order diverges at %d", i)
-		}
-	}
-	bigSeen := 0
-	for _, d := range dsA {
-		if bytes.Equal(d.Payload, big) {
-			bigSeen++
-		}
-	}
-	if bigSeen != 2 {
-		t.Fatalf("fragmented messages delivered %d times, want 2", bigSeen)
-	}
-	stA := c.procs["a"].Stats()
-	if stA.PackedChunks != 0 {
-		t.Fatalf("packing-off sender packed %d chunks", stA.PackedChunks)
-	}
-	if stA.DataFrames != stA.ChunksSent {
-		t.Fatalf("packing-off sender: %d frames for %d chunks", stA.DataFrames, stA.ChunksSent)
 	}
 }

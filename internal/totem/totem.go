@@ -33,7 +33,6 @@ package totem
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -159,26 +158,6 @@ type Stats struct {
 	BulkStalls   uint64
 }
 
-// PackingFlag is a toggle whose zero value means "on", so packing is the
-// default without every Config literal naming it.
-type PackingFlag int
-
-const (
-	// PackingDefault enables packing (the zero value).
-	PackingDefault PackingFlag = iota
-	// PackingOff bounds a data frame to one chunk — the ablation
-	// baseline. The frame layout is the same, so mixed rings interoperate.
-	PackingOff
-)
-
-// chunksPerFrame is the bound the flag puts on one data frame's chunks.
-func (f PackingFlag) chunksPerFrame() int {
-	if f == PackingOff {
-		return 1
-	}
-	return math.MaxInt
-}
-
 // Config configures a Processor. Zero durations get defaults sized for
 // LAN-scale simulation; tests shrink them for fast reformations.
 type Config struct {
@@ -191,8 +170,6 @@ type Config struct {
 	TokenResend time.Duration
 	// JoinInterval is the gather-phase Join rebroadcast period (default 40ms).
 	JoinInterval time.Duration
-	// JoinExpiry drops gather-phase peers not heard from (default 5*JoinInterval).
-	JoinExpiry time.Duration
 	// StableFor is how long the alive set must stay unchanged before the
 	// representative forms a ring (default 2*JoinInterval).
 	StableFor time.Duration
@@ -200,18 +177,6 @@ type Config struct {
 	Tick time.Duration
 	// MaxPerToken bounds chunks multicast per token visit (default 64).
 	MaxPerToken int
-	// MissThreshold is the number of token visits a missing sequence
-	// number may stay unsatisfied before it is declared unrecoverable and
-	// skipped (default 10).
-	MissThreshold int
-	// Packing gates Totem message packing: while holding the token, the
-	// sender packs multiple sub-MTU chunks — possibly from different
-	// application messages — into one data frame under a single sequence
-	// number, instead of spending a full frame and sequence number per
-	// chunk. Fragments of large messages still fill whole frames; packing
-	// recovers the waste on the sub-MTU tail. The zero value enables it;
-	// set PackingOff for the ablation baseline.
-	Packing PackingFlag
 	// IdleGrace is the ordering layer's one "has it been like this for a
 	// while" threshold (default 2*Tick). Idle pacing: the token keeps
 	// rotating at wire speed this long after a member's last foreground
@@ -222,14 +187,6 @@ type Config struct {
 	// Larger values spend token frames to keep request/reply gaps fast;
 	// smaller ones park the ring sooner.
 	IdleGrace time.Duration
-	// MaxPaceTicks caps the idle pacer's exponential backoff: a long-idle
-	// holder parks the token for up to this many ticks per hop (default 4,
-	// further clamped so a paced rotation stays within TokenLossTimeout/4).
-	MaxPaceTicks int
-	// AnnounceInterval is the period of the representative's ring beacon,
-	// used to discover foreign rings after a partition heals
-	// (default 8*JoinInterval).
-	AnnounceInterval time.Duration
 	// Metrics receives the processor's live metrics (packet/byte traffic,
 	// pending-queue depth, multicast→delivery latency). Nil disables
 	// export; the protocol's cumulative Stats() counters work regardless.
@@ -272,9 +229,6 @@ func (c Config) withDefaults() Config {
 	if c.JoinInterval <= 0 {
 		c.JoinInterval = 40 * time.Millisecond
 	}
-	if c.JoinExpiry <= 0 {
-		c.JoinExpiry = 5 * c.JoinInterval
-	}
 	if c.StableFor <= 0 {
 		c.StableFor = 2 * c.JoinInterval
 	}
@@ -284,17 +238,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxPerToken <= 0 {
 		c.MaxPerToken = 64
 	}
-	if c.MissThreshold <= 0 {
-		c.MissThreshold = 10
-	}
 	if c.IdleGrace <= 0 {
 		c.IdleGrace = 2 * c.Tick
-	}
-	if c.MaxPaceTicks <= 0 {
-		c.MaxPaceTicks = 4
-	}
-	if c.AnnounceInterval <= 0 {
-		c.AnnounceInterval = 8 * c.JoinInterval
 	}
 	return c
 }
@@ -307,6 +252,24 @@ const maxRtrPerToken = 100
 
 // idleHopsCap bounds the token's idle-hop counter so it cannot wrap.
 const idleHopsCap = 1 << 20
+
+// missThreshold is the number of token visits a missing sequence number
+// may stay unsatisfied before it is declared unrecoverable and skipped.
+const missThreshold = 10
+
+// maxPaceTicks caps the idle pacer's exponential backoff: a long-idle
+// holder parks the token for up to this many ticks per hop (further
+// clamped so a paced rotation stays within TokenLossTimeout/4).
+const maxPaceTicks = 4
+
+// Gather-phase peers not heard from for joinExpiryIntervals×JoinInterval
+// are dropped; the representative beacons its ring every
+// announceIntervals×JoinInterval so foreign rings find each other after a
+// partition heals.
+const (
+	joinExpiryIntervals = 5
+	announceIntervals   = 8
+)
 
 // Errors returned by Processor methods.
 var (
@@ -1044,7 +1007,7 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 			rtr = append(rtr, s)
 		}
 		p.miss[s]++
-		if p.miss[s] > p.cfg.MissThreshold {
+		if p.miss[s] > missThreshold {
 			// No live member holds this message: skip it with a chunkless
 			// tombstone so delivery can proceed (see package doc). The
 			// request stays on the token for the members still counting.
@@ -1140,13 +1103,13 @@ func (p *Processor) Rotations(max int) []obs.TokenRotation {
 // chunks were sent and how many of those were foreground (non-background)
 // — the count that feeds the idle pacer. Consecutive sub-MTU chunks — possibly belonging
 // to different application messages — share one frame and one sequence
-// number, up to the Packing flag's chunksPerFrame; the conservative
+// number (fragments of large messages still fill whole frames; packing
+// recovers the waste on the sub-MTU tail); the conservative
 // wireCost bound keeps each frame within the MTU without a trial encode.
 // Messages their sender withdrew are dropped here, whole, instead of being
 // sequenced (dropWithdrawn).
 func (p *Processor) sendPending(tok *tokenMsg) (sent, fgSent int) {
 	mtu := p.tr.MTU()
-	perFrame := p.cfg.Packing.chunksPerFrame()
 	queued := p.pending.Len()
 	for sent < p.cfg.MaxPerToken {
 		p.dropWithdrawn()
@@ -1157,7 +1120,7 @@ func (p *Processor) sendPending(tok *tokenMsg) (sent, fgSent int) {
 		sent++
 		frame := &dataMsg{Chunks: []chunk{first}}
 		size := packedFrameOverhead + len(p.ring.Rep) + first.wireCost()
-		for sent < p.cfg.MaxPerToken && len(frame.Chunks) < perFrame {
+		for sent < p.cfg.MaxPerToken {
 			p.dropWithdrawn()
 			next, ok := p.pending.Peek()
 			if !ok || size+next.wireCost() > mtu {
@@ -1287,7 +1250,7 @@ func (p *Processor) mayRest(tok *tokenMsg, now time.Time, fgSent int) bool {
 // fully idle rotation (IdleHops covers every member): one tick per hop
 // at first, and once IdleGrace has also passed since this member's last
 // foreground activity the backoff doubles with each further idle
-// rotation up to MaxPaceTicks, clamped so a fully paced rotation stays
+// rotation up to maxPaceTicks, clamped so a fully paced rotation stays
 // within a quarter of the token-loss timeout. An idle-but-recent ring
 // therefore never spins at wire speed — a hurry nudge (or a local
 // enqueue) is what cancels pacing when latency matters.
@@ -1303,11 +1266,8 @@ func (p *Processor) paceTicks(tok *tokenMsg, now time.Time) int {
 		return 1
 	}
 	ticks := 1
-	for r := int(tok.IdleHops)/members - 1; r > 0 && ticks < p.cfg.MaxPaceTicks; r-- {
+	for r := int(tok.IdleHops)/members - 1; r > 0 && ticks < maxPaceTicks; r-- {
 		ticks <<= 1
-	}
-	if ticks > p.cfg.MaxPaceTicks {
-		ticks = p.cfg.MaxPaceTicks
 	}
 	if budget := int(p.cfg.TokenLossTimeout / 4 / (time.Duration(members) * p.cfg.Tick)); budget < ticks {
 		ticks = max(budget, 1)
@@ -1546,7 +1506,7 @@ func (p *Processor) sendJoin(now time.Time) {
 func (p *Processor) aliveSet(now time.Time) []string {
 	alive := []string{p.addr}
 	for a, rec := range p.joinInfo {
-		if now.Sub(rec.seenAt) <= p.cfg.JoinExpiry && a != p.addr {
+		if now.Sub(rec.seenAt) <= joinExpiryIntervals*p.cfg.JoinInterval && a != p.addr {
 			alive = append(alive, a)
 		}
 	}
@@ -1730,7 +1690,7 @@ func (p *Processor) onTick(now time.Time) {
 		// The representative's beacon must fire even while the token is
 		// parked: a long-paced ring (idle single member, deep backoff)
 		// still has to be discoverable for partition merges.
-		if p.ring.Rep == p.addr && now.Sub(p.lastAnnounceAt) >= p.cfg.AnnounceInterval {
+		if p.ring.Rep == p.addr && now.Sub(p.lastAnnounceAt) >= announceIntervals*p.cfg.JoinInterval {
 			p.lastAnnounceAt = now
 			ann := announceMsg{Ring: p.ring}
 			p.bcastMsg(&ann)

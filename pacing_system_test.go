@@ -128,7 +128,7 @@ func TestFirstInvocationAfterIdleLatency(t *testing.T) {
 	}
 	setVal(t, obj, "warm")
 	// Deep idle: several fully paced rotations at up to
-	// MaxPaceTicks×tick = 80ms per hop.
+	// maxPaceTicks×tick = 80ms per hop.
 	time.Sleep(600 * time.Millisecond)
 
 	start := time.Now()

@@ -37,18 +37,15 @@ type SystemConfig struct {
 	// the donor's bulk lane onto the ring during a transfer (default 2).
 	StateChunksPerToken int
 	// SpanCapacity bounds each node's causal span journal (0 = default;
-	// negative disables span recording — the overhead baseline).
+	// negative disables span recording).
 	SpanCapacity int
 	// AuditInterval is the period of the consistency-audit marks each
 	// group primary multicasts (0 = default 1s; negative disables the
-	// audit subsystem — the overhead baseline).
+	// audit subsystem).
 	AuditInterval time.Duration
 	// AuditCapacity bounds each node's audit observation journal
 	// (0 = default).
 	AuditCapacity int
-	// AuditLagEpochs is the number of completed audit epochs a member may
-	// miss before a lag alarm is raised (0 = default).
-	AuditLagEpochs int
 	// DefaultTimeout bounds the System's administrative operations
 	// (default 30s).
 	DefaultTimeout time.Duration
@@ -112,7 +109,6 @@ func (s *System) startNode(addr string) (*core.Node, error) {
 		SpanCapacity:        s.cfg.SpanCapacity,
 		AuditInterval:       s.cfg.AuditInterval,
 		AuditCapacity:       s.cfg.AuditCapacity,
-		AuditLagEpochs:      s.cfg.AuditLagEpochs,
 	})
 	if err != nil {
 		return nil, err
