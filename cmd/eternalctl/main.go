@@ -602,9 +602,10 @@ func printCriticalPath(w io.Writer, att obs.PhaseAttribution, scraped int) {
 // the token is held, how far apart its visits are, and what the hold
 // time went to (retransmissions vs. draining the pending queue) — plus
 // how the visits ended: the median idle-hop count, how many samples
-// left the token paced (and the deepest backoff) or resting at the node
-// as the ring's only sender, and the most state-transfer messages a
-// visit left waiting in the bulk lane.
+// left the token paced (and the deepest backoff), resting at the node as
+// the ring's only sender or held there for a reply its own replica owed,
+// and the most state-transfer messages a visit left waiting in the bulk
+// lane.
 func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 	names := make([]string, 0, len(rots))
 	for name := range rots {
@@ -615,8 +616,8 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 		return
 	}
 	fmt.Fprintln(w, "token-rotation profile (per node, medians over recent samples):")
-	fmt.Fprintf(w, "  %-10s %8s %12s %10s %11s %9s %7s %8s %6s %6s %6s %7s %5s\n",
-		"node", "samples", "interval(µs)", "hold(µs)", "retrans(µs)", "send(µs)", "chunks", "pending", "idle", "paced", "ticks", "resting", "bulk")
+	fmt.Fprintf(w, "  %-10s %8s %12s %10s %11s %9s %7s %8s %6s %6s %6s %7s %5s %5s\n",
+		"node", "samples", "interval(µs)", "hold(µs)", "retrans(µs)", "send(µs)", "chunks", "pending", "idle", "paced", "ticks", "resting", "held", "bulk")
 	for _, name := range names {
 		samples := rots[name]
 		med := func(get func(obs.TokenRotation) float64) float64 {
@@ -630,10 +631,13 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 		maxPending := 0
 		chunks := 0
 		paced, maxTicks := 0, 0
-		resting, maxBulk := 0, 0
+		resting, held, maxBulk := 0, 0, 0
 		for _, s := range samples {
-			if s.Resting {
+			switch s.Resting {
+			case obs.RestSoleSender:
 				resting++
+			case obs.RestReplyOwed:
+				held++
 			}
 			maxBulk = max(maxBulk, s.BulkWaiting)
 			if s.PendingBefore > maxPending {
@@ -647,7 +651,7 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 				maxTicks = s.PaceTicks
 			}
 		}
-		fmt.Fprintf(w, "  %-10s %8d %12.1f %10.1f %11.1f %9.1f %7d %8d %6.0f %6d %6d %7d %5d\n",
+		fmt.Fprintf(w, "  %-10s %8d %12.1f %10.1f %11.1f %9.1f %7d %8d %6.0f %6d %6d %7d %5d %5d\n",
 			name, len(samples),
 			med(func(s obs.TokenRotation) float64 { return s.IntervalUs }),
 			med(func(s obs.TokenRotation) float64 { return s.HoldUs }),
@@ -655,7 +659,7 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 			med(func(s obs.TokenRotation) float64 { return s.SendUs }),
 			chunks, maxPending,
 			med(func(s obs.TokenRotation) float64 { return float64(s.IdleHops) }),
-			paced, maxTicks, resting, maxBulk)
+			paced, maxTicks, resting, held, maxBulk)
 	}
 }
 

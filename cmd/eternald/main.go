@@ -106,7 +106,7 @@ func main() {
 		auditCapacity = flag.Int("audit-capacity", 0,
 			"audit observation journal size (0 = default)")
 		tokenTick = flag.Duration("token-tick", 0,
-			"totem timer resolution: an idle-paced token moves up to a few ticks per hop, a token resting at the ring's only sender goes round once per tick, a lazy reply waits one tick; the rest threshold (IdleGrace) is two ticks (0 = default 2ms)")
+			"totem timer resolution: an idle-paced token moves up to a few ticks per hop, a token resting at the ring's only sender goes round once per tick, a token held for its holder's own reply waits at most one tick, a lazy reply waits one tick; a member counts as the only sender after two ticks (0 = default 2ms)")
 	)
 	flag.Parse()
 	if *name == "" {

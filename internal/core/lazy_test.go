@@ -192,13 +192,13 @@ func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 	visits, rests := 0, 0
 	for _, r := range donor.TokenRotations(0) {
 		if r.At.Before(from) || r.At.After(to) || r.BulkWaiting == 0 {
-			if r.Resting {
+			if r.Resting != "" {
 				rests++
 			}
 			continue
 		}
 		visits++
-		if r.Resting {
+		if r.Resting != "" {
 			t.Fatalf("donor rested on round %d with %d chunks waiting, %v into a %v transfer",
 				r.Round, r.BulkWaiting, r.At.Sub(from), to.Sub(from))
 		}

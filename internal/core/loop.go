@@ -187,6 +187,7 @@ func (n *Node) handleView(v *totem.Membership) {
 		for name, h := range n.hosts {
 			h.stop()
 			delete(n.hosts, name)
+			n.publishAnswering(name)
 		}
 		n.primaryOf = make(map[string]bool)
 		n.pendingAdd = make(map[string]bool)
@@ -225,6 +226,7 @@ func (n *Node) handleView(v *totem.Membership) {
 // reconcile reacts to a membership change of one group: primary
 // promotion, and re-triggering a state capture whose donor died.
 func (n *Node) reconcile(name string) {
+	n.publishAnswering(name)
 	g, ok := n.table.Get(name)
 	if !ok {
 		return
@@ -311,8 +313,8 @@ func (n *Node) handleRequest(seq uint64, sender string, env *replication.Envelop
 	execute, lazy := true, false
 	if g.Spec.Props.Style != ftcorba.Active {
 		// Passive replication: only the primary executes; backups log.
-		execute = g.IsPrimary(n.addr)
-	} else if sender != n.addr && g.IsOperational(sender) {
+		execute = answers(g, n.addr)
+	} else if sender != n.addr && answers(g, sender) {
 		// The node that multicast the request hosts an operational
 		// replica, and the client behind the request sits on that node:
 		// its replica's reply is the one that gets there without a token
@@ -362,6 +364,7 @@ func (n *Node) handleCreate(seq uint64, env *replication.Envelope) {
 			n.startMonitor(h, spec.Props.FaultMonitoringInterval)
 			n.logger().Info("replica hosted", "group", spec.Name,
 				"style", spec.Props.Style.String(), "primary", g.IsPrimary(n.addr))
+			n.publishAnswering(spec.Name)
 		}
 	}
 	n.signal("create:" + spec.Name)

@@ -231,7 +231,7 @@ func Start(cfg Config) (*Node, error) {
 	tc.Recorder = recorder
 	tc.Spans = spans
 	tc.BulkPerVisit = cfg.StateChunksPerToken
-	marks := newReplyMarks()
+	marks := newReplyMarks(cfg.Transport.Addr())
 	tc.Ordered = marks.ordered
 	proc, err := totem.Start(tc)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"eternal/internal/ftcorba"
 	"eternal/internal/replication"
 	"eternal/internal/totem"
 )
@@ -26,27 +27,60 @@ import (
 // carried the peer's, so a mark advanced later, by the delivery loop,
 // loses that race nearly every time.
 type replyMarks struct {
+	addr string
 	mu   sync.Mutex
 	seen *replication.DupFilter
+	// reqs is the same for requests, on the ordering goroutine only: the
+	// first ordered copy of a replicated client's invocation is the one
+	// executed and answered (§2.1).
+	reqs *replication.DupFilter
+	// answering is the set of groups this node answers for (see answers),
+	// kept by the delivery loop; it may lag the table by a delivery.
+	answering sync.Map
 	// hook is a test-only observer of ordered replies (see setReplyHook).
 	hook atomic.Value
 }
 
-func newReplyMarks() *replyMarks {
-	return &replyMarks{seen: replication.NewDupFilter()}
+func newReplyMarks(addr string) *replyMarks {
+	return &replyMarks{addr: addr, seen: replication.NewDupFilter(), reqs: replication.NewDupFilter()}
+}
+
+// answers reports whether node's replica answers a request to g at once:
+// an operational active member, or the passive primary. handleRequest asks
+// about the requester, ordered about this node through the published set.
+func answers(g *replication.Group, node string) bool {
+	if g.Spec.Props.Style != ftcorba.Active {
+		return g.IsPrimary(node)
+	}
+	return g.IsOperational(node)
+}
+
+// publishAnswering republishes whether a replica here answers for a group.
+func (n *Node) publishAnswering(name string) {
+	if g, ok := n.table.Get(name); ok && n.hosts[name] != nil && answers(g, n.addr) {
+		n.replyMarks.answering.Store(name, true)
+	} else {
+		n.replyMarks.answering.Delete(name)
+	}
 }
 
 // ordered is the node's totem.Config.Ordered hook. It decodes the
 // envelope once, on the ordering goroutine — the delivery loop picks the
-// result up from d.App instead of decoding again — and advances the mark
-// for replies.
+// result up from d.App instead of decoding again — advances the mark for
+// replies, and marks this node's own requests that its own replica will
+// answer, so the token that sequenced one can wait for the reply.
 func (m *replyMarks) ordered(d *totem.Delivery) {
 	env, err := replication.Decode(d.Payload)
 	if err != nil {
 		return
 	}
 	d.App = env
-	if env.Kind == replication.KReply {
+	switch env.Kind {
+	case replication.KRequest:
+		if _, ok := m.answering.Load(env.Group); ok && !env.Oneway {
+			d.ReplyOwed = m.reqs.FirstDelivery(env.Conn, env.OpID) && d.Sender == m.addr
+		}
+	case replication.KReply:
 		m.mu.Lock()
 		m.seen.FirstDelivery(env.Conn, env.OpID)
 		m.mu.Unlock()

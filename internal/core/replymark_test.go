@@ -9,6 +9,7 @@ import (
 	"eternal/internal/ftcorba"
 	"eternal/internal/replication"
 	"eternal/internal/simnet"
+	"eternal/internal/totem"
 )
 
 // slowCounter is counter with a fixed service time, so a test can decide
@@ -24,7 +25,7 @@ func (s *slowCounter) Invoke(op string, args []byte, order cdr.ByteOrder) ([]byt
 }
 
 func TestReplyMarksHighWater(t *testing.T) {
-	m := newReplyMarks()
+	m := newReplyMarks("n1")
 	conn := replication.ConnID{Client: "c", Group: "g"}
 	other := replication.ConnID{Client: "c", Group: "g", Seq: 1}
 	if m.covers(conn, 1) {
@@ -39,6 +40,36 @@ func TestReplyMarksHighWater(t *testing.T) {
 	}
 	if m.covers(other, 1) {
 		t.Fatal("mark leaked across connections")
+	}
+}
+
+// TestOrderedMarksOnlyOwnAnsweredRequests: the token may wait for a reply
+// only where this node's own replica sends it at once — the first ordered
+// copy of a two-way request, multicast by this node, to a group it answers
+// for. Everything else goes unmarked.
+func TestOrderedMarksOnlyOwnAnsweredRequests(t *testing.T) {
+	m := newReplyMarks("n1")
+	m.answering.Store("g", true)
+	for _, tc := range []struct {
+		name   string
+		sender string
+		env    replication.Envelope
+		want   bool
+	}{
+		{"own request", "n1", replication.Envelope{Kind: replication.KRequest, Group: "g", OpID: 1}, true},
+		{"oneway", "n1", replication.Envelope{Kind: replication.KRequest, Group: "g", OpID: 2, Oneway: true}, false},
+		{"foreign sender", "n2", replication.Envelope{Kind: replication.KRequest, Group: "g", OpID: 3}, false},
+		{"own copy behind a peer client replica's", "n1", replication.Envelope{Kind: replication.KRequest, Group: "g", OpID: 3}, false},
+		{"own copy again", "n1", replication.Envelope{Kind: replication.KRequest, Group: "g", OpID: 1}, false},
+		{"group answered elsewhere", "n1", replication.Envelope{Kind: replication.KRequest, Group: "h", OpID: 4}, false},
+		{"reply", "n1", replication.Envelope{Kind: replication.KReply, Group: "g"}, false},
+		{"control envelope", "n1", replication.Envelope{Kind: replication.KAddMember, Group: "g"}, false},
+	} {
+		d := totem.Delivery{Sender: tc.sender, Payload: tc.env.Encode()}
+		m.ordered(&d)
+		if d.ReplyOwed != tc.want || d.App == nil {
+			t.Errorf("%s: ReplyOwed = %v, App = %v; want %v and the decoded envelope", tc.name, d.ReplyOwed, d.App, tc.want)
+		}
 	}
 }
 

@@ -40,14 +40,22 @@ type TokenRotation struct {
 	// (idle pacing), and PaceTicks for how many ticks.
 	Paced     bool `json:"paced,omitempty"`
 	PaceTicks int  `json:"pace_ticks,omitempty"`
-	// Resting reports that the holder kept the token after this visit
-	// because it was the ring's only data sender; it moves on within a
-	// tick, or at once when a peer nudges.
-	Resting bool `json:"resting,omitempty"`
+	// Resting names why the holder kept the token after this visit (empty:
+	// it did not). Either way it moves on within a tick, or at once when
+	// a peer nudges; a reply hold also ends when the reply is out. The key
+	// is not the "resting" that once held a bool: old readers still decode.
+	Resting string `json:"rest,omitempty"`
 	// BulkWaiting counts the bulk (state-transfer) messages this visit's
 	// quota left in the holder's lane; a holder with any never rests.
 	BulkWaiting int `json:"bulk_waiting,omitempty"`
 }
+
+// Why a token stayed at its holder: it was the ring's only data sender, or
+// the visit sequenced a request whose reply the holder's own replica owes.
+const (
+	RestSoleSender = "sole-sender"
+	RestReplyOwed  = "reply-owed"
+)
 
 // DefaultRotationCapacity bounds a rotation log when no capacity is
 // given.

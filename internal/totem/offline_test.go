@@ -1,32 +1,49 @@
 package totem
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"eternal/internal/simnet"
 )
 
-// discardTransport swallows every frame; for driving a Processor's token
-// handling directly, without a run goroutine.
-type discardTransport struct{}
+// recTransport delivers nothing and remembers the type of every frame
+// handed to it, in order; for driving a Processor's token handling directly,
+// without a run goroutine, and reading what it put on the wire.
+type recTransport struct {
+	addr  string
+	types []byte
+	// last is the most recent frame, decoded.
+	last any
+}
 
-func (discardTransport) Addr() string              { return "a" }
-func (discardTransport) Send(string, []byte) error { return nil }
-func (discardTransport) Broadcast([]byte) error    { return nil }
-func (discardTransport) Recv() <-chan Packet       { return nil }
-func (discardTransport) MTU() int                  { return simnet.EthernetMTU }
-func (discardTransport) Close() error              { return nil }
+func (r *recTransport) record(b []byte) error {
+	r.types = append(r.types, b[0])
+	r.last, _ = decodePacket(slices.Clone(b)) // the caller recycles b
+	return nil
+}
+
+func (r *recTransport) Addr() string                  { return r.addr }
+func (r *recTransport) Send(_ string, b []byte) error { return r.record(b) }
+func (r *recTransport) Broadcast(b []byte) error      { return r.record(b) }
+func (r *recTransport) Recv() <-chan Packet           { return nil }
+func (r *recTransport) MTU() int                      { return simnet.EthernetMTU }
+func (r *recTransport) Close() error                  { return nil }
 
 // offlineProcessor builds an operational member "a" of the given ring
 // with no run goroutine, so a test can feed it tokens, frames and ring
 // formations one at a time and read its state in between.
-func offlineProcessor(members ...string) *Processor {
+func offlineProcessor(members ...string) *Processor { return offlineMember("a", members...) }
+
+// offlineMember is offlineProcessor for the member named self.
+func offlineMember(self string, members ...string) *Processor {
 	ring := ringIdentity{Epoch: 1, Rep: members[0]}
 	p := &Processor{
 		cfg:        Config{}.withDefaults(),
-		tr:         discardTransport{},
-		addr:       "a",
+		tr:         &recTransport{addr: self},
+		addr:       self,
 		members:    members,
 		state:      stateOperational,
 		ring:       ring,
@@ -38,8 +55,24 @@ func offlineProcessor(members ...string) *Processor {
 		deliveries: newPump[Delivery](),
 		views:      newPump[Membership](),
 	}
+	p.rotation = p.cfg.Tick
 	p.registerMetrics(nil)
 	return p
+}
+
+// wire returns the types of the data, token and hurry frames p has sent
+// since the last call.
+func wire(p *Processor) string {
+	r := p.tr.(*recTransport)
+	defer func() { r.types = nil }()
+	names := map[byte]string{ptPacked: "data", ptToken: "token", ptHurry: "hurry"}
+	var out []string
+	for _, t := range r.types {
+		if name, ok := names[t]; ok {
+			out = append(out, name)
+		}
+	}
+	return strings.Join(out, " ")
 }
 
 // TestUnservableRequestIsTombstoned: a sequence number nobody can

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"eternal/internal/obs"
 	"eternal/internal/simnet"
 )
 
@@ -33,12 +34,11 @@ func (c *frameCounter) Broadcast(b []byte) error {
 	return c.Transport.Broadcast(b)
 }
 
-// restRing is classicRing with timings under which a rest is long enough
-// to observe: a large Tick, a short IdleGrace.
+// restRing is classicRing with a Tick under which a rest is long enough to
+// observe.
 func restRing(t *testing.T, tick time.Duration, addrs ...string) map[string]*Processor {
 	return classicRing(t, simnet.New(simnet.Config{}), func(_ string, cfg *Config) {
 		cfg.Tick = tick
-		cfg.IdleGrace = 4 * time.Millisecond
 		cfg.TokenLossTimeout = 100 * tick
 	}, addrs...)
 }
@@ -124,7 +124,7 @@ func TestSoleSenderTokenRests(t *testing.T) {
 		}
 		collect(t, a, 1, 3*time.Second)
 	}
-	// Nobody is the sole sender until IdleGrace (2 ticks here) has passed.
+	// Nobody is the sole sender until idleGrace (2 ticks here) has passed.
 	for warm := time.Now().Add(10 * time.Millisecond); time.Now().Before(warm); {
 		cycle()
 	}
@@ -156,31 +156,43 @@ func TestSoleSenderTokenRests(t *testing.T) {
 
 // TestSecondSenderServedAfterOneHurry: a member with urgent work does not
 // wait out the sole sender's rest. It cannot see the token, but it sees
-// that one peer has done all the sending for IdleGrace — the condition
-// under which that peer keeps it — and one nudge brings it over.
+// that one peer has done all the sending for idleGrace — the condition
+// under which that peer keeps it — and one nudge brings it over: the rest
+// ends at the nudge, with its deadline still ahead.
 func TestSecondSenderServedAfterOneHurry(t *testing.T) {
-	const tick = 40 * time.Millisecond
-	procs := restRing(t, tick, "a", "b", "c")
-	a, b := procs["a"], procs["b"]
-	stop := make(chan struct{})
-	var done sync.WaitGroup
-	soleSender(t, a, stop, &done)
-	defer func() { close(stop); done.Wait() }()
-	awaitRests(t, a, 2)
+	a, b := offlineMember("a", "a", "b", "c"), offlineMember("b", "a", "b", "c")
+	now := time.Now()
+	one := func() submission { return submission{chunks: [][]byte{[]byte("x")}} }
+	for _, p := range []*Processor{a, b} {
+		p.soleSender, p.soleSince = "a", now.Add(-time.Second)
+	}
+	a.enqueue(one(), now)
+	a.handleToken(&tokenMsg{Ring: a.ring, Round: 1}, now)
+	if a.resting != obs.RestSoleSender || wire(a) != "data" {
+		t.Fatalf("resting = %q: the sole sender did not keep the token", a.resting)
+	}
 
-	start := time.Now()
-	if err := b.Multicast([]byte("urgent")); err != nil {
-		t.Fatal(err)
+	b.canNudge = true // the token has left b since b's last nudge, and left busy
+	for i := 0; i < 2; i++ {
+		b.enqueue(one(), now)
+		b.kick(classUrgent, now)
 	}
-	awaitPayload(t, b, "urgent", 3*time.Second)
-	if took := time.Since(start); took > tick/2 {
-		t.Fatalf("b's message took %v with the token resting at a (Tick %v): it waited the rest out", took, tick)
+	if n := b.Stats().HurriesSent; n != 1 || wire(b) != "hurry" {
+		t.Fatalf("b sent %d nudges for two messages behind one token departure, want exactly one", n)
 	}
-	if n := b.Stats().HurriesSent; n != 1 {
-		t.Fatalf("b sent %d nudges, want exactly one", n)
+	nudge := b.tr.(*recTransport).last.(*hurryMsg)
+
+	at := now.Add(a.cfg.Tick / 4)
+	a.handleHurry(nudge, at)
+	if a.parkedToken != nil || wire(a) != "token" || !at.Before(a.parkedUntil) {
+		t.Fatalf("parked = %v, deadline in %v: the nudge did not release the rest", a.parkedToken != nil, a.parkedUntil.Sub(at))
 	}
-	if n := a.Stats().HurriesReceived; n == 0 {
-		t.Fatal("a never saw the nudge that released its rest")
+	if st := a.Stats(); st.HurriesReceived != 1 || st.Rests != 1 {
+		t.Fatalf("HurriesReceived = %d, Rests = %d, want one rest ended by one nudge", st.HurriesReceived, st.Rests)
+	}
+	b.handleToken(a.tr.(*recTransport).last.(*tokenMsg), at)
+	if st := b.Stats(); st.ChunksSent != 2 || b.wantToken {
+		t.Fatalf("ChunksSent = %d, wantToken = %v: the token the nudge released did not serve b", st.ChunksSent, b.wantToken)
 	}
 }
 
@@ -241,7 +253,7 @@ func TestHurryInFlightPreventsRest(t *testing.T) {
 	// The next visit finds nobody asking: the sole sender keeps the token,
 	p.enqueue(one(), now)
 	p.handleToken(&tokenMsg{Ring: p.ring, Round: 4, Seq: 1}, now)
-	if p.parkedToken == nil || !p.resting || p.Stats().Rests != 1 {
+	if p.parkedToken == nil || p.resting != obs.RestSoleSender || p.Stats().Rests != 1 {
 		t.Fatalf("sole sender did not rest: parked=%v resting=%v", p.parkedToken != nil, p.resting)
 	}
 	// sequences its next message from it at once without extending the rest,
@@ -256,12 +268,12 @@ func TestHurryInFlightPreventsRest(t *testing.T) {
 	}
 	// and gives it up on a nudge, or when the deadline passes.
 	p.onTick(until)
-	if p.parkedToken != nil || p.resting {
+	if p.parkedToken != nil || p.resting != "" {
 		t.Fatal("rest outlived its deadline")
 	}
 	p.enqueue(one(), now)
 	p.handleToken(&tokenMsg{Ring: p.ring, Round: 8, Seq: 3}, now)
-	if !p.resting {
+	if p.resting == "" {
 		t.Fatal("sole sender did not rest again")
 	}
 	p.handleHurry(&hurryMsg{Ring: p.ring, Origin: "c"}, now)
@@ -425,8 +437,301 @@ func TestBulkNeverInterleavesWithinASender(t *testing.T) {
 		t.Fatalf("BulkPromoted = %d, want %d", st.BulkPromoted, each)
 	}
 	for _, r := range a.Rotations(0) {
-		if r.Resting && r.PendingAfter > 0 {
+		if r.Resting != "" && r.PendingAfter > 0 {
 			t.Fatalf("a rested on round %d with %d chunks left to send", r.Round, r.PendingAfter)
+		}
+	}
+}
+
+// markRequests is the ordered-point hook core installs, reduced to its
+// effect here: addr's own messages whose payload starts with "req" are
+// requests its own replica answers.
+func markRequests(addr string) func(*Delivery) {
+	return func(d *Delivery) {
+		d.ReplyOwed = d.Sender == addr && bytes.HasPrefix(d.Payload, []byte("req"))
+	}
+}
+
+// holdProcessor is offlineProcessor with that hook and a rotation log.
+func holdProcessor() *Processor {
+	p := offlineProcessor("a", "b", "c")
+	p.rotations = obs.NewRotationLog(0)
+	p.cfg.Ordered = markRequests(p.addr)
+	return p
+}
+
+func request() submission { return submission{chunks: [][]byte{[]byte("req")}} }
+func reply() submission   { return submission{chunks: [][]byte{[]byte("rep")}, reply: true} }
+
+// visit hands p the token for a new round, at now.
+func visit(p *Processor, now time.Time) {
+	p.handleToken(&tokenMsg{Ring: p.ring, Round: p.round + 3, Seq: p.seqHigh, Aru: p.myAru}, now)
+}
+
+// submit enqueues sub the way the run goroutine does.
+func submit(p *Processor, sub submission, now time.Time) {
+	p.enqueue(sub, now)
+	p.kick(sub.class, now)
+}
+
+// TestReplyHoldServesReplyFromHeldToken: a visit that sequences a request
+// this member's own replica answers ends with the token held; the reply is
+// sequenced from it the moment it is enqueued, with no token frame in
+// between, and then the token leaves — unless the member has meanwhile
+// become the sole sender, whose rest the hold then turns into.
+func TestReplyHoldServesReplyFromHeldToken(t *testing.T) {
+	p := holdProcessor()
+	now := time.Now()
+	p.enqueue(request(), now)
+	visit(p, now)
+	if p.resting != obs.RestReplyOwed || p.owed != 1 || wire(p) != "data" {
+		t.Fatalf("resting = %q, owed = %d: the token did not wait for the reply", p.resting, p.owed)
+	}
+	if got := p.Rotations(1)[0].Resting; got != obs.RestReplyOwed {
+		t.Fatalf("rotation sample says resting = %q", got)
+	}
+	submit(p, reply(), now.Add(p.cfg.Tick/8))
+	if got := wire(p); got != "data token" {
+		t.Fatalf("wire = %q, want the reply from the held token and then the token", got)
+	}
+	if st := p.Stats(); p.parkedToken != nil || st.ReplyHolds != 1 || st.Rests != 0 || st.ReplyHoldTimeouts != 0 || p.holdDisarmed {
+		t.Fatalf("parked = %v, stats %+v, disarmed = %v after a prompt reply", p.parkedToken != nil, st, p.holdDisarmed)
+	}
+
+	p.enqueue(request(), now)
+	visit(p, now)
+	until := p.parkedUntil
+	p.soleSender, p.soleSince = "a", now.Add(-time.Second)
+	submit(p, reply(), now.Add(p.cfg.Tick/8))
+	if p.parkedToken == nil || p.parkedUntil != until || wire(p) != "data data" {
+		t.Fatal("the sole sender let the token go with its reply")
+	}
+	p.onTick(until)
+	if p.Stats().ReplyHoldTimeouts != 0 || p.holdDisarmed {
+		t.Fatal("a hold that became a rest counted its deadline as a timeout")
+	}
+}
+
+// TestReplyHoldEnds: a hold ends at a hurry, at bulk arriving and at the
+// first tick past its deadline, and does not begin with retransmission
+// requests on the token; only the deadline counts as a timeout.
+func TestReplyHoldEnds(t *testing.T) {
+	held := func(t *testing.T) (*Processor, time.Time) {
+		p := holdProcessor()
+		now := time.Now()
+		p.enqueue(request(), now)
+		visit(p, now)
+		if p.resting != obs.RestReplyOwed || wire(p) != "data" {
+			t.Fatalf("resting = %q: no hold to end", p.resting)
+		}
+		return p, now.Add(p.cfg.Tick / 2)
+	}
+	released := func(t *testing.T, p *Processor, want string, timeouts uint64) {
+		t.Helper()
+		if got := wire(p); p.parkedToken != nil || got != want {
+			t.Fatalf("parked = %v, wire = %q, want %q", p.parkedToken != nil, got, want)
+		}
+		if st := p.Stats(); st.ReplyHoldTimeouts != timeouts || p.holdDisarmed != (timeouts > 0) {
+			t.Fatalf("ReplyHoldTimeouts = %d, disarmed = %v, want %d timeouts", st.ReplyHoldTimeouts, p.holdDisarmed, timeouts)
+		}
+	}
+	t.Run("hurry", func(t *testing.T) {
+		p, at := held(t)
+		p.handleHurry(&hurryMsg{Ring: p.ring, Origin: "c"}, at)
+		released(t, p, "token", 0)
+	})
+	t.Run("bulk", func(t *testing.T) {
+		p, at := held(t)
+		submit(p, submission{chunks: [][]byte{[]byte("state")}, class: classBulk}, at)
+		released(t, p, "token", 0)
+	})
+	t.Run("deadline", func(t *testing.T) {
+		p, at := held(t)
+		p.onTick(at)
+		if p.parkedToken == nil {
+			t.Fatal("a tick inside the deadline ended the hold")
+		}
+		p.onTick(p.parkedUntil)
+		released(t, p, "token", 1)
+	})
+	t.Run("rtr", func(t *testing.T) {
+		p := holdProcessor()
+		now := time.Now()
+		p.enqueue(request(), now)
+		p.handleToken(&tokenMsg{Ring: p.ring, Round: 3, Rtr: []uint64{7}}, now)
+		released(t, p, "data token", 0)
+		if p.Stats().ReplyHolds != 0 {
+			t.Fatal("held the token with retransmission requests on it")
+		}
+	})
+}
+
+// TestReplyHoldWaitsOnlyForTheArrivingVisit: a request sequenced from the
+// held token is not waited for, so with many local clients a hold lasts as
+// long as executing one visit's batch and no longer.
+func TestReplyHoldWaitsOnlyForTheArrivingVisit(t *testing.T) {
+	p := holdProcessor()
+	now := time.Now()
+	p.enqueue(request(), now)
+	p.enqueue(request(), now)
+	visit(p, now)
+	if p.owed != 2 {
+		t.Fatalf("owed = %d, want the two requests the visit sequenced", p.owed)
+	}
+	until := p.parkedUntil
+	submit(p, request(), now.Add(p.cfg.Tick/8)) // a third client; served in place
+	if p.owed != 2 || p.parkedUntil != until || p.parkedToken == nil {
+		t.Fatalf("owed = %d: a request sequenced from the held token extended the hold", p.owed)
+	}
+	submit(p, reply(), now.Add(p.cfg.Tick/4))
+	if p.parkedToken == nil {
+		t.Fatal("the hold ended with one of the visit's two replies still owed")
+	}
+	submit(p, reply(), now.Add(p.cfg.Tick/4))
+	if got := wire(p); p.parkedToken != nil || got != "data data data data token" {
+		t.Fatalf("parked = %v, wire = %q: the token should leave with the batch's last reply", p.parkedToken != nil, got)
+	}
+}
+
+// TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne: a hold is worth the
+// rotation it saves the reply, so a servant slower than the token's usual
+// absence — or one that never answers before the deadline — costs its
+// peers one hold, not one per request, until it is prompt again.
+func TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne(t *testing.T) {
+	p := holdProcessor()
+	// The sole-sender clock reads the wall clock: an injected time behind
+	// it, and a frame from b before every request, keep that rule out.
+	now := time.Now().Add(-time.Hour)
+	// invoke sequences a request ten Ticks on, with the token usually a
+	// quarter Tick away, and submits the reply after the given delay.
+	invoke := func(replyAfter time.Duration) (held bool) {
+		now = now.Add(10 * p.cfg.Tick)
+		p.handleData(&dataMsg{Ring: p.ring, Seq: p.seqHigh + 1, Chunks: []chunk{{Sender: "b", MsgID: p.seqHigh, FragTotal: 1, Payload: []byte("y")}}}, now)
+		p.enqueue(request(), now)
+		visit(p, now)
+		p.rotation = p.cfg.Tick / 4
+		held = p.resting == obs.RestReplyOwed
+		if held && replyAfter >= p.cfg.Tick {
+			p.onTick(p.parkedUntil)
+		}
+		submit(p, reply(), now.Add(replyAfter))
+		return held
+	}
+	if !invoke(3*p.cfg.Tick) || !p.holdDisarmed || p.Stats().ReplyHoldTimeouts != 1 {
+		t.Fatal("a hold that met its deadline did not disarm")
+	}
+	// Slow again: the request's visit does not hold, the late reply does not re-arm.
+	if invoke(p.cfg.Tick/2) || !p.holdDisarmed {
+		t.Fatalf("disarmed = %v after a reply twice the token's absence behind its request", p.holdDisarmed)
+	}
+	// Prompt: the reply re-arms, and the next request's visit holds.
+	if invoke(p.cfg.Tick/8) || p.holdDisarmed {
+		t.Fatalf("disarmed = %v after a prompt reply", p.holdDisarmed)
+	}
+	// Late but inside the deadline: the hold ends with its reply, and is the last.
+	if !invoke(p.cfg.Tick/2) || !p.holdDisarmed || wire(p) == "" {
+		t.Fatalf("disarmed = %v after a hold twice as long as the rotation it saved", p.holdDisarmed)
+	}
+	if invoke(p.cfg.Tick/8) || !invoke(p.cfg.Tick/8) {
+		t.Fatal("no hold after re-arming")
+	}
+	if st := p.Stats(); st.ReplyHolds != 3 || st.ReplyHoldTimeouts != 1 || st.Rests != 0 {
+		t.Fatalf("stats %+v: want three holds, one of them timed out", st)
+	}
+}
+
+// TestRotationTracksTheUsualAbsence: rotation steps towards each absence of
+// the token, so it settles at the usual one and a stalled rotation barely
+// moves it; an absence the resend timer cut short is no sample.
+func TestRotationTracksTheUsualAbsence(t *testing.T) {
+	p := offlineProcessor("a", "b", "c")
+	now := time.Now()
+	usual := p.cfg.Tick / 10
+	away := func(d time.Duration) {
+		visit(p, now)
+		now = now.Add(d)
+	}
+	for i := 0; i < 40; i++ {
+		away(usual)
+	}
+	away(50 * p.cfg.Tick)
+	away(usual)
+	if p.rotation < usual*3/4 || p.rotation > usual*3/2 {
+		t.Fatalf("rotation = %v with the token usually %v away", p.rotation, usual)
+	}
+	visit(p, now)
+	before := p.rotation
+	p.tokenResends = 1
+	visit(p, now.Add(time.Microsecond))
+	if p.rotation != before {
+		t.Fatalf("rotation moved from %v to %v on a resent token's return", before, p.rotation)
+	}
+}
+
+// TestUnmarkedDeliveryNeverHolds: whatever the ordered-point hook did not
+// mark — a oneway, a control message, a foreign sender's request — leaves
+// the token alone, and so does a reply.
+func TestUnmarkedDeliveryNeverHolds(t *testing.T) {
+	p := holdProcessor()
+	now := time.Now()
+	p.handleData(&dataMsg{Ring: p.ring, Seq: 1, Chunks: []chunk{{Sender: "b", MsgID: 1, FragTotal: 1, Payload: []byte("req")}}}, now)
+	p.enqueue(submission{chunks: [][]byte{[]byte("oneway")}}, now)
+	p.enqueue(reply(), now)
+	visit(p, now)
+	if st := p.Stats(); p.parkedToken != nil || st.ReplyHolds != 0 || st.ChunksSent != 2 {
+		t.Fatalf("parked = %v, ReplyHolds = %d, ChunksSent = %d: held the token with no reply owed", p.parkedToken != nil, st.ReplyHolds, st.ChunksSent)
+	}
+}
+
+// TestReplyHoldersAlternatingKeepGarbageCollection: two members taking
+// turns to hold the token for their replies still send it round, so aru
+// and garbage collection keep up with the stream the way they do behind a
+// sole sender's rest (TestRestNeverOutlivesOneTick).
+func TestReplyHoldersAlternatingKeepGarbageCollection(t *testing.T) {
+	procs := classicRing(t, simnet.New(simnet.Config{}), func(addr string, cfg *Config) {
+		cfg.Ordered = markRequests(addr)
+	}, "a", "b", "c")
+	const invocations = 500
+	var clients sync.WaitGroup
+	for _, p := range []*Processor{procs["a"], procs["c"]} {
+		p := p
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := 0; i < 2*invocations; i++ {
+				var err error
+				if i%2 == 0 {
+					err = p.Multicast([]byte("req"))
+				} else {
+					err = p.MulticastTraced([]byte("rep"), 0, true)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for own := false; !own; {
+					select {
+					case d := <-p.Deliveries():
+						own = d.View == nil && d.Sender == p.Addr()
+					case <-time.After(5 * time.Second):
+						t.Errorf("%s: message %d never came back", p.Addr(), i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	clients.Wait()
+	for _, addr := range []string{"a", "c"} {
+		p := procs[addr]
+		st := p.Stats()
+		p.Stop() // its protocol state is safe to read once the run goroutine has exited
+		t.Logf("%s: %d holds, %d timeouts, %d rests, gcLow %d of %d", addr, st.ReplyHolds, st.ReplyHoldTimeouts, st.Rests, p.gcLow, p.seqHigh)
+		if st.ReplyHolds == 0 {
+			t.Fatalf("%s never held the token in %d invocations", addr, invocations)
+		}
+		if p.gcLow == 0 || p.gcLow < p.seqHigh/2 {
+			t.Fatalf("%s: gcLow = %d of %d sequenced: holding starves garbage collection", addr, p.gcLow, p.seqHigh)
 		}
 	}
 }

@@ -103,6 +103,10 @@ type Delivery struct {
 	// App is whatever Config.Ordered attached to this message at its
 	// ordered point (nil without the hook, and for views).
 	App any
+	// ReplyOwed is Config.Ordered's mark on a message this member sent: it
+	// will itself submit the urgent reply, so the token visit that sequenced
+	// it may wait for that (see mayRest). A wrong hint wastes a hold.
+	ReplyOwed bool
 }
 
 // Membership is a view change. Members is sorted. Reset reports that this
@@ -144,8 +148,12 @@ type Stats struct {
 	// lazy ones (LazyDropped) included.
 	WithdrawnMessages uint64
 	// Rests counts token visits that ended with this member keeping the
-	// token because it was the ring's only data sender (see forwardToken).
-	Rests uint64
+	// token because it was the ring's only data sender, ReplyHolds those
+	// that kept it for the reply to a request they had just sequenced, and
+	// ReplyHoldTimeouts the holds that met their deadline first (see mayRest).
+	Rests             uint64
+	ReplyHolds        uint64
+	ReplyHoldTimeouts uint64
 	// LazySent counts lazy messages a token visit found a Tick old and
 	// still wanted, and moved into the sending queue; LazyDropped counts
 	// those it found withdrawn instead (see MulticastLazy).
@@ -177,16 +185,6 @@ type Config struct {
 	Tick time.Duration
 	// MaxPerToken bounds chunks multicast per token visit (default 64).
 	MaxPerToken int
-	// IdleGrace is the ordering layer's one "has it been like this for a
-	// while" threshold (default 2*Tick). Idle pacing: the token keeps
-	// rotating at wire speed this long after a member's last foreground
-	// activity before that member backs its hops off. Resting: a member
-	// keeps the token instead of forwarding it once it has been the
-	// ring's only data sender for this long (see forwardToken), and a
-	// peer nudges a token it believes is resting by the same measure.
-	// Larger values spend token frames to keep request/reply gaps fast;
-	// smaller ones park the ring sooner.
-	IdleGrace time.Duration
 	// Metrics receives the processor's live metrics (packet/byte traffic,
 	// pending-queue depth, multicast→delivery latency). Nil disables
 	// export; the protocol's cumulative Stats() counters work regardless.
@@ -238,11 +236,18 @@ func (c Config) withDefaults() Config {
 	if c.MaxPerToken <= 0 {
 		c.MaxPerToken = 64
 	}
-	if c.IdleGrace <= 0 {
-		c.IdleGrace = 2 * c.Tick
-	}
 	return c
 }
+
+// idleGraceTicks×Tick is the ordering layer's one "has it been like this
+// for a while" threshold. Idle pacing: the token keeps rotating at wire
+// speed this long after a member's last foreground activity before that
+// member backs its hops off. Resting: a member keeps the token once it has
+// been the ring's only data sender for this long (see mayRest), and a peer
+// nudges a token it believes is resting by the same measure.
+const idleGraceTicks = 2
+
+func (c Config) idleGrace() time.Duration { return idleGraceTicks * c.Tick }
 
 // fragMargin is the reserve for chunk headers within one frame.
 const fragMargin = 192
@@ -347,20 +352,36 @@ type Processor struct {
 	lastSentAt    time.Time
 	tokenResends  int
 	// parkedToken holds the token while pacing an idle ring (including the
-	// single-member self-delivery case) or while resting at the ring's only
-	// sender; it is released once parkedUntil passes (the adaptive pacer's
-	// backoff, or one Tick after the rest began), or immediately when a
-	// hurry nudge arrives. A local urgent enqueue releases a paced token
-	// and is served in place by a resting one.
+	// single-member self-delivery case) or while resting here; it is
+	// released once parkedUntil passes (the adaptive pacer's backoff, or
+	// one Tick after the rest began), or immediately when a hurry nudge
+	// arrives. A local urgent enqueue releases a paced token and is served
+	// in place by a resting one. resting is why a rest began (obs.Rest…).
 	parkedToken    *tokenMsg
 	parkedUntil    time.Time
-	resting        bool
+	resting        string
 	lastAnnounceAt time.Time
+
+	// Reply holds. ownOwed counts deliveries marked ReplyOwed; owed is how
+	// many the latest arriving token visit sequenced (at owedAt) less the
+	// urgent replies enqueued since — what a hold waits for. rotation is
+	// the running median of how long the token stays away from this member
+	// (a step towards each absence, so one stalled rotation barely moves
+	// it): what a hold saves the reply and what the peers' holds cost this
+	// member, hence the most its own may cost them. holdDisarmed is set
+	// when a visit's last owed reply follows its requests by more than
+	// that, or not by the deadline, and cleared when one is that prompt
+	// again: a slow servant costs its peers once.
+	ownOwed      uint64
+	owed         int
+	owedAt       time.Time
+	rotation     time.Duration
+	holdDisarmed bool
 
 	// Adaptive pacing state. lastActivityAt is the last time this member
 	// did foreground protocol work (sent or forwarded non-background
 	// chunks, served or requested retransmissions); the pacer holds wire
-	// speed for IdleGrace past it. hurried marks that a hurry nudge has
+	// speed for idleGrace past it. hurried marks that a hurry nudge has
 	// arrived (or been sent) since this member's last forward: the next
 	// forward neither paces nor rests, and clears it. canNudge is the one
 	// nudge each token departure buys; it is spent only while wantToken —
@@ -371,7 +392,7 @@ type Processor struct {
 	// like a resting sole sender. soleSender is the member whose data
 	// frames were the last delivered here and soleSince the first of its
 	// unbroken run — every member sees every data frame, so "I have been
-	// the only sender for IdleGrace" is local knowledge. lastPaceTicks is
+	// the only sender for idleGrace" is local knowledge. lastPaceTicks is
 	// the backoff applied by the most recent forward (0 = wire speed),
 	// recorded into the rotation profile.
 	lastActivityAt time.Time
@@ -397,6 +418,8 @@ type Processor struct {
 	nPacedHops  atomic.Uint64
 	nWithdrawn  atomic.Uint64
 	nRests      atomic.Uint64
+	nHolds      atomic.Uint64
+	nHoldTimeo  atomic.Uint64
 	nLazySent   atomic.Uint64
 	nLazyDrop   atomic.Uint64
 	nBulkProm   atomic.Uint64
@@ -547,6 +570,8 @@ func (p *Processor) registerMetrics(r *obs.Registry) {
 		{"eternal_totem_paced_hops_total", "token hops parked for idle pacing before forwarding", &p.nPacedHops},
 		{"eternal_totem_withdrawn_messages_total", "submitted messages withdrawn by their sender before a token visit sequenced them", &p.nWithdrawn},
 		{"eternal_totem_rests_total", "token visits that ended with the token resting at this member, the ring's only data sender", &p.nRests},
+		{"eternal_totem_reply_holds_total", "token visits that ended with the token held at this member for the reply to a request the visit sequenced", &p.nHolds},
+		{"eternal_totem_reply_hold_timeouts_total", "reply holds that met their one-Tick deadline before the reply: a servant slower than a Tick", &p.nHoldTimeo},
 		{"eternal_totem_lazy_sent_total", "lazy messages moved into the sending queue: a Tick old and still not withdrawn", &p.nLazySent},
 		{"eternal_totem_lazy_dropped_total", "lazy messages found withdrawn by the token visit that would have sent them", &p.nLazyDrop},
 		{"eternal_totem_bulk_promoted_total", "bulk messages moved into the sending queue by token visits", &p.nBulkProm},
@@ -589,6 +614,8 @@ func (p *Processor) Stats() Stats {
 		PacedHops:         p.nPacedHops.Load(),
 		WithdrawnMessages: p.nWithdrawn.Load(),
 		Rests:             p.nRests.Load(),
+		ReplyHolds:        p.nHolds.Load(),
+		ReplyHoldTimeouts: p.nHoldTimeo.Load(),
 		LazySent:          p.nLazySent.Load(),
 		LazyDropped:       p.nLazyDrop.Load(),
 		BulkPromoted:      p.nBulkProm.Load(),
@@ -726,6 +753,11 @@ func (p *Processor) enqueue(sub submission, now time.Time) {
 	p.msgID++
 	m := heldMsg{id: p.msgID, chunks: sub.chunks}
 	p.sendTimes[m.id] = sendMeta{at: now, trace: sub.trace, reply: sub.reply, class: sub.class, withdraw: sub.withdraw}
+	if sub.reply && sub.class == classUrgent && p.owed > 0 {
+		if p.owed--; p.owed == 0 {
+			p.holdDisarmed = now.Sub(p.owedAt) > p.rotation
+		}
+	}
 	if sub.trace != 0 {
 		if sub.reply {
 			p.cfg.Spans.MarkOpen(sub.trace, obs.SpanReplyEnqueued)
@@ -836,20 +868,21 @@ func (p *Processor) kick(c class, now time.Time) {
 		return
 	}
 	if p.parkedToken != nil {
-		if p.resting && c == classUrgent && now.Before(p.parkedUntil) {
+		if p.resting != "" && c == classUrgent && now.Before(p.parkedUntil) {
 			// The token rests here: sequence from it at once and keep it.
 			// The rest's deadline stands, so housekeeping still gets its
 			// rotation once per Tick however busy this member is.
 			if _, fgSent := p.sendPending(p.parkedToken); fgSent > 0 {
 				p.lastActivityAt = now
 			}
-			if p.pending.Len() == 0 {
+			// A reply hold lasts while one is owed, or on as a sole sender's rest.
+			if p.pending.Len() == 0 && (p.resting == obs.RestSoleSender || p.owed > 0 || p.soleSenderHere(now)) {
 				return
 			}
 		}
 		// Wake our own paced token immediately so enqueueing does not
 		// cost a tick of latency; a rest ends when its deadline has
-		// passed, when bulk arrives or when one visit's window is full.
+		// passed, bulk arrives, one visit's window is full or its reply is out.
 		p.releaseParked(now)
 		return
 	}
@@ -863,7 +896,7 @@ func (p *Processor) kick(c class, now time.Time) {
 // and un-paces every hop back to this member. A token that left with
 // IdleHops == 0 cannot be parked before it returns (the member that
 // completes the idle rotation is this one), and it rests only at a member
-// that has been the ring's only sender for IdleGrace; when neither can be
+// that has been the ring's only sender for idleGrace; when neither can be
 // the case the token is on its way and a nudge would be one more frame in
 // front of it. kick calls this at enqueue; deliverMsg calls it again, as
 // the would-be nudger may learn that another member is the sole sender
@@ -879,10 +912,10 @@ func (p *Processor) maybeNudge(now time.Time) {
 }
 
 // restingElsewhere reports whether another member has been the ring's only
-// data sender for IdleGrace, the condition under which it keeps the token.
+// data sender for idleGrace, the condition under which it keeps the token.
 func (p *Processor) restingElsewhere(now time.Time) bool {
 	return p.soleSender != "" && p.soleSender != p.addr &&
-		now.Sub(p.soleSince) >= p.cfg.IdleGrace
+		now.Sub(p.soleSince) >= p.cfg.idleGrace()
 }
 
 // handleHurry reacts to a peer's hurry nudge: release a parked or resting
@@ -956,6 +989,13 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	if tok.Round <= p.round {
 		return // duplicate from token retransmission
 	}
+	if p.lastSentToken != nil && p.tokenResends == 0 {
+		step := max(p.rotation/8, time.Microsecond)
+		if now.Sub(p.lastSentAt) < p.rotation {
+			step = -step
+		}
+		p.rotation = min(p.rotation+step, p.cfg.Tick)
+	}
 	prevVisit := p.lastTokenAt
 	p.round = tok.Round
 	p.lastTokenAt = now
@@ -1024,11 +1064,14 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	p.wantToken = false
 	p.promoteHeld(now)
 	pendingBefore := p.pending.Len()
+	owedBefore := p.ownOwed
 	sent, fgSent := p.sendPending(tok)
+	// Requests sequenced from a held token never extend the hold.
+	p.owed, p.owedAt = int(p.ownOwed-owedBefore), now
 
 	// Token idling: IdleHops counts consecutive hops on which no holder
 	// did foreground work — the ring-wide idleness signal the adaptive
-	// pacer (paceTicks) combines with the local IdleGrace window.
+	// pacer (paceTicks) combines with the local idleGrace window.
 	// Background chunks (audit marks) ride the token without resetting
 	// the counter, so a quiescent ring stays paced across audit epochs.
 	if served > 0 || fgSent > 0 || len(tok.Rtr) > 0 {
@@ -1212,7 +1255,7 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 		p.park(tok, now, max(1, p.paceTicks(tok, now)))
 		return
 	}
-	if p.mayRest(tok, now, fgSent) {
+	if why := p.mayRest(tok, now, fgSent); why != "" {
 		// Forwarding would send the token round past members with nothing
 		// to send while this member's next message waits for it to come
 		// back. Keep it: kick sequences from it directly. The deadline is
@@ -1221,8 +1264,12 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 		// once per Tick.
 		p.parkedToken = tok
 		p.parkedUntil = now.Add(p.cfg.Tick)
-		p.resting = true
-		p.nRests.Add(1)
+		p.resting = why
+		if why == obs.RestReplyOwed {
+			p.nHolds.Add(1)
+		} else {
+			p.nRests.Add(1)
+		}
 		return
 	}
 	if ticks := p.paceTicks(tok, now); ticks > 0 {
@@ -1232,23 +1279,39 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 	p.transmitToken(tok, succ, now)
 }
 
-// mayRest decides whether a visit ends with the token staying here: this
-// member sent foreground data on the visit and has nothing left over, it
-// has been the ring's only data sender for IdleGrace, nobody has nudged
-// since its last forward, nothing is missing anywhere (an empty request
-// list) and no bulk is waiting. The rule reads only what every workload
-// shows the protocol — who sends — so with two active senders nobody rests
-// and the ring rotates as it always did.
-func (p *Processor) mayRest(tok *tokenMsg, now time.Time, fgSent int) bool {
-	return fgSent > 0 && !p.hurried &&
-		p.pending.Len() == 0 && p.bulk.Len() == 0 && len(tok.Rtr) == 0 &&
-		p.soleSender == p.addr && now.Sub(p.soleSince) >= p.cfg.IdleGrace
+// mayRest decides whether a visit ends with the token staying here, and
+// names why (empty: it moves on). Either way this member sent foreground
+// data on the visit and has nothing left over, nobody has nudged since its
+// last forward, no retransmission is requested and no bulk is waiting. Then
+// it stays on either piece of evidence that its next message is the ring's
+// next message: it has been the only data sender for idleGrace, or the
+// visit sequenced a request whose urgent reply this member itself submits
+// (Delivery.ReplyOwed), which would otherwise wait a whole rotation for the
+// token just let go. Such a hold ends when the last owed reply is out (kick)
+// and pays while replies are ready within that rotation: a later one, or none
+// by the deadline, disarms it until a reply is prompt again (see rotation).
+func (p *Processor) mayRest(tok *tokenMsg, now time.Time, fgSent int) string {
+	switch {
+	case fgSent == 0 || p.hurried ||
+		p.pending.Len() > 0 || p.bulk.Len() > 0 || len(tok.Rtr) > 0:
+		return ""
+	case p.soleSenderHere(now):
+		return obs.RestSoleSender
+	case p.owed > 0 && !p.holdDisarmed:
+		return obs.RestReplyOwed
+	}
+	return ""
+}
+
+// soleSenderHere: this member has been the only data sender for idleGrace.
+func (p *Processor) soleSenderHere(now time.Time) bool {
+	return p.soleSender == p.addr && now.Sub(p.soleSince) >= p.cfg.idleGrace()
 }
 
 // paceTicks decides whether this hop should pace the token and for how
 // many ticks; zero means forward at wire speed. Pacing starts after a
 // fully idle rotation (IdleHops covers every member): one tick per hop
-// at first, and once IdleGrace has also passed since this member's last
+// at first, and once idleGrace has also passed since this member's last
 // foreground activity the backoff doubles with each further idle
 // rotation up to maxPaceTicks, clamped so a fully paced rotation stays
 // within a quarter of the token-loss timeout. An idle-but-recent ring
@@ -1262,7 +1325,7 @@ func (p *Processor) paceTicks(tok *tokenMsg, now time.Time) int {
 	if p.hurried || p.bulk.Len() > 0 {
 		return 0 // a nudged token, or one bulk is waiting for, crosses at wire speed
 	}
-	if now.Sub(p.lastActivityAt) < p.cfg.IdleGrace {
+	if now.Sub(p.lastActivityAt) < p.cfg.idleGrace() {
 		return 1
 	}
 	ticks := 1
@@ -1303,7 +1366,11 @@ func (p *Processor) transmitToken(tok *tokenMsg, succ string, now time.Time) {
 func (p *Processor) releaseParked(now time.Time) {
 	tok := p.parkedToken
 	p.parkedToken = nil
-	p.resting = false
+	if p.resting == obs.RestReplyOwed && p.owed > 0 && !now.Before(p.parkedUntil) {
+		p.nHoldTimeo.Add(1)
+		p.holdDisarmed = true
+	}
+	p.resting = ""
 	if p.state != stateOperational || tok.Ring != p.ring {
 		return // ring changed while parked; the new ring mints a new token
 	}
@@ -1445,6 +1512,9 @@ func (p *Processor) emit(d Delivery) {
 	p.nDeliveries.Add(1)
 	if p.cfg.Ordered != nil {
 		p.cfg.Ordered(&d)
+		if d.ReplyOwed {
+			p.ownOwed++
+		}
 	}
 	p.deliveries.In(d)
 }
@@ -1485,7 +1555,7 @@ func (p *Processor) enterGather(now time.Time, reason string) {
 	p.aliveKey = ""
 	p.lastSentToken = nil
 	p.parkedToken = nil
-	p.resting = false
+	p.resting = ""
 	p.hurried = false
 	p.canNudge = false
 	p.sendJoin(now)
@@ -1573,7 +1643,8 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	p.lastTokenAt = now
 	p.lastSentToken = nil
 	p.parkedToken = nil
-	p.resting = false
+	p.resting = ""
+	p.rotation = p.cfg.Tick
 	p.lastAnnounceAt = now
 	p.lastActivityAt = now
 	p.hurried = false

@@ -397,7 +397,7 @@ func TestNudgeOnlyWhenTokenLeftIdle(t *testing.T) {
 // unrelated park many rotations later. And the nudge rule: every departure
 // buys one nudge, spent only for urgent work and only when the token may be
 // held somewhere — it left here idle, or another member has been the only
-// sender for IdleGrace, which the member that wants the token may find out
+// sender for idleGrace, which the member that wants the token may find out
 // only from a frame that arrives after it enqueued.
 func TestHurriedClearedOnEveryForward(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
@@ -428,7 +428,7 @@ func TestHurriedClearedOnEveryForward(t *testing.T) {
 	if nudges() != 0 || !p.wantToken {
 		t.Fatalf("nudges=%d wantToken=%v, want the work noted and no nudge", nudges(), p.wantToken)
 	}
-	p.handleData(fromB(1), now) // b starts a run: nobody has been alone for IdleGrace yet
+	p.handleData(fromB(1), now) // b starts a run: nobody has been alone for idleGrace yet
 	if nudges() != 0 {
 		t.Fatal("nudged a sender that has only just started")
 	}
