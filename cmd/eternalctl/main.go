@@ -665,10 +665,11 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 
 // clusterReport mirrors the /cluster response body.
 type clusterReport struct {
-	Node   string   `json:"node"`
-	Synced bool     `json:"synced"`
-	Live   []string `json:"live"`
-	Groups []struct {
+	Node        string   `json:"node"`
+	Synced      bool     `json:"synced"`
+	Live        []string `json:"live"`
+	SyncWaiting []string `json:"sync_waiting"` // while unsynced: members yet to ask for the table themselves
+	Groups      []struct {
 		Name    string `json:"name"`
 		Style   string `json:"style"`
 		Hosted  bool   `json:"hosted"`
@@ -709,6 +710,9 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 		fmt.Fprintf(w, "%s (%s): synced=%t seq=%d events=%d dropped=%d live=[%s]\n",
 			name, rep.Node, rep.Synced, rep.Seq, rep.EventsRecorded, rep.EventsDropped,
 			strings.Join(rep.Live, ","))
+		if !rep.Synced {
+			fmt.Fprintf(w, "  sync: waiting on [%s] to answer or to ask\n", strings.Join(rep.SyncWaiting, ","))
+		}
 		if a := rep.Audit; a != nil {
 			verdict := "consistent"
 			if a.Diverged {

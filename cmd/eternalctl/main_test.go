@@ -63,6 +63,23 @@ func TestParseNodes(t *testing.T) {
 	}
 }
 
+// TestStatusSaysWhomAnUnsyncedNodeWaitsOn: start-up's "why is it stuck" is
+// one line of status, from the sync_waiting list /cluster carries.
+func TestStatusSaysWhomAnUnsyncedNodeWaitsOn(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte(`{"node":"n2","synced":false,"live":["n1","n2","n3"],"sync_waiting":["n1","n3"],"seq":7}`))
+	}))
+	defer srv.Close()
+	var out strings.Builder
+	nodes := map[string]string{"n2": strings.TrimPrefix(srv.URL, "http://")}
+	if printStatus(&out, &http.Client{Timeout: 5 * time.Second}, nodes) {
+		t.Fatalf("status failed:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "synced=false") || !strings.Contains(out.String(), "waiting on [n1,n3]") {
+		t.Fatalf("status does not say whom n2 waits on:\n%s", out.String())
+	}
+}
+
 // TestClusterTimelineAfterRecovery is the end-to-end check of the
 // flight-recorder pipeline: a three-node domain runs an actively
 // replicated group, one replica is killed and recovered, and all three

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 
 	"eternal/internal/obs"
@@ -81,10 +82,12 @@ type healthGroup struct {
 
 // healthReport is the /healthz body.
 type healthReport struct {
-	Node   string        `json:"node"`
-	Synced bool          `json:"synced"`
-	Live   []string      `json:"live"`
-	Groups []healthGroup `json:"groups"`
+	Node   string   `json:"node"`
+	Synced bool     `json:"synced"`
+	Live   []string `json:"live"`
+	// SyncWaiting: view members an unsynced node has no sync request from yet.
+	SyncWaiting []string      `json:"sync_waiting,omitempty"`
+	Groups      []healthGroup `json:"groups"`
 	// Audit is the consistency-audit summary (last audited epoch, per-
 	// group digest state, alarm totals); nil when the audit is disabled.
 	Audit *obs.AuditSummary `json:"audit,omitempty"`
@@ -138,7 +141,12 @@ func (n *Node) onLoop(f func()) bool {
 // buildHealthReport assembles the health report; it must run on the
 // delivery goroutine (via onLoop).
 func (n *Node) buildHealthReport() healthReport {
-	rep := healthReport{Node: n.addr, Synced: n.synced, Live: append([]string(nil), n.live...)}
+	rep := healthReport{Node: n.addr, Synced: n.synced, Live: slices.Clone(n.view.Members)}
+	if !n.synced {
+		rep.SyncWaiting = slices.DeleteFunc(slices.Clone(n.view.Members), func(m string) bool {
+			return slices.Contains(n.syncSeen, m)
+		})
+	}
 	for _, name := range n.table.Names() {
 		g, ok := n.table.Get(name)
 		if !ok {

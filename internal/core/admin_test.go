@@ -111,8 +111,9 @@ func TestHealthzUnsynced(t *testing.T) {
 	srv := httptest.NewServer(n.AdminHandler())
 	defer srv.Close()
 
-	// Freshly started and alone: the cold-start self-declaration takes
-	// syncSelfDeclareAfter, so the node is not yet synced.
+	// Freshly started and alone: synced as soon as its one-member ring has
+	// formed and ordered its own sync request, which it may or may not have
+	// yet (TestSyncWaitsForASlowAnswer holds a node in the unsynced state).
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestHealthzUnsynced(t *testing.T) {
 			t.Fatalf("503 but synced=true: %+v", rep)
 		}
 	} else if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d, want 503 (unsynced) or 200 (already self-declared)", resp.StatusCode)
+		t.Fatalf("healthz status = %d, want 503 (unsynced) or 200 (synced already)", resp.StatusCode)
 	}
 	if rep.Node != "solo" {
 		t.Fatalf("healthz node = %q", rep.Node)

@@ -37,11 +37,7 @@ func newAuditCluster(t *testing.T, interval time.Duration, addrs ...string) *tes
 		n.RegisterFactory("Counter", func(oid string) ftcorba.Replica { return &counter{} })
 		c.nodes[a] = n
 	}
-	for _, a := range addrs {
-		if err := c.nodes[a].AwaitSynced(10 * time.Second); err != nil {
-			t.Fatalf("%s: AwaitSynced: %v", a, err)
-		}
-	}
+	c.awaitDomain(addrs)
 	t.Cleanup(func() {
 		for _, n := range c.nodes {
 			n.Stop()
@@ -281,11 +277,10 @@ func TestNodeStartStopNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, err := Start(Config{
-			Transport:       totem.NewSimnetTransport(ep),
-			Totem:           fastTotem(),
-			ManagerTick:     10 * time.Millisecond,
-			AuditInterval:   20 * time.Millisecond,
-			SyncSelfDeclare: 50 * time.Millisecond,
+			Transport:     totem.NewSimnetTransport(ep),
+			Totem:         fastTotem(),
+			ManagerTick:   10 * time.Millisecond,
+			AuditInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

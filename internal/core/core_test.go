@@ -81,17 +81,30 @@ func newTestCluster(t *testing.T, netCfg simnet.Config, addrs ...string) *testCl
 	for _, a := range addrs {
 		c.addNode(a)
 	}
-	for _, a := range addrs {
-		if err := c.nodes[a].AwaitSynced(10 * time.Second); err != nil {
-			t.Fatalf("%s: AwaitSynced: %v", a, err)
-		}
-	}
+	c.awaitDomain(addrs)
 	t.Cleanup(func() {
 		for _, n := range c.nodes {
 			n.Stop()
 		}
 	})
 	return c
+}
+
+// awaitDomain waits until every node is in one view with all the others —
+// nodes that formed rings of their own on the way re-synchronize at the
+// merge — and has the group table.
+func (c *testCluster) awaitDomain(addrs []string) {
+	c.t.Helper()
+	for _, a := range addrs {
+		if err := c.nodes[a].AwaitView(addrs, 10*time.Second); err != nil {
+			c.t.Fatalf("%s: AwaitView: %v", a, err)
+		}
+	}
+	for _, a := range addrs {
+		if err := c.nodes[a].AwaitSynced(10 * time.Second); err != nil {
+			c.t.Fatalf("%s: AwaitSynced: %v", a, err)
+		}
+	}
 }
 
 func (c *testCluster) addNode(addr string) *Node {
@@ -349,7 +362,10 @@ func TestResourceManagerMaintainsMinReplicas(t *testing.T) {
 	if err := c.nodes["n2"].KillReplica("ctr", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.nodes["n1"].AwaitRecovered("ctr", "n2", 15*time.Second); err != nil {
+	// n2's own recovered signal: n1 sees the reinstatement at the same
+	// position in the order, but n2's loop may be deliveries behind n1's —
+	// and n2's host table is what the next line reads.
+	if err := c.nodes["n2"].AwaitRecovered("ctr", "n2", 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if !c.nodes["n2"].HostsReplica("ctr") {

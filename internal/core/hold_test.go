@@ -73,7 +73,12 @@ func TestReplyHoldOnlyWhereOwnReplicaAnswers(t *testing.T) {
 		{"warm passive, primary and backup", ftcorba.WarmPassive, []string{"n1", "n2", "n3"}, "n1", "n2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCluster(t, simnet.Config{}, "n1", "n2", "n3")
+			// A hold's deadline is one Tick, and fastTotem's millisecond is
+			// shorter than the race detector can make a prompt servant: here
+			// prompt is to mean prompt, so the Tick is twenty times that.
+			c := newXferCluster(t, 0, func(cfg *Config) {
+				cfg.Totem.Tick, cfg.Totem.TokenLossTimeout = 20*time.Millisecond, time.Second
+			}, "n1", "n2", "n3")
 			c.createGroup("ctr", tc.style, tc.members, 1)
 			_, stop := c.getLoop(tc.never, "ctr")
 			obj := c.client(tc.holder, "driver", "ctr")
@@ -249,8 +254,18 @@ func TestSlowServantCostsPeersOneTickOnce(t *testing.T) {
 // TestServantSlowerThanARotationStopsHolding: a hold saves the reply one
 // rotation and costs every peer the servant's time. A servant that takes
 // half a Tick — far longer than the token stays away, well inside the
-// deadline — is held for once and then left to the rotating ring, so the
-// other node's client does not get the token once per slow operation.
+// deadline — is held for until one hold has lasted to its late reply, and
+// then left to the rotating ring, so the other node's client does not get
+// the token once per slow operation.
+//
+// The rule itself — that one reply disarms, nothing else about a slow
+// operation does, and none is held for afterwards — is checked exactly, with
+// the clock in hand, by totem's TestReplyHoldStopsAtAServantSlowerThanARotation.
+// A live ring cannot tell in advance which slow operation pays: a request
+// enqueued after the token left nudges and is not held for, and a hold that
+// n3's nudge ends at once teaches nothing. What it can tell is that holding
+// does stop and stays stopped: forty slow operations running without a hold,
+// well inside five seconds.
 func TestServantSlowerThanARotationStopsHolding(t *testing.T) {
 	c := newTestCluster(t, simnet.Config{}, "n1", "n2", "n3")
 	local := &stallCounter{}
@@ -272,15 +287,22 @@ func TestServantSlowerThanARotationStopsHolding(t *testing.T) {
 		t.Fatal("n1 never held the token for a prompt servant's reply")
 	}
 	local.every.Store(int64(fastTotem().Tick / 2))
-	adds(3) // the one hold it costs, and a late reply that does not re-arm
-	holds, before, start := c.holds("n1"), served.Load(), time.Now()
-	adds(40)
-	if got := c.holds("n1") - holds; got != 0 {
-		t.Fatalf("n1 held the token %d times in 40 operations of a servant slower than a rotation", got)
+	slow, held := 0, c.holds("n1")
+	before, start := served.Load(), time.Now()
+	for unheld := 0; unheld < 40; slow++ {
+		holds := c.holds("n1")
+		adds(1)
+		if unheld++; c.holds("n1") != holds {
+			unheld = 0
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("n1 still holds the token after %d operations of a servant slower than a rotation (%d holds)", slow+1, c.holds("n1")-held)
+		}
 	}
-	// Unheld, n3's client runs at its own pace beside n1's 40 half-Tick
+	// Unheld, n3's client runs at its own pace beside n1's half-Tick
 	// operations — some fifteen to each here, not one (EXPERIMENTS.md E15).
-	t.Logf("n3's client completed %d invocations beside 40 on n1 of %v each", served.Load()-before, time.Since(start)/40)
+	t.Logf("n1 held for %d of %d slow operations; n3's client completed %d invocations beside them, %v each",
+		c.holds("n1")-held, slow, served.Load()-before, time.Since(start)/time.Duration(slow))
 }
 
 // TestReplicaKilledMidHold: the requester's replica has the request, the

@@ -78,38 +78,83 @@ func envelopeOf(d totem.Delivery) *replication.Envelope {
 
 // --- metadata synchronization for joining nodes ---
 
+// setView installs v as the node's current view and wakes AwaitView.
+func (n *Node) setView(v *totem.Membership) {
+	n.resetSignal(viewKey(n.view.Members))
+	n.view = *v
+	n.signal(viewKey(v.Members))
+}
+
+// syncEnvelope builds a KSyncRequest by, or a KSyncState for, node, naming
+// the current view in the connection-id fields neither kind otherwise uses.
+func (n *Node) syncEnvelope(kind replication.Kind, node string) *replication.Envelope {
+	return &replication.Envelope{
+		Kind: kind, Node: node,
+		Conn: replication.ConnID{Client: n.view.Rep, Seq: n.view.Epoch},
+	}
+}
+
+func (n *Node) inView(env *replication.Envelope) bool {
+	return env.Conn.Client == n.view.Rep && env.Conn.Seq == n.view.Epoch
+}
+
+// requestSync starts this node's synchronization over in view v: whatever
+// it asked, was told or buffered in an earlier view is void.
+func (n *Node) requestSync(v *totem.Membership) {
+	n.setView(v)
+	n.syncSeen, n.syncSeq, n.syncBuf, n.syncFrom = nil, 0, nil, 0
+	n.multicast(n.syncEnvelope(replication.KSyncRequest, n.addr))
+}
+
+// handleUnsynced is the delivery loop of a node without the group table
+// (doc/PROTOCOL.md §2). It asks in every view and becomes synced at a
+// position in the total order: its own request's, when a synced member
+// answers; or, when every member of the view asks (so none is synced), the
+// last of those requests, where all start from an empty table (cold start).
 func (n *Node) handleUnsynced(d totem.Delivery) {
 	if d.View != nil {
-		n.live = slices.Clone(d.View.Members)
-		if len(d.View.Members) == 1 && d.View.Members[0] == n.addr {
-			// Alone in the domain: nothing to synchronize with.
-			n.becomeSynced(replication.NewTable(), nil)
-			return
-		}
-		if !n.syncRequested {
-			n.syncRequested = true
-			n.multicast(&replication.Envelope{Kind: replication.KSyncRequest, Node: n.addr})
-		}
+		n.requestSync(d.View)
 		return
 	}
 	env := envelopeOf(d)
 	if env == nil {
 		return
 	}
-	switch {
-	case env.Kind == replication.KSyncRequest && env.Node == n.addr:
-		// Our own request's position is the snapshot point: buffer
-		// everything after it.
-		n.syncWaiting = true
-		n.syncReqAt = time.Now()
-		n.syncBuf = nil
-	case env.Kind == replication.KSyncState && env.Node == n.addr && n.syncWaiting:
+	switch env.Kind {
+	case replication.KSyncRequest:
+		if !n.inView(env) || !slices.Contains(n.view.Members, env.Node) || slices.Contains(n.syncSeen, env.Node) {
+			return
+		}
+		if env.Node == n.addr {
+			// The snapshot point of an answer, should one come.
+			n.syncSeq, n.syncFrom = d.Seq, len(n.syncBuf)
+		}
+		n.syncSeen = append(n.syncSeen, env.Node)
+		if len(n.syncSeen) == len(n.view.Members) {
+			// An ordered event where there is somebody to line up with: a
+			// node alone counts in a sequence space of its own, which the
+			// merge that ends its solitude resets.
+			n.becomeSynced(replication.NewTable(), n.syncBuf, obs.Event{
+				Seq: d.Seq, Ordered: len(n.view.Members) > 1,
+				Detail: fmt.Sprintf("cold-start epoch=%d rep=%s", n.view.Epoch, n.view.Rep),
+			})
+		}
+	case replication.KSyncState:
+		// Only the answer to the latest request: its snapshot point is
+		// where the replay buffer starts.
+		if env.Node != n.addr || !n.inView(env) || env.XferID != n.syncSeq {
+			return
+		}
 		table, err := replication.DecodeTable(env.Payload)
 		if err != nil {
 			return
 		}
-		n.becomeSynced(table, n.syncBuf)
-	case n.syncWaiting:
+		replay := n.syncBuf[n.syncFrom:]
+		n.becomeSynced(table, replay, obs.Event{
+			Seq:    n.syncSeq,
+			Detail: fmt.Sprintf("groups=%d buffered=%d", len(table.Names()), len(replay)),
+		})
+	default:
 		n.syncBuf = append(n.syncBuf, d)
 	}
 }
@@ -127,16 +172,15 @@ func (n *Node) rebuildGroupSet() {
 	}
 }
 
-func (n *Node) becomeSynced(table *replication.Table, buffered []totem.Delivery) {
+// becomeSynced adopts table, records ev as the synced event and replays
+// the deliveries the table does not yet reflect.
+func (n *Node) becomeSynced(table *replication.Table, replay []totem.Delivery, ev obs.Event) {
 	n.table = table
 	n.rebuildGroupSet()
 	n.synced = true
-	n.syncWaiting = false
-	n.syncBuf = nil
-	n.recorder.Record(obs.Event{
-		Type:   obs.EventSynced,
-		Detail: fmt.Sprintf("groups=%d buffered=%d", len(table.Names()), len(buffered)),
-	})
+	n.syncBuf = nil // replay keeps what it needs; the rest of the sync state waits for requestSync
+	ev.Type = obs.EventSynced
+	n.recorder.Record(ev)
 
 	// If the received table still lists this (freshly restarted) node as a
 	// member, those replicas died with the previous incarnation: remove
@@ -151,17 +195,27 @@ func (n *Node) becomeSynced(table *replication.Table, buffered []totem.Delivery)
 			})
 		}
 	}
-	for _, d := range buffered {
+	for _, d := range replay {
 		n.handleDelivery(d)
 	}
 	n.signal("synced")
 }
 
-// AwaitSynced blocks until the node has the group-metadata table (joined
-// nodes synchronize against an existing member; the first node of a
-// domain self-declares after a quiet period).
+// AwaitSynced blocks until the node has the group-metadata table: a synced
+// member's, or the empty one every member of a view starts from when none
+// of them has any (see handleUnsynced).
 func (n *Node) AwaitSynced(timeout time.Duration) error {
 	return n.await(n.subscribe("synced"), timeout)
+}
+
+// AwaitView blocks until the node's current view is exactly members.
+func (n *Node) AwaitView(members []string, timeout time.Duration) error {
+	return n.await(n.subscribe(viewKey(members)), timeout)
+}
+
+func viewKey(members []string) string {
+	sorted := slices.Sorted(slices.Values(members))
+	return "view:" + strings.Join(sorted, ",")
 }
 
 // --- view changes ---
@@ -193,18 +247,17 @@ func (n *Node) handleView(v *totem.Membership) {
 		n.pendingAdd = make(map[string]bool)
 		n.inXfers = make(map[uint64]*inboundXfer)
 		n.synced = false
-		n.syncRequested = true
-		n.live = slices.Clone(v.Members)
-		n.multicast(&replication.Envelope{Kind: replication.KSyncRequest, Node: n.addr})
+		n.resetSignal("synced")
+		n.requestSync(v)
 		return
 	}
 	var dead []string
-	for _, prev := range n.live {
+	for _, prev := range n.view.Members {
 		if !slices.Contains(v.Members, prev) {
 			dead = append(dead, prev)
 		}
 	}
-	n.live = slices.Clone(v.Members)
+	n.setView(v)
 	for _, node := range dead {
 		n.logger().Info("processor failed", "node", node)
 		// Local, not ordered: which peers count as newly dead depends on
@@ -285,14 +338,13 @@ func (n *Node) handleEnvelope(seq uint64, sender string, env *replication.Envelo
 	case replication.KAudit:
 		n.handleAudit(seq, env)
 	case replication.KSyncRequest:
-		if env.Node != n.addr {
-			// Snapshot at this position; every synced node answers (the
-			// requester uses the first, identical, copy).
-			n.multicast(&replication.Envelope{
-				Kind:    replication.KSyncState,
-				Node:    env.Node,
-				Payload: n.table.EncodeTable(),
-			})
+		if n.inView(env) {
+			// Snapshot at this position, which the answer names; every
+			// synced node answers (the requester uses the first copy).
+			answer := n.syncEnvelope(replication.KSyncState, env.Node)
+			answer.XferID = seq
+			answer.Payload = n.table.EncodeTable()
+			n.multicast(answer)
 		}
 	case replication.KSyncState:
 		// Already synced: someone else's snapshot.
@@ -587,12 +639,6 @@ func (n *Node) sweep(now time.Time) {
 	}
 	n.dispatchDepth.Set(int64(depth))
 	if !n.synced {
-		if n.syncWaiting && now.Sub(n.syncReqAt) > n.cfg.SyncSelfDeclare {
-			// Nobody answered: we are the first stateful node (cold
-			// start). Start from an empty table plus whatever control
-			// traffic we buffered.
-			n.becomeSynced(replication.NewTable(), n.syncBuf)
-		}
 		return
 	}
 	n.sweepXfers(now)
@@ -641,7 +687,7 @@ func (n *Node) sweep(now time.Time) {
 
 		// Resource Manager (paper §2): maintain MinimumNumberReplicas.
 		if len(g.Members) < props.MinReplicas && !n.pendingAdd[name] {
-			if target, ok := g.RecoveryTarget(n.live); ok && target == n.addr {
+			if target, ok := g.RecoveryTarget(n.view.Members); ok && target == n.addr {
 				n.pendingAdd[name] = true
 				n.multicast(&replication.Envelope{
 					Kind:   replication.KAddMember,

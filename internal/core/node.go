@@ -57,11 +57,6 @@ type Config struct {
 	// ManagerTick is the period of the resource-manager sweep and
 	// checkpoint scheduler (default 20ms).
 	ManagerTick time.Duration
-	// SyncSelfDeclare is how long an unanswered KSyncRequest waits before
-	// the node declares itself synchronized with an empty table — the
-	// cold-start case where no node has state yet (default 750ms; slow
-	// rings want it longer, tests shorter).
-	SyncSelfDeclare time.Duration
 	// StateChunkBytes bounds one state-transfer chunk's payload (default
 	// recovery.DefaultChunkBytes, ~32 KiB). A bundle that fits is sent as
 	// one chunk and its manifest.
@@ -111,17 +106,18 @@ type Node struct {
 	factories   map[string]ftcorba.Factory
 
 	// Loop-owned state (only the delivery loop touches these).
-	table         *replication.Table
-	live          []string
-	hosts         map[string]*replicaHost
-	primaryOf     map[string]bool // group -> this node believes it is primary
-	pendingAdd    map[string]bool // group -> KAddMember multicast, not yet delivered
-	inXfers       map[uint64]*inboundXfer
-	synced        bool
-	syncRequested bool
-	syncWaiting   bool // our KSyncRequest was delivered; buffer after it
-	syncReqAt     time.Time
-	syncBuf       []totem.Delivery
+	table      *replication.Table
+	view       totem.Membership // the last view delivered; its Members are the live processors
+	hosts      map[string]*replicaHost
+	primaryOf  map[string]bool // group -> this node believes it is primary
+	pendingAdd map[string]bool // group -> KAddMember multicast, not yet delivered
+	inXfers    map[uint64]*inboundXfer
+	synced     bool
+	// Metadata synchronization, while !synced (see handleUnsynced).
+	syncSeen []string         // members whose KSyncRequest in this view has been delivered
+	syncSeq  uint64           // the position of this node's own, 0 until it is
+	syncBuf  []totem.Delivery // everything else delivered since the view
+	syncFrom int              // how much of syncBuf came before the own request
 
 	// calls lets API goroutines run a closure on the loop for a
 	// consistent read of loop-owned state.
@@ -202,9 +198,6 @@ func Start(cfg Config) (*Node, error) {
 	}
 	if cfg.ManagerTick <= 0 {
 		cfg.ManagerTick = 20 * time.Millisecond
-	}
-	if cfg.SyncSelfDeclare <= 0 {
-		cfg.SyncSelfDeclare = 750 * time.Millisecond
 	}
 	if cfg.StateChunksPerToken <= 0 {
 		cfg.StateChunksPerToken = 2

@@ -103,11 +103,7 @@ func newXferCluster(t *testing.T, blobSize int, mod func(*Config), addrs ...stri
 		n.RegisterFactory("Blob", func(oid string) ftcorba.Replica { return newBlobReplica(blobSize) })
 		c.nodes[a] = n
 	}
-	for _, a := range addrs {
-		if err := c.nodes[a].AwaitSynced(10 * time.Second); err != nil {
-			t.Fatalf("%s: AwaitSynced: %v", a, err)
-		}
-	}
+	c.awaitDomain(addrs)
 	t.Cleanup(func() {
 		for _, n := range c.nodes {
 			n.Stop()
@@ -653,23 +649,6 @@ func TestCheckpointEveryN(t *testing.T) {
 	}
 	if logGCs == 0 {
 		t.Fatal("backup log never garbage-collected")
-	}
-}
-
-// TestSyncSelfDeclareConfigurable verifies the cold-start self-declare
-// delay is honored: a lone node with a long delay still synchronizes via
-// the alone-in-domain path, and a tiny delay keeps tests fast after a
-// partition-style resync (smoke check on the config plumbing).
-func TestSyncSelfDeclareConfigurable(t *testing.T) {
-	c := newXferCluster(t, 0, func(cfg *Config) {
-		cfg.SyncSelfDeclare = 50 * time.Millisecond
-	}, "solo")
-	if c.nodes["solo"].cfg.SyncSelfDeclare != 50*time.Millisecond {
-		t.Fatal("SyncSelfDeclare not plumbed")
-	}
-	// Default still applies when unset.
-	if n2 := newXferCluster(t, 0, nil, "other"); n2.nodes["other"].cfg.SyncSelfDeclare != 750*time.Millisecond {
-		t.Fatal("default SyncSelfDeclare wrong")
 	}
 }
 

@@ -32,8 +32,8 @@ const (
 	// because the previous membership a node compares against depends on
 	// when it joined.
 	EventProcessorFail = "processor-fail"
-	// EventSynced (local): the node finished metadata synchronization and
-	// entered normal delivery processing.
+	// EventSynced (ordered at a cold start of several nodes, else local;
+	// doc/PROTOCOL.md §2): the node has the group table and processes deliveries.
 	EventSynced = "synced"
 	// EventGroupCreate (ordered): a replicated object group was deployed.
 	EventGroupCreate = "group-create"

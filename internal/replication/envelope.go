@@ -38,12 +38,13 @@ const (
 	// replication (paper §3.3); it triggers get_state() on the primary at
 	// a consistent point in the total order.
 	KCheckpoint Kind = 7
-	// KSyncRequest asks for the group-metadata table (a node joining an
-	// established domain). Its delivery position defines the snapshot
-	// point.
+	// KSyncRequest asks for the group-metadata table, once per view: Node
+	// is the requester, Conn.Client/Conn.Seq the view's representative and
+	// epoch. Its delivery position defines the snapshot point — or, once
+	// every member has asked, the cold start (doc/PROTOCOL.md §2).
 	KSyncRequest Kind = 8
 	// KSyncState carries the table snapshot taken at the matching
-	// KSyncRequest's position.
+	// KSyncRequest's position, which XferID names.
 	KSyncState Kind = 9
 	// KStateChunk carries one bounded slice of the encoded state bundle —
 	// application-level state with ORB-level and infrastructure-level

@@ -640,6 +640,77 @@ func TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne(t *testing.T) {
 	}
 }
 
+// TestReplyHoldStopsAtAServantSlowerThanARotation: a servant that takes half a
+// Tick every time, on a ring whose token is usually a quarter Tick away. One
+// reply that comes late to a hold still waiting for it disarms, and from
+// then on no slow operation is held for. Nothing else about a slow operation
+// disarms: not one whose request nudged for the token, whose visit does not
+// hold, and not one whose hold a peer's nudge ended, for by the time its reply
+// is ready the token has been round and back and the reply is no visit's.
+// (Core's TestServantSlowerThanARotationStopsHolding runs this on a live
+// ring, where which operation is the one cannot be told in advance.)
+func TestReplyHoldStopsAtAServantSlowerThanARotation(t *testing.T) {
+	p := holdProcessor()
+	now := time.Now().Add(-time.Hour) // behind the sole-sender rule's wall clock, as above
+	slow, usual := p.cfg.Tick/2, p.cfg.Tick/4
+	const (
+		queued  = iota // the request is waiting when the token arrives
+		nudging        // the request is enqueued after the token left idle, and nudges
+		hurried        // queued, and a peer's nudge ends the hold before the reply
+	)
+	// operation runs one slow invocation ten Ticks on; away is how long the
+	// token stays away if it leaves before the reply.
+	operation := func(how int, away time.Duration) (held bool) {
+		t.Helper()
+		now = now.Add(10 * p.cfg.Tick)
+		p.handleData(&dataMsg{Ring: p.ring, Seq: p.seqHigh + 1, Chunks: []chunk{{Sender: "b", MsgID: p.seqHigh, FragTotal: 1, Payload: []byte("y")}}}, now)
+		if how == nudging {
+			p.canNudge, p.leftIdle = true, true // the token has left since the last nudge, idle
+			submit(p, request(), now)
+			if got := wire(p); got != "hurry" {
+				t.Fatalf("wire = %q: a request behind an idle token's departure did not nudge", got)
+			}
+		} else {
+			p.enqueue(request(), now)
+		}
+		visit(p, now)
+		p.rotation = usual
+		held = p.resting == obs.RestReplyOwed
+		if how == hurried {
+			p.handleHurry(&hurryMsg{Ring: p.ring, Origin: "c"}, now.Add(usual/2))
+		}
+		if p.parkedToken == nil && away < slow {
+			visit(p, now.Add(away)) // round and back before the servant is done
+			p.rotation = usual
+		}
+		submit(p, reply(), now.Add(slow))
+		if p.pending.Len() > 0 {
+			visit(p, now.Add(slow+usual)) // the reply goes out on the token's next visit
+			p.rotation = usual
+		}
+		wire(p)
+		return held
+	}
+	if operation(nudging, usual) || p.holdDisarmed {
+		t.Fatalf("disarmed = %v after a slow operation whose own nudge forbade the hold", p.holdDisarmed)
+	}
+	if !operation(hurried, usual) || p.holdDisarmed {
+		t.Fatalf("disarmed = %v after a hold that a peer's nudge ended at once", p.holdDisarmed)
+	}
+	if !operation(queued, usual) || !p.holdDisarmed {
+		t.Fatalf("disarmed = %v after a hold that lasted to its late reply", p.holdDisarmed)
+	}
+	for i := 0; i < 40; i++ {
+		// Whether or not the token is back before the servant is done.
+		if operation(queued, []time.Duration{usual, 2 * slow}[i%2]) || !p.holdDisarmed {
+			t.Fatalf("slow operation %d after the one that disarmed: held, disarmed = %v", i+1, p.holdDisarmed)
+		}
+	}
+	if st := p.Stats(); st.ReplyHolds != 2 || st.ReplyHoldTimeouts != 0 || st.Rests != 0 {
+		t.Fatalf("stats %+v: want the nudged-away hold and the one that taught, no timeout", st)
+	}
+}
+
 // TestRotationTracksTheUsualAbsence: rotation steps towards each absence of
 // the token, so it settles at the usual one and a stalled rotation barely
 // moves it; an absence the resend timer cut short is no sample.

@@ -28,9 +28,6 @@ type SystemConfig struct {
 	ReplyTimeout time.Duration
 	// ManagerTick is the resource-manager/checkpoint scheduler period.
 	ManagerTick time.Duration
-	// SyncSelfDeclare is the cold-start self-declaration delay of a node
-	// whose metadata sync request goes unanswered (default 750ms).
-	SyncSelfDeclare time.Duration
 	// StateChunkBytes bounds one state-transfer chunk (default ~32 KiB).
 	StateChunkBytes int
 	// StateChunksPerToken caps the state chunks one token visit lets from
@@ -84,6 +81,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			return nil, err
 		}
 	}
+	// One view of the whole domain first: rings formed on the way there
+	// synchronized on their own, and the merge resets one side.
+	for _, addr := range cfg.Nodes {
+		if err := s.Node(addr).AwaitView(cfg.Nodes, cfg.DefaultTimeout); err != nil {
+			s.Shutdown()
+			return nil, fmt.Errorf("eternal: node %s never saw the whole domain: %w", addr, err)
+		}
+	}
 	for _, addr := range cfg.Nodes {
 		if err := s.Node(addr).AwaitSynced(cfg.DefaultTimeout); err != nil {
 			s.Shutdown()
@@ -103,7 +108,6 @@ func (s *System) startNode(addr string) (*core.Node, error) {
 		Totem:               s.cfg.Totem,
 		ReplyTimeout:        s.cfg.ReplyTimeout,
 		ManagerTick:         s.cfg.ManagerTick,
-		SyncSelfDeclare:     s.cfg.SyncSelfDeclare,
 		StateChunkBytes:     s.cfg.StateChunkBytes,
 		StateChunksPerToken: s.cfg.StateChunksPerToken,
 		SpanCapacity:        s.cfg.SpanCapacity,
@@ -183,6 +187,8 @@ func (s *System) CrashNode(addr string) {
 
 // RestartNode brings a crashed node back: it rejoins the domain, learns
 // the group metadata from a peer, and becomes eligible for re-replication.
+// It returns when the node is synchronized in whatever view it found, not
+// (as NewSystem) once every configured node is in it: others may be down.
 func (s *System) RestartNode(addr string) (*core.Node, error) {
 	if s.Node(addr) != nil {
 		return nil, fmt.Errorf("eternal: node %q is already running", addr)
