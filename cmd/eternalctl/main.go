@@ -86,20 +86,20 @@ func main() {
 	case "timeline":
 		feeds, errs := scrapeFeeds(client, nodes, *since, *pageSize)
 		failed = reportScrapeErrors(errs)
-		m := obs.MergeEvents(eventsOf(feeds))
+		m := obs.MergeEvents(itemsOf(feeds))
 		printTimeline(os.Stdout, m, *group)
-		printFeedHealth(os.Stdout, feeds)
+		printFeedHealth(os.Stdout, feeds, "event")
 	case "status":
 		failed = printStatus(os.Stdout, client, nodes)
 	case "recovery":
 		feeds, errs := scrapeFeeds(client, nodes, *since, *pageSize)
 		failed = reportScrapeErrors(errs)
-		m := obs.MergeEvents(eventsOf(feeds))
+		m := obs.MergeEvents(itemsOf(feeds))
 		printRecoveries(os.Stdout, m, *group)
 	case "trace":
-		spans, _, errs := scrapeSpans(client, nodes, *pageSize, 0)
+		feeds, errs := scrapeSpans(client, nodes, *pageSize, 0)
 		failed = reportScrapeErrors(errs)
-		traces := obs.MergeSpans(spans)
+		traces := obs.MergeSpans(itemsOf(feeds))
 		if flag.NArg() < 2 {
 			printTraceList(os.Stdout, traces)
 			break
@@ -120,17 +120,19 @@ func main() {
 			fatal(fmt.Errorf("trace 0x%x not found in any node's span journal (%d traces scraped)", id, len(traces)))
 		}
 	case "critical-path":
-		spans, rots, errs := scrapeSpans(client, nodes, *pageSize, 256)
+		feeds, errs := scrapeSpans(client, nodes, *pageSize, 256)
 		failed = reportScrapeErrors(errs)
-		traces := obs.MergeSpans(spans)
+		traces := obs.MergeSpans(itemsOf(feeds))
 		printCriticalPath(os.Stdout, obs.AttributePhases(traces), len(traces))
-		printRotations(os.Stdout, rots)
+		printRotations(os.Stdout, rotationsOf(feeds))
+		printFeedHealth(os.Stdout, feeds, "span")
 	case "audit":
 		feeds, errs := scrapeAudits(client, nodes, *since, *pageSize)
 		failed = reportScrapeErrors(errs)
 		if printAudit(os.Stdout, feeds, *group) {
 			failed = true
 		}
+		printFeedHealth(os.Stdout, feeds, "audit observation")
 	default:
 		fatal(fmt.Errorf("unknown command %q (want timeline, status, recovery, trace, critical-path or audit)", cmd))
 	}
@@ -157,36 +159,60 @@ func parseNodes(s string) (map[string]string, error) {
 	return nodes, nil
 }
 
+// pageHead is what the body of every paginated admin feed (/events, /spans,
+// /audit) carries besides its entries: Dropped is the server's lifetime
+// ring-eviction counter, Next the cursor the following request should pass.
+type pageHead struct {
+	Node    string `json:"node"`
+	Dropped uint64 `json:"dropped"`
+	Next    uint64 `json:"next"`
+}
+
+func (h pageHead) head() pageHead { return h }
+
+// page is one response body of a feed whose entries are T.
+type page[T any] interface {
+	head() pageHead
+	items() []T
+}
+
 // eventsPage mirrors the /events response body.
 type eventsPage struct {
-	Node    string      `json:"node"`
-	Dropped uint64      `json:"dropped"`
-	Next    uint64      `json:"next"`
-	Events  []obs.Event `json:"events"`
+	pageHead
+	Events []obs.Event `json:"events"`
 }
 
-// eventFeed is one node's scraped flight-recorder feed plus its loss
-// accounting: Dropped is the server's lifetime ring-eviction counter;
-// Gap counts events that vanished between pages of this scrape (the
-// ring wrapped while we were reading — the resume cursor jumped).
-type eventFeed struct {
-	Events  []obs.Event
-	Dropped uint64
-	Gap     uint64
+func (p eventsPage) items() []obs.Event { return p.Events }
+
+// feed is one node's drained journal plus its loss accounting: Last is the
+// last page read — its head has the server's lifetime eviction counter, and
+// /spans and /audit carry there what is not paginated — and Gap counts
+// entries that vanished between pages of this scrape (the ring wrapped
+// while we were reading — the resume cursor jumped).
+type feed[T any, P page[T]] struct {
+	Items []T
+	Last  P
+	Gap   uint64
 }
 
-// fetchEvents drains one node's /events feed, resuming each page at the
-// server-reported next cursor. A jump between the cursor and the first
-// index of the following page means the ring evicted events mid-scrape;
-// the jump is tallied in Gap rather than silently skipped.
-func fetchEvents(client *http.Client, addr string, since uint64, pageSize int) (eventFeed, error) {
+type (
+	eventFeed = feed[obs.Event, eventsPage]
+	spanFeed  = feed[obs.Span, spansPage]
+	auditFeed = feed[obs.AuditObservation, auditPage]
+)
+
+// drain reads one node's feed at http://addr/query page by page, resuming
+// each page at the server-reported next cursor, until a short page. A jump
+// between the cursor and the first index of the following page means the
+// ring evicted entries mid-scrape; the jump is tallied in Gap rather than
+// silently skipped.
+func drain[P page[T], T any](client *http.Client, addr, query string, since uint64, pageSize int, index func(T) uint64) (feed[T, P], error) {
 	if pageSize <= 0 {
 		pageSize = 512
 	}
-	var f eventFeed
-	cursor := since
-	for {
-		url := fmt.Sprintf("http://%s/events?since=%d&n=%d", addr, cursor, pageSize)
+	var f feed[T, P]
+	for cursor := since; ; {
+		url := fmt.Sprintf("http://%s/%s&since=%d&n=%d", addr, query, cursor, pageSize)
 		resp, err := client.Get(url)
 		if err != nil {
 			return f, err
@@ -195,71 +221,75 @@ func fetchEvents(client *http.Client, addr string, since uint64, pageSize int) (
 			resp.Body.Close()
 			return f, fmt.Errorf("GET %s: %s", url, resp.Status)
 		}
-		var page eventsPage
-		err = json.NewDecoder(resp.Body).Decode(&page)
+		var pg P
+		err = json.NewDecoder(resp.Body).Decode(&pg)
 		resp.Body.Close()
 		if err != nil {
 			return f, fmt.Errorf("GET %s: %v", url, err)
 		}
-		f.Dropped = page.Dropped
-		if len(page.Events) == 0 {
+		head, rows := pg.head(), pg.items()
+		f.Last = pg
+		if len(rows) > 0 {
+			if first := index(rows[0]); cursor > 0 && first > cursor+1 {
+				f.Gap += first - cursor - 1
+			}
+			f.Items = append(f.Items, rows...)
+		}
+		if len(rows) < pageSize {
 			return f, nil
 		}
-		if first := page.Events[0].Index; cursor > 0 && first > cursor+1 {
-			f.Gap += first - cursor - 1
+		if head.Next <= cursor {
+			return f, fmt.Errorf("GET %s: a full page left the cursor at %d", url, head.Next)
 		}
-		f.Events = append(f.Events, page.Events...)
-		next := page.Next
-		if next == 0 {
-			// Pre-cursor server: fall back to the last index received.
-			next = page.Events[len(page.Events)-1].Index
-		}
-		if len(page.Events) < pageSize {
-			return f, nil
-		}
-		cursor = next
+		cursor = head.Next
 	}
 }
 
-// scrapeFeeds fetches every node's feed concurrently. Unreachable nodes
-// are reported in errs and excluded from the merge — a dead node must not
+// scrape runs fetch against every node concurrently. Unreachable nodes
+// are reported in errs and excluded from the result — a dead node must not
 // hide the survivors' timeline.
-func scrapeFeeds(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]eventFeed, map[string]error) {
+func scrape[F any](nodes map[string]string, fetch func(addr string) (F, error)) (map[string]F, map[string]error) {
 	var mu sync.Mutex
-	feeds := make(map[string]eventFeed)
+	feeds := make(map[string]F)
 	errs := make(map[string]error)
 	var wg sync.WaitGroup
 	for name, addr := range nodes {
 		wg.Add(1)
 		go func(name, addr string) {
 			defer wg.Done()
-			feed, err := fetchEvents(client, addr, since, pageSize)
+			f, err := fetch(addr)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				errs[name] = err
 				return
 			}
-			feeds[name] = feed
+			feeds[name] = f
 		}(name, addr)
 	}
 	wg.Wait()
 	return feeds, errs
 }
 
-// eventsOf strips the loss accounting off scraped feeds for the merge.
-func eventsOf(feeds map[string]eventFeed) map[string][]obs.Event {
-	out := make(map[string][]obs.Event, len(feeds))
+func scrapeFeeds(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]eventFeed, map[string]error) {
+	return scrape(nodes, func(addr string) (eventFeed, error) {
+		return drain[eventsPage](client, addr, "events?", since, pageSize, func(e obs.Event) uint64 { return e.Index })
+	})
+}
+
+// itemsOf strips the loss accounting off scraped feeds for a merge.
+func itemsOf[T any, P page[T]](feeds map[string]feed[T, P]) map[string][]T {
+	out := make(map[string][]T, len(feeds))
 	for name, f := range feeds {
-		out[name] = f.Events
+		out[name] = f.Items
 	}
 	return out
 }
 
-// printFeedHealth surfaces each feed's loss accounting under the
-// timeline: a wrapped ring means the merge saw only a suffix of that
-// node's history.
-func printFeedHealth(w io.Writer, feeds map[string]eventFeed) {
+// printFeedHealth surfaces each feed's loss accounting under what was
+// merged from it: a wrapped ring means the merge saw only a suffix of that
+// node's history. what names the feed's entries.
+func printFeedHealth[T any, P page[T]](w io.Writer, feeds map[string]feed[T, P], what string) {
 	names := make([]string, 0, len(feeds))
 	for name := range feeds {
 		names = append(names, name)
@@ -267,14 +297,15 @@ func printFeedHealth(w io.Writer, feeds map[string]eventFeed) {
 	sort.Strings(names)
 	for _, name := range names {
 		f := feeds[name]
-		if f.Dropped == 0 && f.Gap == 0 {
+		dropped := f.Last.head().Dropped
+		if dropped == 0 && f.Gap == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "note: %s evicted %d event(s) from its ring before this scrape", name, f.Dropped)
+		fmt.Fprintf(w, "note: %s evicted %d %s(s) from its ring before this scrape", name, dropped, what)
 		if f.Gap > 0 {
 			fmt.Fprintf(w, " and %d more mid-scrape", f.Gap)
 		}
-		fmt.Fprintln(w, "; its timeline contribution is a suffix")
+		fmt.Fprintln(w, "; its contribution is a suffix")
 	}
 }
 
@@ -391,80 +422,31 @@ func printRecoveries(w io.Writer, m *obs.MergedTimeline, group string) {
 	}
 }
 
-// spansPage mirrors the /spans response body.
+// spansPage mirrors the /spans response body; with ?rot=K every page also
+// carries the last K token-rotation samples.
 type spansPage struct {
-	Node      string              `json:"node"`
-	Dropped   uint64              `json:"dropped"`
-	Next      uint64              `json:"next"`
+	pageHead
 	Spans     []obs.Span          `json:"spans"`
 	Rotations []obs.TokenRotation `json:"rotations"`
 }
 
-// fetchSpans drains one node's /spans feed (same cursor pagination as
-// /events); rot > 0 also collects the last rot token-rotation samples.
-func fetchSpans(client *http.Client, addr string, pageSize, rot int) ([]obs.Span, []obs.TokenRotation, error) {
-	if pageSize <= 0 {
-		pageSize = 512
-	}
-	var (
-		all       []obs.Span
-		rotations []obs.TokenRotation
-		cursor    uint64
-	)
-	for {
-		url := fmt.Sprintf("http://%s/spans?since=%d&n=%d&rot=%d", addr, cursor, pageSize, rot)
-		resp, err := client.Get(url)
-		if err != nil {
-			return all, rotations, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return all, rotations, fmt.Errorf("GET %s: %s", url, resp.Status)
-		}
-		var page spansPage
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			return all, rotations, fmt.Errorf("GET %s: %v", url, err)
-		}
-		if len(page.Rotations) > 0 {
-			rotations = page.Rotations
-		}
-		all = append(all, page.Spans...)
-		if len(page.Spans) < pageSize {
-			return all, rotations, nil
-		}
-		cursor = page.Next
-	}
+func (p spansPage) items() []obs.Span { return p.Spans }
+
+func scrapeSpans(client *http.Client, nodes map[string]string, pageSize, rot int) (map[string]spanFeed, map[string]error) {
+	return scrape(nodes, func(addr string) (spanFeed, error) {
+		return drain[spansPage](client, addr, fmt.Sprintf("spans?rot=%d", rot), 0, pageSize, func(sp obs.Span) uint64 { return sp.Index })
+	})
 }
 
-// scrapeSpans fetches every node's span feed concurrently (and, with
-// rot > 0, its token-rotation samples).
-func scrapeSpans(client *http.Client, nodes map[string]string, pageSize, rot int) (map[string][]obs.Span, map[string][]obs.TokenRotation, map[string]error) {
-	var mu sync.Mutex
-	spans := make(map[string][]obs.Span)
+// rotationsOf picks the token-rotation samples out of scraped span feeds.
+func rotationsOf(feeds map[string]spanFeed) map[string][]obs.TokenRotation {
 	rots := make(map[string][]obs.TokenRotation)
-	errs := make(map[string]error)
-	var wg sync.WaitGroup
-	for name, addr := range nodes {
-		wg.Add(1)
-		go func(name, addr string) {
-			defer wg.Done()
-			sp, rt, err := fetchSpans(client, addr, pageSize, rot)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[name] = err
-				return
-			}
-			spans[name] = sp
-			if len(rt) > 0 {
-				rots[name] = rt
-			}
-		}(name, addr)
+	for name, f := range feeds {
+		if len(f.Last.Rotations) > 0 {
+			rots[name] = f.Last.Rotations
+		}
 	}
-	wg.Wait()
-	return spans, rots, errs
+	return rots
 }
 
 // parseTraceID accepts the hex form the trace listing prints (with or
@@ -756,85 +738,22 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 	return failed
 }
 
-// auditPage mirrors the /audit response body.
+// auditPage mirrors the /audit response body: besides the page of
+// observations, the live summary and (with ?alarms=K) the recent alarms.
 type auditPage struct {
-	Node    string                 `json:"node"`
+	pageHead
 	Enabled bool                   `json:"enabled"`
 	Summary obs.AuditSummary       `json:"summary"`
-	Dropped uint64                 `json:"dropped"`
-	Next    uint64                 `json:"next"`
 	Audits  []obs.AuditObservation `json:"audits"`
 	Alarms  []obs.AuditAlarm       `json:"alarms"`
 }
 
-// auditFeed is one node's drained /audit journal plus its live summary
-// and recent alarms.
-type auditFeed struct {
-	Enabled bool
-	Summary obs.AuditSummary
-	Audits  []obs.AuditObservation
-	Alarms  []obs.AuditAlarm
-	Dropped uint64
-}
+func (p auditPage) items() []obs.AuditObservation { return p.Audits }
 
-// fetchAudit drains one node's /audit feed (same cursor pagination as
-// /events); the last page also carries the summary and recent alarms.
-func fetchAudit(client *http.Client, addr string, since uint64, pageSize int) (auditFeed, error) {
-	if pageSize <= 0 {
-		pageSize = 512
-	}
-	var f auditFeed
-	cursor := since
-	for {
-		url := fmt.Sprintf("http://%s/audit?since=%d&n=%d&alarms=64", addr, cursor, pageSize)
-		resp, err := client.Get(url)
-		if err != nil {
-			return f, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return f, fmt.Errorf("GET %s: %s", url, resp.Status)
-		}
-		var page auditPage
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			return f, fmt.Errorf("GET %s: %v", url, err)
-		}
-		f.Enabled = page.Enabled
-		f.Summary = page.Summary
-		f.Dropped = page.Dropped
-		f.Alarms = page.Alarms
-		f.Audits = append(f.Audits, page.Audits...)
-		if len(page.Audits) < pageSize {
-			return f, nil
-		}
-		cursor = page.Next
-	}
-}
-
-// scrapeAudits fetches every node's audit feed concurrently.
 func scrapeAudits(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]auditFeed, map[string]error) {
-	var mu sync.Mutex
-	feeds := make(map[string]auditFeed)
-	errs := make(map[string]error)
-	var wg sync.WaitGroup
-	for name, addr := range nodes {
-		wg.Add(1)
-		go func(name, addr string) {
-			defer wg.Done()
-			feed, err := fetchAudit(client, addr, since, pageSize)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[name] = err
-				return
-			}
-			feeds[name] = feed
-		}(name, addr)
-	}
-	wg.Wait()
-	return feeds, errs
+	return scrape(nodes, func(addr string) (auditFeed, error) {
+		return drain[auditPage](client, addr, "audit?alarms=64", since, pageSize, func(o obs.AuditObservation) uint64 { return o.Index })
+	})
 }
 
 // printAudit renders the per-node verdicts and the cluster-merged digest
@@ -847,7 +766,7 @@ func printAudit(w io.Writer, feeds map[string]auditFeed, group string) (bad bool
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		f := feeds[name]
+		f := feeds[name].Last
 		if !f.Enabled {
 			fmt.Fprintf(w, "%s: audit disabled\n", name)
 			continue
@@ -882,11 +801,7 @@ func printAudit(w io.Writer, feeds map[string]auditFeed, group string) (bad bool
 		}
 	}
 
-	obsFeeds := make(map[string][]obs.AuditObservation, len(feeds))
-	for name, f := range feeds {
-		obsFeeds[name] = f.Audits
-	}
-	rows := obs.MergeAudits(obsFeeds)
+	rows := obs.MergeAudits(itemsOf(feeds))
 	printed := 0
 	for _, row := range rows {
 		if group != "" && row.Group != group {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -161,7 +163,7 @@ func TestClusterTimelineAfterRecovery(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		raw, errs := scrapeFeeds(client, nodes, 0, 4)
-		feeds = eventsOf(raw)
+		feeds = itemsOf(raw)
 		if len(errs) == 0 && len(feeds) == 3 && allHaveSetState(feeds, "ctr") {
 			break
 		}
@@ -230,14 +232,14 @@ func TestClusterTimelineAfterRecovery(t *testing.T) {
 	var complete *obs.MergedTrace
 	deadline = time.Now().Add(10 * time.Second)
 	for complete == nil {
-		spans, rots, errs := scrapeSpans(client, nodes, 2, 16)
+		spanFeeds, errs := scrapeSpans(client, nodes, 2, 16)
 		if len(errs) != 0 {
 			t.Fatalf("span scrape failed: %v", errs)
 		}
-		if len(rots) == 0 {
+		if len(rotationsOf(spanFeeds)) == 0 {
 			t.Fatal("no token-rotation samples in any /spans response")
 		}
-		traces := obs.MergeSpans(spans)
+		traces := obs.MergeSpans(itemsOf(spanFeeds))
 		for i := range traces {
 			if tr := &traces[i]; tr.Complete() && len(tr.Nodes) == 3 {
 				complete = tr
@@ -286,4 +288,78 @@ func feedSummary(feeds map[string][]obs.Event) map[string]int {
 		out[name] = len(events)
 	}
 	return out
+}
+
+// TestDrain feeds drain a journal page by page from a fake admin endpoint:
+// it follows the cursor until a short page, counts entries the ring evicted
+// between two pages as a gap, keeps the last page's extras, and reports a
+// non-200 and a cursor that does not advance instead of looping.
+func TestDrain(t *testing.T) {
+	// The journal holds indices 1..3 and 7..10: 4..6 are evicted once the
+	// scrape has read the first page.
+	journal := []uint64{1, 2, 3, 7, 8, 9, 10}
+	stuck, broken := false, false
+	var asked []string // the since of every request
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		asked = append(asked, r.URL.Query().Get("since"))
+		if broken {
+			http.Error(w, "no such journal", http.StatusNotFound)
+			return
+		}
+		since, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		page := spansPage{pageHead: pageHead{Node: "n1", Dropped: 5, Next: since}}
+		for _, idx := range journal {
+			if idx > since && len(page.Spans) < n {
+				page.Spans = append(page.Spans, obs.Span{Index: idx})
+				page.Next = idx
+			}
+		}
+		if stuck {
+			page.Next = since
+		}
+		if len(page.Spans) < n {
+			page.Rotations = []obs.TokenRotation{{Round: 42}} // what the short last page carries
+		}
+		json.NewEncoder(w).Encode(page)
+	}))
+	defer srv.Close()
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	index := func(sp obs.Span) uint64 { return sp.Index }
+
+	f, err := drain[spansPage](srv.Client(), addr, "spans?rot=1", 0, 3, index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, sp := range f.Items {
+		got = append(got, sp.Index)
+	}
+	if strings.Join(asked, " ") != "0 3 9" {
+		t.Fatalf("asked since = %q, want two full pages and the short one behind them", asked)
+	}
+	if len(got) != len(journal) || got[3] != 7 || got[6] != 10 {
+		t.Fatalf("drained %v, want %v", got, journal)
+	}
+	if f.Gap != 3 || f.Last.Dropped != 5 {
+		t.Fatalf("gap = %d, dropped = %d, want the 3 entries evicted between pages and the server's 5", f.Gap, f.Last.Dropped)
+	}
+	if len(f.Last.Rotations) != 1 || f.Last.Rotations[0].Round != 42 {
+		t.Fatalf("last page's extras = %+v", f.Last.Rotations)
+	}
+
+	// A scrape resumed (-since) at the last index of an earlier one finds
+	// the same hole in front of its first page.
+	if f, err = drain[spansPage](srv.Client(), addr, "spans?rot=1", 3, 8, index); err != nil || len(f.Items) != 4 || f.Gap != 3 {
+		t.Fatalf("resumed at 3: %d items, gap %d, err %v; want 7..10 behind a gap of 3", len(f.Items), f.Gap, err)
+	}
+
+	stuck = true
+	if _, err = drain[spansPage](srv.Client(), addr, "spans?rot=1", 0, 3, index); err == nil || !strings.Contains(err.Error(), "cursor") {
+		t.Fatalf("a full page that left the cursor where it was: err = %v", err)
+	}
+	broken = true
+	if _, err = drain[spansPage](srv.Client(), addr, "spans?rot=1", 0, 3, index); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("non-200: err = %v", err)
+	}
 }

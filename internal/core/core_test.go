@@ -502,7 +502,7 @@ func TestFigure4RequestIDInconsistency(t *testing.T) {
 				Transport:    totem.NewSimnetTransport(ep),
 				Totem:        fastTotem(),
 				ManagerTick:  10 * time.Millisecond,
-				ReplyTimeout: 2 * time.Second,
+				replyTimeout: 2 * time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -331,7 +331,7 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 	// multicast then — the "client waits forever" symptom the recovery of
 	// ORB-level state exists to prevent — but the dispatcher itself must
 	// move on.
-	inj.mech.SetReadDeadline(time.Now().Add(h.node.replyTimeout()))
+	inj.mech.SetReadDeadline(time.Now().Add(h.node.cfg.replyTimeout))
 	defer inj.mech.SetReadDeadline(time.Time{})
 	for {
 		rep, err := inj.reader.Next()
@@ -475,56 +475,53 @@ func (h *replicaHost) capture(xferID uint64, checkpoint bool) {
 	h.node.sendChunked(h.group, xferID, bundle.Encode())
 }
 
-// applyState is the recovering side (Figure 5 steps v–vi): assign the
-// application-level state first, the ORB/POA-level state next, and the
-// infrastructure-level state last, before processing anything normal
-// (paper §4.3).
+// applyState is the recovering side (Figure 5 steps v–vi). A cold-passive
+// log holder has no instance: its bundle goes to the log instead.
 func (h *replicaHost) applyState(bundle *recovery.Bundle) {
 	h.node.counters.stateApplied.Add(1)
 	h.node.logger().Info("state applied", "group", h.group,
 		"appStateBytes", len(bundle.AppState), "handshakes", len(bundle.ORB.ServerConns))
-	// 1. Application-level state (skipped for cold-passive log holders,
-	// which have no instance: the bundle goes to the log instead).
 	if h.replica == nil {
 		h.log.SetCheckpoint(bundle.Encode())
-		h.reqFilterRestore(bundle)
-		return
 	}
-	if len(bundle.AppState) > 0 {
-		if _, err := h.invokeInternal(ftcorba.OpSetState, bundle.AppState); err != nil {
-			// InvalidState: leave the replica at initial state; better to
-			// serve stale than to wedge, and tests assert on the success
-			// path.
-			_ = err
-		}
-	}
-	// 2. ORB/POA-level state: replay each stored handshake message into
-	// the fresh ORB ahead of any normal request; the response confirms
-	// the synchronization and is discarded (§4.2.2).
-	if !h.disableORBStateTransfer {
-		for _, sc := range bundle.ORB.ServerConns {
-			h.replayHandshake(sc)
-		}
-		if ce := h.node.clientEntityIfExists(h.group); ce != nil {
-			var rf map[replication.ConnID]uint32
-			if len(bundle.Infra.ReplyFilter) > 0 {
-				rf, _ = replication.DecodeFilterState(bundle.Infra.ReplyFilter)
-			}
-			ce.installClientConns(bundle.ORB.ClientConns, rf)
-		}
-	}
-	// 3. Infrastructure-level state.
-	h.reqFilterRestore(bundle)
+	h.assign(bundle)
 }
 
-func (h *replicaHost) reqFilterRestore(bundle *recovery.Bundle) {
-	if len(bundle.Infra.RequestFilter) == 0 {
-		return
+// assign is the paper's central operation: the three kinds of state,
+// assigned in its order (§4.3) — application-level first, ORB/POA-level
+// next, infrastructure-level last — before anything normal is processed.
+// A host with no instance takes only the last.
+func (h *replicaHost) assign(bundle *recovery.Bundle) {
+	if h.replica != nil {
+		// 1. Application-level state. InvalidState leaves the replica at
+		// its initial state: better to serve stale than to wedge, and
+		// tests assert on the success path.
+		if len(bundle.AppState) > 0 {
+			_, _ = h.invokeInternal(ftcorba.OpSetState, bundle.AppState)
+		}
+		// 2. ORB/POA-level state: replay each stored handshake message
+		// into the fresh ORB ahead of any normal request; the response
+		// confirms the synchronization and is discarded (§4.2.2).
+		if !h.disableORBStateTransfer {
+			for _, sc := range bundle.ORB.ServerConns {
+				h.replayHandshake(sc)
+			}
+			if ce := h.node.clientEntityIfExists(h.group); ce != nil {
+				var rf map[replication.ConnID]uint32
+				if len(bundle.Infra.ReplyFilter) > 0 {
+					rf, _ = replication.DecodeFilterState(bundle.Infra.ReplyFilter)
+				}
+				ce.installClientConns(bundle.ORB.ClientConns, rf)
+			}
+		}
 	}
-	if state, err := replication.DecodeFilterState(bundle.Infra.RequestFilter); err == nil {
-		// Merge, never rewind: this host may already have seen (enqueued
-		// or logged) operations ordered after the capture point.
-		h.reqFilter.MergeMax(state)
+	// 3. Infrastructure-level state. Merge, never rewind: this host may
+	// already have seen (enqueued or logged) operations ordered after the
+	// capture point.
+	if len(bundle.Infra.RequestFilter) > 0 {
+		if state, err := replication.DecodeFilterState(bundle.Infra.RequestFilter); err == nil {
+			h.reqFilter.MergeMax(state)
+		}
 	}
 }
 
@@ -598,25 +595,8 @@ func (h *replicaHost) applyCheckpoint(bundle *recovery.Bundle, xferID uint64) {
 	// matched mark is consumed. Marks whose capture never produced a
 	// set_state (donor died) are orphaned, bounded by failure count.
 	delete(h.ckptMarks, xferID)
-	if h.replica != nil {
-		if len(bundle.AppState) > 0 {
-			_, _ = h.invokeInternal(ftcorba.OpSetState, bundle.AppState)
-		}
-		if !h.disableORBStateTransfer {
-			for _, sc := range bundle.ORB.ServerConns {
-				h.replayHandshake(sc)
-			}
-			if ce := h.node.clientEntityIfExists(h.group); ce != nil {
-				var rf map[replication.ConnID]uint32
-				if len(bundle.Infra.ReplyFilter) > 0 {
-					rf, _ = replication.DecodeFilterState(bundle.Infra.ReplyFilter)
-				}
-				ce.installClientConns(bundle.ORB.ClientConns, rf)
-			}
-		}
-	}
+	h.assign(bundle)
 	h.log.TruncateTo(bundle.Encode(), mark)
-	h.reqFilterRestore(bundle)
 }
 
 // promote makes this backup the primary: a cold backup instantiates the

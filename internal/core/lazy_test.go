@@ -134,7 +134,6 @@ func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 	const chunkBytes = 2048
 	c := newXferCluster(t, 256<<10, func(cfg *Config) {
 		cfg.StateChunkBytes = chunkBytes
-		cfg.Totem.RotationCapacity = 1 << 14
 	}, "n1", "n2", "n3")
 	createBlobGroup(t, c, "blob", 1, "n1", "n2", "n3")
 	obj := c.client("n1", "driver", "blob")

@@ -51,9 +51,6 @@ type Config struct {
 	Transport totem.Transport
 	// Totem tunes the multicast protocol; Transport inside it is ignored.
 	Totem totem.Config
-	// ReplyTimeout bounds how long a dispatcher waits for the local ORB's
-	// reply to an injected request (default 5s).
-	ReplyTimeout time.Duration
 	// ManagerTick is the period of the resource-manager sweep and
 	// checkpoint scheduler (default 20ms).
 	ManagerTick time.Duration
@@ -88,7 +85,15 @@ type Config struct {
 	// AuditCapacity bounds the audit collector's observation journal
 	// (default obs.DefaultAuditCapacity).
 	AuditCapacity int
+
+	// replyTimeout overrides defaultReplyTimeout (a test that provokes the
+	// hang the timeout exists for).
+	replyTimeout time.Duration
 }
+
+// defaultReplyTimeout bounds how long a dispatcher waits for the local
+// ORB's reply to an injected request.
+const defaultReplyTimeout = 5 * time.Second
 
 // auditStallFactor sets the stall deadline as a multiple of the audit
 // interval: an expected member silent for this many intervals past an
@@ -193,8 +198,8 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("core: Config.Transport is required")
 	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = 5 * time.Second
+	if cfg.replyTimeout <= 0 {
+		cfg.replyTimeout = defaultReplyTimeout
 	}
 	if cfg.ManagerTick <= 0 {
 		cfg.ManagerTick = 20 * time.Millisecond
@@ -356,8 +361,6 @@ func (n *Node) factory(typeName string) (ftcorba.Factory, bool) {
 	f, ok := n.factories[typeName]
 	return f, ok
 }
-
-func (n *Node) replyTimeout() time.Duration { return n.cfg.ReplyTimeout }
 
 // SetORBStateTransfer toggles the transfer of ORB/POA-level state during
 // recovery. Disabling it reproduces the paper's Figure 4 and §4.2.2

@@ -37,27 +37,38 @@ func (r *recTransport) Close() error                  { return nil }
 // formations one at a time and read its state in between.
 func offlineProcessor(members ...string) *Processor { return offlineMember("a", members...) }
 
-// offlineMember is offlineProcessor for the member named self.
+// offlineMember is offlineProcessor for the member named self: the three
+// parts — each of which a test can also build and drive alone, as
+// TestMembershipAlone, TestDeliveryAlone and the scheduler tables do —
+// wired the way Start wires them.
 func offlineMember(self string, members ...string) *Processor {
-	ring := ringIdentity{Epoch: 1, Rep: members[0]}
+	cfg := Config{}.withDefaults()
 	p := &Processor{
-		cfg:        Config{}.withDefaults(),
+		cfg:        cfg,
 		tr:         &recTransport{addr: self},
 		addr:       self,
-		members:    members,
-		state:      stateOperational,
-		ring:       ring,
-		prevRing:   ring,
-		store:      make(map[uint64]*dataMsg),
-		reasm:      make(map[string]*partial),
-		miss:       make(map[uint64]int),
+		membership: offlineMembership(self, members...),
+		sched:      offlineScheduler(self),
 		sendTimes:  make(map[uint64]sendMeta),
-		deliveries: newPump[Delivery](),
-		views:      newPump[Membership](),
 	}
-	p.rotation = p.cfg.Tick
+	p.delivery = newDelivery(self, nil, p.frameDelivered, p.ownDelivered)
 	p.registerMetrics(nil)
 	return p
+}
+
+// offlineMembership is the membership part of an operational member of
+// epoch 1's ring, formed by its first member.
+func offlineMembership(self string, members ...string) *membership {
+	cfg := Config{}.withDefaults()
+	m := &membership{self: self, joinInterval: cfg.JoinInterval, stableFor: cfg.StableFor}
+	m.install(&formMsg{Ring: ringIdentity{Epoch: 1, Rep: members[0]}, Members: members}, time.Time{})
+	return m
+}
+
+// offlineScheduler is a scheduler fresh on a ring, idle since for ever.
+func offlineScheduler(self string) scheduler {
+	cfg := Config{}.withDefaults()
+	return newScheduler(self, cfg.Tick, cfg.TokenLossTimeout, time.Time{})
 }
 
 // wire returns the types of the data, token and hurry frames p has sent

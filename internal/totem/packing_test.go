@@ -65,7 +65,7 @@ func TestPackedFrameRetransmissionUnderLoss(t *testing.T) {
 		}
 		cfg := fastConfig(NewSimnetTransport(ep))
 		cfg.TokenLossTimeout = 2 * time.Second
-		cfg.TokenResend = 10 * time.Millisecond
+		cfg.tokenResend = 10 * time.Millisecond
 		p, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)

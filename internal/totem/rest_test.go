@@ -164,15 +164,15 @@ func TestSecondSenderServedAfterOneHurry(t *testing.T) {
 	now := time.Now()
 	one := func() submission { return submission{chunks: [][]byte{[]byte("x")}} }
 	for _, p := range []*Processor{a, b} {
-		p.soleSender, p.soleSince = "a", now.Add(-time.Second)
+		p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second)
 	}
 	a.enqueue(one(), now)
 	a.handleToken(&tokenMsg{Ring: a.ring, Round: 1}, now)
-	if a.resting != obs.RestSoleSender || wire(a) != "data" {
-		t.Fatalf("resting = %q: the sole sender did not keep the token", a.resting)
+	if a.sched.resting != obs.RestSoleSender || wire(a) != "data" {
+		t.Fatalf("resting = %q: the sole sender did not keep the token", a.sched.resting)
 	}
 
-	b.canNudge = true // the token has left b since b's last nudge, and left busy
+	b.sched.canNudge = true // the token has left b since b's last nudge, and left busy
 	for i := 0; i < 2; i++ {
 		b.enqueue(one(), now)
 		b.kick(classUrgent, now)
@@ -184,15 +184,15 @@ func TestSecondSenderServedAfterOneHurry(t *testing.T) {
 
 	at := now.Add(a.cfg.Tick / 4)
 	a.handleHurry(nudge, at)
-	if a.parkedToken != nil || wire(a) != "token" || !at.Before(a.parkedUntil) {
-		t.Fatalf("parked = %v, deadline in %v: the nudge did not release the rest", a.parkedToken != nil, a.parkedUntil.Sub(at))
+	if a.parkedToken != nil || wire(a) != "token" || !at.Before(a.sched.parkedUntil) {
+		t.Fatalf("parked = %v, deadline in %v: the nudge did not release the rest", a.parkedToken != nil, a.sched.parkedUntil.Sub(at))
 	}
 	if st := a.Stats(); st.HurriesReceived != 1 || st.Rests != 1 {
 		t.Fatalf("HurriesReceived = %d, Rests = %d, want one rest ended by one nudge", st.HurriesReceived, st.Rests)
 	}
 	b.handleToken(a.tr.(*recTransport).last.(*tokenMsg), at)
-	if st := b.Stats(); st.ChunksSent != 2 || b.wantToken {
-		t.Fatalf("ChunksSent = %d, wantToken = %v: the token the nudge released did not serve b", st.ChunksSent, b.wantToken)
+	if st := b.Stats(); st.ChunksSent != 2 || b.sched.wantToken {
+		t.Fatalf("ChunksSent = %d, wantToken = %v: the token the nudge released did not serve b", st.ChunksSent, b.sched.wantToken)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestRestNeverOutlivesOneTick(t *testing.T) {
 func TestHurryInFlightPreventsRest(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
 	now := time.Now()
-	p.soleSender, p.soleSince = "a", now.Add(-time.Second)
+	p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second)
 	one := func() submission { return submission{chunks: [][]byte{[]byte("x")}} }
 
 	p.enqueue(one(), now)
@@ -246,34 +246,34 @@ func TestHurryInFlightPreventsRest(t *testing.T) {
 	if p.parkedToken != nil || p.Stats().Rests != 0 {
 		t.Fatal("token rested although a peer had nudged for it")
 	}
-	if p.hurried {
+	if p.sched.hurried {
 		t.Fatal("hurried survived the forward it was meant for")
 	}
 
 	// The next visit finds nobody asking: the sole sender keeps the token,
 	p.enqueue(one(), now)
 	p.handleToken(&tokenMsg{Ring: p.ring, Round: 4, Seq: 1}, now)
-	if p.parkedToken == nil || p.resting != obs.RestSoleSender || p.Stats().Rests != 1 {
-		t.Fatalf("sole sender did not rest: parked=%v resting=%v", p.parkedToken != nil, p.resting)
+	if p.parkedToken == nil || p.sched.resting != obs.RestSoleSender || p.Stats().Rests != 1 {
+		t.Fatalf("sole sender did not rest: parked=%v resting=%v", p.parkedToken != nil, p.sched.resting)
 	}
 	// sequences its next message from it at once without extending the rest,
-	until := p.parkedUntil
+	until := p.sched.parkedUntil
 	p.enqueue(one(), now.Add(time.Millisecond))
 	p.kick(classUrgent, now.Add(time.Millisecond))
 	if p.Stats().ChunksSent != 3 || p.pending.Len() != 0 {
 		t.Fatalf("ChunksSent = %d, pending = %d: the resting token did not serve the enqueue", p.Stats().ChunksSent, p.pending.Len())
 	}
-	if p.parkedToken == nil || p.parkedUntil != until {
+	if p.parkedToken == nil || p.sched.parkedUntil != until {
 		t.Fatal("serving an enqueue ended or extended the rest")
 	}
 	// and gives it up on a nudge, or when the deadline passes.
 	p.onTick(until)
-	if p.parkedToken != nil || p.resting != "" {
+	if p.parkedToken != nil || p.sched.resting != "" {
 		t.Fatal("rest outlived its deadline")
 	}
 	p.enqueue(one(), now)
 	p.handleToken(&tokenMsg{Ring: p.ring, Round: 8, Seq: 3}, now)
-	if p.resting == "" {
+	if p.sched.resting == "" {
 		t.Fatal("sole sender did not rest again")
 	}
 	p.handleHurry(&hurryMsg{Ring: p.ring, Origin: "c"}, now)
@@ -288,7 +288,7 @@ func TestHurryInFlightPreventsRest(t *testing.T) {
 func TestLazyMessageWaitsATickOffTheQueue(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
 	now := time.Now()
-	p.lastActivityAt = now.Add(-time.Hour)
+	p.sched.lastActivityAt = now.Add(-time.Hour)
 	lazy := func(payload string, withdrawn bool) submission {
 		return submission{chunks: [][]byte{[]byte(payload)}, reply: true, class: classLazy,
 			withdraw: func() bool { return withdrawn }}
@@ -305,7 +305,7 @@ func TestLazyMessageWaitsATickOffTheQueue(t *testing.T) {
 	p.kick(classLazy, now)
 	p.enqueue(lazy("kept", false), now)
 	p.kick(classLazy, now)
-	if p.Stats().HurriesSent != 0 || p.wantToken {
+	if p.Stats().HurriesSent != 0 || p.sched.wantToken {
 		t.Fatal("a lazy message asked for the token")
 	}
 	if p.pending.Len() != 0 || p.lazy.Len() != 2 {
@@ -345,7 +345,7 @@ func TestBulkLanePromotesByQuota(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
 	p.cfg.BulkPerVisit = 2
 	now := time.Now()
-	p.soleSender, p.soleSince = "a", now.Add(-time.Second) // would rest, were it not for the bulk
+	p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second) // would rest, were it not for the bulk
 	bulk := func(chunks int) submission {
 		s := submission{class: classBulk}
 		for i := 0; i < chunks; i++ {
@@ -456,7 +456,7 @@ func markRequests(addr string) func(*Delivery) {
 func holdProcessor() *Processor {
 	p := offlineProcessor("a", "b", "c")
 	p.rotations = obs.NewRotationLog(0)
-	p.cfg.Ordered = markRequests(p.addr)
+	p.ordered = markRequests(p.addr)
 	return p
 }
 
@@ -484,8 +484,8 @@ func TestReplyHoldServesReplyFromHeldToken(t *testing.T) {
 	now := time.Now()
 	p.enqueue(request(), now)
 	visit(p, now)
-	if p.resting != obs.RestReplyOwed || p.owed != 1 || wire(p) != "data" {
-		t.Fatalf("resting = %q, owed = %d: the token did not wait for the reply", p.resting, p.owed)
+	if p.sched.resting != obs.RestReplyOwed || p.sched.owed != 1 || wire(p) != "data" {
+		t.Fatalf("resting = %q, owed = %d: the token did not wait for the reply", p.sched.resting, p.sched.owed)
 	}
 	if got := p.Rotations(1)[0].Resting; got != obs.RestReplyOwed {
 		t.Fatalf("rotation sample says resting = %q", got)
@@ -494,20 +494,20 @@ func TestReplyHoldServesReplyFromHeldToken(t *testing.T) {
 	if got := wire(p); got != "data token" {
 		t.Fatalf("wire = %q, want the reply from the held token and then the token", got)
 	}
-	if st := p.Stats(); p.parkedToken != nil || st.ReplyHolds != 1 || st.Rests != 0 || st.ReplyHoldTimeouts != 0 || p.holdDisarmed {
-		t.Fatalf("parked = %v, stats %+v, disarmed = %v after a prompt reply", p.parkedToken != nil, st, p.holdDisarmed)
+	if st := p.Stats(); p.parkedToken != nil || st.ReplyHolds != 1 || st.Rests != 0 || st.ReplyHoldTimeouts != 0 || p.sched.holdDisarmed {
+		t.Fatalf("parked = %v, stats %+v, disarmed = %v after a prompt reply", p.parkedToken != nil, st, p.sched.holdDisarmed)
 	}
 
 	p.enqueue(request(), now)
 	visit(p, now)
-	until := p.parkedUntil
-	p.soleSender, p.soleSince = "a", now.Add(-time.Second)
+	until := p.sched.parkedUntil
+	p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second)
 	submit(p, reply(), now.Add(p.cfg.Tick/8))
-	if p.parkedToken == nil || p.parkedUntil != until || wire(p) != "data data" {
+	if p.parkedToken == nil || p.sched.parkedUntil != until || wire(p) != "data data" {
 		t.Fatal("the sole sender let the token go with its reply")
 	}
 	p.onTick(until)
-	if p.Stats().ReplyHoldTimeouts != 0 || p.holdDisarmed {
+	if p.Stats().ReplyHoldTimeouts != 0 || p.sched.holdDisarmed {
 		t.Fatal("a hold that became a rest counted its deadline as a timeout")
 	}
 }
@@ -521,8 +521,8 @@ func TestReplyHoldEnds(t *testing.T) {
 		now := time.Now()
 		p.enqueue(request(), now)
 		visit(p, now)
-		if p.resting != obs.RestReplyOwed || wire(p) != "data" {
-			t.Fatalf("resting = %q: no hold to end", p.resting)
+		if p.sched.resting != obs.RestReplyOwed || wire(p) != "data" {
+			t.Fatalf("resting = %q: no hold to end", p.sched.resting)
 		}
 		return p, now.Add(p.cfg.Tick / 2)
 	}
@@ -531,8 +531,8 @@ func TestReplyHoldEnds(t *testing.T) {
 		if got := wire(p); p.parkedToken != nil || got != want {
 			t.Fatalf("parked = %v, wire = %q, want %q", p.parkedToken != nil, got, want)
 		}
-		if st := p.Stats(); st.ReplyHoldTimeouts != timeouts || p.holdDisarmed != (timeouts > 0) {
-			t.Fatalf("ReplyHoldTimeouts = %d, disarmed = %v, want %d timeouts", st.ReplyHoldTimeouts, p.holdDisarmed, timeouts)
+		if st := p.Stats(); st.ReplyHoldTimeouts != timeouts || p.sched.holdDisarmed != (timeouts > 0) {
+			t.Fatalf("ReplyHoldTimeouts = %d, disarmed = %v, want %d timeouts", st.ReplyHoldTimeouts, p.sched.holdDisarmed, timeouts)
 		}
 	}
 	t.Run("hurry", func(t *testing.T) {
@@ -551,7 +551,7 @@ func TestReplyHoldEnds(t *testing.T) {
 		if p.parkedToken == nil {
 			t.Fatal("a tick inside the deadline ended the hold")
 		}
-		p.onTick(p.parkedUntil)
+		p.onTick(p.sched.parkedUntil)
 		released(t, p, "token", 1)
 	})
 	t.Run("rtr", func(t *testing.T) {
@@ -575,13 +575,13 @@ func TestReplyHoldWaitsOnlyForTheArrivingVisit(t *testing.T) {
 	p.enqueue(request(), now)
 	p.enqueue(request(), now)
 	visit(p, now)
-	if p.owed != 2 {
-		t.Fatalf("owed = %d, want the two requests the visit sequenced", p.owed)
+	if p.sched.owed != 2 {
+		t.Fatalf("owed = %d, want the two requests the visit sequenced", p.sched.owed)
 	}
-	until := p.parkedUntil
+	until := p.sched.parkedUntil
 	submit(p, request(), now.Add(p.cfg.Tick/8)) // a third client; served in place
-	if p.owed != 2 || p.parkedUntil != until || p.parkedToken == nil {
-		t.Fatalf("owed = %d: a request sequenced from the held token extended the hold", p.owed)
+	if p.sched.owed != 2 || p.sched.parkedUntil != until || p.parkedToken == nil {
+		t.Fatalf("owed = %d: a request sequenced from the held token extended the hold", p.sched.owed)
 	}
 	submit(p, reply(), now.Add(p.cfg.Tick/4))
 	if p.parkedToken == nil {
@@ -599,8 +599,7 @@ func TestReplyHoldWaitsOnlyForTheArrivingVisit(t *testing.T) {
 // peers one hold, not one per request, until it is prompt again.
 func TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne(t *testing.T) {
 	p := holdProcessor()
-	// The sole-sender clock reads the wall clock: an injected time behind
-	// it, and a frame from b before every request, keep that rule out.
+	// A frame from b before every request keeps the sole-sender rule out.
 	now := time.Now().Add(-time.Hour)
 	// invoke sequences a request ten Ticks on, with the token usually a
 	// quarter Tick away, and submits the reply after the given delay.
@@ -609,28 +608,28 @@ func TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne(t *testing.T) {
 		p.handleData(&dataMsg{Ring: p.ring, Seq: p.seqHigh + 1, Chunks: []chunk{{Sender: "b", MsgID: p.seqHigh, FragTotal: 1, Payload: []byte("y")}}}, now)
 		p.enqueue(request(), now)
 		visit(p, now)
-		p.rotation = p.cfg.Tick / 4
-		held = p.resting == obs.RestReplyOwed
+		p.sched.rotation = p.cfg.Tick / 4
+		held = p.sched.resting == obs.RestReplyOwed
 		if held && replyAfter >= p.cfg.Tick {
-			p.onTick(p.parkedUntil)
+			p.onTick(p.sched.parkedUntil)
 		}
 		submit(p, reply(), now.Add(replyAfter))
 		return held
 	}
-	if !invoke(3*p.cfg.Tick) || !p.holdDisarmed || p.Stats().ReplyHoldTimeouts != 1 {
+	if !invoke(3*p.cfg.Tick) || !p.sched.holdDisarmed || p.Stats().ReplyHoldTimeouts != 1 {
 		t.Fatal("a hold that met its deadline did not disarm")
 	}
 	// Slow again: the request's visit does not hold, the late reply does not re-arm.
-	if invoke(p.cfg.Tick/2) || !p.holdDisarmed {
-		t.Fatalf("disarmed = %v after a reply twice the token's absence behind its request", p.holdDisarmed)
+	if invoke(p.cfg.Tick/2) || !p.sched.holdDisarmed {
+		t.Fatalf("disarmed = %v after a reply twice the token's absence behind its request", p.sched.holdDisarmed)
 	}
 	// Prompt: the reply re-arms, and the next request's visit holds.
-	if invoke(p.cfg.Tick/8) || p.holdDisarmed {
-		t.Fatalf("disarmed = %v after a prompt reply", p.holdDisarmed)
+	if invoke(p.cfg.Tick/8) || p.sched.holdDisarmed {
+		t.Fatalf("disarmed = %v after a prompt reply", p.sched.holdDisarmed)
 	}
 	// Late but inside the deadline: the hold ends with its reply, and is the last.
-	if !invoke(p.cfg.Tick/2) || !p.holdDisarmed || wire(p) == "" {
-		t.Fatalf("disarmed = %v after a hold twice as long as the rotation it saved", p.holdDisarmed)
+	if !invoke(p.cfg.Tick/2) || !p.sched.holdDisarmed || wire(p) == "" {
+		t.Fatalf("disarmed = %v after a hold twice as long as the rotation it saved", p.sched.holdDisarmed)
 	}
 	if invoke(p.cfg.Tick/8) || !invoke(p.cfg.Tick/8) {
 		t.Fatal("no hold after re-arming")
@@ -651,7 +650,7 @@ func TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne(t *testing.T) {
 // ring, where which operation is the one cannot be told in advance.)
 func TestReplyHoldStopsAtAServantSlowerThanARotation(t *testing.T) {
 	p := holdProcessor()
-	now := time.Now().Add(-time.Hour) // behind the sole-sender rule's wall clock, as above
+	now := time.Now().Add(-time.Hour)
 	slow, usual := p.cfg.Tick/2, p.cfg.Tick/4
 	const (
 		queued  = iota // the request is waiting when the token arrives
@@ -665,7 +664,7 @@ func TestReplyHoldStopsAtAServantSlowerThanARotation(t *testing.T) {
 		now = now.Add(10 * p.cfg.Tick)
 		p.handleData(&dataMsg{Ring: p.ring, Seq: p.seqHigh + 1, Chunks: []chunk{{Sender: "b", MsgID: p.seqHigh, FragTotal: 1, Payload: []byte("y")}}}, now)
 		if how == nudging {
-			p.canNudge, p.leftIdle = true, true // the token has left since the last nudge, idle
+			p.sched.canNudge, p.sched.leftIdle = true, true // the token has left since the last nudge, idle
 			submit(p, request(), now)
 			if got := wire(p); got != "hurry" {
 				t.Fatalf("wire = %q: a request behind an idle token's departure did not nudge", got)
@@ -674,36 +673,36 @@ func TestReplyHoldStopsAtAServantSlowerThanARotation(t *testing.T) {
 			p.enqueue(request(), now)
 		}
 		visit(p, now)
-		p.rotation = usual
-		held = p.resting == obs.RestReplyOwed
+		p.sched.rotation = usual
+		held = p.sched.resting == obs.RestReplyOwed
 		if how == hurried {
 			p.handleHurry(&hurryMsg{Ring: p.ring, Origin: "c"}, now.Add(usual/2))
 		}
 		if p.parkedToken == nil && away < slow {
 			visit(p, now.Add(away)) // round and back before the servant is done
-			p.rotation = usual
+			p.sched.rotation = usual
 		}
 		submit(p, reply(), now.Add(slow))
 		if p.pending.Len() > 0 {
 			visit(p, now.Add(slow+usual)) // the reply goes out on the token's next visit
-			p.rotation = usual
+			p.sched.rotation = usual
 		}
 		wire(p)
 		return held
 	}
-	if operation(nudging, usual) || p.holdDisarmed {
-		t.Fatalf("disarmed = %v after a slow operation whose own nudge forbade the hold", p.holdDisarmed)
+	if operation(nudging, usual) || p.sched.holdDisarmed {
+		t.Fatalf("disarmed = %v after a slow operation whose own nudge forbade the hold", p.sched.holdDisarmed)
 	}
-	if !operation(hurried, usual) || p.holdDisarmed {
-		t.Fatalf("disarmed = %v after a hold that a peer's nudge ended at once", p.holdDisarmed)
+	if !operation(hurried, usual) || p.sched.holdDisarmed {
+		t.Fatalf("disarmed = %v after a hold that a peer's nudge ended at once", p.sched.holdDisarmed)
 	}
-	if !operation(queued, usual) || !p.holdDisarmed {
-		t.Fatalf("disarmed = %v after a hold that lasted to its late reply", p.holdDisarmed)
+	if !operation(queued, usual) || !p.sched.holdDisarmed {
+		t.Fatalf("disarmed = %v after a hold that lasted to its late reply", p.sched.holdDisarmed)
 	}
 	for i := 0; i < 40; i++ {
 		// Whether or not the token is back before the servant is done.
-		if operation(queued, []time.Duration{usual, 2 * slow}[i%2]) || !p.holdDisarmed {
-			t.Fatalf("slow operation %d after the one that disarmed: held, disarmed = %v", i+1, p.holdDisarmed)
+		if operation(queued, []time.Duration{usual, 2 * slow}[i%2]) || !p.sched.holdDisarmed {
+			t.Fatalf("slow operation %d after the one that disarmed: held, disarmed = %v", i+1, p.sched.holdDisarmed)
 		}
 	}
 	if st := p.Stats(); st.ReplyHolds != 2 || st.ReplyHoldTimeouts != 0 || st.Rests != 0 {
@@ -727,15 +726,15 @@ func TestRotationTracksTheUsualAbsence(t *testing.T) {
 	}
 	away(50 * p.cfg.Tick)
 	away(usual)
-	if p.rotation < usual*3/4 || p.rotation > usual*3/2 {
-		t.Fatalf("rotation = %v with the token usually %v away", p.rotation, usual)
+	if p.sched.rotation < usual*3/4 || p.sched.rotation > usual*3/2 {
+		t.Fatalf("rotation = %v with the token usually %v away", p.sched.rotation, usual)
 	}
 	visit(p, now)
-	before := p.rotation
+	before := p.sched.rotation
 	p.tokenResends = 1
 	visit(p, now.Add(time.Microsecond))
-	if p.rotation != before {
-		t.Fatalf("rotation moved from %v to %v on a resent token's return", before, p.rotation)
+	if p.sched.rotation != before {
+		t.Fatalf("rotation moved from %v to %v on a resent token's return", before, p.sched.rotation)
 	}
 }
 

@@ -126,42 +126,11 @@ func encodeRing(e *cdr.Encoder, r ringIdentity) {
 	e.WriteString(r.Rep)
 }
 
-func decodeRing(d *cdr.Decoder) (ringIdentity, error) {
-	var r ringIdentity
-	var err error
-	if r.Epoch, err = d.ReadULongLong(); err != nil {
-		return r, err
-	}
-	if r.Rep, err = d.ReadString(); err != nil {
-		return r, err
-	}
-	return r, nil
-}
-
 func encodeStrings(e *cdr.Encoder, ss []string) {
 	e.WriteULong(uint32(len(ss)))
 	for _, s := range ss {
 		e.WriteString(s)
 	}
-}
-
-func decodeStrings(d *cdr.Decoder) ([]string, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(n)*4 > uint64(d.Remaining()) {
-		return nil, cdr.ErrLengthOverflow
-	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 func encodeChunk(e *cdr.Encoder, c *chunk) {
@@ -170,29 +139,6 @@ func encodeChunk(e *cdr.Encoder, c *chunk) {
 	e.WriteULong(c.FragIdx)
 	e.WriteULong(c.FragTotal)
 	e.WriteOctetSeq(c.Payload)
-}
-
-// decodeChunk parses one chunk. Payloads alias the packet buffer (no
-// copy); that is safe because nothing in the delivery path mutates them
-// and the packet buffer is immutable once received.
-func decodeChunk(d *cdr.Decoder, c *chunk) error {
-	var err error
-	if c.Sender, err = d.ReadString(); err != nil {
-		return err
-	}
-	if c.MsgID, err = d.ReadULongLong(); err != nil {
-		return err
-	}
-	if c.FragIdx, err = d.ReadULong(); err != nil {
-		return err
-	}
-	if c.FragTotal, err = d.ReadULong(); err != nil {
-		return err
-	}
-	if c.Payload, err = d.ReadOctetSeqView(); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Conservative wire-size bounds used by the packer (sendPending) to keep a
@@ -265,143 +211,116 @@ func (m *formMsg) encodeTo(e *cdr.Encoder) {
 	e.WriteULongLong(m.StartSeq)
 }
 
+// reader reads fields off a packet until the first error, which sticks:
+// every later read returns zero, and decodePacket reports the error once.
+type reader struct {
+	d   cdr.Decoder
+	err error
+}
+
+func (r *reader) u32() (v uint32) {
+	if r.err == nil {
+		v, r.err = r.d.ReadULong()
+	}
+	return v
+}
+
+func (r *reader) u64() (v uint64) {
+	if r.err == nil {
+		v, r.err = r.d.ReadULongLong()
+	}
+	return v
+}
+
+func (r *reader) str() (v string) {
+	if r.err == nil {
+		v, r.err = r.d.ReadString()
+	}
+	return v
+}
+
+func (r *reader) ring() ringIdentity { return ringIdentity{Epoch: r.u64(), Rep: r.str()} }
+
+// count reads an element count and rejects one the rest of the stream
+// cannot hold at min bytes an element: a hostile frame sizes no allocation.
+func (r *reader) count(min, slack int) uint32 {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(min) > uint64(r.d.Remaining()+slack) {
+		r.err = cdr.ErrLengthOverflow
+	}
+	return n
+}
+
+func (r *reader) strs() []string {
+	n := r.count(4, 0)
+	if r.err != nil {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := uint32(0); i < n && r.err == nil; i++ {
+		out = append(out, r.str())
+	}
+	return out
+}
+
+// chunk parses one chunk. Payloads alias the packet buffer (no copy); that
+// is safe because nothing in the delivery path mutates them and the packet
+// buffer is immutable once received.
+func (r *reader) chunk() chunk {
+	c := chunk{Sender: r.str(), MsgID: r.u64(), FragIdx: r.u32(), FragTotal: r.u32()}
+	if r.err == nil {
+		c.Payload, r.err = r.d.ReadOctetSeqView()
+	}
+	return c
+}
+
 // decodePacket parses any totem packet, returning one of *dataMsg,
 // *tokenMsg, *joinMsg, *formMsg, *announceMsg or *hurryMsg. Chunk payloads
 // in the returned dataMsg alias buf.
-func decodePacket(buf []byte) (any, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	t, err := d.ReadOctet()
+func decodePacket(buf []byte) (msg any, err error) {
+	r := reader{d: *cdr.NewDecoder(buf, cdr.BigEndian)}
+	t, err := r.d.ReadOctet()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPacket, err)
 	}
 	switch t {
 	case ptPacked:
-		var m dataMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.Seq, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		var n uint32
-		if n, err = d.ReadULong(); err != nil {
-			break
-		}
-		if n == 0 {
+		m := &dataMsg{Ring: r.ring(), Seq: r.u64()}
+		// Each chunk costs at least ~25 wire bytes.
+		n := r.count(16, 16)
+		if r.err == nil && n == 0 {
 			// A chunkless frame is the local tombstone; accepted off the
 			// wire it would make this member skip a sequence number its
 			// peers deliver.
-			err = errors.New("data frame with no chunks")
-			break
+			r.err = errors.New("data frame with no chunks")
 		}
-		// Each chunk costs at least ~25 wire bytes; a declared count far
-		// beyond the remaining stream is a corrupt or hostile frame.
-		if uint64(n)*16 > uint64(d.Remaining()+16) {
-			err = cdr.ErrLengthOverflow
-			break
+		if r.err == nil {
+			m.Chunks = make([]chunk, n)
 		}
-		m.Chunks = make([]chunk, n)
-		for i := uint32(0); i < n; i++ {
-			if err = decodeChunk(d, &m.Chunks[i]); err != nil {
-				break
-			}
+		for i := 0; i < len(m.Chunks) && r.err == nil; i++ {
+			m.Chunks[i] = r.chunk()
 		}
-		if err != nil {
-			break
-		}
-		return &m, nil
+		msg = m
 	case ptToken:
-		var m tokenMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
+		m := &tokenMsg{Ring: r.ring(), Round: r.u64(), Seq: r.u64(), Aru: r.u64(),
+			AruSetter: r.str(), GCSeq: r.u64(), IdleHops: r.u32()}
+		for n := r.count(8, 8); n > 0 && r.err == nil; n-- {
+			m.Rtr = append(m.Rtr, r.u64())
 		}
-		if m.Round, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		if m.Seq, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		if m.Aru, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		if m.AruSetter, err = d.ReadString(); err != nil {
-			break
-		}
-		if m.GCSeq, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		if m.IdleHops, err = d.ReadULong(); err != nil {
-			break
-		}
-		var n uint32
-		if n, err = d.ReadULong(); err != nil {
-			break
-		}
-		if uint64(n)*8 > uint64(d.Remaining()+8) {
-			err = cdr.ErrLengthOverflow
-			break
-		}
-		for i := uint32(0); i < n; i++ {
-			var s uint64
-			if s, err = d.ReadULongLong(); err != nil {
-				break
-			}
-			m.Rtr = append(m.Rtr, s)
-		}
-		if err != nil {
-			break
-		}
-		return &m, nil
+		msg = m
 	case ptJoin:
-		var m joinMsg
-		if m.Sender, err = d.ReadString(); err != nil {
-			break
-		}
-		if m.Alive, err = decodeStrings(d); err != nil {
-			break
-		}
-		if m.PrevRing, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.HighSeq, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		if m.MaxEpoch, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		return &m, nil
+		msg = &joinMsg{Sender: r.str(), Alive: r.strs(), PrevRing: r.ring(), HighSeq: r.u64(), MaxEpoch: r.u64()}
 	case ptForm:
-		var m formMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.Members, err = decodeStrings(d); err != nil {
-			break
-		}
-		if m.Lineage, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.StartSeq, err = d.ReadULongLong(); err != nil {
-			break
-		}
-		return &m, nil
+		msg = &formMsg{Ring: r.ring(), Members: r.strs(), Lineage: r.ring(), StartSeq: r.u64()}
 	case ptAnnounce:
-		var m announceMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
-		}
-		return &m, nil
+		msg = &announceMsg{Ring: r.ring()}
 	case ptHurry:
-		var m hurryMsg
-		if m.Ring, err = decodeRing(d); err != nil {
-			break
-		}
-		if m.Origin, err = d.ReadString(); err != nil {
-			break
-		}
-		return &m, nil
+		msg = &hurryMsg{Ring: r.ring(), Origin: r.str()}
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrBadPacket, t)
 	}
-	return nil, fmt.Errorf("%w: %v", ErrBadPacket, err)
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPacket, r.err)
+	}
+	return msg, nil
 }

@@ -402,60 +402,60 @@ func TestNudgeOnlyWhenTokenLeftIdle(t *testing.T) {
 func TestHurriedClearedOnEveryForward(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
 	now := time.Now()
-	p.lastActivityAt = now.Add(-time.Hour)
+	p.sched.lastActivityAt = now.Add(-time.Hour)
 	urgent := func() submission { return submission{chunks: [][]byte{[]byte("x")}} }
 	fromB := func(seq uint64) *dataMsg {
 		return &dataMsg{Ring: p.ring, Seq: seq, Chunks: []chunk{{Sender: "b", MsgID: seq, FragTotal: 1, Payload: []byte("y")}}}
 	}
 	nudges := func() uint64 { return p.Stats().HurriesSent }
 
-	p.hurried = true
+	p.sched.hurried = true
 	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now, 0) // busy token: forwarded at wire speed regardless
-	if p.hurried {
+	if p.sched.hurried {
 		t.Fatal("hurried survived a forward that had no pacing to skip")
 	}
 	if p.parkedToken != nil {
 		t.Fatal("busy token parked")
 	}
-	if !p.canNudge || p.leftIdle {
-		t.Fatalf("canNudge=%v leftIdle=%v after a busy departure, want the nudge bought but no idle reason to spend it", p.canNudge, p.leftIdle)
+	if !p.sched.canNudge || p.sched.leftIdle {
+		t.Fatalf("canNudge=%v leftIdle=%v after a busy departure, want the nudge bought but no idle reason to spend it", p.sched.canNudge, p.sched.leftIdle)
 	}
 
 	// Urgent work behind a token that left busy, with no sole sender in
 	// sight: the token is on its way, a nudge would only be in front of it.
 	p.enqueue(urgent(), now)
 	p.kick(classUrgent, now)
-	if nudges() != 0 || !p.wantToken {
-		t.Fatalf("nudges=%d wantToken=%v, want the work noted and no nudge", nudges(), p.wantToken)
+	if nudges() != 0 || !p.sched.wantToken {
+		t.Fatalf("nudges=%d wantToken=%v, want the work noted and no nudge", nudges(), p.sched.wantToken)
 	}
 	p.handleData(fromB(1), now) // b starts a run: nobody has been alone for idleGrace yet
 	if nudges() != 0 {
 		t.Fatal("nudged a sender that has only just started")
 	}
-	p.soleSince = now.Add(-time.Second) // b has been the only sender for a while: it may be resting
+	p.sched.soleSince = now.Add(-time.Second) // b has been the only sender for a while: it may be resting
 	p.handleData(fromB(2), now)
-	if nudges() != 1 || p.canNudge || !p.hurried {
-		t.Fatalf("nudges=%d canNudge=%v hurried=%v, want the one nudge sent when b's run was found out", nudges(), p.canNudge, p.hurried)
+	if nudges() != 1 || p.sched.canNudge || !p.sched.hurried {
+		t.Fatalf("nudges=%d canNudge=%v hurried=%v, want the one nudge sent when b's run was found out", nudges(), p.sched.canNudge, p.sched.hurried)
 	}
 	p.handleData(fromB(3), now)
 	if nudges() != 1 {
 		t.Fatal("a second nudge for the same token departure")
 	}
 	p.handleToken(&tokenMsg{Ring: p.ring, Round: 1, Seq: 3}, now)
-	if p.wantToken || p.hurried || p.pending.Len() != 0 {
-		t.Fatalf("wantToken=%v hurried=%v pending=%d after the visit that served the work", p.wantToken, p.hurried, p.pending.Len())
+	if p.sched.wantToken || p.sched.hurried || p.pending.Len() != 0 {
+		t.Fatalf("wantToken=%v hurried=%v pending=%d after the visit that served the work", p.sched.wantToken, p.sched.hurried, p.pending.Len())
 	}
 
 	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0) // idle rotation complete, no nudge pending: must pace
 	if p.parkedToken == nil {
 		t.Fatal("idle token not paced: a stale nudge cancelled the park")
 	}
-	p.hurried = true
+	p.sched.hurried = true
 	p.releaseParked(now) // what handleHurry does on the holder
-	if p.hurried {
+	if p.sched.hurried {
 		t.Fatal("hurried survived the release of the parked token")
 	}
-	if !p.canNudge || !p.leftIdle {
+	if !p.sched.canNudge || !p.sched.leftIdle {
 		t.Fatal("a token that left idle did not arm the nudge")
 	}
 	p.enqueue(submission{chunks: [][]byte{[]byte("audit")}, class: classBackground}, now)

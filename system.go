@@ -24,25 +24,12 @@ type SystemConfig struct {
 	Network simnet.Config
 	// Totem tunes the multicast protocol (timeouts, token pacing).
 	Totem totem.Config
-	// ReplyTimeout bounds a replica's reply to an injected request.
-	ReplyTimeout time.Duration
 	// ManagerTick is the resource-manager/checkpoint scheduler period.
 	ManagerTick time.Duration
-	// StateChunkBytes bounds one state-transfer chunk (default ~32 KiB).
-	StateChunkBytes int
-	// StateChunksPerToken caps the state chunks one token visit lets from
-	// the donor's bulk lane onto the ring during a transfer (default 2).
-	StateChunksPerToken int
-	// SpanCapacity bounds each node's causal span journal (0 = default;
-	// negative disables span recording).
-	SpanCapacity int
 	// AuditInterval is the period of the consistency-audit marks each
 	// group primary multicasts (0 = default 1s; negative disables the
 	// audit subsystem).
 	AuditInterval time.Duration
-	// AuditCapacity bounds each node's audit observation journal
-	// (0 = default).
-	AuditCapacity int
 	// DefaultTimeout bounds the System's administrative operations
 	// (default 30s).
 	DefaultTimeout time.Duration
@@ -104,15 +91,10 @@ func (s *System) startNode(addr string) (*core.Node, error) {
 		return nil, err
 	}
 	n, err := core.Start(core.Config{
-		Transport:           totem.NewSimnetTransport(ep),
-		Totem:               s.cfg.Totem,
-		ReplyTimeout:        s.cfg.ReplyTimeout,
-		ManagerTick:         s.cfg.ManagerTick,
-		StateChunkBytes:     s.cfg.StateChunkBytes,
-		StateChunksPerToken: s.cfg.StateChunksPerToken,
-		SpanCapacity:        s.cfg.SpanCapacity,
-		AuditInterval:       s.cfg.AuditInterval,
-		AuditCapacity:       s.cfg.AuditCapacity,
+		Transport:     totem.NewSimnetTransport(ep),
+		Totem:         s.cfg.Totem,
+		ManagerTick:   s.cfg.ManagerTick,
+		AuditInterval: s.cfg.AuditInterval,
 	})
 	if err != nil {
 		return nil, err
