@@ -126,10 +126,14 @@ func TestLazyReplyAnswersWhenOriginReplicaDies(t *testing.T) {
 // TestDonorNeverRestsDuringTransfer: the closed-loop client sits on the
 // donor's node, so the donor is the ring's only sender and keeps the token
 // between invocations — until a transfer starts. With state chunks waiting
-// in the bulk lane every visit must forward the token, or the transfer
-// would advance one quota per Tick. (The lane may run dry mid-transfer,
-// when the ring drains it faster than the dispatcher fills it; a rest that
-// begins then ends with the next chunk submitted.)
+// in the bulk lane no visit may pace the token or end in a sole sender's
+// rest, or the transfer would advance one quota per Tick. What a visit may
+// do is hold the token for the reply to a request it sequenced: that hold
+// ends with the reply out (or at its deadline), and the visit's quota goes
+// on the wire before the token leaves — so the transfer still takes one
+// visit per quota, however many of them held. (The lane may run dry
+// mid-transfer, when the ring drains it faster than the dispatcher fills
+// it; a rest that begins then ends with the next chunk submitted.)
 func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 	const chunkBytes = 2048
 	c := newXferCluster(t, 256<<10, func(cfg *Config) {
@@ -188,7 +192,8 @@ func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 	if from.IsZero() || nearEnd.Load() == 0 || !to.After(from) {
 		t.Fatalf("transfer window not observed: get_state at %v, chunk %d at %v", from, lastWatched, to)
 	}
-	visits, rests := 0, 0
+	const quota = 2 // StateChunksPerToken's default
+	visits, holds, rests := 0, 0, 0
 	for _, r := range donor.TokenRotations(0) {
 		if r.At.Before(from) || r.At.After(to) || r.BulkWaiting == 0 {
 			if r.Resting != "" {
@@ -197,19 +202,30 @@ func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 			continue
 		}
 		visits++
-		if r.Resting != "" {
-			t.Fatalf("donor rested on round %d with %d chunks waiting, %v into a %v transfer",
-				r.Round, r.BulkWaiting, r.At.Sub(from), to.Sub(from))
+		switch {
+		case r.Paced, r.Resting == obs.RestSoleSender:
+			t.Fatalf("donor kept the token on round %d (paced %v, resting %q) with %d chunks waiting, %v into a %v transfer",
+				r.Round, r.Paced, r.Resting, r.BulkWaiting, r.At.Sub(from), to.Sub(from))
+		case r.Resting == obs.RestReplyOwed:
+			holds++
 		}
 	}
 	if visits < lastWatched/4 {
 		t.Fatalf("only %d token visits left chunks waiting during the transfer of %d", visits, lastWatched)
 	}
+	// Every visit with chunks waiting, held or not, moves one quota before
+	// its token leaves: the watched chunks cannot have taken more visits than
+	// that — a few more when the lane ran dry while the dispatcher filled it,
+	// not one more per hold.
+	if visits > lastWatched/quota+6 {
+		t.Fatalf("%d token visits (%d of them reply holds) for the first %d chunks at %d a visit: a token left without its visit's quota",
+			visits, holds, lastWatched, quota)
+	}
 	if rests == 0 {
 		t.Fatal("no rest profiled outside the transfer either: the rotation log does not cover the run")
 	}
-	t.Logf("%d token visits at the donor left chunks waiting in the %v of the transfer, none rested; %d stalls",
-		visits, to.Sub(from), donor.Stats().StateChunkStalls)
+	t.Logf("%d token visits at the donor left chunks waiting in the %v of the transfer, %d held for a reply, none paced or rested; %d stalls, %d hold timeouts",
+		visits, to.Sub(from), holds, donor.Stats().StateChunkStalls, donor.proc.Stats().ReplyHoldTimeouts)
 	if donor.Stats().StateChunkStalls == 0 {
 		t.Fatal("no visit left chunks waiting: the quota never bound, the test exercised no pacing")
 	}

@@ -22,6 +22,7 @@ func (n *Node) loop() {
 	defer n.shutdownHosts()
 	ticker := time.NewTicker(n.cfg.ManagerTick)
 	defer ticker.Stop()
+	n.now = time.Now()
 	for {
 		select {
 		case <-n.stopCh:
@@ -31,8 +32,8 @@ func (n *Node) loop() {
 				return
 			}
 			n.handleDelivery(d)
-		case now := <-ticker.C:
-			n.sweep(now)
+		case n.now = <-ticker.C:
+			n.sweep(n.now)
 		case f := <-n.calls:
 			f()
 		}

@@ -118,6 +118,10 @@ type Node struct {
 	pendingAdd map[string]bool // group -> KAddMember multicast, not yet delivered
 	inXfers    map[uint64]*inboundXfer
 	synced     bool
+	// now is the loop's clock: the sweep tick last taken (the loop's start
+	// before the first). Inbound transfers are stamped and aged by it alone,
+	// so their orphan and retry ages are differences on one clock.
+	now time.Time
 	// Metadata synchronization, while !synced (see handleUnsynced).
 	syncSeen []string         // members whose KSyncRequest in this view has been delivered
 	syncSeq  uint64           // the position of this node's own, 0 until it is

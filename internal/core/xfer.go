@@ -14,12 +14,14 @@ import (
 // of Figure 5 takes, recovery and passive checkpoint alike: a stream of
 // KStateChunk envelopes — submitted to totem's bulk lane, which lets
 // StateChunksPerToken of them onto the ring per token visit, behind the
-// foreground invocations queued there — closed by one totally-ordered
-// KStateManifest,
-// the transfer's sync point: every node marks the recovering members
-// operational at the manifest's position, and only the local assembly of
-// the chunk payloads may lag behind it (cured by retransmit-by-index). A
-// bundle that fits one chunk is the one-chunk case of the same stream.
+// foreground invocations queued there and behind the replies the donor's
+// node itself owes to those, for which the token waits before the burst
+// instead of a rotation after it — closed by one totally-ordered
+// KStateManifest, the transfer's sync point: every node marks the
+// recovering members operational at the manifest's position, and only the
+// local assembly of the chunk payloads may lag behind it (cured by
+// retransmit-by-index). A bundle that fits one chunk is the one-chunk case
+// of the same stream.
 
 const (
 	// xferRetryInterval is how often the sweep re-requests chunks still
@@ -156,7 +158,9 @@ func (n *Node) handleStateRetransmit(env *replication.Envelope) {
 // --- receiving side (delivery-loop handlers) ---
 
 // inbound returns the assembly of the transfer a chunk or manifest
-// belongs to, opening it on the transfer's first envelope.
+// belongs to, opening it on the transfer's first envelope (stamped, like a
+// retransmit request, with the loop's clock, which is what sweepXfers ages
+// them by).
 func (n *Node) inbound(env *replication.Envelope) *inboundXfer {
 	x := n.inXfers[env.XferID]
 	if x == nil {
@@ -164,7 +168,7 @@ func (n *Node) inbound(env *replication.Envelope) *inboundXfer {
 			group:   env.Group,
 			donor:   env.Node,
 			asm:     recovery.NewAssembly(),
-			started: time.Now(),
+			started: n.now,
 		}
 		n.inXfers[env.XferID] = x
 	}
@@ -272,7 +276,7 @@ func (n *Node) handleStateManifest(seq uint64, env *replication.Envelope) {
 // requestMissing multicasts a retransmit-by-index request for a
 // transfer's absent chunks.
 func (n *Node) requestMissing(xferID uint64, x *inboundXfer, missing []uint32) {
-	x.lastNak = time.Now()
+	x.lastNak = n.now
 	n.counters.stateRetransmitReqs.Inc()
 	n.recorder.Record(obs.Event{
 		Type: obs.EventStateNak, Group: x.group, Node: n.addr,

@@ -94,8 +94,23 @@ func (m *Manifest) Encode() []byte {
 	return e.Bytes()
 }
 
+// readULongs reads the n ULongs that must be all that is left of d: a count
+// off the wire is believed only as far as the bytes behind it go, so a
+// short frame cannot make its reader allocate for a long one.
+func readULongs(d *cdr.Decoder, n uint32) ([]uint32, error) {
+	if uint64(d.Remaining()) != 4*uint64(n) {
+		return nil, fmt.Errorf("%w: %d entries announced, %d bytes follow", ErrBadManifest, n, d.Remaining())
+	}
+	out := make([]uint32, n)
+	for i := range out {
+		out[i], _ = d.ReadULong() // cannot fail: the bytes are there, and aligned
+	}
+	return out, nil
+}
+
 // DecodeManifest parses a serialized manifest and sanity-checks its
-// internal consistency (chunk count × chunk size must cover TotalBytes).
+// internal consistency (the chunks, at their sizes, must add up to
+// TotalBytes exactly — Assembly.Bytes allocates on its word).
 func DecodeManifest(buf []byte) (*Manifest, error) {
 	d := cdr.NewDecoder(buf, cdr.BigEndian)
 	var m Manifest
@@ -113,17 +128,17 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	if n > MaxChunks {
 		return nil, fmt.Errorf("%w: absurd chunk count %d", ErrBadManifest, n)
 	}
-	m.Checksums = make([]uint32, n)
-	for i := range m.Checksums {
-		if m.Checksums[i], err = d.ReadULong(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-		}
+	if m.Checksums, err = readULongs(d, n); err != nil {
+		return nil, err
 	}
 	if m.ChunkBytes == 0 && m.TotalBytes != 0 {
 		return nil, fmt.Errorf("%w: zero chunk size for %d bytes", ErrBadManifest, m.TotalBytes)
 	}
 	if m.TotalBytes > 0 {
-		want := (m.TotalBytes + uint64(m.ChunkBytes) - 1) / uint64(m.ChunkBytes)
+		want := m.TotalBytes / uint64(m.ChunkBytes) // not (total+size-1)/size: that wraps
+		if m.TotalBytes%uint64(m.ChunkBytes) != 0 {
+			want++
+		}
 		if want != uint64(n) {
 			return nil, fmt.Errorf("%w: %d checksums for %d bytes at %d/chunk (want %d)",
 				ErrBadManifest, n, m.TotalBytes, m.ChunkBytes, want)
@@ -256,11 +271,5 @@ func DecodeIndexList(buf []byte) ([]uint32, error) {
 	if n > MaxChunks {
 		return nil, fmt.Errorf("%w: absurd index count %d", ErrBadManifest, n)
 	}
-	idx := make([]uint32, n)
-	for i := range idx {
-		if idx[i], err = d.ReadULong(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-		}
-	}
-	return idx, nil
+	return readULongs(d, n)
 }

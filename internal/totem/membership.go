@@ -193,10 +193,10 @@ func (p *Processor) enterGather(now time.Time, reason string) {
 // leaveRing drops what belonged to the ring a member is leaving, for the
 // gather phase or the next ring: the token it kept or was resending, and all
 // the scheduler had learnt, in one assignment. None of it should survive:
-// replies owed answer the old ring's requests, a disarm was measured against
-// its rotation, and the next data frame restarts the sole-sender clock.
+// replies owed answer the old ring's requests, a late reply was late by its
+// rotation, and the next data frame restarts the sole-sender clock.
 func (p *Processor) leaveRing(now time.Time) {
-	p.lastSentToken, p.parkedToken = nil, nil
+	p.lastSentToken, p.parkedToken, p.quotaHeld = nil, nil, false
 	p.sched = newScheduler(p.addr, p.cfg.Tick, p.cfg.TokenLossTimeout, now)
 }
 
@@ -246,6 +246,6 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	if f.Ring.Rep == p.addr {
 		// The representative injects the first token.
 		tok := &tokenMsg{Ring: f.Ring, Seq: f.StartSeq, Aru: p.myAru, AruSetter: p.addr, GCSeq: p.gcLow}
-		p.forwardToken(tok, now, 0)
+		p.forwardToken(tok, now, 0, p.cfg.MaxPerToken)
 	}
 }

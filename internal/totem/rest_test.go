@@ -2,6 +2,7 @@ package totem
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,7 +295,7 @@ func TestLazyMessageWaitsATickOffTheQueue(t *testing.T) {
 			withdraw: func() bool { return withdrawn }}
 	}
 	// An idle token parked here stays parked.
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0)
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0, p.cfg.MaxPerToken)
 	if p.parkedToken == nil {
 		t.Fatal("idle token not paced")
 	}
@@ -494,8 +495,8 @@ func TestReplyHoldServesReplyFromHeldToken(t *testing.T) {
 	if got := wire(p); got != "data token" {
 		t.Fatalf("wire = %q, want the reply from the held token and then the token", got)
 	}
-	if st := p.Stats(); p.parkedToken != nil || st.ReplyHolds != 1 || st.Rests != 0 || st.ReplyHoldTimeouts != 0 || p.sched.holdDisarmed {
-		t.Fatalf("parked = %v, stats %+v, disarmed = %v after a prompt reply", p.parkedToken != nil, st, p.sched.holdDisarmed)
+	if st := p.Stats(); p.parkedToken != nil || st.ReplyHolds != 1 || st.Rests != 0 || st.ReplyHoldTimeouts != 0 || !p.sched.holdPays(0) {
+		t.Fatalf("parked = %v, stats %+v, disarmed = %v after a prompt reply", p.parkedToken != nil, st, !p.sched.holdPays(0))
 	}
 
 	p.enqueue(request(), now)
@@ -507,8 +508,75 @@ func TestReplyHoldServesReplyFromHeldToken(t *testing.T) {
 		t.Fatal("the sole sender let the token go with its reply")
 	}
 	p.onTick(until)
-	if p.Stats().ReplyHoldTimeouts != 0 || p.sched.holdDisarmed {
+	if p.Stats().ReplyHoldTimeouts != 0 || !p.sched.holdPays(0) {
 		t.Fatal("a hold that became a rest counted its deadline as a timeout")
+	}
+}
+
+// TestReplyGoesOutBeforeTheVisitsBulkQuota reads the wire of one token visit
+// at a donor whose client's request is waiting: the request, then — from the
+// held token, the quota still in its lane — the reply, then exactly the
+// visit's quota of bulk, then the token. That holds for a member that is
+// also the ring's only sender, whose hold must not slide into a rest with
+// chunks waiting. A servant slower than a Tick gets the same order less the
+// reply, once, and is not held for on the next visit.
+func TestReplyGoesOutBeforeTheVisitsBulkQuota(t *testing.T) {
+	p := holdProcessor()
+	p.cfg.BulkPerVisit = 2
+	now := time.Now()
+	p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second)
+	for i := 0; i < 5; i++ {
+		p.enqueue(submission{chunks: [][]byte{[]byte("state")}, class: classBulk}, now)
+	}
+	sentAs := func(seq uint64) string {
+		var msgs []string
+		for _, c := range p.store[seq].Chunks {
+			msgs = append(msgs, string(c.Payload))
+		}
+		return strings.Join(msgs, " ")
+	}
+
+	p.enqueue(request(), now)
+	visit(p, now)
+	if got := wire(p); got != "data" || p.sched.resting != obs.RestReplyOwed || p.bulk.Len() != 5 {
+		t.Fatalf("wire = %q, resting = %q, %d bulk waiting: want the request out and the token held with the quota not yet let in",
+			got, p.sched.resting, p.bulk.Len())
+	}
+	if r := p.Rotations(1)[0]; r.Resting != obs.RestReplyOwed || r.BulkWaiting != 5 {
+		t.Fatalf("rotation sample %+v: want a reply hold with 5 bulk messages waiting", r)
+	}
+	submit(p, reply(), now.Add(p.cfg.Tick/8))
+	if got := wire(p); got != "data data token" || p.parkedToken != nil {
+		t.Fatalf("wire = %q, parked = %v: want the reply, the quota, the token", got, p.parkedToken != nil)
+	}
+	if sentAs(1) != "req" || sentAs(2) != "rep" || sentAs(3) != "state state" {
+		t.Fatalf("sequenced %q, %q, %q: want the request, the reply, then the quota's two chunks", sentAs(1), sentAs(2), sentAs(3))
+	}
+	if st := p.Stats(); st.BulkPromoted != 2 || st.BulkStalls != 1 || st.ReplyHolds != 1 || st.Rests != 0 || st.ReplyHoldTimeouts != 0 {
+		t.Fatalf("stats %+v: want one hold, one quota of 2, one stall", st)
+	}
+
+	now = now.Add(10 * p.cfg.Tick)
+	p.enqueue(request(), now)
+	visit(p, now)
+	p.onTick(p.sched.parkedUntil) // the servant takes longer than a Tick
+	if got := wire(p); got != "data data token" || sentAs(5) != "state state" {
+		t.Fatalf("wire = %q, seq 5 = %q: want the request, then at the deadline the quota and the token", got, sentAs(5))
+	}
+	if st := p.Stats(); st.BulkPromoted != 4 || st.BulkStalls != 2 || st.ReplyHoldTimeouts != 1 || p.sched.holdPays(1) {
+		t.Fatalf("stats %+v, holdPays = %v after a hold that met its deadline", st, p.sched.holdPays(1))
+	}
+	submit(p, reply(), now.Add(3*p.cfg.Tick))
+
+	now = now.Add(10 * p.cfg.Tick)
+	p.enqueue(request(), now)
+	visit(p, now)
+	if got := wire(p); got != "data data token" || p.parkedToken != nil || sentAs(6) != "rep req" || sentAs(7) != "state" {
+		t.Fatalf("wire = %q, parked = %v, sequenced %q, %q: want the late reply and the request in a frame, the last of the bulk, and the token forwarded at once",
+			got, p.parkedToken != nil, sentAs(6), sentAs(7))
+	}
+	if st := p.Stats(); st.BulkPromoted != 5 || st.BulkStalls != 2 || st.ReplyHolds != 2 {
+		t.Fatalf("stats %+v: want no third hold and the lane empty", st)
 	}
 }
 
@@ -531,8 +599,8 @@ func TestReplyHoldEnds(t *testing.T) {
 		if got := wire(p); p.parkedToken != nil || got != want {
 			t.Fatalf("parked = %v, wire = %q, want %q", p.parkedToken != nil, got, want)
 		}
-		if st := p.Stats(); st.ReplyHoldTimeouts != timeouts || p.sched.holdDisarmed != (timeouts > 0) {
-			t.Fatalf("ReplyHoldTimeouts = %d, disarmed = %v, want %d timeouts", st.ReplyHoldTimeouts, p.sched.holdDisarmed, timeouts)
+		if st := p.Stats(); st.ReplyHoldTimeouts != timeouts || p.sched.holdPays(0) == (timeouts > 0) {
+			t.Fatalf("ReplyHoldTimeouts = %d, disarmed = %v, want %d timeouts", st.ReplyHoldTimeouts, !p.sched.holdPays(0), timeouts)
 		}
 	}
 	t.Run("hurry", func(t *testing.T) {
@@ -616,20 +684,20 @@ func TestReplyHoldDisarmsOnLateReplyRearmsOnPromptOne(t *testing.T) {
 		submit(p, reply(), now.Add(replyAfter))
 		return held
 	}
-	if !invoke(3*p.cfg.Tick) || !p.sched.holdDisarmed || p.Stats().ReplyHoldTimeouts != 1 {
+	if !invoke(3*p.cfg.Tick) || p.sched.holdPays(0) || p.Stats().ReplyHoldTimeouts != 1 {
 		t.Fatal("a hold that met its deadline did not disarm")
 	}
 	// Slow again: the request's visit does not hold, the late reply does not re-arm.
-	if invoke(p.cfg.Tick/2) || !p.sched.holdDisarmed {
-		t.Fatalf("disarmed = %v after a reply twice the token's absence behind its request", p.sched.holdDisarmed)
+	if invoke(p.cfg.Tick/2) || p.sched.holdPays(0) {
+		t.Fatalf("disarmed = %v after a reply twice the token's absence behind its request", !p.sched.holdPays(0))
 	}
 	// Prompt: the reply re-arms, and the next request's visit holds.
-	if invoke(p.cfg.Tick/8) || p.sched.holdDisarmed {
-		t.Fatalf("disarmed = %v after a prompt reply", p.sched.holdDisarmed)
+	if invoke(p.cfg.Tick/8) || !p.sched.holdPays(0) {
+		t.Fatalf("disarmed = %v after a prompt reply", !p.sched.holdPays(0))
 	}
 	// Late but inside the deadline: the hold ends with its reply, and is the last.
-	if !invoke(p.cfg.Tick/2) || !p.sched.holdDisarmed || wire(p) == "" {
-		t.Fatalf("disarmed = %v after a hold twice as long as the rotation it saved", p.sched.holdDisarmed)
+	if !invoke(p.cfg.Tick/2) || p.sched.holdPays(0) || wire(p) == "" {
+		t.Fatalf("disarmed = %v after a hold twice as long as the rotation it saved", !p.sched.holdPays(0))
 	}
 	if invoke(p.cfg.Tick/8) || !invoke(p.cfg.Tick/8) {
 		t.Fatal("no hold after re-arming")
@@ -690,19 +758,19 @@ func TestReplyHoldStopsAtAServantSlowerThanARotation(t *testing.T) {
 		wire(p)
 		return held
 	}
-	if operation(nudging, usual) || p.sched.holdDisarmed {
-		t.Fatalf("disarmed = %v after a slow operation whose own nudge forbade the hold", p.sched.holdDisarmed)
+	if operation(nudging, usual) || !p.sched.holdPays(0) {
+		t.Fatalf("disarmed = %v after a slow operation whose own nudge forbade the hold", !p.sched.holdPays(0))
 	}
-	if !operation(hurried, usual) || p.sched.holdDisarmed {
-		t.Fatalf("disarmed = %v after a hold that a peer's nudge ended at once", p.sched.holdDisarmed)
+	if !operation(hurried, usual) || !p.sched.holdPays(0) {
+		t.Fatalf("disarmed = %v after a hold that a peer's nudge ended at once", !p.sched.holdPays(0))
 	}
-	if !operation(queued, usual) || !p.sched.holdDisarmed {
-		t.Fatalf("disarmed = %v after a hold that lasted to its late reply", p.sched.holdDisarmed)
+	if !operation(queued, usual) || p.sched.holdPays(0) {
+		t.Fatalf("disarmed = %v after a hold that lasted to its late reply", !p.sched.holdPays(0))
 	}
 	for i := 0; i < 40; i++ {
 		// Whether or not the token is back before the servant is done.
-		if operation(queued, []time.Duration{usual, 2 * slow}[i%2]) || !p.sched.holdDisarmed {
-			t.Fatalf("slow operation %d after the one that disarmed: held, disarmed = %v", i+1, p.sched.holdDisarmed)
+		if operation(queued, []time.Duration{usual, 2 * slow}[i%2]) || p.sched.holdPays(0) {
+			t.Fatalf("slow operation %d after the one that disarmed: held, disarmed = %v", i+1, !p.sched.holdPays(0))
 		}
 	}
 	if st := p.Stats(); st.ReplyHolds != 2 || st.ReplyHoldTimeouts != 0 || st.Rests != 0 {

@@ -26,7 +26,7 @@ type tokenVisit struct {
 	rtr      int    // retransmission requests on it as it leaves
 	fgSent   int    // foreground chunks the visit sequenced
 	pending  int    // chunks left in the sending queue
-	bulk     int    // bulk messages waiting outside it
+	bulk     int    // bulk messages waiting outside it, the visit's quota not yet let in
 }
 
 // scheduler is the policy for when the token leaves this member. It is told
@@ -51,13 +51,14 @@ type scheduler struct {
 	// hold waits for. rotation is the running median of how long the token
 	// stays away from this member: what a hold saves the reply and what the
 	// peers' holds cost this member, hence the most its own may cost them.
-	// holdDisarmed: the last hold cost more than that (replyEnqueued,
-	// released) — a slow servant costs its peers once.
-	ownOwed      int
-	owed         int
-	owedAt       time.Time
-	rotation     time.Duration
-	holdDisarmed bool
+	// replyDelay is how long after owedAt the last owed reply was enqueued
+	// (replyEnqueued; a hold that timed out records one past its deadline):
+	// what the next hold is expected to cost (holdPays).
+	ownOwed    int
+	owed       int
+	owedAt     time.Time
+	rotation   time.Duration
+	replyDelay time.Duration
 
 	// Pacing and nudging (paceTicks, nudge). lastActivityAt is the last time
 	// this member did foreground protocol work (sent non-background chunks,
@@ -78,7 +79,7 @@ type scheduler struct {
 	soleSince      time.Time
 }
 
-// newScheduler: no token kept, nothing owed, holding armed, the rotation
+// newScheduler: no token kept, nothing owed, no reply yet late, the rotation
 // estimate at its cap.
 func newScheduler(self string, tick, lossTimeout time.Duration, now time.Time) scheduler {
 	return scheduler{self: self, tick: tick, lossTimeout: lossTimeout, rotation: tick, lastActivityAt: now}
@@ -161,25 +162,39 @@ func (s *scheduler) endVisit(v tokenVisit, now time.Time) action {
 // mayRest decides whether a visit ends with the token staying here, and
 // names why (empty: it moves on). Either way this member sent foreground
 // data on the visit and has nothing left over, nobody has nudged since its
-// last forward, no retransmission is requested and no bulk is waiting. Then
-// it stays on either piece of evidence that its next message is the ring's
-// next message: it has been the only data sender for idleGrace, or the
-// visit sequenced a request whose urgent reply this member itself submits
+// last forward and no retransmission is requested. Then it stays on either
+// piece of evidence that its next message is the ring's next message: it
+// has been the only data sender for idleGrace and no bulk waits (a rest
+// with chunks waiting would move one quota per Tick), or the visit
+// sequenced a request whose urgent reply this member itself submits
 // (Delivery.ReplyOwed), which would otherwise wait a whole rotation for the
 // token just let go. Such a hold ends when the last owed reply is out
-// (keepResting) and pays while replies are ready within that rotation: a
-// later one, or none by the deadline, disarms it until a reply is prompt
-// again (see rotation).
+// (keepResting), bulk or no bulk: the visit's quota waits behind it and
+// goes out ahead of the token (Processor.releaseParked).
 func (s *scheduler) mayRest(v tokenVisit, now time.Time) string {
 	switch {
-	case v.fgSent == 0 || s.hurried || v.pending > 0 || v.bulk > 0 || v.rtr > 0:
+	case v.fgSent == 0 || s.hurried || v.pending > 0 || v.rtr > 0:
 		return ""
-	case s.soleSenderHere(now):
+	case v.bulk == 0 && s.soleSenderHere(now):
 		return obs.RestSoleSender
-	case s.owed > 0 && !s.holdDisarmed:
+	case s.owed > 0 && s.holdPays(v.bulk):
 		return obs.RestReplyOwed
 	}
 	return ""
+}
+
+// holdPays: the last owed reply came no later after its request than what a
+// hold now would save this one, so holding is expected to cost the peers
+// less than it saves here. With no bulk waiting that is the token's usual
+// absence (rotation). With a quota about to go out ahead of the token it is
+// the hold's own one-Tick deadline: the burst delays every peer, and the
+// reply if it is not waited for, by far more than a prompt servant does. A
+// servant slower than either is held for once, not once per request.
+func (s *scheduler) holdPays(bulk int) bool {
+	if bulk > 0 {
+		return s.replyDelay <= s.tick
+	}
+	return s.replyDelay <= s.rotation
 }
 
 // soleSenderHere: this member has been the only data sender for idleGrace.
@@ -249,19 +264,19 @@ func (s *scheduler) submitted(c class, kept bool, now time.Time) action {
 }
 
 // keepResting is asked after an actServe with what is left in the sending
-// queue: the token stays unless one visit's window was full, and a reply
-// hold lasts while a reply is owed, or on as a sole sender's rest.
-func (s *scheduler) keepResting(pending int, now time.Time) bool {
-	return pending == 0 && (s.resting == obs.RestSoleSender || s.owed > 0 || s.soleSenderHere(now))
+// queue and the bulk waiting outside it: the token stays unless one visit's
+// window was full, and a reply hold lasts while a reply is owed, or — no
+// bulk waiting — on as a sole sender's rest.
+func (s *scheduler) keepResting(pending, bulk int, now time.Time) bool {
+	return pending == 0 && (s.owed > 0 || bulk == 0 && (s.resting == obs.RestSoleSender || s.soleSenderHere(now)))
 }
 
 // replyEnqueued discounts one urgent reply from what a hold waits for; the
-// last one, later after its requests than the token's usual absence,
-// disarms holding, and a prompt one re-arms it.
+// last one's delay after its requests is what holdPays goes by.
 func (s *scheduler) replyEnqueued(now time.Time) {
 	if s.owed > 0 {
 		if s.owed--; s.owed == 0 {
-			s.holdDisarmed = now.Sub(s.owedAt) > s.rotation
+			s.replyDelay = now.Sub(s.owedAt)
 		}
 	}
 }
@@ -316,10 +331,12 @@ func (s *scheduler) nudged(kept bool) action {
 func (s *scheduler) due(now time.Time) bool { return !now.Before(s.parkedUntil) }
 
 // released ends a pace or a rest, and reports whether it was a reply hold
-// that met its deadline with replies still owed — which disarms holding.
+// that met its deadline with replies still owed — a delay no hold pays for.
 func (s *scheduler) released(now time.Time) (timedOut bool) {
 	timedOut = s.resting == obs.RestReplyOwed && s.owed > 0 && !now.Before(s.parkedUntil)
-	s.holdDisarmed = s.holdDisarmed || timedOut
+	if timedOut {
+		s.replyDelay = s.tick + 1
+	}
 	s.resting = ""
 	return timedOut
 }

@@ -23,6 +23,14 @@ func TestSchedulerEndVisit(t *testing.T) {
 	sole := func(s *scheduler) { s.soleSender, s.soleSince = "a", now.Add(-grace) }
 	owed := func(s *scheduler) { s.owed, s.owedAt = 1, now }
 	quiet := func(s *scheduler) { s.lastActivityAt = now.Add(-grace) }
+	// lastReply is how long after its request's visit the last owed reply
+	// came, with the token usually an eighth of a Tick away.
+	lastReply := func(d time.Duration) func(*scheduler) {
+		return func(s *scheduler) { s.replyDelay, s.rotation = d, tick/8 }
+	}
+	// timedOut: the last hold met its deadline with its reply still owed.
+	timedOut := func(s *scheduler) { s.resting = obs.RestReplyOwed; s.released(now) }
+	chunks := tokenVisit{members: 3, fgSent: 1, bulk: 5} // busy, with the visit's bulk quota still to go out
 	with := func(fs ...func(*scheduler)) func(*scheduler) {
 		return func(s *scheduler) {
 			for _, f := range fs {
@@ -46,11 +54,21 @@ func TestSchedulerEndVisit(t *testing.T) {
 			state: func(s *scheduler) { s.soleSender, s.soleSince = "b", now.Add(-grace) }, visit: busy, want: actForward},
 		{name: "reply owed: hold", state: owed, visit: busy, want: actRest, resting: obs.RestReplyOwed},
 		{name: "reply owed, sole sender too: the rest it would become", state: with(owed, sole), visit: busy, want: actRest, resting: obs.RestSoleSender},
-		{name: "reply owed, hold disarmed: forward",
-			state: with(owed, func(s *scheduler) { s.holdDisarmed = true }), visit: busy, want: actForward},
+		{name: "reply owed, the last one prompt: hold", state: with(owed, lastReply(tick/8)), visit: busy, want: actRest, resting: obs.RestReplyOwed},
+		{name: "reply owed, the last one later than the token's usual absence: forward",
+			state: with(owed, lastReply(tick/8+1)), visit: busy, want: actForward},
+		{name: "reply owed, the last hold timed out: forward", state: with(owed, timedOut), visit: busy, want: actForward},
 		{name: "hurried: neither rest", state: with(sole, func(s *scheduler) { s.hurried = true }), visit: busy, want: actForward},
 		{name: "hurried: nor hold", state: with(owed, func(s *scheduler) { s.hurried = true }), visit: busy, want: actForward},
-		{name: "bulk waiting: forward", state: with(sole, owed), visit: tokenVisit{members: 3, fgSent: 1, bulk: 1}, want: actForward},
+		{name: "bulk waiting, reply owed: hold, the quota behind it", state: owed, visit: chunks, want: actRest, resting: obs.RestReplyOwed},
+		{name: "bulk waiting, reply owed, the last one inside a Tick: hold — the burst costs more than the servant",
+			state: with(owed, lastReply(tick)), visit: chunks, want: actRest, resting: obs.RestReplyOwed},
+		{name: "bulk waiting, reply owed, the last one slower than a Tick: forward", state: with(owed, lastReply(tick+1)), visit: chunks, want: actForward},
+		{name: "bulk waiting, reply owed, the last hold timed out: forward", state: with(owed, timedOut), visit: chunks, want: actForward},
+		{name: "bulk waiting, sole sender: forward", state: sole, visit: chunks, want: actForward},
+		{name: "bulk waiting, sole sender with a reply owed: the hold, not the rest", state: with(sole, owed), visit: chunks, want: actRest, resting: obs.RestReplyOwed},
+		{name: "bulk waiting, reply owed, hurried: forward", state: with(owed, func(s *scheduler) { s.hurried = true }), visit: chunks, want: actForward},
+		{name: "bulk waiting, reply owed, retransmission outstanding: forward", state: owed, visit: tokenVisit{members: 3, fgSent: 1, bulk: 5, rtr: 1}, want: actForward},
 		{name: "retransmission outstanding: forward", state: with(sole, owed), visit: tokenVisit{members: 3, fgSent: 1, rtr: 1}, want: actForward},
 		{name: "chunks left over: forward", state: with(sole, owed), visit: tokenVisit{members: 3, fgSent: 1, pending: 2}, want: actForward},
 		{name: "nothing sent: forward", state: with(sole, owed), visit: tokenVisit{members: 3}, want: actForward},
@@ -95,6 +113,45 @@ func TestSchedulerEndVisit(t *testing.T) {
 			if !s.parkedUntil.Equal(now.Add(time.Duration(row.pace-1) * tick)) {
 				t.Errorf("%s: parked for %v at pace %d", row.name, s.parkedUntil.Sub(now), row.pace)
 			}
+		}
+	}
+}
+
+// TestSchedulerKeepResting: whether the token stays after a submission was
+// sequenced from it where it rests.
+func TestSchedulerKeepResting(t *testing.T) {
+	now := time.Unix(1_000, 0)
+	fresh := offlineScheduler("a")
+	// A hold with owed replies still out (0: it has just ended), here as the
+	// sole sender or not; and a sole sender's rest.
+	hold := func(owed int, sole bool) func(*scheduler) {
+		return func(s *scheduler) {
+			s.resting, s.owed = obs.RestReplyOwed, owed
+			if sole {
+				s.soleSender, s.soleSince = "a", now.Add(-s.idleGrace())
+			}
+		}
+	}
+	rest := func(s *scheduler) { s.resting = obs.RestSoleSender }
+	for _, row := range []struct {
+		name          string
+		state         func(*scheduler)
+		pending, bulk int
+		want          bool
+	}{
+		{name: "hold, a reply still owed: stay", state: hold(1, false), want: true},
+		{name: "hold, a reply still owed, bulk waiting: stay", state: hold(1, false), bulk: 5, want: true},
+		{name: "hold ended: release", state: hold(0, false)},
+		{name: "hold ended, sole sender by now: on as its rest", state: hold(0, true), want: true},
+		{name: "hold ended, sole sender, bulk waiting: release, not rest", state: hold(0, true), bulk: 5},
+		{name: "sole sender's rest: stay", state: rest, want: true},
+		{name: "sole sender's rest, a window's worth left over: release", state: rest, pending: 3},
+		{name: "hold, a reply still owed, a window's worth left over: release", state: hold(1, false), pending: 3},
+	} {
+		s := fresh
+		row.state(&s)
+		if got := s.keepResting(row.pending, row.bulk, now); got != row.want {
+			t.Errorf("%s: keepResting = %v", row.name, got)
 		}
 	}
 }
@@ -146,7 +203,7 @@ func TestSchedulerSubmitted(t *testing.T) {
 }
 
 // TestRingChangeLeavesNothingInTheScheduler: whatever the scheduler learnt on
-// a ring — an armed hold and its owed count, a disarm, a sole-sender run, a
+// a ring — a hold and its owed count, a late reply's delay, a sole-sender run, a
 // nudge heard or spent, the rotation estimate — is gone when the member
 // leaves the ring and when it enters the next, together with the token it
 // kept. Field-by-field resets used to miss five of these.
@@ -169,7 +226,8 @@ func TestRingChangeLeavesNothingInTheScheduler(t *testing.T) {
 		if p.sched.resting != obs.RestReplyOwed || p.sched.owed != 2 || p.parkedToken == nil {
 			t.Fatalf("%s: resting %q owed %d: no hold to lose", change.name, p.sched.resting, p.sched.owed)
 		}
-		p.sched.holdDisarmed, p.sched.hurried, p.sched.canNudge, p.sched.leftIdle, p.sched.wantToken = true, true, true, true, true
+		p.sched.replyDelay, p.sched.hurried, p.sched.canNudge, p.sched.leftIdle, p.sched.wantToken = time.Second, true, true, true, true
+		p.quotaHeld = true
 		p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second)
 		p.sched.rotation, p.sched.lastPaceTicks = p.cfg.Tick/4, 3
 
@@ -178,14 +236,14 @@ func TestRingChangeLeavesNothingInTheScheduler(t *testing.T) {
 		if want := newScheduler("a", p.cfg.Tick, p.cfg.TokenLossTimeout, at); p.sched != want {
 			t.Errorf("%s left the scheduler at\n %+v, want\n %+v", change.name, p.sched, want)
 		}
-		if p.parkedToken != nil || p.lastSentToken != nil {
-			t.Errorf("%s kept the old ring's token", change.name)
+		if p.parkedToken != nil || p.lastSentToken != nil || p.quotaHeld {
+			t.Errorf("%s kept the old ring's token, or the bulk quota held behind it", change.name)
 		}
 		// A reply the old ring's visit was owed must not count against, or
 		// disarm, holding on the new one.
 		p.enqueue(reply(), at.Add(p.cfg.Tick))
-		if p.sched.owed != 0 || p.sched.holdDisarmed {
-			t.Errorf("%s: owed %d disarmed %v after a reply to the old ring's request", change.name, p.sched.owed, p.sched.holdDisarmed)
+		if p.sched.owed != 0 || p.sched.replyDelay != 0 || !p.sched.holdPays(0) {
+			t.Errorf("%s: owed %d, last reply %v late after a reply to the old ring's request", change.name, p.sched.owed, p.sched.replyDelay)
 		}
 	}
 }

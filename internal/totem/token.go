@@ -86,16 +86,12 @@ func (p *Processor) admit(m heldMsg) {
 	p.mPending.Set(int64(p.pending.Len()))
 }
 
-// promoteHeld is a token visit's intake from the two holding queues, run
-// once per visit (handleToken) before the visit sends, so what it admits
-// queues behind the urgent work already there. Lazy messages leave in
-// submission order once a Tick old: withdrawn ones are dropped, the rest
-// admitted (a younger one keeps the ones behind it waiting; they are all
-// younger still). Bulk messages are admitted up to the visit's quota, and
-// only while the sending queue is shorter than one visit can drain, so a
-// quota larger than the ring's flow-control window cannot build a backlog
-// in front of later urgent messages.
-func (p *Processor) promoteHeld(now time.Time) {
+// promoteLazy is a token visit's intake from the lazy queue, before the
+// visit sends, so what it admits queues behind the urgent work already
+// there. Lazy messages leave in submission order once a Tick old: withdrawn
+// ones are dropped, the rest admitted (a younger one keeps the ones behind
+// it waiting; they are all younger still).
+func (p *Processor) promoteLazy(now time.Time) {
 	for {
 		m, ok := p.lazy.Peek()
 		if !ok {
@@ -115,6 +111,16 @@ func (p *Processor) promoteHeld(now time.Time) {
 		p.nLazySent.Add(1)
 		p.admit(m)
 	}
+}
+
+// promoteBulk is a token visit's intake from the bulk queue, once per visit
+// and last: after the visit's urgent work is out and, when the token was
+// held for the replies that work owes, after those too (forwardToken,
+// releaseParked). Bulk messages are admitted up to the visit's quota, and
+// only while the sending queue is shorter than one visit can drain, so a
+// quota larger than the ring's flow-control window cannot build a backlog
+// in front of later urgent messages.
+func (p *Processor) promoteBulk() {
 	for n := 0; p.bulk.Len() > 0 && p.pending.Len() < p.cfg.MaxPerToken &&
 		(p.cfg.BulkPerVisit <= 0 || n < p.cfg.BulkPerVisit); n++ {
 		m, _ := p.bulk.Pop()
@@ -133,10 +139,10 @@ func (p *Processor) kick(c class, now time.Time) {
 	}
 	act := p.sched.submitted(c, p.parkedToken != nil, now)
 	if act == actServe {
-		if _, fgSent := p.sendPending(p.parkedToken, now); fgSent > 0 {
+		if _, fgSent := p.sendPending(p.parkedToken, now, p.cfg.MaxPerToken); fgSent > 0 {
 			p.sched.active(now)
 		}
-		if p.sched.keepResting(p.pending.Len(), now) {
+		if p.sched.keepResting(p.pending.Len(), p.bulk.Len(), now) {
 			return
 		}
 		act = actRelease
@@ -204,21 +210,23 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	rtrDone := time.Now()
 	p.delivery.request(tok, open, now)
 
-	// 3. Let held messages in, then multicast pending chunks.
+	// 3. Let aged lazy messages in, then multicast pending chunks. Bulk
+	// waiting for its quota is foreground work not done yet.
 	p.sched.beginSending()
-	p.promoteHeld(now)
+	p.promoteLazy(now)
 	pendingBefore := p.pending.Len()
-	sent, fgSent := p.sendPending(tok, now)
-	tok.IdleHops = p.sched.sent(tok.IdleHops, served > 0 || fgSent > 0 || len(tok.Rtr) > 0, now)
+	sent, fgSent := p.sendPending(tok, now, p.cfg.MaxPerToken)
+	tok.IdleHops = p.sched.sent(tok.IdleHops, served > 0 || fgSent > 0 || len(tok.Rtr) > 0 || p.bulk.Len() > 0, now)
 
 	// 4. Aggregate aru; 5. garbage-collect messages everyone has.
 	p.delivery.aggregate(tok)
 
-	// 6. Forward the token, then profile the visit (the forward decides
-	// the pacing state the sample records).
+	// 6. Keep the token, or send the visit's bulk quota and the token behind
+	// it; then profile the visit (the forward decides the pacing state the
+	// sample records).
 	idleHops := tok.IdleHops
+	sent += p.forwardToken(tok, now, fgSent, p.cfg.MaxPerToken-sent)
 	end := time.Now()
-	p.forwardToken(tok, now, fgSent)
 	sample := obs.TokenRotation{
 		At:            now,
 		Round:         p.round,
@@ -249,17 +257,18 @@ func (p *Processor) Rotations(max int) []obs.TokenRotation {
 }
 
 // sendPending multicasts queued chunks, each frame under the token's next
-// sequence number, bounded by MaxPerToken chunks. It returns how many
+// sequence number, bounded by limit chunks (MaxPerToken, or what is left of
+// it when a visit sends twice). It returns how many
 // chunks were sent and how many of those were foreground (non-background)
 // — the count that feeds the idle pacer. Consecutive sub-MTU chunks,
 // possibly of different application messages, share one frame and one
 // sequence number; the conservative wireCost bound keeps each frame within
 // the MTU without a trial encode. Messages their sender withdrew are
 // dropped here, whole, instead of being sequenced (dropWithdrawn).
-func (p *Processor) sendPending(tok *tokenMsg, now time.Time) (sent, fgSent int) {
+func (p *Processor) sendPending(tok *tokenMsg, now time.Time, limit int) (sent, fgSent int) {
 	mtu := p.tr.MTU()
 	queued := p.pending.Len()
-	for sent < p.cfg.MaxPerToken {
+	for sent < limit {
 		p.dropWithdrawn()
 		first, ok := p.pending.Pop()
 		if !ok {
@@ -268,7 +277,7 @@ func (p *Processor) sendPending(tok *tokenMsg, now time.Time) (sent, fgSent int)
 		sent++
 		frame := &dataMsg{Chunks: []chunk{first}}
 		size := packedFrameOverhead + len(p.ring.Rep) + first.wireCost()
-		for sent < p.cfg.MaxPerToken {
+		for sent < limit {
 			p.dropWithdrawn()
 			next, ok := p.pending.Peek()
 			if !ok || size+next.wireCost() > mtu {
@@ -341,13 +350,22 @@ func (p *Processor) dropWithdrawn() {
 }
 
 // forwardToken ends a token visit on which fgSent foreground chunks were
-// sent, the way the scheduler says: the token leaves, or stays here paced or
-// resting. A single-member ring first drains everything pending.
-func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
+// sent and room is left in its window, the way the scheduler says: the
+// token stays here paced or resting, or leaves behind the visit's bulk
+// quota. A hold for replies owed leaves the quota in its lane (the only
+// way a token stays with bulk waiting): the replies go out first, and
+// releaseParked sends the quota when the hold ends. It returns the chunks
+// the quota put on the wire. A single-member ring has nobody to hold the
+// quota back for, and drains everything pending.
+func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent, room int) (sent int) {
 	tok.Round++
 	succ := p.membership.successor()
-	for succ == p.addr && p.pending.Len() > 0 {
-		p.sendPending(tok, now)
+	if succ == p.addr {
+		p.promoteBulk()
+		for p.pending.Len() > 0 {
+			n, _ := p.sendPending(tok, now, p.cfg.MaxPerToken)
+			sent += n
+		}
 	}
 	v := tokenVisit{members: len(p.members), idleHops: tok.IdleHops, rtr: len(tok.Rtr),
 		fgSent: fgSent, pending: p.pending.Len(), bulk: p.bulk.Len()}
@@ -356,15 +374,21 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent int) {
 		p.parkedToken = tok
 		p.nPacedHops.Add(1)
 	case actRest:
-		p.parkedToken = tok
+		p.parkedToken, p.quotaHeld = tok, v.bulk > 0
 		if p.sched.resting == obs.RestReplyOwed {
 			p.nHolds.Add(1)
 		} else {
 			p.nRests.Add(1)
 		}
 	default:
+		if v.bulk > 0 {
+			p.promoteBulk()
+			n, _ := p.sendPending(tok, now, room)
+			sent += n
+		}
 		p.transmitToken(tok, succ, now)
 	}
+	return sent
 }
 
 func (p *Processor) transmitToken(tok *tokenMsg, succ string, now time.Time) {
@@ -373,12 +397,14 @@ func (p *Processor) transmitToken(tok *tokenMsg, succ string, now time.Time) {
 	p.sendMsg(succ, tok)
 }
 
-// releaseParked resumes a paced or resting token: any newly-enqueued
-// chunks are sent first, then the token moves on (a single-member ring
-// re-handles it instead). Held messages stay where they are — they enter
-// at token visits only, which is what makes the bulk quota "per visit" —
-// but bulk waiting here is foreground work, so the token leaves marked
-// busy and no member paces it on its way round and back.
+// releaseParked resumes a paced or resting token: a bulk quota that waited
+// behind a reply hold is let in, whatever is in the sending queue — replies
+// and requests enqueued meanwhile, then that quota — is sent, and the token
+// moves on (a single-member ring re-handles it instead). Otherwise held
+// messages stay where they are: they enter once per token visit, which is
+// what makes the bulk quota "per visit". Bulk still waiting here is
+// foreground work, so the token leaves marked busy and no member paces it
+// on its way round and back.
 func (p *Processor) releaseParked(now time.Time) {
 	tok := p.parkedToken
 	p.parkedToken = nil
@@ -388,11 +414,15 @@ func (p *Processor) releaseParked(now time.Time) {
 	if p.state != stateOperational || tok.Ring != p.ring {
 		return // ring changed while parked; the new ring mints a new token
 	}
+	if p.quotaHeld {
+		p.quotaHeld = false
+		p.promoteBulk()
+	}
 	if p.bulk.Len() > 0 {
 		tok.IdleHops = 0
 	}
 	if p.pending.Len() > 0 {
-		if _, fgSent := p.sendPending(tok, now); fgSent > 0 {
+		if _, fgSent := p.sendPending(tok, now, p.cfg.MaxPerToken); fgSent > 0 {
 			tok.IdleHops = 0
 			p.sched.active(now)
 		}

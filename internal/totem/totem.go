@@ -251,7 +251,7 @@ type Processor struct {
 	// lazy and bulk hold whole messages that wait outside pending, so they
 	// never stand in front of urgent chunks: lazy ones until a token visit
 	// finds them a Tick old and still not withdrawn, bulk ones until a
-	// visit's quota lets them through. See promoteHeld.
+	// visit's quota lets them through. See promoteLazy, promoteBulk.
 	lazy      ring.Buffer[heldMsg]
 	bulk      ring.Buffer[heldMsg]
 	msgID     uint64
@@ -259,13 +259,15 @@ type Processor struct {
 
 	// The token's own bookkeeping: the last round seen, when, and the copy
 	// last sent on, for the resend timer. parkedToken is the token while the
-	// scheduler has it kept here: pacing an idle ring, or resting.
+	// scheduler has it kept here: pacing an idle ring, or resting; quotaHeld
+	// says its visit's bulk quota waits behind the replies it is held for.
 	round         uint64
 	lastTokenAt   time.Time
 	lastSentToken *tokenMsg
 	lastSentAt    time.Time
 	tokenResends  int
 	parkedToken   *tokenMsg
+	quotaHeld     bool
 
 	nMulticasts, nChunks, nDataFrames, nPacked, nWithdrawn atomic.Uint64
 	nHurrySent, nHurryRecv, nPacedHops                     atomic.Uint64
@@ -414,7 +416,9 @@ func (p *Processor) MulticastBackground(payload []byte) error {
 // behind whatever urgent work is already there — so a large transfer
 // shares every visit with foreground traffic instead of standing in front
 // of it. A member with bulk waiting keeps the token moving: it neither
-// paces nor rests.
+// paces it nor rests on it as the ring's only sender. It may hold it for a
+// reply it owes to a request the visit sequenced; the visit's quota then
+// goes out behind that reply, ahead of the token.
 func (p *Processor) MulticastBulk(payload []byte) error {
 	return p.submit(payload, submission{class: classBulk})
 }

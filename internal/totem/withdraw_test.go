@@ -410,7 +410,7 @@ func TestHurriedClearedOnEveryForward(t *testing.T) {
 	nudges := func() uint64 { return p.Stats().HurriesSent }
 
 	p.sched.hurried = true
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now, 0) // busy token: forwarded at wire speed regardless
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now, 0, p.cfg.MaxPerToken) // busy token: forwarded at wire speed regardless
 	if p.sched.hurried {
 		t.Fatal("hurried survived a forward that had no pacing to skip")
 	}
@@ -446,7 +446,7 @@ func TestHurriedClearedOnEveryForward(t *testing.T) {
 		t.Fatalf("wantToken=%v hurried=%v pending=%d after the visit that served the work", p.sched.wantToken, p.sched.hurried, p.pending.Len())
 	}
 
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0) // idle rotation complete, no nudge pending: must pace
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0, p.cfg.MaxPerToken) // idle rotation complete, no nudge pending: must pace
 	if p.parkedToken == nil {
 		t.Fatal("idle token not paced: a stale nudge cancelled the park")
 	}
