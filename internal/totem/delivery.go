@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// fragMargin is the reserve for chunk headers within one frame.
-const fragMargin = 192
+// fragMargin is the reserve for headers within one frame: a frame holding
+// one fragment and the fragment's sender name fits the MTU.
+const fragMargin = packedFrameOverhead + packedChunkOverhead
 
 // maxRtrPerToken bounds the retransmission list so tokens fit one frame.
 const maxRtrPerToken = 100

@@ -12,15 +12,16 @@ import (
 // TestPackedFrameMixesTwoMessages pins the core packing behaviour
 // deterministically: both messages are enqueued before the ring forms, so
 // the first token visit sees all three chunks pending. Message A is sized
-// to fragment into one full chunk plus a large tail; the tail cannot share
-// a frame with the full chunk but can with B, so the second frame carries
-// fragments of two different application messages under one sequence
-// number.
+// to fragment into one full chunk plus a tail that leaves a frame exactly
+// B's room; the tail cannot share a frame with the full chunk but can with
+// B, so the second frame carries fragments of two different application
+// messages under one sequence number.
 func TestPackedFrameMixesTwoMessages(t *testing.T) {
 	c := newCluster(t, simnet.Config{}, "a", "b")
 	chunkSize := simnet.EthernetMTU - fragMargin - len("a")
-	msgA := bytes.Repeat([]byte{0x5A}, 2*chunkSize-20) // frags: [chunkSize, chunkSize-20]
 	msgB := []byte("tail")
+	room := (&chunk{Sender: "a", Payload: msgB}).wireCost() // what B adds to a frame
+	msgA := bytes.Repeat([]byte{0x5A}, 2*chunkSize-room)    // frags: [chunkSize, chunkSize-room]
 	if err := c.procs["a"].Multicast(msgA); err != nil {
 		t.Fatal(err)
 	}

@@ -276,7 +276,7 @@ func (p *Processor) sendPending(tok *tokenMsg, now time.Time, limit int) (sent, 
 		}
 		sent++
 		frame := &dataMsg{Chunks: []chunk{first}}
-		size := packedFrameOverhead + len(p.ring.Rep) + first.wireCost()
+		size := packedFrameOverhead + first.wireCost()
 		for sent < limit {
 			p.dropWithdrawn()
 			next, ok := p.pending.Peek()

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eternal/internal/cdr"
 	"eternal/internal/obs"
 	"eternal/internal/ring"
 	"eternal/internal/simnet"
@@ -55,8 +54,8 @@ type Packet = simnet.Packet
 // owned by the caller and is valid only for the duration of the call. An
 // implementation that needs the bytes after returning (queued delivery,
 // async I/O) must copy them first. This rule is what lets the protocol
-// encode frames into pooled buffers and recycle them immediately after
-// handing them to the transport (see doc/PERFORMANCE.md).
+// encode every frame into one buffer and overwrite it with the next (see
+// doc/PERFORMANCE.md).
 type Transport interface {
 	// Addr returns this endpoint's unique address.
 	Addr() string
@@ -269,6 +268,10 @@ type Processor struct {
 	parkedToken   *tokenMsg
 	quotaHeld     bool
 
+	// wbuf is the frame buffer every send encodes into (encode); only the
+	// run goroutine sends.
+	wbuf []byte
+
 	nMulticasts, nChunks, nDataFrames, nPacked, nWithdrawn atomic.Uint64
 	nHurrySent, nHurryRecv, nPacedHops                     atomic.Uint64
 	nRests, nHolds, nHoldTimeo                             atomic.Uint64
@@ -291,7 +294,7 @@ func Start(cfg Config) (*Processor, error) {
 		return nil, errors.New("totem: Config.Transport is required")
 	}
 	addr := cfg.Transport.Addr()
-	if len(addr) > 64 {
+	if len(addr) > maxNameLen {
 		return nil, fmt.Errorf("%w: %q", ErrAddrTooLong, addr)
 	}
 	if cfg.Transport.MTU() < fragMargin+64 {
@@ -585,26 +588,18 @@ func (p *Processor) onTick(now time.Time) {
 	}
 }
 
-// bcastMsg encodes m into a pooled buffer, broadcasts it, and returns the
-// buffer to the pool — legal because Transport implementations must not
-// retain the payload after Broadcast returns (see Transport).
-func (p *Processor) bcastMsg(m wireMsg) {
-	e := cdr.AcquireEncoder(cdr.BigEndian)
-	m.encodeTo(e)
-	buf := e.Bytes()
-	p.mPktsOut.Inc()
-	p.mBytesOut.Add(uint64(len(buf)))
-	_ = p.tr.Broadcast(buf)
-	cdr.ReleaseEncoder(e)
-}
+// bcastMsg broadcasts m.
+func (p *Processor) bcastMsg(m wireMsg) { _ = p.tr.Broadcast(p.encode(m)) }
 
-// sendMsg is bcastMsg for unicast.
-func (p *Processor) sendMsg(to string, m wireMsg) {
-	e := cdr.AcquireEncoder(cdr.BigEndian)
-	m.encodeTo(e)
-	buf := e.Bytes()
+// sendMsg unicasts m.
+func (p *Processor) sendMsg(to string, m wireMsg) { _ = p.tr.Send(to, p.encode(m)) }
+
+// encode encodes m into the processor's one frame buffer, overwriting the
+// last frame — legal because Transport implementations must not retain the
+// payload after Send or Broadcast returns (see Transport).
+func (p *Processor) encode(m wireMsg) []byte {
+	p.wbuf = m.appendTo(p.wbuf[:0])
 	p.mPktsOut.Inc()
-	p.mBytesOut.Add(uint64(len(buf)))
-	_ = p.tr.Send(to, buf)
-	cdr.ReleaseEncoder(e)
+	p.mBytesOut.Add(uint64(len(p.wbuf)))
+	return p.wbuf
 }

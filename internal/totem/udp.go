@@ -103,7 +103,7 @@ func (t *UDPTransport) readLoop() {
 // framePool recycles frame buffers across Send/Broadcast calls: WriteToUDP
 // hands the datagram to the kernel synchronously, so the buffer is free the
 // moment it returns, and the Transport ownership rule means the caller's
-// payload may itself live in a pooled encoder buffer.
+// payload may itself live in a buffer the caller reuses.
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 1+64+udpMTU)

@@ -1,22 +1,25 @@
 package totem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"eternal/internal/cdr"
+	"math"
 )
 
-// packet type discriminants on the wire. 1 and 8 are retired (the
-// pre-packing single-chunk data frame; the frame that forwarded chunks to
-// a ring leader for sequencing) and are not reused.
+// Packet type discriminants: the first byte of every frame. What follows is
+// the compact layout — integers are uvarints, strings and payloads carry a
+// uvarint length, nothing is padded or terminated. 1–8 are retired and are
+// not reused: 1 and 8 (the pre-packing single-chunk data frame; the frame
+// that forwarded chunks to a ring leader for sequencing), and 2–7, the CDR
+// layouts of the six types below. A frame of a retired type is a bad packet.
 const (
-	ptToken    byte = 2
-	ptJoin     byte = 3
-	ptForm     byte = 4
-	ptAnnounce byte = 5
-	ptPacked   byte = 6
-	ptHurry    byte = 7
+	ptPacked   byte = 9
+	ptToken    byte = 10
+	ptJoin     byte = 11
+	ptForm     byte = 12
+	ptAnnounce byte = 13
+	ptHurry    byte = 14
 )
 
 // ErrBadPacket reports an undecodable totem packet.
@@ -114,198 +117,229 @@ type formMsg struct {
 	StartSeq uint64
 }
 
-// wireMsg is any totem message that can encode itself into a CDR stream.
-// Encoding appends into a caller-supplied encoder so senders can reuse
-// pooled buffers (see Processor.bcastMsg/sendMsg).
+// wireMsg is any totem message. appendTo appends its encoding to b, so a
+// sender encodes every frame into one reused buffer (Processor.encode).
 type wireMsg interface {
-	encodeTo(e *cdr.Encoder)
+	appendTo(b []byte) []byte
 }
 
-func encodeRing(e *cdr.Encoder, r ringIdentity) {
-	e.WriteULongLong(r.Epoch)
-	e.WriteString(r.Rep)
+// appendBytes appends a length-prefixed string or payload.
+func appendBytes[T string | []byte](b []byte, s T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func encodeStrings(e *cdr.Encoder, ss []string) {
-	e.WriteULong(uint32(len(ss)))
+func appendRing(b []byte, r ringIdentity) []byte {
+	return appendBytes(binary.AppendUvarint(b, r.Epoch), r.Rep)
+}
+
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
-		e.WriteString(s)
+		b = appendBytes(b, s)
 	}
+	return b
 }
 
-func encodeChunk(e *cdr.Encoder, c *chunk) {
-	e.WriteString(c.Sender)
-	e.WriteULongLong(c.MsgID)
-	e.WriteULong(c.FragIdx)
-	e.WriteULong(c.FragTotal)
-	e.WriteOctetSeq(c.Payload)
-}
-
-// Conservative wire-size bounds used by the packer (sendPending) to keep a
-// packed frame within the transport MTU without a trial encode. Both
-// over-estimate CDR alignment padding slightly; precision is not needed,
-// only the guarantee that estimate >= encoded size.
+// Wire-size bounds the packer (sendPending) and the fragmenter (submit) size
+// frames by without a trial encode, from the codec's largest encodings: a
+// uvarint takes at most 10 bytes for a 64-bit value and 5 for a 32-bit one,
+// lengths and counts included; a name is a transport address, at most
+// maxNameLen bytes, so its length takes 1. The frame bound holds the longest
+// representative name, so a frame re-tagged with any ring identity on
+// retransmission still fits the MTU it was packed for.
+// TestWireCostBoundsEncodedSize pins estimate >= encoded size.
 const (
-	// packedFrameOverhead bounds the frame header: type octet, ring
-	// identity (minus the representative name, added by the caller),
-	// sequence number and chunk count.
-	packedFrameOverhead = 48
+	maxNameLen   = 64
+	maxUvarint32 = 5
+	// packedFrameOverhead bounds the frame header: type octet, ring epoch,
+	// representative name, sequence number and chunk count.
+	packedFrameOverhead = 1 + binary.MaxVarintLen64 + 1 + maxNameLen + binary.MaxVarintLen64 + maxUvarint32
 	// packedChunkOverhead bounds one chunk's encoding beyond its sender
 	// name and payload bytes.
-	packedChunkOverhead = 48
+	packedChunkOverhead = 1 + binary.MaxVarintLen64 + 2*maxUvarint32 + maxUvarint32
 )
 
-// wireCost conservatively bounds the bytes c adds to a packed frame.
+// wireCost bounds the bytes c adds to a packed frame.
 func (c *chunk) wireCost() int { return packedChunkOverhead + len(c.Sender) + len(c.Payload) }
 
-func (m *dataMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptPacked)
-	encodeRing(e, m.Ring)
-	e.WriteULongLong(m.Seq)
-	e.WriteULong(uint32(len(m.Chunks)))
+func (m *dataMsg) appendTo(b []byte) []byte {
+	b = appendRing(append(b, ptPacked), m.Ring)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = binary.AppendUvarint(b, uint64(len(m.Chunks)))
 	for i := range m.Chunks {
-		encodeChunk(e, &m.Chunks[i])
+		c := &m.Chunks[i]
+		b = appendBytes(b, c.Sender)
+		b = binary.AppendUvarint(b, c.MsgID)
+		b = binary.AppendUvarint(b, uint64(c.FragIdx))
+		b = binary.AppendUvarint(b, uint64(c.FragTotal))
+		b = appendBytes(b, c.Payload)
 	}
+	return b
 }
 
-func (m *tokenMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptToken)
-	encodeRing(e, m.Ring)
-	e.WriteULongLong(m.Round)
-	e.WriteULongLong(m.Seq)
-	e.WriteULongLong(m.Aru)
-	e.WriteString(m.AruSetter)
-	e.WriteULongLong(m.GCSeq)
-	e.WriteULong(m.IdleHops)
-	e.WriteULong(uint32(len(m.Rtr)))
+func (m *tokenMsg) appendTo(b []byte) []byte {
+	b = appendRing(append(b, ptToken), m.Ring)
+	b = binary.AppendUvarint(b, m.Round)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = binary.AppendUvarint(b, m.Aru)
+	b = appendBytes(b, m.AruSetter)
+	b = binary.AppendUvarint(b, m.GCSeq)
+	b = binary.AppendUvarint(b, uint64(m.IdleHops))
+	b = binary.AppendUvarint(b, uint64(len(m.Rtr)))
 	for _, s := range m.Rtr {
-		e.WriteULongLong(s)
+		b = binary.AppendUvarint(b, s)
 	}
+	return b
 }
 
-func (m *joinMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptJoin)
-	e.WriteString(m.Sender)
-	encodeStrings(e, m.Alive)
-	encodeRing(e, m.PrevRing)
-	e.WriteULongLong(m.HighSeq)
-	e.WriteULongLong(m.MaxEpoch)
+func (m *joinMsg) appendTo(b []byte) []byte {
+	b = appendBytes(append(b, ptJoin), m.Sender)
+	b = appendStrings(b, m.Alive)
+	b = appendRing(b, m.PrevRing)
+	b = binary.AppendUvarint(b, m.HighSeq)
+	return binary.AppendUvarint(b, m.MaxEpoch)
 }
 
-func (m *announceMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptAnnounce)
-	encodeRing(e, m.Ring)
+func (m *announceMsg) appendTo(b []byte) []byte { return appendRing(append(b, ptAnnounce), m.Ring) }
+
+func (m *hurryMsg) appendTo(b []byte) []byte {
+	return appendBytes(appendRing(append(b, ptHurry), m.Ring), m.Origin)
 }
 
-func (m *hurryMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptHurry)
-	encodeRing(e, m.Ring)
-	e.WriteString(m.Origin)
+func (m *formMsg) appendTo(b []byte) []byte {
+	b = appendRing(append(b, ptForm), m.Ring)
+	b = appendStrings(b, m.Members)
+	b = appendRing(b, m.Lineage)
+	return binary.AppendUvarint(b, m.StartSeq)
 }
 
-func (m *formMsg) encodeTo(e *cdr.Encoder) {
-	e.WriteOctet(ptForm)
-	encodeRing(e, m.Ring)
-	encodeStrings(e, m.Members)
-	encodeRing(e, m.Lineage)
-	e.WriteULongLong(m.StartSeq)
-}
+var (
+	errShort   = errors.New("truncated")
+	errVarint  = errors.New("malformed varint")
+	errCount   = errors.New("count exceeds the bytes that follow")
+	errUint32  = errors.New("value overflows 32 bits")
+	errNoChunk = errors.New("data frame with no chunks")
+)
 
 // reader reads fields off a packet until the first error, which sticks:
 // every later read returns zero, and decodePacket reports the error once.
 type reader struct {
-	d   cdr.Decoder
+	b   []byte
 	err error
 }
 
-func (r *reader) u32() (v uint32) {
-	if r.err == nil {
-		v, r.err = r.d.ReadULong()
+// u64 reads a uvarint of at most ten bytes and none spare (0x80 0x00 is
+// not a second way to write 0), so an accepted packet is the one encoding
+// of its message.
+func (r *reader) u64() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	return v
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n == 0:
+		r.err = errShort
+	case n < 0 || (n > 1 && r.b[n-1] == 0):
+		r.err = errVarint
+	default:
+		r.b = r.b[n:]
+		return v
+	}
+	return 0
 }
 
-func (r *reader) u64() (v uint64) {
-	if r.err == nil {
-		v, r.err = r.d.ReadULongLong()
+func (r *reader) u32() uint32 {
+	v := r.u64()
+	if v > math.MaxUint32 {
+		r.err = errUint32
+		return 0
 	}
-	return v
+	return uint32(v)
 }
 
-func (r *reader) str() (v string) {
-	if r.err == nil {
-		v, r.err = r.d.ReadString()
+// bytes reads a length-prefixed run. It aliases the packet buffer (no
+// copy); chunk payloads rely on that, which is safe because nothing in the
+// delivery path mutates them and the packet buffer is immutable once
+// received.
+func (r *reader) bytes() []byte {
+	n := r.u64()
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = errShort
 	}
-	return v
-}
-
-func (r *reader) ring() ringIdentity { return ringIdentity{Epoch: r.u64(), Rep: r.str()} }
-
-// count reads an element count and rejects one the rest of the stream
-// cannot hold at min bytes an element: a hostile frame sizes no allocation.
-func (r *reader) count(min, slack int) uint32 {
-	n := r.u32()
-	if r.err == nil && uint64(n)*uint64(min) > uint64(r.d.Remaining()+slack) {
-		r.err = cdr.ErrLengthOverflow
-	}
-	return n
-}
-
-func (r *reader) strs() []string {
-	n := r.count(4, 0)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]string, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		out = append(out, r.str())
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) str() string { return string(r.bytes()) }
+
+func (r *reader) ring() ringIdentity { return ringIdentity{Epoch: r.u64(), Rep: r.str()} }
+
+// count reads an element count and rejects one the rest of the packet
+// cannot hold at min bytes an element: a hostile frame sizes no allocation.
+func (r *reader) count(min int) int {
+	n := r.u64()
+	if r.err == nil && n > uint64(len(r.b)/min) {
+		r.err = errCount
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (r *reader) strs() []string {
+	out := make([]string, r.count(1)) // an empty name is its 1-byte length
+	for i := range out {
+		out[i] = r.str()
 	}
 	return out
 }
 
-// chunk parses one chunk. Payloads alias the packet buffer (no copy); that
-// is safe because nothing in the delivery path mutates them and the packet
-// buffer is immutable once received.
 func (r *reader) chunk() chunk {
-	c := chunk{Sender: r.str(), MsgID: r.u64(), FragIdx: r.u32(), FragTotal: r.u32()}
-	if r.err == nil {
-		c.Payload, r.err = r.d.ReadOctetSeqView()
-	}
-	return c
+	return chunk{Sender: r.str(), MsgID: r.u64(), FragIdx: r.u32(), FragTotal: r.u32(), Payload: r.bytes()}
 }
 
 // decodePacket parses any totem packet, returning one of *dataMsg,
-// *tokenMsg, *joinMsg, *formMsg, *announceMsg or *hurryMsg. Chunk payloads
-// in the returned dataMsg alias buf.
+// *tokenMsg, *joinMsg, *formMsg, *announceMsg or *hurryMsg. It accepts
+// exactly what appendTo writes: no trailing bytes, no value a field cannot
+// hold, no count the packet cannot back. Chunk payloads in the returned
+// dataMsg alias buf.
 func decodePacket(buf []byte) (msg any, err error) {
-	r := reader{d: *cdr.NewDecoder(buf, cdr.BigEndian)}
-	t, err := r.d.ReadOctet()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPacket, err)
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("%w: empty", ErrBadPacket)
 	}
-	switch t {
+	r := reader{b: buf[1:]}
+	switch buf[0] {
 	case ptPacked:
 		m := &dataMsg{Ring: r.ring(), Seq: r.u64()}
-		// Each chunk costs at least ~25 wire bytes.
-		n := r.count(16, 16)
+		// A chunk takes at least five bytes: four one-byte uvarints and a
+		// one-byte name length.
+		n := r.count(5)
 		if r.err == nil && n == 0 {
 			// A chunkless frame is the local tombstone; accepted off the
 			// wire it would make this member skip a sequence number its
 			// peers deliver.
-			r.err = errors.New("data frame with no chunks")
+			r.err = errNoChunk
 		}
 		if r.err == nil {
 			m.Chunks = make([]chunk, n)
 		}
-		for i := 0; i < len(m.Chunks) && r.err == nil; i++ {
+		for i := range m.Chunks {
 			m.Chunks[i] = r.chunk()
 		}
 		msg = m
 	case ptToken:
 		m := &tokenMsg{Ring: r.ring(), Round: r.u64(), Seq: r.u64(), Aru: r.u64(),
 			AruSetter: r.str(), GCSeq: r.u64(), IdleHops: r.u32()}
-		for n := r.count(8, 8); n > 0 && r.err == nil; n-- {
-			m.Rtr = append(m.Rtr, r.u64())
+		if n := r.count(1); n > 0 {
+			m.Rtr = make([]uint64, n)
+			for i := range m.Rtr {
+				m.Rtr[i] = r.u64()
+			}
 		}
 		msg = m
 	case ptJoin:
@@ -317,7 +351,10 @@ func decodePacket(buf []byte) (msg any, err error) {
 	case ptHurry:
 		msg = &hurryMsg{Ring: r.ring(), Origin: r.str()}
 	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadPacket, t)
+		return nil, fmt.Errorf("%w: unknown or retired type %d", ErrBadPacket, buf[0])
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadPacket, r.err)
