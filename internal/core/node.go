@@ -273,6 +273,9 @@ func Start(cfg Config) (*Node, error) {
 	metrics.CounterFunc("eternal_state_chunk_stalls_total",
 		"token visits that left state chunks waiting in the bulk lane behind the StateChunksPerToken quota",
 		func() float64 { return float64(proc.Stats().BulkStalls) })
+	metrics.CounterFunc("eternal_envelopes_rejected_total",
+		"ordered messages dropped because they did not decode as an envelope (another envelope layout, or corruption)",
+		func() float64 { return float64(marks.rejected.Load()) })
 	metrics.CounterFunc("eternal_events_recorded_total",
 		"flight-recorder events recorded",
 		func() float64 { return float64(recorder.Total()) })

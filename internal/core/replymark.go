@@ -39,6 +39,11 @@ type replyMarks struct {
 	answering sync.Map
 	// hook is a test-only observer of ordered replies (see setReplyHook).
 	hook atomic.Value
+	// rejected counts ordered messages that are not envelopes — a peer on
+	// another envelope layout, or garbage. Every member that decodes as
+	// this one does drops the same ones at the same positions, so they move
+	// nothing; they are counted because a silent drop leaves no trace.
+	rejected atomic.Uint64
 }
 
 func newReplyMarks(addr string) *replyMarks {
@@ -72,6 +77,7 @@ func (n *Node) publishAnswering(name string) {
 func (m *replyMarks) ordered(d *totem.Delivery) {
 	env, err := replication.Decode(d.Payload)
 	if err != nil {
+		m.rejected.Add(1)
 		return
 	}
 	d.App = env

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -223,5 +224,92 @@ func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
 	defer mu.Unlock()
 	if n := surplus["n3"]; n != 0 {
 		t.Fatalf("%d replies from the recovered replica were ordered behind a peer's copy", n)
+	}
+}
+
+// retiredRemoveMember is a RemoveMember envelope for n2's replica of group
+// g in the CDR layout, kind 4 — byte for byte the one replication's
+// TestRetiredCDREnvelopesAreRejected keeps.
+var retiredRemoveMember = []byte{
+	4, 0, 0, 0, // kind, padding
+	0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+	0, 0, 0, 3, 'n', '2', 0, 0, // node, padding
+	0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+	0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+	0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+	0, 0, 0, 0, // operation id
+	0, 0, 0, 0, // oneway, padding
+	0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+	0, 0, 0, 0, 0, 0, 0, 0, // trace
+	0, 0, 0, 0, // payload
+}
+
+// TestRetiredEnvelopeIsCountedAndMovesNothing: a node still writing CDR
+// envelopes shares the ring — Totem's wire is the same — and multicasts a
+// RemoveMember for n2's replica of a live 3-way active group. Every node
+// drops it at its position in the total order and counts it; no group table
+// and no replica moves, and all three replicas go on serving.
+func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
+	all := []string{"n1", "n2", "n3"}
+	c := newTestCluster(t, simnet.Config{}, all...)
+	var mu sync.Mutex
+	replicas := make(map[string]*counter)
+	for _, a := range all {
+		c.nodes[a].RegisterFactory("Counter", func(string) ftcorba.Replica {
+			mu.Lock()
+			defer mu.Unlock()
+			replicas[a] = &counter{}
+			return replicas[a]
+		})
+	}
+	c.createGroup("g", ftcorba.Active, all, 1)
+	obj := c.client("n1", "driver", "g")
+	// state renders a node's group table and its replica's count once that
+	// count is want (an active group's other replicas trail the reply).
+	state := func(a string, want int64) string {
+		t.Helper()
+		n := c.nodes[a]
+		var table []byte
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			mu.Lock()
+			r := replicas[a]
+			mu.Unlock()
+			if r != nil {
+				r.mu.Lock()
+				v := r.v
+				r.mu.Unlock()
+				if v == want && n.onLoop(func() { table = n.table.EncodeTable() }) {
+					return fmt.Sprintf("%x", table)
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: replica never reached %d", a, want)
+			}
+		}
+	}
+	add(t, obj, 5)
+	before := make(map[string]string)
+	rejected := make(map[string]uint64)
+	for _, a := range all {
+		before[a], rejected[a] = state(a, 5), c.nodes[a].Stats().EnvelopesRejected
+	}
+	if err := c.nodes["n2"].proc.Multicast(retiredRemoveMember); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range all {
+		for deadline := time.Now().Add(5 * time.Second); c.nodes[a].Stats().EnvelopesRejected != rejected[a]+1; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: rejected %d envelopes, want %d", a, c.nodes[a].Stats().EnvelopesRejected, rejected[a]+1)
+			}
+		}
+		if after := state(a, 5); after != before[a] {
+			t.Errorf("%s: group table moved:\n%s\n%s", a, before[a], after)
+		}
+	}
+	if got := add(t, obj, 1); got != 6 {
+		t.Fatalf("add after the retired envelope = %d, want 6", got)
+	}
+	for _, a := range all {
+		state(a, 6)
 	}
 }

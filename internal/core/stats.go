@@ -77,6 +77,10 @@ type Stats struct {
 	// AuditStalls counts stall alarms: an expected member silent past the
 	// deadline.
 	AuditStalls uint64
+	// EnvelopesRejected counts ordered messages that did not decode as an
+	// envelope (a node on another envelope layout, or corruption) and were
+	// dropped at their position in the total order.
+	EnvelopesRejected uint64
 }
 
 // nodeCounters is the backing store for Stats: registry-owned counters, so
@@ -161,6 +165,7 @@ func (c *nodeCounters) snapshot() Stats {
 func (n *Node) Stats() Stats {
 	s := n.counters.snapshot()
 	s.StateChunkStalls = n.proc.Stats().BulkStalls
+	s.EnvelopesRejected = n.replyMarks.rejected.Load()
 	return s
 }
 

@@ -54,24 +54,15 @@ func (a *AuditRecord) EncodeTo(enc *cdr.Encoder) {
 	enc.WriteULong(a.StateBytes)
 }
 
-// DecodeAuditRecord parses an encoded audit record.
+// DecodeAuditRecord parses an encoded audit record: 24 bytes, two ulonglongs
+// and two ulongs each aligned where it falls. Any other length, trailing
+// bytes included, is not a record.
 func DecodeAuditRecord(buf []byte) (*AuditRecord, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	var a AuditRecord
-	var err error
-	if a.Epoch, err = d.ReadULongLong(); err != nil {
-		return nil, fmt.Errorf("%w: audit record: %v", ErrBadEnvelope, err)
+	if len(buf) != 24 {
+		return nil, fmt.Errorf("%w: audit record not 24 bytes", ErrBadEnvelope)
 	}
-	if a.LSN, err = d.ReadULongLong(); err != nil {
-		return nil, fmt.Errorf("%w: audit record: %v", ErrBadEnvelope, err)
-	}
-	if a.Digest, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: audit record: %v", ErrBadEnvelope, err)
-	}
-	if a.StateBytes, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: audit record: %v", ErrBadEnvelope, err)
-	}
-	return &a, nil
+	be := binary.BigEndian
+	return &AuditRecord{Epoch: be.Uint64(buf), LSN: be.Uint64(buf[8:]), Digest: be.Uint32(buf[16:]), StateBytes: be.Uint32(buf[20:])}, nil
 }
 
 // auditTable is the CRC-32C (Castagnoli) table the audit digests use.

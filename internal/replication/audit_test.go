@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"eternal/internal/cdr"
@@ -24,6 +25,15 @@ func TestAuditRecordDecodeTruncated(t *testing.T) {
 		if _, err := DecodeAuditRecord(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", cut)
 		}
+	}
+}
+
+// A record with bytes after it is not a record: decoding it and encoding
+// the result again would not give back what was received.
+func TestAuditRecordDecodeRejectsTrailingBytes(t *testing.T) {
+	raw := append((&AuditRecord{Epoch: 1, LSN: 2, Digest: 3, StateBytes: 4}).Encode(), 0)
+	if _, err := DecodeAuditRecord(raw); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("err = %v, want ErrBadEnvelope", err)
 	}
 }
 

@@ -3,6 +3,11 @@ package replication
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,25 +15,54 @@ import (
 	"eternal/internal/ftcorba"
 )
 
+// sameEnvelope reports whether a and b agree in every field; an empty
+// payload and a nil one are the same payload.
+func sameEnvelope(a, b *Envelope) bool {
+	x, y := *a, *b
+	x.Payload, y.Payload = nil, nil
+	return reflect.DeepEqual(x, y) && bytes.Equal(a.Payload, b.Payload)
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
-	in := &Envelope{
-		Kind:    KRequest,
-		Group:   "bank",
-		Node:    "n1",
-		Conn:    ConnID{Client: "teller", Group: "bank", Seq: 2},
-		OpID:    351,
-		Oneway:  true,
-		XferID:  9,
-		Payload: []byte{0xDE, 0xAD},
+	long := strings.Repeat("n", 300) // a two-byte length, past the header's stack buffer
+	for _, in := range []*Envelope{
+		{Kind: KRequest, Group: "bank", Node: "n1", Conn: ConnID{Client: "teller", Group: "bank", Seq: 2},
+			OpID: 351, Oneway: true, XferID: 9, Trace: 0x1234_5678_9abc_def0, Payload: []byte{0xDE, 0xAD}},
+		{Kind: KReply, Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Trace: 1, Payload: []byte("reply")},
+		{Kind: KStateChunk, Group: "bank", Node: "n3", Conn: ConnID{Client: "c", Group: "other", Seq: math.MaxUint64},
+			OpID: math.MaxUint32, XferID: math.MaxUint64, Trace: math.MaxUint64, Payload: make([]byte, 70000)},
+		{Kind: KAudit, Group: long, Node: long, Conn: ConnID{Client: long, Group: long + "x"}},
+		{Kind: KSyncRequest},
+	} {
+		out, err := Decode(in.Encode())
+		if err != nil {
+			t.Fatalf("%+v: %v", in, err)
+		}
+		if !sameEnvelope(out, in) {
+			t.Fatalf("got %+v, want %+v", out, in)
+		}
 	}
-	out, err := Decode(in.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != in.Kind || out.Group != in.Group || out.Node != in.Node ||
-		out.Conn != in.Conn || out.OpID != in.OpID || out.Oneway != in.Oneway ||
-		out.XferID != in.XferID || !bytes.Equal(out.Payload, in.Payload) {
-		t.Fatalf("got %+v, want %+v", out, in)
+}
+
+// TestEnvelopeSizesArePinned prices the benchmark's ping in envelope bytes:
+// a 52-byte GIOP request from client entity driver0 to group bench on its
+// first connection, operation 1000, traced, and its 36-byte reply. In CDR
+// each envelope took 84 bytes beside its payload: 136 and 120 in all.
+func TestEnvelopeSizesArePinned(t *testing.T) {
+	conn := ConnID{Client: "driver0", Group: "bench"}
+	trace := uint64(0x9e37_79b9)<<32 | 1000
+	for _, tc := range []struct {
+		env  Envelope
+		want int
+	}{
+		// kind, flags, "bench", "", "driver0", seq, op, xfer, trace, payload length
+		{Envelope{Kind: KRequest, Group: "bench", Conn: conn, OpID: 1000, Trace: trace, Payload: make([]byte, 52)}, 1 + 1 + 6 + 1 + 8 + 1 + 2 + 1 + 8 + 1 + 52},
+		// kind, flags, "", "", "driver0", "bench", seq, op, xfer, trace, payload length
+		{Envelope{Kind: KReply, Conn: conn, OpID: 1000, Trace: trace, Payload: make([]byte, 36)}, 1 + 1 + 1 + 1 + 8 + 6 + 1 + 2 + 1 + 8 + 1 + 36},
+	} {
+		if got := len(tc.env.Encode()); got != tc.want {
+			t.Errorf("%v envelope: %d bytes, want %d", tc.env.Kind, got, tc.want)
+		}
 	}
 }
 
@@ -40,21 +74,235 @@ func TestEnvelopeBadKind(t *testing.T) {
 	}
 }
 
+// TestEnvelopeDecodeIsStrict: Decode takes exactly what Encode writes, so a
+// second spelling of the same envelope is no envelope at all.
+func TestEnvelopeDecodeIsStrict(t *testing.T) {
+	good := (&Envelope{Kind: KRequest, Group: "g", Conn: ConnID{Client: "c", Group: "g", Seq: 1}, OpID: 1, Payload: []byte("x")}).Encode()
+	// good is: kind, flags, "g" at 2, "" at 4, "c" at 5, seq at 7, op at 8,
+	// xfer at 9, 8 trace bytes at 10, "x" at 18.
+	with := func(at int, cut int, insert ...byte) []byte {
+		return append(append(append([]byte{}, good[:at]...), insert...), good[at+cut:]...)
+	}
+	if _, err := Decode(good); err != nil {
+		t.Fatal(err)
+	}
+	spelt := with(7, 0, 1, 'g')
+	spelt[1] &^= flagSameGroup
+	for name, raw := range map[string][]byte{
+		"unknown flag":                 with(1, 1, good[1]|0x80),
+		"connection's group spelt out": spelt,
+		"over-long varint":             with(7, 1, 0x81, 0x00),
+		"operation id past 32 bits":    with(8, 1, 0x80, 0x80, 0x80, 0x80, 0x10),
+		"payload length unbacked":      with(18, 1, 2),
+		"trailing byte":                append(append([]byte{}, good...), 0),
+	} {
+		if _, err := Decode(raw); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("%s: err = %v, want ErrBadEnvelope", name, err)
+		}
+	}
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := Decode(good[:cut]); !errors.Is(err, ErrBadEnvelope) {
+			t.Fatalf("truncation at %d bytes: err = %v", cut, err)
+		}
+	}
+}
+
+// retiredCDREnvelopes are well-formed envelopes of kinds 1–13 as the CDR
+// encoder wrote them (big-endian, aligned, strings with their NUL), one per
+// kind still in use: what a node of that layout on the same ring sends.
+var retiredCDREnvelopes = []struct {
+	name string
+	buf  []byte
+}{
+	{"Request", []byte{
+		1, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // node, padding
+		0, 0, 0, 2, 'c', 0, 0, 0, // client, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // connection seq
+		0, 0, 0, 1, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"Reply", []byte{
+		2, 0, 0, 0, // kind, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // group, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // node, padding
+		0, 0, 0, 2, 'c', 0, 0, 0, // client, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // connection seq
+		0, 0, 0, 1, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"CreateGroup", []byte{
+		3, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"RemoveMember", []byte{
+		4, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '2', 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 0, // payload
+	}},
+	{"AddMember", []byte{
+		5, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '2', 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 0, // payload
+	}},
+	{"Checkpoint", []byte{
+		7, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 0, // payload
+	}},
+	{"SyncRequest", []byte{
+		8, 0, 0, 0, // kind, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '2', 0, 0, // node, padding
+		0, 0, 0, 3, 'n', '1', 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 0, // payload
+	}},
+	{"SyncState", []byte{
+		9, 0, 0, 0, // kind, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '2', 0, 0, // node, padding
+		0, 0, 0, 3, 'n', '1', 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"StateChunk", []byte{
+		10, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '1', 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"StateManifest", []byte{
+		11, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '1', 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"StateRetransmit", []byte{
+		12, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '2', 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 1, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 1, 'x', // payload
+	}},
+	{"Audit", []byte{
+		13, 0, 0, 0, // kind, padding
+		0, 0, 0, 2, 'g', 0, 0, 0, // group, padding
+		0, 0, 0, 3, 'n', '1', 0, 0, // node, padding
+		0, 0, 0, 1, 0, 0, 0, 0, // client, padding
+		0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, // connection's group, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // connection seq
+		0, 0, 0, 0, // operation id
+		0, 0, 0, 0, // oneway, padding
+		0, 0, 0, 0, 0, 0, 0, 0, // transfer id
+		0, 0, 0, 0, 0, 0, 0, 0, // trace
+		0, 0, 0, 0, // payload
+	}},
+}
+
+// TestRetiredCDREnvelopesAreRejected: a node still writing the CDR layout
+// and this one reject each other's envelopes at the first byte.
+func TestRetiredCDREnvelopesAreRejected(t *testing.T) {
+	for _, r := range retiredCDREnvelopes {
+		if _, err := Decode(r.buf); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("%s (kind %d): err = %v, want ErrBadEnvelope", r.name, r.buf[0], err)
+		}
+	}
+}
+
 func TestQuickEnvelopeRoundTrip(t *testing.T) {
-	f := func(group, node, client string, seq uint64, op uint32, payload []byte, oneway bool) bool {
+	kinds := slices.Collect(maps.Keys(kindNames))
+	f := func(k uint8, group, node, client string, sameGroup bool, seq uint64, op uint32, oneway bool, xfer, trace uint64, payload []byte) bool {
 		in := &Envelope{
-			Kind:    KReply,
+			Kind:    kinds[int(k)%len(kinds)],
 			Group:   group,
 			Node:    node,
-			Conn:    ConnID{Client: client, Group: group, Seq: seq},
+			Conn:    ConnID{Client: client, Group: client + "/g", Seq: seq},
 			OpID:    op,
 			Oneway:  oneway,
+			XferID:  xfer,
+			Trace:   trace,
 			Payload: payload,
 		}
+		if sameGroup {
+			in.Conn.Group = group
+		}
 		out, err := Decode(in.Encode())
-		return err == nil && out.Conn == in.Conn && out.OpID == op && bytes.Equal(out.Payload, payload)
+		return err == nil && sameEnvelope(out, in)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
