@@ -156,9 +156,6 @@ func (e *Encoder) WriteBoolean(v bool) {
 	}
 }
 
-// WriteChar appends a CDR char (one octet in the transmission code set).
-func (e *Encoder) WriteChar(v byte) { e.WriteOctet(v) }
-
 // WriteUShort appends a 2-aligned unsigned short.
 func (e *Encoder) WriteUShort(v uint16) {
 	e.Align(2)
@@ -405,23 +402,6 @@ func (d *Decoder) ReadOctetSeq() ([]byte, error) {
 	}
 	out := make([]byte, n)
 	copy(out, d.buf[d.pos:d.pos+int(n)])
-	d.pos += int(n)
-	return out, nil
-}
-
-// ReadOctetSeqView consumes a sequence<octet> and returns a view aliasing
-// the decoder's input buffer — no copy. The view is valid only as long as
-// the input buffer is, and the caller must not modify it; callers that
-// retain the bytes past the input's lifetime use ReadOctetSeq instead.
-func (d *Decoder) ReadOctetSeqView() ([]byte, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	if uint32(d.Remaining()) < n {
-		return nil, ErrLengthOverflow
-	}
-	out := d.buf[d.pos : d.pos+int(n) : d.pos+int(n)]
 	d.pos += int(n)
 	return out, nil
 }

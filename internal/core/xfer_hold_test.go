@@ -193,13 +193,16 @@ func (tc *transferCluster) killAndRecover(quietUntilFirstChunk *pinger) transfer
 		return true
 	})
 	defer donor.setChunkHook(nil)
-	if err := tc.nodes["n3"].RecoverReplica("blob", 15*time.Second); err != nil {
-		tc.t.Fatal(err)
-	}
+	recovered := make(chan error, 1)
+	go func() { recovered <- tc.nodes["n3"].RecoverReplica("blob", 15*time.Second) }()
 	// The receiver can be done before the donor's own loop has worked
 	// through the stream it sent: the window closes at the donor's set_state.
+	// The donor's rotation log keeps its last 256 token visits, fewer than a
+	// transfer beside a client and what follows it take: the visits are kept
+	// as they come.
 	var x transfer
-	for deadline := time.Now().Add(5 * time.Second); x.to.IsZero(); time.Sleep(time.Millisecond) {
+	rotations := make(map[uint64]obs.TokenRotation) // by round
+	for deadline := time.Now().Add(15 * time.Second); x.to.IsZero(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			tc.t.Fatal("the donor never ordered the transfer's set_state")
 		}
@@ -212,6 +215,12 @@ func (tc *transferCluster) killAndRecover(quietUntilFirstChunk *pinger) transfer
 				x.to = ev.At
 			}
 		}
+		for _, r := range donor.TokenRotations(0) {
+			rotations[r.Round] = r
+		}
+	}
+	if err := <-recovered; err != nil {
+		tc.t.Fatal(err)
 	}
 	if x.from.IsZero() || !x.to.After(x.from) {
 		tc.t.Fatalf("transfer window not observed: get_state at %v, set_state at %v", x.from, x.to)
@@ -220,7 +229,7 @@ func (tc *transferCluster) killAndRecover(quietUntilFirstChunk *pinger) transfer
 	x.stalls = donor.Stats().StateChunkStalls - stalls
 	x.holds = after.ReplyHolds - first.Load().ReplyHolds
 	x.timeouts = after.ReplyHoldTimeouts - first.Load().ReplyHoldTimeouts
-	for _, r := range donor.TokenRotations(0) {
+	for _, r := range rotations {
 		if r.At.Before(x.from) || r.At.After(x.to) || r.BulkWaiting == 0 {
 			continue
 		}

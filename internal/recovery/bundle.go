@@ -6,7 +6,11 @@
 package recovery
 
 import (
-	"eternal/internal/cdr"
+	"bytes"
+	"encoding/binary"
+	"errors"
+
+	"eternal/internal/codec"
 	"eternal/internal/replication"
 )
 
@@ -67,96 +71,53 @@ type Bundle struct {
 	CaptureNanos int64
 }
 
-// Encode serializes the bundle.
+// ErrBadBundle reports an undecodable state bundle.
+var ErrBadBundle = errors.New("recovery: bad state bundle")
+
+// Encode serializes the bundle: AppState length-prefixed; the server
+// connections as a list of (AppendConnID, handshake length-prefixed,
+// LastRequestID); the client connections as a list of (AppendConnID,
+// NextRequestID); the two filter states length-prefixed; CaptureNanos as a
+// uvarint (a negative one as its 64-bit two's complement).
 func (b *Bundle) Encode() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctetSeq(b.AppState)
-	e.WriteULong(uint32(len(b.ORB.ServerConns)))
+	// From nil, append sizes the buffer to AppState without zeroing it first,
+	// as make would: a megabyte's copy, not two.
+	out := binary.AppendUvarint(codec.AppendBytes(nil, b.AppState), uint64(len(b.ORB.ServerConns)))
 	for _, sc := range b.ORB.ServerConns {
-		encodeConnID(e, sc.Conn)
-		e.WriteOctetSeq(sc.Handshake)
-		e.WriteULong(sc.LastRequestID)
+		out = codec.AppendBytes(replication.AppendConnID(out, sc.Conn), sc.Handshake)
+		out = binary.AppendUvarint(out, uint64(sc.LastRequestID))
 	}
-	e.WriteULong(uint32(len(b.ORB.ClientConns)))
+	out = binary.AppendUvarint(out, uint64(len(b.ORB.ClientConns)))
 	for _, cc := range b.ORB.ClientConns {
-		encodeConnID(e, cc.Conn)
-		e.WriteULong(cc.NextRequestID)
+		out = binary.AppendUvarint(replication.AppendConnID(out, cc.Conn), uint64(cc.NextRequestID))
 	}
-	e.WriteOctetSeq(b.Infra.RequestFilter)
-	e.WriteOctetSeq(b.Infra.ReplyFilter)
-	e.WriteULongLong(uint64(b.CaptureNanos))
-	return e.Bytes()
+	out = codec.AppendBytes(codec.AppendBytes(out, b.Infra.RequestFilter), b.Infra.ReplyFilter)
+	return binary.AppendUvarint(out, uint64(b.CaptureNanos))
 }
 
-// DecodeBundle parses a serialized bundle.
+// DecodeBundle parses a serialized bundle, accepting exactly what Encode
+// writes. Everything it returns is copied out of buf.
 func DecodeBundle(buf []byte) (*Bundle, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	var b Bundle
-	var err error
-	if b.AppState, err = d.ReadOctetSeq(); err != nil {
+	r := codec.NewReader(buf)
+	b := &Bundle{AppState: bytes.Clone(r.Bytes())}
+	// A server connection is at least five bytes (two empty names, a seq, an
+	// empty handshake, an id), a client connection four.
+	if n := r.Count(5); n > 0 {
+		b.ORB.ServerConns = make([]ServerConnState, n)
+	}
+	for i := range b.ORB.ServerConns {
+		b.ORB.ServerConns[i] = ServerConnState{Conn: replication.ReadConnID(&r), Handshake: bytes.Clone(r.Bytes()), LastRequestID: r.U32()}
+	}
+	if n := r.Count(4); n > 0 {
+		b.ORB.ClientConns = make([]ClientConnState, n)
+	}
+	for i := range b.ORB.ClientConns {
+		b.ORB.ClientConns[i] = ClientConnState{Conn: replication.ReadConnID(&r), NextRequestID: r.U32()}
+	}
+	b.Infra = InfraState{RequestFilter: bytes.Clone(r.Bytes()), ReplyFilter: bytes.Clone(r.Bytes())}
+	b.CaptureNanos = int64(r.U64())
+	if err := r.Done(ErrBadBundle); err != nil {
 		return nil, err
 	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < n; i++ {
-		var sc ServerConnState
-		if sc.Conn, err = decodeConnID(d); err != nil {
-			return nil, err
-		}
-		if sc.Handshake, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
-		if sc.LastRequestID, err = d.ReadULong(); err != nil {
-			return nil, err
-		}
-		b.ORB.ServerConns = append(b.ORB.ServerConns, sc)
-	}
-	if n, err = d.ReadULong(); err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < n; i++ {
-		var cc ClientConnState
-		if cc.Conn, err = decodeConnID(d); err != nil {
-			return nil, err
-		}
-		if cc.NextRequestID, err = d.ReadULong(); err != nil {
-			return nil, err
-		}
-		b.ORB.ClientConns = append(b.ORB.ClientConns, cc)
-	}
-	if b.Infra.RequestFilter, err = d.ReadOctetSeq(); err != nil {
-		return nil, err
-	}
-	if b.Infra.ReplyFilter, err = d.ReadOctetSeq(); err != nil {
-		return nil, err
-	}
-	capture, err := d.ReadULongLong()
-	if err != nil {
-		return nil, err
-	}
-	b.CaptureNanos = int64(capture)
-	return &b, nil
-}
-
-func encodeConnID(e *cdr.Encoder, c replication.ConnID) {
-	e.WriteString(c.Client)
-	e.WriteString(c.Group)
-	e.WriteULongLong(c.Seq)
-}
-
-func decodeConnID(d *cdr.Decoder) (replication.ConnID, error) {
-	var c replication.ConnID
-	var err error
-	if c.Client, err = d.ReadString(); err != nil {
-		return c, err
-	}
-	if c.Group, err = d.ReadString(); err != nil {
-		return c, err
-	}
-	if c.Seq, err = d.ReadULongLong(); err != nil {
-		return c, err
-	}
-	return c, nil
+	return b, nil
 }

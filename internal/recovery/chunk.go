@@ -1,11 +1,12 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
-	"eternal/internal/cdr"
+	"eternal/internal/codec"
 )
 
 // DefaultChunkBytes is the default bound on one state chunk's payload.
@@ -82,71 +83,49 @@ func NewManifest(enc []byte, chunks [][]byte, chunkBytes int) *Manifest {
 // Count reports the number of chunks in the transfer.
 func (m *Manifest) Count() int { return len(m.Checksums) }
 
-// Encode serializes the manifest.
+// Encode serializes the manifest: TotalBytes, ChunkBytes and the chunk count
+// as uvarints, then each checksum as four big-endian bytes.
 func (m *Manifest) Encode() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULongLong(m.TotalBytes)
-	e.WriteULong(m.ChunkBytes)
-	e.WriteULong(uint32(len(m.Checksums)))
+	b := make([]byte, 0, 3*binary.MaxVarintLen64+4*len(m.Checksums))
+	b = binary.AppendUvarint(binary.AppendUvarint(b, m.TotalBytes), uint64(m.ChunkBytes))
+	b = binary.AppendUvarint(b, uint64(len(m.Checksums)))
 	for _, c := range m.Checksums {
-		e.WriteULong(c)
+		b = binary.BigEndian.AppendUint32(b, c)
 	}
-	return e.Bytes()
+	return b
 }
 
-// readULongs reads the n ULongs that must be all that is left of d: a count
-// off the wire is believed only as far as the bytes behind it go, so a
-// short frame cannot make its reader allocate for a long one.
-func readULongs(d *cdr.Decoder, n uint32) ([]uint32, error) {
-	if uint64(d.Remaining()) != 4*uint64(n) {
-		return nil, fmt.Errorf("%w: %d entries announced, %d bytes follow", ErrBadManifest, n, d.Remaining())
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i], _ = d.ReadULong() // cannot fail: the bytes are there, and aligned
-	}
-	return out, nil
-}
+var errTooManyChunks = errors.New("more than MaxChunks")
 
-// DecodeManifest parses a serialized manifest and sanity-checks its
-// internal consistency (the chunks, at their sizes, must add up to
-// TotalBytes exactly — Assembly.Bytes allocates on its word).
+// DecodeManifest parses a serialized manifest, accepting exactly what Encode
+// writes, and sanity-checks its internal consistency (the chunks, at their
+// sizes, must add up to TotalBytes exactly — Assembly.Bytes allocates on its
+// word).
 func DecodeManifest(buf []byte) (*Manifest, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	var m Manifest
-	var err error
-	if m.TotalBytes, err = d.ReadULongLong(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	if m.ChunkBytes, err = d.ReadULong(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
+	r := codec.NewReader(buf)
+	m := &Manifest{TotalBytes: r.U64(), ChunkBytes: r.U32()}
+	n := r.Count(4)
 	if n > MaxChunks {
-		return nil, fmt.Errorf("%w: absurd chunk count %d", ErrBadManifest, n)
+		r.Fail(errTooManyChunks)
 	}
-	if m.Checksums, err = readULongs(d, n); err != nil {
+	if r.Err() == nil {
+		m.Checksums = make([]uint32, n)
+	}
+	for i := range m.Checksums {
+		m.Checksums[i] = binary.BigEndian.Uint32(r.Take(4)) // Count(4) vouched for the bytes
+	}
+	switch total, size := m.TotalBytes, uint64(m.ChunkBytes); {
+	case total != 0 && size == 0:
+		r.Fail(errors.New("zero chunk size for a non-empty transfer"))
+	case total == 0 && n != 0,
+		// not (total+size-1)/size: that wraps
+		total != 0 && total/size+min(total%size, 1) != uint64(n):
+		r.Fail(errors.New("chunk count does not fit the bytes at the chunk size"))
+	}
+	if err := r.Done(ErrBadManifest); err != nil {
 		return nil, err
 	}
-	if m.ChunkBytes == 0 && m.TotalBytes != 0 {
-		return nil, fmt.Errorf("%w: zero chunk size for %d bytes", ErrBadManifest, m.TotalBytes)
-	}
-	if m.TotalBytes > 0 {
-		want := m.TotalBytes / uint64(m.ChunkBytes) // not (total+size-1)/size: that wraps
-		if m.TotalBytes%uint64(m.ChunkBytes) != 0 {
-			want++
-		}
-		if want != uint64(n) {
-			return nil, fmt.Errorf("%w: %d checksums for %d bytes at %d/chunk (want %d)",
-				ErrBadManifest, n, m.TotalBytes, m.ChunkBytes, want)
-		}
-	} else if n != 0 {
-		return nil, fmt.Errorf("%w: %d checksums for empty transfer", ErrBadManifest, n)
-	}
-	return &m, nil
+	return m, nil
 }
 
 // Assembly reassembles a chunked transfer on the receiving side. Chunks
@@ -251,25 +230,33 @@ func (a *Assembly) Bytes() []byte {
 	return out
 }
 
-// EncodeIndexList serializes a retransmit request's chunk-index list.
+// EncodeIndexList serializes a retransmit request's chunk-index list: a
+// count, then each index as a uvarint.
 func EncodeIndexList(idx []uint32) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULong(uint32(len(idx)))
+	b := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(idx)*3), uint64(len(idx)))
 	for _, i := range idx {
-		e.WriteULong(i)
+		b = binary.AppendUvarint(b, uint64(i))
 	}
-	return e.Bytes()
+	return b
 }
 
-// DecodeIndexList parses a retransmit request's chunk-index list.
+// DecodeIndexList parses a retransmit request's chunk-index list, accepting
+// exactly what EncodeIndexList writes.
 func DecodeIndexList(buf []byte) ([]uint32, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
+	r := codec.NewReader(buf)
+	n := r.Count(1)
 	if n > MaxChunks {
-		return nil, fmt.Errorf("%w: absurd index count %d", ErrBadManifest, n)
+		r.Fail(errTooManyChunks)
 	}
-	return readULongs(d, n)
+	var idx []uint32
+	if r.Err() == nil {
+		idx = make([]uint32, n)
+	}
+	for i := range idx {
+		idx[i] = r.U32()
+	}
+	if err := r.Done(ErrBadManifest); err != nil {
+		return nil, err
+	}
+	return idx, nil
 }

@@ -42,7 +42,7 @@ func manifestSeeds() [][]byte {
 		(&Manifest{TotalBytes: 100, ChunkBytes: 0}).Encode(),
 		// A chunk count no input of this size can back, and a total that
 		// wraps the count check round to "no chunks at all".
-		(&Manifest{TotalBytes: 1 << 40, ChunkBytes: 1 << 16, Checksums: nil}).Encode()[:12],
+		binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1<<40), 1<<16), 1<<24),
 		(&Manifest{TotalBytes: 1<<64 - 1, ChunkBytes: 2}).Encode(),
 	}
 }
@@ -76,7 +76,7 @@ func FuzzDecodeIndexList(f *testing.F) {
 	f.Add(EncodeIndexList([]uint32{0, 3, 17, 1 << 20}))
 	f.Add(EncodeIndexList(nil))
 	f.Add([]byte{1})
-	f.Add([]byte{0, 0xff, 0xff, 0xff}) // 16M indexes, none of them there
+	f.Add(binary.AppendUvarint(nil, MaxChunks-1)) // 16M indexes, none of them there
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var idx []uint32
 		var err error
@@ -88,6 +88,29 @@ func FuzzDecodeIndexList(f *testing.F) {
 		}
 		if again := EncodeIndexList(idx); !bytes.Equal(again, buf) {
 			t.Fatalf("accepted list of %d re-encodes to %d bytes, not the %d it came from", len(idx), len(again), len(buf))
+		}
+	})
+}
+
+// FuzzDecodeBundle: what a state transfer or a checkpoint assembles to.
+func FuzzDecodeBundle(f *testing.F) {
+	for _, seed := range bundleSeeds() {
+		f.Add(seed)
+	}
+	for _, seed := range hostileBundles() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var b *Bundle
+		var err error
+		if grew := allocated(func() { b, err = DecodeBundle(buf) }); grew > allocBound(len(buf)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(buf), grew)
+		}
+		if err != nil {
+			return
+		}
+		if again := b.Encode(); !bytes.Equal(again, buf) {
+			t.Fatalf("accepted bundle %+v re-encodes to %x, not %x", b, again, buf)
 		}
 	})
 }

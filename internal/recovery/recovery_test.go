@@ -2,6 +2,9 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +60,64 @@ func TestBundleRoundTrip(t *testing.T) {
 	if !bytes.Equal(out.Infra.RequestFilter, in.Infra.RequestFilter) ||
 		!bytes.Equal(out.Infra.ReplyFilter, in.Infra.ReplyFilter) {
 		t.Fatal("infra filters lost")
+	}
+}
+
+// bundleSeeds are encodings of the sample bundle, an empty one, and one with
+// every integer at its widest.
+func bundleSeeds() [][]byte {
+	wide := sampleBundle()
+	wide.CaptureNanos = -1
+	wide.ORB.ServerConns[0].LastRequestID = math.MaxUint32
+	wide.ORB.ClientConns = append(wide.ORB.ClientConns, ClientConnState{
+		Conn: replication.ConnID{Client: "c", Seq: math.MaxUint64}, NextRequestID: math.MaxUint32})
+	wide.AppState = make([]byte, 300)
+	return [][]byte{sampleBundle().Encode(), (&Bundle{}).Encode(), wide.Encode()}
+}
+
+// hostileBundles announce more connections than their bytes hold.
+func hostileBundles() [][]byte {
+	return [][]byte{
+		binary.AppendUvarint([]byte{0}, 1<<30),                        // 2³⁰ server connections
+		append(binary.AppendUvarint([]byte{0, 0}, 1<<30), 0, 0, 0, 0), // 2³⁰ client connections
+	}
+}
+
+// TestBundleRoundTripIsByteExact: decoding and encoding again gives back the
+// bytes the encoder wrote.
+func TestBundleRoundTripIsByteExact(t *testing.T) {
+	for i, buf := range bundleSeeds() {
+		b, err := DecodeBundle(buf)
+		if err != nil {
+			t.Fatalf("bundle %d: %v", i, err)
+		}
+		if again := b.Encode(); !bytes.Equal(again, buf) {
+			t.Fatalf("bundle %d re-encodes to\n%x, not\n%x", i, again, buf)
+		}
+	}
+}
+
+// TestBundleDecodeRejectsTrailingBytes: a bundle with bytes after it is not
+// that bundle.
+func TestBundleDecodeRejectsTrailingBytes(t *testing.T) {
+	for i, buf := range bundleSeeds() {
+		if _, err := DecodeBundle(append(buf, 0)); !errors.Is(err, ErrBadBundle) {
+			t.Errorf("bundle %d with a trailing byte: err = %v, want ErrBadBundle", i, err)
+		}
+	}
+}
+
+// TestBundleDecodeBoundsAllocationByItsInput: a connection count the bytes
+// behind it cannot back is refused before anything is sized by it.
+func TestBundleDecodeBoundsAllocationByItsInput(t *testing.T) {
+	for i, buf := range hostileBundles() {
+		var err error
+		if grew := allocated(func() { _, err = DecodeBundle(buf) }); grew > allocBound(len(buf)) {
+			t.Errorf("hostile bundle %d: decoding %d bytes allocated %d", i, len(buf), grew)
+		}
+		if !errors.Is(err, ErrBadBundle) {
+			t.Errorf("hostile bundle %d: err = %v, want ErrBadBundle", i, err)
+		}
 	}
 }
 

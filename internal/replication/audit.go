@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-
-	"eternal/internal/cdr"
 )
 
 // KAudit OpID values: the two phases of one audit epoch.
@@ -37,26 +35,18 @@ type AuditRecord struct {
 	StateBytes uint32
 }
 
-// Encode serializes the record canonically (big-endian CDR, fixed field
-// order) so encoded records — like the digests they carry — are
-// byte-identical across replicas.
+// Encode serializes the record canonically (fixed field order, big-endian:
+// the layout DecodeAuditRecord takes) so encoded records — like the digests
+// they carry — are byte-identical across replicas.
 func (a *AuditRecord) Encode() []byte {
-	enc := cdr.NewEncoder(cdr.BigEndian)
-	a.EncodeTo(enc)
-	return enc.Bytes()
+	be := binary.BigEndian
+	b := be.AppendUint64(be.AppendUint64(make([]byte, 0, 24), a.Epoch), a.LSN)
+	return be.AppendUint32(be.AppendUint32(b, a.Digest), a.StateBytes)
 }
 
-// EncodeTo serializes the record into enc (pooled-encoder variant).
-func (a *AuditRecord) EncodeTo(enc *cdr.Encoder) {
-	enc.WriteULongLong(a.Epoch)
-	enc.WriteULongLong(a.LSN)
-	enc.WriteULong(a.Digest)
-	enc.WriteULong(a.StateBytes)
-}
-
-// DecodeAuditRecord parses an encoded audit record: 24 bytes, two ulonglongs
-// and two ulongs each aligned where it falls. Any other length, trailing
-// bytes included, is not a record.
+// DecodeAuditRecord parses an encoded audit record: exactly 24 bytes, Epoch
+// and LSN in eight each, Digest and StateBytes in four each. Any other
+// length, trailing bytes included, is not a record.
 func DecodeAuditRecord(buf []byte) (*AuditRecord, error) {
 	if len(buf) != 24 {
 		return nil, fmt.Errorf("%w: audit record not 24 bytes", ErrBadEnvelope)

@@ -1,11 +1,8 @@
 package replication
 
 import (
-	"bytes"
 	"errors"
 	"testing"
-
-	"eternal/internal/cdr"
 )
 
 func TestAuditRecordRoundTrip(t *testing.T) {
@@ -103,19 +100,5 @@ func TestDigestStateSensitivity(t *testing.T) {
 	}
 	if DigestState([]byte("state"), EncodeFilterState(map[ConnID]uint32{{Client: "c", Group: "g"}: 2})) == base {
 		t.Fatal("filter-state change not reflected in digest")
-	}
-}
-
-// Encoding through a reused encoder (the pooled-marshaling path) must
-// produce the same bytes as a fresh one.
-func TestAuditRecordEncodeToReusedEncoder(t *testing.T) {
-	rec := AuditRecord{Epoch: 9, LSN: 8, Digest: 7, StateBytes: 6}
-	fresh := rec.Encode()
-	enc := cdr.NewEncoder(cdr.BigEndian)
-	enc.WriteString("unrelated leading traffic")
-	enc.Reset(cdr.BigEndian)
-	rec.EncodeTo(enc)
-	if !bytes.Equal(fresh, enc.Bytes()) {
-		t.Fatalf("reused encoder produced different bytes:\n%x\n%x", enc.Bytes(), fresh)
 	}
 }

@@ -1,9 +1,12 @@
 package replication
 
 import (
+	"encoding/binary"
+	"errors"
+	"maps"
 	"slices"
 
-	"eternal/internal/cdr"
+	"eternal/internal/codec"
 )
 
 // DupFilter suppresses duplicate invocations and responses using
@@ -47,20 +50,12 @@ func (f *DupFilter) Peek(conn ConnID) (uint32, bool) {
 
 // Snapshot returns a deep copy of the filter's state — the
 // infrastructure-level state piggybacked on a state transfer.
-func (f *DupFilter) Snapshot() map[ConnID]uint32 {
-	out := make(map[ConnID]uint32, len(f.seen))
-	for k, v := range f.seen {
-		out[k] = v
-	}
-	return out
-}
+func (f *DupFilter) Snapshot() map[ConnID]uint32 { return maps.Clone(f.seen) }
 
 // Restore overwrites the filter with transferred state.
 func (f *DupFilter) Restore(state map[ConnID]uint32) {
 	f.seen = make(map[ConnID]uint32, len(state))
-	for k, v := range state {
-		f.seen[k] = v
-	}
+	maps.Copy(f.seen, state)
 }
 
 // MergeMax folds transferred state into the filter, keeping the higher
@@ -76,68 +71,39 @@ func (f *DupFilter) MergeMax(state map[ConnID]uint32) {
 	}
 }
 
-// EncodeFilterState serializes a filter snapshot for piggybacking.
+// ErrBadFilterState reports an undecodable duplicate-filter state.
+var ErrBadFilterState = errors.New("replication: bad filter state")
+
+// EncodeFilterState serializes a filter snapshot for piggybacking: a count,
+// then each connection (AppendConnID) and its high-water mark, in
+// compareConnID order — canonical, so equal filters encode, and digest,
+// alike.
 func EncodeFilterState(state map[ConnID]uint32) []byte {
-	keys := make([]ConnID, 0, len(state))
-	for k := range state {
-		keys = append(keys, k)
+	b := binary.AppendUvarint(nil, uint64(len(state)))
+	for _, k := range slices.SortedFunc(maps.Keys(state), compareConnID) {
+		b = binary.AppendUvarint(AppendConnID(b, k), uint64(state[k]))
 	}
-	slices.SortFunc(keys, func(a, b ConnID) int {
-		if a.Client != b.Client {
-			if a.Client < b.Client {
-				return -1
-			}
-			return 1
-		}
-		if a.Group != b.Group {
-			if a.Group < b.Group {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		}
-		return 0
-	})
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULong(uint32(len(keys)))
-	for _, k := range keys {
-		e.WriteString(k.Client)
-		e.WriteString(k.Group)
-		e.WriteULongLong(k.Seq)
-		e.WriteULong(state[k])
-	}
-	return e.Bytes()
+	return b
 }
 
-// DecodeFilterState parses a serialized filter snapshot.
+// DecodeFilterState parses a serialized filter snapshot. It accepts exactly
+// what EncodeFilterState writes: connections strictly in order, so none
+// twice, and no trailing bytes.
 func DecodeFilterState(buf []byte) (map[ConnID]uint32, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(buf)
+	// An entry is at least four bytes: two empty names, a seq and a mark.
+	n := r.Count(4)
 	out := make(map[ConnID]uint32, n)
-	for i := uint32(0); i < n; i++ {
-		var k ConnID
-		if k.Client, err = d.ReadString(); err != nil {
-			return nil, err
+	var prev ConnID
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := ReadConnID(&r)
+		if i > 0 && compareConnID(prev, k) >= 0 {
+			r.Fail(errors.New("connections out of order or repeated"))
 		}
-		if k.Group, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		if k.Seq, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		v, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
+		out[k], prev = r.U32(), k
+	}
+	if err := r.Done(ErrBadFilterState); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

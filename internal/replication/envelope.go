@@ -7,73 +7,76 @@ package replication
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"strings"
 
 	"eternal/internal/cdr"
+	"eternal/internal/codec"
 )
 
 // Kind discriminates envelope types on the wire.
 type Kind byte
 
-// Envelope kinds: the first byte of every envelope. 1–13 are retired and not
-// reused — 6, the monolithic set_state envelope, and the CDR layouts of the
-// kinds below — so a node still writing CDR envelopes and this one reject
-// each other's at the first byte.
+// Envelope kinds: the first byte of every envelope. 1–25 are retired and not
+// reused — 6, the monolithic set_state envelope; 1–13, the CDR layouts of
+// the kinds below; 14–25, the same kinds when the spec, table, bundle,
+// manifest and index list they carry were still CDR — so a node of either
+// older layout and this one reject each other's envelopes at the first byte.
 const (
 	// KRequest carries a client's IIOP Request to a server group.
-	KRequest Kind = 14
+	KRequest Kind = 26
 	// KReply carries a server's IIOP Reply back to a logical client
 	// connection.
-	KReply Kind = 15
+	KReply Kind = 27
 	// KCreateGroup creates an object group (control payload:
 	// group spec).
-	KCreateGroup Kind = 16
+	KCreateGroup Kind = 28
 	// KRemoveMember removes one replica from a group (replica kill or
 	// administrative removal).
-	KRemoveMember Kind = 17
+	KRemoveMember Kind = 29
 	// KAddMember adds a new (recovering) replica to a group. Its position
 	// in the total order is the state synchronization point: the paper's
 	// get_state() marker (Figure 5 step i).
-	KAddMember Kind = 18
+	KAddMember Kind = 30
 	// KCheckpoint is the periodic state-retrieval marker for passive
 	// replication (paper §3.3); it triggers get_state() on the primary at
 	// a consistent point in the total order.
-	KCheckpoint Kind = 19
+	KCheckpoint Kind = 31
 	// KSyncRequest asks for the group-metadata table, once per view: Node
 	// is the requester, Conn.Client/Conn.Seq the view's representative and
 	// epoch. Its delivery position defines the snapshot point — or, once
 	// every member has asked, the cold start (doc/PROTOCOL.md §2).
-	KSyncRequest Kind = 20
+	KSyncRequest Kind = 32
 	// KSyncState carries the table snapshot taken at the matching
 	// KSyncRequest's position, which XferID names.
-	KSyncState Kind = 21
+	KSyncState Kind = 33
 	// KStateChunk carries one bounded slice of the encoded state bundle —
 	// application-level state with ORB-level and infrastructure-level
 	// state piggybacked (Figure 5 steps iii–v) — streamed ahead of its
 	// KStateManifest and interleaved with foreground traffic. OpID is the
 	// chunk index within the transfer XferID; Node is the donor.
-	KStateChunk Kind = 22
+	KStateChunk Kind = 34
 	// KStateManifest is the state transfer's sync point, the paper's
 	// set_state: it closes the transfer XferID at one position in the
 	// total order and carries the manifest — chunk count, chunk size, and
 	// per-chunk checksums — the receiver uses to validate and assemble the
 	// streamed chunks.
-	KStateManifest Kind = 23
+	KStateManifest Kind = 35
 	// KStateRetransmit asks the donor (or any node holding the transfer
 	// cached) to re-multicast the listed chunk indexes of transfer
 	// XferID. Node is the requester; the payload is an encoded index
 	// list.
-	KStateRetransmit Kind = 24
+	KStateRetransmit Kind = 36
 	// KAudit carries the live consistency audit. OpID discriminates the
 	// two phases: an AuditMark (sent by the group's primary) fixes an
 	// audit epoch at its own delivery position — every instance-bearing
 	// member digests its state at exactly that point in the total order —
 	// and an AuditReport (one per member, XferID = the mark's delivery
 	// seq) carries the resulting AuditRecord for epoch-by-epoch matching.
-	KAudit Kind = 25
+	KAudit Kind = 37
 )
 
 var kindNames = map[Kind]string{
@@ -109,6 +112,22 @@ type ConnID struct {
 // String renders the connection id.
 func (c ConnID) String() string { return fmt.Sprintf("%s->%s#%d", c.Client, c.Group, c.Seq) }
 
+// AppendConnID appends c as the state bundle and the filter state spell it:
+// Client and Group length-prefixed, then Seq. (The envelope spells its own
+// connection more tightly, sharing the group when it can.)
+func AppendConnID(b []byte, c ConnID) []byte {
+	return binary.AppendUvarint(codec.AppendBytes(codec.AppendBytes(b, c.Client), c.Group), c.Seq)
+}
+
+// ReadConnID reads what AppendConnID wrote.
+func ReadConnID(r *codec.Reader) ConnID { return ConnID{Client: r.Str(), Group: r.Str(), Seq: r.U64()} }
+
+// compareConnID orders connections by Client, Group, Seq: the order the
+// filter state lists them in.
+func compareConnID(a, b ConnID) int {
+	return cmp.Or(strings.Compare(a.Client, b.Client), strings.Compare(a.Group, b.Group), cmp.Compare(a.Seq, b.Seq))
+}
+
 // Envelope is one Eternal message conveyed by the totally-ordered
 // multicast.
 type Envelope struct {
@@ -142,10 +161,11 @@ type Envelope struct {
 	Payload []byte
 }
 
-// The wire layout, unaligned: kind, flags, then Group, Node, Conn.Client and
-// (without flagSameGroup) Conn.Group as uvarint length and bytes; Conn.Seq,
-// OpID, XferID as uvarints; Trace as 8 big-endian bytes (its high half is a
-// node hash, 10 bytes as a uvarint); the payload, length and bytes.
+// The wire layout, in package codec's terms: kind, flags, then Group, Node,
+// Conn.Client and (without flagSameGroup) Conn.Group as length-prefixed
+// strings; Conn.Seq, OpID, XferID as uvarints; Trace as 8 big-endian bytes
+// (its high half is a node hash, 10 bytes as a uvarint); the payload,
+// length-prefixed.
 const (
 	flagOneway byte = 1 << iota
 	// flagSameGroup: Conn.Group equals Group and is not written twice —
@@ -155,9 +175,7 @@ const (
 
 // Encode serializes the envelope into a fresh buffer.
 func (e *Envelope) Encode() []byte {
-	enc := cdr.NewEncoder(cdr.BigEndian)
-	e.EncodeTo(enc)
-	return enc.Bytes()
+	return append(e.appendHeader(make([]byte, 0, 64+len(e.Payload))), e.Payload...)
 }
 
 // EncodeTo appends the envelope to enc, so hot paths can encode into a
@@ -165,6 +183,13 @@ func (e *Envelope) Encode() []byte {
 // envelope. The encoder serves only as a byte buffer: everything before the
 // payload is built on the stack and copied in once.
 func (e *Envelope) EncodeTo(enc *cdr.Encoder) {
+	var hdr [128]byte
+	enc.WriteRaw(e.appendHeader(hdr[:0]))
+	enc.WriteRaw(e.Payload)
+}
+
+// appendHeader appends everything before the payload's bytes.
+func (e *Envelope) appendHeader(b []byte) []byte {
 	flags := byte(0)
 	if e.Oneway {
 		flags |= flagOneway
@@ -172,20 +197,14 @@ func (e *Envelope) EncodeTo(enc *cdr.Encoder) {
 	if e.Conn.Group == e.Group {
 		flags |= flagSameGroup
 	}
-	var hdr [128]byte
-	b := appendBytes(append(hdr[:0], byte(e.Kind), flags), e.Group)
-	b = appendBytes(appendBytes(b, e.Node), e.Conn.Client)
+	b = codec.AppendBytes(append(b, byte(e.Kind), flags), e.Group)
+	b = codec.AppendBytes(codec.AppendBytes(b, e.Node), e.Conn.Client)
 	if flags&flagSameGroup == 0 {
-		b = appendBytes(b, e.Conn.Group)
+		b = codec.AppendBytes(b, e.Conn.Group)
 	}
 	b = binary.AppendUvarint(binary.AppendUvarint(b, e.Conn.Seq), uint64(e.OpID))
 	b = binary.BigEndian.AppendUint64(binary.AppendUvarint(b, e.XferID), e.Trace)
-	enc.WriteRaw(binary.AppendUvarint(b, uint64(len(e.Payload))))
-	enc.WriteRaw(e.Payload)
-}
-
-func appendBytes(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	return binary.AppendUvarint(b, uint64(len(e.Payload)))
 }
 
 // Decode parses an envelope. It accepts exactly what EncodeTo writes — a
@@ -196,62 +215,20 @@ func Decode(buf []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("%w: kind and flags % x: unknown, retired or truncated", ErrBadEnvelope, buf[:min(len(buf), 2)])
 	}
 	e := &Envelope{Kind: Kind(buf[0]), Oneway: buf[1]&flagOneway != 0}
-	r := reader{b: buf[2:]}
-	e.Group, e.Node, e.Conn.Client = r.str(), r.str(), r.str()
+	r := codec.NewReader(buf[2:])
+	e.Group, e.Node, e.Conn.Client = r.Str(), r.Str(), r.Str()
 	if buf[1]&flagSameGroup != 0 {
 		e.Conn.Group = e.Group
-	} else if e.Conn.Group = r.str(); r.err == nil && e.Conn.Group == e.Group {
-		r.err = errors.New("connection's group written out, not flagged")
+	} else if e.Conn.Group = r.Str(); e.Conn.Group == e.Group {
+		r.Fail(errors.New("connection's group written out, not flagged"))
 	}
-	seq, op, xfer := r.u64(), r.u64(), r.u64()
-	if r.err == nil && op > math.MaxUint32 {
-		r.err = errors.New("operation id overflows 32 bits")
-	}
-	e.Conn.Seq, e.OpID, e.XferID = seq, uint32(op), xfer
-	if t := r.take(8); t != nil {
+	e.Conn.Seq, e.OpID, e.XferID = r.U64(), r.U32(), r.U64()
+	if t := r.Take(8); t != nil {
 		e.Trace = binary.BigEndian.Uint64(t)
 	}
-	if e.Payload = bytes.Clone(r.take(r.u64())); r.err == nil && len(r.b) > 0 {
-		r.err = errors.New("trailing bytes")
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEnvelope, r.err)
+	e.Payload = bytes.Clone(r.Bytes())
+	if err := r.Done(ErrBadEnvelope); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
-
-// reader reads fields off an envelope until the first error, which sticks:
-// every later read returns zero.
-type reader struct {
-	b   []byte
-	err error
-}
-
-// u64 reads a uvarint of at most ten bytes and none spare (0x80 0x00 is not
-// a second way to write 0).
-func (r *reader) u64() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if r.err == nil && (n <= 0 || n > 1 && r.b[n-1] == 0) {
-		r.err = errors.New("truncated or malformed varint")
-	}
-	if r.err != nil {
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// take reads n bytes, aliasing the envelope.
-func (r *reader) take(n uint64) []byte {
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.err = errors.New("length exceeds the bytes that follow")
-	}
-	if r.err != nil {
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) str() string { return string(r.take(r.u64())) }

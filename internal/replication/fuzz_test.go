@@ -2,7 +2,9 @@ package replication
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -15,6 +17,9 @@ func allocated(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// allocBound is "a small multiple of the input".
+func allocBound(input int) uint64 { return 64<<10 + 16*uint64(input) }
 
 // FuzzDecodeEnvelope feeds Decode what the ordered-point hook hands it: any
 // message some ring member multicast. It must never panic, never allocate
@@ -31,13 +36,13 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	} {
 		f.Add(e.Encode())
 	}
-	for _, r := range retiredCDREnvelopes {
+	for _, r := range append(retiredCDREnvelopes, retiredCompactEnvelopes...) {
 		f.Add(r.buf)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var e *Envelope
 		var err error
-		if grew := allocated(func() { e, err = Decode(buf) }); grew > 64<<10+16*uint64(len(buf)) {
+		if grew := allocated(func() { e, err = Decode(buf) }); grew > allocBound(len(buf)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(buf), grew)
 		}
 		if err != nil {
@@ -58,7 +63,7 @@ func FuzzDecodeAuditRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var a *AuditRecord
 		var err error
-		if grew := allocated(func() { a, err = DecodeAuditRecord(buf) }); grew > 64<<10+16*uint64(len(buf)) {
+		if grew := allocated(func() { a, err = DecodeAuditRecord(buf) }); grew > allocBound(len(buf)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(buf), grew)
 		}
 		if err != nil {
@@ -68,4 +73,40 @@ func FuzzDecodeAuditRecord(f *testing.F) {
 			t.Fatalf("accepted %+v re-encodes to %x, not %x", a, again, buf)
 		}
 	})
+}
+
+// fuzzState runs state decoders under the fuzz invariant: no panic, the
+// allocation bound, and an accepted input re-encodes to itself.
+func fuzzState(f *testing.F, seeds [][]byte, names ...string) {
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	ds := stateDecoders(f)
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		for _, name := range names {
+			var again []byte
+			var err error
+			if grew := allocated(func() { again, err = ds[name].decode(buf) }); grew > allocBound(len(buf)) {
+				t.Fatalf("%s: decoding %d bytes allocated %d", name, len(buf), grew)
+			}
+			if err == nil && !bytes.Equal(again, buf) {
+				t.Fatalf("accepted %s re-encodes to %x, not %x", name, again, buf)
+			}
+		}
+	})
+}
+
+// FuzzDecodeFilterState: the duplicate filter a bundle or checkpoint carries.
+func FuzzDecodeFilterState(f *testing.F) {
+	seeds := append(stateDecoders(f)["filter state"].good, []byte{0, 0x10, 0, 0}, binary.AppendUvarint(nil, 1<<31))
+	fuzzState(f, seeds, "filter state")
+}
+
+// FuzzDecodeTable: the table a KSyncState carries, and through it the spec
+// each of its groups holds; DecodeSpec, what a KCreateGroup carries, runs on
+// every input too.
+func FuzzDecodeTable(f *testing.F) {
+	ds := stateDecoders(f)
+	repeated := bytes.ReplaceAll(ds["table"].good[0], []byte("group-b"), []byte("group-a"))
+	fuzzState(f, slices.Concat(ds["table"].good, ds["spec"].good, [][]byte{repeated}), "table", "spec")
 }

@@ -1,12 +1,13 @@
 package replication
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"time"
 
-	"eternal/internal/cdr"
+	"eternal/internal/codec"
 	"eternal/internal/ftcorba"
 )
 
@@ -22,77 +23,40 @@ type GroupSpec struct {
 	Nodes []string
 }
 
-// EncodeSpec serializes a group spec.
-func EncodeSpec(s *GroupSpec) []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteString(s.Name)
-	e.WriteString(s.TypeName)
-	e.WriteULong(uint32(s.Props.Style))
-	e.WriteULong(uint32(s.Props.InitialReplicas))
-	e.WriteULong(uint32(s.Props.MinReplicas))
-	e.WriteULongLong(uint64(s.Props.CheckpointInterval))
-	e.WriteULong(uint32(s.Props.CheckpointEveryN))
-	e.WriteULongLong(uint64(s.Props.FaultMonitoringInterval))
-	e.WriteULong(uint32(len(s.Nodes)))
-	for _, n := range s.Nodes {
-		e.WriteString(n)
+// ErrBadTable reports an undecodable group spec or table.
+var ErrBadTable = errors.New("replication: bad group spec or table")
+
+// EncodeSpec serializes a group spec: Name and TypeName length-prefixed, the
+// six properties as uvarints (a negative one as its 64-bit two's
+// complement), the nodes as a list.
+func EncodeSpec(s *GroupSpec) []byte { return appendSpec(nil, s) }
+
+func appendSpec(b []byte, s *GroupSpec) []byte {
+	b = codec.AppendBytes(codec.AppendBytes(b, s.Name), s.TypeName)
+	p := &s.Props
+	for _, v := range []int64{int64(p.Style), int64(p.InitialReplicas), int64(p.MinReplicas),
+		int64(p.CheckpointInterval), int64(p.CheckpointEveryN), int64(p.FaultMonitoringInterval)} {
+		b = binary.AppendUvarint(b, uint64(v))
 	}
-	return e.Bytes()
+	return codec.AppendStrings(b, s.Nodes)
 }
 
-// DecodeSpec parses a group spec.
+// DecodeSpec parses a group spec, and nothing after it.
 func DecodeSpec(buf []byte) (*GroupSpec, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	var s GroupSpec
-	var err error
-	if s.Name, err = d.ReadString(); err != nil {
+	r := codec.NewReader(buf)
+	s := readSpec(&r)
+	if err := r.Done(ErrBadTable); err != nil {
 		return nil, err
-	}
-	if s.TypeName, err = d.ReadString(); err != nil {
-		return nil, err
-	}
-	style, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	s.Props.Style = ftcorba.ReplicationStyle(style)
-	ir, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	mr, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	s.Props.InitialReplicas = int(ir)
-	s.Props.MinReplicas = int(mr)
-	ci, err := d.ReadULongLong()
-	if err != nil {
-		return nil, err
-	}
-	cn, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	s.Props.CheckpointEveryN = int(cn)
-	fi, err := d.ReadULongLong()
-	if err != nil {
-		return nil, err
-	}
-	s.Props.CheckpointInterval = time.Duration(ci)
-	s.Props.FaultMonitoringInterval = time.Duration(fi)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < n; i++ {
-		node, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		s.Nodes = append(s.Nodes, node)
 	}
 	return &s, nil
+}
+
+func readSpec(r *codec.Reader) GroupSpec {
+	return GroupSpec{Name: r.Str(), TypeName: r.Str(), Props: ftcorba.Properties{
+		Style: ftcorba.ReplicationStyle(r.U64()), InitialReplicas: int(r.U64()), MinReplicas: int(r.U64()),
+		CheckpointInterval: time.Duration(r.U64()), CheckpointEveryN: int(r.U64()),
+		FaultMonitoringInterval: time.Duration(r.U64()),
+	}, Nodes: r.Strs()}
 }
 
 // MemberState is one replica's standing within its group.
@@ -301,61 +265,50 @@ func (t *Table) NodeFailed(node string) []string {
 }
 
 // EncodeTable serializes the whole table — the KSyncState payload that
-// brings a joining node's metadata up to the snapshot position.
+// brings a joining node's metadata up to the snapshot position: a count of
+// groups, then in name order each group's spec, its members (node, state)
+// as a list and its NextXferID.
 func (t *Table) EncodeTable() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
 	names := t.Names()
-	e.WriteULong(uint32(len(names)))
+	b := binary.AppendUvarint(nil, uint64(len(names)))
 	for _, name := range names {
 		g := t.groups[name]
-		e.WriteOctetSeq(EncodeSpec(&g.Spec))
-		e.WriteULong(uint32(len(g.Members)))
+		b = binary.AppendUvarint(appendSpec(b, &g.Spec), uint64(len(g.Members)))
 		for _, m := range g.Members {
-			e.WriteString(m.Node)
-			e.WriteULong(uint32(m.State))
+			b = binary.AppendUvarint(codec.AppendBytes(b, m.Node), uint64(m.State))
 		}
-		e.WriteULongLong(g.NextXferID)
+		b = binary.AppendUvarint(b, g.NextXferID)
 	}
-	return e.Bytes()
+	return b
 }
 
-// DecodeTable parses a table snapshot.
+// DecodeTable parses a table snapshot. It accepts exactly what EncodeTable
+// writes: groups strictly in name order, so none twice; member states this
+// node knows; no trailing bytes.
 func DecodeTable(buf []byte) (*Table, error) {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
+	r := codec.NewReader(buf)
 	t := NewTable()
-	for i := uint32(0); i < n; i++ {
-		raw, err := d.ReadOctetSeq()
-		if err != nil {
-			return nil, err
+	// A group is at least eleven bytes: two empty names, six properties and
+	// three empty or zero counts.
+	prev := ""
+	for i, n := 0, r.Count(11); i < n && r.Err() == nil; i++ {
+		g := &Group{Spec: readSpec(&r)}
+		if i > 0 && g.Spec.Name <= prev {
+			r.Fail(errors.New("groups out of name order or repeated"))
 		}
-		spec, err := DecodeSpec(raw)
-		if err != nil {
-			return nil, err
-		}
-		g := &Group{Spec: *spec}
-		nm, err := d.ReadULong()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nm; j++ {
-			node, err := d.ReadString()
-			if err != nil {
-				return nil, err
+		g.Members = make([]Member, r.Count(2)) // a node name's length and a state
+		for j := range g.Members {
+			node, st := r.Str(), r.U64()
+			if st > uint64(MemberRecovering) {
+				r.Fail(errors.New("unknown member state"))
 			}
-			st, err := d.ReadULong()
-			if err != nil {
-				return nil, err
-			}
-			g.Members = append(g.Members, Member{Node: node, State: MemberState(st)})
+			g.Members[j] = Member{Node: node, State: MemberState(st)}
 		}
-		if g.NextXferID, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		t.groups[spec.Name] = g
+		g.NextXferID = r.U64()
+		t.groups[g.Spec.Name], prev = g, g.Spec.Name
+	}
+	if err := r.Done(ErrBadTable); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -282,6 +282,47 @@ func TestRetiredCDREnvelopesAreRejected(t *testing.T) {
 	}
 }
 
+// retiredCompactEnvelopes are well-formed envelopes of kinds 14–25 — the
+// compact layout of today with the spec, table, bundle, manifest and index
+// list still CDR inside — as that encoder wrote them, one per kind. Each
+// field after the flags is a uvarint or a length-prefixed string; the trace
+// is eight bytes.
+var retiredCompactEnvelopes = []struct {
+	name string
+	buf  []byte
+}{
+	// kind, flags, group, node, client, [connection's group,] seq, op, xfer, trace, payload
+	{"Request", []byte{14, 2, 1, 'g', 0, 1, 'c', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"Reply", []byte{15, 0, 0, 0, 1, 'c', 1, 'g', 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"CreateGroup", []byte{16, 0, 1, 'g', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"RemoveMember", []byte{17, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+	{"AddMember", []byte{18, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+	{"Checkpoint", []byte{19, 0, 1, 'g', 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+	{"SyncRequest", []byte{20, 2, 0, 2, 'n', '2', 2, 'n', '1', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+	{"SyncState", []byte{21, 2, 0, 2, 'n', '2', 2, 'n', '1', 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"StateChunk", []byte{22, 0, 1, 'g', 2, 'n', '1', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"StateManifest", []byte{23, 0, 1, 'g', 2, 'n', '1', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"StateRetransmit", []byte{24, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}},
+	{"Audit", []byte{25, 0, 1, 'g', 2, 'n', '1', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+}
+
+// TestRetiredCompactEnvelopesAreRejected: five of those kinds carry a
+// payload whose layout changed under an unchanged envelope, so all twelve
+// moved to fresh numbers. A node of that layout and this one reject each
+// other's envelopes at the first byte instead of half-working; the same
+// envelope under today's number decodes.
+func TestRetiredCompactEnvelopesAreRejected(t *testing.T) {
+	for i, r := range retiredCompactEnvelopes {
+		if _, err := Decode(r.buf); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("%s (kind %d): err = %v, want ErrBadEnvelope", r.name, r.buf[0], err)
+		}
+		live := append([]byte{byte(KRequest) + byte(i)}, r.buf[1:]...)
+		if e, err := Decode(live); err != nil || e.Kind.String() != r.name {
+			t.Errorf("%s as kind %d: %v, %v", r.name, live[0], e, err)
+		}
+	}
+}
+
 func TestQuickEnvelopeRoundTrip(t *testing.T) {
 	kinds := slices.Collect(maps.Keys(kindNames))
 	f := func(k uint8, group, node, client string, sameGroup bool, seq uint64, op uint32, oneway bool, xfer, trace uint64, payload []byte) bool {

@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+
+	"eternal/internal/codec"
 )
 
 // Packet type discriminants: the first byte of every frame. What follows is
-// the compact layout — integers are uvarints, strings and payloads carry a
-// uvarint length, nothing is padded or terminated. 1–8 are retired and are
+// in the layout of package codec. 1–8 are retired and are
 // not reused: 1 and 8 (the pre-packing single-chunk data frame; the frame
 // that forwarded chunks to a ring leader for sequencing), and 2–7, the CDR
 // layouts of the six types below. A frame of a retired type is a bad packet.
@@ -123,21 +123,8 @@ type wireMsg interface {
 	appendTo(b []byte) []byte
 }
 
-// appendBytes appends a length-prefixed string or payload.
-func appendBytes[T string | []byte](b []byte, s T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
 func appendRing(b []byte, r ringIdentity) []byte {
-	return appendBytes(binary.AppendUvarint(b, r.Epoch), r.Rep)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendBytes(b, s)
-	}
-	return b
+	return codec.AppendBytes(binary.AppendUvarint(b, r.Epoch), r.Rep)
 }
 
 // Wire-size bounds the packer (sendPending) and the fragmenter (submit) size
@@ -168,11 +155,11 @@ func (m *dataMsg) appendTo(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.Chunks)))
 	for i := range m.Chunks {
 		c := &m.Chunks[i]
-		b = appendBytes(b, c.Sender)
+		b = codec.AppendBytes(b, c.Sender)
 		b = binary.AppendUvarint(b, c.MsgID)
 		b = binary.AppendUvarint(b, uint64(c.FragIdx))
 		b = binary.AppendUvarint(b, uint64(c.FragTotal))
-		b = appendBytes(b, c.Payload)
+		b = codec.AppendBytes(b, c.Payload)
 	}
 	return b
 }
@@ -182,7 +169,7 @@ func (m *tokenMsg) appendTo(b []byte) []byte {
 	b = binary.AppendUvarint(b, m.Round)
 	b = binary.AppendUvarint(b, m.Seq)
 	b = binary.AppendUvarint(b, m.Aru)
-	b = appendBytes(b, m.AruSetter)
+	b = codec.AppendBytes(b, m.AruSetter)
 	b = binary.AppendUvarint(b, m.GCSeq)
 	b = binary.AppendUvarint(b, uint64(m.IdleHops))
 	b = binary.AppendUvarint(b, uint64(len(m.Rtr)))
@@ -193,8 +180,8 @@ func (m *tokenMsg) appendTo(b []byte) []byte {
 }
 
 func (m *joinMsg) appendTo(b []byte) []byte {
-	b = appendBytes(append(b, ptJoin), m.Sender)
-	b = appendStrings(b, m.Alive)
+	b = codec.AppendBytes(append(b, ptJoin), m.Sender)
+	b = codec.AppendStrings(b, m.Alive)
 	b = appendRing(b, m.PrevRing)
 	b = binary.AppendUvarint(b, m.HighSeq)
 	return binary.AppendUvarint(b, m.MaxEpoch)
@@ -203,104 +190,23 @@ func (m *joinMsg) appendTo(b []byte) []byte {
 func (m *announceMsg) appendTo(b []byte) []byte { return appendRing(append(b, ptAnnounce), m.Ring) }
 
 func (m *hurryMsg) appendTo(b []byte) []byte {
-	return appendBytes(appendRing(append(b, ptHurry), m.Ring), m.Origin)
+	return codec.AppendBytes(appendRing(append(b, ptHurry), m.Ring), m.Origin)
 }
 
 func (m *formMsg) appendTo(b []byte) []byte {
 	b = appendRing(append(b, ptForm), m.Ring)
-	b = appendStrings(b, m.Members)
+	b = codec.AppendStrings(b, m.Members)
 	b = appendRing(b, m.Lineage)
 	return binary.AppendUvarint(b, m.StartSeq)
 }
 
-var (
-	errShort   = errors.New("truncated")
-	errVarint  = errors.New("malformed varint")
-	errCount   = errors.New("count exceeds the bytes that follow")
-	errUint32  = errors.New("value overflows 32 bits")
-	errNoChunk = errors.New("data frame with no chunks")
-)
+func readRing(r *codec.Reader) ringIdentity { return ringIdentity{Epoch: r.U64(), Rep: r.Str()} }
 
-// reader reads fields off a packet until the first error, which sticks:
-// every later read returns zero, and decodePacket reports the error once.
-type reader struct {
-	b   []byte
-	err error
-}
-
-// u64 reads a uvarint of at most ten bytes and none spare (0x80 0x00 is
-// not a second way to write 0), so an accepted packet is the one encoding
-// of its message.
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errShort
-	case n < 0 || (n > 1 && r.b[n-1] == 0):
-		r.err = errVarint
-	default:
-		r.b = r.b[n:]
-		return v
-	}
-	return 0
-}
-
-func (r *reader) u32() uint32 {
-	v := r.u64()
-	if v > math.MaxUint32 {
-		r.err = errUint32
-		return 0
-	}
-	return uint32(v)
-}
-
-// bytes reads a length-prefixed run. It aliases the packet buffer (no
-// copy); chunk payloads rely on that, which is safe because nothing in the
-// delivery path mutates them and the packet buffer is immutable once
-// received.
-func (r *reader) bytes() []byte {
-	n := r.u64()
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.err = errShort
-	}
-	if r.err != nil {
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) str() string { return string(r.bytes()) }
-
-func (r *reader) ring() ringIdentity { return ringIdentity{Epoch: r.u64(), Rep: r.str()} }
-
-// count reads an element count and rejects one the rest of the packet
-// cannot hold at min bytes an element: a hostile frame sizes no allocation.
-func (r *reader) count(min int) int {
-	n := r.u64()
-	if r.err == nil && n > uint64(len(r.b)/min) {
-		r.err = errCount
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) strs() []string {
-	out := make([]string, r.count(1)) // an empty name is its 1-byte length
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-func (r *reader) chunk() chunk {
-	return chunk{Sender: r.str(), MsgID: r.u64(), FragIdx: r.u32(), FragTotal: r.u32(), Payload: r.bytes()}
+// readChunk reads one chunk. Its payload aliases the packet buffer (no copy),
+// which is safe because nothing in the delivery path mutates it and the
+// packet buffer is immutable once received.
+func readChunk(r *codec.Reader) chunk {
+	return chunk{Sender: r.Str(), MsgID: r.U64(), FragIdx: r.U32(), FragTotal: r.U32(), Payload: r.Bytes()}
 }
 
 // decodePacket parses any totem packet, returning one of *dataMsg,
@@ -312,52 +218,47 @@ func decodePacket(buf []byte) (msg any, err error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrBadPacket)
 	}
-	r := reader{b: buf[1:]}
+	r := codec.NewReader(buf[1:])
 	switch buf[0] {
 	case ptPacked:
-		m := &dataMsg{Ring: r.ring(), Seq: r.u64()}
+		m := &dataMsg{Ring: readRing(&r), Seq: r.U64()}
 		// A chunk takes at least five bytes: four one-byte uvarints and a
 		// one-byte name length.
-		n := r.count(5)
-		if r.err == nil && n == 0 {
+		if n := r.Count(5); n == 0 {
 			// A chunkless frame is the local tombstone; accepted off the
 			// wire it would make this member skip a sequence number its
 			// peers deliver.
-			r.err = errNoChunk
-		}
-		if r.err == nil {
+			r.Fail(errors.New("data frame with no chunks"))
+		} else {
 			m.Chunks = make([]chunk, n)
 		}
 		for i := range m.Chunks {
-			m.Chunks[i] = r.chunk()
+			m.Chunks[i] = readChunk(&r)
 		}
 		msg = m
 	case ptToken:
-		m := &tokenMsg{Ring: r.ring(), Round: r.u64(), Seq: r.u64(), Aru: r.u64(),
-			AruSetter: r.str(), GCSeq: r.u64(), IdleHops: r.u32()}
-		if n := r.count(1); n > 0 {
+		m := &tokenMsg{Ring: readRing(&r), Round: r.U64(), Seq: r.U64(), Aru: r.U64(),
+			AruSetter: r.Str(), GCSeq: r.U64(), IdleHops: r.U32()}
+		if n := r.Count(1); n > 0 {
 			m.Rtr = make([]uint64, n)
 			for i := range m.Rtr {
-				m.Rtr[i] = r.u64()
+				m.Rtr[i] = r.U64()
 			}
 		}
 		msg = m
 	case ptJoin:
-		msg = &joinMsg{Sender: r.str(), Alive: r.strs(), PrevRing: r.ring(), HighSeq: r.u64(), MaxEpoch: r.u64()}
+		msg = &joinMsg{Sender: r.Str(), Alive: r.Strs(), PrevRing: readRing(&r), HighSeq: r.U64(), MaxEpoch: r.U64()}
 	case ptForm:
-		msg = &formMsg{Ring: r.ring(), Members: r.strs(), Lineage: r.ring(), StartSeq: r.u64()}
+		msg = &formMsg{Ring: readRing(&r), Members: r.Strs(), Lineage: readRing(&r), StartSeq: r.U64()}
 	case ptAnnounce:
-		msg = &announceMsg{Ring: r.ring()}
+		msg = &announceMsg{Ring: readRing(&r)}
 	case ptHurry:
-		msg = &hurryMsg{Ring: r.ring(), Origin: r.str()}
+		msg = &hurryMsg{Ring: readRing(&r), Origin: r.Str()}
 	default:
 		return nil, fmt.Errorf("%w: unknown or retired type %d", ErrBadPacket, buf[0])
 	}
-	if r.err == nil && len(r.b) > 0 {
-		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPacket, r.err)
+	if err := r.Done(ErrBadPacket); err != nil {
+		return nil, err
 	}
 	return msg, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"eternal/internal/codec"
 	"eternal/internal/simnet"
 )
 
@@ -129,7 +130,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	// sender are given raw.
 	chunkFrame := func(fields ...[]byte) []byte {
 		b := binary.AppendUvarint(appendRing([]byte{ptPacked}, ring), 1)
-		b = appendBytes(binary.AppendUvarint(b, 1), "b")
+		b = codec.AppendBytes(binary.AppendUvarint(b, 1), "b")
 		return append(b, bytes.Join(fields, nil)...)
 	}
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
@@ -138,7 +139,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	tokenFrame := func(idleAndRtr ...byte) []byte {
 		b := appendRing([]byte{ptToken}, ring)
 		b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, 3), 1), 1)
-		b = binary.AppendUvarint(appendBytes(b, "a"), 0)
+		b = binary.AppendUvarint(codec.AppendBytes(b, "a"), 0)
 		return append(b, idleAndRtr...)
 	}
 	good := chunkFrame(uv(1), uv(0), uv(1), uv(1), []byte("x"))
