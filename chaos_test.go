@@ -3,11 +3,13 @@ package eternal_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eternal"
+	"eternal/internal/obs"
 	"eternal/internal/totem"
 )
 
@@ -222,22 +224,25 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	for {
 		alarmed := 0
 		for _, nd := range nodes {
-			for _, a := range sys.Node(nd).AuditAlarms(0, 0) {
-				if a.Kind != "divergence" {
-					t.Fatalf("%s raised a non-divergence alarm: %+v", nd, a)
+			for _, ev := range sys.Node(nd).Events(0, 0) {
+				if !strings.HasPrefix(ev.Type, "audit-") {
+					continue
+				}
+				if ev.Type != obs.EventAuditDivergence {
+					t.Fatalf("%s raised a non-divergence alarm: %+v", nd, ev)
 				}
 				alarmed++
 				epochs := distinctEpochsAfter(sys.Node(nd).Audits(0, 0), baseline)
 				pos := 0
 				for i, ep := range epochs {
-					if ep == a.Epoch {
+					if ep == uint64(ev.Value) {
 						pos = i + 1
 						break
 					}
 				}
 				if pos == 0 || pos > 2 {
 					t.Fatalf("%s detected at epoch %d, %d epoch(s) after baseline %d (want <= 2; epochs %v)",
-						nd, a.Epoch, pos, baseline, epochs)
+						nd, ev.Value, pos, baseline, epochs)
 				}
 			}
 		}
@@ -361,7 +366,7 @@ func TestAuditNoFalseAlarmsKillRecover(t *testing.T) {
 			t.Fatalf("audit disabled on %s", nd)
 		}
 		if s.Diverged || s.Divergences+s.Lags+s.Stalls > 0 {
-			t.Fatalf("%s raised false alarms: %+v (alarms %+v)", nd, s, sys.Node(nd).AuditAlarms(0, 0))
+			t.Fatalf("%s raised false alarms: %+v", nd, s)
 		}
 		if s.Observations == 0 || s.LastEpoch == 0 {
 			t.Fatalf("%s collected no audits: %+v", nd, s)

@@ -35,9 +35,9 @@
 // token-rotation profile: where the token spends its time.
 //
 // audit scrapes every node's /audit consistency feed, prints each node's
-// live verdict (last epoch, alarm totals, per-group member standing) and
-// the cluster-merged per-epoch digest matrix, cross-checking the feeds
-// against each other. Any diverged epoch — or any pair of feeds that
+// live verdict (last epoch, alarm totals, per-group member standing), the
+// alarms in its /events feed, and the cluster-merged per-epoch digest
+// matrix, cross-checking the feeds against each other. Any diverged epoch — or any pair of feeds that
 // disagree about one member's digest — is flagged and makes the exit
 // status non-zero, as does a latched divergence in any node's summary.
 //
@@ -128,11 +128,18 @@ func main() {
 		printFeedHealth(os.Stdout, feeds, "span")
 	case "audit":
 		feeds, errs := scrapeAudits(client, nodes, *since, *pageSize)
+		events, eventErrs := scrapeFeeds(client, nodes, 0, *pageSize)
+		for name, err := range eventErrs {
+			if errs[name] == nil {
+				errs[name] = err
+			}
+		}
 		failed = reportScrapeErrors(errs)
-		if printAudit(os.Stdout, feeds, *group) {
+		if printAudit(os.Stdout, feeds, itemsOf(events), *group) {
 			failed = true
 		}
 		printFeedHealth(os.Stdout, feeds, "audit observation")
+		printFeedHealth(os.Stdout, events, "event")
 	default:
 		fatal(fmt.Errorf("unknown command %q (want timeline, status, recovery, trace, critical-path or audit)", cmd))
 	}
@@ -360,6 +367,9 @@ func printTimeline(w io.Writer, m *obs.MergedTimeline, group string) {
 		if e.Detail != "" {
 			fmt.Fprintf(&b, " %s", e.Detail)
 		}
+		for _, ph := range e.Phases {
+			fmt.Fprintf(&b, " %s=%s", ph.Name, ph.Duration)
+		}
 		fmt.Fprintf(&b, "  [%s]", strings.Join(e.Origins, ","))
 		if diverged[e.Seq] && e.Ordered {
 			fmt.Fprintf(&b, "  ** DIVERGENCE at this seq **")
@@ -406,8 +416,8 @@ func printRecoveries(w io.Writer, m *obs.MergedTimeline, group string) {
 		if r.Enqueued >= 0 {
 			fmt.Fprintf(w, "  invocations enqueued while recovering: %d\n", r.Enqueued)
 		}
-		if r.PhaseDetail != "" {
-			fmt.Fprintf(w, "  phases: %s\n", r.PhaseDetail)
+		for _, ph := range r.Phases {
+			fmt.Fprintf(w, "  phase %-8s %s\n", ph.Name, ph.Duration)
 		}
 		for _, e := range r.During {
 			fmt.Fprintf(w, "    during: seq %d %s group=%s node=%s [%s]\n",
@@ -739,27 +749,28 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 }
 
 // auditPage mirrors the /audit response body: besides the page of
-// observations, the live summary and (with ?alarms=K) the recent alarms.
+// observations, the live summary.
 type auditPage struct {
 	pageHead
 	Enabled bool                   `json:"enabled"`
 	Summary obs.AuditSummary       `json:"summary"`
 	Audits  []obs.AuditObservation `json:"audits"`
-	Alarms  []obs.AuditAlarm       `json:"alarms"`
 }
 
 func (p auditPage) items() []obs.AuditObservation { return p.Audits }
 
 func scrapeAudits(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]auditFeed, map[string]error) {
 	return scrape(nodes, func(addr string) (auditFeed, error) {
-		return drain[auditPage](client, addr, "audit?alarms=64", since, pageSize, func(o obs.AuditObservation) uint64 { return o.Index })
+		return drain[auditPage](client, addr, "audit?", since, pageSize, func(o obs.AuditObservation) uint64 { return o.Index })
 	})
 }
 
-// printAudit renders the per-node verdicts and the cluster-merged digest
-// matrix; it reports true when any epoch diverged, any feeds conflict, or
-// any node holds a latched divergence — the caller exits non-zero.
-func printAudit(w io.Writer, feeds map[string]auditFeed, group string) (bad bool) {
+// printAudit renders the per-node verdicts, each node's alarms (the
+// audit-* events of its flight-recorder feed) and the cluster-merged
+// digest matrix; it reports true when any epoch diverged, any feeds
+// conflict, or any node holds a latched divergence — the caller exits
+// non-zero.
+func printAudit(w io.Writer, feeds map[string]auditFeed, events map[string][]obs.Event, group string) (bad bool) {
 	names := make([]string, 0, len(feeds))
 	for name := range feeds {
 		names = append(names, name)
@@ -795,9 +806,11 @@ func printAudit(w io.Writer, feeds map[string]auditFeed, group string) (bad bool
 					ga.Group, m.Node, m.Epoch, m.Digest, m.Lag, flags)
 			}
 		}
-		for _, a := range f.Alarms {
-			fmt.Fprintf(w, "  alarm %-10s group=%s node=%s epoch=%d %s\n",
-				a.Kind, a.Group, orDash(a.Node), a.Epoch, a.Detail)
+		for _, ev := range events[name] {
+			if kind, ok := strings.CutPrefix(ev.Type, "audit-"); ok {
+				fmt.Fprintf(w, "  alarm %-10s group=%s node=%s epoch=%d %s\n",
+					kind, ev.Group, orDash(ev.Node), ev.Value, ev.Detail)
+			}
 		}
 	}
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -220,8 +221,20 @@ func TestClusterTimelineAfterRecovery(t *testing.T) {
 		r.SyncSeq != adds[0].Seq || r.SetStateSeq != sets[0].Seq {
 		t.Fatalf("bad recovery report: %+v", r)
 	}
-	if r.Enqueued < 0 {
-		t.Fatalf("recovering node's enqueue count missing from report: %+v", r)
+	if r.Enqueued < 0 || len(r.Phases) != 4 {
+		t.Fatalf("recovering node's enqueue count or phases missing from report: %+v", r)
+	}
+	var rec strings.Builder
+	printRecoveries(&rec, m, "ctr")
+	for _, ph := range r.Phases {
+		if want := fmt.Sprintf("phase %-8s %s", ph.Name, ph.Duration); !strings.Contains(rec.String(), want) {
+			t.Fatalf("recovery output lacks %q:\n%s", want, rec.String())
+		}
+	}
+	var timeline strings.Builder
+	printTimeline(&timeline, m, "ctr")
+	if want := fmt.Sprintf(" replay=%s", r.Phases[3].Duration); !strings.Contains(timeline.String(), want) {
+		t.Fatalf("timeline's recovered line lacks %q:\n%s", want, timeline.String())
 	}
 
 	// Exercise the `eternalctl trace` path against the same admin servers:
@@ -288,6 +301,31 @@ func feedSummary(feeds map[string][]obs.Event) map[string]int {
 		out[name] = len(events)
 	}
 	return out
+}
+
+// TestAuditListsAlarmsFromEvents: the alarms audit prints under a node are
+// the audit-* events of that node's flight-recorder feed, and only those.
+func TestAuditListsAlarmsFromEvents(t *testing.T) {
+	feeds := map[string]auditFeed{"n1": {Last: auditPage{Enabled: true, Summary: obs.AuditSummary{Divergences: 1, Stalls: 1}}}}
+	events := map[string][]obs.Event{"n1": {
+		{Type: obs.EventAuditDivergence, Group: "g", Value: 12, Detail: "a=00000001 b=00000002"},
+		{Type: obs.EventMemberAdd, Group: "g", Node: "b"},
+		{Type: obs.EventAuditStall, Group: "g", Node: "c", Value: 14},
+	}}
+	var out strings.Builder
+	printAudit(&out, feeds, events, "")
+	got := out.String()
+	for _, want := range []string{
+		"alarm divergence group=g node=- epoch=12 a=00000001 b=00000002",
+		"alarm stall      group=g node=c epoch=14",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("audit output lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Count(got, "alarm ") != 2 {
+		t.Fatalf("audit output lists something besides the two alarms:\n%s", got)
+	}
 }
 
 // TestDrain feeds drain a journal page by page from a fake admin endpoint:

@@ -99,12 +99,8 @@ func main() {
 			"state-transfer chunk size in bytes (0 = default ~32KiB)")
 		chunksPerToken = flag.Int("state-chunks-per-token", 0,
 			"state chunks a token visit lets from the donor's bulk lane onto the ring, behind queued foreground messages (0 = default 2)")
-		spanCapacity = flag.Int("span-capacity", 0,
-			"invocation span journal size (0 = default, negative disables span recording)")
 		auditInterval = flag.Duration("audit-interval", 0,
 			"consistency-audit mark period (0 = default 1s, negative disables the audit)")
-		auditCapacity = flag.Int("audit-capacity", 0,
-			"audit observation journal size (0 = default)")
 		tokenTick = flag.Duration("token-tick", 0,
 			"totem timer resolution: an idle-paced token moves up to a few ticks per hop, a token resting at the ring's only sender goes round once per tick, a token held for its holder's own reply waits at most one tick, a lazy reply waits one tick; a member counts as the only sender after two ticks (0 = default 2ms)")
 	)
@@ -132,9 +128,7 @@ func main() {
 		Transport:           tr,
 		StateChunkBytes:     *chunkBytes,
 		StateChunksPerToken: *chunksPerToken,
-		SpanCapacity:        *spanCapacity,
 		AuditInterval:       *auditInterval,
-		AuditCapacity:       *auditCapacity,
 	}
 	nodeCfg.Totem.Tick = *tokenTick
 	if *logLevel != "" {

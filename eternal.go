@@ -106,8 +106,9 @@ func StartNode(cfg NodeConfig) (*Node, error) { return core.Start(cfg) }
 
 // Observability surface (see doc/OBSERVABILITY.md): each Node carries a
 // metrics Registry (Node.Metrics, scrapeable via Node.AdminHandler), a
-// per-invocation span journal (Node.Spans), and a log of per-phase
-// recovery timelines (Node.RecoveryTimelines).
+// per-invocation span journal (Node.Spans), and a flight recorder
+// (Node.Events) whose recovered events are the per-phase recovery
+// timelines (Node.RecoveryTimelines).
 type (
 	// MetricsRegistry is a node's named collection of counters, gauges and
 	// latency histograms.
@@ -133,8 +134,6 @@ type (
 	// AuditObservation is one consistency-audit report: a member's state
 	// digest at a totally-ordered audit epoch (Node.Audits, /audit).
 	AuditObservation = obs.AuditObservation
-	// AuditAlarm is one raised consistency alarm: divergence, lag or stall.
-	AuditAlarm = obs.AuditAlarm
 	// AuditSummary is a node's live consistency verdict (/healthz, /cluster).
 	AuditSummary = obs.AuditSummary
 	// AuditGroupStatus is one group's per-member audit standing.

@@ -24,8 +24,8 @@ import (
 //	          like /events; ?rot=K appends the last K token-rotation
 //	          profiler samples
 //	/audit    — JSON: consistency-audit observations (?since=<index>&n=K),
-//	          paginated like /events, plus the live summary; ?alarms=K
-//	          appends the last K audit alarms
+//	          paginated like /events, plus the live summary (the alarms
+//	          themselves are audit-* events in /events)
 //	/cluster  — JSON: this node's full view of the cluster — the /healthz
 //	          report plus its delivery position and recorder totals
 //	/debug/pprof/ — the standard Go profiling endpoints
@@ -313,7 +313,7 @@ func (n *Node) serveSpans(w http.ResponseWriter, r *http.Request) {
 
 // auditPage is the /audit body: one page of the node's consistency-audit
 // observation journal, paginated exactly like /events, plus the live
-// summary and (when ?alarms=K asks for them) the most recent alarms.
+// summary.
 type auditPage struct {
 	Node    string                 `json:"node"`
 	Enabled bool                   `json:"enabled"`
@@ -321,15 +321,10 @@ type auditPage struct {
 	Dropped uint64                 `json:"dropped"`
 	Next    uint64                 `json:"next"`
 	Audits  []obs.AuditObservation `json:"audits"`
-	Alarms  []obs.AuditAlarm       `json:"alarms,omitempty"`
 }
 
 func (n *Node) serveAudit(w http.ResponseWriter, r *http.Request) {
 	since, count, ok := pageParams(w, r, 256)
-	if !ok {
-		return
-	}
-	alarms, ok := queryInt(w, r, "alarms", 0)
 	if !ok {
 		return
 	}
@@ -340,9 +335,6 @@ func (n *Node) serveAudit(w http.ResponseWriter, r *http.Request) {
 		Dropped: n.audit.Dropped(),
 		Next:    since,
 		Audits:  n.audit.Since(since, count),
-	}
-	if alarms > 0 {
-		page.Alarms = n.audit.LastAlarms(alarms)
 	}
 	writePage(w, &page, &page.Audits, &page.Next, func(o obs.AuditObservation) uint64 { return o.Index })
 }

@@ -90,7 +90,7 @@ func TestAuditClusterMatchingDigests(t *testing.T) {
 	for addr, n := range c.nodes {
 		s, _ := n.AuditSummary()
 		if s.Diverged || s.Divergences+s.Lags+s.Stalls > 0 {
-			t.Fatalf("%s alarmed on a healthy cluster: %+v (alarms %+v)", addr, s, n.AuditAlarms(0, 0))
+			t.Fatalf("%s alarmed on a healthy cluster: %+v", addr, s)
 		}
 		if s.LastEpoch == 0 {
 			t.Fatalf("%s has no audit epoch: %+v", addr, s)
@@ -158,7 +158,6 @@ func TestAuditEndpoint(t *testing.T) {
 		Summary obs.AuditSummary       `json:"summary"`
 		Next    uint64                 `json:"next"`
 		Audits  []obs.AuditObservation `json:"audits"`
-		Alarms  []obs.AuditAlarm       `json:"alarms"`
 	}
 	get := func(query string) *http.Response {
 		t.Helper()
@@ -170,7 +169,7 @@ func TestAuditEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /audit%s: %d", query, resp.StatusCode)
 		}
-		page.Audits, page.Alarms = nil, nil
+		page.Audits = nil
 		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 			t.Fatal(err)
 		}
@@ -202,12 +201,6 @@ func TestAuditEndpoint(t *testing.T) {
 	get("?since=" + itoa(first) + "&n=1")
 	if len(page.Audits) != 1 || page.Audits[0].Index <= first {
 		t.Fatalf("pagination after index %d returned %+v", first, page.Audits)
-	}
-
-	// A healthy group has no alarms; the query must still be accepted.
-	get("?alarms=5")
-	if len(page.Alarms) != 0 {
-		t.Fatalf("unexpected alarms: %+v", page.Alarms)
 	}
 }
 

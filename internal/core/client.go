@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"sync"
-	"time"
 
 	"eternal/internal/giop"
 	"eternal/internal/interceptor"
@@ -12,11 +11,6 @@ import (
 	"eternal/internal/recovery"
 	"eternal/internal/replication"
 )
-
-// maxInvocationStarts bounds the in-flight invocation-start map: entries
-// whose reply never arrives (timeouts, oneway mistagged by a peer) must
-// not accumulate forever.
-const maxInvocationStarts = 16384
 
 // clientEntity is the client-side Replication Mechanisms state for one
 // logical client (a plain client process, or the client role of a
@@ -45,9 +39,6 @@ type clientEntity struct {
 	pendingOffsets map[replication.ConnID]uint32
 	// replyFilter suppresses duplicate replies per connection.
 	replyFilter *replication.DupFilter
-	// invocationStarts records interception times of in-flight traced
-	// invocations, keyed by trace id, for the end-to-end latency histogram.
-	invocationStarts map[uint64]time.Time
 	// disableIDTranslation reproduces the Figure 4 failure mode for
 	// experiment E4: ORB-level state is not applied, so a recovered
 	// client replica's request ids restart at zero.
@@ -77,32 +68,13 @@ type egressConn struct {
 
 func newClientEntity(n *Node, name string) *clientEntity {
 	return &clientEntity{
-		node:             n,
-		name:             name,
-		conns:            make(map[replication.ConnID]*egressConn),
-		dialSeq:          make(map[string]uint64),
-		pendingOffsets:   make(map[replication.ConnID]uint32),
-		replyFilter:      replication.NewDupFilter(),
-		invocationStarts: make(map[uint64]time.Time),
+		node:           n,
+		name:           name,
+		conns:          make(map[replication.ConnID]*egressConn),
+		dialSeq:        make(map[string]uint64),
+		pendingOffsets: make(map[replication.ConnID]uint32),
+		replyFilter:    replication.NewDupFilter(),
 	}
-}
-
-func (ce *clientEntity) recordInvocationStart(traceID uint64) {
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	if len(ce.invocationStarts) < maxInvocationStarts {
-		ce.invocationStarts[traceID] = time.Now()
-	}
-}
-
-func (ce *clientEntity) takeInvocationStart(traceID uint64) (time.Time, bool) {
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	t, ok := ce.invocationStarts[traceID]
-	if ok {
-		delete(ce.invocationStarts, traceID)
-	}
-	return t, ok
 }
 
 // accept is the interceptor.AcceptFunc for this entity: the ORB dialed a
@@ -218,9 +190,6 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 		Payload: wire.Marshal(),
 	}
 	node.spans.Mark(traceID, obs.SpanMarshalled)
-	if !env.Oneway {
-		ec.entity.recordInvocationStart(traceID)
-	}
 	node.multicast(env)
 }
 
@@ -256,10 +225,8 @@ func (ce *clientEntity) deliverReply(env *replication.Envelope) {
 		}
 	}
 	msg.WriteTo(ec.mech)
-	ce.node.spans.Mark(env.Trace, obs.SpanReplyDelivered)
-	ce.node.spans.Finish(env.Trace)
-	if start, ok := ce.takeInvocationStart(env.Trace); ok {
-		ce.node.invocationHist.ObserveDuration(time.Since(start))
+	if latency, ok := ce.node.spans.Finish(env.Trace); ok {
+		ce.node.invocationHist.ObserveDuration(latency)
 	}
 }
 

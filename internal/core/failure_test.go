@@ -170,6 +170,44 @@ func TestOnewayInvocations(t *testing.T) {
 	}
 }
 
+// TestInvocationHistogramCountsTwoWayReplies: eternal_invocation_seconds
+// takes one sample per two-way reply delivered to a local client, read off
+// the invocation's span, and none for oneways. The calls are serial, so
+// the samples add up to no more than the loop's wall time.
+func TestInvocationHistogramCountsTwoWayReplies(t *testing.T) {
+	const twoWays, oneways = 20, 10
+	c := newTestCluster(t, simnet.Config{}, "n1", "n2")
+	c.createGroup("ctr", ftcorba.Active, []string{"n1", "n2"}, 1)
+	obj := c.client("n1", "driver", "ctr")
+	h := c.nodes["n1"].Metrics().FindHistogram("eternal_invocation_seconds")
+	if h.Count() != 0 {
+		t.Fatalf("histogram holds %d samples before any invocation", h.Count())
+	}
+	start := time.Now()
+	for i := 0; i < twoWays; i++ {
+		if i < oneways {
+			if err := obj.InvokeOneway("add", encodeDelta(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		add(t, obj, 1)
+	}
+	// A reply reaches the client before its sample is taken: wait for the
+	// last one.
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Count() < twoWays && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	wall := time.Since(start)
+	if h.Count() != twoWays {
+		t.Fatalf("histogram count = %d after %d two-way calls and %d oneways, want %d",
+			h.Count(), twoWays, oneways, twoWays)
+	}
+	if sum := h.Sum(); sum <= 0 || sum > wall.Seconds() {
+		t.Fatalf("histogram sum = %gs, want within (0, %gs]", sum, wall.Seconds())
+	}
+}
+
 // TestPartitionPrimaryComponent splits the network and verifies each side
 // forms its own ring; after healing, the domain merges and the (losing)
 // reset side re-synchronizes its metadata and sheds its stale replicas.

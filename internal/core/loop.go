@@ -589,28 +589,14 @@ func (n *Node) handleAudit(seq uint64, env *replication.Envelope) {
 	}
 }
 
-// noteAuditAlarms surfaces collector alarms: counters, flight-recorder
-// events (local class — a node that synchronized mid-stream holds a
-// shorter matching history, so alarm sets may legitimately differ), and
-// the log.
+// noteAuditAlarms surfaces collector alarms (the collector counts them):
+// flight-recorder events, the alarms' only record (local class — a node
+// that synchronized mid-stream holds a shorter matching history, so alarm
+// sets may legitimately differ), and the log.
 func (n *Node) noteAuditAlarms(alarms []obs.AuditAlarm) {
 	for _, a := range alarms {
-		var ev string
-		switch a.Kind {
-		case obs.AuditDivergence:
-			n.counters.auditDivergences.Add(1)
-			ev = obs.EventAuditDivergence
-		case obs.AuditLag:
-			n.counters.auditLags.Add(1)
-			ev = obs.EventAuditLag
-		case obs.AuditStall:
-			n.counters.auditStalls.Add(1)
-			ev = obs.EventAuditStall
-		default:
-			continue
-		}
 		n.recorder.Record(obs.Event{
-			Type: ev, Group: a.Group, Node: a.Node,
+			Type: "audit-" + a.Kind, Group: a.Group, Node: a.Node,
 			Value: int64(a.Epoch), Detail: a.Detail,
 		})
 		n.logger().Warn("consistency audit alarm", "kind", a.Kind,

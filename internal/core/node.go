@@ -71,10 +71,6 @@ type Config struct {
 	// creates a private registry, retrievable via Node.Metrics(). Sharing a
 	// registry between nodes of one process merges their totem metrics.
 	Metrics *obs.Registry
-	// SpanCapacity bounds the causal span journal (default
-	// obs.DefaultSpanCapacity). Negative disables span recording entirely:
-	// every phase mark becomes a nil-receiver no-op.
-	SpanCapacity int
 	// AuditInterval is the live consistency audit's period: each group's
 	// primary multicasts a KAudit mark at this interval, every
 	// instance-bearing member digests its state at the mark's agreed
@@ -82,9 +78,6 @@ type Config struct {
 	// epoch. Zero selects the 1s default; negative disables the audit
 	// entirely.
 	AuditInterval time.Duration
-	// AuditCapacity bounds the audit collector's observation journal
-	// (default obs.DefaultAuditCapacity).
-	AuditCapacity int
 
 	// replyTimeout overrides defaultReplyTimeout (a test that provokes the
 	// hang the timeout exists for).
@@ -164,13 +157,13 @@ type Node struct {
 	// counters back the Stats surface.
 	counters nodeCounters
 
-	// Observability: the metrics registry, the recovery timeline log
-	// (paper Figure 6, live), the flight recorder (sequence-stamped
-	// membership/recovery/fault events) and the per-invocation span journal.
+	// Observability: the metrics registry, the flight recorder
+	// (sequence-stamped membership/recovery/fault events; its "recovered"
+	// events are the paper's Figure 6, live) and the per-invocation span
+	// journal.
 	metrics      *obs.Registry
-	timelines    *obs.TimelineLog
 	recorder     *obs.Recorder
-	spans        *obs.SpanRecorder   // nil when SpanCapacity < 0
+	spans        *obs.SpanRecorder
 	audit        *obs.AuditCollector // nil when AuditInterval < 0
 	traceCounter atomic.Uint64
 	// auditDue schedules the next audit mark per group this node is
@@ -219,13 +212,10 @@ func Start(cfg Config) (*Node, error) {
 		metrics = obs.NewRegistry()
 	}
 	recorder := obs.NewRecorder(0, cfg.Transport.Addr())
-	var spans *obs.SpanRecorder
-	if cfg.SpanCapacity >= 0 {
-		spans = obs.NewSpanRecorder(cfg.Transport.Addr(), cfg.SpanCapacity)
-	}
+	spans := obs.NewSpanRecorder(cfg.Transport.Addr(), 0)
 	var audit *obs.AuditCollector
 	if cfg.AuditInterval > 0 {
-		audit = obs.NewAuditCollector(cfg.Transport.Addr(), cfg.AuditCapacity, 0)
+		audit = obs.NewAuditCollector(cfg.Transport.Addr(), 0, 0)
 	}
 	tc := cfg.Totem
 	tc.Transport = cfg.Transport
@@ -262,7 +252,6 @@ func Start(cfg Config) (*Node, error) {
 		spans:      spans,
 		audit:      audit,
 		auditDue:   make(map[string]time.Time),
-		timelines:  obs.NewTimelineLog(0),
 		stopCh:     make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
@@ -297,6 +286,15 @@ func Start(cfg Config) (*Node, error) {
 	metrics.GaugeFunc("eternal_audit_last_epoch",
 		"most recent consistency-audit epoch observed",
 		func() float64 { return float64(audit.LastEpoch()) })
+	metrics.CounterFunc("eternal_audit_divergence_alarms_total",
+		"audit divergence alarms: digest mismatch within one epoch",
+		func() float64 { return float64(audit.Summary().Divergences) })
+	metrics.CounterFunc("eternal_audit_lag_alarms_total",
+		"audit lag alarms: member trailing beyond the epoch threshold",
+		func() float64 { return float64(audit.Summary().Lags) })
+	metrics.CounterFunc("eternal_audit_stall_alarms_total",
+		"audit stall alarms: expected member silent past the deadline",
+		func() float64 { return float64(audit.Summary().Stalls) })
 	n.invocationHist = metrics.Histogram("eternal_invocation_seconds",
 		"end-to-end invocation latency: interception to reply delivery", nil)
 	n.recoveryCapture = metrics.Histogram("eternal_recovery_capture_seconds",
@@ -435,34 +433,24 @@ func (n *Node) nextTrace() uint64 {
 }
 
 // recordRecovery files one completed recovery of a local replica: the
-// per-phase timeline (capture is donor-measured and shipped in the
-// bundle; transfer is the recovering node's wait minus capture), the
-// recovery histograms, and a phase-boundary log event.
+// recovered event carrying its per-phase timeline (capture is
+// donor-measured and shipped in the bundle; transfer is the recovering
+// node's wait minus capture), the recovery histograms, and a log line.
 func (n *Node) recordRecovery(group string, xferID uint64, start time.Time, capture, transfer, apply, replay time.Duration, enqueued int) {
 	end := time.Now()
-	n.timelines.Add(obs.RecoveryTimeline{
-		Group:  group,
-		Node:   n.addr,
-		XferID: xferID,
-		Start:  start,
-		End:    end,
+	n.recoveryTransfer.ObserveDuration(transfer)
+	n.recoveryApply.ObserveDuration(apply)
+	n.recoveryReplay.ObserveDuration(replay)
+	n.recoveryTotal.ObserveDuration(end.Sub(start))
+	n.recorder.Record(obs.Event{
+		At: end, Type: obs.EventRecovered, Group: group, Node: n.addr, XferID: xferID,
+		Value: int64(enqueued),
 		Phases: []obs.Phase{
 			{Name: obs.PhaseCapture, Duration: capture},
 			{Name: obs.PhaseTransfer, Duration: transfer},
 			{Name: obs.PhaseApply, Duration: apply},
 			{Name: obs.PhaseReplay, Duration: replay},
 		},
-		Enqueued: enqueued,
-	})
-	n.recoveryTransfer.ObserveDuration(transfer)
-	n.recoveryApply.ObserveDuration(apply)
-	n.recoveryReplay.ObserveDuration(replay)
-	n.recoveryTotal.ObserveDuration(end.Sub(start))
-	n.recorder.Record(obs.Event{
-		Type: obs.EventRecovered, Group: group, Node: n.addr, XferID: xferID,
-		Value: int64(enqueued),
-		Detail: fmt.Sprintf("capture=%s transfer=%s apply=%s replay=%s total=%s",
-			capture, transfer, apply, replay, end.Sub(start)),
 	})
 	n.logger().Info("replica recovered", "group", group, "xfer", xferID,
 		"capture", capture, "transfer", transfer, "apply", apply,

@@ -104,9 +104,6 @@ type nodeCounters struct {
 	stateChunksRejected  *obs.Counter
 	auditMarks           *obs.Counter
 	auditReports         *obs.Counter
-	auditDivergences     *obs.Counter
-	auditLags            *obs.Counter
-	auditStalls          *obs.Counter
 }
 
 func newNodeCounters(r *obs.Registry) nodeCounters {
@@ -129,9 +126,6 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		stateChunksRejected:  r.Counter("eternal_state_chunks_rejected_total", "received chunks dropped for checksum or size mismatch"),
 		auditMarks:           r.Counter("eternal_audit_marks_total", "consistency-audit epoch markers multicast as primary"),
 		auditReports:         r.Counter("eternal_audit_reports_total", "audit digests computed and multicast by local replicas"),
-		auditDivergences:     r.Counter("eternal_audit_divergence_alarms_total", "audit divergence alarms: digest mismatch within one epoch"),
-		auditLags:            r.Counter("eternal_audit_lag_alarms_total", "audit lag alarms: member trailing beyond the epoch threshold"),
-		auditStalls:          r.Counter("eternal_audit_stall_alarms_total", "audit stall alarms: expected member silent past the deadline"),
 	}
 }
 
@@ -155,9 +149,6 @@ func (c *nodeCounters) snapshot() Stats {
 		StateChunksRejected:     c.stateChunksRejected.Value(),
 		AuditMarks:              c.auditMarks.Value(),
 		AuditReports:            c.auditReports.Value(),
-		AuditDivergences:        c.auditDivergences.Value(),
-		AuditLags:               c.auditLags.Value(),
-		AuditStalls:             c.auditStalls.Value(),
 	}
 }
 
@@ -166,6 +157,8 @@ func (n *Node) Stats() Stats {
 	s := n.counters.snapshot()
 	s.StateChunkStalls = n.proc.Stats().BulkStalls
 	s.EnvelopesRejected = n.replyMarks.rejected.Load()
+	a := n.audit.Summary()
+	s.AuditDivergences, s.AuditLags, s.AuditStalls = a.Divergences, a.Lags, a.Stalls
 	return s
 }
 
@@ -176,9 +169,17 @@ func (n *Node) Metrics() *obs.Registry { return n.metrics }
 
 // RecoveryTimelines returns the per-phase timelines of recoveries this
 // node completed as the recovering side, newest first — the live form of
-// the paper's Figure 6 decomposition.
+// the paper's Figure 6 decomposition. They are read off the recovered
+// events still in the flight recorder's window.
 func (n *Node) RecoveryTimelines() []obs.RecoveryTimeline {
-	return n.timelines.Last(0)
+	var out []obs.RecoveryTimeline
+	events := n.recorder.Since(0, 0)
+	for i := len(events) - 1; i >= 0; i-- {
+		if events[i].Type == obs.EventRecovered {
+			out = append(out, obs.TimelineOf(events[i]))
+		}
+	}
+	return out
 }
 
 // Events returns up to max flight-recorder events with Index > since,
@@ -201,15 +202,13 @@ const spanIdleFlush = 200 * time.Millisecond
 
 // Spans returns up to max journalled invocation spans with Index > since,
 // oldest first (max <= 0 returns all retained), after sweeping spans idle
-// longer than 200ms out of the active set. Nil when span recording is
-// disabled (Config.SpanCapacity < 0).
+// longer than 200ms out of the active set.
 func (n *Node) Spans(since uint64, max int) []obs.Span {
 	n.spans.FlushIdle(spanIdleFlush)
 	return n.spans.Since(since, max)
 }
 
-// SpanRecorder returns the node's span recorder (nil when disabled), for
-// callers that need explicit flush control or totals.
+// SpanRecorder returns the node's span recorder, for callers that need explicit flush control or totals.
 func (n *Node) SpanRecorder() *obs.SpanRecorder { return n.spans }
 
 // TokenRotations returns up to max recent token-rotation profiler
@@ -223,12 +222,6 @@ func (n *Node) TokenRotations(max int) []obs.TokenRotation {
 // when the audit is disabled (Config.AuditInterval < 0).
 func (n *Node) Audits(since uint64, max int) []obs.AuditObservation {
 	return n.audit.Since(since, max)
-}
-
-// AuditAlarms returns up to max journalled audit alarms with Index >
-// since, oldest first (max <= 0 returns all retained).
-func (n *Node) AuditAlarms(since uint64, max int) []obs.AuditAlarm {
-	return n.audit.Alarms(since, max)
 }
 
 // AuditSummary returns the collector's condensed live state; ok is false

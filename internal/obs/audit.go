@@ -23,17 +23,13 @@ const (
 	AuditStall = "stall"
 )
 
-// DefaultAuditCapacity bounds the observation journal when no capacity is
+// defaultAuditJournal bounds the observation journal when no capacity is
 // configured.
-const DefaultAuditCapacity = 1024
+const defaultAuditJournal = 1024
 
 // defaultAuditLag is the default lag threshold: a member trailing
 // by more than this many completed epochs raises a lag alarm.
 const defaultAuditLag = 3
-
-// auditAlarmCapacity bounds the alarm journal. Alarms are raised once per
-// condition episode (latched), so the ring stays tiny in healthy clusters.
-const auditAlarmCapacity = 256
 
 // auditEpochWindow bounds the per-group epoch history the matcher keeps.
 // It caps both the lag a collector can measure and the stall lookback.
@@ -66,10 +62,10 @@ type AuditObservation struct {
 
 // AuditAlarm is one raised audit condition. Alarms latch: a diverged
 // group or lagging/stalled member alarms once, and the condition clears
-// silently when a later epoch is clean.
+// silently when a later epoch is clean. The collector hands each alarm to
+// its caller once and keeps only the count; the node records it in its
+// flight recorder.
 type AuditAlarm struct {
-	Index uint64    `json:"index"`
-	At    time.Time `json:"at"`
 	// Kind is one of AuditDivergence, AuditLag, AuditStall.
 	Kind  string `json:"kind"`
 	Group string `json:"group"`
@@ -191,8 +187,7 @@ type AuditCollector struct {
 	origin string
 	lag    int
 
-	obsRing   journal[AuditObservation]
-	alarmRing journal[AuditAlarm]
+	obsRing journal[AuditObservation]
 
 	groups    map[string]*auditGroup
 	lastEpoch uint64
@@ -203,22 +198,21 @@ type AuditCollector struct {
 }
 
 // NewAuditCollector creates a collector for the named node retaining up
-// to capacity observations (DefaultAuditCapacity when capacity <= 0) and
+// to capacity observations (defaultAuditJournal when capacity <= 0) and
 // raising lag alarms beyond lagEpochs missed epochs
 // (defaultAuditLag when <= 0).
 func NewAuditCollector(origin string, capacity, lagEpochs int) *AuditCollector {
 	if capacity <= 0 {
-		capacity = DefaultAuditCapacity
+		capacity = defaultAuditJournal
 	}
 	if lagEpochs <= 0 {
 		lagEpochs = defaultAuditLag
 	}
 	return &AuditCollector{
-		origin:    origin,
-		lag:       lagEpochs,
-		obsRing:   newJournal[AuditObservation](capacity),
-		alarmRing: newJournal[AuditAlarm](auditAlarmCapacity),
-		groups:    make(map[string]*auditGroup),
+		origin:  origin,
+		lag:     lagEpochs,
+		obsRing: newJournal[AuditObservation](capacity),
+		groups:  make(map[string]*auditGroup),
 	}
 }
 
@@ -231,7 +225,7 @@ func (c *AuditCollector) group(name string) *auditGroup {
 	return g
 }
 
-// raise files one alarm and bumps its kind counter (c.mu held).
+// raise counts one alarm by kind and returns it (c.mu held).
 func (c *AuditCollector) raise(kind, group, node string, epoch uint64, detail string) AuditAlarm {
 	switch kind {
 	case AuditDivergence:
@@ -241,12 +235,7 @@ func (c *AuditCollector) raise(kind, group, node string, epoch uint64, detail st
 	case AuditStall:
 		c.stalls++
 	}
-	a := AuditAlarm{
-		Index: c.alarmRing.next, At: time.Now(),
-		Kind: kind, Group: group, Node: node, Epoch: epoch, Detail: detail,
-	}
-	c.alarmRing.add(a)
-	return a
+	return AuditAlarm{Kind: kind, Group: group, Node: node, Epoch: epoch, Detail: detail}
 }
 
 // BeginEpoch opens an audit epoch for a group at the mark's delivery:
@@ -449,27 +438,6 @@ func (c *AuditCollector) Since(after uint64, max int) []AuditObservation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.obsRing.since(after, max)
-}
-
-// Alarms returns up to max journalled alarms with Index > after, oldest
-// first (max <= 0 returns all retained).
-func (c *AuditCollector) Alarms(after uint64, max int) []AuditAlarm {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alarmRing.since(after, max)
-}
-
-// LastAlarms returns the most recent max alarms, oldest first.
-func (c *AuditCollector) LastAlarms(max int) []AuditAlarm {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.alarmRing.last(max)
 }
 
 // Total reports how many observations were ever collected.

@@ -219,17 +219,24 @@ func TestAuditRingPagination(t *testing.T) {
 	}
 }
 
-func TestAuditAlarmJournal(t *testing.T) {
+// TestAuditEachAlarmReturnedOnceAndCounted: the collector keeps no alarm
+// journal. Each alarm goes to the caller whose report raised it, once and
+// in order, and the summary counts it.
+func TestAuditEachAlarmReturnedOnceAndCounted(t *testing.T) {
 	c := NewAuditCollector("n1", 0, 0)
-	c.Observe(obsAt("g", "a", 10, 1))
-	c.Observe(obsAt("g", "b", 10, 2))
-	c.Observe(obsAt("h", "a", 12, 1))
-	c.Observe(obsAt("h", "b", 12, 2))
-	if got := c.Alarms(0, 0); len(got) != 2 || got[0].Group != "g" || got[1].Group != "h" {
-		t.Fatalf("alarms = %+v", got)
+	var got []AuditAlarm
+	for _, o := range []AuditObservation{
+		obsAt("g", "a", 10, 1), obsAt("g", "b", 10, 2),
+		obsAt("h", "a", 12, 1), obsAt("h", "b", 12, 2),
+		obsAt("h", "c", 12, 3), // h is latched: no second alarm
+	} {
+		got = append(got, c.Observe(o)...)
 	}
-	if got := c.LastAlarms(1); len(got) != 1 || got[0].Group != "h" {
-		t.Fatalf("last alarms = %+v", got)
+	if len(got) != 2 || got[0].Group != "g" || got[0].Epoch != 10 || got[1].Group != "h" || got[1].Epoch != 12 {
+		t.Fatalf("alarms = %+v, want g at epoch 10 then h at 12", got)
+	}
+	if s := c.Summary(); s.Divergences != 2 || s.Lags+s.Stalls != 0 {
+		t.Fatalf("summary = %+v, want two divergences", s)
 	}
 }
 
@@ -247,8 +254,8 @@ func TestAuditNilCollector(t *testing.T) {
 	if got := c.SweepStalls(time.Now(), time.Second); got != nil {
 		t.Fatal("nil SweepStalls")
 	}
-	if c.Since(0, 0) != nil || c.Alarms(0, 0) != nil || c.LastAlarms(1) != nil {
-		t.Fatal("nil journals")
+	if c.Since(0, 0) != nil {
+		t.Fatal("nil journal")
 	}
 	if c.Total() != 0 || c.Dropped() != 0 || c.LastEpoch() != 0 {
 		t.Fatal("nil counters")

@@ -10,18 +10,18 @@ import (
 // TimelineEntry is one step of a merged cluster timeline. Ordered events
 // that several nodes recorded identically collapse into a single entry
 // listing the reporting nodes; local events stay one entry per observer.
+// The embedded event's per-observer Index and Origin are cleared, and its
+// At is the earliest observation across origins.
 type TimelineEntry struct {
-	Seq     uint64    `json:"seq"`
-	At      time.Time `json:"at"` // earliest observation across origins
-	Type    string    `json:"type"`
-	Group   string    `json:"group,omitempty"`
-	Node    string    `json:"node,omitempty"`
-	XferID  uint64    `json:"xfer_id,omitempty"`
-	Value   int64     `json:"value,omitempty"`
-	Detail  string    `json:"detail,omitempty"`
-	Ordered bool      `json:"ordered"`
+	Event
 	// Origins are the nodes that reported this entry, sorted.
 	Origins []string `json:"origins"`
+}
+
+// entryOf starts a timeline entry from one observer's event.
+func entryOf(ev Event, origins []string) TimelineEntry {
+	ev.Index, ev.Origin = 0, ""
+	return TimelineEntry{Event: ev, Origins: origins}
 }
 
 // Key identifies the entry's content independent of who observed it.
@@ -74,11 +74,7 @@ func MergeEvents(feeds map[string][]Event) *MergedTimeline {
 	for origin, events := range feeds {
 		for _, ev := range events {
 			if !ev.Ordered {
-				locals = append(locals, TimelineEntry{
-					Seq: ev.Seq, At: ev.At, Type: ev.Type, Group: ev.Group,
-					Node: ev.Node, XferID: ev.XferID, Value: ev.Value,
-					Detail: ev.Detail, Origins: []string{origin},
-				})
+				locals = append(locals, entryOf(ev, []string{origin}))
 				continue
 			}
 			c, seen := cover[origin]
@@ -93,14 +89,7 @@ func MergeEvents(feeds map[string][]Event) *MergedTimeline {
 			id := fmt.Sprintf("%d|%s", ev.Seq, key)
 			agg, ok := orderedBy[id]
 			if !ok {
-				agg = &orderedAgg{
-					entry: TimelineEntry{
-						Seq: ev.Seq, At: ev.At, Type: ev.Type, Group: ev.Group,
-						Node: ev.Node, XferID: ev.XferID, Value: ev.Value,
-						Detail: ev.Detail, Ordered: true,
-					},
-					origins: make(map[string]bool),
-				}
+				agg = &orderedAgg{entry: entryOf(ev, nil), origins: make(map[string]bool)}
 				orderedBy[id] = agg
 			}
 			if ev.At.Before(agg.entry.At) {
@@ -235,8 +224,9 @@ type RecoveryReport struct {
 	// between the synchronization point and reinstatement (-1 when its
 	// local "recovered" event was not in the feeds).
 	Enqueued int64 `json:"enqueued"`
-	// PhaseDetail is the recovering node's phase-duration summary.
-	PhaseDetail string `json:"phase_detail,omitempty"`
+	// Phases are the recovering node's measured phases, exactly as its
+	// RecoveryTimeline holds them.
+	Phases []Phase `json:"phases,omitempty"`
 	// During are the timeline entries between SyncSeq and SetStateSeq
 	// (exclusive) — the events interleaved with the enqueue window.
 	During []TimelineEntry `json:"during,omitempty"`
@@ -268,7 +258,7 @@ func (m *MergedTimeline) RecoveryReports() []RecoveryReport {
 		case EventRecovered:
 			if i, ok := byXfer[e.XferID]; ok && reports[i].Group == e.Group {
 				reports[i].Enqueued = e.Value
-				reports[i].PhaseDetail = e.Detail
+				reports[i].Phases = e.Phases
 				reports[i].Complete = true
 			}
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -8,7 +9,7 @@ import (
 // mkEvent builds a feed event; helper keeps the tables readable.
 func mkEvent(seq uint64, typ, group, node string, xfer uint64, ordered bool) Event {
 	return Event{
-		Seq: seq, At: time.Unix(int64(seq), 0), Type: typ,
+		Index: seq, Seq: seq, At: time.Unix(int64(seq), 0), Type: typ, Origin: "feed",
 		Group: group, Node: node, XferID: xfer, Ordered: ordered,
 	}
 }
@@ -35,10 +36,13 @@ func TestMergeCollapsesIdenticalOrderedEvents(t *testing.T) {
 	if len(m.Entries) != 3 {
 		t.Fatalf("entries = %d, want 3 (create, suspicion, add): %+v", len(m.Entries), m.Entries)
 	}
-	// Totally ordered by seq.
-	for i := 1; i < len(m.Entries); i++ {
-		if m.Entries[i].Seq < m.Entries[i-1].Seq {
+	// Totally ordered by seq, and free of any one observer's Index/Origin.
+	for i, e := range m.Entries {
+		if i > 0 && e.Seq < m.Entries[i-1].Seq {
 			t.Fatalf("entries out of order: %+v", m.Entries)
+		}
+		if e.Index != 0 || e.Origin != "" {
+			t.Fatalf("entry keeps an observer's index/origin: %+v", e)
 		}
 	}
 	create := m.Entries[0]
@@ -304,7 +308,7 @@ func TestRecoveryReports(t *testing.T) {
 	recovered := Event{
 		Seq: 14, At: time.Unix(14, 0), Type: EventRecovered,
 		Group: "g", Node: "c", XferID: 77, Value: 3,
-		Detail: "capture=1ms transfer=2ms apply=1ms replay=1ms",
+		Phases: []Phase{{PhaseCapture, time.Millisecond}, {PhaseReplay, 2 * time.Millisecond}},
 	}
 	feeds := map[string][]Event{
 		"a": {
@@ -330,7 +334,7 @@ func TestRecoveryReports(t *testing.T) {
 	if r.SyncSeq != 9 || r.SetStateSeq != 12 || r.Donor != "a" {
 		t.Fatalf("report positions = %+v", r)
 	}
-	if r.Enqueued != 3 || r.PhaseDetail == "" {
+	if r.Enqueued != 3 || !slices.Equal(r.Phases, recovered.Phases) {
 		t.Fatalf("report recovering-side detail = %+v", r)
 	}
 	if len(r.During) != 1 || r.During[0].Type != EventSuspicion {

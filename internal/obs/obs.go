@@ -2,9 +2,9 @@
 // metrics registry (atomic counters, gauges, fixed-bucket latency
 // histograms with percentile summaries), a span journal that follows one
 // invocation through the interception → multicast → total order →
-// execution → reply pipeline, and a per-phase recovery timeline
-// log that reproduces the paper's Figure 6 measurement path from live
-// instrumentation.
+// execution → reply pipeline, and a flight recorder whose "recovered"
+// events carry the per-phase recovery timeline that reproduces the
+// paper's Figure 6 measurement path from live instrumentation.
 //
 // Everything here is safe for concurrent use: metrics are updated from
 // the totem run goroutine, the node's delivery loop, per-replica

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -226,16 +228,33 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-func TestTimelineLogNewestFirstBounded(t *testing.T) {
-	l := NewTimelineLog(3)
-	for i := 1; i <= 5; i++ {
-		l.Add(RecoveryTimeline{XferID: uint64(i)})
+// TestTimelineOf: a recovery's timeline is a view of its recovered event,
+// and survives the event's trip through the /events JSON.
+func TestTimelineOf(t *testing.T) {
+	ev := Event{
+		Index: 5, Seq: 14, At: time.Unix(14, 0), Type: EventRecovered, Origin: "c",
+		Group: "g", Node: "c", XferID: 77, Value: 3,
+		Phases: []Phase{
+			{PhaseCapture, time.Millisecond}, {PhaseTransfer, 2 * time.Millisecond},
+			{PhaseApply, time.Millisecond}, {PhaseReplay, 3 * time.Millisecond},
+		},
 	}
-	all := l.Last(0)
-	if len(all) != 3 || all[0].XferID != 5 || all[2].XferID != 3 {
-		t.Fatalf("Last(0) = %+v, want transfers 5,4,3", all)
+	tl := TimelineOf(ev)
+	if tl.Group != "g" || tl.Node != "c" || tl.XferID != 77 || !tl.At.Equal(ev.At) || tl.Enqueued != 3 {
+		t.Fatalf("timeline = %+v", tl)
 	}
-	if got := l.Last(1); len(got) != 1 || got[0].XferID != 5 {
-		t.Fatalf("Last(1) = %+v, want transfer 5", got)
+	if tl.PhaseDuration(PhaseTransfer) != 2*time.Millisecond || tl.PhaseDuration("none") != 0 || tl.Total() != 7*time.Millisecond {
+		t.Fatalf("phases = %+v", tl.Phases)
+	}
+	b, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Event
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := TimelineOf(back); !slices.Equal(got.Phases, tl.Phases) || got.Enqueued != 3 {
+		t.Fatalf("after JSON: %+v, want %+v", got, tl)
 	}
 }

@@ -62,8 +62,9 @@ const (
 	// capture (Value: application state bytes).
 	EventGetState = "get-state"
 	// EventRecovered (local): this node reinstated a recovered replica
-	// (Value: invocations enqueued while recovering; Detail: phase
-	// durations).
+	// (Value: invocations enqueued while recovering; Phases: capture,
+	// transfer, apply and replay). It is the one record of a recovery:
+	// TimelineOf and RecoveryReports both read it.
 	EventRecovered = "recovered"
 	// EventPromoted (local): a passive backup on this node became primary
 	// (Value: logged messages replayed).
@@ -83,6 +84,8 @@ const (
 	// different digests for one epoch (Value: the epoch). Recorded as a
 	// local event even though the matching inputs are ordered, because a
 	// node that synchronized mid-stream holds a shorter matching history.
+	// Each audit alarm's event is "audit-" + its AuditAlarm.Kind, and it
+	// is the alarm's only record besides the collector's counts.
 	EventAuditDivergence = "audit-divergence"
 	// EventAuditLag (local): a member trailed the audit by more than the
 	// configured number of epochs (Value: the epoch raised at).
@@ -96,7 +99,7 @@ const (
 type Event struct {
 	// Index is the recorder-assigned per-node monotonic id (from 1); the
 	// /events endpoint paginates by it.
-	Index uint64 `json:"index"`
+	Index uint64 `json:"index,omitempty"`
 	// Seq is the totem sequence number: the event's agreed stream position
 	// for ordered events, the last delivered position for local ones.
 	Seq uint64 `json:"seq"`
@@ -105,7 +108,7 @@ type Event struct {
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
 	// Origin is the recording node.
-	Origin string `json:"origin"`
+	Origin string `json:"origin,omitempty"`
 	// Group is the replicated object group the event concerns, if any.
 	Group string `json:"group,omitempty"`
 	// Node is the subject node (the member added/removed, the donor, the
@@ -120,6 +123,8 @@ type Event struct {
 	// deterministic (derived only from the total order), because MergeEvents
 	// compares it across nodes.
 	Detail string `json:"detail,omitempty"`
+	// Phases are a recovery's measured phases (EventRecovered only).
+	Phases []Phase `json:"phases,omitempty"`
 	// Ordered reports the consistency class (see the Event* constants).
 	Ordered bool `json:"ordered"`
 }
@@ -207,6 +212,3 @@ func (r *Recorder) Dropped() uint64 {
 	defer r.mu.Unlock()
 	return r.events.dropped
 }
-
-// Origin returns the recording node's name.
-func (r *Recorder) Origin() string { return r.origin }

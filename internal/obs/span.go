@@ -155,9 +155,9 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// DefaultSpanCapacity bounds a span recorder's journal when no capacity
+// defaultSpanJournal bounds a span recorder's journal when no capacity
 // is given.
-const DefaultSpanCapacity = 1024
+const defaultSpanJournal = 1024
 
 // SpanRecorder accumulates per-invocation phase spans on one node. Open
 // spans live in a bounded active set keyed by trace id; Finish (or
@@ -180,11 +180,11 @@ type SpanRecorder struct {
 }
 
 // NewSpanRecorder creates a recorder journalling up to capacity spans
-// (DefaultSpanCapacity when capacity <= 0), each annotated with the
+// (defaultSpanJournal when capacity <= 0), each annotated with the
 // node's name.
 func NewSpanRecorder(node string, capacity int) *SpanRecorder {
 	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
+		capacity = defaultSpanJournal
 	}
 	r := &SpanRecorder{
 		node:    node,
@@ -193,14 +193,6 @@ func NewSpanRecorder(node string, capacity int) *SpanRecorder {
 	}
 	r.pool.New = func() any { return new(Span) }
 	return r
-}
-
-// Node returns the recording node's name.
-func (r *SpanRecorder) Node() string {
-	if r == nil {
-		return ""
-	}
-	return r.node
 }
 
 // Begin opens (or annotates) the span for a trace and stamps the
@@ -285,19 +277,31 @@ func (r *SpanRecorder) MarkSeq(trace uint64, phase SpanPhase, seq uint64) {
 	r.mu.Unlock()
 }
 
-// Finish closes the trace's span and journals it. The client's node
-// calls it at reply delivery; spans the node only participated in are
-// swept by FlushIdle instead.
-func (r *SpanRecorder) Finish(trace uint64) {
+// Finish stamps reply delivery on the trace's open span, journals it and
+// returns the invocation's latency: interception to reply delivery. ok is
+// false when this node did not intercept the request or the span is no
+// longer open. The client's node calls it at reply delivery; spans the
+// node only participated in are swept by FlushIdle instead.
+func (r *SpanRecorder) Finish(trace uint64) (latency time.Duration, ok bool) {
 	if r == nil || trace == 0 {
-		return
+		return 0, false
 	}
+	now := time.Now().UnixNano()
 	r.mu.Lock()
-	if sp, ok := r.active[trace]; ok {
-		r.removeActive(trace)
-		r.journalSpan(sp)
+	defer r.mu.Unlock()
+	sp, open := r.active[trace]
+	if !open {
+		return 0, false
 	}
-	r.mu.Unlock()
+	if sp.Phases[SpanReplyDelivered] == 0 {
+		sp.Phases[SpanReplyDelivered] = now
+	}
+	if start := sp.Phases[SpanIntercepted]; start != 0 {
+		latency, ok = time.Duration(sp.Phases[SpanReplyDelivered]-start), true
+	}
+	r.removeActive(trace)
+	r.journalSpan(sp)
+	return latency, ok
 }
 
 // FlushIdle journals every active span whose latest phase mark is older

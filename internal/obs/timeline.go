@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"slices"
-	"sync"
-	"time"
-)
+import "time"
 
 // The phases of one replica recovery (paper Figure 5 / §5.1), as
 // measured live. Capture runs on the donor and travels to the recovering
@@ -34,23 +30,30 @@ type Phase struct {
 
 // RecoveryTimeline is the per-phase record of one replica recovery on
 // the recovering node — the live form of the paper's Figure 6
-// measurement.
+// measurement. It is a view of the node's EventRecovered event (see
+// TimelineOf), the one record of a recovery.
 type RecoveryTimeline struct {
 	Group string `json:"group"`
 	Node  string `json:"node"`
 	// XferID correlates the timeline with the KAddMember/KStateManifest pair.
 	XferID uint64 `json:"xfer_id"`
-	// Start is the local processing time of the KAddMember that opened
-	// the recovery (the synchronization point); End is the reinstatement
-	// (state applied, recovery signaled).
-	Start time.Time `json:"start"`
-	End   time.Time `json:"end"`
-	// Phases hold capture/transfer/apply (within [Start,End]) and replay
-	// (immediately after End).
+	// At is the reinstatement: state applied and the backlog replayed.
+	At time.Time `json:"at"`
+	// Phases hold capture, transfer, apply and replay, which run back to
+	// back from the synchronization point (the local processing of the
+	// KAddMember that opened the recovery) to At.
 	Phases []Phase `json:"phases"`
 	// Enqueued counts the invocations buffered during recovery and
 	// replayed afterwards.
 	Enqueued int `json:"enqueued"`
+}
+
+// TimelineOf reads a recovery's timeline off its EventRecovered event.
+func TimelineOf(ev Event) RecoveryTimeline {
+	return RecoveryTimeline{
+		Group: ev.Group, Node: ev.Node, XferID: ev.XferID, At: ev.At,
+		Phases: ev.Phases, Enqueued: int(ev.Value),
+	}
 }
 
 // PhaseDuration returns the named phase's duration (0 if absent).
@@ -70,39 +73,4 @@ func (t *RecoveryTimeline) Total() time.Duration {
 		sum += p.Duration
 	}
 	return sum
-}
-
-// DefaultTimelineCapacity bounds a TimelineLog when no capacity is given.
-const DefaultTimelineCapacity = 64
-
-// TimelineLog retains the most recent recovery timelines of one node.
-type TimelineLog struct {
-	mu      sync.Mutex
-	entries journal[RecoveryTimeline]
-}
-
-// NewTimelineLog creates a log retaining up to capacity timelines
-// (DefaultTimelineCapacity when capacity <= 0).
-func NewTimelineLog(capacity int) *TimelineLog {
-	if capacity <= 0 {
-		capacity = DefaultTimelineCapacity
-	}
-	return &TimelineLog{entries: newJournal[RecoveryTimeline](capacity)}
-}
-
-// Add appends a timeline, evicting the oldest beyond capacity.
-func (l *TimelineLog) Add(t RecoveryTimeline) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries.add(t)
-}
-
-// Last returns copies of the most recent n timelines, newest first
-// (n <= 0 returns all).
-func (l *TimelineLog) Last(n int) []RecoveryTimeline {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.entries.last(n)
-	slices.Reverse(out)
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,24 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// the RecoverReplica call.
 	if total := tl.Total(); total > wall {
 		t.Fatalf("sum of phases %v exceeds measured wall-clock %v", total, wall)
+	}
+	// A recovery has one record: the cluster report merged from both
+	// nodes' flight recorders reads the very event the timeline does.
+	var report *obs.RecoveryReport
+	reports := obs.MergeEvents(map[string][]obs.Event{
+		"n1": n1.Events(0, 0), "n2": n2.Events(0, 0),
+	}).RecoveryReports()
+	for i := range reports {
+		if reports[i].XferID == tl.XferID {
+			report = &reports[i]
+		}
+	}
+	if report == nil {
+		t.Fatalf("no recovery report for xfer %d among %+v", tl.XferID, reports)
+	}
+	if report.Enqueued != int64(tl.Enqueued) || !slices.Equal(report.Phases, tl.Phases) {
+		t.Fatalf("report (enqueued %d, phases %+v) disagrees with timeline (enqueued %d, phases %+v)",
+			report.Enqueued, report.Phases, tl.Enqueued, tl.Phases)
 	}
 
 	// Recovery histograms: transfer/apply/total on the recovering node,
@@ -365,12 +384,12 @@ func TestObservabilityEnqueueDuringRecovery(t *testing.T) {
 	if len(timelines) != 3 {
 		t.Fatalf("timelines = %d, want 3", len(timelines))
 	}
-	for _, tl := range timelines {
+	for i, tl := range timelines {
 		if tl.Enqueued < 0 {
 			t.Fatalf("negative enqueued count: %+v", tl)
 		}
-		if tl.End.Before(tl.Start) {
-			t.Fatalf("timeline end before start: %+v", tl)
+		if i > 0 && !tl.At.Before(timelines[i-1].At) {
+			t.Fatalf("timelines not newest first: %v then %v", timelines[i-1].At, tl.At)
 		}
 	}
 	if g := n2.Metrics().FindGauge("eternal_dispatch_queue_depth"); g == nil {
