@@ -82,6 +82,20 @@ type injection struct {
 	reader *giop.Reader
 }
 
+// roundTrip writes a request into the replica's ORB and reads until the
+// first Reply, which it returns.
+func (inj *injection) roundTrip(req *giop.Message) (*giop.Message, error) {
+	if _, err := req.WriteTo(inj.mech); err != nil {
+		return nil, err
+	}
+	for {
+		rep, err := inj.reader.Next()
+		if err != nil || rep.Type == giop.MsgReply {
+			return rep, err
+		}
+	}
+}
+
 // replicaHost is everything one node keeps for one local replica (or, for
 // a cold-passive backup, for its log): the Recovery Mechanisms state of
 // paper §4.3, the serial dispatcher that yields quiescence between
@@ -319,11 +333,10 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 	inj := h.injectionFor(env.Conn)
 	h.recordORBState(env, msg)
 
-	if _, err := msg.WriteTo(inj.mech); err != nil {
-		return
-	}
 	if env.Oneway {
-		h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
+		if _, err := msg.WriteTo(inj.mech); err == nil {
+			h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
+		}
 		return
 	}
 	// Bound the wait: a server ORB that discards the request (e.g. an
@@ -333,28 +346,23 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 	// move on.
 	inj.mech.SetReadDeadline(time.Now().Add(h.node.cfg.replyTimeout))
 	defer inj.mech.SetReadDeadline(time.Time{})
-	for {
-		rep, err := inj.reader.Next()
-		if err != nil {
-			return
-		}
-		if rep.Type == giop.MsgReply {
-			h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
-			if h.node.replyWithdrawn(env.Conn, env.OpID) {
-				// A peer's copy is already ordered (a late replica, or one
-				// replaying its held queue or its log): ours stays home.
-				return
-			}
-			h.node.multicastReply(&replication.Envelope{
-				Kind:    replication.KReply,
-				Conn:    env.Conn,
-				OpID:    env.OpID,
-				Trace:   env.Trace,
-				Payload: rep.Marshal(),
-			}, lazy)
-			return
-		}
+	rep, err := inj.roundTrip(msg)
+	if err != nil {
+		return
 	}
+	h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
+	if h.node.replyWithdrawn(env.Conn, env.OpID) {
+		// A peer's copy is already ordered (a late replica, or one
+		// replaying its held queue or its log): ours stays home.
+		return
+	}
+	h.node.multicastReply(&replication.Envelope{
+		Kind:    replication.KReply,
+		Conn:    env.Conn,
+		OpID:    env.OpID,
+		Trace:   env.Trace,
+		Payload: rep.Marshal(),
+	}, lazy)
 }
 
 // injectionFor returns (creating on demand) the injected connection for a
@@ -390,40 +398,36 @@ func (h *replicaHost) recordORBState(env *replication.Envelope, msg *giop.Messag
 }
 
 // invokeInternal performs a synthetic local invocation (get_state,
-// set_state, handshake replay) through the replica's ORB, exactly as the
-// paper's mechanisms deliver fabricated IIOP invocations. It returns the
-// reply body.
+// set_state) through the replica's ORB, exactly as the paper's mechanisms
+// deliver fabricated IIOP invocations. It returns the reply body.
 func (h *replicaHost) invokeInternal(op string, args []byte) ([]byte, error) {
-	conn := replication.ConnID{Client: "$eternal", Group: h.group, Seq: 0}
-	inj := h.injectionFor(conn)
 	h.internalID++
+	return h.invokeOn("$eternal", h.internalID, op, args)
+}
+
+// invokeOn performs synthetic invocation id on the injected connection of
+// client, one of the mechanisms' own entities ($eternal, $monitor), and
+// returns the reply body.
+func (h *replicaHost) invokeOn(client string, id uint32, op string, args []byte) ([]byte, error) {
+	inj := h.injectionFor(replication.ConnID{Client: client, Group: h.group})
 	hdr := &giop.RequestHeader{
-		RequestID:        h.internalID,
+		RequestID:        id,
 		ResponseExpected: true,
 		ObjectKey:        []byte("root/" + h.group),
 		Operation:        op,
 	}
-	msg := giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, args)
-	if _, err := msg.WriteTo(inj.mech); err != nil {
+	rep, err := inj.roundTrip(giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, args))
+	if err != nil {
 		return nil, err
 	}
-	for {
-		rep, err := inj.reader.Next()
-		if err != nil {
-			return nil, err
-		}
-		if rep.Type != giop.MsgReply {
-			continue
-		}
-		parsed, err := giop.ParseReply(rep)
-		if err != nil {
-			return nil, err
-		}
-		if parsed.Header.Status != giop.ReplyNoException {
-			return nil, fmt.Errorf("core: %s raised %v", op, parsed.Header.Status)
-		}
-		return parsed.Result, nil
+	parsed, err := giop.ParseReply(rep)
+	if err != nil {
+		return nil, err
 	}
+	if parsed.Header.Status != giop.ReplyNoException {
+		return nil, fmt.Errorf("core: %s raised %v", op, parsed.Header.Status)
+	}
+	return parsed.Result, nil
 }
 
 // capture is the donor side of a state transfer (Figure 5 steps i–iv):
@@ -555,21 +559,11 @@ func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
 	req.Header.ResponseExpected = true
 	replay := giop.EncodeRequest(msg.Version, msg.Order, &req.Header, nil)
 
-	inj := h.injectionFor(sc.Conn)
-	if _, err := replay.WriteTo(inj.mech); err != nil {
+	// The reply confirms the ORB absorbed the negotiation; discard it.
+	if _, err := h.injectionFor(sc.Conn).roundTrip(replay); err != nil {
 		return
 	}
 	h.node.counters.handshakesReplayed.Add(1)
-	// The reply confirms the ORB absorbed the negotiation; discard it.
-	for {
-		rep, err := inj.reader.Next()
-		if err != nil {
-			return
-		}
-		if rep.Type == giop.MsgReply {
-			break
-		}
-	}
 	h.mu.Lock()
 	h.handshakes[sc.Conn] = append(h.handshakes[sc.Conn], sc.Handshake)
 	h.lastReqID[sc.Conn] = sc.LastRequestID
@@ -643,29 +637,9 @@ func (h *replicaHost) probeAlive() bool {
 	}
 	h.probeMu.Lock()
 	defer h.probeMu.Unlock()
-	conn := replication.ConnID{Client: "$monitor", Group: h.group, Seq: 0}
-	inj := h.injectionFor(conn)
 	h.probeID++
-	hdr := &giop.RequestHeader{
-		RequestID:        h.probeID,
-		ResponseExpected: true,
-		ObjectKey:        []byte("root/" + h.group),
-		Operation:        ftcorba.OpIsAlive,
-	}
-	msg := giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, nil)
-	if _, err := msg.WriteTo(inj.mech); err != nil {
-		return false
-	}
-	for {
-		rep, err := inj.reader.Next()
-		if err != nil {
-			return false
-		}
-		if rep.Type == giop.MsgReply {
-			parsed, err := giop.ParseReply(rep)
-			return err == nil && parsed.Header.Status == giop.ReplyNoException
-		}
-	}
+	_, err := h.invokeOn("$monitor", h.probeID, ftcorba.OpIsAlive, nil)
+	return err == nil
 }
 
 // stop tears the host down (replica kill or node shutdown).

@@ -22,7 +22,6 @@ func (n *Node) loop() {
 	defer n.shutdownHosts()
 	ticker := time.NewTicker(n.cfg.ManagerTick)
 	defer ticker.Stop()
-	n.now = time.Now()
 	for {
 		select {
 		case <-n.stopCh:
@@ -32,8 +31,8 @@ func (n *Node) loop() {
 				return
 			}
 			n.handleDelivery(d)
-		case n.now = <-ticker.C:
-			n.sweep(n.now)
+		case now := <-ticker.C:
+			n.sweep(now)
 		case f := <-n.calls:
 			f()
 		}
@@ -246,7 +245,7 @@ func (n *Node) handleView(v *totem.Membership) {
 		}
 		n.primaryOf = make(map[string]bool)
 		n.pendingAdd = make(map[string]bool)
-		n.inXfers = make(map[uint64]*inboundXfer)
+		clear(n.inXfers)
 		n.synced = false
 		n.resetSignal("synced")
 		n.requestSync(v)
@@ -267,6 +266,9 @@ func (n *Node) handleView(v *totem.Membership) {
 			Type: obs.EventProcessorFail, Seq: v.StartSeq, Node: node,
 			Detail: fmt.Sprintf("epoch=%d", v.Epoch),
 		})
+		// Its bulk lane is gone with it: a transfer it left open gets no
+		// more chunks and no manifest.
+		delete(n.inXfers, node)
 		for _, name := range n.table.NodeFailed(node) {
 			n.audit.MemberRemoved(name, node)
 			n.resetSignal(recoveredKey(name, node))
@@ -329,11 +331,9 @@ func (n *Node) handleEnvelope(seq uint64, sender string, env *replication.Envelo
 	case replication.KAddMember:
 		n.handleAdd(seq, env)
 	case replication.KStateChunk:
-		n.handleStateChunk(env)
+		n.handleStateChunk(sender, env)
 	case replication.KStateManifest:
-		n.handleStateManifest(seq, env)
-	case replication.KStateRetransmit:
-		n.handleStateRetransmit(env)
+		n.handleStateManifest(seq, sender, env)
 	case replication.KCheckpoint:
 		n.handleCheckpoint(seq, env)
 	case replication.KAudit:
@@ -406,21 +406,33 @@ func (n *Node) handleCreate(seq uint64, env *replication.Envelope) {
 		// kills wait for their own removal, not a stale one.
 		n.resetSignal(removedKey(spec.Name, m.Node))
 	}
-	if g.HasMember(n.addr) {
-		withInstance := spec.Props.Style != ftcorba.ColdPassive || g.IsPrimary(n.addr)
-		h, err := newReplicaHost(n, spec.Name, spec.Props.Style, withInstance, false)
-		if err == nil {
-			h.disableORBStateTransfer = n.disableORBStateTransfer.Load()
-			h.log.SetPolicy(spec.Props.CheckpointEveryN, spec.Props.CheckpointInterval, time.Now())
-			n.hosts[spec.Name] = h
-			n.primaryOf[spec.Name] = g.IsPrimary(n.addr)
-			n.startMonitor(h, spec.Props.FaultMonitoringInterval)
-			n.logger().Info("replica hosted", "group", spec.Name,
-				"style", spec.Props.Style.String(), "primary", g.IsPrimary(n.addr))
-			n.publishAnswering(spec.Name)
-		}
+	if g.HasMember(n.addr) && n.hostReplica(g, g.IsPrimary(n.addr), false) {
+		n.logger().Info("replica hosted", "group", spec.Name,
+			"style", spec.Props.Style.String(), "primary", g.IsPrimary(n.addr))
+		n.publishAnswering(spec.Name)
 	}
 	n.signal("create:" + spec.Name)
+}
+
+// hostReplica stands up this node's replica of g and registers it:
+// primary says whether this node is g's primary now (a cold-passive backup
+// that is not gets no instance, only a log), and a recovering replica holds
+// its queue for its state and is monitored only from its manifest on. It
+// reports whether the replica could be instantiated.
+func (n *Node) hostReplica(g *replication.Group, primary, recovering bool) bool {
+	props := g.Spec.Props
+	h, err := newReplicaHost(n, g.Spec.Name, props.Style, props.Style != ftcorba.ColdPassive || primary, recovering)
+	if err != nil {
+		return false
+	}
+	h.disableORBStateTransfer = n.disableORBStateTransfer.Load()
+	h.log.SetPolicy(props.CheckpointEveryN, props.CheckpointInterval, time.Now())
+	n.hosts[g.Spec.Name] = h
+	n.primaryOf[g.Spec.Name] = primary
+	if !recovering {
+		n.startMonitor(h, props.FaultMonitoringInterval)
+	}
+	return true
 }
 
 func (n *Node) handleRemove(seq uint64, env *replication.Envelope) {
@@ -472,19 +484,9 @@ func (n *Node) handleAdd(seq uint64, env *replication.Envelope) {
 		// operational member exists anywhere (total group loss): then
 		// there is no state to wait for, and the new replica starts from
 		// its type's initial state immediately.
-		recovering := hasDonorNow
-		withInstance := g.Spec.Props.Style != ftcorba.ColdPassive || !hasDonorNow
-		h, err := newReplicaHost(n, env.Group, g.Spec.Props.Style, withInstance, recovering)
-		if err == nil {
-			h.disableORBStateTransfer = n.disableORBStateTransfer.Load()
-			h.log.SetPolicy(g.Spec.Props.CheckpointEveryN, g.Spec.Props.CheckpointInterval, time.Now())
-			n.hosts[env.Group] = h
-			n.primaryOf[env.Group] = !hasDonorNow
-			if !recovering {
-				n.logger().Info("replica restarted from initial state (total group loss)",
-					"group", env.Group)
-				n.startMonitor(h, g.Spec.Props.FaultMonitoringInterval)
-			}
+		if n.hostReplica(g, !hasDonorNow, hasDonorNow) && !hasDonorNow {
+			n.logger().Info("replica restarted from initial state (total group loss)",
+				"group", env.Group)
 		}
 	}
 	if !hasDonorNow {
@@ -628,7 +630,6 @@ func (n *Node) sweep(now time.Time) {
 	if !n.synced {
 		return
 	}
-	n.sweepXfers(now)
 	if n.audit != nil {
 		n.noteAuditAlarms(n.audit.SweepStalls(now, auditStallFactor*n.cfg.AuditInterval))
 	}

@@ -107,14 +107,10 @@ type Node struct {
 	table      *replication.Table
 	view       totem.Membership // the last view delivered; its Members are the live processors
 	hosts      map[string]*replicaHost
-	primaryOf  map[string]bool // group -> this node believes it is primary
-	pendingAdd map[string]bool // group -> KAddMember multicast, not yet delivered
-	inXfers    map[uint64]*inboundXfer
+	primaryOf  map[string]bool         // group -> this node believes it is primary
+	pendingAdd map[string]bool         // group -> KAddMember multicast, not yet delivered
+	inXfers    map[string]*inboundXfer // by donor: the transfer its bulk lane has open
 	synced     bool
-	// now is the loop's clock: the sweep tick last taken (the loop's start
-	// before the first). Inbound transfers are stamped and aged by it alone,
-	// so their orphan and retry ages are differences on one clock.
-	now time.Time
 	// Metadata synchronization, while !synced (see handleUnsynced).
 	syncSeen []string         // members whose KSyncRequest in this view has been delivered
 	syncSeq  uint64           // the position of this node's own, 0 until it is
@@ -139,10 +135,9 @@ type Node struct {
 
 	xferCounter atomic.Uint64
 
-	// xferCacheMu guards the donor-side retransmit cache.
-	xferCacheMu    sync.Mutex
-	xferCache      map[uint64]*cachedXfer
-	xferCacheOrder []uint64
+	// sendMu keeps each outbound transfer's chunks and manifest contiguous
+	// in the bulk lane (see sendChunked).
+	sendMu sync.Mutex
 	// chunkHook is a test-only received-chunk filter (see setChunkHook).
 	chunkHook atomic.Value
 
@@ -240,8 +235,7 @@ func Start(cfg Config) (*Node, error) {
 		hosts:      make(map[string]*replicaHost),
 		primaryOf:  make(map[string]bool),
 		pendingAdd: make(map[string]bool),
-		inXfers:    make(map[uint64]*inboundXfer),
-		xferCache:  make(map[uint64]*cachedXfer),
+		inXfers:    make(map[string]*inboundXfer),
 		groupSet:   make(map[string]*replication.GroupSpec),
 		clients:    make(map[string]*clientEntity),
 		waiters:    make(map[string][]chan struct{}),
@@ -585,46 +579,27 @@ func (n *Node) AwaitPromoted(group, node string, timeout time.Duration) error {
 // HostsReplica reports whether this node currently hosts the group (the
 // instance may be a cold-passive log holder).
 func (n *Node) HostsReplica(group string) bool {
-	done := make(chan bool, 1)
-	select {
-	case n.calls <- func() { done <- n.hosts[group] != nil }:
-	case <-n.stopCh:
-		return false
-	}
-	select {
-	case v := <-done:
-		return v
-	case <-n.stopCh:
-		return false
-	}
+	hosts := false
+	return n.onLoop(func() { hosts = n.hosts[group] != nil }) && hosts
 }
 
 // GroupMembers returns the group's current members and their states as
 // seen by this node's metadata (a consistent loop-side read).
 func (n *Node) GroupMembers(group string) ([]replication.Member, error) {
-	type result struct {
-		members []replication.Member
-		err     error
-	}
-	done := make(chan result, 1)
-	select {
-	case n.calls <- func() {
+	var members []replication.Member
+	found := false
+	if !n.onLoop(func() {
 		g, ok := n.table.Get(group)
-		if !ok {
-			done <- result{err: fmt.Errorf("%w: %q", ErrNoSuchGroup, group)}
-			return
+		if found = ok; ok {
+			members = slices.Clone(g.Members)
 		}
-		done <- result{members: slices.Clone(g.Members)}
-	}:
-	case <-n.stopCh:
+	}) {
 		return nil, ErrNodeStopped
 	}
-	select {
-	case r := <-done:
-		return r.members, r.err
-	case <-n.stopCh:
-		return nil, ErrNodeStopped
+	if !found {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, group)
 	}
+	return members, nil
 }
 
 // --- internals shared with host/client files ---

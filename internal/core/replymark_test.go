@@ -137,8 +137,12 @@ func TestWinningReplicaDiesOnceItsReplyIsOrdered(t *testing.T) {
 // replays it. Every request in that queue was answered long ago by the
 // operational replicas, and the replies were ordered on this node too — so
 // the replay multicasts none of them.
+//
+// A megabyte of state in 2 KiB chunks (512 of them, two a token visit)
+// stretches the recovery, during which the client keeps the held queue
+// growing.
 func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
-	c := newXferCluster(t, 16<<10, func(cfg *Config) {
+	c := newXferCluster(t, 1<<20, func(cfg *Config) {
 		cfg.StateChunkBytes = 2048
 	}, "n1", "n2", "n3")
 	createBlobGroup(t, c, "blob", 1, "n1", "n2", "n3")
@@ -162,27 +166,6 @@ func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
 
 	if err := c.nodes["n3"].KillReplica("blob", 10*time.Second); err != nil {
 		t.Fatal(err)
-	}
-	// Losing one chunk and then the request to resend it stretches the
-	// recovery by a retry interval (250 ms), during which the client keeps
-	// the held queue growing.
-	var chunk sync.Once
-	c.nodes["n3"].setChunkHook(func(env *replication.Envelope) bool {
-		keep := true
-		if env.Kind == replication.KStateChunk && env.OpID == 1 {
-			chunk.Do(func() { keep = false })
-		}
-		return keep
-	})
-	for _, donor := range []string{"n1", "n2"} { // whichever serves the transfer
-		var nak sync.Once
-		c.nodes[donor].setChunkHook(func(env *replication.Envelope) bool {
-			keep := true
-			if env.Kind == replication.KStateRetransmit {
-				nak.Do(func() { keep = false })
-			}
-			return keep
-		})
 	}
 	stop := make(chan struct{})
 	traffic := make(chan struct{})
@@ -244,11 +227,17 @@ var retiredRemoveMember = []byte{
 	0, 0, 0, 0, // payload
 }
 
+// retiredStateRetransmit is a kind-36 envelope, the retired request to
+// resend chunk "x" of transfer 1 — byte for byte the one replication's
+// TestRetiredCompactEnvelopesAreRejected keeps.
+var retiredStateRetransmit = []byte{36, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}
+
 // TestRetiredEnvelopeIsCountedAndMovesNothing: a node still writing CDR
 // envelopes shares the ring — Totem's wire is the same — and multicasts a
-// RemoveMember for n2's replica of a live 3-way active group. Every node
-// drops it at its position in the total order and counts it; no group table
-// and no replica moves, and all three replicas go on serving.
+// RemoveMember for n2's replica of a live 3-way active group; a node still
+// asking for state chunks again multicasts a retransmit request. Every node
+// drops both at their positions in the total order and counts them; no
+// group table and no replica moves, and all three replicas go on serving.
 func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 	all := []string{"n1", "n2", "n3"}
 	c := newTestCluster(t, simnet.Config{}, all...)
@@ -293,13 +282,15 @@ func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 	for _, a := range all {
 		before[a], rejected[a] = state(a, 5), c.nodes[a].Stats().EnvelopesRejected
 	}
-	if err := c.nodes["n2"].proc.Multicast(retiredRemoveMember); err != nil {
-		t.Fatal(err)
+	for _, retired := range [][]byte{retiredRemoveMember, retiredStateRetransmit} {
+		if err := c.nodes["n2"].proc.Multicast(retired); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, a := range all {
-		for deadline := time.Now().Add(5 * time.Second); c.nodes[a].Stats().EnvelopesRejected != rejected[a]+1; time.Sleep(5 * time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); c.nodes[a].Stats().EnvelopesRejected != rejected[a]+2; time.Sleep(5 * time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: rejected %d envelopes, want %d", a, c.nodes[a].Stats().EnvelopesRejected, rejected[a]+1)
+				t.Fatalf("%s: rejected %d envelopes, want %d", a, c.nodes[a].Stats().EnvelopesRejected, rejected[a]+2)
 			}
 		}
 		if after := state(a, 5); after != before[a] {

@@ -44,23 +44,18 @@ type Stats struct {
 	Promotions uint64
 	// HandshakesReplayed counts §4.2.2 handshake injections.
 	HandshakesReplayed uint64
-	// StateChunksSent counts state chunks multicast by this node as donor
-	// (first transmissions only).
+	// StateChunksSent counts state chunks multicast by this node as donor.
 	StateChunksSent uint64
-	// StateChunksResent counts chunks re-multicast in answer to
-	// retransmit-by-index requests.
-	StateChunksResent uint64
-	// StateChunkBytes counts payload bytes across sent and resent chunks.
+	// StateChunkBytes counts the payload bytes of those chunks.
 	StateChunkBytes uint64
 	// StateChunkStalls counts token visits at this node that left state
 	// chunks waiting in totem's bulk lane behind the StateChunksPerToken
 	// quota.
 	StateChunkStalls uint64
-	// StateRetransmitRequests counts missing-chunk requests this node
-	// multicast while assembling transfers.
-	StateRetransmitRequests uint64
-	// StateChunksRejected counts received chunks dropped for checksum or
-	// size mismatch against their manifest.
+	// StateChunksRejected counts received chunks refused on arrival: not
+	// the next index of their donor's transfer, or past the point where
+	// that transfer's stream broke. (A transfer refused at its manifest is
+	// a state-abort event.)
 	StateChunksRejected uint64
 	// AuditMarks counts consistency-audit epoch markers this node
 	// multicast as a group primary.
@@ -98,9 +93,7 @@ type nodeCounters struct {
 	promotions           *obs.Counter
 	handshakesReplayed   *obs.Counter
 	stateChunksSent      *obs.Counter
-	stateChunksResent    *obs.Counter
 	stateChunkBytes      *obs.Counter
-	stateRetransmitReqs  *obs.Counter
 	stateChunksRejected  *obs.Counter
 	auditMarks           *obs.Counter
 	auditReports         *obs.Counter
@@ -119,11 +112,9 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		stateApplied:         r.Counter("eternal_state_applied_total", "set_state() assignments performed"),
 		promotions:           r.Counter("eternal_promotions_total", "backup-to-primary promotions"),
 		handshakesReplayed:   r.Counter("eternal_handshakes_replayed_total", "handshake injections into recovered ORBs"),
-		stateChunksSent:      r.Counter("eternal_state_chunks_sent_total", "state chunks multicast as donor (first transmissions)"),
-		stateChunksResent:    r.Counter("eternal_state_chunks_resent_total", "state chunks re-multicast on retransmit requests"),
-		stateChunkBytes:      r.Counter("eternal_state_chunk_bytes_total", "payload bytes across sent and resent state chunks"),
-		stateRetransmitReqs:  r.Counter("eternal_state_retransmit_requests_total", "missing-chunk requests multicast while assembling"),
-		stateChunksRejected:  r.Counter("eternal_state_chunks_rejected_total", "received chunks dropped for checksum or size mismatch"),
+		stateChunksSent:      r.Counter("eternal_state_chunks_sent_total", "state chunks multicast as donor"),
+		stateChunkBytes:      r.Counter("eternal_state_chunk_bytes_total", "payload bytes of the state chunks multicast as donor"),
+		stateChunksRejected:  r.Counter("eternal_state_chunks_rejected_total", "received state chunks refused: out of their donor's index order"),
 		auditMarks:           r.Counter("eternal_audit_marks_total", "consistency-audit epoch markers multicast as primary"),
 		auditReports:         r.Counter("eternal_audit_reports_total", "audit digests computed and multicast by local replicas"),
 	}
@@ -131,24 +122,22 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 
 func (c *nodeCounters) snapshot() Stats {
 	return Stats{
-		RequestsExecuted:        c.requestsExecuted.Value(),
-		RequestsLogged:          c.requestsLogged.Value(),
-		DuplicatesSuppressed:    c.duplicatesSuppressed.Value(),
-		RepliesDelivered:        c.repliesDelivered.Value(),
-		DuplicateReplies:        c.duplicateReplies.Value(),
-		RepliesWithdrawn:        c.repliesWithdrawn.Value(),
-		LazyReplies:             c.lazyReplies.Value(),
-		StateCaptures:           c.stateCaptures.Value(),
-		StateApplied:            c.stateApplied.Value(),
-		Promotions:              c.promotions.Value(),
-		HandshakesReplayed:      c.handshakesReplayed.Value(),
-		StateChunksSent:         c.stateChunksSent.Value(),
-		StateChunksResent:       c.stateChunksResent.Value(),
-		StateChunkBytes:         c.stateChunkBytes.Value(),
-		StateRetransmitRequests: c.stateRetransmitReqs.Value(),
-		StateChunksRejected:     c.stateChunksRejected.Value(),
-		AuditMarks:              c.auditMarks.Value(),
-		AuditReports:            c.auditReports.Value(),
+		RequestsExecuted:     c.requestsExecuted.Value(),
+		RequestsLogged:       c.requestsLogged.Value(),
+		DuplicatesSuppressed: c.duplicatesSuppressed.Value(),
+		RepliesDelivered:     c.repliesDelivered.Value(),
+		DuplicateReplies:     c.duplicateReplies.Value(),
+		RepliesWithdrawn:     c.repliesWithdrawn.Value(),
+		LazyReplies:          c.lazyReplies.Value(),
+		StateCaptures:        c.stateCaptures.Value(),
+		StateApplied:         c.stateApplied.Value(),
+		Promotions:           c.promotions.Value(),
+		HandshakesReplayed:   c.handshakesReplayed.Value(),
+		StateChunksSent:      c.stateChunksSent.Value(),
+		StateChunkBytes:      c.stateChunkBytes.Value(),
+		StateChunksRejected:  c.stateChunksRejected.Value(),
+		AuditMarks:           c.auditMarks.Value(),
+		AuditReports:         c.auditReports.Value(),
 	}
 }
 

@@ -72,13 +72,10 @@ const (
 	// EventLogGC (local): a checkpoint truncated the recovery log (Value:
 	// messages subsumed).
 	EventLogGC = "log-gc"
-	// EventStateNak (local): this node requested retransmission of state
-	// chunks missing at (or after) a transfer's manifest (Value: missing
-	// chunk count).
-	EventStateNak = "state-nak"
-	// EventStateAbort (local): this node abandoned an incomplete chunked
-	// transfer after exhausting retransmit attempts (Value: chunks still
-	// missing).
+	// EventStateAbort (local): this node's copy of a transfer's chunk
+	// stream did not verify at its manifest, so it abandoned the transfer
+	// there (Seq: the manifest's; Detail: the donor and why). A recovering
+	// replica then removes itself to be relaunched; a checkpoint is skipped.
 	EventStateAbort = "state-abort"
 	// EventAuditDivergence (local): the consistency audit matched two
 	// different digests for one epoch (Value: the epoch). Recorded as a

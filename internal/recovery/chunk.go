@@ -21,8 +21,8 @@ const MaxChunks = 1 << 24
 // ErrBadManifest reports an undecodable or inconsistent manifest.
 var ErrBadManifest = errors.New("recovery: bad manifest")
 
-// ErrChunkMismatch reports a chunk whose checksum or size disagrees with
-// the transfer's manifest.
+// ErrChunkMismatch reports a chunk out of index order, or one whose
+// checksum or size disagrees with the transfer's manifest.
 var ErrChunkMismatch = errors.New("recovery: chunk mismatch")
 
 // SplitChunks slices an encoded bundle into consecutive chunks of at most
@@ -50,8 +50,8 @@ func SplitChunks(enc []byte, chunkBytes int) [][]byte {
 // Manifest describes one chunked state transfer: how the encoded bundle
 // was split and a CRC-32 (IEEE) checksum per chunk. Its delivery position
 // in the total order is the transfer's sync point — the paper's set_state
-// — so it carries everything a receiver needs
-// to validate the chunks that streamed ahead of it.
+// — so it carries everything a receiver needs to validate the chunks that
+// streamed ahead of it.
 type Manifest struct {
 	// TotalBytes is the length of the encoded bundle.
 	TotalBytes uint64
@@ -95,8 +95,6 @@ func (m *Manifest) Encode() []byte {
 	return b
 }
 
-var errTooManyChunks = errors.New("more than MaxChunks")
-
 // DecodeManifest parses a serialized manifest, accepting exactly what Encode
 // writes, and sanity-checks its internal consistency (the chunks, at their
 // sizes, must add up to TotalBytes exactly — Assembly.Bytes allocates on its
@@ -106,7 +104,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	m := &Manifest{TotalBytes: r.U64(), ChunkBytes: r.U32()}
 	n := r.Count(4)
 	if n > MaxChunks {
-		r.Fail(errTooManyChunks)
+		r.Fail(errors.New("more than MaxChunks"))
 	}
 	if r.Err() == nil {
 		m.Checksums = make([]uint32, n)
@@ -128,41 +126,43 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// Assembly reassembles a chunked transfer on the receiving side. Chunks
-// may arrive before the manifest (the normal streaming order): they are
-// held unverified until SetManifest checks them. Chunks arriving after
-// the manifest (retransmissions) are verified immediately.
+// Assembly reassembles a chunked transfer on the receiving side. A donor's
+// chunks reach every node in index order, ahead of their manifest (its bulk
+// lane is FIFO and the total order drops nothing), so the assembly only
+// appends: any index but the next one breaks it — the stream lost or
+// reordered a chunk — and SetManifest then refuses it. SetManifest checks
+// the chunk count, sizes and checksums once, at the manifest's position.
 //
 // Assembly is confined to the owning node's delivery goroutine.
 type Assembly struct {
-	// chunks is keyed by index so memory tracks the chunks held, not the
-	// largest index seen: before the manifest the index comes straight off
-	// the wire with nothing to check it against.
-	chunks   map[int][]byte
-	manifest *Manifest
+	chunks   [][]byte
+	manifest *Manifest // set once the chunks verified
+	err      error     // why the assembly broke; sticky
 }
 
 // NewAssembly creates an empty assembly.
-func NewAssembly() *Assembly { return &Assembly{chunks: make(map[int][]byte)} }
+func NewAssembly() *Assembly { return &Assembly{} }
 
-// AddChunk stores one chunk by index. Before the manifest is known any
-// index below MaxChunks is accepted provisionally. After the manifest,
-// out-of-range indexes and checksum/size mismatches are rejected with an
-// error and the stored state is unchanged.
+// AddChunk appends chunk idx, which must be the next index. Any other index,
+// or any chunk once the manifest is installed, is refused with an error;
+// before the manifest the refusal also breaks the assembly, releasing what
+// it held.
 func (a *Assembly) AddChunk(idx int, payload []byte) error {
-	if idx < 0 || idx >= MaxChunks {
-		return fmt.Errorf("%w: index %d out of range", ErrChunkMismatch, idx)
+	switch {
+	case a.manifest != nil:
+		return fmt.Errorf("%w: chunk %d after the manifest", ErrChunkMismatch, idx)
+	case a.err != nil:
+		return a.err
+	case idx != len(a.chunks) || idx >= MaxChunks:
+		a.fail(fmt.Errorf("%w: chunk %d where %d was due", ErrChunkMismatch, idx, len(a.chunks)))
+		return a.err
 	}
-	if a.manifest != nil {
-		if idx >= a.manifest.Count() {
-			return fmt.Errorf("%w: index %d of %d", ErrChunkMismatch, idx, a.manifest.Count())
-		}
-		if err := a.manifest.verifyChunk(idx, payload); err != nil {
-			return err
-		}
-	}
-	a.chunks[idx] = payload
+	a.chunks = append(a.chunks, payload)
 	return nil
+}
+
+func (a *Assembly) fail(err error) {
+	a.chunks, a.err = nil, err
 }
 
 // verifyChunk checks one chunk's size and checksum against the manifest.
@@ -184,79 +184,34 @@ func (m *Manifest) verifyChunk(idx int, payload []byte) error {
 	return nil
 }
 
-// SetManifest installs the transfer's manifest, verifies every chunk held
-// so far, and drops any that fail (they become missing, to be
-// retransmitted). It returns the indexes still missing, and the count of
-// held chunks it dropped: past the manifest's count, or checksum/size
-// mismatch.
-func (a *Assembly) SetManifest(m *Manifest) (missing []uint32, dropped int) {
-	a.manifest = m
-	for i, c := range a.chunks {
-		if i >= m.Count() || m.verifyChunk(i, c) != nil {
-			delete(a.chunks, i)
-			dropped++
+// SetManifest installs the transfer's manifest if the chunks held are
+// exactly the ones it describes — their count, each one's size and
+// checksum — and otherwise breaks the assembly. It reports why the
+// assembly is broken, nil when Bytes may be called.
+func (a *Assembly) SetManifest(m *Manifest) error {
+	if a.err == nil && a.manifest == nil {
+		if len(a.chunks) != m.Count() {
+			a.fail(fmt.Errorf("%w: %d chunks of %d", ErrChunkMismatch, len(a.chunks), m.Count()))
+		}
+		for i, c := range a.chunks {
+			if err := m.verifyChunk(i, c); err != nil {
+				a.fail(err)
+				break
+			}
+		}
+		if a.err == nil {
+			a.manifest = m
 		}
 	}
-	return a.Missing(), dropped
-}
-
-// Missing lists the chunk indexes not yet held, in order. It is only
-// meaningful after SetManifest.
-func (a *Assembly) Missing() []uint32 {
-	if a.manifest == nil {
-		return nil
-	}
-	var missing []uint32
-	for i := 0; i < a.manifest.Count(); i++ {
-		if _, held := a.chunks[i]; !held {
-			missing = append(missing, uint32(i))
-		}
-	}
-	return missing
-}
-
-// Complete reports whether the manifest is known and every chunk is held.
-func (a *Assembly) Complete() bool {
-	return a.manifest != nil && len(a.Missing()) == 0
+	return a.err
 }
 
 // Bytes concatenates the chunks into the encoded bundle. It must only be
-// called when Complete() is true.
+// called once SetManifest has accepted them.
 func (a *Assembly) Bytes() []byte {
 	out := make([]byte, 0, a.manifest.TotalBytes)
-	for i := 0; i < a.manifest.Count(); i++ {
-		out = append(out, a.chunks[i]...)
+	for _, c := range a.chunks {
+		out = append(out, c...)
 	}
 	return out
-}
-
-// EncodeIndexList serializes a retransmit request's chunk-index list: a
-// count, then each index as a uvarint.
-func EncodeIndexList(idx []uint32) []byte {
-	b := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(idx)*3), uint64(len(idx)))
-	for _, i := range idx {
-		b = binary.AppendUvarint(b, uint64(i))
-	}
-	return b
-}
-
-// DecodeIndexList parses a retransmit request's chunk-index list, accepting
-// exactly what EncodeIndexList writes.
-func DecodeIndexList(buf []byte) ([]uint32, error) {
-	r := codec.NewReader(buf)
-	n := r.Count(1)
-	if n > MaxChunks {
-		r.Fail(errTooManyChunks)
-	}
-	var idx []uint32
-	if r.Err() == nil {
-		idx = make([]uint32, n)
-	}
-	for i := range idx {
-		idx[i] = r.U32()
-	}
-	if err := r.Done(ErrBadManifest); err != nil {
-		return nil, err
-	}
-	return idx, nil
 }

@@ -3,7 +3,6 @@ package recovery
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -55,106 +54,65 @@ func TestSplitChunksEdgeCases(t *testing.T) {
 	}
 }
 
-func TestAssemblyHappyPath(t *testing.T) {
+// TestAssembly: a donor's chunks reach a receiver in index order, ahead of
+// their manifest, and that stream is the only one an assembly accepts. A
+// gap, a repeat, a stray or a corrupt chunk breaks it — for good, whatever
+// follows — and the manifest then refuses it.
+func TestAssembly(t *testing.T) {
 	enc := testPayload(9000)
-	chunks := SplitChunks(enc, 2048)
+	chunks := SplitChunks(enc, 2048) // five, the last one short
 	m := NewManifest(enc, chunks, 2048)
-	a := NewAssembly()
-	for i, c := range chunks {
-		if err := a.AddChunk(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	missing, dropped := a.SetManifest(m)
-	if len(missing) != 0 || dropped != 0 {
-		t.Fatalf("missing=%v dropped=%d", missing, dropped)
-	}
-	if !a.Complete() {
-		t.Fatal("not complete")
-	}
-	if !bytes.Equal(a.Bytes(), enc) {
-		t.Fatal("reassembly mismatch")
-	}
-}
-
-func TestAssemblyMissingAndRetransmit(t *testing.T) {
-	enc := testPayload(9000)
-	chunks := SplitChunks(enc, 2048)
-	m := NewManifest(enc, chunks, 2048)
-	a := NewAssembly()
-	for i, c := range chunks {
-		if i == 1 || i == 3 {
-			continue // lost in transit
-		}
-		if err := a.AddChunk(i, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	missing, _ := a.SetManifest(m)
-	if len(missing) != 2 || missing[0] != 1 || missing[1] != 3 {
-		t.Fatalf("missing = %v", missing)
-	}
-	if a.Complete() {
-		t.Fatal("complete with missing chunks")
-	}
-	// Post-manifest retransmissions are verified immediately.
-	if err := a.AddChunk(1, chunks[3]); err == nil {
-		t.Fatal("wrong chunk at index 1 accepted")
-	}
-	if err := a.AddChunk(1, chunks[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AddChunk(3, chunks[3]); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Complete() || !bytes.Equal(a.Bytes(), enc) {
-		t.Fatal("reassembly after retransmit failed")
-	}
-}
-
-func TestAssemblyChecksumMismatchDropped(t *testing.T) {
-	enc := testPayload(6000)
-	chunks := SplitChunks(enc, 2048)
-	m := NewManifest(enc, chunks, 2048)
-	a := NewAssembly()
-	corrupt := append([]byte(nil), chunks[1]...)
-	corrupt[10] ^= 0xFF
-	_ = a.AddChunk(0, chunks[0])
-	_ = a.AddChunk(1, corrupt) // pre-manifest: accepted provisionally
-	_ = a.AddChunk(2, chunks[2])
-	missing, dropped := a.SetManifest(m)
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
-	}
-	if len(missing) != 1 || missing[0] != 1 {
-		t.Fatalf("missing = %v, want [1]", missing)
-	}
-	// The same corruption after the manifest is rejected outright.
-	if err := a.AddChunk(1, corrupt); !errors.Is(err, ErrChunkMismatch) {
-		t.Fatalf("corrupt retransmission: err = %v", err)
-	}
-	if err := a.AddChunk(1, chunks[1]); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Complete() {
-		t.Fatal("not complete after good retransmission")
-	}
-}
-
-func TestAssemblyExtraChunksTruncated(t *testing.T) {
-	enc := testPayload(4000)
-	chunks := SplitChunks(enc, 2048)
-	m := NewManifest(enc, chunks, 2048)
-	a := NewAssembly()
-	_ = a.AddChunk(0, chunks[0])
-	_ = a.AddChunk(1, chunks[1])
-	_ = a.AddChunk(7, testPayload(100)) // stray index beyond the manifest
-	missing, dropped := a.SetManifest(m)
-	if len(missing) != 0 || dropped != 1 {
-		t.Fatalf("missing=%v dropped=%d", missing, dropped)
-	}
-	if err := a.AddChunk(7, testPayload(100)); !errors.Is(err, ErrChunkMismatch) {
-		t.Fatalf("out-of-range post-manifest chunk: err = %v", err)
+	for _, tc := range []struct {
+		name    string
+		indexes []int // chunk i's payload, or a 100-byte stray past the end
+		corrupt bool  // chunk 2 arrives with a flipped byte
+		ok      bool
+	}{
+		{name: "in-order", indexes: []int{0, 1, 2, 3, 4}, ok: true},
+		{name: "one-missing", indexes: []int{0, 1, 3, 4}},
+		{name: "last-missing", indexes: []int{0, 1, 2, 3}},
+		{name: "repeated", indexes: []int{0, 1, 1, 2, 3, 4}},
+		{name: "stray-past-the-end", indexes: []int{0, 1, 2, 3, 4, 5}},
+		{name: "hostile-index", indexes: []int{MaxChunks - 1, -1, MaxChunks, 0, 1, 2, 3, 4}},
+		{name: "corrupt", indexes: []int{0, 1, 2, 3, 4}, corrupt: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAssembly()
+			broken := false
+			grew := allocated(func() {
+				for _, i := range tc.indexes {
+					payload := testPayload(100)
+					if i >= 0 && i < len(chunks) {
+						payload = chunks[i]
+					}
+					if i == 2 && tc.corrupt {
+						payload = append([]byte(nil), payload...)
+						payload[10] ^= 0xFF
+					}
+					err := a.AddChunk(i, payload)
+					if broken && err == nil {
+						t.Fatalf("chunk %d accepted after the assembly broke", i)
+					}
+					broken = broken || err != nil
+				}
+			})
+			if tc.name == "hostile-index" && grew > 64<<10 {
+				t.Fatalf("a stray at index %d and the refused chunks after it allocated %d bytes", MaxChunks-1, grew)
+			}
+			err := a.SetManifest(m)
+			if !tc.ok {
+				if !errors.Is(err, ErrChunkMismatch) {
+					t.Fatalf("manifest accepted a broken stream: err = %v", err)
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(a.Bytes(), enc) {
+				t.Fatalf("in-order stream: err = %v, reassembly equal = %t", err, err == nil && bytes.Equal(a.Bytes(), enc))
+			}
+			if err := a.AddChunk(len(chunks), testPayload(100)); !errors.Is(err, ErrChunkMismatch) {
+				t.Fatalf("chunk after the manifest: err = %v", err)
+			}
+		})
 	}
 }
 
@@ -171,25 +129,6 @@ func TestDecodeManifestHostile(t *testing.T) {
 		if _, err := DecodeManifest(buf); err == nil {
 			t.Fatalf("case %d: hostile manifest decoded", i)
 		}
-	}
-}
-
-func TestIndexListRoundTrip(t *testing.T) {
-	idx := []uint32{0, 3, 17, 1 << 20}
-	out, err := DecodeIndexList(EncodeIndexList(idx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(idx) {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i := range idx {
-		if out[i] != idx[i] {
-			t.Fatalf("idx[%d] = %d, want %d", i, out[i], idx[i])
-		}
-	}
-	if _, err := DecodeIndexList([]byte{1}); err == nil {
-		t.Fatal("truncated index list decoded")
 	}
 }
 
@@ -282,37 +221,5 @@ func TestLogTruncateAndReset(t *testing.T) {
 	}
 	if !l.CheckpointDue(time.Now()) {
 		t.Fatal("policy lost across Reset")
-	}
-}
-
-// TestAssemblyPreManifestIndexIsBounded: before the manifest a chunk's
-// index is whatever the wire said. Holding it must cost one chunk, not a
-// table sized by the index, and an index no manifest could name is
-// rejected outright.
-func TestAssemblyPreManifestIndexIsBounded(t *testing.T) {
-	enc := testPayload(4000)
-	chunks := SplitChunks(enc, 2048)
-	a := NewAssembly()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := a.AddChunk(MaxChunks-1, testPayload(100)); err != nil {
-		t.Fatalf("largest nameable index refused before the manifest: %v", err)
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-		t.Fatalf("holding one stray chunk at index %d allocated %d bytes", MaxChunks-1, grew)
-	}
-	for _, idx := range []int{-1, MaxChunks, 0xFFFFFFFF} {
-		if err := a.AddChunk(idx, testPayload(100)); !errors.Is(err, ErrChunkMismatch) {
-			t.Fatalf("index %d: err = %v, want ErrChunkMismatch", idx, err)
-		}
-	}
-	_ = a.AddChunk(1, chunks[1])
-	missing, dropped := a.SetManifest(NewManifest(enc, chunks, 2048))
-	if len(missing) != 1 || missing[0] != 0 || dropped != 1 {
-		t.Fatalf("missing=%v dropped=%d, want chunk 0 missing and the stray dropped", missing, dropped)
-	}
-	if err := a.AddChunk(0, chunks[0]); err != nil || !a.Complete() || !bytes.Equal(a.Bytes(), enc) {
-		t.Fatalf("assembly after the stray: err=%v complete=%t", err, a.Complete())
 	}
 }

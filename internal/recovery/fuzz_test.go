@@ -9,8 +9,7 @@ import (
 )
 
 // The decoders a state transfer feeds take their input off the ring from
-// whichever member claims to be a donor (manifest, chunks) or a receiver
-// (retransmit request). They must never panic, never allocate more than a
+// whichever member claims to be a donor (manifest, chunks). They must never panic, never allocate more than a
 // small multiple of what they were handed, and whatever they accept must
 // re-encode to the bytes it came from.
 
@@ -72,26 +71,6 @@ func FuzzDecodeManifest(f *testing.F) {
 	})
 }
 
-func FuzzDecodeIndexList(f *testing.F) {
-	f.Add(EncodeIndexList([]uint32{0, 3, 17, 1 << 20}))
-	f.Add(EncodeIndexList(nil))
-	f.Add([]byte{1})
-	f.Add(binary.AppendUvarint(nil, MaxChunks-1)) // 16M indexes, none of them there
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		var idx []uint32
-		var err error
-		if grew := allocated(func() { idx, err = DecodeIndexList(buf) }); grew > allocBound(len(buf)) {
-			t.Fatalf("decoding %d bytes allocated %d", len(buf), grew)
-		}
-		if err != nil {
-			return
-		}
-		if again := EncodeIndexList(idx); !bytes.Equal(again, buf) {
-			t.Fatalf("accepted list of %d re-encodes to %d bytes, not the %d it came from", len(idx), len(again), len(buf))
-		}
-	})
-}
-
 // FuzzDecodeBundle: what a state transfer or a checkpoint assembles to.
 func FuzzDecodeBundle(f *testing.F) {
 	for _, seed := range bundleSeeds() {
@@ -121,7 +100,7 @@ func FuzzDecodeBundle(f *testing.F) {
 const (
 	opChunk    = iota // AddChunk(index, payload)
 	opManifest        // SetManifest(the fuzzed manifest, if it decodes)
-	opFill            // add, for every chunk still missing, one its manifest verifies
+	opFill            // make the manifest fit the chunks held, and append the ones still due to its measure
 	opKinds
 )
 
@@ -132,30 +111,30 @@ func chunkOp(idx int32, payload []byte) []byte {
 	return append(op, payload...)
 }
 
-// FuzzAssembly plays hostile chunk indexes and sizes at an Assembly before
-// and after a hostile manifest. A refused chunk leaves it as it was; what
-// it holds after the manifest is what the manifest verifies; and once
-// complete — here by a sender that makes its manifest's checksums fit
-// whatever it sends, as a hostile one would — Bytes() is TotalBytes long.
+// FuzzAssembly plays hostile chunk indexes and sizes at an Assembly ahead of
+// a hostile manifest. Only the next index is ever held, and a refusal before
+// the manifest leaves nothing held; SetManifest accepts only chunks it
+// verifies, within the allocation bound; and once it has — here, too, for a
+// sender that makes its manifest's checksums fit whatever it sends, as a
+// hostile one would — Bytes() is TotalBytes long.
 func FuzzAssembly(f *testing.F) {
 	enc := testPayload(4000)
 	chunks := SplitChunks(enc, 2048)
 	good := NewManifest(enc, chunks, 2048).Encode()
-	// TestAssemblyPreManifestIndexIsBounded's run, and the streaming order.
+	// TestAssembly's hostile indexes, and the streaming order.
 	f.Add(good, bytes.Join([][]byte{
 		chunkOp(MaxChunks-1, testPayload(100)), chunkOp(-1, testPayload(100)), chunkOp(MaxChunks, nil),
-		chunkOp(1, chunks[1]), {opManifest}, chunkOp(0, chunks[0]),
+		chunkOp(0, chunks[0]), chunkOp(1, chunks[1]), {opManifest},
 	}, nil))
 	f.Add(good, bytes.Join([][]byte{chunkOp(0, chunks[0]), chunkOp(1, chunks[1]), {opManifest}}, nil))
-	// TestAssemblyChecksumMismatchDropped's and …ExtraChunksTruncated's.
-	f.Add(good, bytes.Join([][]byte{chunkOp(0, chunks[1]), chunkOp(7, chunks[0]), {opManifest}, {opFill}}, nil))
+	// A chunk in the wrong slot, a stray, and a sender fitting its manifest.
+	f.Add(good, bytes.Join([][]byte{chunkOp(0, chunks[1]), {opFill}, {opManifest}, chunkOp(7, chunks[0])}, nil))
 	for _, m := range manifestSeeds() {
-		f.Add(m, []byte{opManifest, opFill})
+		f.Add(m, []byte{opFill, opManifest})
 	}
 	f.Fuzz(func(t *testing.T, manifest, script []byte) {
 		a := NewAssembly()
-		decoded, _ := DecodeManifest(manifest)
-		var m *Manifest // decoded, once the script has installed it
+		m, _ := DecodeManifest(manifest)
 		for len(script) > 0 {
 			kind := script[0] % opKinds
 			script = script[1:]
@@ -168,56 +147,58 @@ func FuzzAssembly(f *testing.F) {
 				size := min(int(binary.BigEndian.Uint16(script[4:])), len(script)-6)
 				payload := script[6 : 6+size]
 				script = script[6+size:]
-				held := len(a.chunks)
-				_, had := a.chunks[idx]
+				held, open := len(a.chunks), a.err == nil && a.manifest == nil
 				switch err := a.AddChunk(idx, payload); {
-				case err != nil && len(a.chunks) != held:
-					t.Fatalf("refused chunk %d (%v) changed what is held", idx, err)
-				case err == nil && (idx < 0 || idx >= MaxChunks || (m != nil && idx >= m.Count())):
-					t.Fatalf("accepted chunk at index %d", idx)
-				case err == nil && !had && len(a.chunks) != held+1:
+				case err == nil && (!open || idx != held):
+					t.Fatalf("accepted chunk %d with %d held (open %t)", idx, held, open)
+				case err == nil && len(a.chunks) != held+1:
 					t.Fatalf("accepted chunk %d, held %d before and %d after", idx, held, len(a.chunks))
+				case err != nil && open && idx == held && idx < MaxChunks:
+					t.Fatalf("refused chunk %d, the next one due: %v", idx, err)
+				case err != nil && a.manifest == nil && len(a.chunks) != 0:
+					t.Fatalf("refused chunk %d (%v) and still holds %d", idx, err, len(a.chunks))
+				case err != nil && a.manifest != nil && len(a.chunks) != held:
+					t.Fatalf("chunk %d after the manifest changed what is held", idx)
 				}
 			case opManifest:
-				if decoded == nil {
+				if m == nil {
 					continue
 				}
-				m = decoded
-				held := len(a.chunks)
-				var missing []uint32
-				var dropped int
-				if grew := allocated(func() { missing, dropped = a.SetManifest(m) }); grew > allocBound(len(manifest)) {
+				var err error
+				if grew := allocated(func() { err = a.SetManifest(m) }); grew > allocBound(len(manifest)) {
 					t.Fatalf("installing a %d-byte manifest allocated %d", len(manifest), grew)
 				}
-				if len(a.chunks)+dropped != held || len(a.chunks)+len(missing) != m.Count() {
-					t.Fatalf("manifest of %d: held %d, then %d with %d dropped and %d missing", m.Count(), held, len(a.chunks), dropped, len(missing))
-				}
-			case opFill:
-				if m == nil || m.TotalBytes > 1<<20 || m.Count() > 1<<10 {
+				if err != nil {
 					continue
 				}
-				for _, idx := range a.Missing() {
+				if len(a.chunks) != m.Count() {
+					t.Fatalf("manifest of %d accepted %d chunks", m.Count(), len(a.chunks))
+				}
+				for i, c := range a.chunks {
+					if m.verifyChunk(i, c) != nil {
+						t.Fatalf("manifest accepted chunk %d that it does not verify", i)
+					}
+				}
+				if got := a.Bytes(); uint64(len(got)) != m.TotalBytes {
+					t.Fatalf("accepted at %d bytes, manifest says %d", len(got), m.TotalBytes)
+				}
+			case opFill:
+				if m == nil || a.manifest != nil || m.TotalBytes > 1<<20 || m.Count() > 1<<10 {
+					continue
+				}
+				for i, c := range a.chunks[:min(len(a.chunks), m.Count())] {
+					m.Checksums[i] = crc32.ChecksumIEEE(c)
+				}
+				for i := len(a.chunks); a.err == nil && i < m.Count(); i++ {
 					size := uint64(m.ChunkBytes)
-					if rem := m.TotalBytes % size; int(idx) == m.Count()-1 && rem != 0 {
+					if rem := m.TotalBytes % size; i == m.Count()-1 && rem != 0 {
 						size = rem
 					}
 					payload := make([]byte, size)
-					m.Checksums[idx] = crc32.ChecksumIEEE(payload)
-					if err := a.AddChunk(int(idx), payload); err != nil {
-						t.Fatalf("chunk %d made to its manifest's measure refused: %v", idx, err)
+					m.Checksums[i] = crc32.ChecksumIEEE(payload)
+					if err := a.AddChunk(i, payload); err != nil {
+						t.Fatalf("chunk %d, the next one due, refused: %v", i, err)
 					}
-				}
-			}
-			if m != nil && kind != opChunk {
-				for idx, c := range a.chunks {
-					if idx >= m.Count() || m.verifyChunk(idx, c) != nil {
-						t.Fatalf("holds chunk %d of %d that its manifest does not verify", idx, m.Count())
-					}
-				}
-			}
-			if (kind != opChunk || m != nil && m.Count() <= 1<<10) && a.Complete() {
-				if got := a.Bytes(); uint64(len(got)) != m.TotalBytes {
-					t.Fatalf("complete at %d bytes, manifest says %d", len(got), m.TotalBytes)
 				}
 			}
 		}

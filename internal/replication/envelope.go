@@ -20,11 +20,14 @@ import (
 // Kind discriminates envelope types on the wire.
 type Kind byte
 
-// Envelope kinds: the first byte of every envelope. 1–25 are retired and not
-// reused — 6, the monolithic set_state envelope; 1–13, the CDR layouts of
-// the kinds below; 14–25, the same kinds when the spec, table, bundle,
-// manifest and index list they carry were still CDR — so a node of either
-// older layout and this one reject each other's envelopes at the first byte.
+// Envelope kinds: the first byte of every envelope. 1–25 and 36 are retired
+// and not reused — 6, the monolithic set_state envelope; 1–13, the CDR
+// layouts of the kinds below; 14–25, the same kinds when the spec, table,
+// bundle, manifest and index list they carry were still CDR — so a node of
+// either older layout and this one reject each other's envelopes at the
+// first byte. 36 was the retransmit-by-index request for a state chunk: a
+// state transfer now trusts Totem's delivery, and a node still sending the
+// request has it rejected at the first byte like the rest.
 const (
 	// KRequest carries a client's IIOP Request to a server group.
 	KRequest Kind = 26
@@ -65,11 +68,6 @@ const (
 	// per-chunk checksums — the receiver uses to validate and assemble the
 	// streamed chunks.
 	KStateManifest Kind = 35
-	// KStateRetransmit asks the donor (or any node holding the transfer
-	// cached) to re-multicast the listed chunk indexes of transfer
-	// XferID. Node is the requester; the payload is an encoded index
-	// list.
-	KStateRetransmit Kind = 36
 	// KAudit carries the live consistency audit. OpID discriminates the
 	// two phases: an AuditMark (sent by the group's primary) fixes an
 	// audit epoch at its own delivery position — every instance-bearing
@@ -83,8 +81,7 @@ var kindNames = map[Kind]string{
 	KRequest: "Request", KReply: "Reply", KCreateGroup: "CreateGroup",
 	KRemoveMember: "RemoveMember", KAddMember: "AddMember",
 	KCheckpoint: "Checkpoint", KSyncRequest: "SyncRequest", KSyncState: "SyncState",
-	KStateChunk: "StateChunk", KStateManifest: "StateManifest",
-	KStateRetransmit: "StateRetransmit", KAudit: "Audit",
+	KStateChunk: "StateChunk", KStateManifest: "StateManifest", KAudit: "Audit",
 }
 
 // String names the kind.

@@ -39,6 +39,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	for _, r := range append(retiredCDREnvelopes, retiredCompactEnvelopes...) {
 		f.Add(r.buf)
 	}
+	f.Add(retiredStateRetransmit)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var e *Envelope
 		var err error

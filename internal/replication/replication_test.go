@@ -306,18 +306,32 @@ var retiredCompactEnvelopes = []struct {
 	{"Audit", []byte{25, 0, 1, 'g', 2, 'n', '1', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
 }
 
+// retiredStateRetransmit is the compact envelope of kind 36, the
+// retransmit-by-index request for a state transfer's chunks (transfer 1,
+// index list "x"), as this layout wrote it until a state transfer came to
+// trust Totem's delivery and stopped asking for chunks again.
+var retiredStateRetransmit = []byte{36, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}
+
 // TestRetiredCompactEnvelopesAreRejected: five of those kinds carry a
 // payload whose layout changed under an unchanged envelope, so all twelve
 // moved to fresh numbers. A node of that layout and this one reject each
 // other's envelopes at the first byte instead of half-working; the same
-// envelope under today's number decodes.
+// envelope under today's number decodes — except StateRetransmit's, kind 36,
+// retired in its turn and rejected at the first byte like the rest.
 func TestRetiredCompactEnvelopesAreRejected(t *testing.T) {
 	for i, r := range retiredCompactEnvelopes {
 		if _, err := Decode(r.buf); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("%s (kind %d): err = %v, want ErrBadEnvelope", r.name, r.buf[0], err)
 		}
 		live := append([]byte{byte(KRequest) + byte(i)}, r.buf[1:]...)
-		if e, err := Decode(live); err != nil || e.Kind.String() != r.name {
+		e, err := Decode(live)
+		if bytes.Equal(live, retiredStateRetransmit) {
+			if !errors.Is(err, ErrBadEnvelope) {
+				t.Errorf("%s as kind %d: err = %v, want ErrBadEnvelope", r.name, live[0], err)
+			}
+			continue
+		}
+		if err != nil || e.Kind.String() != r.name {
 			t.Errorf("%s as kind %d: %v, %v", r.name, live[0], e, err)
 		}
 	}
