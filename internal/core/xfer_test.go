@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -179,18 +180,58 @@ func TestChunkedRecoveryLargeState(t *testing.T) {
 	}
 }
 
+// TestChunkLossRetransmit drops one streamed chunk on the recovering
+// node. Nothing asks the donor for that chunk again: the transfer is
+// abandoned at its manifest and the whole state is retransmitted under a
+// fresh transfer id, which brings the replica back.
+func TestChunkLossRetransmit(t *testing.T) {
+	recoverThroughBrokenTransfer(t, func(env *replication.Envelope) bool { return env.OpID != 1 }, nil)
+}
+
+// TestAsymmetricNakDropFreshXferRestart: the recovering node receives the
+// donor's stream one chunk short while the donor's own copy is whole, and
+// no request about the gap travels back to the donor — there is none to
+// drop. The fault shows on the recovering node alone: it abandons the
+// transfer at the manifest, the donor records no abort and streams each
+// transfer exactly once, and the fresh transfer completes the recovery.
+func TestAsymmetricNakDropFreshXferRestart(t *testing.T) {
+	recoverThroughBrokenTransfer(t, func(env *replication.Envelope) bool { return env.OpID != 3 },
+		func(c *testCluster, abort obs.Event) {
+			if !strings.HasPrefix(abort.Detail, "donor=n1 cure=true:") {
+				t.Fatalf("abort detail %q, want the cure from donor n1", abort.Detail)
+			}
+			donor := c.nodes["n1"]
+			awaitSetStates(t, donor, "blob", 2)
+			chunks := uint64(0)
+			for _, ev := range setStates(donor, "blob") {
+				var k uint64
+				if _, err := fmt.Sscanf(ev.Detail, "chunks=%d", &k); err != nil {
+					t.Fatalf("set-state detail %q: %v", ev.Detail, err)
+				}
+				chunks += k
+			}
+			if n := len(setStates(donor, "blob")); n != 2 {
+				t.Fatalf("donor ran %d transfers, want the broken one and its fresh restart", n)
+			}
+			if sent := donor.Stats().StateChunksSent; sent != chunks {
+				t.Fatalf("donor sent %d chunks, its two streams hold %d: a chunk went out twice", sent, chunks)
+			}
+			for _, ev := range donor.Events(0, 0) {
+				if ev.Type == obs.EventStateAbort {
+					t.Fatalf("donor abandoned a transfer: %s", ev.Detail)
+				}
+			}
+		})
+}
+
 // TestBrokenTransferAbandonedAtManifest: a transfer whose chunk stream
-// reached the recovering node broken — a chunk lost, a chunk corrupt, or no
-// chunk at all — is abandoned at its manifest's position, the state-abort
-// stamped with the seq of that transfer's set-state. The half-cured replica
-// removes itself, the Resource Manager relaunches it (MinReplicas 2) under a
-// fresh transfer id, and that transfer brings it back to serve on its own.
+// reached the recovering node corrupt, or not at all, is abandoned at its
+// manifest's position like one that lost a chunk.
 func TestBrokenTransferAbandonedAtManifest(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		keep func(env *replication.Envelope) bool // the broken transfer's chunk filter
 	}{
-		{"lost-chunk", func(env *replication.Envelope) bool { return env.OpID != 1 }},
 		{"corrupt-chunk", func(env *replication.Envelope) bool {
 			if env.OpID == 2 {
 				env.Payload[5] ^= 0xFF
@@ -200,63 +241,79 @@ func TestBrokenTransferAbandonedAtManifest(t *testing.T) {
 		{"no-chunks", func(*replication.Envelope) bool { return false }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newXferCluster(t, 16<<10, func(cfg *Config) {
-				cfg.StateChunkBytes = 2048
-			}, "n1", "n2")
-			createBlobGroup(t, c, "blob", 2, "n1", "n2")
-			obj := c.client("n1", "driver", "blob")
-			ping(t, obj)
-
-			var mu sync.Mutex
-			var broken uint64 // the first transfer's id
-			c.nodes["n2"].setChunkHook(func(env *replication.Envelope) bool {
-				mu.Lock()
-				defer mu.Unlock()
-				if broken == 0 {
-					broken = env.XferID
-				}
-				return env.XferID != broken || tc.keep(env)
-			})
-			if err := c.nodes["n2"].KillReplica("blob", 10*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.nodes["n2"].AwaitRecovered("blob", "n2", 15*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			var abort, setState obs.Event
-			fresh := false
-			for _, ev := range c.nodes["n2"].Events(0, 0) {
-				switch {
-				case ev.Group != "blob":
-				case ev.Type == obs.EventStateAbort:
-					abort = ev
-				case ev.Type == obs.EventSetState && abort.XferID == 0:
-					setState = ev
-				case ev.Type == obs.EventSetState && ev.XferID != abort.XferID:
-					fresh = true
-				}
-			}
-			mu.Lock()
-			first := broken
-			mu.Unlock()
-			switch {
-			case abort.XferID == 0 || abort.XferID != setState.XferID:
-				t.Fatalf("abort %+v after set-state %+v", abort, setState)
-			case abort.XferID != first:
-				t.Fatalf("abandoned transfer %d, the broken one is %d", abort.XferID, first)
-			case abort.Seq != setState.Seq:
-				t.Fatalf("abandoned at seq %d, its set-state is at %d", abort.Seq, setState.Seq)
-			case !fresh:
-				t.Fatal("no set-state under a fresh transfer id after the abort")
-			}
-			t.Logf("abandoned at its set-state (seq %d): %s", abort.Seq, abort.Detail)
-			if err := c.nodes["n1"].KillReplica("blob", 10*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if got := ping(t, obj); got != 2 {
-				t.Fatalf("ping after failover = %d, want 2", got)
-			}
+			recoverThroughBrokenTransfer(t, tc.keep, nil)
 		})
+	}
+}
+
+// recoverThroughBrokenTransfer breaks the first transfer that reaches n2 —
+// each of its chunks passes through keep — after n2's replica of a blob
+// group is killed. The broken transfer must be abandoned at its manifest's
+// position, the state-abort stamped with the seq of that transfer's
+// set-state. The half-cured replica removes itself, the Resource Manager
+// relaunches it (MinReplicas 2) under a fresh transfer id, and that
+// transfer brings it back: check, if not nil, inspects the cluster then,
+// and the recovered replica must serve on its own after n1's fails over.
+func recoverThroughBrokenTransfer(t *testing.T, keep func(*replication.Envelope) bool, check func(c *testCluster, abort obs.Event)) {
+	t.Helper()
+	c := newXferCluster(t, 16<<10, func(cfg *Config) {
+		cfg.StateChunkBytes = 2048
+	}, "n1", "n2")
+	createBlobGroup(t, c, "blob", 2, "n1", "n2")
+	obj := c.client("n1", "driver", "blob")
+	ping(t, obj)
+
+	var mu sync.Mutex
+	var broken uint64 // the first transfer's id
+	c.nodes["n2"].setChunkHook(func(env *replication.Envelope) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if broken == 0 {
+			broken = env.XferID
+		}
+		return env.XferID != broken || keep(env)
+	})
+	if err := c.nodes["n2"].KillReplica("blob", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes["n2"].AwaitRecovered("blob", "n2", 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var abort, setState obs.Event
+	fresh := false
+	for _, ev := range c.nodes["n2"].Events(0, 0) {
+		switch {
+		case ev.Group != "blob":
+		case ev.Type == obs.EventStateAbort:
+			abort = ev
+		case ev.Type == obs.EventSetState && abort.XferID == 0:
+			setState = ev
+		case ev.Type == obs.EventSetState && ev.XferID != abort.XferID:
+			fresh = true
+		}
+	}
+	mu.Lock()
+	first := broken
+	mu.Unlock()
+	switch {
+	case abort.XferID == 0 || abort.XferID != setState.XferID:
+		t.Fatalf("abort %+v after set-state %+v", abort, setState)
+	case abort.XferID != first:
+		t.Fatalf("abandoned transfer %d, the broken one is %d", abort.XferID, first)
+	case abort.Seq != setState.Seq:
+		t.Fatalf("abandoned at seq %d, its set-state is at %d", abort.Seq, setState.Seq)
+	case !fresh:
+		t.Fatal("no set-state under a fresh transfer id after the abort")
+	}
+	t.Logf("abandoned at its set-state (seq %d): %s", abort.Seq, abort.Detail)
+	if check != nil {
+		check(c, abort)
+	}
+	if err := c.nodes["n1"].KillReplica("blob", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := ping(t, obj); got != 2 {
+		t.Fatalf("ping after failover = %d, want 2", got)
 	}
 }
 
