@@ -14,8 +14,9 @@
 // (the total order makes ordered events deterministic, so divergence
 // means a protocol or instrumentation bug).
 //
-// status prints each node's /cluster summary: sync state, delivery
-// position, live processors, and every group with member roles.
+// status prints each node's /healthz report: sync state, delivery
+// position, live processors, every group with member roles, and the audit
+// summary.
 //
 // recovery reconstructs each state transfer visible in the feeds: the
 // synchronization point where the recovering replica started enqueueing,
@@ -58,6 +59,7 @@ import (
 	"sync"
 	"time"
 
+	"eternal/internal/core"
 	"eternal/internal/obs"
 )
 
@@ -166,58 +168,35 @@ func parseNodes(s string) (map[string]string, error) {
 	return nodes, nil
 }
 
-// pageHead is what the body of every paginated admin feed (/events, /spans,
-// /audit) carries besides its entries: Dropped is the server's lifetime
-// ring-eviction counter, Next the cursor the following request should pass.
-type pageHead struct {
-	Node    string `json:"node"`
-	Dropped uint64 `json:"dropped"`
-	Next    uint64 `json:"next"`
-}
-
-func (h pageHead) head() pageHead { return h }
-
-// page is one response body of a feed whose entries are T.
-type page[T any] interface {
-	head() pageHead
-	items() []T
-}
-
-// eventsPage mirrors the /events response body.
-type eventsPage struct {
-	pageHead
-	Events []obs.Event `json:"events"`
-}
-
-func (p eventsPage) items() []obs.Event { return p.Events }
-
 // feed is one node's drained journal plus its loss accounting: Last is the
-// last page read — its head has the server's lifetime eviction counter, and
-// /spans and /audit carry there what is not paginated — and Gap counts
-// entries that vanished between pages of this scrape (the ring wrapped
-// while we were reading — the resume cursor jumped).
-type feed[T any, P page[T]] struct {
-	Items []T
-	Last  P
-	Gap   uint64
+// last page read — /spans and /audit carry there what is not paginated —
+// Dropped its head's lifetime eviction counter, and Gap counts entries that
+// vanished between pages of this scrape (the ring wrapped while we were
+// reading — the resume cursor jumped).
+type feed[P, T any] struct {
+	Items   []T
+	Last    P
+	Dropped uint64
+	Gap     uint64
 }
 
 type (
-	eventFeed = feed[obs.Event, eventsPage]
-	spanFeed  = feed[obs.Span, spansPage]
-	auditFeed = feed[obs.AuditObservation, auditPage]
+	eventFeed = feed[core.EventsPage, obs.Event]
+	spanFeed  = feed[core.SpansPage, obs.Span]
+	auditFeed = feed[core.AuditPage, obs.AuditObservation]
 )
 
 // drain reads one node's feed at http://addr/query page by page, resuming
-// each page at the server-reported next cursor, until a short page. A jump
+// each page at the server-reported next cursor, until a short page. rows
+// picks a page's head and entries, index an entry's journal index. A jump
 // between the cursor and the first index of the following page means the
 // ring evicted entries mid-scrape; the jump is tallied in Gap rather than
 // silently skipped.
-func drain[P page[T], T any](client *http.Client, addr, query string, since uint64, pageSize int, index func(T) uint64) (feed[T, P], error) {
+func drain[P, T any](client *http.Client, addr, query string, since uint64, pageSize int, rows func(*P) (core.PageHead, []T), index func(T) uint64) (feed[P, T], error) {
 	if pageSize <= 0 {
 		pageSize = 512
 	}
-	var f feed[T, P]
+	var f feed[P, T]
 	for cursor := since; ; {
 		url := fmt.Sprintf("http://%s/%s&since=%d&n=%d", addr, query, cursor, pageSize)
 		resp, err := client.Get(url)
@@ -234,15 +213,15 @@ func drain[P page[T], T any](client *http.Client, addr, query string, since uint
 		if err != nil {
 			return f, fmt.Errorf("GET %s: %v", url, err)
 		}
-		head, rows := pg.head(), pg.items()
-		f.Last = pg
-		if len(rows) > 0 {
-			if first := index(rows[0]); cursor > 0 && first > cursor+1 {
+		head, items := rows(&pg)
+		f.Last, f.Dropped = pg, head.Dropped
+		if len(items) > 0 {
+			if first := index(items[0]); cursor > 0 && first > cursor+1 {
 				f.Gap += first - cursor - 1
 			}
-			f.Items = append(f.Items, rows...)
+			f.Items = append(f.Items, items...)
 		}
-		if len(rows) < pageSize {
+		if len(items) < pageSize {
 			return f, nil
 		}
 		if head.Next <= cursor {
@@ -280,12 +259,14 @@ func scrape[F any](nodes map[string]string, fetch func(addr string) (F, error)) 
 
 func scrapeFeeds(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]eventFeed, map[string]error) {
 	return scrape(nodes, func(addr string) (eventFeed, error) {
-		return drain[eventsPage](client, addr, "events?", since, pageSize, func(e obs.Event) uint64 { return e.Index })
+		return drain(client, addr, "events?", since, pageSize,
+			func(p *core.EventsPage) (core.PageHead, []obs.Event) { return p.PageHead, p.Events },
+			func(e obs.Event) uint64 { return e.Index })
 	})
 }
 
 // itemsOf strips the loss accounting off scraped feeds for a merge.
-func itemsOf[T any, P page[T]](feeds map[string]feed[T, P]) map[string][]T {
+func itemsOf[P, T any](feeds map[string]feed[P, T]) map[string][]T {
 	out := make(map[string][]T, len(feeds))
 	for name, f := range feeds {
 		out[name] = f.Items
@@ -296,7 +277,7 @@ func itemsOf[T any, P page[T]](feeds map[string]feed[T, P]) map[string][]T {
 // printFeedHealth surfaces each feed's loss accounting under what was
 // merged from it: a wrapped ring means the merge saw only a suffix of that
 // node's history. what names the feed's entries.
-func printFeedHealth[T any, P page[T]](w io.Writer, feeds map[string]feed[T, P], what string) {
+func printFeedHealth[P, T any](w io.Writer, feeds map[string]feed[P, T], what string) {
 	names := make([]string, 0, len(feeds))
 	for name := range feeds {
 		names = append(names, name)
@@ -304,11 +285,10 @@ func printFeedHealth[T any, P page[T]](w io.Writer, feeds map[string]feed[T, P],
 	sort.Strings(names)
 	for _, name := range names {
 		f := feeds[name]
-		dropped := f.Last.head().Dropped
-		if dropped == 0 && f.Gap == 0 {
+		if f.Dropped == 0 && f.Gap == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "note: %s evicted %d %s(s) from its ring before this scrape", name, dropped, what)
+		fmt.Fprintf(w, "note: %s evicted %d %s(s) from its ring before this scrape", name, f.Dropped, what)
 		if f.Gap > 0 {
 			fmt.Fprintf(w, " and %d more mid-scrape", f.Gap)
 		}
@@ -432,21 +412,14 @@ func printRecoveries(w io.Writer, m *obs.MergedTimeline, group string) {
 	}
 }
 
-// spansPage mirrors the /spans response body; with ?rot=K every page also
-// carries the last K token-rotation samples.
-type spansPage struct {
-	pageHead
-	Spans     []obs.Span          `json:"spans"`
-	Rotations []obs.TokenRotation `json:"rotations"`
-}
-
-func (p spansPage) items() []obs.Span { return p.Spans }
-
 func scrapeSpans(client *http.Client, nodes map[string]string, pageSize, rot int) (map[string]spanFeed, map[string]error) {
 	return scrape(nodes, func(addr string) (spanFeed, error) {
-		return drain[spansPage](client, addr, fmt.Sprintf("spans?rot=%d", rot), 0, pageSize, func(sp obs.Span) uint64 { return sp.Index })
+		return drain(client, addr, fmt.Sprintf("spans?rot=%d", rot), 0, pageSize, spanRows,
+			func(sp obs.Span) uint64 { return sp.Index })
 	})
 }
+
+func spanRows(p *core.SpansPage) (core.PageHead, []obs.Span) { return p.PageHead, p.Spans }
 
 // rotationsOf picks the token-rotation samples out of scraped span feeds.
 func rotationsOf(feeds map[string]spanFeed) map[string][]obs.TokenRotation {
@@ -655,28 +628,6 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 	}
 }
 
-// clusterReport mirrors the /cluster response body.
-type clusterReport struct {
-	Node        string   `json:"node"`
-	Synced      bool     `json:"synced"`
-	Live        []string `json:"live"`
-	SyncWaiting []string `json:"sync_waiting"` // while unsynced: members yet to ask for the table themselves
-	Groups      []struct {
-		Name    string `json:"name"`
-		Style   string `json:"style"`
-		Hosted  bool   `json:"hosted"`
-		Members []struct {
-			Node  string `json:"node"`
-			State string `json:"state"`
-			Role  string `json:"role"`
-		} `json:"members"`
-	} `json:"groups"`
-	Audit          *obs.AuditSummary `json:"audit"`
-	Seq            uint64            `json:"seq"`
-	EventsRecorded uint64            `json:"events_recorded"`
-	EventsDropped  uint64            `json:"events_dropped"`
-}
-
 func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (failed bool) {
 	names := make([]string, 0, len(nodes))
 	for name := range nodes {
@@ -684,15 +635,20 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		url := fmt.Sprintf("http://%s/cluster", nodes[name])
+		url := fmt.Sprintf("http://%s/healthz", nodes[name])
 		resp, err := client.Get(url)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "eternalctl: %s unreachable: %v\n", name, err)
 			failed = true
 			continue
 		}
-		var rep clusterReport
-		err = json.NewDecoder(resp.Body).Decode(&rep)
+		// 503 is a report too: an unsynced or diverged node says why.
+		var rep core.HealthReport
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
+			err = fmt.Errorf("GET %s: %s", url, resp.Status)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&rep)
+		}
 		resp.Body.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "eternalctl: %s: bad response: %v\n", name, err)
@@ -705,15 +661,6 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 		if !rep.Synced {
 			fmt.Fprintf(w, "  sync: waiting on [%s] to answer or to ask\n", strings.Join(rep.SyncWaiting, ","))
 		}
-		if a := rep.Audit; a != nil {
-			verdict := "consistent"
-			if a.Diverged {
-				verdict = "DIVERGED"
-				failed = true
-			}
-			fmt.Fprintf(w, "  audit: %s epoch=%d observations=%d alarms(div/lag/stall)=%d/%d/%d\n",
-				verdict, a.LastEpoch, a.Observations, a.Divergences, a.Lags, a.Stalls)
-		}
 		for _, g := range rep.Groups {
 			var members []string
 			for _, mm := range g.Members {
@@ -724,44 +671,49 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 				hosted = " [hosted here]"
 			}
 			fmt.Fprintf(w, "  group %s (%s)%s: %s\n", g.Name, g.Style, hosted, strings.Join(members, " "))
-			if rep.Audit == nil {
-				continue
-			}
-			for _, ga := range rep.Audit.Groups {
-				if ga.Group != g.Name {
-					continue
-				}
-				for _, m := range ga.Members {
-					flags := ""
-					if m.Lagging {
-						flags += " LAGGING"
-					}
-					if m.Stalled {
-						flags += " STALLED"
-					}
-					fmt.Fprintf(w, "    audit %-10s epoch=%-6d digest=%08x lag=%d%s\n",
-						m.Node, m.Epoch, m.Digest, m.Lag, flags)
-				}
-			}
+		}
+		if rep.Audit != nil && printAuditSummary(w, "  audit: ", rep.Audit, "") {
+			failed = true
 		}
 	}
 	return failed
 }
 
-// auditPage mirrors the /audit response body: besides the page of
-// observations, the live summary.
-type auditPage struct {
-	pageHead
-	Enabled bool                   `json:"enabled"`
-	Summary obs.AuditSummary       `json:"summary"`
-	Audits  []obs.AuditObservation `json:"audits"`
+// printAuditSummary prints a node's live audit verdict after head — last
+// epoch, observation count and alarm totals — then each member's standing
+// in every group group admits ("" admits all). It reports whether the
+// summary holds a divergence.
+func printAuditSummary(w io.Writer, head string, s *obs.AuditSummary, group string) (diverged bool) {
+	verdict := "consistent"
+	if s.Diverged {
+		verdict = "DIVERGED"
+	}
+	fmt.Fprintf(w, "%s%s epoch=%d observations=%d alarms(div/lag/stall)=%d/%d/%d\n",
+		head, verdict, s.LastEpoch, s.Observations, s.Divergences, s.Lags, s.Stalls)
+	for _, ga := range s.Groups {
+		if group != "" && ga.Group != group {
+			continue
+		}
+		for _, m := range ga.Members {
+			flags := ""
+			if m.Lagging {
+				flags += " LAGGING"
+			}
+			if m.Stalled {
+				flags += " STALLED"
+			}
+			fmt.Fprintf(w, "    %-12s %-10s epoch=%-6d digest=%08x lag=%d%s\n",
+				ga.Group, m.Node, m.Epoch, m.Digest, m.Lag, flags)
+		}
+	}
+	return s.Diverged
 }
-
-func (p auditPage) items() []obs.AuditObservation { return p.Audits }
 
 func scrapeAudits(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]auditFeed, map[string]error) {
 	return scrape(nodes, func(addr string) (auditFeed, error) {
-		return drain[auditPage](client, addr, "audit?", since, pageSize, func(o obs.AuditObservation) uint64 { return o.Index })
+		return drain(client, addr, "audit?", since, pageSize,
+			func(p *core.AuditPage) (core.PageHead, []obs.AuditObservation) { return p.PageHead, p.Audits },
+			func(o obs.AuditObservation) uint64 { return o.Index })
 	})
 }
 
@@ -782,29 +734,8 @@ func printAudit(w io.Writer, feeds map[string]auditFeed, events map[string][]obs
 			fmt.Fprintf(w, "%s: audit disabled\n", name)
 			continue
 		}
-		s := f.Summary
-		verdict := "consistent"
-		if s.Diverged {
-			verdict = "DIVERGED"
+		if printAuditSummary(w, name+": ", &f.Summary, group) {
 			bad = true
-		}
-		fmt.Fprintf(w, "%s: %s epoch=%d observations=%d alarms(div/lag/stall)=%d/%d/%d\n",
-			name, verdict, s.LastEpoch, s.Observations, s.Divergences, s.Lags, s.Stalls)
-		for _, ga := range s.Groups {
-			if group != "" && ga.Group != group {
-				continue
-			}
-			for _, m := range ga.Members {
-				flags := ""
-				if m.Lagging {
-					flags += " LAGGING"
-				}
-				if m.Stalled {
-					flags += " STALLED"
-				}
-				fmt.Fprintf(w, "  %-12s %-10s epoch=%-6d digest=%08x lag=%d%s\n",
-					ga.Group, m.Node, m.Epoch, m.Digest, m.Lag, flags)
-			}
 		}
 		for _, ev := range events[name] {
 			if kind, ok := strings.CutPrefix(ev.Type, "audit-"); ok {

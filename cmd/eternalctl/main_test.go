@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"eternal"
+	"eternal/internal/core"
 	"eternal/internal/obs"
 	"eternal/internal/orb"
 	"eternal/internal/totem"
@@ -67,10 +68,18 @@ func TestParseNodes(t *testing.T) {
 }
 
 // TestStatusSaysWhomAnUnsyncedNodeWaitsOn: start-up's "why is it stuck" is
-// one line of status, from the sync_waiting list /cluster carries.
+// one line of status, from the sync_waiting list /healthz carries in the
+// body of its 503.
 func TestStatusSaysWhomAnUnsyncedNodeWaitsOn(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte(`{"node":"n2","synced":false,"live":["n1","n2","n3"],"sync_waiting":["n1","n3"],"seq":7}`))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			http.NotFound(w, r)
+			return
+		}
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(core.HealthReport{
+			Node: "n2", Live: []string{"n1", "n2", "n3"}, SyncWaiting: []string{"n1", "n3"}, Seq: 7,
+		})
 	}))
 	defer srv.Close()
 	var out strings.Builder
@@ -78,7 +87,7 @@ func TestStatusSaysWhomAnUnsyncedNodeWaitsOn(t *testing.T) {
 	if printStatus(&out, &http.Client{Timeout: 5 * time.Second}, nodes) {
 		t.Fatalf("status failed:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "synced=false") || !strings.Contains(out.String(), "waiting on [n1,n3]") {
+	if !strings.Contains(out.String(), "synced=false seq=7") || !strings.Contains(out.String(), "waiting on [n1,n3]") {
 		t.Fatalf("status does not say whom n2 waits on:\n%s", out.String())
 	}
 }
@@ -237,6 +246,23 @@ func TestClusterTimelineAfterRecovery(t *testing.T) {
 		t.Fatalf("timeline's recovered line lacks %q:\n%s", want, timeline.String())
 	}
 
+	// `eternalctl status` decodes every node's /healthz report.
+	var status strings.Builder
+	if printStatus(&status, client, nodes) {
+		t.Fatalf("status failed:\n%s", status.String())
+	}
+	for _, name := range []string{"n1", "n2", "n3"} {
+		for _, want := range []string{
+			name + " (" + name + "): synced=true seq=",
+			"group ctr (ACTIVE) [hosted here]: n1(operational,primary) n2(operational,member) n3(operational,member)",
+			"audit: consistent epoch=",
+		} {
+			if !strings.Contains(status.String(), want) {
+				t.Fatalf("status lacks %q:\n%s", want, status.String())
+			}
+		}
+	}
+
 	// Exercise the `eternalctl trace` path against the same admin servers:
 	// scrape every node's /spans feed (page size 2 forces cursor resumes),
 	// merge by trace id, and render a real invocation's cross-node
@@ -306,7 +332,7 @@ func feedSummary(feeds map[string][]obs.Event) map[string]int {
 // TestAuditListsAlarmsFromEvents: the alarms audit prints under a node are
 // the audit-* events of that node's flight-recorder feed, and only those.
 func TestAuditListsAlarmsFromEvents(t *testing.T) {
-	feeds := map[string]auditFeed{"n1": {Last: auditPage{Enabled: true, Summary: obs.AuditSummary{Divergences: 1, Stalls: 1}}}}
+	feeds := map[string]auditFeed{"n1": {Last: core.AuditPage{Enabled: true, Summary: obs.AuditSummary{Divergences: 1, Stalls: 1}}}}
 	events := map[string][]obs.Event{"n1": {
 		{Type: obs.EventAuditDivergence, Group: "g", Value: 12, Detail: "a=00000001 b=00000002"},
 		{Type: obs.EventMemberAdd, Group: "g", Node: "b"},
@@ -346,7 +372,7 @@ func TestDrain(t *testing.T) {
 		}
 		since, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
 		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-		page := spansPage{pageHead: pageHead{Node: "n1", Dropped: 5, Next: since}}
+		page := core.SpansPage{PageHead: core.PageHead{Node: "n1", Dropped: 5, Next: since}}
 		for _, idx := range journal {
 			if idx > since && len(page.Spans) < n {
 				page.Spans = append(page.Spans, obs.Span{Index: idx})
@@ -365,7 +391,7 @@ func TestDrain(t *testing.T) {
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	index := func(sp obs.Span) uint64 { return sp.Index }
 
-	f, err := drain[spansPage](srv.Client(), addr, "spans?rot=1", 0, 3, index)
+	f, err := drain(srv.Client(), addr, "spans?rot=1", 0, 3, spanRows, index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +405,7 @@ func TestDrain(t *testing.T) {
 	if len(got) != len(journal) || got[3] != 7 || got[6] != 10 {
 		t.Fatalf("drained %v, want %v", got, journal)
 	}
-	if f.Gap != 3 || f.Last.Dropped != 5 {
+	if f.Gap != 3 || f.Dropped != 5 {
 		t.Fatalf("gap = %d, dropped = %d, want the 3 entries evicted between pages and the server's 5", f.Gap, f.Last.Dropped)
 	}
 	if len(f.Last.Rotations) != 1 || f.Last.Rotations[0].Round != 42 {
@@ -388,16 +414,16 @@ func TestDrain(t *testing.T) {
 
 	// A scrape resumed (-since) at the last index of an earlier one finds
 	// the same hole in front of its first page.
-	if f, err = drain[spansPage](srv.Client(), addr, "spans?rot=1", 3, 8, index); err != nil || len(f.Items) != 4 || f.Gap != 3 {
+	if f, err = drain(srv.Client(), addr, "spans?rot=1", 3, 8, spanRows, index); err != nil || len(f.Items) != 4 || f.Gap != 3 {
 		t.Fatalf("resumed at 3: %d items, gap %d, err %v; want 7..10 behind a gap of 3", len(f.Items), f.Gap, err)
 	}
 
 	stuck = true
-	if _, err = drain[spansPage](srv.Client(), addr, "spans?rot=1", 0, 3, index); err == nil || !strings.Contains(err.Error(), "cursor") {
+	if _, err = drain(srv.Client(), addr, "spans?rot=1", 0, 3, spanRows, index); err == nil || !strings.Contains(err.Error(), "cursor") {
 		t.Fatalf("a full page that left the cursor where it was: err = %v", err)
 	}
 	broken = true
-	if _, err = drain[spansPage](srv.Client(), addr, "spans?rot=1", 0, 3, index); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err = drain(srv.Client(), addr, "spans?rot=1", 0, 3, spanRows, index); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("non-200: err = %v", err)
 	}
 }

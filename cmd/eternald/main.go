@@ -14,15 +14,13 @@
 // Every node registers the demo "Register" replica type.
 //
 // Add -admin host:port to serve the observability endpoints: /metrics
-// (Prometheus text), /healthz (membership and roles; 503 until
-// synchronized), /events (the flight-recorder feed eternalctl merges into
+// (Prometheus text), /healthz (membership, roles, delivery position and
+// recorder totals; 503 until synchronized), /events (the flight-recorder feed eternalctl merges into
 // a cluster timeline),
 // /spans (per-invocation phase spans and the token-rotation profile,
 // the feed behind eternalctl trace and critical-path), /audit (the
 // consistency-audit digest journal behind eternalctl audit; /healthz
-// reports 503 while a divergence alarm is latched), /cluster (this
-// node's view of every group plus its delivery position)
-// and /debug/pprof/. The admin server shuts down gracefully on SIGINT or
+// reports 503 while a divergence alarm is latched) and /debug/pprof/. The admin server shuts down gracefully on SIGINT or
 // SIGTERM.
 package main
 
@@ -93,7 +91,7 @@ func main() {
 			"MinimumNumberReplicas for -create; below this the Resource Manager re-replicates onto a live node")
 		drive    = flag.Bool("drive", false, "run a demo client loop against the -create group")
 		logLevel = flag.String("log-level", "", "log mechanism events at this level: debug|info|warn|error (empty disables)")
-		admin    = flag.String("admin", "", "serve /metrics, /healthz, /events, /spans, /audit, /cluster and pprof on this host:port")
+		admin    = flag.String("admin", "", "serve /metrics, /healthz, /events, /spans, /audit and pprof on this host:port")
 
 		chunkBytes = flag.Int("state-chunk-bytes", 0,
 			"state-transfer chunk size in bytes (0 = default ~32KiB)")

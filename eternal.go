@@ -134,7 +134,7 @@ type (
 	// AuditObservation is one consistency-audit report: a member's state
 	// digest at a totally-ordered audit epoch (Node.Audits, /audit).
 	AuditObservation = obs.AuditObservation
-	// AuditSummary is a node's live consistency verdict (/healthz, /cluster).
+	// AuditSummary is a node's live consistency verdict (/healthz, /audit).
 	AuditSummary = obs.AuditSummary
 	// AuditGroupStatus is one group's per-member audit standing.
 	AuditGroupStatus = obs.AuditGroupStatus

@@ -14,10 +14,10 @@ import (
 // AdminHandler returns the node's administrative HTTP surface:
 //
 //	/metrics  — Prometheus text exposition of the node's registry
-//	/healthz  — JSON: sync status, live processors, groups and roles, and
-//	          the audit summary (503 while the node has not yet
-//	          synchronized, or while the consistency audit holds a
-//	          divergence)
+//	/healthz  — JSON: sync status, delivery position, flight-recorder
+//	          totals, live processors, groups and roles, and the audit
+//	          summary (503 while the node has not yet synchronized, or
+//	          while the consistency audit holds a divergence)
 //	/events   — JSON: flight-recorder events (?since=<index>&n=K), paginated
 //	          by recorder index for eternalctl's cluster-timeline merge
 //	/spans    — JSON: invocation phase spans (?since=<index>&n=K), paginated
@@ -26,13 +26,12 @@ import (
 //	/audit    — JSON: consistency-audit observations (?since=<index>&n=K),
 //	          paginated like /events, plus the live summary (the alarms
 //	          themselves are audit-* events in /events)
-//	/cluster  — JSON: this node's full view of the cluster — the /healthz
-//	          report plus its delivery position and recorder totals
 //	/debug/pprof/ — the standard Go profiling endpoints
 //
 // Every JSON endpoint reports Content-Type: application/json, including
 // error responses, and paginated feeds echo their resume cursor both in
-// the body ("next") and the X-Eternal-Next header.
+// the body ("next") and the X-Eternal-Next header. Each JSON body is one
+// exported type below; eternalctl decodes into the same types.
 //
 // eternald serves it when started with -admin; tests drive it through
 // httptest.
@@ -43,7 +42,6 @@ func (n *Node) AdminHandler() http.Handler {
 	mux.HandleFunc("/events", n.serveEvents)
 	mux.HandleFunc("/spans", n.serveSpans)
 	mux.HandleFunc("/audit", n.serveAudit)
-	mux.HandleFunc("/cluster", n.serveCluster)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -65,48 +63,43 @@ func jsonError(w http.ResponseWriter, msg string, code int) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// healthMember is one group member in the /healthz report.
-type healthMember struct {
+// HealthMember is one group member in the /healthz report.
+type HealthMember struct {
 	Node  string `json:"node"`
 	State string `json:"state"`
 	Role  string `json:"role"`
 }
 
-// healthGroup is one object group in the /healthz report.
-type healthGroup struct {
+// HealthGroup is one object group in the /healthz report.
+type HealthGroup struct {
 	Name    string         `json:"name"`
 	Style   string         `json:"style"`
 	Hosted  bool           `json:"hosted"`
-	Members []healthMember `json:"members"`
+	Members []HealthMember `json:"members"`
 }
 
-// healthReport is the /healthz body.
-type healthReport struct {
+// HealthReport is the /healthz body: the node's view of the cluster, its
+// position in the total order and its flight-recorder totals, so a scraper
+// can tell how far each node's view has advanced.
+type HealthReport struct {
 	Node   string   `json:"node"`
 	Synced bool     `json:"synced"`
 	Live   []string `json:"live"`
 	// SyncWaiting: view members an unsynced node has no sync request from yet.
 	SyncWaiting []string      `json:"sync_waiting,omitempty"`
-	Groups      []healthGroup `json:"groups"`
+	Groups      []HealthGroup `json:"groups"`
 	// Audit is the consistency-audit summary (last audited epoch, per-
 	// group digest state, alarm totals); nil when the audit is disabled.
-	Audit *obs.AuditSummary `json:"audit,omitempty"`
+	Audit          *obs.AuditSummary `json:"audit,omitempty"`
+	Seq            uint64            `json:"seq"`
+	EventsRecorded uint64            `json:"events_recorded"`
+	EventsDropped  uint64            `json:"events_dropped"`
 }
 
 // degraded reports whether the node should answer /healthz with 503:
 // not yet synchronized, or the live audit holds a divergence.
-func (rep *healthReport) degraded() bool {
+func (rep *HealthReport) degraded() bool {
 	return !rep.Synced || (rep.Audit != nil && rep.Audit.Diverged)
-}
-
-// clusterReport is the /cluster body: the health report plus the node's
-// position in the total order and its flight-recorder totals, so a
-// scraper can tell how far each node's view has advanced.
-type clusterReport struct {
-	healthReport
-	Seq            uint64 `json:"seq"`
-	EventsRecorded uint64 `json:"events_recorded"`
-	EventsDropped  uint64 `json:"events_dropped"`
 }
 
 func memberStateName(s replication.MemberState) string {
@@ -140,8 +133,11 @@ func (n *Node) onLoop(f func()) bool {
 
 // buildHealthReport assembles the health report; it must run on the
 // delivery goroutine (via onLoop).
-func (n *Node) buildHealthReport() healthReport {
-	rep := healthReport{Node: n.addr, Synced: n.synced, Live: slices.Clone(n.view.Members)}
+func (n *Node) buildHealthReport() HealthReport {
+	rep := HealthReport{
+		Node: n.addr, Synced: n.synced, Live: slices.Clone(n.view.Members),
+		Seq: n.lastSeq.Load(), EventsRecorded: n.recorder.Total(), EventsDropped: n.recorder.Dropped(),
+	}
 	if !n.synced {
 		rep.SyncWaiting = slices.DeleteFunc(slices.Clone(n.view.Members), func(m string) bool {
 			return slices.Contains(n.syncSeen, m)
@@ -152,7 +148,7 @@ func (n *Node) buildHealthReport() healthReport {
 		if !ok {
 			continue
 		}
-		hg := healthGroup{
+		hg := HealthGroup{
 			Name:   name,
 			Style:  g.Spec.Props.Style.String(),
 			Hosted: n.hosts[name] != nil,
@@ -163,7 +159,7 @@ func (n *Node) buildHealthReport() healthReport {
 			if hasPrimary && m.Node == primary {
 				role = "primary"
 			}
-			hg.Members = append(hg.Members, healthMember{
+			hg.Members = append(hg.Members, HealthMember{
 				Node: m.Node, State: memberStateName(m.State), Role: role,
 			})
 		}
@@ -177,7 +173,7 @@ func (n *Node) buildHealthReport() healthReport {
 }
 
 func (n *Node) serveHealthz(w http.ResponseWriter, _ *http.Request) {
-	var rep healthReport
+	var rep HealthReport
 	if !n.onLoop(func() { rep = n.buildHealthReport() }) {
 		jsonError(w, "node stopped", http.StatusServiceUnavailable)
 		return
@@ -192,31 +188,24 @@ func (n *Node) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-func (n *Node) serveCluster(w http.ResponseWriter, _ *http.Request) {
-	var rep clusterReport
-	if !n.onLoop(func() { rep.healthReport = n.buildHealthReport() }) {
-		jsonError(w, "node stopped", http.StatusServiceUnavailable)
-		return
-	}
-	rep.Seq = n.lastSeq.Load()
-	rep.EventsRecorded = n.recorder.Total()
-	rep.EventsDropped = n.recorder.Dropped()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
+// PageHead is what the body of every paginated feed (/events, /spans,
+// /audit) carries besides its entries. Clients resume with ?since=<Next>:
+// Next is the cursor the next request should pass — the index of the last
+// entry in this page, or the request's own cursor when the page is empty —
+// so a reader survives ring wraparound without silently skipping (a gap
+// between its cursor and the first returned index means eviction outran
+// it; Dropped, the journal's lifetime eviction count, quantifies the loss).
+type PageHead struct {
+	Node    string `json:"node"`
+	Dropped uint64 `json:"dropped"`
+	Next    uint64 `json:"next"`
 }
 
-// eventsPage is the /events body: one page of the node's flight-recorder
-// feed. Clients resume with ?since=<next>: Next is the cursor the next
-// request should pass — the index of the last event in this page, or the
-// request's own cursor when the page is empty — so a reader survives ring
-// wraparound without silently skipping (a gap between its cursor and the
-// first returned index means eviction outran it; Dropped quantifies the
-// loss).
-type eventsPage struct {
-	Node    string      `json:"node"`
-	Dropped uint64      `json:"dropped"`
-	Next    uint64      `json:"next"`
-	Events  []obs.Event `json:"events"`
+// EventsPage is the /events body: one page of the node's flight-recorder
+// feed.
+type EventsPage struct {
+	PageHead
+	Events []obs.Event `json:"events"`
 }
 
 // queryInt parses a non-negative integer query parameter; def when absent.
@@ -248,20 +237,20 @@ func pageParams(w http.ResponseWriter, r *http.Request, defCount int) (since uin
 }
 
 // writePage finishes and sends one page of a journal feed; /events, /spans
-// and /audit all paginate through it. page is a pointer to the body, items
-// and next point at its entries and its cursor. *next arrives holding the
-// request's cursor and leaves holding the one the next request should pass:
-// the index of the page's last entry, or the same cursor when the page is
-// empty. A nil page is sent as [], and the cursor is repeated in
+// and /audit all paginate through it. page is a pointer to the body, head
+// and items point at its head and its entries. head.Next arrives holding
+// the request's cursor and leaves holding the one the next request should
+// pass: the index of the page's last entry, or the same cursor when the
+// page is empty. A nil page is sent as [], and the cursor is repeated in
 // X-Eternal-Next.
-func writePage[T any](w http.ResponseWriter, page any, items *[]T, next *uint64, index func(T) uint64) {
+func writePage[T any](w http.ResponseWriter, page any, head *PageHead, items *[]T, index func(T) uint64) {
 	if n := len(*items); n > 0 {
-		*next = index((*items)[n-1])
+		head.Next = index((*items)[n-1])
 	} else {
 		*items = []T{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Eternal-Next", strconv.FormatUint(*next, 10))
+	w.Header().Set("X-Eternal-Next", strconv.FormatUint(head.Next, 10))
 	json.NewEncoder(w).Encode(page)
 }
 
@@ -270,22 +259,18 @@ func (n *Node) serveEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	page := eventsPage{
-		Node:    n.addr,
-		Dropped: n.recorder.Dropped(),
-		Next:    since,
-		Events:  n.recorder.Since(since, count),
+	page := EventsPage{
+		PageHead: PageHead{Node: n.addr, Dropped: n.recorder.Dropped(), Next: since},
+		Events:   n.recorder.Since(since, count),
 	}
-	writePage(w, &page, &page.Events, &page.Next, func(e obs.Event) uint64 { return e.Index })
+	writePage(w, &page, &page.PageHead, &page.Events, func(e obs.Event) uint64 { return e.Index })
 }
 
-// spansPage is the /spans body: one page of the node's invocation span
-// journal, paginated exactly like /events, plus (when ?rot=K asks for
-// them) the totem token-rotation profiler's most recent samples.
-type spansPage struct {
-	Node      string              `json:"node"`
-	Dropped   uint64              `json:"dropped"`
-	Next      uint64              `json:"next"`
+// SpansPage is the /spans body: one page of the node's invocation span
+// journal, plus (when ?rot=K asks for them) the totem token-rotation
+// profiler's most recent samples.
+type SpansPage struct {
+	PageHead
 	Spans     []obs.Span          `json:"spans"`
 	Rotations []obs.TokenRotation `json:"rotations,omitempty"`
 }
@@ -299,27 +284,22 @@ func (n *Node) serveSpans(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	page := spansPage{
-		Node:    n.addr,
-		Dropped: n.spans.Dropped(),
-		Next:    since,
-		Spans:   n.Spans(since, count),
+	page := SpansPage{
+		PageHead: PageHead{Node: n.addr, Dropped: n.spans.Dropped(), Next: since},
+		Spans:    n.Spans(since, count),
 	}
 	if rot > 0 {
 		page.Rotations = n.proc.Rotations(rot)
 	}
-	writePage(w, &page, &page.Spans, &page.Next, func(sp obs.Span) uint64 { return sp.Index })
+	writePage(w, &page, &page.PageHead, &page.Spans, func(sp obs.Span) uint64 { return sp.Index })
 }
 
-// auditPage is the /audit body: one page of the node's consistency-audit
-// observation journal, paginated exactly like /events, plus the live
-// summary.
-type auditPage struct {
-	Node    string                 `json:"node"`
+// AuditPage is the /audit body: one page of the node's consistency-audit
+// observation journal, plus the live summary.
+type AuditPage struct {
+	PageHead
 	Enabled bool                   `json:"enabled"`
 	Summary obs.AuditSummary       `json:"summary"`
-	Dropped uint64                 `json:"dropped"`
-	Next    uint64                 `json:"next"`
 	Audits  []obs.AuditObservation `json:"audits"`
 }
 
@@ -328,13 +308,11 @@ func (n *Node) serveAudit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	page := auditPage{
-		Node:    n.addr,
-		Enabled: n.audit != nil,
-		Summary: n.audit.Summary(),
-		Dropped: n.audit.Dropped(),
-		Next:    since,
-		Audits:  n.audit.Since(since, count),
+	page := AuditPage{
+		PageHead: PageHead{Node: n.addr, Dropped: n.audit.Dropped(), Next: since},
+		Enabled:  n.audit != nil,
+		Summary:  n.audit.Summary(),
+		Audits:   n.audit.Since(since, count),
 	}
-	writePage(w, &page, &page.Audits, &page.Next, func(o obs.AuditObservation) uint64 { return o.Index })
+	writePage(w, &page, &page.PageHead, &page.Audits, func(o obs.AuditObservation) uint64 { return o.Index })
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,8 +27,9 @@ func adminServer(t *testing.T) (*Node, *httptest.Server) {
 
 func TestAdminUnknownPath(t *testing.T) {
 	_, srv := adminServer(t)
-	// /trace was the hop tracer's feed; /spans replaced it.
-	for _, path := range []string{"/no-such-endpoint", "/trace"} {
+	// /trace was the hop tracer's feed; /spans replaced it. /cluster was
+	// /healthz plus three fields; /healthz carries them now.
+	for _, path := range []string{"/no-such-endpoint", "/trace", "/cluster"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +75,6 @@ func TestAdminContentTypes(t *testing.T) {
 		"/spans":   "application/json",
 		"/events":  "application/json",
 		"/audit":   "application/json",
-		"/cluster": "application/json",
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -116,10 +117,7 @@ func TestHealthzUnsynced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Node   string `json:"node"`
-		Synced bool   `json:"synced"`
-	}
+	var rep HealthReport
 	err = json.NewDecoder(resp.Body).Decode(&rep)
 	resp.Body.Close()
 	if err != nil {
@@ -151,6 +149,10 @@ func TestHealthzUnsynced(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !rep.Synced {
 		t.Fatalf("after sync: status = %d, synced = %t", resp.StatusCode, rep.Synced)
 	}
+	// The report carries the delivery position and the recorder totals.
+	if rep.Seq == 0 || rep.EventsRecorded == 0 {
+		t.Fatalf("after sync: seq = %d, events_recorded = %d; want both past 0", rep.Seq, rep.EventsRecorded)
+	}
 }
 
 // TestEventsEndpoint checks the feed's shape and index-based pagination
@@ -161,11 +163,7 @@ func TestEventsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(c.nodes["a1"].AdminHandler())
 	defer srv.Close()
 
-	var page struct {
-		Node    string      `json:"node"`
-		Dropped uint64      `json:"dropped"`
-		Events  []obs.Event `json:"events"`
-	}
+	var page EventsPage
 	get := func(query string) {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/events" + query)
@@ -212,4 +210,25 @@ func TestEventsEndpoint(t *testing.T) {
 func itoa(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// TestClientDialsAreCountedAsIntercepted: a client ORB on a node dials a
+// group through the interceptor, so the node's dial counter moves.
+func TestClientDialsAreCountedAsIntercepted(t *testing.T) {
+	c := newTestCluster(t, simnet.Config{}, "a1")
+	c.createGroup("ctr", ftcorba.Active, []string{"a1"}, 1)
+	if got := add(t, c.client("a1", "driver", "ctr"), 1); got != 1 {
+		t.Fatalf("add = %d, want 1", got)
+	}
+	var buf strings.Builder
+	c.nodes["a1"].Metrics().WritePrometheus(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "eternal_intercepted_dials_total "); ok {
+			if n, err := strconv.ParseFloat(v, 64); err != nil || n < 1 {
+				t.Fatalf("eternal_intercepted_dials_total = %s after a client invoked a group, want >= 1", v)
+			}
+			return
+		}
+	}
+	t.Fatalf("no eternal_intercepted_dials_total in /metrics:\n%s", buf.String())
 }

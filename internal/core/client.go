@@ -39,10 +39,6 @@ type clientEntity struct {
 	pendingOffsets map[replication.ConnID]uint32
 	// replyFilter suppresses duplicate replies per connection.
 	replyFilter *replication.DupFilter
-	// disableIDTranslation reproduces the Figure 4 failure mode for
-	// experiment E4: ORB-level state is not applied, so a recovered
-	// client replica's request ids restart at zero.
-	disableIDTranslation bool
 
 	closed bool
 }
@@ -93,19 +89,9 @@ func (ce *clientEntity) accept(group string, mech net.Conn) {
 	// paired with its twins'.
 	var id replication.ConnID
 	bound := false
-	if !ce.disableIDTranslation {
-		best := replication.ConnID{}
-		for pid := range ce.pendingOffsets {
-			if pid.Group != group {
-				continue
-			}
-			if !bound || pid.Seq < best.Seq {
-				best = pid
-				bound = true
-			}
-		}
-		if bound {
-			id = best
+	for pid := range ce.pendingOffsets {
+		if pid.Group == group && (!bound || pid.Seq < id.Seq) {
+			id, bound = pid, true
 		}
 	}
 	if !bound {
@@ -251,9 +237,6 @@ func (ce *clientEntity) snapshotClientConns() []recovery.ClientConnState {
 func (ce *clientEntity) installClientConns(states []recovery.ClientConnState, replyFilter map[replication.ConnID]uint32) {
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
-	if ce.disableIDTranslation {
-		return
-	}
 	for _, st := range states {
 		if ec, ok := ce.conns[st.Conn]; ok {
 			// A surviving connection (the recovered replica shares its

@@ -16,6 +16,7 @@ import (
 	"eternal/internal/orb"
 	"eternal/internal/recovery"
 	"eternal/internal/replication"
+	"eternal/internal/ring"
 )
 
 // itemKind discriminates dispatcher work items.
@@ -105,7 +106,12 @@ type replicaHost struct {
 	group string
 	style ftcorba.ReplicationStyle
 
-	q    *queue[dispatchItem]
+	// q is the dispatch queue: the node's delivery loop must never block
+	// on a replica whose servant is busy, so items land here and the
+	// dispatcher consumes them at its own pace — the paper's "enqueueing
+	// of normal incoming IIOP messages at the Recovery Mechanisms"
+	// (§3.3). Closing it lets the dispatcher drain what is queued.
+	q    *ring.Queue[dispatchItem]
 	done chan struct{}
 
 	// recovering hosts hold their queue until the state bundle arrives
@@ -160,7 +166,7 @@ func newReplicaHost(n *Node, group string, style ftcorba.ReplicationStyle, withI
 		node:       n,
 		group:      group,
 		style:      style,
-		q:          newQueue[dispatchItem](),
+		q:          ring.NewQueue[dispatchItem](),
 		done:       make(chan struct{}),
 		recovering: recovering,
 		stateCh:    make(chan stateDelivery, 1),
@@ -221,10 +227,10 @@ func (h *replicaHost) run(recovering bool) {
 			applyStart := time.Now()
 			h.applyState(sd.bundle)
 			apply := time.Since(applyStart)
-			enqueued := h.q.size()
+			enqueued := h.q.Len()
 			replayStart := time.Now()
 			for i := 0; i < enqueued; i++ {
-				item, ok := h.q.pop()
+				item, ok := h.q.Pop()
 				if !ok {
 					return
 				}
@@ -238,7 +244,7 @@ func (h *replicaHost) run(recovering bool) {
 		}
 	}
 	for {
-		item, ok := h.q.pop()
+		item, ok := h.q.Pop()
 		if !ok {
 			return
 		}
@@ -648,7 +654,7 @@ func (h *replicaHost) stop() {
 		h.monitor.Stop()
 	}
 	close(h.done)
-	h.q.close()
+	h.q.Close()
 	h.mu.Lock()
 	conns := h.conns
 	h.conns = make(map[replication.ConnID]*injection)

@@ -293,7 +293,7 @@ func (n *Node) reconcile(name string) {
 	n.primaryOf[name] = isPrimary
 	if h != nil && isPrimary && !wasPrimary && g.Spec.Props.Style != ftcorba.Active {
 		// This backup is promoted: replay the log (paper §3.2/§3.3).
-		h.q.push(dispatchItem{kind: itemPromote})
+		h.q.Push(dispatchItem{kind: itemPromote})
 	}
 	// If someone is still recovering and the donor died, the new first
 	// operational member must capture again.
@@ -305,7 +305,7 @@ func (n *Node) reconcile(name string) {
 		}
 	}
 	if hasRecovering && isPrimary && h != nil && !h.recovering {
-		h.q.push(dispatchItem{kind: itemCapture, xferID: n.nextXfer()})
+		h.q.Push(dispatchItem{kind: itemCapture, xferID: n.nextXfer()})
 	}
 }
 
@@ -378,7 +378,7 @@ func (n *Node) handleRequest(seq uint64, sender string, env *replication.Envelop
 		// (client-only node) leaves all replies urgent.
 		lazy = true
 	}
-	h.q.push(dispatchItem{kind: itemRequest, env: env, execute: execute, lazyReply: lazy})
+	h.q.Push(dispatchItem{kind: itemRequest, env: env, execute: execute, lazyReply: lazy})
 }
 
 func (n *Node) handleCreate(seq uint64, env *replication.Envelope) {
@@ -502,13 +502,13 @@ func (n *Node) handleAdd(seq uint64, env *replication.Envelope) {
 		if h := n.hosts[env.Group]; h != nil && !h.recovering {
 			// Figure 5 steps (i)–(iii): the donor's dispatcher performs
 			// get_state() at this position in its serial queue.
-			h.q.push(dispatchItem{kind: itemCapture, xferID: env.XferID})
+			h.q.Push(dispatchItem{kind: itemCapture, xferID: env.XferID})
 		}
 	} else if g.Spec.Props.Style != ftcorba.Active && env.Node != n.addr {
 		// Passive backups mark this capture's position so the coming
 		// set_state clears only the log entries it subsumes.
 		if h := n.hosts[env.Group]; h != nil && !h.recovering {
-			h.q.push(dispatchItem{kind: itemCheckpointMark, xferID: env.XferID})
+			h.q.Push(dispatchItem{kind: itemCheckpointMark, xferID: env.XferID})
 		}
 	}
 }
@@ -529,10 +529,10 @@ func (n *Node) handleCheckpoint(seq uint64, env *replication.Envelope) {
 		return
 	}
 	if g.IsPrimary(n.addr) {
-		h.q.push(dispatchItem{kind: itemCapture, xferID: env.XferID, checkpoint: true})
+		h.q.Push(dispatchItem{kind: itemCapture, xferID: env.XferID, checkpoint: true})
 	} else {
 		// Backups mark the capture position (see itemCheckpointMark).
-		h.q.push(dispatchItem{kind: itemCheckpointMark, xferID: env.XferID})
+		h.q.Push(dispatchItem{kind: itemCheckpointMark, xferID: env.XferID})
 	}
 }
 
@@ -577,7 +577,7 @@ func (n *Node) handleAudit(seq uint64, env *replication.Envelope) {
 			report = g.IsPrimary(n.addr)
 		}
 		if h := n.hosts[env.Group]; report && h != nil {
-			h.q.push(dispatchItem{kind: itemAuditCapture, xferID: seq})
+			h.q.Push(dispatchItem{kind: itemAuditCapture, xferID: seq})
 		}
 	case replication.AuditReport:
 		rec, err := replication.DecodeAuditRecord(env.Payload)
@@ -624,7 +624,7 @@ func (n *Node) sweep(now time.Time) {
 	// window of §3.3.
 	depth := 0
 	for _, h := range n.hosts {
-		depth += h.q.size()
+		depth += h.q.Len()
 	}
 	n.dispatchDepth.Set(int64(depth))
 	if !n.synced {

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,7 +41,6 @@ var (
 	ErrNodeStopped = errors.New("core: node stopped")
 	ErrTimedOut    = errors.New("core: timed out")
 	ErrNoSuchGroup = errors.New("core: no such group")
-	ErrNotAMember  = errors.New("core: node does not host a replica of the group")
 )
 
 // Config configures a Node.
@@ -462,30 +460,14 @@ func hashName(s string) uint64 {
 
 // --- client attachment ---
 
-// entityDialer is the orb.Dialer handed to locally attached client ORBs:
-// connections to replicated groups are diverted into the client entity's
-// egress proxies; anything else falls through to TCP.
-type entityDialer struct {
-	node   *Node
-	entity *clientEntity
-}
-
-func (d *entityDialer) Dial(host string, port uint16) (net.Conn, error) {
-	if d.node.isGroup(host) {
-		orbEnd, mechEnd := interceptor.Pipe()
-		d.entity.accept(host, mechEnd)
-		return orbEnd, nil
-	}
-	return orb.TCPDialer{}.Dial(host, port)
-}
-
 // ClientORB returns an ORB whose connections are intercepted by this
-// node's mechanisms on behalf of the named client entity. Replicas of a
-// replicated client use their group name as the entity name on every
-// node, which is how their duplicate invocations are paired up.
+// node's mechanisms on behalf of the named client entity: connections to
+// replicated groups are diverted into the entity's egress proxies, anything
+// else falls through to TCP. Replicas of a replicated client use their
+// group name as the entity name on every node, which is how their
+// duplicate invocations are paired up.
 func (n *Node) ClientORB(entityName string, opts orb.Options) *orb.ORB {
-	ce := n.clientEntity(entityName)
-	opts.Dialer = &entityDialer{node: n, entity: ce}
+	opts.Dialer = interceptor.New(n.isGroup, n.clientEntity(entityName).accept, orb.TCPDialer{})
 	return orb.NewORB(opts)
 }
 

@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"eternal/internal/anyval"
 	"eternal/internal/cdr"
 	"eternal/internal/ftcorba"
 	"eternal/internal/replication"
@@ -132,19 +134,50 @@ func TestWinningReplicaDiesOnceItsReplyIsOrdered(t *testing.T) {
 	}
 }
 
+// gatedBlob is a blob replica whose get_state first calls gate.
+type gatedBlob struct {
+	*blobReplica
+	gate func()
+}
+
+func (g *gatedBlob) GetState() (anyval.Any, error) {
+	g.gate()
+	return g.blobReplica.GetState()
+}
+
 // TestRecoveringReplicaReplaysWithoutReplying: a recovering replica holds
 // its queue from its synchronization point until the state arrives, then
 // replays it. Every request in that queue was answered long ago by the
 // operational replicas, and the replies were ordered on this node too — so
 // the replay multicasts none of them.
 //
-// A megabyte of state in 2 KiB chunks (512 of them, two a token visit)
-// stretches the recovery, during which the client keeps the held queue
-// growing.
+// The donor's get_state waits until the recovering replica holds ten
+// requests, so the queue is built by the test rather than by how many of
+// the client's pings land in the recovery window; a megabyte of state in
+// 2 KiB chunks (512 of them, two a token visit) then stretches the
+// transfer, during which the queue grows further.
 func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
-	c := newXferCluster(t, 1<<20, func(cfg *Config) {
+	const blobSize, wantHeld = 1 << 20, 10
+	c := newXferCluster(t, blobSize, func(cfg *Config) {
 		cfg.StateChunkBytes = 2048
 	}, "n1", "n2", "n3")
+	// donor names the node whose next get_state waits for release; the
+	// first such call clears it.
+	var donor atomic.Value
+	donor.Store("")
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	defer open()
+	for a, n := range c.nodes {
+		n.RegisterFactory("Blob", func(string) ftcorba.Replica {
+			return &gatedBlob{newBlobReplica(blobSize), func() {
+				if donor.CompareAndSwap(a, "") {
+					<-release
+				}
+			}}
+		})
+	}
 	createBlobGroup(t, c, "blob", 1, "n1", "n2", "n3")
 	obj := c.client("n1", "driver", "blob")
 	ping(t, obj)
@@ -167,6 +200,26 @@ func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
 	if err := c.nodes["n3"].KillReplica("blob", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	n1, n3 := c.nodes["n1"], c.nodes["n3"]
+	n1.onLoop(func() {
+		g, _ := n1.table.Get("blob")
+		primary, _ := g.Primary()
+		donor.Store(primary)
+	})
+	// held is the length of n3's held queue while it recovers.
+	held := func() int {
+		var h *replicaHost
+		n3.onLoop(func() {
+			if h = n3.hosts["blob"]; h != nil && !h.recovering {
+				h = nil
+			}
+		})
+		if h == nil {
+			return 0
+		}
+		return h.q.Len()
+	}
+
 	stop := make(chan struct{})
 	traffic := make(chan struct{})
 	go func() {
@@ -181,7 +234,17 @@ func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
 			}
 		}
 	}()
-	err := c.nodes["n3"].RecoverReplica("blob", 15*time.Second)
+	recovered := make(chan error, 1)
+	go func() { recovered <- n3.RecoverReplica("blob", 15*time.Second) }()
+	for deadline := time.Now().Add(10 * time.Second); held() < wantHeld; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(stop)
+			<-traffic
+			t.Fatalf("n3 held %d requests after 10 s, want %d before the donor captures", held(), wantHeld)
+		}
+	}
+	open()
+	err := <-recovered
 	close(stop)
 	<-traffic
 	if err != nil {
@@ -189,20 +252,20 @@ func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
-	tls := c.nodes["n3"].RecoveryTimelines()
+	tls := n3.RecoveryTimelines()
 	if len(tls) == 0 {
 		t.Fatal("no recovery timeline on n3")
 	}
-	held := tls[0].Enqueued
-	if held < 10 {
-		t.Fatalf("only %d requests were held while recovering: the test did not build a queue", held)
+	heldAtState := tls[0].Enqueued
+	if heldAtState < wantHeld {
+		t.Fatalf("only %d requests were held while recovering: the test did not build a queue", heldAtState)
 	}
 	// All but the request in flight when the state arrived had its reply
 	// ordered before the replay got to it.
-	if got := c.nodes["n3"].Stats().RepliesWithdrawn; int(got) < held-1 {
-		t.Fatalf("n3 replayed %d held requests but kept only %d replies home", held, got)
+	if got := n3.Stats().RepliesWithdrawn; int(got) < heldAtState-1 {
+		t.Fatalf("n3 replayed %d held requests but kept only %d replies home", heldAtState, got)
 	}
-	t.Logf("n3 held %d requests while recovering and kept %d replies home", held, c.nodes["n3"].Stats().RepliesWithdrawn)
+	t.Logf("n3 held %d requests while recovering and kept %d replies home", heldAtState, n3.Stats().RepliesWithdrawn)
 	mu.Lock()
 	defer mu.Unlock()
 	if n := surplus["n3"]; n != 0 {
@@ -232,12 +295,19 @@ var retiredRemoveMember = []byte{
 // TestRetiredCompactEnvelopesAreRejected keeps.
 var retiredStateRetransmit = []byte{36, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}
 
+// retiredSyncState is a kind-33 envelope, a table snapshot in the layout
+// that gave each group a transfer-id counter — byte for byte the one
+// replication's TestRetiredCompactEnvelopesAreRejected keeps.
+var retiredSyncState = []byte{33, 2, 0, 2, 'n', '2', 2, 'n', '1', 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}
+
 // TestRetiredEnvelopeIsCountedAndMovesNothing: a node still writing CDR
 // envelopes shares the ring — Totem's wire is the same — and multicasts a
 // RemoveMember for n2's replica of a live 3-way active group; a node still
-// asking for state chunks again multicasts a retransmit request. Every node
-// drops both at their positions in the total order and counts them; no
-// group table and no replica moves, and all three replicas go on serving.
+// asking for state chunks again multicasts a retransmit request; a node
+// whose table still carries transfer-id counters answers a sync request.
+// Every node drops all three at their positions in the total order and
+// counts them; no group table and no replica moves, and all three replicas
+// go on serving.
 func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 	all := []string{"n1", "n2", "n3"}
 	c := newTestCluster(t, simnet.Config{}, all...)
@@ -282,15 +352,16 @@ func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 	for _, a := range all {
 		before[a], rejected[a] = state(a, 5), c.nodes[a].Stats().EnvelopesRejected
 	}
-	for _, retired := range [][]byte{retiredRemoveMember, retiredStateRetransmit} {
-		if err := c.nodes["n2"].proc.Multicast(retired); err != nil {
+	retired := [][]byte{retiredRemoveMember, retiredStateRetransmit, retiredSyncState}
+	for _, env := range retired {
+		if err := c.nodes["n2"].proc.Multicast(env); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, a := range all {
-		for deadline := time.Now().Add(5 * time.Second); c.nodes[a].Stats().EnvelopesRejected != rejected[a]+2; time.Sleep(5 * time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); c.nodes[a].Stats().EnvelopesRejected != rejected[a]+uint64(len(retired)); time.Sleep(5 * time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: rejected %d envelopes, want %d", a, c.nodes[a].Stats().EnvelopesRejected, rejected[a]+2)
+				t.Fatalf("%s: rejected %d envelopes, want %d", a, c.nodes[a].Stats().EnvelopesRejected, rejected[a]+uint64(len(retired)))
 			}
 		}
 		if after := state(a, 5); after != before[a] {

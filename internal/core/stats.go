@@ -63,15 +63,6 @@ type Stats struct {
 	// AuditReports counts audit digests this node's replicas computed and
 	// multicast.
 	AuditReports uint64
-	// AuditDivergences counts divergence alarms raised by the collector:
-	// two members' digests differed for one epoch.
-	AuditDivergences uint64
-	// AuditLags counts lag alarms: a member trailing the audit by more
-	// than the configured number of epochs.
-	AuditLags uint64
-	// AuditStalls counts stall alarms: an expected member silent past the
-	// deadline.
-	AuditStalls uint64
 	// EnvelopesRejected counts ordered messages that did not decode as an
 	// envelope (a node on another envelope layout, or corruption) and were
 	// dropped at their position in the total order.
@@ -146,8 +137,6 @@ func (n *Node) Stats() Stats {
 	s := n.counters.snapshot()
 	s.StateChunkStalls = n.proc.Stats().BulkStalls
 	s.EnvelopesRejected = n.replyMarks.rejected.Load()
-	a := n.audit.Summary()
-	s.AuditDivergences, s.AuditLags, s.AuditStalls = a.Divergences, a.Lags, a.Stalls
 	return s
 }
 
@@ -179,11 +168,6 @@ func (n *Node) Events(since uint64, max int) []obs.Event {
 	return n.recorder.Since(since, max)
 }
 
-// Recorder returns the node's flight recorder: the bounded ring of
-// sequence-stamped membership, recovery and fault events that
-// eternalctl merges into a cluster timeline.
-func (n *Node) Recorder() *obs.Recorder { return n.recorder }
-
 // spanIdleFlush is the idle threshold after which an open span is swept
 // into the journal before a read: server-side spans never see a local
 // reply delivery, so a sweep is the only way they complete.
@@ -196,9 +180,6 @@ func (n *Node) Spans(since uint64, max int) []obs.Span {
 	n.spans.FlushIdle(spanIdleFlush)
 	return n.spans.Since(since, max)
 }
-
-// SpanRecorder returns the node's span recorder, for callers that need explicit flush control or totals.
-func (n *Node) SpanRecorder() *obs.SpanRecorder { return n.spans }
 
 // TokenRotations returns up to max recent token-rotation profiler
 // samples from this node's totem processor, oldest first.

@@ -62,7 +62,7 @@ func syncState(t *testing.T, n *Node) (synced bool, waiting []string) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	n.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	var rep healthReport
+	var rep HealthReport
 	if err := json.NewDecoder(rec.Body).Decode(&rep); err != nil {
 		t.Fatalf("%s: /healthz: %v", n.addr, err)
 	}

@@ -174,7 +174,7 @@ func (n *Node) handleStateManifest(seq uint64, donor string, env *replication.En
 		}
 	}
 	if ckpt {
-		h.q.push(dispatchItem{kind: itemApplyCheckpoint, bundle: bundle, xferID: env.XferID})
+		h.q.Push(dispatchItem{kind: itemApplyCheckpoint, bundle: bundle, xferID: env.XferID})
 	}
 }
 

@@ -6,8 +6,8 @@
 // The real Eternal interposes on the Solaris socket calls; in Go the same
 // layer is the net.Conn boundary, so the interceptor is a Dialer the
 // client ORB uses and a factory of in-memory connections the server ORB
-// serves. Endpoints that are not registered as replicated targets fall
-// through to plain TCP, preserving transparency for mixed deployments.
+// serves. Endpoints that are not replicated targets fall through to plain
+// TCP, preserving transparency for mixed deployments.
 //
 // The package also provides the GIOP header-rewriting primitives the
 // mechanisms use to keep ORB-level state consistent across recovery
@@ -18,62 +18,47 @@ package interceptor
 import (
 	"fmt"
 	"net"
-	"sync"
 
 	"eternal/internal/giop"
 	"eternal/internal/orb"
 )
 
-// AcceptFunc receives the mechanisms' end of a diverted connection, with
-// the port the ORB dialed.
-type AcceptFunc func(mechEnd net.Conn, port uint16)
+// AcceptFunc receives the mechanisms' end of a connection diverted to host.
+// It runs on the dialing goroutine, before Dial returns, so dials are
+// accepted in the order the ORB made them; it must not block on the
+// connection.
+type AcceptFunc func(host string, mechEnd net.Conn)
 
-// Interceptor diverts connections to registered virtual hosts into the
+// Interceptor diverts connections to replicated targets into the
 // Replication Mechanisms and passes everything else to a fallback dialer.
 type Interceptor struct {
-	mu       sync.Mutex
-	routes   map[string]AcceptFunc
+	diverts  func(host string) bool
+	accept   AcceptFunc
 	fallback orb.Dialer
 }
 
 var _ orb.Dialer = (*Interceptor)(nil)
 
-// New creates an interceptor. fallback may be nil, in which case dialing
-// an unregistered host fails (fully-replicated deployments).
-func New(fallback orb.Dialer) *Interceptor {
-	return &Interceptor{routes: make(map[string]AcceptFunc), fallback: fallback}
+// New creates an interceptor that diverts every host diverts reports true
+// for into accept. fallback may be nil, in which case dialing any other
+// host fails (fully-replicated deployments).
+func New(diverts func(host string) bool, accept AcceptFunc, fallback orb.Dialer) *Interceptor {
+	return &Interceptor{diverts: diverts, accept: accept, fallback: fallback}
 }
 
-// Register diverts all future connections to host into accept.
-func (i *Interceptor) Register(host string, accept AcceptFunc) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.routes[host] = accept
-}
-
-// Unregister removes a diversion.
-func (i *Interceptor) Unregister(host string) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	delete(i.routes, host)
-}
-
-// Dial implements orb.Dialer: registered hosts get an in-memory pipe whose
+// Dial implements orb.Dialer: a diverted host gets an in-memory pipe whose
 // far end is handed to the AcceptFunc; others fall through.
 func (i *Interceptor) Dial(host string, port uint16) (net.Conn, error) {
-	i.mu.Lock()
-	accept, ok := i.routes[host]
-	i.mu.Unlock()
-	if !ok {
+	if !i.diverts(host) {
 		if i.fallback == nil {
-			return nil, fmt.Errorf("interceptor: no route to %q and no fallback dialer", host)
+			return nil, fmt.Errorf("interceptor: %q is not diverted and there is no fallback dialer", host)
 		}
 		nFallback.Add(1)
 		return i.fallback.Dial(host, port)
 	}
 	nDiverted.Add(1)
 	orbEnd, mechEnd := Pipe()
-	go accept(mechEnd, port)
+	i.accept(host, mechEnd)
 	return orbEnd, nil
 }
 

@@ -133,23 +133,43 @@ func TestPipeConcurrentReadersWriters(t *testing.T) {
 	wg.Wait()
 }
 
+// groups is a diversion predicate over a set of hosts the test edits.
+type groups struct {
+	mu    sync.Mutex
+	hosts map[string]bool
+}
+
+func (g *groups) diverts(host string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.hosts[host]
+}
+
 func TestInterceptorRoutes(t *testing.T) {
-	ic := New(nil)
 	received := make(chan []byte, 1)
-	ic.Register("group-bank", func(mechEnd net.Conn, port uint16) {
-		defer mechEnd.Close()
-		if port != 4242 {
-			t.Errorf("port = %d", port)
-		}
-		buf := make([]byte, 16)
-		n, _ := mechEnd.Read(buf)
-		received <- append([]byte(nil), buf[:n]...)
-	})
+	var accepted []string
+	ic := New((&groups{hosts: map[string]bool{"group-bank": true}}).diverts, func(host string, mechEnd net.Conn) {
+		accepted = append(accepted, host)
+		go func() {
+			defer mechEnd.Close()
+			buf := make([]byte, 16)
+			n, _ := mechEnd.Read(buf)
+			received <- append([]byte(nil), buf[:n]...)
+		}()
+	}, nil)
+	before := Snapshot()
 	c, err := ic.Dial("group-bank", 4242)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Accepted on the dialing goroutine, before Dial returned.
+	if len(accepted) != 1 || accepted[0] != "group-bank" {
+		t.Fatalf("accepted %v before Dial returned, want [group-bank]", accepted)
+	}
+	if got := Snapshot().DivertedDials - before.DivertedDials; got != 1 {
+		t.Fatalf("diverted dials moved by %d, want 1", got)
+	}
 	c.Write([]byte("diverted"))
 	select {
 	case got := <-received:
@@ -162,7 +182,7 @@ func TestInterceptorRoutes(t *testing.T) {
 }
 
 func TestInterceptorNoFallback(t *testing.T) {
-	ic := New(nil)
+	ic := New((&groups{}).diverts, func(string, net.Conn) { t.Error("accepted an undiverted host") }, nil)
 	if _, err := ic.Dial("unknown-host", 1); err == nil {
 		t.Fatal("expected error without fallback")
 	}
@@ -178,7 +198,8 @@ func (f *fakeDialer) Dial(host string, port uint16) (net.Conn, error) {
 
 func TestInterceptorFallback(t *testing.T) {
 	fd := &fakeDialer{}
-	ic := New(fd)
+	ic := New((&groups{}).diverts, func(string, net.Conn) { t.Error("accepted an undiverted host") }, fd)
+	before := Snapshot()
 	c, err := ic.Dial("plain-host", 80)
 	if err != nil {
 		t.Fatal(err)
@@ -187,14 +208,26 @@ func TestInterceptorFallback(t *testing.T) {
 	if fd.dialed != "plain-host" {
 		t.Fatalf("fallback saw %q", fd.dialed)
 	}
+	if got := Snapshot().FallbackDials - before.FallbackDials; got != 1 {
+		t.Fatalf("fallback dials moved by %d, want 1", got)
+	}
 }
 
+// TestInterceptorUnregister: the predicate is asked on every dial, so a
+// host that stops being a replicated target is no longer diverted.
 func TestInterceptorUnregister(t *testing.T) {
-	ic := New(nil)
-	ic.Register("g", func(net.Conn, uint16) {})
-	ic.Unregister("g")
+	g := &groups{hosts: map[string]bool{"g": true}}
+	ic := New(g.diverts, func(host string, mechEnd net.Conn) { mechEnd.Close() }, nil)
+	c, err := ic.Dial("g", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	g.mu.Lock()
+	delete(g.hosts, "g")
+	g.mu.Unlock()
 	if _, err := ic.Dial("g", 1); err == nil {
-		t.Fatal("expected error after unregister")
+		t.Fatal("expected error once g is no longer diverted")
 	}
 }
 

@@ -78,7 +78,7 @@ type AuditAlarm struct {
 }
 
 // AuditSummary is the collector's condensed live state, embedded in
-// /healthz and /cluster.
+// /healthz and /audit.
 type AuditSummary struct {
 	// LastEpoch is the most recent audit epoch observed on any group.
 	LastEpoch uint64 `json:"last_epoch"`

@@ -265,7 +265,6 @@ type clientConn struct {
 	nextAlias     uint32
 	aliasByKey    map[string]uint32 // full key -> proposed alias
 	accepted      map[uint32]bool   // aliases the server accepted
-	peerCodeSets  codeSets
 
 	nRequests  atomic.Uint64
 	nReplies   atomic.Uint64

@@ -20,14 +20,16 @@ import (
 // Kind discriminates envelope types on the wire.
 type Kind byte
 
-// Envelope kinds: the first byte of every envelope. 1–25 and 36 are retired
-// and not reused — 6, the monolithic set_state envelope; 1–13, the CDR
-// layouts of the kinds below; 14–25, the same kinds when the spec, table,
-// bundle, manifest and index list they carry were still CDR — so a node of
-// either older layout and this one reject each other's envelopes at the
-// first byte. 36 was the retransmit-by-index request for a state chunk: a
-// state transfer now trusts Totem's delivery, and a node still sending the
-// request has it rejected at the first byte like the rest.
+// Envelope kinds: the first byte of every envelope. 1–25, 33 and 36 are
+// retired and not reused — 6, the monolithic set_state envelope; 1–13, the
+// CDR layouts of the kinds below; 14–25, the same kinds when the spec,
+// table, bundle, manifest and index list they carry were still CDR — so a
+// node of either older layout and this one reject each other's envelopes
+// at the first byte. 33 was KSyncState while each group in its table still
+// carried an unused transfer-id counter. 36 was the retransmit-by-index
+// request for a state chunk: a state transfer now trusts Totem's delivery,
+// and a node still sending the request has it rejected at the first byte
+// like the rest.
 const (
 	// KRequest carries a client's IIOP Request to a server group.
 	KRequest Kind = 26
@@ -55,7 +57,7 @@ const (
 	KSyncRequest Kind = 32
 	// KSyncState carries the table snapshot taken at the matching
 	// KSyncRequest's position, which XferID names.
-	KSyncState Kind = 33
+	KSyncState Kind = 38
 	// KStateChunk carries one bounded slice of the encoded state bundle —
 	// application-level state with ORB-level and infrastructure-level
 	// state piggybacked (Figure 5 steps iii–v) — streamed ahead of its

@@ -109,5 +109,6 @@ func FuzzDecodeFilterState(f *testing.F) {
 func FuzzDecodeTable(f *testing.F) {
 	ds := stateDecoders(f)
 	repeated := bytes.ReplaceAll(ds["table"].good[0], []byte("group-b"), []byte("group-a"))
-	fuzzState(f, slices.Concat(ds["table"].good, ds["spec"].good, [][]byte{repeated}), "table", "spec")
+	old := withTransferCounters(sampleTable(f))
+	fuzzState(f, slices.Concat(ds["table"].good, ds["spec"].good, [][]byte{repeated, old}), "table", "spec")
 }

@@ -87,8 +87,6 @@ type Group struct {
 	// Members in deterministic order: creation placement order, with
 	// recovered members appended in recovery order.
 	Members []Member
-	// NextXferID generates transfer ids deterministically.
-	NextXferID uint64
 }
 
 // Clone deep-copies the group.
@@ -266,8 +264,8 @@ func (t *Table) NodeFailed(node string) []string {
 
 // EncodeTable serializes the whole table — the KSyncState payload that
 // brings a joining node's metadata up to the snapshot position: a count of
-// groups, then in name order each group's spec, its members (node, state)
-// as a list and its NextXferID.
+// groups, then in name order each group's spec and its members (node,
+// state) as a list.
 func (t *Table) EncodeTable() []byte {
 	names := t.Names()
 	b := binary.AppendUvarint(nil, uint64(len(names)))
@@ -277,7 +275,6 @@ func (t *Table) EncodeTable() []byte {
 		for _, m := range g.Members {
 			b = binary.AppendUvarint(codec.AppendBytes(b, m.Node), uint64(m.State))
 		}
-		b = binary.AppendUvarint(b, g.NextXferID)
 	}
 	return b
 }
@@ -288,10 +285,10 @@ func (t *Table) EncodeTable() []byte {
 func DecodeTable(buf []byte) (*Table, error) {
 	r := codec.NewReader(buf)
 	t := NewTable()
-	// A group is at least eleven bytes: two empty names, six properties and
-	// three empty or zero counts.
+	// A group is at least ten bytes: two empty names, six properties and
+	// two empty counts.
 	prev := ""
-	for i, n := 0, r.Count(11); i < n && r.Err() == nil; i++ {
+	for i, n := 0, r.Count(10); i < n && r.Err() == nil; i++ {
 		g := &Group{Spec: readSpec(&r)}
 		if i > 0 && g.Spec.Name <= prev {
 			r.Fail(errors.New("groups out of name order or repeated"))
@@ -304,7 +301,6 @@ func DecodeTable(buf []byte) (*Table, error) {
 			}
 			g.Members[j] = Member{Node: node, State: MemberState(st)}
 		}
-		g.NextXferID = r.U64()
 		t.groups[g.Spec.Name], prev = g, g.Spec.Name
 	}
 	if err := r.Done(ErrBadTable); err != nil {

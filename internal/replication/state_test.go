@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"eternal/internal/codec"
 	"eternal/internal/ftcorba"
 )
 
@@ -52,9 +53,23 @@ func sampleTable(t testing.TB) *Table {
 	if _, err := tb.AddRecovering("group-b", "n4"); err != nil {
 		t.Fatal(err)
 	}
-	g, _ := tb.Get("group-a")
-	g.NextXferID = math.MaxUint64
 	return tb
+}
+
+// withTransferCounters encodes t in the layout KSyncState carried as kind
+// 33: each group followed by a transfer-id counter nothing read.
+func withTransferCounters(t *Table) []byte {
+	names := t.Names()
+	b := binary.AppendUvarint(nil, uint64(len(names)))
+	for _, name := range names {
+		g := t.groups[name]
+		b = binary.AppendUvarint(appendSpec(b, &g.Spec), uint64(len(g.Members)))
+		for _, m := range g.Members {
+			b = binary.AppendUvarint(codec.AppendBytes(b, m.Node), uint64(m.State))
+		}
+		b = binary.AppendUvarint(b, math.MaxUint64)
+	}
+	return b
 }
 
 // stateDecoder is one of the three decoders: decode parses buf and encodes
@@ -159,13 +174,22 @@ func TestStateDecodersBoundAllocationByTheirInput(t *testing.T) {
 }
 
 // TestDecodeTableRejectsWhatNoTableHolds: a group named twice (taken, the
-// second would overwrite the first) and a member state no node defines.
+// second would overwrite the first), a member state no node defines, and a
+// table of the retired layout with a transfer-id counter per group, alone
+// or behind another group.
 func TestDecodeTableRejectsWhatNoTableHolds(t *testing.T) {
 	twice := bytes.ReplaceAll(sampleTable(t).EncodeTable(), []byte("group-b"), []byte("group-a"))
 	unknown := sampleTable(t)
 	g, _ := unknown.Get("group-b")
 	g.Members[0].State = 7
-	for name, buf := range map[string][]byte{"repeated group": twice, "unknown member state": unknown.EncodeTable()} {
+	one := sampleTable(t)
+	delete(one.groups, "group-b")
+	for name, buf := range map[string][]byte{
+		"repeated group":                     twice,
+		"unknown member state":               unknown.EncodeTable(),
+		"transfer counter":                   withTransferCounters(one),
+		"transfer counters, a group between": withTransferCounters(sampleTable(t)),
+	} {
 		if _, err := DecodeTable(buf); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: err = %v, want ErrBadTable", name, err)
 		}

@@ -8,10 +8,11 @@
 // so popped elements become collectable immediately, and reuses its
 // storage in a circle, so a steady-state queue allocates nothing.
 //
-// Buffer is not synchronized; callers that share one across goroutines
-// hold their own lock (see internal/core's queue and internal/totem's
-// pump).
+// Buffer is not synchronized. Queue is the one shared between goroutines:
+// a Buffer under a lock, with a blocking pop.
 package ring
+
+import "sync"
 
 // Buffer is a growable circular FIFO. The zero value is ready to use.
 type Buffer[T any] struct {
@@ -75,4 +76,59 @@ func (b *Buffer[T]) grow() {
 	}
 	b.buf = next
 	b.head = 0
+}
+
+// Queue is an unbounded FIFO shared between goroutines: Push never blocks,
+// Pop blocks until an item arrives or the queue closes. Items still queued
+// at Close are popped as usual; a consumer that wants them dropped stops
+// popping.
+type Queue[T any] struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	items  Buffer[T]
+	closed bool
+}
+
+// NewQueue returns an empty open queue.
+func NewQueue[T any]() *Queue[T] {
+	q := &Queue[T]{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+// Push enqueues v; it never blocks. Pushing after Close is a no-op.
+func (q *Queue[T]) Push(v T) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return
+	}
+	q.items.Push(v)
+	q.cond.Signal()
+}
+
+// Pop blocks until an item is available or the queue closes; ok is false
+// only after Close with the queue empty.
+func (q *Queue[T]) Pop() (v T, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.items.Len() == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	return q.items.Pop()
+}
+
+// Close wakes every blocked Pop. Close is idempotent.
+func (q *Queue[T]) Close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	q.cond.Broadcast()
+}
+
+// Len reports the number of queued items.
+func (q *Queue[T]) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.items.Len()
 }

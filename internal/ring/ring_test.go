@@ -94,3 +94,62 @@ func TestPopReleasesElements(t *testing.T) {
 	}
 	t.Fatal("popped element still reachable after GC (slot not zeroed)")
 }
+
+// TestQueuePopBlocksUntilPush: a Pop on an empty queue waits for the next
+// Push, and items come out in the order they went in.
+func TestQueuePopBlocksUntilPush(t *testing.T) {
+	q := NewQueue[int]()
+	got := make(chan int)
+	go func() {
+		for {
+			v, ok := q.Pop()
+			if !ok {
+				close(got)
+				return
+			}
+			got <- v
+		}
+	}()
+	select {
+	case v := <-got:
+		t.Fatalf("Pop on an empty queue returned %d", v)
+	case <-time.After(20 * time.Millisecond):
+	}
+	for i := 0; i < 3; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 3; i++ {
+		if v := <-got; v != i {
+			t.Fatalf("Pop #%d = %d", i, v)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after every item was popped", q.Len())
+	}
+	q.Close()
+	if _, ok := <-got; ok {
+		t.Fatal("Pop returned an item after Close on an empty queue")
+	}
+}
+
+// TestQueueCloseKeepsWhatIsQueued: Close wakes poppers but drops nothing;
+// pushes after it are ignored.
+func TestQueueCloseKeepsWhatIsQueued(t *testing.T) {
+	q := NewQueue[int]()
+	q.Push(1)
+	q.Push(2)
+	q.Close()
+	q.Close()
+	q.Push(3)
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d after Close, want the 2 items pushed before it", q.Len())
+	}
+	for _, want := range []int{1, 2} {
+		if v, ok := q.Pop(); !ok || v != want {
+			t.Fatalf("Pop = %d, %v; want %d", v, ok, want)
+		}
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop succeeded on a closed, drained queue")
+	}
+}

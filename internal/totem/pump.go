@@ -1,76 +1,52 @@
 package totem
 
-import (
-	"sync"
+import "eternal/internal/ring"
 
-	"eternal/internal/ring"
-)
-
-// pump is an unbounded FIFO bridging the protocol goroutine to consumers:
-// the protocol must never block on a slow consumer (a blocked run loop
-// would stall the token), so deliveries and membership views queue here.
-// The queue is a ring buffer so consumed deliveries (and their payloads)
-// are released as soon as they are handed out, instead of lingering in a
-// shifted slice's backing array.
+// pump bridges the protocol goroutine to consumers: the protocol must
+// never block on a slow consumer (a blocked run loop would stall the
+// token), so deliveries and membership views queue here and a forwarding
+// goroutine hands them out on a channel.
 type pump[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  ring.Buffer[T]
-	closed bool
-	out    chan T
-	done   chan struct{}
+	queue *ring.Queue[T]
+	out   chan T
+	done  chan struct{}
 }
 
 func newPump[T any]() *pump[T] {
 	p := &pump[T]{
-		out:  make(chan T),
-		done: make(chan struct{}),
+		queue: ring.NewQueue[T](),
+		out:   make(chan T),
+		done:  make(chan struct{}),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	go p.run()
 	return p
 }
 
 // In enqueues v; it never blocks. Enqueueing after Close is a no-op.
-func (p *pump[T]) In(v T) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.queue.Push(v)
-	p.cond.Signal()
-}
+func (p *pump[T]) In(v T) { p.queue.Push(v) }
 
-// Out returns the consumer channel; it is closed after Close once the
-// queue drains.
+// Out returns the consumer channel; it is closed after Close.
 func (p *pump[T]) Out() <-chan T { return p.out }
 
 // Close stops the pump immediately: queued but unconsumed items are
-// dropped and Out closes. Close is idempotent.
+// dropped and Out closes. Close must be called once.
 func (p *pump[T]) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed {
-		p.closed = true
-		close(p.done)
-		p.cond.Signal()
-	}
+	close(p.done)
+	p.queue.Close()
 }
 
 func (p *pump[T]) run() {
 	defer close(p.out)
 	for {
-		p.mu.Lock()
-		for p.queue.Len() == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
+		v, ok := p.queue.Pop()
+		if !ok {
 			return
 		}
-		v, _ := p.queue.Pop()
-		p.mu.Unlock()
+		select {
+		case <-p.done:
+			return // what is still queued is dropped
+		default:
+		}
 		select {
 		case p.out <- v:
 		case <-p.done:

@@ -36,8 +36,6 @@ type ringIdentity struct {
 
 func (r ringIdentity) String() string { return fmt.Sprintf("ring(%d@%s)", r.Epoch, r.Rep) }
 
-func (r ringIdentity) isZero() bool { return r.Epoch == 0 && r.Rep == "" }
-
 // chunk is one application-message chunk: a whole small message
 // (FragTotal == 1) or one MTU-sized fragment of a large one (paper §6:
 // IIOP messages larger than one Ethernet frame travel as multiple
