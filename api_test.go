@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eternal"
+	"eternal/internal/history"
 )
 
 func TestSystemConfigValidation(t *testing.T) {
@@ -116,7 +117,7 @@ func TestCheckpointableSentinels(t *testing.T) {
 	if !errors.Is(eternal.ErrInvalidState, eternal.ErrInvalidState) {
 		t.Fatal("sentinel identity")
 	}
-	r := &register{}
+	r := &history.Register{}
 	if err := r.SetState(eternal.AnyFromLong(3)); !errors.Is(err, eternal.ErrInvalidState) {
 		t.Fatalf("err = %v", err)
 	}
@@ -124,18 +125,8 @@ func TestCheckpointableSentinels(t *testing.T) {
 
 func TestInvokeUnknownOperation(t *testing.T) {
 	sys := fastSystem(t, "n1")
-	err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 1, MinReplicas: 1},
-		Nodes: []string{"n1"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := sys.Client("n1", "x")
-	defer cl.Close()
-	obj, _ := cl.Resolve("reg")
-	_, err = obj.Invoke("no-such-op", nil)
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 1, MinReplicas: 1}, "n1", "n1")
+	_, err := obj.Invoke("no-such-op", nil)
 	se, ok := eternal.AsSystemException(err)
 	if !ok || se.Name != "IDL:omg.org/CORBA/BAD_OPERATION:1.0" {
 		t.Fatalf("err = %v", err)
@@ -146,20 +137,10 @@ func TestUserExceptionThroughReplication(t *testing.T) {
 	// Exceptions raised by replicas flow back through the total order and
 	// duplicate suppression like normal replies.
 	sys := fastSystem(t, "n1", "n2")
-	err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},
-		Nodes: []string{"n1", "n2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := sys.Client("n2", "x")
-	defer cl.Close()
-	obj, _ := cl.Resolve("reg")
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1}, "n2", "n1", "n2")
 	// register.Invoke("set") with undecodable args returns an error that
 	// maps to a system exception.
-	_, err = obj.Invoke("set", []byte{0xFF})
+	_, err := obj.Invoke("set", []byte{0xFF})
 	if err == nil {
 		t.Fatal("expected an exception")
 	}

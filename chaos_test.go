@@ -9,67 +9,34 @@ import (
 	"time"
 
 	"eternal"
+	"eternal/internal/history"
 	"eternal/internal/obs"
 	"eternal/internal/totem"
 )
 
 // TestChaosSoak runs a replicated register through a randomized storm of
 // replica kills, whole-node crashes and restarts, while a client keeps
-// writing. The invariant: every acknowledged write is present in the
-// history, in order, at the end — strong replica consistency through
-// arbitrary (crash-fault) failure sequences.
+// writing. The invariant (history.Check): every acknowledged write is
+// present in the history, in order and once, at the end — strong replica
+// consistency through arbitrary (crash-fault) failure sequences.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
 	rng := rand.New(rand.NewSource(2026))
-	nodes := []string{"c1", "c2", "c3", "c4"}
-	sys, err := eternal.NewSystem(eternal.SystemConfig{
-		Nodes: nodes,
-		Totem: totem.Config{
-			TokenLossTimeout: 150 * time.Millisecond,
-			JoinInterval:     10 * time.Millisecond,
-			StableFor:        25 * time.Millisecond,
-			Tick:             time.Millisecond,
-		},
-		ManagerTick:    10 * time.Millisecond,
-		DefaultTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	factory := func(oid string) eternal.Replica { return &register{} }
-	sys.RegisterFactory("Register", factory)
 	// The group lives on c1-c3; c4 hosts the client and acts as a spare.
-	err = sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2},
-		Nodes: []string{"c1", "c2", "c3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("c4", "chaos-driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, obj := chaosRegister(t, 0, []string{"c1", "c2", "c3", "c4"}, "c4", nil)
 
 	crashed := map[string]bool{}
-	var acked []string
+	var ops []history.Op
 	write := func(i int) {
-		v := fmt.Sprintf("w%03d", i)
+		op := history.Op{Client: "chaos-driver", Value: fmt.Sprintf("w%03d", i), Acked: true}
 		e := eternal.NewEncoder(eternal.BigEndian)
-		e.WriteString(v)
+		e.WriteString(op.Value)
 		if _, err := obj.InvokeTimeout("set", e.Bytes(), 20*time.Second); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		acked = append(acked, v)
+		ops = append(ops, op)
 	}
 
 	const steps = 60
@@ -106,7 +73,7 @@ func TestChaosSoak(t *testing.T) {
 					if err != nil {
 						t.Fatalf("restart %s: %v", n, err)
 					}
-					restarted.RegisterFactory("Register", factory)
+					restarted.RegisterFactory("Register", newRegister)
 					crashed[n] = false
 					break
 				}
@@ -116,12 +83,15 @@ func TestChaosSoak(t *testing.T) {
 	// Let any in-flight recovery settle, then verify the full history.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		hs, err := historyE(obj)
-		if err == nil && equalStrings(hs, acked) {
+		hs, err := history.Read(obj, 5*time.Second)
+		if err == nil {
+			err = history.Check(ops, hs)
+		}
+		if err == nil {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("history diverged: got %d entries, want %d acked", len(hs), len(acked))
+			t.Fatalf("history of %d acked writes: %v", len(ops), err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -134,53 +104,21 @@ func TestChaosSoak(t *testing.T) {
 func TestAuditDetectsCorruption(t *testing.T) {
 	const auditInterval = 50 * time.Millisecond
 	nodes := []string{"c1", "c2", "c3"}
-	sys, err := eternal.NewSystem(eternal.SystemConfig{
-		Nodes: nodes,
-		Totem: totem.Config{
-			TokenLossTimeout: 150 * time.Millisecond,
-			JoinInterval:     10 * time.Millisecond,
-			StableFor:        25 * time.Millisecond,
-			Tick:             time.Millisecond,
-		},
-		ManagerTick:    10 * time.Millisecond,
-		AuditInterval:  auditInterval,
-		DefaultTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	sys.RegisterFactory("Register", func(oid string) eternal.Replica { return &register{} })
 	// c2's factory additionally hands us the live instance, so the test
 	// can reach around the replication machinery and corrupt it.
 	var (
 		mu     sync.Mutex
-		victim *register
+		victim *history.Register
 	)
-	sys.Node("c2").RegisterFactory("Register", func(oid string) eternal.Replica {
-		r := &register{}
-		mu.Lock()
-		victim = r
-		mu.Unlock()
-		return r
+	sys, obj := chaosRegister(t, auditInterval, nodes, "c1", func(sys *eternal.System) {
+		sys.Node("c2").RegisterFactory("Register", func(oid string) eternal.Replica {
+			r := &history.Register{}
+			mu.Lock()
+			victim = r
+			mu.Unlock()
+			return r
+		})
 	})
-	err = sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2},
-		Nodes: nodes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("c1", "audit-driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := eternal.NewEncoder(eternal.BigEndian)
 	e.WriteString("before")
 	if _, err := obj.Invoke("set", e.Bytes()); err != nil {
@@ -215,9 +153,11 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	if r == nil {
 		t.Fatal("victim replica never instantiated on c2")
 	}
-	r.mu.Lock()
-	r.val = "corrupted-in-place"
-	r.mu.Unlock()
+	e = eternal.NewEncoder(eternal.BigEndian)
+	e.WriteString("corrupted-in-place")
+	if _, err := r.Invoke("set", e.Bytes(), eternal.BigEndian); err != nil {
+		t.Fatal(err)
+	}
 
 	// The divergence must surface within two audit epochs everywhere.
 	deadline = time.Now().Add(10 * time.Second)
@@ -280,42 +220,7 @@ func distinctEpochsAfter(audits []eternal.AuditObservation, after uint64) []uint
 // the alarm count at exactly zero.
 func TestAuditNoFalseAlarmsKillRecover(t *testing.T) {
 	const auditInterval = 100 * time.Millisecond
-	nodes := []string{"c1", "c2", "c3", "c4"}
-	sys, err := eternal.NewSystem(eternal.SystemConfig{
-		Nodes: nodes,
-		Totem: totem.Config{
-			TokenLossTimeout: 150 * time.Millisecond,
-			JoinInterval:     10 * time.Millisecond,
-			StableFor:        25 * time.Millisecond,
-			Tick:             time.Millisecond,
-		},
-		ManagerTick:    10 * time.Millisecond,
-		AuditInterval:  auditInterval,
-		DefaultTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Shutdown()
-	factory := func(oid string) eternal.Replica { return &register{} }
-	sys.RegisterFactory("Register", factory)
-	err = sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2},
-		Nodes: []string{"c1", "c2", "c3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("c4", "audit-driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, obj := chaosRegister(t, auditInterval, []string{"c1", "c2", "c3", "c4"}, "c4", nil)
 	write := func(i int) {
 		e := eternal.NewEncoder(eternal.BigEndian)
 		e.WriteString(fmt.Sprintf("w%03d", i))
@@ -352,7 +257,7 @@ func TestAuditNoFalseAlarmsKillRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restarted.RegisterFactory("Register", factory)
+	restarted.RegisterFactory("Register", newRegister)
 	for i := 20; i < 25; i++ {
 		write(i)
 	}
@@ -374,35 +279,33 @@ func TestAuditNoFalseAlarmsKillRecover(t *testing.T) {
 	}
 }
 
-func historyE(obj *eternal.ObjectRef) ([]string, error) {
-	out, err := obj.InvokeTimeout("history", nil, 5*time.Second)
+// chaosRegister starts a domain of nodes on the chaos tests' timers, with
+// the audit every audit (0: the default), and returns it with a client's
+// reference, from clientNode, to an active history.Register group "reg"
+// on the first three nodes (MinReplicas 2). setup runs before the group
+// is created.
+func chaosRegister(t *testing.T, audit time.Duration, nodes []string, clientNode string, setup func(*eternal.System)) (*eternal.System, *eternal.ObjectRef) {
+	t.Helper()
+	sys, err := eternal.NewSystem(eternal.SystemConfig{
+		Nodes: nodes,
+		Totem: totem.Config{
+			TokenLossTimeout: 150 * time.Millisecond,
+			JoinInterval:     10 * time.Millisecond,
+			StableFor:        25 * time.Millisecond,
+			Tick:             time.Millisecond,
+		},
+		ManagerTick:    10 * time.Millisecond,
+		AuditInterval:  audit,
+		DefaultTimeout: 30 * time.Second,
+	})
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	d := eternal.NewDecoder(out, eternal.BigEndian)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
+	t.Cleanup(sys.Shutdown)
+	sys.RegisterFactory("Register", newRegister)
+	if setup != nil {
+		setup(sys)
 	}
-	hs := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		hs = append(hs, s)
-	}
-	return hs, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	props := eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2}
+	return sys, registerGroup(t, sys, props, clientNode, nodes[:3]...)
 }

@@ -12,45 +12,10 @@ import (
 
 	"eternal"
 	"eternal/internal/core"
+	"eternal/internal/history"
 	"eternal/internal/obs"
-	"eternal/internal/orb"
 	"eternal/internal/totem"
 )
-
-// register is the demo replica the integration test replicates.
-type register struct {
-	val string
-}
-
-func (r *register) Invoke(op string, args []byte, order eternal.ByteOrder) ([]byte, error) {
-	switch op {
-	case "set":
-		d := eternal.NewDecoder(args, order)
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		r.val = s
-		return nil, nil
-	case "get":
-		e := eternal.NewEncoder(order)
-		e.WriteString(r.val)
-		return e.Bytes(), nil
-	default:
-		return nil, orb.BadOperation()
-	}
-}
-
-func (r *register) GetState() (eternal.Any, error) { return eternal.AnyFromString(r.val), nil }
-
-func (r *register) SetState(st eternal.Any) error {
-	s, ok := st.Value.(string)
-	if !ok {
-		return eternal.ErrInvalidState
-	}
-	r.val = s
-	return nil
-}
 
 func TestParseNodes(t *testing.T) {
 	nodes, err := parseNodes("n1=127.0.0.1:8001,n2=127.0.0.1:8002")
@@ -115,7 +80,7 @@ func TestClusterTimelineAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Shutdown()
-	sys.RegisterFactory("Register", func(oid string) eternal.Replica { return &register{} })
+	sys.RegisterFactory("Register", func(oid string) eternal.Replica { return &history.Register{} })
 	if err := sys.CreateGroup(eternal.GroupSpec{
 		Name: "ctr", TypeName: "Register",
 		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2},

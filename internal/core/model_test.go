@@ -1,19 +1,24 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"eternal/internal/cdr"
 	"eternal/internal/ftcorba"
+	"eternal/internal/history"
+	"eternal/internal/replication"
 	"eternal/internal/simnet"
 )
 
-// TestRandomizedConsistencyAgainstModel drives a replicated counter with
-// a random interleaving of invocations, replica kills and recoveries, and
-// checks the survivors against a sequential in-memory model: every
-// accepted "add" must be applied exactly once regardless of which
-// replicas died when. Three seeds, deterministic per seed.
+// TestRandomizedConsistencyAgainstModel drives a replicated register with
+// a random interleaving of writes, replica kills and recoveries, and
+// checks the survivors' history against the writes the client made after
+// every step (history.Check): every write, each of them acked, is there
+// exactly once and in order, regardless of which replicas died when.
+// Three seeds, deterministic per seed.
 func TestRandomizedConsistencyAgainstModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized soak")
@@ -24,7 +29,14 @@ func TestRandomizedConsistencyAgainstModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			nodes := []string{"n1", "n2", "n3"}
 			c := newTestCluster(t, simnet.Config{}, nodes...)
-			c.createGroup("ctr", ftcorba.Active, nodes, 1)
+			for _, n := range c.nodes {
+				n.RegisterFactory("Register", func(oid string) ftcorba.Replica { return &history.Register{} })
+			}
+			props := ftcorba.Properties{Style: ftcorba.Active, InitialReplicas: 3, MinReplicas: 1}
+			spec := replication.GroupSpec{Name: "ctr", TypeName: "Register", Props: props, Nodes: nodes}
+			if err := c.nodes["n1"].CreateGroup(spec, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
 			obj := c.client("n1", "driver", "ctr")
 
 			alive := map[string]bool{"n1": true, "n2": true, "n3": true}
@@ -37,17 +49,18 @@ func TestRandomizedConsistencyAgainstModel(t *testing.T) {
 				}
 				return n
 			}
-			var model int64
+			var ops []history.Op
 			const steps = 80
 			for i := 0; i < steps; i++ {
 				switch r := rng.Intn(10); {
-				case r < 7: // invoke
-					delta := int64(rng.Intn(5) + 1)
-					got := add(t, obj, delta)
-					model += delta
-					if got != model {
-						t.Fatalf("step %d: counter = %d, model = %d", i, got, model)
+				case r < 7: // write
+					op := history.Op{Client: "driver", Value: fmt.Sprintf("s%02d", i), Acked: true}
+					e := cdr.NewEncoder(cdr.BigEndian)
+					e.WriteString(op.Value)
+					if _, err := obj.Invoke("set", e.Bytes()); err != nil {
+						t.Fatalf("step %d: set: %v", i, err)
 					}
+					ops = append(ops, op)
 				case r < 8 && aliveCount() > 1: // kill a random live replica
 					victims := make([]string, 0, 3)
 					for n, ok := range alive {
@@ -71,10 +84,13 @@ func TestRandomizedConsistencyAgainstModel(t *testing.T) {
 						}
 					}
 				}
-			}
-			// Final check against every surviving replica alone.
-			if got := get(t, obj); got != model {
-				t.Fatalf("final counter = %d, model = %d", got, model)
+				hist, err := history.Read(obj, 15*time.Second)
+				if err == nil {
+					err = history.Check(ops, hist)
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
 			}
 		})
 	}

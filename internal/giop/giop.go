@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"eternal/internal/cdr"
@@ -162,9 +163,12 @@ func (m *Message) WriteTo(w io.Writer) (int64, error) {
 
 // ReadMessage reads exactly one GIOP message from r.
 //
-// It validates the magic, version and size, and returns io.EOF unchanged if
-// the stream ends cleanly on a message boundary.
-func ReadMessage(r io.Reader) (*Message, error) {
+// It validates the magic, version, flags and size, and returns io.EOF
+// unchanged if the stream ends cleanly on a message boundary.
+func ReadMessage(r io.Reader) (*Message, error) { return readMessage(r, MaxMessageSize) }
+
+// readMessage reads one message whose body may be at most limit bytes.
+func readMessage(r io.Reader, limit int) (*Message, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -172,10 +176,6 @@ func ReadMessage(r io.Reader) (*Message, error) {
 		}
 		return nil, fmt.Errorf("giop: reading header: %w", err)
 	}
-	return readBody(r, hdr)
-}
-
-func readBody(r io.Reader, hdr [HeaderLen]byte) (*Message, error) {
 	if [4]byte(hdr[0:4]) != magic {
 		return nil, ErrBadMagic
 	}
@@ -184,6 +184,9 @@ func readBody(r io.Reader, hdr [HeaderLen]byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadVersion, ver)
 	}
 	flags := hdr[6]
+	if flags&^(flagLittleEndian|flagMoreFrag) != 0 {
+		return nil, fmt.Errorf("giop: reserved header flags %#x", flags)
+	}
 	order := cdr.BigEndian
 	if flags&flagLittleEndian != 0 {
 		order = cdr.LittleEndian
@@ -194,11 +197,11 @@ func readBody(r io.Reader, hdr [HeaderLen]byte) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if size > MaxMessageSize {
+	if uint64(size) > uint64(limit) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(size))
+	if err != nil {
 		return nil, fmt.Errorf("giop: reading %d-byte body: %w", size, err)
 	}
 	nMessagesRead.Add(1)
@@ -209,6 +212,35 @@ func readBody(r io.Reader, hdr [HeaderLen]byte) (*Message, error) {
 		MoreFragments: flags&flagMoreFrag != 0,
 		Body:          body,
 	}, nil
+}
+
+// exactBody is the largest body read into one allocation of the size its
+// header declares. A header can declare up to MaxMessageSize before a byte
+// of body has arrived, so a larger body is allocated only as its bytes
+// arrive: from firstStep, doubling with what has been read.
+const (
+	exactBody = 64 << 10
+	firstStep = 16 << 10
+)
+
+func readBody(r io.Reader, size int) ([]byte, error) {
+	if size <= exactBody {
+		body := make([]byte, size)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	body := make([]byte, 0, firstStep)
+	for len(body) < size {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(len(body), size-len(body)))
+		}
+		n, err := io.ReadFull(r, body[len(body):min(cap(body), size)])
+		body = body[:len(body)+n]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // Reader reads whole (reassembled) GIOP messages from a byte stream.
@@ -229,7 +261,12 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // Next returns the next complete GIOP message, reassembling fragments.
 func (g *Reader) Next() (*Message, error) {
 	for {
-		m, err := ReadMessage(g.r)
+		// A reassembled message, too, is at most MaxMessageSize.
+		limit := MaxMessageSize
+		if g.pending != nil {
+			limit -= len(g.pending.Body)
+		}
+		m, err := readMessage(g.r, limit)
 		if err != nil {
 			return nil, err
 		}

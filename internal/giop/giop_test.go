@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -51,6 +52,44 @@ func TestTooLarge(t *testing.T) {
 	// Patch the size field to something absurd.
 	raw[8], raw[9], raw[10], raw[11] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := ReadMessage(bytes.NewReader(raw)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+}
+
+// A header can declare MaxMessageSize before a byte of its body arrives:
+// the reader believes it only as far as bytes arrive, while a body of at
+// most exactBody is still read into one allocation of its size.
+func TestReadMessageAllocatesAsBytesArrive(t *testing.T) {
+	hdr := (&Message{Version: Version12, Type: MsgRequest}).Marshal()
+	binary.BigEndian.PutUint32(hdr[8:], MaxMessageSize)
+	var err error
+	if grew := allocated(func() { _, err = ReadMessage(bytes.NewReader(hdr)) }); err == nil || grew >= 64<<10 {
+		t.Fatalf("a bare header declaring %d bytes: allocated %d, err %v", MaxMessageSize, grew, err)
+	}
+	for _, size := range []int{exactBody, exactBody + 1, 1 << 20} {
+		body := bytes.Repeat([]byte{7}, size)
+		raw := (&Message{Version: Version12, Type: MsgReply, Body: body}).Marshal()
+		var m *Message
+		grew := allocated(func() { m, err = ReadMessage(bytes.NewReader(raw)) })
+		if err != nil || !bytes.Equal(m.Body, body) {
+			t.Fatalf("%d-byte body: %v", size, err)
+		}
+		if size == exactBody && grew > exactBody+1<<10 {
+			t.Errorf("%d-byte body allocated %d: more than the body once", size, grew)
+		}
+		if grew > 4*uint64(size) {
+			t.Errorf("%d-byte body allocated %d", size, grew)
+		}
+	}
+}
+
+// A reassembled message is bound by MaxMessageSize as a single one is: a
+// fragment that would carry it past the bound is refused at its header.
+func TestReassemblyCapped(t *testing.T) {
+	head := (&Message{Version: Version12, Type: MsgRequest, MoreFragments: true, Body: []byte{1}}).Marshal()
+	frag := (&Message{Version: Version12, Type: MsgFragment}).Marshal()
+	binary.BigEndian.PutUint32(frag[8:], MaxMessageSize)
+	if _, err := NewReader(bytes.NewReader(append(head, frag...))).Next(); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
 }

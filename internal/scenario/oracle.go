@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"eternal"
+	"eternal/internal/history"
 	"eternal/internal/replication"
 )
 
@@ -170,18 +171,16 @@ func (r *runner) eventOracle(phase string, split bool) int {
 	return len(tl.Divergences)
 }
 
-// finalStateOracle checks the replicated history against the client's
-// ledger once the writer has stopped: every acked write must appear in
-// the history in issue order (acked work is never lost or reordered),
-// and the history must contain nothing that was never issued
-// (retransmissions may duplicate a timed-out write, but cannot invent
-// one). Cross-member state identity is already covered by the audit
+// finalStateOracle holds the replicated history against the writer's
+// attempts once the writer has stopped (history.Check): every acked write
+// is there, in issue order, and nothing is there twice or was never
+// written. Cross-member state identity is already covered by the audit
 // oracle's digest row.
 func (r *runner) finalStateOracle(obj *eternal.ObjectRef) {
 	var hist []string
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if hist, err = readHistory(obj); err == nil {
+		if hist, err = history.Read(obj, invokeTimeout); err == nil {
 			break
 		}
 		time.Sleep(200 * time.Millisecond)
@@ -191,46 +190,9 @@ func (r *runner) finalStateOracle(obj *eternal.ObjectRef) {
 		return
 	}
 	r.mu.Lock()
-	acked := append([]string(nil), r.acked...)
-	issued := make(map[string]bool, len(r.issued))
-	for _, v := range r.issued {
-		issued[v] = true
-	}
+	err = history.Check(r.ops, hist)
 	r.mu.Unlock()
-
-	i := 0
-	for _, h := range hist {
-		if i < len(acked) && h == acked[i] {
-			i++
-		}
-		if !issued[h] {
-			r.fail("final", "history contains never-issued value %q", h)
-			return
-		}
-	}
-	if i != len(acked) {
-		r.fail("final", "acked write %q (index %d of %d) missing from replicated history (len %d)",
-			acked[i], i, len(acked), len(hist))
-	}
-}
-
-func readHistory(obj *eternal.ObjectRef) ([]string, error) {
-	out, err := obj.InvokeTimeout("history", nil, invokeTimeout)
 	if err != nil {
-		return nil, err
+		r.fail("final", "%v", err)
 	}
-	d := eternal.NewDecoder(out, eternal.BigEndian)
-	n, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	hs := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		hs = append(hs, s)
-	}
-	return hs, nil
 }

@@ -9,14 +9,14 @@ import (
 	"time"
 
 	"eternal"
-	"eternal/internal/orb"
+	"eternal/internal/history"
 	"eternal/internal/simnet"
 	"eternal/internal/totem"
 )
 
-// The replicated object every scenario drives: a string register that
-// also keeps its write history, so the final-state oracle can check
-// that every acked write survived in issue order.
+// The replicated object every scenario drives is a history.Register, so
+// the final-state oracle can check every acked write survived in issue
+// order, once.
 const (
 	// Group is the replicated group name every scenario creates.
 	Group    = "chaos-reg"
@@ -118,9 +118,12 @@ type runner struct {
 
 	admin map[string]*adminServer
 
-	mu        sync.Mutex
-	issued    []string
-	acked     []string
+	mu sync.Mutex
+	// ops is every write attempt, in issue order; writes and acked count
+	// the writes themselves (a write is acked if one of its attempts was).
+	ops       []history.Op
+	writes    int
+	acked     int
 	latencies []time.Duration
 	retries   int
 
@@ -208,8 +211,8 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	}
 
 	r.res.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-	r.res.WritesIssued = len(r.issued)
-	r.res.WritesAcked = len(r.acked)
+	r.res.WritesIssued = r.writes
+	r.res.WritesAcked = r.acked
 	r.res.WriteRetries = r.retries
 	r.res.WriteP50Ms = quantileMs(r.latencies, 0.50)
 	r.res.WriteP95Ms = quantileMs(r.latencies, 0.95)
@@ -258,7 +261,7 @@ func (r *runner) start() error {
 	}
 	r.sys = sys
 	r.net = sys.Network()
-	sys.RegisterFactory(typeName, func(oid string) eternal.Replica { return &register{} })
+	sys.RegisterFactory(typeName, func(oid string) eternal.Replica { return &history.Register{} })
 	if err := sys.CreateGroup(eternal.GroupSpec{
 		Name: Group, TypeName: typeName,
 		Props: eternal.Properties{
@@ -314,9 +317,10 @@ func (r *runner) closeAdmin(addr string) {
 }
 
 // writer is the sustained client load: sequential string writes through
-// the anchor node, each retried through fault windows until acked or
-// out of budget. Sequential issue order is what lets the final-state
-// oracle demand the acked values appear in the history in order.
+// the anchor node, each retried through fault windows until acked or out
+// of budget. Every attempt writes a value of its own (w00042.1, w00042.2,
+// …), so the final-state oracle can tell a retry that also executed from
+// one executed twice.
 func (r *runner) writer(obj *eternal.ObjectRef) {
 	defer close(r.writerDone)
 	for i := 0; ; i++ {
@@ -325,17 +329,12 @@ func (r *runner) writer(obj *eternal.ObjectRef) {
 			return
 		default:
 		}
-		val := fmt.Sprintf("w%05d", i)
 		r.mu.Lock()
-		r.issued = append(r.issued, val)
+		r.writes++
 		r.mu.Unlock()
-		e := eternal.NewEncoder(eternal.BigEndian)
-		e.WriteString(val)
-		args := e.Bytes()
 		start := time.Now()
-		acked := false
-		for attempt := 0; attempt < writeRetryBudget; attempt++ {
-			if attempt > 0 {
+		for attempt := 1; attempt <= writeRetryBudget; attempt++ {
+			if attempt > 1 {
 				r.mu.Lock()
 				r.retries++
 				r.mu.Unlock()
@@ -345,16 +344,21 @@ func (r *runner) writer(obj *eternal.ObjectRef) {
 				case <-time.After(writeRetryPause):
 				}
 			}
-			if _, err := obj.InvokeTimeout("set", args, invokeTimeout); err == nil {
-				acked = true
+			op := history.Op{Client: "writer", Value: fmt.Sprintf("w%05d.%d", i, attempt)}
+			e := eternal.NewEncoder(eternal.BigEndian)
+			e.WriteString(op.Value)
+			_, err := obj.InvokeTimeout("set", e.Bytes(), invokeTimeout)
+			op.Acked = err == nil
+			r.mu.Lock()
+			r.ops = append(r.ops, op)
+			if op.Acked {
+				r.acked++
+				r.latencies = append(r.latencies, time.Since(start))
+			}
+			r.mu.Unlock()
+			if op.Acked {
 				break
 			}
-		}
-		if acked {
-			r.mu.Lock()
-			r.acked = append(r.acked, val)
-			r.latencies = append(r.latencies, time.Since(start))
-			r.mu.Unlock()
 		}
 		select {
 		case <-r.stopWriter:
@@ -367,7 +371,7 @@ func (r *runner) writer(obj *eternal.ObjectRef) {
 func (r *runner) ackedCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.acked)
+	return r.acked
 }
 
 func (r *runner) runPhase(idx int) {
@@ -499,7 +503,7 @@ func (r *runner) restartNode(phase, addr string) {
 	}
 	// A fresh node means a fresh flight recorder and a fresh factory
 	// table; the event watermark restarts with it.
-	n.RegisterFactory(typeName, func(oid string) eternal.Replica { return &register{} })
+	n.RegisterFactory(typeName, func(oid string) eternal.Replica { return &history.Register{} })
 	delete(r.down, addr)
 	r.watermarks[addr] = 0
 	if r.cfg.ServeAdmin {
@@ -516,81 +520,4 @@ func quantileMs(d []time.Duration, q float64) float64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	i := int(q * float64(len(s)-1))
 	return float64(s[i]) / float64(time.Millisecond)
-}
-
-// register is the scenario workload replica: a string register keeping
-// its full write history (the same shape the system tests use).
-type register struct {
-	mu  sync.Mutex
-	val string
-	log []string
-}
-
-func (r *register) Invoke(op string, args []byte, order eternal.ByteOrder) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch op {
-	case "set":
-		d := eternal.NewDecoder(args, order)
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		r.val = s
-		r.log = append(r.log, s)
-		return nil, nil
-	case "get":
-		e := eternal.NewEncoder(order)
-		e.WriteString(r.val)
-		return e.Bytes(), nil
-	case "history":
-		e := eternal.NewEncoder(order)
-		e.WriteULong(uint32(len(r.log)))
-		for _, s := range r.log {
-			e.WriteString(s)
-		}
-		return e.Bytes(), nil
-	default:
-		return nil, orb.BadOperation()
-	}
-}
-
-func (r *register) GetState() (eternal.Any, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := eternal.NewEncoder(eternal.BigEndian)
-	e.WriteString(r.val)
-	e.WriteULong(uint32(len(r.log)))
-	for _, s := range r.log {
-		e.WriteString(s)
-	}
-	return eternal.AnyFromBytes(e.Bytes()), nil
-}
-
-func (r *register) SetState(st eternal.Any) error {
-	raw, err := st.Bytes()
-	if err != nil {
-		return eternal.ErrInvalidState
-	}
-	d := eternal.NewDecoder(raw, eternal.BigEndian)
-	val, err := d.ReadString()
-	if err != nil {
-		return eternal.ErrInvalidState
-	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return eternal.ErrInvalidState
-	}
-	log := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return eternal.ErrInvalidState
-		}
-		log = append(log, s)
-	}
-	r.mu.Lock()
-	r.val, r.log = val, log
-	r.mu.Unlock()
-	return nil
 }

@@ -13,9 +13,9 @@
 //     complete per-member digest row with no divergence and no feed
 //     conflict, which is also the proof that every member holds
 //     identical object state at a totally-ordered point;
-//   - acked client writes surviving, in order, in the replicated
-//     object's history, and nothing in the history that was never
-//     issued;
+//   - acked client writes surviving, in order and once, in the
+//     replicated object's history, and nothing in the history that was
+//     never issued (history.Check);
 //   - no stuck recovery: the group returns to a stable operational
 //     membership within the quiesce budget.
 //

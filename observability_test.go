@@ -45,22 +45,7 @@ func awaitSpan(t *testing.T, node *eternal.Node, phases ...obs.SpanPhase) eterna
 // observed it — including through the admin HTTP surface.
 func TestObservabilityEndToEnd(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2")
-	if err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},
-		Nodes: []string{"n1", "n2"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("n1", "driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1}, "n1", "n1", "n2")
 
 	const invocations = 20
 	for i := 0; i < invocations; i++ {
@@ -337,22 +322,7 @@ func httpGet(t *testing.T, url string) (body, contentType string) {
 // backlog, and the dispatch-depth gauge exists for it.
 func TestObservabilityEnqueueDuringRecovery(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2")
-	if err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},
-		Nodes: []string{"n1", "n2"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("n1", "driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1}, "n1", "n1", "n2")
 	setVal(t, obj, "seed")
 
 	stop := make(chan struct{})

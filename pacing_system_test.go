@@ -29,7 +29,7 @@ func pacedSystem(t *testing.T, tick, audit time.Duration, nodes ...string) *eter
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Shutdown)
-	sys.RegisterFactory("Register", func(oid string) eternal.Replica { return &register{} })
+	sys.RegisterFactory("Register", newRegister)
 	return sys
 }
 
@@ -41,22 +41,7 @@ func pacedSystem(t *testing.T, tick, audit time.Duration, nodes ...string) *eter
 func TestAuditKeepsIdleRingPaced(t *testing.T) {
 	const auditInterval = 50 * time.Millisecond
 	sys := pacedSystem(t, time.Millisecond, auditInterval, "n1", "n2")
-	if err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},
-		Nodes: []string{"n1", "n2"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("n1", "driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1}, "n1", "n1", "n2")
 	setVal(t, obj, "seed")
 
 	// Let the post-write grace expire and pacing engage.
@@ -110,22 +95,7 @@ func TestAuditKeepsIdleRingPaced(t *testing.T) {
 func TestFirstInvocationAfterIdleLatency(t *testing.T) {
 	const tick = 20 * time.Millisecond
 	sys := pacedSystem(t, tick, -1, "n1", "n2")
-	if err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1},
-		Nodes: []string{"n1", "n2"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("n2", "driver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1}, "n2", "n1", "n2")
 	setVal(t, obj, "warm")
 	// Deep idle: several fully paced rotations at up to
 	// maxPaceTicks×tick = 80ms per hop.

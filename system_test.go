@@ -9,85 +9,10 @@ import (
 	"time"
 
 	"eternal"
+	"eternal/internal/history"
 	"eternal/internal/orb"
 	"eternal/internal/totem"
 )
-
-// register is a deterministic register replica used across the tests.
-type register struct {
-	mu  sync.Mutex
-	val string
-	log []string
-}
-
-func (r *register) Invoke(op string, args []byte, order eternal.ByteOrder) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch op {
-	case "set":
-		d := eternal.NewDecoder(args, order)
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, err
-		}
-		r.val = s
-		r.log = append(r.log, s)
-		return nil, nil
-	case "get":
-		e := eternal.NewEncoder(order)
-		e.WriteString(r.val)
-		return e.Bytes(), nil
-	case "history":
-		e := eternal.NewEncoder(order)
-		e.WriteULong(uint32(len(r.log)))
-		for _, s := range r.log {
-			e.WriteString(s)
-		}
-		return e.Bytes(), nil
-	default:
-		return nil, orb.BadOperation()
-	}
-}
-
-func (r *register) GetState() (eternal.Any, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := eternal.NewEncoder(eternal.BigEndian)
-	e.WriteString(r.val)
-	e.WriteULong(uint32(len(r.log)))
-	for _, s := range r.log {
-		e.WriteString(s)
-	}
-	return eternal.AnyFromBytes(e.Bytes()), nil
-}
-
-func (r *register) SetState(st eternal.Any) error {
-	raw, err := st.Bytes()
-	if err != nil {
-		return eternal.ErrInvalidState
-	}
-	d := eternal.NewDecoder(raw, eternal.BigEndian)
-	val, err := d.ReadString()
-	if err != nil {
-		return eternal.ErrInvalidState
-	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return eternal.ErrInvalidState
-	}
-	log := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return eternal.ErrInvalidState
-		}
-		log = append(log, s)
-	}
-	r.mu.Lock()
-	r.val, r.log = val, log
-	r.mu.Unlock()
-	return nil
-}
 
 // counterSum adds the named counter over every node's metrics registry.
 func counterSum(sys *eternal.System, name string) float64 {
@@ -401,8 +326,30 @@ func fastSystem(t *testing.T, nodes ...string) *eternal.System {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Shutdown)
-	sys.RegisterFactory("Register", func(oid string) eternal.Replica { return &register{} })
+	sys.RegisterFactory("Register", newRegister)
 	return sys
+}
+
+// newRegister is the "Register" factory of the tests' domains.
+func newRegister(string) eternal.Replica { return &history.Register{} }
+
+// registerGroup creates the group "reg" of history.Register replicas on
+// nodes and returns a reference to it through a client on clientNode.
+func registerGroup(t *testing.T, sys *eternal.System, props eternal.Properties, clientNode string, nodes ...string) *eternal.ObjectRef {
+	t.Helper()
+	if err := sys.CreateGroup(eternal.GroupSpec{Name: "reg", TypeName: "Register", Props: props, Nodes: nodes}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := sys.Client(clientNode, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	obj, err := cl.Resolve("reg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
 }
 
 func setVal(t *testing.T, obj *eternal.ObjectRef, s string) {
@@ -425,41 +372,26 @@ func getVal(t *testing.T, obj *eternal.ObjectRef) string {
 	return s
 }
 
-func history(t *testing.T, obj *eternal.ObjectRef) []string {
+// wantHistory fails t unless obj's history holds exactly the writes vals,
+// each acked, in that order (history.Check).
+func wantHistory(t *testing.T, obj *eternal.ObjectRef, vals ...string) {
 	t.Helper()
-	out, err := obj.Invoke("history", nil)
+	hist, err := history.Read(obj, 20*time.Second)
 	if err != nil {
 		t.Fatalf("history: %v", err)
 	}
-	d := eternal.NewDecoder(out, eternal.BigEndian)
-	n, _ := d.ReadULong()
-	hs := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, _ := d.ReadString()
-		hs = append(hs, s)
+	ops := make([]history.Op, len(vals))
+	for i, v := range vals {
+		ops[i] = history.Op{Client: "tester", Value: v, Acked: true}
 	}
-	return hs
+	if err := history.Check(ops, hist); err != nil {
+		t.Fatalf("history %q: %v", hist, err)
+	}
 }
 
 func TestSystemQuickstartFlow(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2", "n3")
-	err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2},
-		Nodes: []string{"n1", "n2", "n3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := sys.Client("n1", "tester")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	obj, err := cl.Resolve("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2}, "n1", "n1", "n2", "n3")
 	setVal(t, obj, "hello")
 	if got := getVal(t, obj); got != "hello" {
 		t.Fatalf("got %q", got)
@@ -468,17 +400,7 @@ func TestSystemQuickstartFlow(t *testing.T) {
 
 func TestSystemNodeCrashAndRestart(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2", "n3")
-	err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 3},
-		Nodes: []string{"n1", "n2", "n3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := sys.Client("n1", "tester")
-	defer cl.Close()
-	obj, _ := cl.Resolve("reg")
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 3}, "n1", "n1", "n2", "n3")
 	setVal(t, obj, "before-crash")
 
 	sys.CrashNode("n3")
@@ -494,7 +416,7 @@ func TestSystemNodeCrashAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n3.RegisterFactory("Register", func(oid string) eternal.Replica { return &register{} })
+	n3.RegisterFactory("Register", newRegister)
 	if err := sys.Node("n1").AwaitRecovered("reg", "n3", 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +426,7 @@ func TestSystemNodeCrashAndRestart(t *testing.T) {
 	if got := getVal(t, obj); got != "during-outage" {
 		t.Fatalf("restarted replica state = %q", got)
 	}
-	hs := history(t, obj)
-	if len(hs) != 2 || hs[0] != "before-crash" || hs[1] != "during-outage" {
-		t.Fatalf("history = %v", hs)
-	}
+	wantHistory(t, obj, "before-crash", "during-outage")
 }
 
 // midTier is a replicated middle-tier object: a server that is also a
@@ -590,10 +509,7 @@ func TestMultiTierNestedInvocations(t *testing.T) {
 	bcl, _ := sys.Client("n1", "checker")
 	defer bcl.Close()
 	backend, _ := bcl.Resolve("backend")
-	hs := history(t, backend)
-	if len(hs) != 1 || hs[0] != "via-middle-tier" {
-		t.Fatalf("backend history = %v (duplicate nested invocations?)", hs)
-	}
+	wantHistory(t, backend, "via-middle-tier")
 }
 
 // TestHandshakeReplayE5 is experiment E5: a new server replica whose ORB
@@ -650,22 +566,11 @@ func TestHandshakeReplayE5(t *testing.T) {
 
 func TestWarmPassiveEndToEnd(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2")
-	err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{
-			Style: eternal.WarmPassive, InitialReplicas: 2, MinReplicas: 1,
-			CheckpointInterval: 80 * time.Millisecond,
-		},
-		Nodes: []string{"n1", "n2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := sys.Client("n2", "driver")
-	defer cl.Close()
-	obj, _ := cl.Resolve("reg")
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.WarmPassive, InitialReplicas: 2, MinReplicas: 1, CheckpointInterval: 80 * time.Millisecond}, "n2", "n1", "n2")
+	var written []string
 	for i := 0; i < 5; i++ {
-		setVal(t, obj, fmt.Sprintf("v%d", i))
+		written = append(written, fmt.Sprintf("v%d", i))
+		setVal(t, obj, written[i])
 	}
 	time.Sleep(200 * time.Millisecond) // let a checkpoint land
 	setVal(t, obj, "after-ckpt")
@@ -676,16 +581,13 @@ func TestWarmPassiveEndToEnd(t *testing.T) {
 	if got := getVal(t, obj); got != "after-ckpt" {
 		t.Fatalf("after failover: %q", got)
 	}
-	hs := history(t, obj)
-	if len(hs) != 6 {
-		t.Fatalf("history after failover = %v", hs)
-	}
+	wantHistory(t, obj, append(written, "after-ckpt")...)
 }
 
 // registerV2 is the upgraded implementation for the Evolution Manager
 // test: same state format, one new operation.
 type registerV2 struct {
-	register
+	history.Register
 }
 
 func (r *registerV2) Invoke(op string, args []byte, order eternal.ByteOrder) ([]byte, error) {
@@ -694,7 +596,7 @@ func (r *registerV2) Invoke(op string, args []byte, order eternal.ByteOrder) ([]
 		e.WriteULong(2)
 		return e.Bytes(), nil
 	}
-	return r.register.Invoke(op, args, order)
+	return r.Register.Invoke(op, args, order)
 }
 
 // TestEvolutionManagerLiveUpgrade upgrades a running group to a new
@@ -702,17 +604,7 @@ func (r *registerV2) Invoke(op string, args []byte, order eternal.ByteOrder) ([]
 // state carrying over through the ordinary transfer protocol.
 func TestEvolutionManagerLiveUpgrade(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2", "n3")
-	err := sys.CreateGroup(eternal.GroupSpec{
-		Name: "reg", TypeName: "Register",
-		Props: eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 1},
-		Nodes: []string{"n1", "n2", "n3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, _ := sys.Client("n1", "tester")
-	defer cl.Close()
-	obj, _ := cl.Resolve("reg")
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 1}, "n1", "n1", "n2", "n3")
 	setVal(t, obj, "pre-upgrade")
 
 	// v1 has no "version" operation.
