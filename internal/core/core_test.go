@@ -499,10 +499,9 @@ func TestFigure4RequestIDInconsistency(t *testing.T) {
 				t.Fatal(err)
 			}
 			n, err := Start(Config{
-				Transport:    totem.NewSimnetTransport(ep),
-				Totem:        fastTotem(),
-				ManagerTick:  10 * time.Millisecond,
-				replyTimeout: 2 * time.Second,
+				Transport:   totem.NewSimnetTransport(ep),
+				Totem:       fastTotem(),
+				ManagerTick: 10 * time.Millisecond,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"eternal/internal/faultdetect"
 	"eternal/internal/ftcorba"
 	"eternal/internal/giop"
-	"eternal/internal/interceptor"
 	"eternal/internal/obs"
 	"eternal/internal/orb"
 	"eternal/internal/recovery"
@@ -76,27 +74,6 @@ type stateDelivery struct {
 	xferID uint64
 }
 
-// injection is one logical client connection injected into the replica's
-// unmodified server ORB through a buffered in-memory pipe.
-type injection struct {
-	mech   net.Conn
-	reader *giop.Reader
-}
-
-// roundTrip writes a request into the replica's ORB and reads until the
-// first Reply, which it returns.
-func (inj *injection) roundTrip(req *giop.Message) (*giop.Message, error) {
-	if _, err := req.WriteTo(inj.mech); err != nil {
-		return nil, err
-	}
-	for {
-		rep, err := inj.reader.Next()
-		if err != nil || rep.Type == giop.MsgReply {
-			return rep, err
-		}
-	}
-}
-
 // replicaHost is everything one node keeps for one local replica (or, for
 // a cold-passive backup, for its log): the Recovery Mechanisms state of
 // paper §4.3, the serial dispatcher that yields quiescence between
@@ -130,8 +107,11 @@ type replicaHost struct {
 	// mu guards the maps below: the dispatcher owns them in steady state,
 	// but donors snapshot them during capture while egress goroutines are
 	// quiet, and tests inspect them.
-	mu         sync.Mutex
-	conns      map[replication.ConnID]*injection
+	mu sync.Mutex
+	// conns holds the replica ORB's session for each logical client
+	// connection: ordered requests are handed to it in-line, on the
+	// dispatcher's goroutine.
+	conns      map[replication.ConnID]*orb.Session
 	handshakes map[replication.ConnID][][]byte
 	lastReqID  map[replication.ConnID]uint32
 
@@ -170,7 +150,7 @@ func newReplicaHost(n *Node, group string, style ftcorba.ReplicationStyle, withI
 		done:       make(chan struct{}),
 		recovering: recovering,
 		stateCh:    make(chan stateDelivery, 1),
-		conns:      make(map[replication.ConnID]*injection),
+		conns:      make(map[replication.ConnID]*orb.Session),
 		handshakes: make(map[replication.ConnID][][]byte),
 		lastReqID:  make(map[replication.ConnID]uint32),
 		reqFilter:  replication.NewDupFilter(),
@@ -320,7 +300,7 @@ func (h *replicaHost) auditReport(epoch uint64) {
 	})
 }
 
-// executeRequest injects one invocation into the replica's ORB and
+// executeRequest hands one invocation to the replica's ORB and
 // multicasts the reply — unless a peer replica's copy of that reply is
 // already ordered (replyMarks). force bypasses duplicate suppression during
 // log replay (the log was already deduplicated when written); lazy submits
@@ -336,24 +316,18 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 	if err != nil {
 		return
 	}
-	inj := h.injectionFor(env.Conn)
+	sess := h.sessionFor(env.Conn)
 	h.recordORBState(env, msg)
 
+	rep := sess.Handle(msg)
 	if env.Oneway {
-		if _, err := msg.WriteTo(inj.mech); err == nil {
-			h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
-		}
+		h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
 		return
 	}
-	// Bound the wait: a server ORB that discards the request (e.g. an
-	// unnegotiated short key, §4.2.2) sends nothing back. No reply is
-	// multicast then — the "client waits forever" symptom the recovery of
-	// ORB-level state exists to prevent — but the dispatcher itself must
-	// move on.
-	inj.mech.SetReadDeadline(time.Now().Add(h.node.cfg.replyTimeout))
-	defer inj.mech.SetReadDeadline(time.Time{})
-	rep, err := inj.roundTrip(msg)
-	if err != nil {
+	if rep == nil || rep.Type != giop.MsgReply {
+		// The ORB discarded the request (e.g. an unnegotiated short key,
+		// §4.2.2): no reply is multicast — the "client waits forever"
+		// symptom the recovery of ORB-level state exists to prevent.
 		return
 	}
 	h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
@@ -371,19 +345,17 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 	}, lazy)
 }
 
-// injectionFor returns (creating on demand) the injected connection for a
+// sessionFor returns (creating on demand) the replica ORB's session for a
 // logical client connection.
-func (h *replicaHost) injectionFor(conn replication.ConnID) *injection {
+func (h *replicaHost) sessionFor(conn replication.ConnID) *orb.Session {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if inj, ok := h.conns[conn]; ok {
-		return inj
+	if sess, ok := h.conns[conn]; ok {
+		return sess
 	}
-	orbEnd, mechEnd := interceptor.Pipe()
-	go h.srv.ServeConn(orbEnd)
-	inj := &injection{mech: mechEnd, reader: giop.NewReader(mechEnd)}
-	h.conns[conn] = inj
-	return inj
+	sess := h.srv.NewSession()
+	h.conns[conn] = sess
+	return sess
 }
 
 // recordORBState keeps the per-connection ORB/POA-level state the paper's
@@ -411,20 +383,20 @@ func (h *replicaHost) invokeInternal(op string, args []byte) ([]byte, error) {
 	return h.invokeOn("$eternal", h.internalID, op, args)
 }
 
-// invokeOn performs synthetic invocation id on the injected connection of
-// client, one of the mechanisms' own entities ($eternal, $monitor), and
-// returns the reply body.
+// invokeOn performs synthetic invocation id on the session of client, one
+// of the mechanisms' own entities ($eternal, $monitor), and returns the
+// reply body.
 func (h *replicaHost) invokeOn(client string, id uint32, op string, args []byte) ([]byte, error) {
-	inj := h.injectionFor(replication.ConnID{Client: client, Group: h.group})
+	sess := h.sessionFor(replication.ConnID{Client: client, Group: h.group})
 	hdr := &giop.RequestHeader{
 		RequestID:        id,
 		ResponseExpected: true,
 		ObjectKey:        []byte("root/" + h.group),
 		Operation:        op,
 	}
-	rep, err := inj.roundTrip(giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, args))
-	if err != nil {
-		return nil, err
+	rep := sess.Handle(giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, args))
+	if rep == nil {
+		return nil, fmt.Errorf("core: %s got no reply", op)
 	}
 	parsed, err := giop.ParseReply(rep)
 	if err != nil {
@@ -535,8 +507,8 @@ func (h *replicaHost) assign(bundle *recovery.Bundle) {
 	}
 }
 
-// replayHandshake injects a stored handshake message into the new
-// replica's ORB. The operation name is rewritten to a side-effect-free
+// replayHandshake hands a stored handshake message to the new replica's
+// ORB. The operation name is rewritten to a side-effect-free
 // one: what matters to the ORB is the service contexts and the key, not
 // the application operation the original message happened to carry.
 func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
@@ -566,7 +538,7 @@ func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
 	replay := giop.EncodeRequest(msg.Version, msg.Order, &req.Header, nil)
 
 	// The reply confirms the ORB absorbed the negotiation; discard it.
-	if _, err := h.injectionFor(sc.Conn).roundTrip(replay); err != nil {
+	if h.sessionFor(sc.Conn).Handle(replay) == nil {
 		return
 	}
 	h.node.counters.handshakesReplayed.Add(1)
@@ -634,7 +606,7 @@ func (h *replicaHost) promote() {
 }
 
 // probeAlive performs one is_alive() probe through the replica's ORB on a
-// dedicated connection. A wedged servant holds the ORB's dispatch lock,
+// session of its own. A wedged servant holds the ORB's dispatch lock,
 // so the probe hangs exactly when a client invocation would — which is
 // the behaviour the pull monitor's patience converts into a fault.
 func (h *replicaHost) probeAlive() bool {
@@ -655,13 +627,8 @@ func (h *replicaHost) stop() {
 	}
 	close(h.done)
 	h.q.Close()
-	h.mu.Lock()
-	conns := h.conns
-	h.conns = make(map[replication.ConnID]*injection)
-	h.mu.Unlock()
-	for _, inj := range conns {
-		inj.mech.Close()
-	}
+	// A closed ORB answers nothing: what the dispatcher still drains from
+	// its queue is not executed.
 	if h.srv != nil {
 		h.srv.Close()
 	}

@@ -76,15 +76,7 @@ type Config struct {
 	// epoch. Zero selects the 1s default; negative disables the audit
 	// entirely.
 	AuditInterval time.Duration
-
-	// replyTimeout overrides defaultReplyTimeout (a test that provokes the
-	// hang the timeout exists for).
-	replyTimeout time.Duration
 }
-
-// defaultReplyTimeout bounds how long a dispatcher waits for the local
-// ORB's reply to an injected request.
-const defaultReplyTimeout = 5 * time.Second
 
 // auditStallFactor sets the stall deadline as a multiple of the audit
 // interval: an expected member silent for this many intervals past an
@@ -187,9 +179,6 @@ type Node struct {
 func Start(cfg Config) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("core: Config.Transport is required")
-	}
-	if cfg.replyTimeout <= 0 {
-		cfg.replyTimeout = defaultReplyTimeout
 	}
 	if cfg.ManagerTick <= 0 {
 		cfg.ManagerTick = 20 * time.Millisecond

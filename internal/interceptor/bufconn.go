@@ -14,8 +14,8 @@ var ErrDeadline = errors.New("interceptor: deadline exceeded")
 // Pipe returns a connected pair of in-memory, *buffered* net.Conns.
 //
 // Unlike net.Pipe, writes never block: each direction is an unbounded
-// byte queue. This matters because Eternal's mechanisms inject messages
-// into ORB connections from protocol goroutines that must never stall on
+// byte queue. This matters because Eternal's mechanisms write replies into
+// client ORB connections from protocol goroutines that must never stall on
 // a slow reader (the same reason the paper's Eternal enqueues messages at
 // the Recovery Mechanisms rather than blocking the multicast engine).
 func Pipe() (net.Conn, net.Conn) {
@@ -72,7 +72,12 @@ func (b *buffer) read(p []byte, deadline time.Time) (int, error) {
 		return 0, io.EOF
 	}
 	n := copy(p, b.data)
-	b.data = b.data[n:]
+	if n == len(b.data) {
+		// Drained: the next write reuses the array from its start.
+		b.data = b.data[:0]
+	} else {
+		b.data = b.data[n:]
+	}
 	return n, nil
 }
 

@@ -5,9 +5,12 @@
 //
 // The real Eternal interposes on the Solaris socket calls; in Go the same
 // layer is the net.Conn boundary, so the interceptor is a Dialer the
-// client ORB uses and a factory of in-memory connections the server ORB
-// serves. Endpoints that are not replicated targets fall through to plain
-// TCP, preserving transparency for mixed deployments.
+// client ORB uses: a diverted connection is an in-memory pipe whose far
+// end the mechanisms read. The server side needs no connection at all —
+// the mechanisms hand each ordered request to the replica ORB's
+// per-connection session (orb.Session) in-line. Endpoints that are not
+// replicated targets fall through to plain TCP, preserving transparency
+// for mixed deployments.
 //
 // The package also provides the GIOP header-rewriting primitives the
 // mechanisms use to keep ORB-level state consistent across recovery

@@ -68,6 +68,29 @@ func TestPipeWritesNeverBlock(t *testing.T) {
 	}
 }
 
+// TestPipeReusesDrainedBuffer: once a direction is drained, the next
+// write lands in the same array, so a steady message exchange allocates
+// nothing in the pipe.
+func TestPipeReusesDrainedBuffer(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	msg := make([]byte, 100)
+	buf := make([]byte, len(msg))
+	exchange := func() {
+		if _, err := a.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(b, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange() // the first write sizes the array
+	if allocs := testing.AllocsPerRun(100, exchange); allocs != 0 {
+		t.Fatalf("a 100-byte write and read allocate %.1f times, want 0", allocs)
+	}
+}
+
 func TestPipeCloseGivesEOFAfterDrain(t *testing.T) {
 	a, b := Pipe()
 	a.Write([]byte("tail"))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"time"
+
+	"eternal/internal/ring"
 )
 
 // SpanPhase indexes one checkpoint of an invocation's life inside a
@@ -172,11 +174,24 @@ const defaultSpanJournal = 1024
 type SpanRecorder struct {
 	node string
 
-	mu      sync.Mutex
-	active  map[uint64]*Span
-	order   []uint64 // active-set creation order, oldest first
-	journal journal[Span]
-	pool    sync.Pool
+	mu     sync.Mutex
+	active map[uint64]activeSpan
+	// order holds trace ids in creation order, oldest first. Finished
+	// spans leave their entry behind; an entry is live only if its
+	// generation — orderBase plus its offset in order — is the one its
+	// trace's active span was created with. Stale entries are skipped
+	// when they reach the head, and compacted away once they outnumber
+	// the capacity.
+	order     ring.Buffer[uint64]
+	orderBase uint64 // generation of order's head entry
+	journal   journal[Span]
+	pool      sync.Pool
+}
+
+// activeSpan is an open span and the generation of its order entry.
+type activeSpan struct {
+	sp  *Span
+	gen uint64
 }
 
 // NewSpanRecorder creates a recorder journalling up to capacity spans
@@ -188,7 +203,7 @@ func NewSpanRecorder(node string, capacity int) *SpanRecorder {
 	}
 	r := &SpanRecorder{
 		node:    node,
-		active:  make(map[uint64]*Span),
+		active:  make(map[uint64]activeSpan),
 		journal: newJournal[Span](capacity),
 	}
 	r.pool.New = func() any { return new(Span) }
@@ -253,8 +268,8 @@ func (r *SpanRecorder) MarkOpen(trace uint64, phase SpanPhase) {
 	}
 	now := time.Now().UnixNano()
 	r.mu.Lock()
-	if sp, ok := r.active[trace]; ok && sp.Phases[phase] == 0 {
-		sp.Phases[phase] = now
+	if a, ok := r.active[trace]; ok && a.sp.Phases[phase] == 0 {
+		a.sp.Phases[phase] = now
 	}
 	r.mu.Unlock()
 }
@@ -289,10 +304,11 @@ func (r *SpanRecorder) Finish(trace uint64) (latency time.Duration, ok bool) {
 	now := time.Now().UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp, open := r.active[trace]
+	a, open := r.active[trace]
 	if !open {
 		return 0, false
 	}
+	sp := a.sp
 	if sp.Phases[SpanReplyDelivered] == 0 {
 		sp.Phases[SpanReplyDelivered] = now
 	}
@@ -314,48 +330,67 @@ func (r *SpanRecorder) FlushIdle(idle time.Duration) {
 	}
 	cutoff := time.Now().Add(-idle).UnixNano()
 	r.mu.Lock()
-	for i := 0; i < len(r.order); {
-		trace := r.order[i]
-		sp := r.active[trace]
-		if sp.End() < cutoff {
-			r.removeActive(trace)
-			r.journalSpan(sp)
-			continue // order shifted left; same i is the next entry
+	defer r.mu.Unlock()
+	var idleSpans []*Span
+	r.eachLive(func(a activeSpan) {
+		if a.sp.End() < cutoff {
+			idleSpans = append(idleSpans, a.sp)
 		}
-		i++
+	})
+	for _, sp := range idleSpans {
+		r.removeActive(sp.Trace)
+		r.journalSpan(sp)
 	}
-	r.mu.Unlock()
 }
 
 // get returns the active span for trace, creating (and, over capacity,
 // evicting the oldest open span into the journal) under the held lock.
 func (r *SpanRecorder) get(trace uint64) *Span {
-	if sp, ok := r.active[trace]; ok {
-		return sp
+	if a, ok := r.active[trace]; ok {
+		return a.sp
 	}
 	sp := r.pool.Get().(*Span)
 	*sp = Span{Trace: trace, Node: r.node}
-	r.active[trace] = sp
-	r.order = append(r.order, trace)
-	for len(r.order) > len(r.journal.buf) {
-		oldest := r.order[0]
-		old := r.active[oldest]
-		r.removeActive(oldest)
-		r.journalSpan(old)
+	r.active[trace] = activeSpan{sp: sp, gen: r.orderBase + uint64(r.order.Len())}
+	r.order.Push(trace)
+	for len(r.active) > len(r.journal.buf) {
+		oldest, _ := r.order.Pop()
+		gen := r.orderBase
+		r.orderBase++
+		if a, ok := r.active[oldest]; ok && a.gen == gen {
+			r.removeActive(oldest)
+			r.journalSpan(a.sp)
+		}
 	}
 	return sp
 }
 
+// eachLive calls f on every open span, oldest first, under the held lock.
+func (r *SpanRecorder) eachLive(f func(activeSpan)) {
+	gen := r.orderBase
+	r.order.Each(func(trace *uint64) {
+		if a, ok := r.active[*trace]; ok && a.gen == gen {
+			f(a)
+		}
+		gen++
+	})
+}
+
 // removeActive unlinks a trace from the active set under the held lock.
+// Its order entry goes stale; once stale entries outnumber the capacity,
+// order is rebuilt from the live ones.
 func (r *SpanRecorder) removeActive(trace uint64) {
 	delete(r.active, trace)
-	for i, id := range r.order {
-		if id == trace {
-			copy(r.order[i:], r.order[i+1:])
-			r.order = r.order[:len(r.order)-1]
-			return
-		}
+	if r.order.Len()-len(r.active) <= len(r.journal.buf) {
+		return
 	}
+	var live ring.Buffer[uint64]
+	base := r.orderBase + uint64(r.order.Len())
+	r.eachLive(func(a activeSpan) {
+		r.active[a.sp.Trace] = activeSpan{sp: a.sp, gen: base + uint64(live.Len())}
+		live.Push(a.sp.Trace)
+	})
+	r.order, r.orderBase = live, base
 }
 
 // journalSpan assigns the next index, copies the span into the ring and
@@ -406,5 +441,5 @@ func (r *SpanRecorder) Open() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.order)
+	return len(r.active)
 }

@@ -2,6 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -47,7 +50,7 @@ func TestSpanRecorderFirstMarkWins(t *testing.T) {
 	first := func() int64 {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		return r.active[1].Phases[SpanOrdered]
+		return r.active[1].sp.Phases[SpanOrdered]
 	}()
 	time.Sleep(time.Millisecond)
 	r.Mark(1, SpanOrdered)
@@ -140,6 +143,78 @@ func TestSpanRecorderActiveEviction(t *testing.T) {
 	spans := r.Since(0, 0)
 	if len(spans) != 2 || spans[0].Trace != 1 || spans[1].Trace != 2 {
 		t.Fatalf("evicted spans = %+v, want traces 1,2", spans)
+	}
+}
+
+// TestSpanRecorderEvictionOrder: every node but the client's opens spans
+// it never finishes, so there eviction is the steady state. The journal
+// must receive evicted spans oldest first under contiguous indexes — also
+// once Finish and FlushIdle have left stale entries in the creation order,
+// and a trace re-opened after it finished must not be evicted through its
+// first incarnation's entry.
+func TestSpanRecorderEvictionOrder(t *testing.T) {
+	const capacity = 16
+	r := NewSpanRecorder("n1", capacity)
+	var open, journalled []uint64 // the model: creation order, journal order
+	mark := func(trace uint64) {
+		if !slices.Contains(open, trace) {
+			open = append(open, trace)
+			if len(open) > capacity {
+				journalled = append(journalled, open[0])
+				open = open[1:]
+			}
+		}
+		r.Mark(trace, SpanOrdered)
+	}
+	check := func(step string) {
+		t.Helper()
+		if r.Open() != len(open) || r.Total() != uint64(len(journalled)) {
+			t.Fatalf("%s: open/total = %d/%d, want %d/%d", step, r.Open(), r.Total(), len(open), len(journalled))
+		}
+		got := r.Since(0, 0)
+		want := journalled[max(0, len(journalled)-capacity):]
+		if len(got) != len(want) {
+			t.Fatalf("%s: journal holds %d spans, want %d", step, len(got), len(want))
+		}
+		for i, sp := range got {
+			if sp.Trace != want[i] || sp.Index != uint64(len(journalled)-len(want)+i+1) {
+				t.Fatalf("%s: journal[%d] = trace %d index %d, want trace %d index %d",
+					step, i, sp.Trace, sp.Index, want[i], len(journalled)-len(want)+i+1)
+			}
+		}
+		if r.order.Len() > 2*capacity+1 {
+			t.Fatalf("%s: creation order holds %d entries for %d open spans", step, r.order.Len(), r.Open())
+		}
+	}
+
+	next := uint64(1)
+	for ; next <= 10*capacity; next++ {
+		mark(next)
+	}
+	check("open 10x capacity")
+	if r.Open() != capacity {
+		t.Fatalf("open = %d, want %d", r.Open(), capacity)
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 4000; i++ {
+		switch op := rng.IntN(20); {
+		case op < 8: // a new trace
+			mark(next)
+			next++
+		case op < 15 && len(open) > 0: // the client's node finishes one
+			trace := open[rng.IntN(len(open))]
+			open = slices.DeleteFunc(open, func(id uint64) bool { return id == trace })
+			journalled = append(journalled, trace)
+			r.Finish(trace)
+		case op < 19 && next > 1: // a finished (or still open) trace is marked again
+			mark(1 + rng.Uint64N(next-1))
+		case op == 19:
+			journalled = append(journalled, open...)
+			open = nil
+			r.FlushIdle(-time.Second) // a cutoff ahead of every mark: all idle
+		}
+		check(fmt.Sprintf("step %d", i))
 	}
 }
 

@@ -59,9 +59,8 @@ type ServerOptions struct {
 	FragmentThreshold int
 }
 
-// Server is the server-side ORB: it adapts connections to POAs and keeps
-// the per-connection ORB-level state (last-seen request id, negotiated
-// code sets, the handshake alias table).
+// Server is the server-side ORB: it adapts connections to POAs, one
+// Session of ORB-level state per connection.
 type Server struct {
 	opts ServerOptions
 
@@ -69,7 +68,8 @@ type Server struct {
 	poas      map[string]*POA
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
-	closed    bool
+	// closed is set under mu; Session.Handle reads it without.
+	closed atomic.Bool
 
 	// dispatchMu serializes all dispatch under SingleThreadModel.
 	dispatchMu sync.Mutex
@@ -192,7 +192,7 @@ func (s *Server) resolveKey(key []byte) (*POA, Servant, bool) {
 // Serve accepts connections until the listener fails or the server closes.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return errors.New("orb: server closed")
 	}
@@ -201,10 +201,7 @@ func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.closed.Load() {
 				return nil
 			}
 			return fmt.Errorf("orb: accept: %w", err)
@@ -216,11 +213,11 @@ func (s *Server) Serve(l net.Listener) error {
 // Close shuts down the server: all listeners and connections close.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed.Store(true)
 	ls := make([]net.Listener, 0, len(s.listeners))
 	for l := range s.listeners {
 		ls = append(ls, l)
@@ -238,9 +235,14 @@ func (s *Server) Close() {
 	}
 }
 
-// serverConnState is the per-connection ORB/POA-level state of paper §4.2:
-// invisible to servants, essential to correct recovery.
-type serverConnState struct {
+// Session is one connection's ORB/POA-level state of paper §4.2 — the
+// last request id seen, the negotiated code sets and the handshake alias
+// table — invisible to servants, essential to correct recovery. ServeConn
+// keeps one per network connection; Eternal's mechanisms keep one per
+// logical client connection and hand it each ordered request in-line. A
+// Session is not safe for concurrent use.
+type Session struct {
+	srv *Server
 	// lastRequestID is the highest request id seen on the connection.
 	lastRequestID uint32
 	sawRequest    bool
@@ -251,12 +253,17 @@ type serverConnState struct {
 	aliasTable map[uint32][]byte
 }
 
-// ServeConn serves one connection until it closes. Eternal's interceptor
-// calls this directly with an in-memory pipe to inject the totally-ordered
-// request stream into an unmodified server ORB.
+// NewSession returns the state of a fresh connection: no request seen,
+// default code sets, no negotiated aliases.
+func (s *Server) NewSession() *Session {
+	return &Session{srv: s, codeSets: defaultCodeSets, aliasTable: make(map[uint32][]byte)}
+}
+
+// ServeConn serves one connection until it closes: each complete message
+// goes through one Session, and whatever it answers is written back.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		conn.Close()
 		return
@@ -270,89 +277,93 @@ func (s *Server) ServeConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	state := &serverConnState{
-		codeSets:   defaultCodeSets,
-		aliasTable: make(map[uint32][]byte),
-	}
-	var writeMu sync.Mutex
+	ss := s.NewSession()
 	r := giop.NewReader(conn)
 	for {
 		msg, err := r.Next()
-		if err != nil {
+		if err != nil || msg.Type == giop.MsgCloseConnection {
 			return
 		}
-		switch msg.Type {
-		case giop.MsgRequest:
-			req, err := giop.ParseRequest(msg)
-			if err != nil {
-				s.sendError(conn, &writeMu, msg)
-				continue
+		if ans := ss.Handle(msg); ans != nil {
+			if giop.WriteMessage(conn, ans, s.opts.FragmentThreshold) != nil {
+				return
 			}
-			s.handleRequest(conn, &writeMu, state, msg, req)
-		case giop.MsgLocateRequest:
-			lr, err := giop.ParseLocateRequest(msg)
-			if err != nil {
-				continue
-			}
-			status := giop.LocateUnknownObject
-			if _, _, ok := s.resolveKey(s.expandKey(state, lr.ObjectKey)); ok {
-				status = giop.LocateObjectHere
-			}
-			rep := giop.EncodeLocateReply(msg.Version, s.opts.Order,
-				&giop.LocateReplyHeader{RequestID: lr.RequestID, Status: status})
-			writeMu.Lock()
-			rep.WriteTo(conn)
-			writeMu.Unlock()
-		case giop.MsgCancelRequest, giop.MsgMessageError:
-			// Nothing cancellable in a synchronous dispatch model.
-		case giop.MsgCloseConnection:
-			return
 		}
 	}
+}
+
+// Handle dispatches one complete (reassembled) message received on the
+// session's connection and returns the ORB's answer: a Reply, a
+// LocateReply or a MessageError. It returns nil when the ORB sends
+// nothing — a oneway, a short key the connection never negotiated
+// (§4.2.2), a cancel or close, and anything once the server is closed.
+func (ss *Session) Handle(msg *giop.Message) *giop.Message {
+	s := ss.srv
+	if s.closed.Load() {
+		return nil
+	}
+	switch msg.Type {
+	case giop.MsgRequest:
+		req, err := giop.ParseRequest(msg)
+		if err != nil {
+			return &giop.Message{Version: msg.Version, Order: s.opts.Order, Type: giop.MsgMessageError}
+		}
+		return ss.handleRequest(msg, req)
+	case giop.MsgLocateRequest:
+		lr, err := giop.ParseLocateRequest(msg)
+		if err != nil {
+			return nil
+		}
+		status := giop.LocateUnknownObject
+		if _, _, ok := s.resolveKey(ss.expandKey(lr.ObjectKey)); ok {
+			status = giop.LocateObjectHere
+		}
+		return giop.EncodeLocateReply(msg.Version, s.opts.Order,
+			&giop.LocateReplyHeader{RequestID: lr.RequestID, Status: status})
+	}
+	// Nothing cancellable in a synchronous dispatch model.
+	return nil
 }
 
 // expandKey resolves negotiated short keys through the connection's alias
 // table; non-short keys pass through. A short key with no table entry
 // returns nil.
-func (s *Server) expandKey(state *serverConnState, key []byte) []byte {
+func (ss *Session) expandKey(key []byte) []byte {
 	alias, isShort := decodeShortKey(key)
 	if !isShort {
 		return key
 	}
-	full, ok := state.aliasTable[alias]
-	if !ok {
-		return nil
-	}
-	return full
+	return ss.aliasTable[alias]
 }
 
-func (s *Server) handleRequest(conn net.Conn, writeMu *sync.Mutex, state *serverConnState, msg *giop.Message, req *giop.Request) {
+func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Message {
+	s := ss.srv
 	s.nRequests.Add(1)
-	if !state.sawRequest || req.Header.RequestID > state.lastRequestID {
-		state.lastRequestID = req.Header.RequestID
-		state.sawRequest = true
+	if !ss.sawRequest || req.Header.RequestID > ss.lastRequestID {
+		ss.lastRequestID = req.Header.RequestID
+		ss.sawRequest = true
 	}
 
 	// Absorb handshake contexts (the client-server negotiation of §4.2.2).
 	var replyContexts []giop.ServiceContext
 	if sc := giop.FindContext(req.Header.ServiceContexts, giop.SCCodeSets); sc != nil {
 		if cs, err := decodeCodeSetsContext(sc); err == nil {
-			state.codeSets = cs
-			state.negotiated = true
+			ss.codeSets = cs
+			ss.negotiated = true
 		}
 	}
 	if sc := giop.FindContext(req.Header.ServiceContexts, giop.SCVendorHandshake); sc != nil {
 		if verb, proposals, _, err := decodeHandshake(sc); err == nil && verb == verbNegotiate {
 			accepted := make([]uint32, 0, len(proposals))
 			for _, pr := range proposals {
-				state.aliasTable[pr.Alias] = pr.FullKey
+				ss.aliasTable[pr.Alias] = pr.FullKey
 				accepted = append(accepted, pr.Alias)
 			}
 			replyContexts = append(replyContexts, encodeHandshakeAccept(accepted))
 		}
 	}
 
-	fullKey := s.expandKey(state, req.Header.ObjectKey)
+	fullKey := ss.expandKey(req.Header.ObjectKey)
 	if fullKey == nil {
 		// A short key on a connection that never performed the handshake:
 		// the server ORB cannot interpret it. Per the paper's description
@@ -360,17 +371,17 @@ func (s *Server) handleRequest(conn net.Conn, writeMu *sync.Mutex, state *server
 		// unrecovered server replica leaves clients waiting.
 		s.nDiscarded.Add(1)
 		if s.opts.ReplyToUnnegotiated && req.Header.ResponseExpected {
-			s.reply(conn, writeMu, msg, req, replyContexts, nil, ObjectNotExist())
+			return s.reply(msg, req, replyContexts, nil, ObjectNotExist())
 		}
-		return
+		return nil
 	}
 
 	poa, servant, ok := s.resolveKey(fullKey)
 	if !ok {
 		if req.Header.ResponseExpected {
-			s.reply(conn, writeMu, msg, req, replyContexts, nil, ObjectNotExist())
+			return s.reply(msg, req, replyContexts, nil, ObjectNotExist())
 		}
-		return
+		return nil
 	}
 
 	dispatch := func() (result []byte, err error) {
@@ -397,12 +408,12 @@ func (s *Server) handleRequest(conn net.Conn, writeMu *sync.Mutex, state *server
 	}
 
 	if !req.Header.ResponseExpected {
-		return
+		return nil
 	}
-	s.reply(conn, writeMu, msg, req, replyContexts, result, err)
+	return s.reply(msg, req, replyContexts, result, err)
 }
 
-func (s *Server) reply(conn net.Conn, writeMu *sync.Mutex, msg *giop.Message, req *giop.Request, scs []giop.ServiceContext, result []byte, err error) {
+func (s *Server) reply(msg *giop.Message, req *giop.Request, scs []giop.ServiceContext, result []byte, err error) *giop.Message {
 	hdr := &giop.ReplyHeader{
 		ServiceContexts: scs,
 		RequestID:       req.Header.RequestID,
@@ -421,15 +432,5 @@ func (s *Server) reply(conn net.Conn, writeMu *sync.Mutex, msg *giop.Message, re
 			body = encodeSystemException(s.opts.Order, Internal())
 		}
 	}
-	rep := giop.EncodeReply(msg.Version, s.opts.Order, hdr, body)
-	writeMu.Lock()
-	giop.WriteMessage(conn, rep, s.opts.FragmentThreshold)
-	writeMu.Unlock()
-}
-
-func (s *Server) sendError(conn net.Conn, writeMu *sync.Mutex, msg *giop.Message) {
-	em := &giop.Message{Version: msg.Version, Order: s.opts.Order, Type: giop.MsgMessageError}
-	writeMu.Lock()
-	em.WriteTo(conn)
-	writeMu.Unlock()
+	return giop.EncodeReply(msg.Version, s.opts.Order, hdr, body)
 }
