@@ -688,8 +688,8 @@ func printAuditSummary(w io.Writer, head string, s *obs.AuditSummary, group stri
 	if s.Diverged {
 		verdict = "DIVERGED"
 	}
-	fmt.Fprintf(w, "%s%s epoch=%d observations=%d alarms(div/lag/stall)=%d/%d/%d\n",
-		head, verdict, s.LastEpoch, s.Observations, s.Divergences, s.Lags, s.Stalls)
+	fmt.Fprintf(w, "%s%s epoch=%d observations=%d alarms(div/lag)=%d/%d\n",
+		head, verdict, s.LastEpoch, s.Observations, s.Divergences, s.Lags)
 	for _, ga := range s.Groups {
 		if group != "" && ga.Group != group {
 			continue
@@ -697,10 +697,7 @@ func printAuditSummary(w io.Writer, head string, s *obs.AuditSummary, group stri
 		for _, m := range ga.Members {
 			flags := ""
 			if m.Lagging {
-				flags += " LAGGING"
-			}
-			if m.Stalled {
-				flags += " STALLED"
+				flags = " LAGGING"
 			}
 			fmt.Fprintf(w, "    %-12s %-10s epoch=%-6d digest=%08x lag=%d%s\n",
 				ga.Group, m.Node, m.Epoch, m.Digest, m.Lag, flags)

@@ -297,18 +297,18 @@ func feedSummary(feeds map[string][]obs.Event) map[string]int {
 // TestAuditListsAlarmsFromEvents: the alarms audit prints under a node are
 // the audit-* events of that node's flight-recorder feed, and only those.
 func TestAuditListsAlarmsFromEvents(t *testing.T) {
-	feeds := map[string]auditFeed{"n1": {Last: core.AuditPage{Enabled: true, Summary: obs.AuditSummary{Divergences: 1, Stalls: 1}}}}
+	feeds := map[string]auditFeed{"n1": {Last: core.AuditPage{Enabled: true, Summary: obs.AuditSummary{Divergences: 1, Lags: 1}}}}
 	events := map[string][]obs.Event{"n1": {
 		{Type: obs.EventAuditDivergence, Group: "g", Value: 12, Detail: "a=00000001 b=00000002"},
 		{Type: obs.EventMemberAdd, Group: "g", Node: "b"},
-		{Type: obs.EventAuditStall, Group: "g", Node: "c", Value: 14},
+		{Type: obs.EventAuditLag, Group: "g", Node: "c", Value: 14},
 	}}
 	var out strings.Builder
 	printAudit(&out, feeds, events, "")
 	got := out.String()
 	for _, want := range []string{
 		"alarm divergence group=g node=- epoch=12 a=00000001 b=00000002",
-		"alarm stall      group=g node=c epoch=14",
+		"alarm lag        group=g node=c epoch=14",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("audit output lacks %q:\n%s", want, got)

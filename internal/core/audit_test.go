@@ -5,9 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"eternal/internal/anyval"
 	"eternal/internal/ftcorba"
 	"eternal/internal/obs"
 	"eternal/internal/replication"
@@ -89,7 +91,7 @@ func TestAuditClusterMatchingDigests(t *testing.T) {
 	var marks, reports uint64
 	for addr, n := range c.nodes {
 		s, _ := n.AuditSummary()
-		if s.Diverged || s.Divergences+s.Lags+s.Stalls > 0 {
+		if s.Diverged || s.Divergences+s.Lags > 0 {
 			t.Fatalf("%s alarmed on a healthy cluster: %+v", addr, s)
 		}
 		if s.LastEpoch == 0 {
@@ -129,7 +131,7 @@ func TestAuditPassivePrimaryOnly(t *testing.T) {
 	reporters := make(map[string]bool)
 	for addr, n := range c.nodes {
 		s, _ := n.AuditSummary()
-		if s.Diverged || s.Divergences+s.Lags+s.Stalls > 0 {
+		if s.Diverged || s.Divergences+s.Lags > 0 {
 			t.Fatalf("%s alarmed on a healthy passive group: %+v", addr, s)
 		}
 		for _, o := range n.Audits(0, 0) {
@@ -140,6 +142,67 @@ func TestAuditPassivePrimaryOnly(t *testing.T) {
 	}
 	if len(reporters) != 1 {
 		t.Fatalf("passive group reporters = %v, want the primary only", reporters)
+	}
+}
+
+// noStateCounter is a counter whose get_state raises NoStateAvailable, so
+// its replica never reports an audit digest.
+type noStateCounter struct{ counter }
+
+func (*noStateCounter) GetState() (anyval.Any, error) {
+	return anyval.Any{}, ftcorba.ErrNoStateAvailable
+}
+
+// TestAuditLagsSilentPassivePrimary: a warm-passive primary is its group's
+// only expected reporter. When its get_state raises NoStateAvailable no
+// epoch gets a report, and the lag rule still counts every one of them:
+// each node raises lag for the primary at the fifth mark — within ten
+// audit intervals, counted in marks — and nobody raises a divergence.
+func TestAuditLagsSilentPassivePrimary(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	c := newAuditCluster(t, interval, "n1", "n2", "n3")
+	for _, n := range c.nodes {
+		n.RegisterFactory("Counter", func(oid string) ftcorba.Replica { return &noStateCounter{} })
+	}
+	c.createGroup("wp", ftcorba.WarmPassive, []string{"n1", "n2", "n3"}, 1)
+
+	lagged := func(n *Node) *obs.Event {
+		for _, e := range n.Events(0, 0) {
+			if e.Type == obs.EventAuditDivergence {
+				t.Fatalf("divergence on a silent group: %+v", e)
+			}
+			if e.Type == obs.EventAuditLag && e.Group == "wp" {
+				return &e
+			}
+		}
+		return nil
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var marks uint64
+		done := true
+		for _, n := range c.nodes {
+			marks += n.Stats().AuditMarks
+			if lagged(n) == nil {
+				done = false
+			}
+		}
+		if done {
+			break
+		}
+		if marks >= 10 || time.Now().After(deadline) {
+			t.Fatalf("no audit-lag on every node after %d marks", marks)
+		}
+		time.Sleep(interval / 5)
+	}
+	for addr, n := range c.nodes {
+		e := lagged(n)
+		if e.Node != "n1" || !strings.HasPrefix(e.Detail, "missed 4 epochs") {
+			t.Fatalf("%s: lag event %+v, want n1 at its fifth mark", addr, e)
+		}
+		if s, _ := n.AuditSummary(); s.Diverged || s.Divergences != 0 || s.Lags != 1 {
+			t.Fatalf("%s: summary %+v, want one lag and no divergence", addr, s)
+		}
 	}
 }
 
@@ -216,7 +279,7 @@ func TestHealthzDivergence503(t *testing.T) {
 
 	// Inject a diverged epoch straight into the collector: epoch matching
 	// is position-independent, so two mismatched digests latch the group.
-	col := c.nodes["a1"].AuditCollector()
+	col := c.nodes["a1"].audit
 	s, _ := c.nodes["a1"].AuditSummary()
 	bad := s.LastEpoch + 1000
 	col.Observe(obs.AuditObservation{Group: "grp", Node: "x", Epoch: bad, Digest: 1})
@@ -243,7 +306,7 @@ func TestHealthzDivergence503(t *testing.T) {
 	}
 
 	// A clean complete epoch clears the episode and restores 200.
-	col.BeginEpoch("grp", bad+1, []string{"x", "y"}, time.Now())
+	col.BeginEpoch("grp", bad+1, []string{"x", "y"})
 	col.Observe(obs.AuditObservation{Group: "grp", Node: "x", Epoch: bad + 1, Digest: 3})
 	col.Observe(obs.AuditObservation{Group: "grp", Node: "y", Epoch: bad + 1, Digest: 3})
 	resp, err = http.Get(srv.URL + "/healthz")

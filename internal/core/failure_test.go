@@ -346,7 +346,8 @@ func TestPullMonitorDetectsWedgedReplica(t *testing.T) {
 	faults := c.nodes["n2"].Faults().Subscribe()
 
 	// Wedge n2's replica. n1 answers, so the client is fine; n2's
-	// dispatcher is stuck until its reply timeout.
+	// dispatcher stays stuck inside the servant, and only the pull
+	// monitor's probe notices.
 	if _, err := obj.Invoke("hang", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,9 @@ type replicaHost struct {
 	replica ftcorba.Replica
 	srv     *orb.Server
 
-	// mu guards the maps below: the dispatcher owns them in steady state,
-	// but donors snapshot them during capture while egress goroutines are
-	// quiet, and tests inspect them.
+	// mu guards the maps below: the dispatcher owns them, and captures
+	// run on it too, but the $monitor probe reads them from its own
+	// goroutine, and tests inspect them.
 	mu sync.Mutex
 	// conns holds the replica ORB's session for each logical client
 	// connection: ordered requests are handed to it in-line, on the
@@ -278,7 +278,7 @@ func (h *replicaHost) auditReport(epoch uint64) {
 	appState, err := h.invokeInternal(ftcorba.OpGetState, nil)
 	if err != nil {
 		// NoStateAvailable or a wedged instance: skip this epoch; the
-		// collector's stall deadline covers a persistently silent member.
+		// collector's lag rule covers a persistently silent member.
 		return
 	}
 	filterState := replication.EncodeFilterState(h.reqFilter.Snapshot())
@@ -608,7 +608,7 @@ func (h *replicaHost) promote() {
 // probeAlive performs one is_alive() probe through the replica's ORB on a
 // session of its own. A wedged servant holds the ORB's dispatch lock,
 // so the probe hangs exactly when a client invocation would — which is
-// the behaviour the pull monitor's patience converts into a fault.
+// the behaviour the pull monitor converts into a fault after one interval.
 func (h *replicaHost) probeAlive() bool {
 	if h.replica == nil {
 		return true // log-only cold backups have nothing to probe

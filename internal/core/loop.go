@@ -571,7 +571,7 @@ func (n *Node) handleAudit(seq uint64, env *replication.Envelope) {
 			}
 			expected = append(expected, m.Node)
 		}
-		n.noteAuditAlarms(n.audit.BeginEpoch(env.Group, seq, expected, time.Now()))
+		n.noteAuditAlarms(n.audit.BeginEpoch(env.Group, seq, expected))
 		report := g.HasMember(n.addr)
 		if g.Spec.Props.Style != ftcorba.Active {
 			report = g.IsPrimary(n.addr)
@@ -613,7 +613,7 @@ func (n *Node) startMonitor(h *replicaHost, interval time.Duration) {
 	if interval <= 0 || h.replica == nil || h.monitor != nil {
 		return
 	}
-	h.monitor = faultdetect.StartMonitor(h.group, n.addr, interval, 0, h.probeAlive, n.faults)
+	h.monitor = faultdetect.StartMonitor(h.group, n.addr, interval, h.probeAlive, n.faults)
 }
 
 // --- periodic manager duties ---
@@ -629,9 +629,6 @@ func (n *Node) sweep(now time.Time) {
 	n.dispatchDepth.Set(int64(depth))
 	if !n.synced {
 		return
-	}
-	if n.audit != nil {
-		n.noteAuditAlarms(n.audit.SweepStalls(now, auditStallFactor*n.cfg.AuditInterval))
 	}
 	for _, name := range n.table.Names() {
 		g, _ := n.table.Get(name)

@@ -78,11 +78,6 @@ type Config struct {
 	AuditInterval time.Duration
 }
 
-// auditStallFactor sets the stall deadline as a multiple of the audit
-// interval: an expected member silent for this many intervals past an
-// epoch's mark — with peers reporting — is stalled.
-const auditStallFactor = 8
-
 // Node is one Eternal processor.
 type Node struct {
 	addr string
@@ -197,7 +192,7 @@ func Start(cfg Config) (*Node, error) {
 	spans := obs.NewSpanRecorder(cfg.Transport.Addr(), 0)
 	var audit *obs.AuditCollector
 	if cfg.AuditInterval > 0 {
-		audit = obs.NewAuditCollector(cfg.Transport.Addr(), 0, 0)
+		audit = obs.NewAuditCollector()
 	}
 	tc := cfg.Totem
 	tc.Transport = cfg.Transport
@@ -271,11 +266,8 @@ func Start(cfg Config) (*Node, error) {
 		"audit divergence alarms: digest mismatch within one epoch",
 		func() float64 { return float64(audit.Summary().Divergences) })
 	metrics.CounterFunc("eternal_audit_lag_alarms_total",
-		"audit lag alarms: member trailing beyond the epoch threshold",
+		"audit lag alarms: member silent in more than three completed epochs",
 		func() float64 { return float64(audit.Summary().Lags) })
-	metrics.CounterFunc("eternal_audit_stall_alarms_total",
-		"audit stall alarms: expected member silent past the deadline",
-		func() float64 { return float64(audit.Summary().Stalls) })
 	n.invocationHist = metrics.Histogram("eternal_invocation_seconds",
 		"end-to-end invocation latency: interception to reply delivery", nil)
 	n.recoveryCapture = metrics.Histogram("eternal_recovery_capture_seconds",

@@ -203,9 +203,6 @@ func (n *Node) AuditSummary() (obs.AuditSummary, bool) {
 	return n.audit.Summary(), true
 }
 
-// AuditCollector returns the node's audit collector (nil when disabled).
-func (n *Node) AuditCollector() *obs.AuditCollector { return n.audit }
-
 // logger returns the node's structured logger (a discarding logger when
 // none was configured).
 func (n *Node) logger() *slog.Logger {

@@ -88,7 +88,7 @@ func (n *Notifier) Publish(f Fault) {
 }
 
 // Pinger performs one liveness probe of a monitored replica; it returns
-// false (or blocks past the monitor's patience) when the replica is
+// false (or blocks past the monitoring interval) when the replica is
 // faulty. In Eternal this is an is_alive() invocation injected through
 // the replica's own ORB, so a wedged servant fails the probe exactly as
 // it would fail a client.
@@ -99,7 +99,6 @@ type Monitor struct {
 	group    string
 	node     string
 	interval time.Duration
-	patience time.Duration
 	ping     Pinger
 	notifier *Notifier
 
@@ -109,18 +108,14 @@ type Monitor struct {
 }
 
 // StartMonitor begins pull-monitoring. interval is the FT-CORBA
-// FaultMonitoringInterval; patience bounds one probe (default interval).
-// The monitor reports at most one fault, then stops itself — the managers
-// replace the replica, and the replacement gets a fresh monitor.
-func StartMonitor(group, node string, interval, patience time.Duration, ping Pinger, notifier *Notifier) *Monitor {
-	if patience <= 0 {
-		patience = interval
-	}
+// FaultMonitoringInterval, which also bounds one probe. The monitor
+// reports at most one fault, then stops itself — the managers replace
+// the replica, and the replacement gets a fresh monitor.
+func StartMonitor(group, node string, interval time.Duration, ping Pinger, notifier *Notifier) *Monitor {
 	m := &Monitor{
 		group:    group,
 		node:     node,
 		interval: interval,
-		patience: patience,
 		ping:     ping,
 		notifier: notifier,
 		stopCh:   make(chan struct{}),
@@ -165,7 +160,7 @@ func (m *Monitor) probe() bool {
 	select {
 	case ok := <-result:
 		return ok
-	case <-time.After(m.patience):
+	case <-time.After(m.interval):
 		return false // a hung replica is a faulty replica
 	case <-m.stopCh:
 		return true

@@ -44,7 +44,7 @@ func TestMonitorHealthyReplicaStaysQuiet(t *testing.T) {
 	n := NewNotifier()
 	sub := n.Subscribe()
 	var probes atomic.Int32
-	m := StartMonitor("g", "node", 5*time.Millisecond, 0, func() bool {
+	m := StartMonitor("g", "node", 5*time.Millisecond, func() bool {
 		probes.Add(1)
 		return true
 	}, n)
@@ -64,7 +64,7 @@ func TestMonitorDetectsFailure(t *testing.T) {
 	n := NewNotifier()
 	sub := n.Subscribe()
 	var probes atomic.Int32
-	StartMonitor("g", "node", 5*time.Millisecond, 0, func() bool {
+	StartMonitor("g", "node", 5*time.Millisecond, func() bool {
 		return probes.Add(1) < 3 // fail on the third probe
 	}, n)
 	select {
@@ -82,7 +82,7 @@ func TestMonitorDetectsHang(t *testing.T) {
 	sub := n.Subscribe()
 	block := make(chan struct{})
 	defer close(block)
-	StartMonitor("g", "node", 5*time.Millisecond, 15*time.Millisecond, func() bool {
+	StartMonitor("g", "node", 15*time.Millisecond, func() bool {
 		<-block // a wedged replica never answers
 		return true
 	}, n)
@@ -99,7 +99,7 @@ func TestMonitorDetectsHang(t *testing.T) {
 func TestMonitorStopIdempotentAndQuiet(t *testing.T) {
 	n := NewNotifier()
 	sub := n.Subscribe()
-	m := StartMonitor("g", "node", 5*time.Millisecond, 0, func() bool { return true }, n)
+	m := StartMonitor("g", "node", 5*time.Millisecond, func() bool { return true }, n)
 	m.Stop()
 	m.Stop()
 	select {
@@ -112,7 +112,7 @@ func TestMonitorStopIdempotentAndQuiet(t *testing.T) {
 func TestMonitorReportsOnceThenStops(t *testing.T) {
 	n := NewNotifier()
 	sub := n.Subscribe()
-	StartMonitor("g", "node", 2*time.Millisecond, 0, func() bool { return false }, n)
+	StartMonitor("g", "node", 2*time.Millisecond, func() bool { return false }, n)
 	<-sub
 	select {
 	case f := <-sub:

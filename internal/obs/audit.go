@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Audit alarm kinds (AuditAlarm.Kind).
@@ -15,24 +14,21 @@ const (
 	// AuditDivergence: two members reported different digests for the
 	// same audit epoch — the paper's byte-identical-state claim failed.
 	AuditDivergence = "divergence"
-	// AuditLag: a member has missed more than the configured number of
-	// consecutive audit epochs while its peers kept reporting.
+	// AuditLag: a member was expected in more than auditLag completed
+	// retained epochs and reported none of them, whether or not its peers
+	// reported.
 	AuditLag = "lag"
-	// AuditStall: an expected member reported nothing for an epoch within
-	// the deadline (and nothing later either).
-	AuditStall = "stall"
 )
 
-// defaultAuditJournal bounds the observation journal when no capacity is
-// configured.
-const defaultAuditJournal = 1024
+// auditJournal bounds the observation journal.
+const auditJournal = 1024
 
-// defaultAuditLag is the default lag threshold: a member trailing
-// by more than this many completed epochs raises a lag alarm.
-const defaultAuditLag = 3
+// auditLag is the lag threshold: a member missing more than this many
+// completed epochs raises a lag alarm at the next mark.
+const auditLag = 3
 
-// auditEpochWindow bounds the per-group epoch history the matcher keeps.
-// It caps both the lag a collector can measure and the stall lookback.
+// auditEpochWindow bounds the per-group epoch history the matcher keeps,
+// and with it the lag a collector can measure.
 const auditEpochWindow = 32
 
 // AuditObservation is one member's digest for one audit epoch, as
@@ -43,8 +39,6 @@ type AuditObservation struct {
 	// Index is the collector-assigned monotonic id (from 1); /audit
 	// paginates by it.
 	Index uint64 `json:"index"`
-	// At is the collecting node's wall clock at the report's delivery.
-	At time.Time `json:"at"`
 	// Group and Node identify the reporting member.
 	Group string `json:"group"`
 	Node  string `json:"node"`
@@ -61,16 +55,16 @@ type AuditObservation struct {
 }
 
 // AuditAlarm is one raised audit condition. Alarms latch: a diverged
-// group or lagging/stalled member alarms once, and the condition clears
+// group or lagging member alarms once, and the condition clears
 // silently when a later epoch is clean. The collector hands each alarm to
 // its caller once and keeps only the count; the node records it in its
 // flight recorder.
 type AuditAlarm struct {
-	// Kind is one of AuditDivergence, AuditLag, AuditStall.
+	// Kind is AuditDivergence or AuditLag.
 	Kind  string `json:"kind"`
 	Group string `json:"group"`
-	// Node is the trailing/silent member for lag and stall alarms (empty
-	// for divergence, which indicts the group).
+	// Node is the trailing member for a lag alarm (empty for divergence,
+	// which indicts the group).
 	Node string `json:"node,omitempty"`
 	// Epoch is the epoch at which the condition was detected.
 	Epoch  uint64 `json:"epoch"`
@@ -89,7 +83,6 @@ type AuditSummary struct {
 	// Cumulative alarm counts by kind.
 	Divergences uint64 `json:"divergences"`
 	Lags        uint64 `json:"lags"`
-	Stalls      uint64 `json:"stalls"`
 	// Groups is the per-group digest state, sorted by name.
 	Groups []AuditGroupStatus `json:"groups,omitempty"`
 }
@@ -114,17 +107,13 @@ type AuditMemberStatus struct {
 	// Lag counts completed retained epochs the member was expected in but
 	// has not reported.
 	Lag int `json:"lag"`
-	// Lagging / Stalled are the latched alarm states.
+	// Lagging is the latched lag alarm state.
 	Lagging bool `json:"lagging,omitempty"`
-	Stalled bool `json:"stalled,omitempty"`
 }
 
 // auditEpoch is one epoch's matching state for one group.
 type auditEpoch struct {
 	epoch uint64
-	// at is the local wall clock at the mark's delivery — the stall
-	// deadline's origin.
-	at time.Time
 	// expected lists the members whose report this epoch awaits:
 	// operational at the mark's position (recovering members are exempt
 	// until their sync point) and, for passive styles, only the primary
@@ -141,9 +130,7 @@ type auditEpoch struct {
 type auditMember struct {
 	lastEpoch  uint64
 	lastDigest uint32
-	lastAt     time.Time
 	lagging    bool
-	stalled    bool
 }
 
 // auditGroup is one group's live matching state.
@@ -155,15 +142,16 @@ type auditGroup struct {
 }
 
 // missed counts completed retained epochs (all but the newest) in which
-// node was expected but has not reported — the lag measure.
+// node was expected but has not reported — the lag measure. An epoch in
+// which nobody reported counts too: a sole expected member (a passive
+// primary) or a group whose servants all fail get_state lags like any
+// other.
 func (g *auditGroup) missed(node string) int {
 	count := 0
 	for i := 0; i < len(g.epochs)-1; i++ {
 		ep := g.epochs[i]
-		if ep.expected[node] && len(ep.reports) > 0 {
-			if _, ok := ep.reports[node]; !ok {
-				count++
-			}
+		if _, ok := ep.reports[node]; ep.expected[node] && !ok {
+			count++
 		}
 	}
 	return count
@@ -179,13 +167,12 @@ func (g *auditGroup) member(node string) *auditMember {
 }
 
 // AuditCollector matches audit digests epoch-by-epoch and runs the
-// divergence / lag / stall state machines. One collector per node; all
-// methods are safe from any goroutine, and all are nil-receiver no-ops so
-// a disabled audit costs nothing.
+// divergence and lag state machines. It reads no clock: every verdict is
+// a function of the delivered sequence of marks and reports. One collector
+// per node; all methods are safe from any goroutine, and all are
+// nil-receiver no-ops so a disabled audit costs nothing.
 type AuditCollector struct {
-	mu     sync.Mutex
-	origin string
-	lag    int
+	mu sync.Mutex
 
 	obsRing journal[AuditObservation]
 
@@ -194,24 +181,13 @@ type AuditCollector struct {
 
 	divergences uint64
 	lags        uint64
-	stalls      uint64
 }
 
-// NewAuditCollector creates a collector for the named node retaining up
-// to capacity observations (defaultAuditJournal when capacity <= 0) and
-// raising lag alarms beyond lagEpochs missed epochs
-// (defaultAuditLag when <= 0).
-func NewAuditCollector(origin string, capacity, lagEpochs int) *AuditCollector {
-	if capacity <= 0 {
-		capacity = defaultAuditJournal
-	}
-	if lagEpochs <= 0 {
-		lagEpochs = defaultAuditLag
-	}
+// NewAuditCollector creates a collector retaining up to auditJournal
+// observations.
+func NewAuditCollector() *AuditCollector {
 	return &AuditCollector{
-		origin:  origin,
-		lag:     lagEpochs,
-		obsRing: newJournal[AuditObservation](capacity),
+		obsRing: newJournal[AuditObservation](auditJournal),
 		groups:  make(map[string]*auditGroup),
 	}
 }
@@ -227,13 +203,10 @@ func (c *AuditCollector) group(name string) *auditGroup {
 
 // raise counts one alarm by kind and returns it (c.mu held).
 func (c *AuditCollector) raise(kind, group, node string, epoch uint64, detail string) AuditAlarm {
-	switch kind {
-	case AuditDivergence:
+	if kind == AuditDivergence {
 		c.divergences++
-	case AuditLag:
+	} else {
 		c.lags++
-	case AuditStall:
-		c.stalls++
 	}
 	return AuditAlarm{Kind: kind, Group: group, Node: node, Epoch: epoch, Detail: detail}
 }
@@ -242,7 +215,7 @@ func (c *AuditCollector) raise(kind, group, node string, epoch uint64, detail st
 // epoch is the mark's sequence number and expected lists the members
 // whose reports the matcher awaits. It returns any lag alarms the new
 // epoch pushes members over the threshold of.
-func (c *AuditCollector) BeginEpoch(group string, epoch uint64, expected []string, at time.Time) []AuditAlarm {
+func (c *AuditCollector) BeginEpoch(group string, epoch uint64, expected []string) []AuditAlarm {
 	if c == nil {
 		return nil
 	}
@@ -254,7 +227,6 @@ func (c *AuditCollector) BeginEpoch(group string, epoch uint64, expected []strin
 	}
 	ep := &auditEpoch{
 		epoch:    epoch,
-		at:       at,
 		expected: make(map[string]bool, len(expected)),
 		reports:  make(map[string]uint32),
 	}
@@ -273,7 +245,7 @@ func (c *AuditCollector) BeginEpoch(group string, epoch uint64, expected []strin
 	for _, node := range expected {
 		m := g.member(node)
 		missed := g.missed(node)
-		if missed > c.lag && !m.lagging {
+		if missed > auditLag && !m.lagging {
 			m.lagging = true
 			alarms = append(alarms, c.raise(AuditLag, group, node, epoch,
 				fmt.Sprintf("missed %d epochs, last report epoch=%d", missed, m.lastEpoch)))
@@ -285,13 +257,10 @@ func (c *AuditCollector) BeginEpoch(group string, epoch uint64, expected []strin
 // Observe records one member's digest report and returns any divergence
 // alarm the report triggers. A report for an epoch the collector never
 // saw the mark of (it joined the domain later) opens an implicit epoch
-// with no expectations: matching still applies, deadlines do not.
+// with no expectations: matching still applies, the lag rule does not.
 func (c *AuditCollector) Observe(o AuditObservation) []AuditAlarm {
 	if c == nil {
 		return nil
-	}
-	if o.At.IsZero() {
-		o.At = time.Now()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -306,7 +275,7 @@ func (c *AuditCollector) Observe(o AuditObservation) []AuditAlarm {
 	if ep == nil && (len(g.epochs) == 0 || o.Epoch > g.lastEpoch) {
 		// A report whose mark this collector never saw (it synchronized
 		// after the mark's position): open an implicit epoch.
-		ep = &auditEpoch{epoch: o.Epoch, at: o.At,
+		ep = &auditEpoch{epoch: o.Epoch,
 			expected: make(map[string]bool), reports: make(map[string]uint32)}
 		g.epochs = append(g.epochs, ep)
 		if len(g.epochs) > auditEpochWindow {
@@ -326,10 +295,8 @@ func (c *AuditCollector) Observe(o AuditObservation) []AuditAlarm {
 	if o.Epoch >= m.lastEpoch {
 		m.lastEpoch = o.Epoch
 		m.lastDigest = o.Digest
-		m.lastAt = o.At
 	}
-	m.stalled = false
-	if m.lagging && g.missed(o.Node) <= c.lag {
+	if m.lagging && g.missed(o.Node) <= auditLag {
 		m.lagging = false
 	}
 	if ep == nil {
@@ -377,7 +344,7 @@ func divergenceDetail(ep *auditEpoch) string {
 
 // MemberRemoved cancels a member's expectations (replica kill, processor
 // failure, fault reaction): pending epochs stop awaiting it, so its
-// silence raises no stall or lag alarms.
+// silence raises no lag alarm.
 func (c *AuditCollector) MemberRemoved(group, node string) {
 	if c == nil {
 		return
@@ -392,41 +359,6 @@ func (c *AuditCollector) MemberRemoved(group, node string) {
 		delete(ep.expected, node)
 	}
 	delete(g.members, node)
-}
-
-// SweepStalls raises stall alarms for members expected in an epoch older
-// than deadline that have reported neither it nor anything later. The
-// alarm latches per member until its next report.
-func (c *AuditCollector) SweepStalls(now time.Time, deadline time.Duration) []AuditAlarm {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var alarms []AuditAlarm
-	names := slices.Sorted(maps.Keys(c.groups))
-	for _, name := range names {
-		g := c.groups[name]
-		for _, ep := range g.epochs {
-			if now.Sub(ep.at) <= deadline {
-				break // epochs are ascending; the rest are younger
-			}
-			for node := range ep.expected {
-				if _, ok := ep.reports[node]; ok {
-					continue
-				}
-				m := g.member(node)
-				if m.stalled || m.lastEpoch >= ep.epoch {
-					continue
-				}
-				m.stalled = true
-				alarms = append(alarms, c.raise(AuditStall, name, node, ep.epoch,
-					fmt.Sprintf("no report for %s, last report epoch=%d",
-						now.Sub(ep.at).Round(time.Millisecond), m.lastEpoch)))
-			}
-		}
-	}
-	return alarms
 }
 
 // Since returns up to max journalled observations with Index > after,
@@ -482,7 +414,6 @@ func (c *AuditCollector) Summary() AuditSummary {
 		Observations: c.obsRing.total(),
 		Divergences:  c.divergences,
 		Lags:         c.lags,
-		Stalls:       c.stalls,
 	}
 	for _, name := range slices.Sorted(maps.Keys(c.groups)) {
 		g := c.groups[name]
@@ -494,7 +425,7 @@ func (c *AuditCollector) Summary() AuditSummary {
 			m := g.members[node]
 			gs.Members = append(gs.Members, AuditMemberStatus{
 				Node: node, Epoch: m.lastEpoch, Digest: m.lastDigest,
-				Lag: g.missed(node), Lagging: m.lagging, Stalled: m.stalled,
+				Lag: g.missed(node), Lagging: m.lagging,
 			})
 		}
 		s.Groups = append(s.Groups, gs)

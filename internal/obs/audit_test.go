@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func countKind(alarms []AuditAlarm, kind string) int {
 	n := 0
@@ -20,9 +17,8 @@ func obsAt(group, node string, epoch uint64, digest uint32) AuditObservation {
 }
 
 func TestAuditDivergenceRaiseLatchClear(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 0)
-	t0 := time.Now()
-	c.BeginEpoch("g", 10, []string{"a", "b"}, t0)
+	c := NewAuditCollector()
+	c.BeginEpoch("g", 10, []string{"a", "b"})
 	if got := c.Observe(obsAt("g", "a", 10, 1)); len(got) != 0 {
 		t.Fatalf("single report alarmed: %+v", got)
 	}
@@ -35,14 +31,14 @@ func TestAuditDivergenceRaiseLatchClear(t *testing.T) {
 	}
 
 	// The alarm latches: another diverged epoch stays silent.
-	c.BeginEpoch("g", 20, []string{"a", "b"}, t0)
+	c.BeginEpoch("g", 20, []string{"a", "b"})
 	c.Observe(obsAt("g", "a", 20, 3))
 	if got := c.Observe(obsAt("g", "b", 20, 4)); len(got) != 0 {
 		t.Fatalf("latched divergence re-alarmed: %+v", got)
 	}
 
 	// A complete, uniform epoch clears the episode silently...
-	c.BeginEpoch("g", 30, []string{"a", "b"}, t0)
+	c.BeginEpoch("g", 30, []string{"a", "b"})
 	c.Observe(obsAt("g", "a", 30, 5))
 	if got := c.Observe(obsAt("g", "b", 30, 5)); len(got) != 0 {
 		t.Fatalf("clean epoch alarmed: %+v", got)
@@ -52,7 +48,7 @@ func TestAuditDivergenceRaiseLatchClear(t *testing.T) {
 	}
 
 	// ...and a fresh divergence is a fresh episode.
-	c.BeginEpoch("g", 40, []string{"a", "b"}, t0)
+	c.BeginEpoch("g", 40, []string{"a", "b"})
 	c.Observe(obsAt("g", "a", 40, 6))
 	got = c.Observe(obsAt("g", "b", 40, 7))
 	if countKind(got, AuditDivergence) != 1 {
@@ -64,23 +60,22 @@ func TestAuditDivergenceRaiseLatchClear(t *testing.T) {
 }
 
 func TestAuditLagRaiseAndClear(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 2) // alarm beyond 2 missed epochs
-	t0 := time.Now()
+	c := NewAuditCollector() // alarm beyond 3 missed epochs
 	var epoch uint64
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		epoch += 10
-		if got := c.BeginEpoch("g", epoch, []string{"a", "b"}, t0); len(got) != 0 {
+		if got := c.BeginEpoch("g", epoch, []string{"a", "b"}); len(got) != 0 {
 			t.Fatalf("epoch %d alarmed early: %+v", epoch, got)
 		}
 		c.Observe(obsAt("g", "a", epoch, 1))
 	}
-	// b has now missed 3 completed epochs; the next mark pushes it over.
-	got := c.BeginEpoch("g", epoch+10, []string{"a", "b"}, t0)
+	// b has now missed 4 completed epochs; the next mark pushes it over.
+	got := c.BeginEpoch("g", epoch+10, []string{"a", "b"})
 	if countKind(got, AuditLag) != 1 || got[0].Node != "b" {
 		t.Fatalf("lag alarms = %+v, want one for b", got)
 	}
 	// Latched: the following mark stays silent.
-	if got := c.BeginEpoch("g", epoch+20, []string{"a", "b"}, t0); len(got) != 0 {
+	if got := c.BeginEpoch("g", epoch+20, []string{"a", "b"}); len(got) != 0 {
 		t.Fatalf("latched lag re-alarmed: %+v", got)
 	}
 	s := c.Summary()
@@ -96,67 +91,66 @@ func TestAuditLagRaiseAndClear(t *testing.T) {
 	}
 }
 
+// TestAuditStall: a member silent in four completed epochs raises lag at
+// the fifth mark even when nobody else reports — a sole expected member,
+// such as a passive primary whose get_state raises NoStateAvailable.
 func TestAuditStall(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 0)
-	t0 := time.Now()
-	c.BeginEpoch("g", 10, []string{"a", "b"}, t0)
-	c.Observe(obsAt("g", "a", 10, 1))
-	// Before the deadline: silence is fine.
-	if got := c.SweepStalls(t0.Add(time.Second), 2*time.Second); len(got) != 0 {
-		t.Fatalf("premature stall: %+v", got)
+	c := NewAuditCollector()
+	for epoch := uint64(10); epoch <= 40; epoch += 10 {
+		if got := c.BeginEpoch("g", epoch, []string{"p"}); len(got) != 0 {
+			t.Fatalf("epoch %d alarmed early: %+v", epoch, got)
+		}
 	}
-	got := c.SweepStalls(t0.Add(5*time.Second), 2*time.Second)
-	if countKind(got, AuditStall) != 1 || got[0].Node != "b" {
-		t.Fatalf("stall alarms = %+v, want one for b", got)
+	got := c.BeginEpoch("g", 50, []string{"p"})
+	if countKind(got, AuditLag) != 1 || got[0].Node != "p" || got[0].Epoch != 50 {
+		t.Fatalf("lag alarms at the fifth mark = %+v, want one for p", got)
 	}
-	// Latched until b's next report.
-	if got := c.SweepStalls(t0.Add(6*time.Second), 2*time.Second); len(got) != 0 {
-		t.Fatalf("latched stall re-alarmed: %+v", got)
+	// Latched until p reports enough of the missed epochs.
+	if got := c.BeginEpoch("g", 60, []string{"p"}); len(got) != 0 {
+		t.Fatalf("latched lag re-alarmed: %+v", got)
 	}
-	c.Observe(obsAt("g", "b", 10, 1))
-	if got := c.SweepStalls(t0.Add(7*time.Second), 2*time.Second); len(got) != 0 {
-		t.Fatalf("stall after report: %+v", got)
+	for epoch := uint64(30); epoch <= 60; epoch += 10 {
+		c.Observe(obsAt("g", "p", epoch, 1))
 	}
-	if s := c.Summary(); s.Stalls != 1 || s.Groups[0].Members[1].Stalled {
-		t.Fatalf("summary after recovery = %+v", s)
+	if s := c.Summary(); s.Lags != 1 || s.Groups[0].Members[0].Lagging {
+		t.Fatalf("summary after catch-up = %+v", s)
 	}
 }
 
-// A member that reported a later epoch is not stalled on an older one —
-// e.g. a replica that joined mid-stream.
+// A member that reported later epochs is not lagging on an older one it
+// missed — e.g. a replica that joined mid-stream.
 func TestAuditStallSkipsLaterReporter(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 0)
-	t0 := time.Now()
-	c.BeginEpoch("g", 10, []string{"a", "b"}, t0)
+	c := NewAuditCollector()
+	c.BeginEpoch("g", 10, []string{"a", "b"})
 	c.Observe(obsAt("g", "a", 10, 1))
-	c.BeginEpoch("g", 20, []string{"a", "b"}, t0.Add(time.Second))
-	c.Observe(obsAt("g", "a", 20, 1))
-	c.Observe(obsAt("g", "b", 20, 1))
-	if got := c.SweepStalls(t0.Add(10*time.Second), 2*time.Second); len(got) != 0 {
-		t.Fatalf("stalled a member that reported a later epoch: %+v", got)
+	for epoch := uint64(20); epoch <= 80; epoch += 10 {
+		if got := c.BeginEpoch("g", epoch, []string{"a", "b"}); len(got) != 0 {
+			t.Fatalf("lagged a member that reported later epochs: %+v", got)
+		}
+		c.Observe(obsAt("g", "a", epoch, 1))
+		c.Observe(obsAt("g", "b", epoch, 1))
+	}
+	if s := c.Summary(); s.Lags != 0 || s.Groups[0].Members[1].Lagging {
+		t.Fatalf("summary = %+v, want b not lagging", s)
 	}
 }
 
 // MemberRemoved cancels expectations: a killed replica's silence raises
-// neither stalls nor lags.
+// no lag.
 func TestAuditMemberRemoved(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 3)
-	t0 := time.Now()
+	c := NewAuditCollector()
 	// b misses 3 epochs — at the threshold, not yet over it.
 	for i := uint64(1); i <= 4; i++ {
-		if got := c.BeginEpoch("g", i*10, []string{"a", "b"}, t0); len(got) != 0 {
+		if got := c.BeginEpoch("g", i*10, []string{"a", "b"}); len(got) != 0 {
 			t.Fatalf("epoch %d alarmed before removal: %+v", i*10, got)
 		}
 		c.Observe(obsAt("g", "a", i*10, 1))
 	}
 	c.MemberRemoved("g", "b")
-	if got := c.SweepStalls(t0.Add(time.Hour), time.Second); len(got) != 0 {
-		t.Fatalf("removed member stalled: %+v", got)
-	}
-	if got := c.BeginEpoch("g", 50, []string{"a"}, t0); len(got) != 0 {
+	if got := c.BeginEpoch("g", 50, []string{"a"}); len(got) != 0 {
 		t.Fatalf("removed member lagged: %+v", got)
 	}
-	if s := c.Summary(); s.Lags+s.Stalls != 0 {
+	if s := c.Summary(); s.Lags != 0 {
 		t.Fatalf("alarms for a removed member: %+v", s)
 	}
 }
@@ -164,7 +158,7 @@ func TestAuditMemberRemoved(t *testing.T) {
 // A collector that never saw a mark (the node synchronized later) opens an
 // implicit epoch from the first report: matching still applies.
 func TestAuditImplicitEpoch(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 0)
+	c := NewAuditCollector()
 	if got := c.Observe(obsAt("g", "a", 100, 1)); len(got) != 0 {
 		t.Fatalf("implicit epoch alarmed: %+v", got)
 	}
@@ -175,19 +169,20 @@ func TestAuditImplicitEpoch(t *testing.T) {
 	if s := c.Summary(); s.LastEpoch != 100 {
 		t.Fatalf("last epoch = %d, want 100", s.LastEpoch)
 	}
-	// No expectations means no deadline: sweeps stay silent.
-	if got := c.SweepStalls(time.Now().Add(time.Hour), time.Second); len(got) != 0 {
-		t.Fatalf("implicit epoch raised stalls: %+v", got)
+	// No expectations means no lag: later marks stay silent.
+	for epoch := uint64(110); epoch <= 160; epoch += 10 {
+		if got := c.BeginEpoch("g", epoch, nil); len(got) != 0 {
+			t.Fatalf("implicit epoch raised lag: %+v", got)
+		}
 	}
 }
 
 // Marks regress or duplicate only through bugs or replays; both are inert.
 func TestAuditEpochRegression(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 0)
-	t0 := time.Now()
-	c.BeginEpoch("g", 50, []string{"a"}, t0)
-	c.BeginEpoch("g", 50, []string{"a", "b"}, t0)
-	c.BeginEpoch("g", 40, []string{"a", "b"}, t0)
+	c := NewAuditCollector()
+	c.BeginEpoch("g", 50, []string{"a"})
+	c.BeginEpoch("g", 50, []string{"a", "b"})
+	c.BeginEpoch("g", 40, []string{"a", "b"})
 	c.Observe(obsAt("g", "a", 50, 1))
 	// An observation for an epoch below the window floor is journal-only.
 	if got := c.Observe(obsAt("g", "b", 40, 2)); len(got) != 0 {
@@ -199,7 +194,8 @@ func TestAuditEpochRegression(t *testing.T) {
 }
 
 func TestAuditRingPagination(t *testing.T) {
-	c := NewAuditCollector("n1", 4, 0)
+	c := NewAuditCollector()
+	c.obsRing = newJournal[AuditObservation](4)
 	for i := uint64(1); i <= 6; i++ {
 		c.Observe(obsAt("g", "a", i*10, 1))
 	}
@@ -223,7 +219,7 @@ func TestAuditRingPagination(t *testing.T) {
 // journal. Each alarm goes to the caller whose report raised it, once and
 // in order, and the summary counts it.
 func TestAuditEachAlarmReturnedOnceAndCounted(t *testing.T) {
-	c := NewAuditCollector("n1", 0, 0)
+	c := NewAuditCollector()
 	var got []AuditAlarm
 	for _, o := range []AuditObservation{
 		obsAt("g", "a", 10, 1), obsAt("g", "b", 10, 2),
@@ -235,7 +231,7 @@ func TestAuditEachAlarmReturnedOnceAndCounted(t *testing.T) {
 	if len(got) != 2 || got[0].Group != "g" || got[0].Epoch != 10 || got[1].Group != "h" || got[1].Epoch != 12 {
 		t.Fatalf("alarms = %+v, want g at epoch 10 then h at 12", got)
 	}
-	if s := c.Summary(); s.Divergences != 2 || s.Lags+s.Stalls != 0 {
+	if s := c.Summary(); s.Divergences != 2 || s.Lags != 0 {
 		t.Fatalf("summary = %+v, want two divergences", s)
 	}
 }
@@ -244,16 +240,13 @@ func TestAuditEachAlarmReturnedOnceAndCounted(t *testing.T) {
 // configuration).
 func TestAuditNilCollector(t *testing.T) {
 	var c *AuditCollector
-	if got := c.BeginEpoch("g", 1, []string{"a"}, time.Now()); got != nil {
+	if got := c.BeginEpoch("g", 1, []string{"a"}); got != nil {
 		t.Fatal("nil BeginEpoch")
 	}
 	if got := c.Observe(obsAt("g", "a", 1, 1)); got != nil {
 		t.Fatal("nil Observe")
 	}
 	c.MemberRemoved("g", "a")
-	if got := c.SweepStalls(time.Now(), time.Second); got != nil {
-		t.Fatal("nil SweepStalls")
-	}
 	if c.Since(0, 0) != nil {
 		t.Fatal("nil journal")
 	}

@@ -84,12 +84,10 @@ const (
 	// Each audit alarm's event is "audit-" + its AuditAlarm.Kind, and it
 	// is the alarm's only record besides the collector's counts.
 	EventAuditDivergence = "audit-divergence"
-	// EventAuditLag (local): a member trailed the audit by more than the
-	// configured number of epochs (Value: the epoch raised at).
+	// EventAuditLag (local): a member was expected in more than three
+	// completed epochs and reported none of them (Value: the epoch raised
+	// at).
 	EventAuditLag = "audit-lag"
-	// EventAuditStall (local): an expected member reported no audit
-	// digest within the deadline (Value: the silent epoch).
-	EventAuditStall = "audit-stall"
 )
 
 // Event is one flight-recorder entry.

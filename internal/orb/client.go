@@ -58,14 +58,6 @@ type Options struct {
 	// forever — which is exactly what a VisiBroker client does when a
 	// reply's request_id never matches (paper Figure 4).
 	RequestTimeout time.Duration
-	// DisableHandshake turns off the vendor key-shortcut negotiation,
-	// for interoperability tests.
-	DisableHandshake bool
-	// FragmentThreshold splits outgoing GIOP messages larger than this
-	// many body bytes into GIOP 1.1+ fragments (0 disables, the default:
-	// TCP segments large messages anyway; set it to exercise peers'
-	// reassembly or to bound per-message buffering).
-	FragmentThreshold int
 }
 
 // ORB is the client-side Object Request Broker: it owns one connection per
@@ -313,25 +305,23 @@ func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, c
 	// Decide the object key and handshake contexts for this request.
 	var scs []giop.ServiceContext
 	wireKey := fullKey
-	if !opts.DisableHandshake {
-		ks := string(fullKey)
-		alias, proposed := c.aliasByKey[ks]
-		switch {
-		case proposed && c.accepted[alias]:
-			// Negotiation complete: use the shortcut key.
-			wireKey = encodeShortKey(alias)
-		case !proposed:
-			// First use of this key on this connection: propose an alias.
-			alias = c.nextAlias
-			c.nextAlias++
-			c.aliasByKey[ks] = alias
-			scs = append(scs, encodeHandshakeProposal([]keyAlias{{Alias: alias, FullKey: fullKey}}))
-		}
-		if !c.handshakeSent {
-			// The connection's very first request also negotiates code sets.
-			scs = append(scs, encodeCodeSetsContext(defaultCodeSets))
-			c.handshakeSent = true
-		}
+	ks := string(fullKey)
+	alias, proposed := c.aliasByKey[ks]
+	switch {
+	case proposed && c.accepted[alias]:
+		// Negotiation complete: use the shortcut key.
+		wireKey = encodeShortKey(alias)
+	case !proposed:
+		// First use of this key on this connection: propose an alias.
+		alias = c.nextAlias
+		c.nextAlias++
+		c.aliasByKey[ks] = alias
+		scs = append(scs, encodeHandshakeProposal([]keyAlias{{Alias: alias, FullKey: fullKey}}))
+	}
+	if !c.handshakeSent {
+		// The connection's very first request also negotiates code sets.
+		scs = append(scs, encodeCodeSetsContext(defaultCodeSets))
+		c.handshakeSent = true
 	}
 
 	var waiter chan *giop.Reply
@@ -351,7 +341,7 @@ func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, c
 	msg := giop.EncodeRequest(opts.Version, opts.Order, hdr, args)
 
 	c.writeMu.Lock()
-	err := giop.WriteMessage(c.conn, msg, opts.FragmentThreshold)
+	err := giop.WriteMessage(c.conn, msg, 0)
 	c.writeMu.Unlock()
 	c.nRequests.Add(1)
 	if err != nil {

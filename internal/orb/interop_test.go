@@ -9,6 +9,7 @@ import (
 
 	"eternal/internal/cdr"
 	"eternal/internal/giop"
+	"eternal/internal/ior"
 )
 
 // TestGIOPVersionInterop drives the server with clients speaking each
@@ -162,35 +163,81 @@ func BenchmarkORBEchoTCP(b *testing.B) {
 	}
 }
 
-// TestFragmentedMessagesBothDirections forces GIOP-level fragmentation on
-// both the request and reply paths and verifies transparent reassembly.
+// TestFragmentedMessagesBothDirections writes GIOP fragments over raw
+// connections in both directions and verifies transparent reassembly:
+// by the server's connection reader on the request path, and by the
+// client ORB's reader on the reply path.
 func TestFragmentedMessagesBothDirections(t *testing.T) {
-	srv := NewServer(ServerOptions{FragmentThreshold: 900})
-	srv.RootPOA().Activate("echo-1", &echoServant{})
+	big := make([]byte, 50_000)
+	for i := range big {
+		big[i] = byte(i * 13)
+	}
+
+	// Requests: a raw client fragments, the server reassembles.
+	_, ref, _ := startServer(t, ServerOptions{})
+	p, _ := ref.FirstIIOPProfile()
+	conn, err := net.Dial("tcp", fmt.Sprintf("%s:%d", p.Host, p.Port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := giop.EncodeRequest(giop.Version12, cdr.BigEndian, &giop.RequestHeader{
+		RequestID: 1, ResponseExpected: true, ObjectKey: p.ObjectKey, Operation: "echo",
+	}, big)
+	if err := giop.WriteMessage(conn, req, 700); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := giop.NewReader(conn).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := giop.ParseReply(msg)
+	if err != nil || rep.Header.RequestID != 1 || !bytes.Equal(rep.Result, big) {
+		t.Fatalf("fragmented request: reply %+v, %v", rep, err)
+	}
+
+	// Replies: a raw server fragments, the client ORB reassembles.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
-	t.Cleanup(srv.Close)
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		r := giop.NewReader(c)
+		for {
+			msg, err := r.Next()
+			if err != nil {
+				return
+			}
+			req, err := giop.ParseRequest(msg)
+			if err != nil {
+				return
+			}
+			ans := giop.EncodeReply(msg.Version, cdr.BigEndian, &giop.ReplyHeader{
+				RequestID: req.Header.RequestID, Status: giop.ReplyNoException,
+			}, req.Args)
+			if giop.WriteMessage(c, ans, 900) != nil {
+				return
+			}
+		}
+	}()
 	addr := l.Addr().(*net.TCPAddr)
-	o := NewORB(Options{RequestTimeout: 10 * time.Second, FragmentThreshold: 700})
-	t.Cleanup(o.Close)
-	ref := srv.RootPOA().IOR("IDL:Test/Echo:1.0", "127.0.0.1", uint16(addr.Port), "echo-1")
-	obj, err := o.Object(ref)
+	o := client(t, Options{RequestTimeout: 10 * time.Second})
+	obj, err := o.Object(ior.NewObjectReference("IDL:Test/Echo:1.0", "127.0.0.1", uint16(addr.Port), []byte("root/echo-1")))
 	if err != nil {
 		t.Fatal(err)
-	}
-	big := make([]byte, 50_000)
-	for i := range big {
-		big[i] = byte(i * 13)
 	}
 	out, err := obj.Invoke("echo", big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, big) {
-		t.Fatalf("fragmented echo corrupted: %d bytes", len(out))
+		t.Fatalf("fragmented reply corrupted: %d bytes", len(out))
 	}
 	// Small messages pass unfragmented on the same connection.
 	if _, err := obj.Invoke("echo", []byte{1}); err != nil {

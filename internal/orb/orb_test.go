@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -371,7 +372,7 @@ func TestServerConnStateIsolatedPerConnection(t *testing.T) {
 }
 
 func TestServeConnOnPipe(t *testing.T) {
-	// The interceptor's injection path: serve an in-memory pipe.
+	// ServeConn over an in-memory pipe, the way any net.Conn is served.
 	srv := NewServer(ServerOptions{})
 	srv.RootPOA().Activate("echo-1", &echoServant{})
 	defer srv.Close()
@@ -399,16 +400,34 @@ func TestServeConnOnPipe(t *testing.T) {
 	}
 }
 
+// TestDisableHandshake: a foreign ORB that never negotiates — full object
+// key, no service contexts — is served, and nothing is discarded.
 func TestDisableHandshake(t *testing.T) {
 	srv, ref, _ := startServer(t, ServerOptions{})
-	o := client(t, Options{RequestTimeout: 5 * time.Second, DisableHandshake: true})
-	obj, _ := o.Object(ref)
-	for i := 0; i < 3; i++ {
-		if _, err := obj.Invoke("echo", nil); err != nil {
+	p, _ := ref.FirstIIOPProfile()
+	conn, err := net.Dial("tcp", fmt.Sprintf("%s:%d", p.Host, p.Port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for id := uint32(1); id <= 3; id++ {
+		req := giop.EncodeRequest(giop.Version12, cdr.BigEndian, &giop.RequestHeader{
+			RequestID: id, ResponseExpected: true, ObjectKey: p.ObjectKey, Operation: "echo",
+		}, []byte{byte(id)})
+		if _, err := req.WriteTo(conn); err != nil {
 			t.Fatal(err)
 		}
+		msg, err := giop.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := giop.ParseReply(msg)
+		if err != nil || rep.Header.RequestID != id || rep.Header.Status != giop.ReplyNoException ||
+			!bytes.Equal(rep.Result, []byte{byte(id)}) {
+			t.Fatalf("reply %d = %+v, %v", id, rep, err)
+		}
 	}
-	if st := srv.Stats(); st.DiscardedRequests != 0 {
+	if st := srv.Stats(); st.Requests != 3 || st.DiscardedRequests != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -44,26 +44,14 @@ const (
 	PerConnectionModel
 )
 
-// ServerOptions configures a server ORB.
-type ServerOptions struct {
-	// Order is the byte order for replies (default big-endian).
-	Order cdr.ByteOrder
-	// ReplyToUnnegotiated controls what happens to a request addressed by
-	// a negotiated short key on a connection that never performed the
-	// handshake: the default (false) silently discards it — the
-	// VisiBroker-like behaviour the paper describes, which leaves the
-	// client waiting — while true answers OBJECT_NOT_EXIST instead.
-	ReplyToUnnegotiated bool
-	// FragmentThreshold splits replies larger than this many body bytes
-	// into GIOP fragments (0 disables).
-	FragmentThreshold int
-}
+// ServerOptions configures a server ORB. It has no settings: replies are
+// big-endian and unfragmented, and a short key the connection never
+// negotiated is discarded.
+type ServerOptions struct{}
 
 // Server is the server-side ORB: it adapts connections to POAs, one
 // Session of ORB-level state per connection.
 type Server struct {
-	opts ServerOptions
-
 	mu        sync.Mutex
 	poas      map[string]*POA
 	listeners map[net.Listener]struct{}
@@ -88,9 +76,8 @@ type ServerStats struct {
 
 // NewServer creates a server ORB with a root POA named "root" using the
 // single-threaded (deterministic) model.
-func NewServer(opts ServerOptions) *Server {
+func NewServer(ServerOptions) *Server {
 	s := &Server{
-		opts:      opts,
 		poas:      make(map[string]*POA),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -285,7 +272,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return
 		}
 		if ans := ss.Handle(msg); ans != nil {
-			if giop.WriteMessage(conn, ans, s.opts.FragmentThreshold) != nil {
+			if giop.WriteMessage(conn, ans, 0) != nil {
 				return
 			}
 		}
@@ -306,7 +293,7 @@ func (ss *Session) Handle(msg *giop.Message) *giop.Message {
 	case giop.MsgRequest:
 		req, err := giop.ParseRequest(msg)
 		if err != nil {
-			return &giop.Message{Version: msg.Version, Order: s.opts.Order, Type: giop.MsgMessageError}
+			return &giop.Message{Version: msg.Version, Order: cdr.BigEndian, Type: giop.MsgMessageError}
 		}
 		return ss.handleRequest(msg, req)
 	case giop.MsgLocateRequest:
@@ -318,7 +305,7 @@ func (ss *Session) Handle(msg *giop.Message) *giop.Message {
 		if _, _, ok := s.resolveKey(ss.expandKey(lr.ObjectKey)); ok {
 			status = giop.LocateObjectHere
 		}
-		return giop.EncodeLocateReply(msg.Version, s.opts.Order,
+		return giop.EncodeLocateReply(msg.Version, cdr.BigEndian,
 			&giop.LocateReplyHeader{RequestID: lr.RequestID, Status: status})
 	}
 	// Nothing cancellable in a synchronous dispatch model.
@@ -370,9 +357,6 @@ func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Mes
 		// of this failure mode, the request is discarded (no reply), so an
 		// unrecovered server replica leaves clients waiting.
 		s.nDiscarded.Add(1)
-		if s.opts.ReplyToUnnegotiated && req.Header.ResponseExpected {
-			return s.reply(msg, req, replyContexts, nil, ObjectNotExist())
-		}
 		return nil
 	}
 
@@ -423,14 +407,14 @@ func (s *Server) reply(msg *giop.Message, req *giop.Request, scs []giop.ServiceC
 	if err != nil {
 		if ue, ok := AsUserException(err); ok {
 			hdr.Status = giop.ReplyUserException
-			body = encodeUserException(s.opts.Order, ue)
+			body = encodeUserException(cdr.BigEndian, ue)
 		} else if se, ok := AsSystemException(err); ok {
 			hdr.Status = giop.ReplySystemException
-			body = encodeSystemException(s.opts.Order, se)
+			body = encodeSystemException(cdr.BigEndian, se)
 		} else {
 			hdr.Status = giop.ReplySystemException
-			body = encodeSystemException(s.opts.Order, Internal())
+			body = encodeSystemException(cdr.BigEndian, Internal())
 		}
 	}
-	return giop.EncodeReply(msg.Version, s.opts.Order, hdr, body)
+	return giop.EncodeReply(msg.Version, cdr.BigEndian, hdr, body)
 }
