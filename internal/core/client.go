@@ -39,6 +39,12 @@ type clientEntity struct {
 	pendingOffsets map[replication.ConnID]uint32
 	// replyFilter suppresses duplicate replies per connection.
 	replyFilter *replication.DupFilter
+	// early holds replies ordered before this node's ORB sent their
+	// request: a twin replica of this client ran ahead and the group
+	// answered it. Written at once, such a reply would reach an ORB not
+	// waiting for it and be dropped, and the request, when it came, would
+	// be suppressed as a duplicate. It waits for the request instead.
+	early map[earlyKey]*replication.Envelope
 
 	closed bool
 }
@@ -48,7 +54,8 @@ type egressConn struct {
 	id     replication.ConnID
 	mech   net.Conn // the mechanisms' end of the diverted connection
 
-	mu sync.Mutex
+	// The counters below are guarded by the entity's mu.
+
 	// offset maps the ORB's local request ids onto the group's logical
 	// counter: logical = local + offset. Zero for replicas present since
 	// the connection opened; computed from transferred ORB state for
@@ -62,6 +69,16 @@ type egressConn struct {
 	nextLogical uint32
 }
 
+// earlyKey names a reply by its connection and logical request id.
+type earlyKey struct {
+	conn replication.ConnID
+	op   uint32
+}
+
+// maxEarlyReplies bounds an entity's early replies. Past it a reply is
+// dropped: a replica that far behind its twin times out.
+const maxEarlyReplies = 256
+
 func newClientEntity(n *Node, name string) *clientEntity {
 	return &clientEntity{
 		node:           n,
@@ -70,6 +87,7 @@ func newClientEntity(n *Node, name string) *clientEntity {
 		dialSeq:        make(map[string]uint64),
 		pendingOffsets: make(map[replication.ConnID]uint32),
 		replyFilter:    replication.NewDupFilter(),
+		early:          make(map[earlyKey]*replication.Envelope),
 	}
 }
 
@@ -112,6 +130,9 @@ func (ce *clientEntity) accept(group string, mech net.Conn) {
 		old.mech.Close() // the previous incarnation's pipe is dead
 	}
 	ce.conns[id] = ec
+	if ec.nextLogical != 0 {
+		ce.forgetPassedLocked()
+	}
 	ce.mu.Unlock()
 	go ec.run()
 }
@@ -147,15 +168,25 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 	if err != nil {
 		return
 	}
-	ec.mu.Lock()
+	ce := ec.entity
+	ce.mu.Lock()
 	logical := req.Header.RequestID + ec.offset
-	if req.Header.RequestID+1 > ec.localNext {
+	if replication.After(req.Header.RequestID+1, ec.localNext) {
 		ec.localNext = req.Header.RequestID + 1
 	}
-	if logical+1 > ec.nextLogical {
+	if replication.After(logical+1, ec.nextLogical) {
 		ec.nextLogical = logical + 1
 	}
-	ec.mu.Unlock()
+	key := earlyKey{ec.id, logical}
+	answer, answered := ce.early[key]
+	delete(ce.early, key)
+	ce.mu.Unlock()
+	if answered {
+		// The group has executed it already: a copy sent now would be
+		// suppressed as a duplicate.
+		ec.writeReply(answer, req.Header.RequestID)
+		return
+	}
 
 	wire := msg
 	if logical != req.Header.RequestID {
@@ -163,7 +194,7 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 			return
 		}
 	}
-	node := ec.entity.node
+	node := ce.node
 	traceID := node.nextTrace()
 	node.spans.Begin(traceID, ec.id.Group)
 	env := &replication.Envelope{
@@ -184,35 +215,52 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 // from the node's delivery loop.
 func (ce *clientEntity) deliverReply(env *replication.Envelope) {
 	ce.mu.Lock()
-	ec, ok := ce.conns[env.Conn]
-	if !ok {
-		ce.mu.Unlock()
-		return // we never opened this connection locally (other replica's node)
-	}
 	if !ce.replyFilter.FirstDelivery(env.Conn, env.OpID) {
 		ce.mu.Unlock()
 		ce.node.counters.duplicateReplies.Add(1)
 		return // duplicate response from another server replica
 	}
+	ec, sent, local := ce.conns[env.Conn], false, uint32(0)
+	if ec != nil {
+		sent, local = replication.After(ec.nextLogical, env.OpID), env.OpID-ec.offset
+	}
+	if !sent && len(ce.early) < maxEarlyReplies {
+		ce.early[earlyKey{env.Conn, env.OpID}] = env
+	}
 	ce.mu.Unlock()
-	ce.node.counters.repliesDelivered.Add(1)
+	if sent {
+		ec.writeReply(env, local)
+	}
+}
 
+// forgetPassedLocked drops the early replies to ids their connection has
+// moved past, whose requests will never come: transferred ORB state moves
+// a recovered replica's connection on to the group's next id. Caller holds
+// ce.mu.
+func (ce *clientEntity) forgetPassedLocked() {
+	for k := range ce.early {
+		if ec := ce.conns[k.conn]; ec != nil && replication.After(ec.nextLogical, k.op) {
+			delete(ce.early, k)
+		}
+	}
+}
+
+// writeReply hands the ORB the reply to its request local.
+func (ec *egressConn) writeReply(env *replication.Envelope, local uint32) {
+	node := ec.entity.node
+	node.counters.repliesDelivered.Add(1)
 	msg, err := giop.ReadMessage(bytes.NewReader(env.Payload))
 	if err != nil {
 		return
 	}
-	ec.mu.Lock()
-	offset := ec.offset
-	ec.mu.Unlock()
-	if offset != 0 {
-		local := env.OpID - offset
+	if local != env.OpID {
 		if msg, err = interceptor.RewriteReplyID(msg, local); err != nil {
 			return
 		}
 	}
 	msg.WriteTo(ec.mech)
-	if latency, ok := ce.node.spans.Finish(env.Trace); ok {
-		ce.node.invocationHist.ObserveDuration(latency)
+	if latency, ok := node.spans.Finish(env.Trace); ok {
+		node.invocationHist.ObserveDuration(latency)
 	}
 }
 
@@ -224,9 +272,7 @@ func (ce *clientEntity) snapshotClientConns() []recovery.ClientConnState {
 	defer ce.mu.Unlock()
 	out := make([]recovery.ClientConnState, 0, len(ce.conns))
 	for id, ec := range ce.conns {
-		ec.mu.Lock()
 		out = append(out, recovery.ClientConnState{Conn: id, NextRequestID: ec.nextLogical})
-		ec.mu.Unlock()
 	}
 	return out
 }
@@ -242,16 +288,15 @@ func (ce *clientEntity) installClientConns(states []recovery.ClientConnState, re
 			// A surviving connection (the recovered replica shares its
 			// node's ORB): align its future logical ids with the group's
 			// counter, accounting for the local ids already consumed.
-			ec.mu.Lock()
 			if st.NextRequestID >= ec.localNext {
 				ec.offset = st.NextRequestID - ec.localNext
 				ec.nextLogical = st.NextRequestID
 			}
-			ec.mu.Unlock()
 		} else {
 			ce.pendingOffsets[st.Conn] = st.NextRequestID
 		}
 	}
+	ce.forgetPassedLocked()
 	if replyFilter != nil {
 		ce.replyFilter.Restore(replyFilter)
 	}

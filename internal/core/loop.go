@@ -172,8 +172,9 @@ func (n *Node) rebuildGroupSet() {
 	}
 }
 
-// becomeSynced adopts table, records ev as the synced event and replays
-// the deliveries the table does not yet reflect.
+// becomeSynced adopts table, records ev as the synced event, releases the
+// AwaitGroup waiters of the groups it lists and replays the deliveries the
+// table does not yet reflect.
 func (n *Node) becomeSynced(table *replication.Table, replay []totem.Delivery, ev obs.Event) {
 	n.table = table
 	n.rebuildGroupSet()
@@ -186,6 +187,8 @@ func (n *Node) becomeSynced(table *replication.Table, replay []totem.Delivery, e
 	// member, those replicas died with the previous incarnation: remove
 	// them so the Resource Manager can re-launch clean ones.
 	for _, name := range table.Names() {
+		// The table's groups are created here as far as AwaitGroup goes.
+		n.signal("create:" + name)
 		g, _ := table.Get(name)
 		if g.HasMember(n.addr) {
 			n.multicast(&replication.Envelope{

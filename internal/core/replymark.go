@@ -109,5 +109,5 @@ func (m *replyMarks) covers(conn replication.ConnID, op uint32) bool {
 	m.mu.Lock()
 	hi, ok := m.seen.Peek(conn)
 	m.mu.Unlock()
-	return ok && op <= hi
+	return ok && !replication.After(op, hi)
 }

@@ -326,11 +326,11 @@ func TestPOAActivateDeactivate(t *testing.T) {
 
 func TestMultiplePOAs(t *testing.T) {
 	srv := NewServer(ServerOptions{})
-	alpha := srv.CreatePOA("alpha", SingleThreadModel)
+	alpha := srv.CreatePOA("alpha")
 	alpha.Activate("obj", ServantFunc(func(op string, args []byte, order cdr.ByteOrder) ([]byte, error) {
 		return []byte("from-alpha"), nil
 	}))
-	beta := srv.CreatePOA("beta", PerConnectionModel)
+	beta := srv.CreatePOA("beta")
 	beta.Activate("obj", ServantFunc(func(op string, args []byte, order cdr.ByteOrder) ([]byte, error) {
 		return []byte("from-beta"), nil
 	}))

@@ -30,20 +30,6 @@ func (f ServantFunc) Invoke(op string, args []byte, order cdr.ByteOrder) ([]byte
 	return f(op, args, order)
 }
 
-// ThreadPolicy selects the POA threading model.
-type ThreadPolicy int
-
-const (
-	// SingleThreadModel serializes every dispatch in the server — the
-	// deterministic execution Eternal's replica consistency assumes
-	// (paper §2.1 "Multithreading").
-	SingleThreadModel ThreadPolicy = iota
-	// PerConnectionModel serializes per connection but lets different
-	// connections dispatch concurrently (a common ORB default, and a
-	// source of the non-determinism the paper warns about).
-	PerConnectionModel
-)
-
 // ServerOptions configures a server ORB. It has no settings: replies are
 // big-endian and unfragmented, and a short key the connection never
 // negotiated is discarded.
@@ -59,7 +45,9 @@ type Server struct {
 	// closed is set under mu; Session.Handle reads it without.
 	closed atomic.Bool
 
-	// dispatchMu serializes all dispatch under SingleThreadModel.
+	// dispatchMu serializes every dispatch in the server, across POAs and
+	// connections: the deterministic execution Eternal's replica
+	// consistency assumes (paper §2.1 "Multithreading").
 	dispatchMu sync.Mutex
 
 	nRequests  atomic.Uint64
@@ -74,15 +62,14 @@ type ServerStats struct {
 	DiscardedRequests uint64
 }
 
-// NewServer creates a server ORB with a root POA named "root" using the
-// single-threaded (deterministic) model.
+// NewServer creates a server ORB with a root POA named "root".
 func NewServer(ServerOptions) *Server {
 	s := &Server{
 		poas:      make(map[string]*POA),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
-	s.CreatePOA("root", SingleThreadModel)
+	s.CreatePOA("root")
 	return s
 }
 
@@ -95,13 +82,13 @@ func (s *Server) Stats() ServerStats {
 }
 
 // CreatePOA creates (or returns the existing) POA with the given name.
-func (s *Server) CreatePOA(name string, policy ThreadPolicy) *POA {
+func (s *Server) CreatePOA(name string) *POA {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p, ok := s.poas[name]; ok {
 		return p
 	}
-	p := &POA{server: s, name: name, policy: policy, servants: make(map[string]Servant)}
+	p := &POA{server: s, name: name, servants: make(map[string]Servant)}
 	s.poas[name] = p
 	return p
 }
@@ -113,12 +100,11 @@ func (s *Server) RootPOA() *POA {
 	return s.poas["root"]
 }
 
-// POA is a Portable Object Adapter: it maps object ids to servants and
-// applies a threading policy to their dispatch.
+// POA is a Portable Object Adapter: it maps object ids to servants. Every
+// POA dispatches under its server's one lock.
 type POA struct {
 	server *Server
 	name   string
-	policy ThreadPolicy
 
 	mu       sync.Mutex
 	servants map[string]Servant
@@ -160,20 +146,19 @@ func (p *POA) lookup(oid string) (Servant, bool) {
 	return sv, ok
 }
 
-// resolveKey finds the servant (and its POA) for a full object key.
-func (s *Server) resolveKey(key []byte) (*POA, Servant, bool) {
+// resolveKey finds the servant for a full object key.
+func (s *Server) resolveKey(key []byte) (Servant, bool) {
 	name, oid, ok := strings.Cut(string(key), "/")
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	s.mu.Lock()
 	poa, ok := s.poas[name]
 	s.mu.Unlock()
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	sv, ok := poa.lookup(oid)
-	return poa, sv, ok
+	return poa.lookup(oid)
 }
 
 // Serve accepts connections until the listener fails or the server closes.
@@ -302,7 +287,7 @@ func (ss *Session) Handle(msg *giop.Message) *giop.Message {
 			return nil
 		}
 		status := giop.LocateUnknownObject
-		if _, _, ok := s.resolveKey(ss.expandKey(lr.ObjectKey)); ok {
+		if _, ok := s.resolveKey(ss.expandKey(lr.ObjectKey)); ok {
 			status = giop.LocateObjectHere
 		}
 		return giop.EncodeLocateReply(msg.Version, cdr.BigEndian,
@@ -360,7 +345,7 @@ func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Mes
 		return nil
 	}
 
-	poa, servant, ok := s.resolveKey(fullKey)
+	servant, ok := s.resolveKey(fullKey)
 	if !ok {
 		if req.Header.ResponseExpected {
 			return s.reply(msg, req, replyContexts, nil, ObjectNotExist())
@@ -381,15 +366,9 @@ func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Mes
 		}()
 		return servant.Invoke(req.Header.Operation, req.Args, req.Order)
 	}
-	var result []byte
-	var err error
-	if poa.policy == SingleThreadModel {
-		s.dispatchMu.Lock()
-		result, err = dispatch()
-		s.dispatchMu.Unlock()
-	} else {
-		result, err = dispatch()
-	}
+	s.dispatchMu.Lock()
+	result, err := dispatch()
+	s.dispatchMu.Unlock()
 
 	if !req.Header.ResponseExpected {
 		return nil

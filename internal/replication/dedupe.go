@@ -16,10 +16,10 @@ import (
 // client assigns the same logical ids, the second and later copies of the
 // same invocation are recognized and never delivered.
 //
-// Operation ids increase monotonically per connection, so the filter
-// keeps only a high-water mark per connection — which is exactly the
-// piece of infrastructure-level state the paper transfers to a new
-// replica so its filter agrees with the group's (§4.3).
+// Operation ids increase monotonically per connection (modulo 2³², see
+// After), so the filter keeps only a high-water mark per connection —
+// which is exactly the piece of infrastructure-level state the paper
+// transfers to a new replica so its filter agrees with the group's (§4.3).
 //
 // DupFilter is not safe for concurrent use; each owner confines it to one
 // goroutine.
@@ -32,10 +32,15 @@ func NewDupFilter() *DupFilter {
 	return &DupFilter{seen: make(map[ConnID]uint32)}
 }
 
+// After reports whether operation id a comes after b. Ids wrap like the
+// GIOP request_id they derive from, so the order is RFC 1982 serial
+// arithmetic: a is after b when it is ahead by less than 2³¹.
+func After(a, b uint32) bool { return int32(a-b) > 0 }
+
 // FirstDelivery reports whether (conn, op) has not been seen before, and
 // records it. Duplicates and older operations return false.
 func (f *DupFilter) FirstDelivery(conn ConnID, op uint32) bool {
-	if hi, ok := f.seen[conn]; ok && op <= hi {
+	if hi, ok := f.seen[conn]; ok && !After(op, hi) {
 		return false
 	}
 	f.seen[conn] = op
@@ -65,7 +70,7 @@ func (f *DupFilter) Restore(state map[ConnID]uint32) {
 // the filter would let a later duplicate of one of them back in.
 func (f *DupFilter) MergeMax(state map[ConnID]uint32) {
 	for k, v := range state {
-		if cur, ok := f.seen[k]; !ok || v > cur {
+		if cur, ok := f.seen[k]; !ok || After(v, cur) {
 			f.seen[k] = v
 		}
 	}

@@ -607,6 +607,71 @@ func TestDupFilterMergeMax(t *testing.T) {
 	}
 }
 
+// Operation ids wrap like the GIOP request_id they come from: the ops
+// either side of 2³² are in order, not duplicates of each other.
+var acrossTheWrap = []uint32{math.MaxUint32 - 1, math.MaxUint32, 0, 1, 2}
+
+func TestAfterIsSerialOrder(t *testing.T) {
+	for _, c := range []struct {
+		a, b uint32
+		want bool
+	}{
+		{1, 0, true}, {0, 1, false}, {5, 5, false},
+		{0, math.MaxUint32, true}, {math.MaxUint32, 0, false},
+		{2, math.MaxUint32 - 1, true},
+		{1 << 31, 1, true}, {1<<31 + 1, 1, false}, // a window of 2³¹
+	} {
+		if got := After(c.a, c.b); got != c.want {
+			t.Errorf("After(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+func TestDupFilterAcrossTheWrap(t *testing.T) {
+	f := NewDupFilter()
+	conn := ConnID{Client: "c", Group: "g"}
+	for _, op := range acrossTheWrap {
+		if !f.FirstDelivery(conn, op) {
+			t.Fatalf("op %d: first delivery reported a duplicate", op)
+		}
+	}
+	for _, op := range acrossTheWrap {
+		if f.FirstDelivery(conn, op) {
+			t.Fatalf("op %d: repeat delivered twice", op)
+		}
+	}
+	if hi, _ := f.Peek(conn); hi != 2 {
+		t.Fatalf("high-water mark = %d, want 2", hi)
+	}
+}
+
+func TestDupFilterMergeMaxAcrossTheWrap(t *testing.T) {
+	conn := ConnID{Client: "c", Group: "g"}
+	for i, mark := range acrossTheWrap {
+		f := NewDupFilter()
+		f.FirstDelivery(conn, acrossTheWrap[0])
+		f.MergeMax(map[ConnID]uint32{conn: mark})
+		if hi, _ := f.Peek(conn); hi != mark {
+			t.Fatalf("merging %d over %d: mark = %d", mark, acrossTheWrap[0], hi)
+		}
+		// And the later mark survives merging the earlier one back.
+		f.MergeMax(map[ConnID]uint32{conn: acrossTheWrap[0]})
+		if hi, _ := f.Peek(conn); hi != mark {
+			t.Fatalf("merging %d over %d rewound the mark to %d", acrossTheWrap[0], mark, hi)
+		}
+		for _, op := range acrossTheWrap[:i+1] {
+			if f.FirstDelivery(conn, op) {
+				t.Fatalf("after merging %d: op %d delivered", mark, op)
+			}
+		}
+		for _, op := range acrossTheWrap[i+1:] {
+			if !f.FirstDelivery(conn, op) {
+				t.Fatalf("after merging %d: op %d suppressed", mark, op)
+			}
+		}
+	}
+}
+
 // Property: two tables fed the same operation sequence end in the same
 // state (the determinism the whole system rests on).
 func TestQuickTableDeterminism(t *testing.T) {

@@ -250,18 +250,11 @@ func (n *Network) ClearLink(src, dst string) {
 // sends is delivered anywhere (loopback aside) and nothing reaches it.
 // Unlike Partition, isolation composes: isolating several addresses cuts
 // each off individually (they do not hear each other either), and the
-// rest of the segment is unaffected. Undo with Unisolate or Heal.
+// rest of the segment is unaffected. Undo with Heal.
 func (n *Network) Isolate(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.isolated[addr] = true
-}
-
-// Unisolate reconnects a previously isolated address.
-func (n *Network) Unisolate(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.isolated, addr)
 }
 
 // SetLossRate reconfigures the global frame-loss probability at runtime
