@@ -93,10 +93,6 @@ func main() {
 		logLevel = flag.String("log-level", "", "log mechanism events at this level: debug|info|warn|error (empty disables)")
 		admin    = flag.String("admin", "", "serve /metrics, /healthz, /events, /spans, /audit and pprof on this host:port")
 
-		chunkBytes = flag.Int("state-chunk-bytes", 0,
-			"state-transfer chunk size in bytes (0 = default ~32KiB)")
-		chunksPerToken = flag.Int("state-chunks-per-token", 0,
-			"state chunks a token visit lets from the donor's bulk lane onto the ring, behind queued foreground messages (0 = default 2)")
 		auditInterval = flag.Duration("audit-interval", 0,
 			"consistency-audit mark period (0 = default 1s, negative disables the audit)")
 		tokenTick = flag.Duration("token-tick", 0,
@@ -123,10 +119,8 @@ func main() {
 		log.Fatal(err)
 	}
 	nodeCfg := eternal.NodeConfig{
-		Transport:           tr,
-		StateChunkBytes:     *chunkBytes,
-		StateChunksPerToken: *chunksPerToken,
-		AuditInterval:       *auditInterval,
+		Transport:     tr,
+		AuditInterval: *auditInterval,
 	}
 	nodeCfg.Totem.Tick = *tokenTick
 	if *logLevel != "" {

@@ -287,8 +287,10 @@ func (ce *clientEntity) installClientConns(states []recovery.ClientConnState, re
 		if ec, ok := ce.conns[st.Conn]; ok {
 			// A surviving connection (the recovered replica shares its
 			// node's ORB): align its future logical ids with the group's
-			// counter, accounting for the local ids already consumed.
-			if st.NextRequestID >= ec.localNext {
+			// counter, accounting for the local ids already consumed —
+			// unless the local counter is already past it, in the
+			// serial order of ids that wrap.
+			if !replication.After(ec.localNext, st.NextRequestID) {
 				ec.offset = st.NextRequestID - ec.localNext
 				ec.nextLogical = st.NextRequestID
 			}

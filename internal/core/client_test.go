@@ -10,6 +10,7 @@ import (
 	"eternal/internal/ftcorba"
 	"eternal/internal/giop"
 	"eternal/internal/orb"
+	"eternal/internal/recovery"
 	"eternal/internal/replication"
 	"eternal/internal/simnet"
 )
@@ -303,5 +304,27 @@ func TestReplyAheadOfItsRequestWaits(t *testing.T) {
 	// The next request goes to the group.
 	if got := get(t, obj); got != 0 {
 		t.Fatalf("third get = %d, want the counter's 0", got)
+	}
+}
+
+// TestInstallClientConnsAcrossTheWrap: a connection that survived its
+// replica's recovery is re-based on the transferred counter in the serial
+// order of ids. Its local counter sits just below the wrap and the group's
+// has wrapped past zero, so the group's is ahead: the offset takes the
+// connection onto it.
+func TestInstallClientConnsAcrossTheWrap(t *testing.T) {
+	conn := replication.ConnID{Client: "mid", Group: "backend", Seq: 1}
+	ce := newClientEntity(nil, "mid")
+	ec := &egressConn{entity: ce, id: conn, localNext: 1<<32 - 2, nextLogical: 1<<32 - 2}
+	ce.conns[conn] = ec
+	ce.installClientConns([]recovery.ClientConnState{{Conn: conn, NextRequestID: 3}}, nil)
+	if ec.nextLogical != 3 || ec.offset != 5 {
+		t.Fatalf("nextLogical %d offset %d, want 3 and 5 (local 2³²−2 + 5 wraps to 3)", ec.nextLogical, ec.offset)
+	}
+	// A transferred counter behind the local one leaves the connection as
+	// it is.
+	ce.installClientConns([]recovery.ClientConnState{{Conn: conn, NextRequestID: 1<<32 - 3}}, nil)
+	if ec.nextLogical != 3 || ec.offset != 5 {
+		t.Fatalf("nextLogical %d offset %d after an older counter, want 3 and 5 unchanged", ec.nextLogical, ec.offset)
 	}
 }

@@ -343,7 +343,7 @@ func TestPullMonitorDetectsWedgedReplica(t *testing.T) {
 	add(t, obj, 1)
 
 	// Watch for the fault report.
-	faults := c.nodes["n2"].Faults().Subscribe()
+	faults := c.nodes["n2"].faults.Subscribe()
 
 	// Wedge n2's replica. n1 answers, so the client is fine; n2's
 	// dispatcher stays stuck inside the servant, and only the pull

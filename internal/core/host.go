@@ -558,9 +558,10 @@ func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
 func (h *replicaHost) applyCheckpoint(bundle *recovery.Bundle, xferID uint64) {
 	mark, ok := h.ckptMarks[xferID]
 	if !ok {
-		// We never saw this capture's marker (e.g. the host was created
-		// after it): applying would discard log entries the checkpoint
-		// does not subsume. Skip — the next checkpoint covers us.
+		// We never saw this capture's marker (the host was created after
+		// it, or the transfer was a recovery's, which marks nothing):
+		// applying would discard log entries the checkpoint does not
+		// subsume. Skip — the next checkpoint covers us.
 		return
 	}
 	// Transfer ids are node-scoped and not globally ordered; only the

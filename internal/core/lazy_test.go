@@ -137,7 +137,7 @@ func TestLazyReplyAnswersWhenOriginReplicaDies(t *testing.T) {
 func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 	const chunkBytes = 2048
 	c := newXferCluster(t, 256<<10, func(cfg *Config) {
-		cfg.StateChunkBytes = chunkBytes
+		cfg.stateChunkBytes = chunkBytes
 	}, "n1", "n2", "n3")
 	createBlobGroup(t, c, "blob", 1, "n1", "n2", "n3")
 	obj := c.client("n1", "driver", "blob")
@@ -192,7 +192,7 @@ func TestDonorNeverRestsDuringTransfer(t *testing.T) {
 	if from.IsZero() || nearEnd.Load() == 0 || !to.After(from) {
 		t.Fatalf("transfer window not observed: get_state at %v, chunk %d at %v", from, lastWatched, to)
 	}
-	const quota = 2 // StateChunksPerToken's default
+	const quota = 2 // totem's bulk messages per token visit
 	visits, holds, rests := 0, 0, 0
 	for _, r := range donor.TokenRotations(0) {
 		if r.At.Before(from) || r.At.After(to) || r.BulkWaiting == 0 {

@@ -283,7 +283,7 @@ func (n *Node) handleView(v *totem.Membership) {
 }
 
 // reconcile reacts to a membership change of one group: primary
-// promotion, and re-triggering a state capture whose donor died.
+// promotion, and re-triggering the state captures whose donor died.
 func (n *Node) reconcile(name string) {
 	n.publishAnswering(name)
 	g, ok := n.table.Get(name)
@@ -298,17 +298,17 @@ func (n *Node) reconcile(name string) {
 		// This backup is promoted: replay the log (paper §3.2/§3.3).
 		h.q.Push(dispatchItem{kind: itemPromote})
 	}
-	// If someone is still recovering and the donor died, the new first
-	// operational member must capture again.
-	hasRecovering := false
+	if !isPrimary || h == nil || h.recovering {
+		return
+	}
+	// If someone is still recovering, the donor may have died with the
+	// capture it owed: capture again for every such member, each under the
+	// transfer its own add named, so that member's manifest is the one
+	// that cures it.
 	for _, m := range g.Members {
 		if m.State == replication.MemberRecovering {
-			hasRecovering = true
-			break
+			h.q.Push(dispatchItem{kind: itemCapture, xferID: m.XferID})
 		}
-	}
-	if hasRecovering && isPrimary && h != nil && !h.recovering {
-		h.q.Push(dispatchItem{kind: itemCapture, xferID: n.nextXfer()})
 	}
 }
 
@@ -468,7 +468,7 @@ func (n *Node) handleRemove(seq uint64, env *replication.Envelope) {
 
 func (n *Node) handleAdd(seq uint64, env *replication.Envelope) {
 	delete(n.pendingAdd, env.Group)
-	g, err := n.table.AddRecovering(env.Group, env.Node)
+	g, err := n.table.AddRecovering(env.Group, env.Node, env.XferID)
 	if err != nil {
 		return
 	}
@@ -500,18 +500,15 @@ func (n *Node) handleAdd(seq uint64, env *replication.Envelope) {
 		}
 		return
 	}
-	donor, hasDonor := g.Primary()
-	if hasDonor && donor == n.addr {
+	// Figure 5 steps (i)–(iii): the donor's dispatcher performs get_state()
+	// at this position in its serial queue. Passive backups mark no
+	// position for it: a donor that dies before its manifest leaves the
+	// transfer to be captured again elsewhere and later under the same id,
+	// so only a checkpoint's own capture (handleCheckpoint) truncates a
+	// backup's log.
+	if donor, _ := g.Primary(); donor == n.addr {
 		if h := n.hosts[env.Group]; h != nil && !h.recovering {
-			// Figure 5 steps (i)–(iii): the donor's dispatcher performs
-			// get_state() at this position in its serial queue.
 			h.q.Push(dispatchItem{kind: itemCapture, xferID: env.XferID})
-		}
-	} else if g.Spec.Props.Style != ftcorba.Active && env.Node != n.addr {
-		// Passive backups mark this capture's position so the coming
-		// set_state clears only the log entries it subsumes.
-		if h := n.hosts[env.Group]; h != nil && !h.recovering {
-			h.q.Push(dispatchItem{kind: itemCheckpointMark, xferID: env.XferID})
 		}
 	}
 }

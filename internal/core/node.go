@@ -52,16 +52,6 @@ type Config struct {
 	// ManagerTick is the period of the resource-manager sweep and
 	// checkpoint scheduler (default 20ms).
 	ManagerTick time.Duration
-	// StateChunkBytes bounds one state-transfer chunk's payload (default
-	// recovery.DefaultChunkBytes, ~32 KiB). A bundle that fits is sent as
-	// one chunk and its manifest.
-	StateChunkBytes int
-	// StateChunksPerToken caps how many state chunks (and manifests) one
-	// token visit lets from the donor's bulk lane onto the ring, behind
-	// the foreground messages queued there, so foreground traffic
-	// interleaves with a large transfer (default 2). It is handed to
-	// totem as its BulkPerVisit.
-	StateChunksPerToken int
 	// Logger receives structured mechanism events (group lifecycle, state
 	// transfers, faults). Nil disables logging.
 	Logger *slog.Logger
@@ -76,6 +66,11 @@ type Config struct {
 	// epoch. Zero selects the 1s default; negative disables the audit
 	// entirely.
 	AuditInterval time.Duration
+
+	// stateChunkBytes bounds one state-transfer chunk's payload; 0 means
+	// recovery.DefaultChunkBytes (~32 KiB). Tests shrink it to stream a
+	// small state as many chunks.
+	stateChunkBytes int
 }
 
 // Node is one Eternal processor.
@@ -178,9 +173,6 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.ManagerTick <= 0 {
 		cfg.ManagerTick = 20 * time.Millisecond
 	}
-	if cfg.StateChunksPerToken <= 0 {
-		cfg.StateChunksPerToken = 2
-	}
 	if cfg.AuditInterval == 0 {
 		cfg.AuditInterval = time.Second
 	}
@@ -199,7 +191,6 @@ func Start(cfg Config) (*Node, error) {
 	tc.Metrics = metrics
 	tc.Recorder = recorder
 	tc.Spans = spans
-	tc.BulkPerVisit = cfg.StateChunksPerToken
 	marks := newReplyMarks(cfg.Transport.Addr())
 	tc.Ordered = marks.ordered
 	proc, err := totem.Start(tc)
@@ -236,7 +227,7 @@ func Start(cfg Config) (*Node, error) {
 	n.counters = newNodeCounters(metrics)
 	registerProcessMetrics(metrics)
 	metrics.CounterFunc("eternal_state_chunk_stalls_total",
-		"token visits that left state chunks waiting in the bulk lane behind the StateChunksPerToken quota",
+		"token visits that left state chunks waiting in the bulk lane behind the per-visit quota",
 		func() float64 { return float64(proc.Stats().BulkStalls) })
 	metrics.CounterFunc("eternal_envelopes_rejected_total",
 		"ordered messages dropped because they did not decode as an envelope (another envelope layout, or corruption)",
@@ -306,10 +297,6 @@ func (n *Node) faultLoop() {
 		}
 	}
 }
-
-// Faults exposes the node's fault notifier for observers (dashboards,
-// tests).
-func (n *Node) Faults() *faultdetect.Notifier { return n.faults }
 
 // Addr returns the node's address.
 func (n *Node) Addr() string { return n.addr }
@@ -591,8 +578,8 @@ func (n *Node) multicastReply(env *replication.Envelope, lazy bool) {
 			_ = n.proc.MulticastWithdrawable(enc.Bytes(), env.Trace, true, withdraw)
 		}
 	case env.Kind == replication.KStateChunk, env.Kind == replication.KStateManifest:
-		// State transfer rides the bulk lane: totem lets
-		// StateChunksPerToken of these onto the ring per token visit.
+		// State transfer rides the bulk lane: totem lets two of these
+		// onto the ring per token visit.
 		_ = n.proc.MulticastBulk(enc.Bytes())
 	case env.Trace != 0:
 		// Traced requests: the totem layer stamps the enqueue and transmit

@@ -159,7 +159,7 @@ func (g *gatedBlob) GetState() (anyval.Any, error) {
 func TestRecoveringReplicaReplaysWithoutReplying(t *testing.T) {
 	const blobSize, wantHeld = 1 << 20, 10
 	c := newXferCluster(t, blobSize, func(cfg *Config) {
-		cfg.StateChunkBytes = 2048
+		cfg.stateChunkBytes = 2048
 	}, "n1", "n2", "n3")
 	// donor names the node whose next get_state waits for release; the
 	// first such call clears it.

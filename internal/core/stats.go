@@ -49,8 +49,7 @@ type Stats struct {
 	// StateChunkBytes counts the payload bytes of those chunks.
 	StateChunkBytes uint64
 	// StateChunkStalls counts token visits at this node that left state
-	// chunks waiting in totem's bulk lane behind the StateChunksPerToken
-	// quota.
+	// chunks waiting in totem's bulk lane behind its per-visit quota.
 	StateChunkStalls uint64
 	// StateChunksRejected counts received chunks refused on arrival: not
 	// the next index of their donor's transfer, or past the point where

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"eternal/internal/ftcorba"
 	"eternal/internal/obs"
@@ -11,14 +12,14 @@ import (
 
 // This file is the state-transfer pipeline, the one route every set_state
 // of Figure 5 takes, recovery and passive checkpoint alike: a stream of
-// KStateChunk envelopes — submitted to totem's bulk lane, which lets
-// StateChunksPerToken of them onto the ring per token visit, behind the
-// foreground invocations queued there and behind the replies the donor's
-// node itself owes to those, for which the token waits before the burst
-// instead of a rotation after it — closed by one totally-ordered
-// KStateManifest, the transfer's sync point: every node marks the
-// recovering members operational at the manifest's position. A bundle that
-// fits one chunk is the one-chunk case of the same stream.
+// KStateChunk envelopes — submitted to totem's bulk lane, which lets two of
+// them onto the ring per token visit, behind the foreground invocations
+// queued there and behind the replies the donor's node itself owes to
+// those, for which the token waits before the burst instead of a rotation
+// after it — closed by one totally-ordered KStateManifest, the transfer's
+// sync point: every node marks the recovering member whose add named the
+// transfer operational at the manifest's position. A bundle that fits one
+// chunk is the one-chunk case of the same stream.
 //
 // The transfer trusts Totem for its reliability: the donor's bulk lane is
 // FIFO and the total order drops nothing, so the donor's chunks reach every
@@ -43,7 +44,7 @@ type inboundXfer struct {
 // manifest follows its chunks, and it is the lane — at the token, where the
 // pacing decision belongs — that meters the stream onto the ring.
 func (n *Node) sendChunked(group string, xferID uint64, enc []byte) {
-	chunkBytes := n.cfg.StateChunkBytes // <= 0: recovery.DefaultChunkBytes
+	chunkBytes := n.cfg.stateChunkBytes // <= 0: recovery.DefaultChunkBytes
 	chunks := recovery.SplitChunks(enc, chunkBytes)
 	manifest := recovery.NewManifest(enc, chunks, chunkBytes)
 	n.sendMu.Lock()
@@ -96,8 +97,11 @@ func (n *Node) handleStateChunk(donor string, env *replication.Envelope) {
 
 // handleStateManifest is the transfer's sync point (Figure 5 step v). The
 // replicated state machine transitions here, identically on every node:
-// every recovering member of the group becomes operational at this
-// position. What is local is whether this node's copy of the stream
+// the recovering member whose add named this transfer becomes operational
+// at this position. Another member still recovering waits for its own
+// transfer: this capture may predate that member's add, and the member's
+// queue starts only there. A checkpoint's manifest names no add and cures
+// nobody. What is local is whether this node's copy of the stream
 // verifies: if it does, the bundle goes to its consumer — the recovering
 // replica's dispatcher, or a passive backup's queue as a checkpoint — and
 // invocations delivered after the manifest queue behind it, preserving the
@@ -122,18 +126,17 @@ func (n *Node) handleStateManifest(seq uint64, donor string, env *replication.En
 		Detail: fmt.Sprintf("chunks=%d", m.Count()),
 	})
 	h := n.hosts[env.Group]
-	// Every recovering member is cured by this state (they all held their
-	// queues from their own synchronization points; duplicate suppression
-	// makes the replayed overlap idempotent).
+	// The member this transfer was captured for is cured by it. The
+	// capture was taken at its add or, after a donor died, later; the
+	// member's queue holds everything from its add on, and duplicate
+	// suppression makes a replayed overlap idempotent.
 	cure := false
-	for _, member := range g.Members {
-		if member.State != replication.MemberRecovering {
-			continue
-		}
-		if err := n.table.MarkOperational(env.Group, member.Node); err != nil {
-			continue
-		}
-		if member.Node == n.addr {
+	if i := slices.IndexFunc(g.Members, func(m replication.Member) bool {
+		return m.State == replication.MemberRecovering && m.XferID == env.XferID
+	}); i >= 0 {
+		member := g.Members[i].Node
+		_ = n.table.MarkOperational(env.Group, member)
+		if member == n.addr {
 			if h != nil && h.recovering {
 				h.recovering = false
 				cure = true
@@ -143,7 +146,7 @@ func (n *Node) handleStateManifest(seq uint64, donor string, env *replication.En
 				n.startMonitor(h, g.Spec.Props.FaultMonitoringInterval)
 			}
 		} else {
-			n.signal(recoveredKey(env.Group, member.Node))
+			n.signal(recoveredKey(env.Group, member))
 		}
 		n.reconcile(env.Group)
 	}

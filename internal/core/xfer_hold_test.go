@@ -43,7 +43,7 @@ func newTransferCluster(t *testing.T, size int, mod func(*Config)) *transferClus
 	t.Helper()
 	tc := &transferCluster{live: make(map[string]*blobReplica)}
 	tc.testCluster = newXferCluster(t, size, func(cfg *Config) {
-		cfg.StateChunkBytes = 2048
+		cfg.stateChunkBytes = 2048
 		if mod != nil {
 			mod(cfg)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -148,7 +149,7 @@ func createBlobGroup(t *testing.T, c *testCluster, name string, minReplicas int,
 // which must then carry the live counter forward on its own.
 func TestChunkedRecoveryLargeState(t *testing.T) {
 	c := newXferCluster(t, 20<<10, func(cfg *Config) {
-		cfg.StateChunkBytes = 2048
+		cfg.stateChunkBytes = 2048
 	}, "n1", "n2")
 	createBlobGroup(t, c, "blob", 1, "n1", "n2")
 	obj := c.client("n1", "driver", "blob")
@@ -257,7 +258,7 @@ func TestBrokenTransferAbandonedAtManifest(t *testing.T) {
 func recoverThroughBrokenTransfer(t *testing.T, keep func(*replication.Envelope) bool, check func(c *testCluster, abort obs.Event)) {
 	t.Helper()
 	c := newXferCluster(t, 16<<10, func(cfg *Config) {
-		cfg.StateChunkBytes = 2048
+		cfg.stateChunkBytes = 2048
 	}, "n1", "n2")
 	createBlobGroup(t, c, "blob", 2, "n1", "n2")
 	obj := c.client("n1", "driver", "blob")
@@ -323,8 +324,7 @@ func recoverThroughBrokenTransfer(t *testing.T, keep func(*replication.Envelope)
 // ages it out — and the next donor's fresh transfer recovers the replica.
 func TestDonorStopsBeforeItsManifest(t *testing.T) {
 	c := newXferCluster(t, 1<<20, func(cfg *Config) {
-		cfg.StateChunkBytes = 2048
-		cfg.StateChunksPerToken = 1
+		cfg.stateChunkBytes = 2048
 	}, "n1", "n2", "n3")
 	createBlobGroup(t, c, "blob", 1, "n1", "n2", "n3")
 	obj := c.client("n2", "driver", "blob")
@@ -376,6 +376,243 @@ func TestDonorStopsBeforeItsManifest(t *testing.T) {
 	}
 }
 
+// heldDonor is a counter whose get_state waits until the test opens its
+// gate: a donor held inside its capture. entered closes at the first call.
+type heldDonor struct {
+	counter
+	entered, gate chan struct{}
+	once          sync.Once
+}
+
+func (g *heldDonor) GetState() (anyval.Any, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+	return g.counter.GetState()
+}
+
+// inside reports whether get_state has been called.
+func (g *heldDonor) inside() bool {
+	select {
+	case <-g.entered:
+		return true
+	default:
+		return false
+	}
+}
+
+// newHeldDonorCluster starts nodes with the audit off (its digests would
+// call get_state too) and the Counter factory on n1 replaced by a held
+// donor; open lets its capture go on, and the test's end opens it anyway.
+func newHeldDonorCluster(t *testing.T, addrs ...string) (c *testCluster, donor *heldDonor, open func()) {
+	t.Helper()
+	c = newXferCluster(t, 0, func(cfg *Config) { cfg.AuditInterval = -1 }, addrs...)
+	donor = &heldDonor{entered: make(chan struct{}), gate: make(chan struct{})}
+	open = sync.OnceFunc(func() { close(donor.gate) })
+	t.Cleanup(open)
+	c.nodes["n1"].RegisterFactory("Counter", func(string) ftcorba.Replica { return donor })
+	return c, donor, open
+}
+
+// waitUntil polls cond until it holds, for at most ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// queued reports whether node n's replica of group has anything waiting
+// in its dispatch queue: a recovering replica holds what is ordered after
+// its add, a held donor what is ordered after its capture.
+func queued(n *Node, group string) bool {
+	waiting := 0
+	n.onLoop(func() {
+		if h := n.hosts[group]; h != nil {
+			waiting = h.q.Len()
+		}
+	})
+	return waiting > 0
+}
+
+// hasMember reports whether n's table lists node as a member of group.
+func hasMember(n *Node, group, node string) bool {
+	members, _ := n.GroupMembers(group)
+	return slices.ContainsFunc(members, func(m replication.Member) bool { return m.Node == node })
+}
+
+// addAsync invokes add on a goroutine; the channel carries the answer, or
+// -1 if the invocation failed.
+func addAsync(obj *orb.ObjectRef, delta int64) <-chan int64 {
+	answer := make(chan int64, 1)
+	go func() {
+		v, err := tryAdd(obj, delta)
+		if err != nil {
+			v = -1
+		}
+		answer <- v
+	}()
+	return answer
+}
+
+// TestTransferCuresOnlyTheMemberWhoseAddNamedIt: two replicas are added
+// while the donor is inside the first one's capture, and a write is ordered
+// between the two adds. The first capture predates the write and the
+// second replica's queue starts after it, so only the second capture,
+// taken at the second add, covers the second replica: each manifest cures
+// the member whose add named its transfer, and all three replicas hold the
+// write.
+func TestTransferCuresOnlyTheMemberWhoseAddNamedIt(t *testing.T) {
+	c, donor, open := newHeldDonorCluster(t, "n1", "n2", "n3", "n4")
+	var mu sync.Mutex
+	replicas := map[string]*counter{"n1": &donor.counter}
+	for _, a := range []string{"n2", "n3"} {
+		c.nodes[a].RegisterFactory("Counter", func(string) ftcorba.Replica {
+			r := &counter{}
+			mu.Lock()
+			replicas[a] = r
+			mu.Unlock()
+			return r
+		})
+	}
+	c.createGroup("ctr", ftcorba.Active, []string{"n1", "n2", "n3"}, 1)
+	obj := c.client("n4", "driver", "ctr")
+	add(t, obj, 5)
+	for _, a := range []string{"n2", "n3"} {
+		if err := c.nodes[a].KillReplica("ctr", 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	recovered := make(chan error, 2)
+	go func() { recovered <- c.nodes["n2"].RecoverReplica("ctr", 20*time.Second) }()
+	waitUntil(t, "n1 inside get_state", donor.inside)
+	wrote := addAsync(obj, 7)
+	waitUntil(t, "the write in n2's held queue", func() bool { return queued(c.nodes["n2"], "ctr") })
+	go func() { recovered <- c.nodes["n3"].RecoverReplica("ctr", 20*time.Second) }()
+	waitUntil(t, "n3's add at n1", func() bool { return hasMember(c.nodes["n1"], "ctr", "n3") })
+	open()
+
+	if v := <-wrote; v != 12 {
+		t.Fatalf("add 7 answered %d, want 12", v)
+	}
+	for range 2 {
+		if err := <-recovered; err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	held := make(map[string]int64)
+	for a, r := range replicas {
+		r.mu.Lock()
+		held[a] = r.v
+		r.mu.Unlock()
+	}
+	mu.Unlock()
+	if held["n1"] != 12 || held["n2"] != 12 || held["n3"] != 12 {
+		t.Fatalf("replicas hold %v, want 12 everywhere", held)
+	}
+	if got := get(t, obj); got != 12 {
+		t.Fatalf("get = %d, want 12", got)
+	}
+}
+
+// TestTransferRecapturedAfterDonorDiesIsNoCheckpoint: a warm-passive
+// primary dies inside its capture for a recovering backup, after a write
+// was ordered. The promoted backup executes the write from its log and
+// captures again under the recovering member's transfer id, later in the
+// order than that member's add. The other backup must not take that
+// capture as a checkpoint of the add's position — it would keep the write
+// in its log on top of a state that holds it — so when it is promoted in
+// turn, the write is applied once.
+func TestTransferRecapturedAfterDonorDiesIsNoCheckpoint(t *testing.T) {
+	c, donor, _ := newHeldDonorCluster(t, "n1", "n2", "n3", "n4", "n5")
+	err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
+		Name: "ctr", TypeName: "Counter", Nodes: []string{"n1", "n2", "n3"},
+		Props: ftcorba.Properties{
+			Style: ftcorba.WarmPassive, InitialReplicas: 3, MinReplicas: 1,
+			CheckpointInterval: time.Hour, // no checkpoint but the recovery's
+		},
+	}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := c.client("n5", "driver", "ctr")
+	add(t, obj, 5)
+
+	recovered := make(chan error, 1)
+	go func() { recovered <- c.nodes["n4"].RecoverReplica("ctr", 20*time.Second) }()
+	waitUntil(t, "n1 inside get_state", donor.inside)
+	wrote := addAsync(obj, 7)
+	waitUntil(t, "the write in n4's held queue", func() bool { return queued(c.nodes["n4"], "ctr") })
+	c.crashNode("n1")
+
+	if v := <-wrote; v != 12 {
+		t.Fatalf("add 7 answered %d, want 12", v)
+	}
+	if err := <-recovered; err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes["n2"].KillReplica("ctr", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes["n3"].AwaitPromoted("ctr", "n3", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, obj); got != 12 {
+		t.Fatalf("get after n3's promotion = %d, want 12", got)
+	}
+}
+
+// TestTransferCheckpointCuresNobody: a warm-passive primary is inside a
+// checkpoint's capture when a write and then a new backup's add are
+// ordered. The checkpoint predates both, so its manifest cures nobody: the
+// new backup waits for the capture its own add triggered, and holds the
+// write when it is the one left to promote.
+func TestTransferCheckpointCuresNobody(t *testing.T) {
+	c, donor, open := newHeldDonorCluster(t, "n1", "n2", "n3", "n4")
+	err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
+		Name: "ctr", TypeName: "Counter", Nodes: []string{"n1", "n2"},
+		Props: ftcorba.Properties{
+			Style: ftcorba.WarmPassive, InitialReplicas: 2, MinReplicas: 1,
+			// One checkpoint, due after the second write.
+			CheckpointInterval: time.Hour, CheckpointEveryN: 2,
+		},
+	}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := c.client("n4", "driver", "ctr")
+	add(t, obj, 5)
+	add(t, obj, 1)
+	waitUntil(t, "n1 inside the checkpoint's get_state", donor.inside)
+	wrote := addAsync(obj, 7)
+	waitUntil(t, "the write queued behind n1's capture", func() bool { return queued(c.nodes["n1"], "ctr") })
+	recovered := make(chan error, 1)
+	go func() { recovered <- c.nodes["n3"].RecoverReplica("ctr", 20*time.Second) }()
+	waitUntil(t, "n3's add at n1", func() bool { return hasMember(c.nodes["n1"], "ctr", "n3") })
+	open()
+
+	if v := <-wrote; v != 13 {
+		t.Fatalf("add 7 answered %d, want 13", v)
+	}
+	if err := <-recovered; err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"n1", "n2"} {
+		if err := c.nodes[a].KillReplica("ctr", 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.nodes["n3"].AwaitPromoted("ctr", "n3", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(t, obj); got != 13 {
+		t.Fatalf("get at the new backup, promoted = %d, want 13", got)
+	}
+}
+
 // TestDonorOfTwoGroupsAtOnce: a node that donates to two groups at once —
 // two dispatchers capturing side by side — keeps each transfer's chunks and
 // manifest together in its bulk lane, so a receiver, which holds one open
@@ -384,7 +621,7 @@ func TestDonorStopsBeforeItsManifest(t *testing.T) {
 // submitted before the second capture ends.)
 func TestDonorOfTwoGroupsAtOnce(t *testing.T) {
 	c := newXferCluster(t, 256<<10, func(cfg *Config) {
-		cfg.StateChunkBytes = 2048
+		cfg.stateChunkBytes = 2048
 	}, "n1", "n2")
 	groups := []string{"a", "b"}
 	objs := make(map[string]*orb.ObjectRef)
@@ -457,7 +694,7 @@ func TestStateTransferEverySize(t *testing.T) {
 				t.Skip("megabytes of state under the race detector outlast this test's timeouts")
 			}
 			c := newXferCluster(t, tc.blob, func(cfg *Config) {
-				cfg.StateChunkBytes = tc.chunkBytes
+				cfg.stateChunkBytes = tc.chunkBytes
 			}, "n1", "n2")
 			props := ftcorba.Properties{Style: tc.style, InitialReplicas: 2, MinReplicas: 1}
 			if tc.style != ftcorba.Active {
@@ -669,7 +906,7 @@ func TestStateTransferFromNonRepresentativeDonor(t *testing.T) {
 	for _, nodes := range [][]string{{"n1", "n2", "n3"}, {"n1", "n2"}} {
 		t.Run(strings.Join(nodes, ""), func(t *testing.T) {
 			c := newXferCluster(t, 20<<10, func(cfg *Config) {
-				cfg.StateChunkBytes = 2048
+				cfg.stateChunkBytes = 2048
 			}, nodes...)
 			createBlobGroup(t, c, "blob", 1, nodes...)
 			obj := c.client("n1", "driver", "blob")

@@ -12,9 +12,6 @@ import (
 // handler.
 var discard = slog.New(discardHandler{})
 
-// Discard returns a logger that drops every record.
-func Discard() *slog.Logger { return discard }
-
 // LoggerOr returns l when non-nil and the shared discard logger
 // otherwise — the one-line form of "nil Logger disables logging".
 func LoggerOr(l *slog.Logger) *slog.Logger {

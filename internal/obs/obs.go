@@ -162,26 +162,6 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 	return nil
 }
 
-// FindCounter returns the named counter, or nil if absent.
-func (r *Registry) FindCounter(name string) *Counter {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if m, ok := r.metrics[name]; ok && m.kind == kindCounter {
-		return m.counter
-	}
-	return nil
-}
-
-// FindGauge returns the named gauge, or nil if absent.
-func (r *Registry) FindGauge(name string) *Gauge {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if m, ok := r.metrics[name]; ok && m.kind == kindGauge {
-		return m.gauge
-	}
-	return nil
-}
-
 // Names lists the registered metric names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()

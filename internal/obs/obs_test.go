@@ -164,13 +164,14 @@ func TestWritePrometheus(t *testing.T) {
 func TestFinders(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", "", nil)
+	r.Counter("c", "")
 	if r.FindHistogram("h") != h {
 		t.Fatal("FindHistogram must return the registered histogram")
 	}
-	if r.FindHistogram("absent") != nil || r.FindCounter("h") != nil || r.FindGauge("h") != nil {
-		t.Fatal("finders must return nil for absent or mismatched names")
+	if r.FindHistogram("absent") != nil || r.FindHistogram("c") != nil {
+		t.Fatal("FindHistogram must return nil for absent or mismatched names")
 	}
-	if names := r.Names(); len(names) != 1 || names[0] != "h" {
+	if names := r.Names(); len(names) != 2 || names[0] != "c" || names[1] != "h" {
 		t.Fatalf("names = %v", names)
 	}
 }
@@ -204,7 +205,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestDiscardLogger(t *testing.T) {
-	l := Discard()
+	l := LoggerOr(nil)
 	l.Info("dropped", "k", "v") // must not panic or write
 	if LoggerOr(nil) != l {
 		t.Fatal("LoggerOr(nil) must return the shared discard logger")

@@ -45,7 +45,8 @@ const (
 	// kill, fault reaction, or processor failure cleanup).
 	EventMemberRemove = "member-remove"
 	// EventSetState (ordered): a fabricated set_state bundle was delivered,
-	// curing every recovering member at this position.
+	// curing the recovering member whose add named its transfer, if one
+	// still waits for it, at this position.
 	EventSetState = "set-state"
 	// EventCheckpoint (ordered): a periodic checkpoint marker (passive
 	// replication) fixed a capture position in the total order.

@@ -98,15 +98,6 @@ func (o *ORB) Object(r *ior.IOR) (*ObjectRef, error) {
 	}, nil
 }
 
-// ObjectFromString resolves a stringified "IOR:..." reference.
-func (o *ORB) ObjectFromString(s string) (*ObjectRef, error) {
-	r, err := ior.ParseString(s)
-	if err != nil {
-		return nil, err
-	}
-	return o.Object(r)
-}
-
 // Close shuts down all connections; outstanding invocations fail.
 func (o *ORB) Close() {
 	o.mu.Lock()

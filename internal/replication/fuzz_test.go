@@ -109,6 +109,6 @@ func FuzzDecodeFilterState(f *testing.F) {
 func FuzzDecodeTable(f *testing.F) {
 	ds := stateDecoders(f)
 	repeated := bytes.ReplaceAll(ds["table"].good[0], []byte("group-b"), []byte("group-a"))
-	old := withTransferCounters(sampleTable(f))
-	fuzzState(f, slices.Concat(ds["table"].good, ds["spec"].good, [][]byte{repeated, old}), "table", "spec")
+	retired := [][]byte{retiredTable(sampleTable(f), false), retiredTable(sampleTable(f), true)}
+	fuzzState(f, slices.Concat(ds["table"].good, ds["spec"].good, [][]byte{repeated}, retired), "table", "spec")
 }

@@ -75,6 +75,11 @@ const (
 type Member struct {
 	Node  string
 	State MemberState
+	// XferID names the state transfer of the KAddMember that admitted the
+	// member (0 for one placed at creation): the one transfer whose
+	// manifest cures it, since only a capture taken at its own add covers
+	// the queue it holds from there.
+	XferID uint64
 }
 
 // Group is the replicated metadata of one object group. Every node holds
@@ -115,17 +120,6 @@ func (g *Group) memberIndex(node string) int {
 		}
 	}
 	return -1
-}
-
-// OperationalMembers lists nodes with operational replicas, in order.
-func (g *Group) OperationalMembers() []string {
-	var out []string
-	for _, m := range g.Members {
-		if m.State == MemberOperational {
-			out = append(out, m.Node)
-		}
-	}
-	return out
 }
 
 // Primary returns the primary's node under passive replication (the first
@@ -219,9 +213,10 @@ func (t *Table) RemoveMember(group, node string) (bool, error) {
 	return true, nil
 }
 
-// AddRecovering applies a KAddMember: the node joins in Recovering state
-// and starts enqueueing at this point in the total order.
-func (t *Table) AddRecovering(group, node string) (*Group, error) {
+// AddRecovering applies a KAddMember naming transfer xferID: the node joins
+// in Recovering state and starts enqueueing at this point in the total
+// order.
+func (t *Table) AddRecovering(group, node string, xferID uint64) (*Group, error) {
 	g, ok := t.groups[group]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrGroupUnknown, group)
@@ -229,7 +224,7 @@ func (t *Table) AddRecovering(group, node string) (*Group, error) {
 	if g.memberIndex(node) >= 0 {
 		return nil, fmt.Errorf("%w: %s in %s", ErrMemberExists, node, group)
 	}
-	g.Members = append(g.Members, Member{Node: node, State: MemberRecovering})
+	g.Members = append(g.Members, Member{Node: node, State: MemberRecovering, XferID: xferID})
 	return g, nil
 }
 
@@ -265,7 +260,7 @@ func (t *Table) NodeFailed(node string) []string {
 // EncodeTable serializes the whole table — the KSyncState payload that
 // brings a joining node's metadata up to the snapshot position: a count of
 // groups, then in name order each group's spec and its members (node,
-// state) as a list.
+// state, transfer id) as a list.
 func (t *Table) EncodeTable() []byte {
 	names := t.Names()
 	b := binary.AppendUvarint(nil, uint64(len(names)))
@@ -274,6 +269,7 @@ func (t *Table) EncodeTable() []byte {
 		b = binary.AppendUvarint(appendSpec(b, &g.Spec), uint64(len(g.Members)))
 		for _, m := range g.Members {
 			b = binary.AppendUvarint(codec.AppendBytes(b, m.Node), uint64(m.State))
+			b = binary.AppendUvarint(b, m.XferID)
 		}
 	}
 	return b
@@ -293,13 +289,13 @@ func DecodeTable(buf []byte) (*Table, error) {
 		if i > 0 && g.Spec.Name <= prev {
 			r.Fail(errors.New("groups out of name order or repeated"))
 		}
-		g.Members = make([]Member, r.Count(2)) // a node name's length and a state
+		g.Members = make([]Member, r.Count(3)) // a node name's length, a state and a transfer id
 		for j := range g.Members {
-			node, st := r.Str(), r.U64()
+			node, st, xfer := r.Str(), r.U64(), r.U64()
 			if st > uint64(MemberRecovering) {
 				r.Fail(errors.New("unknown member state"))
 			}
-			g.Members[j] = Member{Node: node, State: MemberState(st)}
+			g.Members[j] = Member{Node: node, State: MemberState(st), XferID: xfer}
 		}
 		t.groups[g.Spec.Name], prev = g, g.Spec.Name
 	}

@@ -423,8 +423,10 @@ func TestTableCreateAndPrimary(t *testing.T) {
 	if !g.IsPrimary("n1") || g.IsPrimary("n2") {
 		t.Fatal("IsPrimary wrong")
 	}
-	if got := g.OperationalMembers(); len(got) != 3 {
-		t.Fatalf("operational = %v", got)
+	for _, n := range []string{"n1", "n2", "n3"} {
+		if !g.IsOperational(n) {
+			t.Fatalf("%s not operational: %+v", n, g.Members)
+		}
 	}
 }
 
@@ -474,22 +476,22 @@ func TestRecoveringLifecycle(t *testing.T) {
 	tb := NewTable()
 	tb.Create(spec())
 	tb.RemoveMember("bank", "n3")
-	g, err := tb.AddRecovering("bank", "n3")
+	g, err := tb.AddRecovering("bank", "n3", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.AddRecovering("bank", "n3"); !errors.Is(err, ErrMemberExists) {
+	if _, err := tb.AddRecovering("bank", "n3", 7); !errors.Is(err, ErrMemberExists) {
 		t.Fatalf("err = %v", err)
 	}
 	// Recovering members are not operational and cannot be primary.
-	if got := g.OperationalMembers(); len(got) != 2 {
-		t.Fatalf("operational = %v", got)
+	if g.IsOperational("n3") || !g.IsOperational("n1") || !g.IsOperational("n2") {
+		t.Fatalf("operational = %+v", g.Members)
 	}
 	if err := tb.MarkOperational("bank", "n3"); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.OperationalMembers(); len(got) != 3 {
-		t.Fatalf("operational after mark = %v", got)
+	if !g.IsOperational("n3") {
+		t.Fatalf("operational after mark = %+v", g.Members)
 	}
 }
 
@@ -688,7 +690,7 @@ func TestQuickTableDeterminism(t *testing.T) {
 			case 0:
 				tb.RemoveMember("bank", node)
 			case 1:
-				tb.AddRecovering("bank", node)
+				tb.AddRecovering("bank", node, 1)
 			case 2:
 				tb.MarkOperational("bank", node)
 			case 3:

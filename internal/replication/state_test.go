@@ -37,7 +37,8 @@ func sampleSpecs() []*GroupSpec {
 	}
 }
 
-// sampleTable holds two groups, one of them with a recovering member.
+// sampleTable holds two groups, one of them with a recovering member whose
+// add named the largest transfer id.
 func sampleTable(t testing.TB) *Table {
 	tb := NewTable()
 	a := spec()
@@ -50,15 +51,17 @@ func sampleTable(t testing.TB) *Table {
 		}
 	}
 	tb.RemoveMember("group-b", "n2")
-	if _, err := tb.AddRecovering("group-b", "n4"); err != nil {
+	if _, err := tb.AddRecovering("group-b", "n4", 1<<64-1); err != nil {
 		t.Fatal(err)
 	}
 	return tb
 }
 
-// withTransferCounters encodes t in the layout KSyncState carried as kind
-// 33: each group followed by a transfer-id counter nothing read.
-func withTransferCounters(t *Table) []byte {
+// retiredTable encodes t in a layout KSyncState no longer carries: its
+// members without the transfer id of their add, as kind 38 did before
+// members named it and, with counters, each group followed by a
+// transfer-id counter nothing read, as kind 33 did.
+func retiredTable(t *Table, counters bool) []byte {
 	names := t.Names()
 	b := binary.AppendUvarint(nil, uint64(len(names)))
 	for _, name := range names {
@@ -67,7 +70,9 @@ func withTransferCounters(t *Table) []byte {
 		for _, m := range g.Members {
 			b = binary.AppendUvarint(codec.AppendBytes(b, m.Node), uint64(m.State))
 		}
-		b = binary.AppendUvarint(b, math.MaxUint64)
+		if counters {
+			b = binary.AppendUvarint(b, math.MaxUint64)
+		}
 	}
 	return b
 }
@@ -174,9 +179,9 @@ func TestStateDecodersBoundAllocationByTheirInput(t *testing.T) {
 }
 
 // TestDecodeTableRejectsWhatNoTableHolds: a group named twice (taken, the
-// second would overwrite the first), a member state no node defines, and a
-// table of the retired layout with a transfer-id counter per group, alone
-// or behind another group.
+// second would overwrite the first), a member state no node defines, and
+// tables of the retired layouts: members without their add's transfer id,
+// and a transfer-id counter per group, alone or behind another group.
 func TestDecodeTableRejectsWhatNoTableHolds(t *testing.T) {
 	twice := bytes.ReplaceAll(sampleTable(t).EncodeTable(), []byte("group-b"), []byte("group-a"))
 	unknown := sampleTable(t)
@@ -187,8 +192,10 @@ func TestDecodeTableRejectsWhatNoTableHolds(t *testing.T) {
 	for name, buf := range map[string][]byte{
 		"repeated group":                     twice,
 		"unknown member state":               unknown.EncodeTable(),
-		"transfer counter":                   withTransferCounters(one),
-		"transfer counters, a group between": withTransferCounters(sampleTable(t)),
+		"members without transfer ids":       retiredTable(sampleTable(t), false),
+		"one group without transfer ids":     retiredTable(one, false),
+		"transfer counter":                   retiredTable(one, true),
+		"transfer counters, a group between": retiredTable(sampleTable(t), true),
 	} {
 		if _, err := DecodeTable(buf); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: err = %v, want ErrBadTable", name, err)

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -35,21 +33,14 @@ const (
 	// phase may take to produce a complete clean digest row.
 	auditEpochBudget = 40
 	auditInterval    = 150 * time.Millisecond
+	// writeInterval paces the load writer.
+	writeInterval = 3 * time.Millisecond
 )
 
 // Config tunes a scenario run.
 type Config struct {
-	// Seed overrides the scenario's own seed when non-zero — the
-	// replay knob for a failed run.
-	Seed int64
 	// Logf receives progress lines (t.Logf in tests); nil is silent.
 	Logf func(format string, args ...any)
-	// WriteInterval paces the load writer (default 3ms).
-	WriteInterval time.Duration
-	// ServeAdmin exposes every node's admin handler on 127.0.0.1
-	// ports so `eternalctl status`/`audit` can watch a soak live; the
-	// addresses are logged and returned in Result.AdminAddrs.
-	ServeAdmin bool
 }
 
 // PhaseResult is one phase's oracle outcome.
@@ -95,8 +86,7 @@ type Result struct {
 	// scenario's recovery-convergence headline.
 	MaxRecoveryEpochs int `json:"max_recovery_epochs"`
 
-	Phases     []PhaseResult `json:"phases"`
-	AdminAddrs []string      `json:"admin_addrs,omitempty"`
+	Phases []PhaseResult `json:"phases"`
 }
 
 type runner struct {
@@ -116,8 +106,6 @@ type runner struct {
 	// lossDirty notes a StepLoss so the phase boundary restores the base rate.
 	lossDirty bool
 
-	admin map[string]*adminServer
-
 	mu sync.Mutex
 	// ops is every write attempt, in issue order; writes and acked count
 	// the writes themselves (a write is acked if one of its attempts was).
@@ -129,11 +117,6 @@ type runner struct {
 
 	stopWriter chan struct{}
 	writerDone chan struct{}
-}
-
-type adminServer struct {
-	ln  net.Listener
-	srv *http.Server
 }
 
 func (r *runner) logf(format string, args ...any) {
@@ -152,14 +135,7 @@ func (r *runner) fail(phase, format string, args ...any) {
 // Oracle violations land in Result.Failures (Pass=false); the error is
 // reserved for harness problems (bad scenario, cluster won't start).
 func Run(sc Scenario, cfg Config) (*Result, error) {
-	seed := sc.Seed
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
-	}
-	if cfg.WriteInterval <= 0 {
-		cfg.WriteInterval = 3 * time.Millisecond
-	}
-	sched, err := Render(sc, seed)
+	sched, err := Render(sc, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -168,16 +144,15 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 		anchor:     sched.Members[0],
 		watermarks: make(map[string]uint64),
 		down:       make(map[string]bool),
-		admin:      make(map[string]*adminServer),
 		stopWriter: make(chan struct{}),
 		writerDone: make(chan struct{}),
 		res: &Result{
-			Scenario: sc.Name, Seed: seed,
+			Scenario: sc.Name, Seed: sc.Seed,
 			Nodes: sc.Nodes, Replicas: sc.Replicas,
 		},
 	}
 	r.logf("scenario %s seed=%d nodes=%d replicas=%d (replay: same seed renders the identical schedule)",
-		sc.Name, seed, sc.Nodes, sc.Replicas)
+		sc.Name, sc.Seed, sc.Nodes, sc.Replicas)
 	for _, line := range schedLines(sched) {
 		r.logf("  %s", line)
 	}
@@ -185,7 +160,7 @@ func Run(sc Scenario, cfg Config) (*Result, error) {
 	if err := r.start(); err != nil {
 		return nil, err
 	}
-	defer r.shutdown()
+	defer r.sys.Shutdown()
 
 	client, err := r.sys.Client(r.anchor, "chaos-driver")
 	if err != nil {
@@ -277,43 +252,7 @@ func (r *runner) start() error {
 		sys.Shutdown()
 		return err
 	}
-	if r.cfg.ServeAdmin {
-		for _, m := range r.sched.Members {
-			r.serveAdmin(m)
-		}
-		r.logf("admin endpoints: %v (eternalctl status -nodes ...)", r.res.AdminAddrs)
-	}
 	return nil
-}
-
-func (r *runner) shutdown() {
-	for _, a := range r.admin {
-		a.srv.Close()
-	}
-	r.admin = map[string]*adminServer{}
-	r.sys.Shutdown()
-}
-
-func (r *runner) serveAdmin(addr string) {
-	n := r.sys.Node(addr)
-	if n == nil {
-		return
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return
-	}
-	srv := &http.Server{Handler: n.AdminHandler()}
-	go srv.Serve(ln)
-	r.admin[addr] = &adminServer{ln: ln, srv: srv}
-	r.res.AdminAddrs = append(r.res.AdminAddrs, ln.Addr().String())
-}
-
-func (r *runner) closeAdmin(addr string) {
-	if a, ok := r.admin[addr]; ok {
-		a.srv.Close()
-		delete(r.admin, addr)
-	}
 }
 
 // writer is the sustained client load: sequential string writes through
@@ -363,7 +302,7 @@ func (r *runner) writer(obj *eternal.ObjectRef) {
 		select {
 		case <-r.stopWriter:
 			return
-		case <-time.After(r.cfg.WriteInterval):
+		case <-time.After(writeInterval):
 		}
 	}
 }
@@ -488,7 +427,6 @@ func (r *runner) execute(phase string, a Action) {
 }
 
 func (r *runner) killNode(addr string) {
-	r.closeAdmin(addr)
 	r.sys.CrashNode(addr)
 	r.down[addr] = true
 	delete(r.watermarks, addr)
@@ -506,9 +444,6 @@ func (r *runner) restartNode(phase, addr string) {
 	n.RegisterFactory(typeName, func(oid string) eternal.Replica { return &history.Register{} })
 	delete(r.down, addr)
 	r.watermarks[addr] = 0
-	if r.cfg.ServeAdmin {
-		r.serveAdmin(addr)
-	}
 	r.res.Restarts++
 }
 

@@ -29,9 +29,14 @@ import (
 // EthernetMTU is the classic maximum Ethernet frame size the paper cites.
 const EthernetMTU = 1518
 
-// DefaultInboxDepth is the per-endpoint receive queue depth; frames
-// arriving at a full inbox are dropped (NIC overrun) and counted.
-const DefaultInboxDepth = 4096
+const (
+	// inboxDepth is the per-endpoint receive queue depth; frames arriving
+	// at a full inbox are dropped (NIC overrun) and counted.
+	inboxDepth = 4096
+	// frameOverhead is the per-frame header bytes (Ethernet+IP+UDP)
+	// charged against bandwidth.
+	frameOverhead = 54
+)
 
 // Errors reported by endpoints.
 var (
@@ -50,31 +55,20 @@ type Config struct {
 	BandwidthBps int64
 	// MTU is the maximum frame payload; 0 means EthernetMTU.
 	MTU int
-	// FrameOverhead models per-frame header bytes charged against
-	// bandwidth (Ethernet+IP+UDP ≈ 54); 0 means 54.
-	FrameOverhead int
 	// LossRate is the probability in [0,1) that any individual frame is
 	// dropped, decided by a deterministic PRNG.
 	LossRate float64
 	// Seed seeds the loss PRNG; 0 means a fixed default, keeping runs
 	// reproducible.
 	Seed int64
-	// InboxDepth overrides DefaultInboxDepth when positive.
-	InboxDepth int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MTU == 0 {
 		c.MTU = EthernetMTU
 	}
-	if c.FrameOverhead == 0 {
-		c.FrameOverhead = 54
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.InboxDepth <= 0 {
-		c.InboxDepth = DefaultInboxDepth
 	}
 	return c
 }
@@ -180,7 +174,7 @@ func (n *Network) Join(addr string) (*Endpoint, error) {
 	ep := &Endpoint{
 		net:   n,
 		addr:  addr,
-		inbox: make(chan Packet, n.cfg.InboxDepth),
+		inbox: make(chan Packet, inboxDepth),
 	}
 	n.endpoints[addr] = ep
 	return ep, nil
@@ -281,7 +275,7 @@ func (n *Network) Heal() {
 // Returns the delivery delay that was applied.
 func (n *Network) transmit(src string, dsts []*Endpoint, payload []byte) time.Duration {
 	n.framesSent.Add(1)
-	wireBytes := len(payload) + n.cfg.FrameOverhead
+	wireBytes := len(payload) + frameOverhead
 	n.bytesOnWire.Add(uint64(wireBytes))
 
 	n.mu.Lock()

@@ -238,11 +238,11 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestInboxOverrunCounted(t *testing.T) {
-	n := New(Config{InboxDepth: 2})
+	n := New(Config{})
 	a, _ := n.Join("a")
 	b, _ := n.Join("b")
 	_ = b // b never reads
-	for i := 0; i < 10; i++ {
+	for i := 0; i < inboxDepth+10; i++ {
 		if err := a.Send("b", []byte{1}); err != nil {
 			t.Fatal(err)
 		}

@@ -246,6 +246,6 @@ func (p *Processor) installRing(f *formMsg, now time.Time) {
 	if f.Ring.Rep == p.addr {
 		// The representative injects the first token.
 		tok := &tokenMsg{Ring: f.Ring, Seq: f.StartSeq, Aru: p.myAru, AruSetter: p.addr, GCSeq: p.gcLow}
-		p.forwardToken(tok, now, 0, p.cfg.MaxPerToken)
+		p.forwardToken(tok, now, 0, p.cfg.window)
 	}
 }

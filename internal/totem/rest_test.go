@@ -295,7 +295,7 @@ func TestLazyMessageWaitsATickOffTheQueue(t *testing.T) {
 			withdraw: func() bool { return withdrawn }}
 	}
 	// An idle token parked here stays parked.
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0, p.cfg.MaxPerToken)
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0, p.cfg.window)
 	if p.parkedToken == nil {
 		t.Fatal("idle token not paced")
 	}
@@ -337,14 +337,13 @@ func TestLazyMessageWaitsATickOffTheQueue(t *testing.T) {
 	}
 }
 
-// TestBulkLanePromotesByQuota: each token visit lets BulkPerVisit whole
+// TestBulkLanePromotesByQuota: each token visit lets bulkPerVisit whole
 // messages from the bulk lane into the sending queue, counts a stall when
 // that leaves some behind, and the token neither paces nor rests while
-// any wait. With no quota the lane is still bounded by the visit's
+// any wait. Under the quota the lane is still bounded by the visit's
 // flow-control window, so it cannot build a backlog in the sending queue.
 func TestBulkLanePromotesByQuota(t *testing.T) {
 	p := offlineProcessor("a", "b", "c")
-	p.cfg.BulkPerVisit = 2
 	now := time.Now()
 	p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second) // would rest, were it not for the bulk
 	bulk := func(chunks int) submission {
@@ -377,13 +376,13 @@ func TestBulkLanePromotesByQuota(t *testing.T) {
 	}
 
 	q := offlineProcessor("a", "b", "c")
-	q.cfg.MaxPerToken = 4
+	q.cfg.window = 4
 	for i := 0; i < 3; i++ {
-		q.enqueue(bulk(3), now)
+		q.enqueue(bulk(5), now)
 	}
 	q.handleToken(&tokenMsg{Ring: q.ring, Round: 3}, now)
-	if st := q.Stats(); st.BulkPromoted != 2 || st.ChunksSent != 4 || q.pending.Len() != 2 {
-		t.Fatalf("promoted %d, sent %d, left %d: want two messages let in (the second fills the window), one visit's worth sent",
+	if st := q.Stats(); st.BulkPromoted != 1 || st.ChunksSent != 4 || q.pending.Len() != 1 {
+		t.Fatalf("promoted %d, sent %d, left %d: want one message let in (it fills the window), one visit's worth sent",
 			st.BulkPromoted, st.ChunksSent, q.pending.Len())
 	}
 }
@@ -395,8 +394,7 @@ func TestBulkLanePromotesByQuota(t *testing.T) {
 // chunks; every one must arrive whole, each class in submission order.
 func TestBulkNeverInterleavesWithinASender(t *testing.T) {
 	procs := classicRing(t, simnet.New(simnet.Config{}), func(_ string, cfg *Config) {
-		cfg.MaxPerToken = 3
-		cfg.BulkPerVisit = 2
+		cfg.window = 3
 	}, "a", "b", "c")
 	a, b := procs["a"], procs["b"]
 	const each = 25
@@ -522,7 +520,6 @@ func TestReplyHoldServesReplyFromHeldToken(t *testing.T) {
 // reply, once, and is not held for on the next visit.
 func TestReplyGoesOutBeforeTheVisitsBulkQuota(t *testing.T) {
 	p := holdProcessor()
-	p.cfg.BulkPerVisit = 2
 	now := time.Now()
 	p.sched.soleSender, p.sched.soleSince = "a", now.Add(-time.Second)
 	for i := 0; i < 5; i++ {

@@ -121,8 +121,7 @@ func (p *Processor) promoteLazy(now time.Time) {
 // quota larger than the ring's flow-control window cannot build a backlog
 // in front of later urgent messages.
 func (p *Processor) promoteBulk() {
-	for n := 0; p.bulk.Len() > 0 && p.pending.Len() < p.cfg.MaxPerToken &&
-		(p.cfg.BulkPerVisit <= 0 || n < p.cfg.BulkPerVisit); n++ {
+	for n := 0; p.bulk.Len() > 0 && p.pending.Len() < p.cfg.window && n < bulkPerVisit; n++ {
 		m, _ := p.bulk.Pop()
 		p.nBulkProm.Add(1)
 		p.admit(m)
@@ -139,7 +138,7 @@ func (p *Processor) kick(c class, now time.Time) {
 	}
 	act := p.sched.submitted(c, p.parkedToken != nil, now)
 	if act == actServe {
-		if _, fgSent := p.sendPending(p.parkedToken, now, p.cfg.MaxPerToken); fgSent > 0 {
+		if _, fgSent := p.sendPending(p.parkedToken, now, p.cfg.window); fgSent > 0 {
 			p.sched.active(now)
 		}
 		if p.sched.keepResting(p.pending.Len(), p.bulk.Len(), now) {
@@ -215,7 +214,7 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	p.sched.beginSending()
 	p.promoteLazy(now)
 	pendingBefore := p.pending.Len()
-	sent, fgSent := p.sendPending(tok, now, p.cfg.MaxPerToken)
+	sent, fgSent := p.sendPending(tok, now, p.cfg.window)
 	tok.IdleHops = p.sched.sent(tok.IdleHops, served > 0 || fgSent > 0 || len(tok.Rtr) > 0 || p.bulk.Len() > 0, now)
 
 	// 4. Aggregate aru; 5. garbage-collect messages everyone has.
@@ -225,7 +224,7 @@ func (p *Processor) handleToken(tok *tokenMsg, now time.Time) {
 	// it; then profile the visit (the forward decides the pacing state the
 	// sample records).
 	idleHops := tok.IdleHops
-	sent += p.forwardToken(tok, now, fgSent, p.cfg.MaxPerToken-sent)
+	sent += p.forwardToken(tok, now, fgSent, p.cfg.window-sent)
 	end := time.Now()
 	sample := obs.TokenRotation{
 		At:            now,
@@ -257,7 +256,7 @@ func (p *Processor) Rotations(max int) []obs.TokenRotation {
 }
 
 // sendPending multicasts queued chunks, each frame under the token's next
-// sequence number, bounded by limit chunks (MaxPerToken, or what is left of
+// sequence number, bounded by limit chunks (the window, or what is left of
 // it when a visit sends twice). It returns how many
 // chunks were sent and how many of those were foreground (non-background)
 // — the count that feeds the idle pacer. Consecutive sub-MTU chunks,
@@ -363,7 +362,7 @@ func (p *Processor) forwardToken(tok *tokenMsg, now time.Time, fgSent, room int)
 	if succ == p.addr {
 		p.promoteBulk()
 		for p.pending.Len() > 0 {
-			n, _ := p.sendPending(tok, now, p.cfg.MaxPerToken)
+			n, _ := p.sendPending(tok, now, p.cfg.window)
 			sent += n
 		}
 	}
@@ -422,7 +421,7 @@ func (p *Processor) releaseParked(now time.Time) {
 		tok.IdleHops = 0
 	}
 	if p.pending.Len() > 0 {
-		if _, fgSent := p.sendPending(tok, now, p.cfg.MaxPerToken); fgSent > 0 {
+		if _, fgSent := p.sendPending(tok, now, p.cfg.window); fgSent > 0 {
 			tok.IdleHops = 0
 			p.sched.active(now)
 		}

@@ -159,8 +159,6 @@ type Config struct {
 	StableFor time.Duration
 	// Tick is the internal timer resolution (default 2ms).
 	Tick time.Duration
-	// MaxPerToken bounds chunks multicast per token visit (default 64).
-	MaxPerToken int
 	// Metrics receives the processor's live metrics (packet/byte traffic,
 	// pending-queue depth, multicast→delivery latency). Nil disables
 	// export; the protocol's cumulative Stats() counters work regardless.
@@ -173,11 +171,6 @@ type Config struct {
 	// (enqueued behind the token, last fragment transmitted). Nil
 	// disables; untraced multicasts never touch it either way.
 	Spans *obs.SpanRecorder
-	// BulkPerVisit is how many bulk messages (MulticastBulk) one token
-	// visit moves into the sending queue; zero or less means all of them.
-	// It is wiring, not a knob of its own: core sets it from
-	// Config.StateChunksPerToken.
-	BulkPerVisit int
 	// Ordered, when set, is called on the ordering goroutine for every
 	// application message at its agreed position in the total order, just
 	// before the message is queued on Deliveries; it may set d.App, which
@@ -192,7 +185,21 @@ type Config struct {
 	// tokenResend retransmits the last token forwarded if no activity
 	// follows (TokenLossTimeout/4; a test on a lossy medium shortens it).
 	tokenResend time.Duration
+	// window bounds the chunks one token visit multicasts (maxPerToken; a
+	// test that needs a message to span visits shrinks it).
+	window int
 }
+
+const (
+	// maxPerToken is the flow-control window: at most this many chunks
+	// are multicast per token visit.
+	maxPerToken = 64
+	// bulkPerVisit is how many bulk messages (MulticastBulk) one token
+	// visit moves into the sending queue: a state transfer's chunks and
+	// its manifest go onto the ring two per visit, behind the visit's
+	// foreground messages.
+	bulkPerVisit = 2
+)
 
 func (c Config) withDefaults() Config {
 	if c.TokenLossTimeout <= 0 {
@@ -210,8 +217,8 @@ func (c Config) withDefaults() Config {
 	if c.Tick <= 0 {
 		c.Tick = 2 * time.Millisecond
 	}
-	if c.MaxPerToken <= 0 {
-		c.MaxPerToken = 64
+	if c.window <= 0 {
+		c.window = maxPerToken
 	}
 	return c
 }
@@ -415,7 +422,7 @@ func (p *Processor) MulticastBackground(payload []byte) error {
 
 // MulticastBulk is Multicast for state-transfer payload: the message
 // waits in a lane of its own, in submission order, and each token visit
-// lets at most Config.BulkPerVisit whole messages into the sending queue,
+// lets at most bulkPerVisit whole messages into the sending queue,
 // behind whatever urgent work is already there — so a large transfer
 // shares every visit with foreground traffic instead of standing in front
 // of it. A member with bulk waiting keeps the token moving: it neither

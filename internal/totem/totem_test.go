@@ -525,9 +525,9 @@ func TestFlowControlMaxPerToken(t *testing.T) {
 	epA, _ := net.Join("a")
 	epB, _ := net.Join("b")
 	cfgA := fastConfig(NewSimnetTransport(epA))
-	cfgA.MaxPerToken = 4
+	cfgA.window = 4
 	cfgB := fastConfig(NewSimnetTransport(epB))
-	cfgB.MaxPerToken = 4
+	cfgB.window = 4
 	pa, err := Start(cfgA)
 	if err != nil {
 		t.Fatal(err)

@@ -62,18 +62,6 @@ func NewUDPTransport(name, listenAddr string, peers map[string]string) (*UDPTran
 	return t, nil
 }
 
-// AddPeer registers (or re-addresses) a peer at runtime.
-func (t *UDPTransport) AddPeer(name, addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.peers[name] = ua
-	t.mu.Unlock()
-	return nil
-}
-
 func (t *UDPTransport) readLoop() {
 	defer close(t.out)
 	buf := make([]byte, 65536)

@@ -154,31 +154,3 @@ func TestUDPTransportSelfLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestUDPTransportAddPeer(t *testing.T) {
-	ports := freePorts(t, 2)
-	a, err := NewUDPTransport("a", fmt.Sprintf("127.0.0.1:%d", ports[0]), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewUDPTransport("b", fmt.Sprintf("127.0.0.1:%d", ports[1]), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.AddPeer("b", fmt.Sprintf("127.0.0.1:%d", ports[1])); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", []byte("late-peer")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case pkt := <-b.Recv():
-		if pkt.From != "a" || string(pkt.Payload) != "late-peer" {
-			t.Fatalf("pkt = %+v", pkt)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no delivery after AddPeer")
-	}
-}

@@ -93,7 +93,7 @@ func TestWithdrawnMessageIsNeverSent(t *testing.T) {
 // delivered whole.
 func TestWithdrawalStopsAtFirstChunk(t *testing.T) {
 	procs := classicRing(t, simnet.New(simnet.Config{}), func(_ string, cfg *Config) {
-		cfg.MaxPerToken = 2 // a 5-chunk message needs three visits
+		cfg.window = 2 // a 5-chunk message needs three visits
 	}, "a", "b")
 	a, b := procs["a"], procs["b"]
 	msg := make([]byte, 4*a.tr.MTU())
@@ -207,8 +207,7 @@ func TestWithdrawalInvariantsUnderLossAndReformation(t *testing.T) {
 		nodes[a] = &keyedNode{addr: a, idx: byte(i), seen: make(map[uint32]bool), withdrawn: make(map[uint32]bool)}
 	}
 	procs := classicRing(t, net, func(addr string, cfg *Config) {
-		cfg.MaxPerToken = 3 // four-chunk messages span token visits
-		cfg.BulkPerVisit = 2
+		cfg.window = 3 // four-chunk messages span token visits
 		cfg.Ordered = nodes[addr].ordered
 	}, addrs...)
 	chunkSize := procs["a"].tr.MTU() - fragMargin - 1
@@ -410,7 +409,7 @@ func TestHurriedClearedOnEveryForward(t *testing.T) {
 	nudges := func() uint64 { return p.Stats().HurriesSent }
 
 	p.sched.hurried = true
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now, 0, p.cfg.MaxPerToken) // busy token: forwarded at wire speed regardless
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 0}, now, 0, p.cfg.window) // busy token: forwarded at wire speed regardless
 	if p.sched.hurried {
 		t.Fatal("hurried survived a forward that had no pacing to skip")
 	}
@@ -446,7 +445,7 @@ func TestHurriedClearedOnEveryForward(t *testing.T) {
 		t.Fatalf("wantToken=%v hurried=%v pending=%d after the visit that served the work", p.sched.wantToken, p.sched.hurried, p.pending.Len())
 	}
 
-	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0, p.cfg.MaxPerToken) // idle rotation complete, no nudge pending: must pace
+	p.forwardToken(&tokenMsg{Ring: p.ring, IdleHops: 3}, now, 0, p.cfg.window) // idle rotation complete, no nudge pending: must pace
 	if p.parkedToken == nil {
 		t.Fatal("idle token not paced: a stale nudge cancelled the park")
 	}

@@ -362,8 +362,10 @@ func TestObservabilityEnqueueDuringRecovery(t *testing.T) {
 			t.Fatalf("timelines not newest first: %v then %v", timelines[i-1].At, tl.At)
 		}
 	}
-	if g := n2.Metrics().FindGauge("eternal_dispatch_queue_depth"); g == nil {
-		t.Fatal("eternal_dispatch_queue_depth not registered")
+	var exposition strings.Builder
+	n2.Metrics().WritePrometheus(&exposition)
+	if !strings.Contains(exposition.String(), "# TYPE eternal_dispatch_queue_depth gauge") {
+		t.Fatal("eternal_dispatch_queue_depth not exported as a gauge")
 	}
 	if h := n2.Metrics().FindHistogram("eternal_recovery_total_seconds"); h.Summary().Count != 3 {
 		t.Fatalf("recovery total count = %d, want 3", h.Summary().Count)

@@ -1,7 +1,6 @@
 package eternal_test
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -9,22 +8,20 @@ import (
 )
 
 // runScenario executes one registered chaos scenario and fails the
-// test with the replay seed on any oracle violation.
+// test, naming the command that replays it, on any oracle violation.
 func runScenario(t *testing.T, sc scenario.Scenario) {
 	t.Helper()
-	cfg := scenario.Config{Logf: t.Logf}
-	if os.Getenv("ETERNAL_SCENARIO_ADMIN") != "" {
-		// Serve every node's admin endpoint so `eternalctl status`
-		// and `eternalctl audit` can watch the run live.
-		cfg.ServeAdmin = true
-	}
-	res, err := scenario.Run(sc, cfg)
+	res, err := scenario.Run(sc, scenario.Config{Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("scenario %s seed %d: %v", sc.Name, sc.Seed, err)
 	}
 	if !res.Pass {
-		t.Fatalf("scenario %s FAILED — replay by re-running with seed %d (the schedule is a pure function of it):\n%s",
-			sc.Name, res.Seed, strings.Join(res.Failures, "\n"))
+		tags := ""
+		if sc.Soak {
+			tags = "-tags soak "
+		}
+		t.Fatalf("scenario %s FAILED at seed %d — replay with go test %s-run '%s' . (the schedule is a pure function of the registered seed):\n%s",
+			sc.Name, res.Seed, tags, t.Name(), strings.Join(res.Failures, "\n"))
 	}
 }
 

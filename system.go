@@ -277,9 +277,5 @@ func (c *Client) Resolve(group string) (*ObjectRef, error) {
 	return c.orb.Object(ref)
 }
 
-// ORB exposes the client's underlying ORB (for advanced use: stringified
-// IORs, non-replicated endpoints via TCP fallback).
-func (c *Client) ORB() *orb.ORB { return c.orb }
-
 // Close shuts the client's connections down.
 func (c *Client) Close() { c.orb.Close() }
