@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"net"
 	"sync"
 
 	"eternal/internal/giop"
@@ -17,12 +15,12 @@ import (
 // replicated object — paper footnote 2: middle tiers play both roles).
 //
 // For each connection the entity's ORB opens to a replicated group, the
-// entity runs an egress proxy that parses the ORB's outgoing IIOP stream,
-// translates the ORB's local request_ids onto the group's logical
-// request_id counter (paper §4.2.1), and multicasts each request in the
-// total order. Incoming replies are translated back and written into the
-// ORB's connection; duplicate replies from replicated servers are
-// suppressed first (paper §2.1).
+// entity keeps an egress handler that the ORB calls with each request, on
+// the invoking goroutine. It translates the ORB's local request_ids onto
+// the group's logical request_id counter (paper §4.2.1), and multicasts
+// each request in the total order. Incoming replies are translated back
+// and handed to the ORB on the node's delivery loop; duplicate replies
+// from replicated servers are suppressed first (paper §2.1).
 type clientEntity struct {
 	node *Node
 	name string
@@ -52,7 +50,7 @@ type clientEntity struct {
 type egressConn struct {
 	entity *clientEntity
 	id     replication.ConnID
-	mech   net.Conn // the mechanisms' end of the diverted connection
+	conn   *interceptor.Conn // the diverted connection, toward the ORB
 
 	// The counters below are guarded by the entity's mu.
 
@@ -62,7 +60,7 @@ type egressConn struct {
 	// recovered replicas.
 	offset uint32
 	// localNext is the next local id the ORB will assign on this
-	// connection (observed from its outgoing stream).
+	// connection (observed from the requests it sends).
 	localNext uint32
 	// nextLogical is the next logical id this connection will assign —
 	// the per-connection ORB-level state the paper transfers (§4.2.1).
@@ -92,13 +90,12 @@ func newClientEntity(n *Node, name string) *clientEntity {
 }
 
 // accept is the interceptor.AcceptFunc for this entity: the ORB dialed a
-// replicated group and we hold the far end of the diverted connection.
-func (ce *clientEntity) accept(group string, mech net.Conn) {
+// replicated group, and the connection's requests go to forwardRequest.
+func (ce *clientEntity) accept(group string, c *interceptor.Conn) func(*giop.Message) {
 	ce.mu.Lock()
+	defer ce.mu.Unlock()
 	if ce.closed {
-		ce.mu.Unlock()
-		mech.Close()
-		return
+		return nil
 	}
 	// A recovered replica re-dials the connections its group already
 	// holds: transferred ORB state (pendingOffsets) names those logical
@@ -117,7 +114,7 @@ func (ce *clientEntity) accept(group string, mech net.Conn) {
 		ce.dialSeq[group] = seq + 1
 		id = replication.ConnID{Client: ce.name, Group: group, Seq: seq}
 	}
-	ec := &egressConn{entity: ce, id: id, mech: mech}
+	ec := &egressConn{entity: ce, id: id, conn: c}
 	if off, ok := ce.pendingOffsets[id]; ok {
 		ec.offset = off
 		ec.nextLogical = off
@@ -127,52 +124,29 @@ func (ce *clientEntity) accept(group string, mech net.Conn) {
 		}
 	}
 	if old, ok := ce.conns[id]; ok {
-		old.mech.Close() // the previous incarnation's pipe is dead
+		old.conn.Hangup() // the previous incarnation's connection is dead
 	}
 	ce.conns[id] = ec
 	if ec.nextLogical != 0 {
 		ce.forgetPassedLocked()
 	}
-	ce.mu.Unlock()
-	go ec.run()
+	return ec.forwardRequest
 }
 
-// run parses the ORB's outgoing stream and multicasts each message.
-func (ec *egressConn) run() {
-	r := giop.NewReader(ec.mech)
-	for {
-		msg, err := r.Next()
-		if err != nil {
-			return // ORB closed the connection
-		}
-		switch msg.Type {
-		case giop.MsgRequest:
-			ec.forwardRequest(msg)
-		case giop.MsgLocateRequest:
-			// Answer locally: the group exists by construction.
-			if lr, err := giop.ParseLocateRequest(msg); err == nil {
-				rep := giop.EncodeLocateReply(msg.Version, msg.Order,
-					&giop.LocateReplyHeader{RequestID: lr.RequestID, Status: giop.LocateObjectHere})
-				rep.WriteTo(ec.mech)
-			}
-		case giop.MsgCloseConnection:
-			return
-		default:
-			// CancelRequest etc.: nothing to convey.
-		}
-	}
-}
-
+// forwardRequest is the connection's egress handler. The ORB calls it
+// with each message it sends, on the invoking goroutine and in request-id
+// order, and it multicasts each request. Anything else the client ORB
+// sends (it sends only requests) has nothing to convey.
 func (ec *egressConn) forwardRequest(msg *giop.Message) {
-	req, err := giop.ParseRequest(msg)
+	local, twoWay, err := giop.PeekRequest(msg)
 	if err != nil {
 		return
 	}
 	ce := ec.entity
 	ce.mu.Lock()
-	logical := req.Header.RequestID + ec.offset
-	if replication.After(req.Header.RequestID+1, ec.localNext) {
-		ec.localNext = req.Header.RequestID + 1
+	logical := local + ec.offset
+	if replication.After(local+1, ec.localNext) {
+		ec.localNext = local + 1
 	}
 	if replication.After(logical+1, ec.nextLogical) {
 		ec.nextLogical = logical + 1
@@ -184,12 +158,12 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 	if answered {
 		// The group has executed it already: a copy sent now would be
 		// suppressed as a duplicate.
-		ec.writeReply(answer, req.Header.RequestID)
+		ec.writeReply(answer, local)
 		return
 	}
 
 	wire := msg
-	if logical != req.Header.RequestID {
+	if logical != local {
 		if wire, err = interceptor.RewriteRequestID(msg, logical); err != nil {
 			return
 		}
@@ -202,7 +176,7 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 		Group:   ec.id.Group,
 		Conn:    ec.id,
 		OpID:    logical,
-		Oneway:  !req.Header.ResponseExpected,
+		Oneway:  !twoWay,
 		Trace:   traceID,
 		Payload: wire.Marshal(),
 	}
@@ -245,11 +219,13 @@ func (ce *clientEntity) forgetPassedLocked() {
 	}
 }
 
-// writeReply hands the ORB the reply to its request local.
+// writeReply hands the ORB the reply to its request local, on the
+// caller's goroutine: the node's delivery loop, or the ORB's own for an
+// early reply.
 func (ec *egressConn) writeReply(env *replication.Envelope, local uint32) {
 	node := ec.entity.node
 	node.counters.repliesDelivered.Add(1)
-	msg, err := giop.ReadMessage(bytes.NewReader(env.Payload))
+	msg, err := giop.ParseMessage(env.Payload)
 	if err != nil {
 		return
 	}
@@ -258,7 +234,7 @@ func (ec *egressConn) writeReply(env *replication.Envelope, local uint32) {
 			return
 		}
 	}
-	msg.WriteTo(ec.mech)
+	ec.conn.Deliver(msg)
 	if latency, ok := node.spans.Finish(env.Trace); ok {
 		node.invocationHist.ObserveDuration(latency)
 	}
@@ -313,6 +289,6 @@ func (ce *clientEntity) closeAll() {
 	}
 	ce.mu.Unlock()
 	for _, ec := range conns {
-		ec.mech.Close()
+		ec.conn.Hangup()
 	}
 }

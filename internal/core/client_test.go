@@ -328,3 +328,61 @@ func TestInstallClientConnsAcrossTheWrap(t *testing.T) {
 		t.Fatalf("nextLogical %d offset %d after an older counter, want 3 and 5 unchanged", ec.nextLogical, ec.offset)
 	}
 }
+
+// TestClosedClientsLateReplyIsDropped: a client closes its ORB while a call
+// is outstanding. The reply, ordered later, reaches a connection its ORB
+// has closed: the node's delivery loop drops it without blocking, and a
+// second client on the same node completes calls before and after it.
+func TestClosedClientsLateReplyIsDropped(t *testing.T) {
+	c := newTestCluster(t, simnet.Config{}, "n1", "n2")
+	slow := &gatedCounter{gate: make(chan struct{})}
+	slow.armed.Store(true)
+	open := sync.OnceFunc(func() { close(slow.gate) })
+	t.Cleanup(open)
+	c.nodes["n2"].RegisterFactory("Gated", func(string) ftcorba.Replica { return slow })
+	err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
+		Name: "slow", TypeName: "Gated", Nodes: []string{"n2"},
+		Props: ftcorba.Properties{Style: ftcorba.Active, InitialReplicas: 1, MinReplicas: 1},
+	}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.createGroup("ctr", ftcorba.Active, []string{"n1", "n2"}, 1)
+	second := c.client("n1", "second", "ctr")
+
+	n1 := c.nodes["n1"]
+	first := n1.ClientORB("first", orb.Options{RequestTimeout: 15 * time.Second})
+	ref, err := n1.GroupIOR("slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := first.Object(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outstanding := make(chan error, 1)
+	go func() {
+		_, err := tryAdd(obj, 1)
+		outstanding <- err
+	}()
+	waitUntil(t, "the call sent", func() bool {
+		st, ok := first.ConnStats(obj.Endpoint())
+		return ok && st.RequestsSent == 1
+	})
+	first.Close()
+	if err := <-outstanding; err != orb.ErrORBClosed {
+		t.Fatalf("the outstanding call ended with %v, want %v", err, orb.ErrORBClosed)
+	}
+	if v := add(t, second, 1); v != 1 {
+		t.Fatalf("add 1 answered %d, want 1", v)
+	}
+
+	delivered := n1.Stats().RepliesDelivered
+	open()
+	waitUntil(t, "the late reply at n1", func() bool { return n1.Stats().RepliesDelivered == delivered+1 })
+	for i := int64(2); i <= 4; i++ {
+		if v := add(t, second, 1); v != i {
+			t.Fatalf("add 1 answered %d, want %d", v, i)
+		}
+	}
+}

@@ -312,7 +312,7 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 		return // duplicate invocation from another client replica (§2.1)
 	}
 	h.node.counters.requestsExecuted.Add(1)
-	msg, err := giop.ReadMessage(bytes.NewReader(env.Payload))
+	msg, err := giop.ParseMessage(env.Payload)
 	if err != nil {
 		return
 	}
@@ -525,7 +525,7 @@ func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
 		}
 	}
 	h.mu.Unlock()
-	msg, err := giop.ReadMessage(bytes.NewReader(sc.Handshake))
+	msg, err := giop.ParseMessage(sc.Handshake)
 	if err != nil {
 		return
 	}

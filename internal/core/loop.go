@@ -283,7 +283,8 @@ func (n *Node) handleView(v *totem.Membership) {
 }
 
 // reconcile reacts to a membership change of one group: primary
-// promotion, and re-triggering the state captures whose donor died.
+// promotion, and re-triggering the state captures whose donor died. A
+// donor that stays the donor already owes one capture per add.
 func (n *Node) reconcile(name string) {
 	n.publishAnswering(name)
 	g, ok := n.table.Get(name)
@@ -298,13 +299,20 @@ func (n *Node) reconcile(name string) {
 		// This backup is promoted: replay the log (paper §3.2/§3.3).
 		h.q.Push(dispatchItem{kind: itemPromote})
 	}
-	if !isPrimary || h == nil || h.recovering {
+	if isPrimary && !wasPrimary {
+		// This node just became the donor: the one before it may have died
+		// with the captures it owed.
+		n.recapture(g, h)
+	}
+}
+
+// recapture has this node, the donor, capture again for every member still
+// recovering, each under the transfer its own add named, so that member's
+// manifest is the one that cures it.
+func (n *Node) recapture(g *replication.Group, h *replicaHost) {
+	if h == nil || h.recovering {
 		return
 	}
-	// If someone is still recovering, the donor may have died with the
-	// capture it owed: capture again for every such member, each under the
-	// transfer its own add named, so that member's manifest is the one
-	// that cures it.
 	for _, m := range g.Members {
 		if m.State == replication.MemberRecovering {
 			h.q.Push(dispatchItem{kind: itemCapture, xferID: m.XferID})
@@ -497,6 +505,12 @@ func (n *Node) handleAdd(seq uint64, env *replication.Envelope) {
 		if err := n.table.MarkOperational(env.Group, env.Node); err == nil {
 			n.signal(recoveredKey(env.Group, env.Node))
 			n.reconcile(env.Group)
+			// The lone member was the primary from its add on, so reconcile
+			// saw no new donor; it owes the members stuck recovering their
+			// captures all the same.
+			if env.Node == n.addr {
+				n.recapture(g, n.hosts[env.Group])
+			}
 		}
 		return
 	}

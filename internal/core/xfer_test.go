@@ -516,6 +516,24 @@ func TestTransferCuresOnlyTheMemberWhoseAddNamedIt(t *testing.T) {
 	if got := get(t, obj); got != 12 {
 		t.Fatalf("get = %d, want 12", got)
 	}
+	// The donor never changed, so it captured once per add. Once its
+	// replica has executed a write ordered after both manifests, any
+	// capture those manifests queued has run too.
+	add(t, obj, 1)
+	waitUntil(t, "n1 executing add 1", func() bool {
+		donor.mu.Lock()
+		defer donor.mu.Unlock()
+		return donor.v == 13
+	})
+	captures := 0
+	for _, ev := range c.nodes["n1"].Events(0, 0) {
+		if ev.Type == obs.EventGetState && ev.Group == "ctr" {
+			captures++
+		}
+	}
+	if captures != 2 {
+		t.Fatalf("n1 recorded %d get-state events, want 2: one per add", captures)
+	}
 }
 
 // TestTransferRecapturedAfterDonorDiesIsNoCheckpoint: a warm-passive

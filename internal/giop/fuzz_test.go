@@ -61,6 +61,29 @@ func FuzzReadMessage(f *testing.F) {
 			if consumed := buf[:len(buf)-r.Len()]; !bytes.Equal(m.Marshal(), consumed) {
 				t.Fatalf("accepted %+v marshals to %x, not the %x it came from", m, m.Marshal(), consumed)
 			}
+			// The peeks read what the parsers read.
+			if req, err := ParseRequest(m); err == nil {
+				if id, twoWay, err := PeekRequest(m); err != nil || id != req.Header.RequestID || twoWay != req.Header.ResponseExpected {
+					t.Fatalf("PeekRequest = %d, %t, %v; ParseRequest read %+v", id, twoWay, err, req.Header)
+				}
+			}
+			if rep, err := ParseReply(m); err == nil {
+				if id, err := PeekReply(m); err != nil || id != rep.Header.RequestID {
+					t.Fatalf("PeekReply = %d, %v; ParseReply read %d", id, err, rep.Header.RequestID)
+				}
+			}
+		}
+		// ParseMessage accepts exactly the bytes ReadMessage consumes whole.
+		var pm *Message
+		var perr error
+		if grew := allocated(func() { pm, perr = ParseMessage(buf) }); grew > allocBound(len(buf)) {
+			t.Fatalf("ParseMessage of %d bytes allocated %d", len(buf), grew)
+		}
+		if whole := err == nil && r.Len() == 0; (perr == nil) != whole {
+			t.Fatalf("ParseMessage: %v; ReadMessage: %v with %d bytes left", perr, err, r.Len())
+		}
+		if perr == nil && !bytes.Equal(pm.Marshal(), buf) {
+			t.Fatalf("ParseMessage's %+v marshals to %x, not %x", pm, pm.Marshal(), buf)
 		}
 		g := NewReader(bytes.NewReader(buf))
 		drain := func() {

@@ -167,6 +167,25 @@ func (m *Message) WriteTo(w io.Writer) (int64, error) {
 // unchanged if the stream ends cleanly on a message boundary.
 func ReadMessage(r io.Reader) (*Message, error) { return readMessage(r, MaxMessageSize) }
 
+// ParseMessage parses one whole GIOP message held in b, such as the
+// payload of an ordered envelope: ReadMessage's checks, and no bytes
+// before or after the message. The message's Body aliases b.
+func ParseMessage(b []byte) (*Message, error) {
+	if len(b) < HeaderLen {
+		return nil, fmt.Errorf("giop: %d bytes hold no header", len(b))
+	}
+	m, size, err := parseHeader((*[HeaderLen]byte)(b), MaxMessageSize)
+	if err != nil {
+		return nil, err
+	}
+	if len(b)-HeaderLen != size {
+		return nil, fmt.Errorf("giop: %d bytes after a header that declares a %d-byte body", len(b)-HeaderLen, size)
+	}
+	m.Body = b[HeaderLen:]
+	nMessagesRead.Add(1)
+	return m, nil
+}
+
 // readMessage reads one message whose body may be at most limit bytes.
 func readMessage(r io.Reader, limit int) (*Message, error) {
 	var hdr [HeaderLen]byte
@@ -176,42 +195,49 @@ func readMessage(r io.Reader, limit int) (*Message, error) {
 		}
 		return nil, fmt.Errorf("giop: reading header: %w", err)
 	}
+	m, size, err := parseHeader(&hdr, limit)
+	if err != nil {
+		return nil, err
+	}
+	if m.Body, err = readBody(r, size); err != nil {
+		return nil, fmt.Errorf("giop: reading %d-byte body: %w", size, err)
+	}
+	nMessagesRead.Add(1)
+	return m, nil
+}
+
+// parseHeader checks a message header's magic, version and flags, and
+// that the body it declares is at most limit bytes. It returns the
+// message without its body, and the body's size.
+func parseHeader(hdr *[HeaderLen]byte, limit int) (*Message, int, error) {
 	if [4]byte(hdr[0:4]) != magic {
-		return nil, ErrBadMagic
+		return nil, 0, ErrBadMagic
 	}
 	ver := Version{hdr[4], hdr[5]}
 	if ver.Major != 1 || ver.Minor > 2 {
-		return nil, fmt.Errorf("%w: %v", ErrBadVersion, ver)
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadVersion, ver)
 	}
 	flags := hdr[6]
 	if flags&^(flagLittleEndian|flagMoreFrag) != 0 {
-		return nil, fmt.Errorf("giop: reserved header flags %#x", flags)
+		return nil, 0, fmt.Errorf("giop: reserved header flags %#x", flags)
 	}
 	order := cdr.BigEndian
 	if flags&flagLittleEndian != 0 {
 		order = cdr.LittleEndian
 	}
-	typ := MsgType(hdr[7])
-	d := cdr.NewDecoder(hdr[8:12], order)
-	size, err := d.ReadULong()
+	size, err := cdr.NewDecoder(hdr[8:12], order).ReadULong()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if uint64(size) > uint64(limit) {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, size)
+		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, size)
 	}
-	body, err := readBody(r, int(size))
-	if err != nil {
-		return nil, fmt.Errorf("giop: reading %d-byte body: %w", size, err)
-	}
-	nMessagesRead.Add(1)
 	return &Message{
 		Version:       ver,
 		Order:         order,
-		Type:          typ,
+		Type:          MsgType(hdr[7]),
 		MoreFragments: flags&flagMoreFrag != 0,
-		Body:          body,
-	}, nil
+	}, int(size), nil
 }
 
 // exactBody is the largest body read into one allocation of the size its

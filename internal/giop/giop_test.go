@@ -135,6 +135,9 @@ func TestRequestRoundTripAllVersions(t *testing.T) {
 			if req.Header.RequestID != 350 {
 				t.Errorf("v%v: request id = %d", v, req.Header.RequestID)
 			}
+			if id, twoWay, err := PeekRequest(m); err != nil || id != 350 || !twoWay {
+				t.Errorf("v%v: PeekRequest = %d, %t, %v", v, id, twoWay, err)
+			}
 			if !req.Header.ResponseExpected {
 				t.Errorf("v%v: response expected lost", v)
 			}
@@ -199,6 +202,9 @@ func TestReplyRoundTripAllVersions(t *testing.T) {
 		if rep.Header.RequestID != 350 || rep.Header.Status != ReplyNoException {
 			t.Errorf("v%v: header = %+v", v, rep.Header)
 		}
+		if id, err := PeekReply(m); err != nil || id != 350 {
+			t.Errorf("v%v: PeekReply = %d, %v", v, id, err)
+		}
 		if !bytes.Equal(rep.Result, result) {
 			t.Errorf("v%v: result = % x", v, rep.Result)
 		}
@@ -225,6 +231,12 @@ func TestParseWrongType(t *testing.T) {
 	}
 	m2 := EncodeRequest(Version12, cdr.BigEndian, &RequestHeader{}, nil)
 	if _, err := ParseReply(m2); !errors.Is(err, ErrUnexpected) {
+		t.Fatalf("err = %v, want ErrUnexpected", err)
+	}
+	if _, err := PeekReply(m2); !errors.Is(err, ErrUnexpected) {
+		t.Fatalf("err = %v, want ErrUnexpected", err)
+	}
+	if _, _, err := PeekRequest(m); !errors.Is(err, ErrUnexpected) {
 		t.Fatalf("err = %v, want ErrUnexpected", err)
 	}
 }

@@ -209,6 +209,31 @@ func ParseRequest(m *Message) (*Request, error) {
 	return &Request{Header: h, Order: m.Order, Args: args}, nil
 }
 
+// PeekRequest decodes only the request_id and response flag of a
+// MsgRequest message: what Eternal's mechanisms need to number a request
+// they pass on whole.
+func PeekRequest(m *Message) (id uint32, responseExpected bool, err error) {
+	if m.Type != MsgRequest {
+		return 0, false, fmt.Errorf("%w: %v", ErrUnexpected, m.Type)
+	}
+	d := cdr.NewDecoder(m.Body, m.Order)
+	if m.Version.AtLeast(Version12) {
+		if id, err = d.ReadULong(); err != nil {
+			return 0, false, err
+		}
+		flags, err := d.ReadOctet()
+		return id, flags&0x03 == 0x03, err
+	}
+	if _, err = readServiceContexts(d); err != nil {
+		return 0, false, err
+	}
+	if id, err = d.ReadULong(); err != nil {
+		return 0, false, err
+	}
+	responseExpected, err = d.ReadBoolean()
+	return id, responseExpected, err
+}
+
 // ReplyStatus is the GIOP reply_status discriminant.
 type ReplyStatus uint32
 
@@ -312,6 +337,22 @@ func ParseReply(m *Message) (*Reply, error) {
 	copy(result, m.Body[d.Pos():])
 	nReplies.Add(1)
 	return &Reply{Header: h, Order: m.Order, Result: result}, nil
+}
+
+// PeekReply decodes only the request_id of a MsgReply message: what a
+// client ORB needs to route a reply to its caller, who parses the rest
+// with ParseReply.
+func PeekReply(m *Message) (uint32, error) {
+	if m.Type != MsgReply {
+		return 0, fmt.Errorf("%w: %v", ErrUnexpected, m.Type)
+	}
+	d := cdr.NewDecoder(m.Body, m.Order)
+	if !m.Version.AtLeast(Version12) {
+		if _, err := readServiceContexts(d); err != nil {
+			return 0, err
+		}
+	}
+	return d.ReadULong()
 }
 
 // CancelRequestHeader is the GIOP CancelRequest header.

@@ -8,16 +8,13 @@ import (
 	"time"
 )
 
-// ErrDeadline is returned by reads that exceed their deadline.
-var ErrDeadline = errors.New("interceptor: deadline exceeded")
-
-// Pipe returns a connected pair of in-memory, *buffered* net.Conns.
+// Pipe returns a connected pair of in-memory, *buffered* net.Conns: an ORB
+// talking IIOP to a server with no socket and no replication, as the
+// benchmark's layer passes and the tests drive one.
 //
 // Unlike net.Pipe, writes never block: each direction is an unbounded
-// byte queue. This matters because Eternal's mechanisms write replies into
-// client ORB connections from protocol goroutines that must never stall on
-// a slow reader (the same reason the paper's Eternal enqueues messages at
-// the Recovery Mechanisms rather than blocking the multicast engine).
+// byte queue, so a writer never stalls on a slow reader. Reads wait for
+// data or for the close; the pipe has no deadlines.
 func Pipe() (net.Conn, net.Conn) {
 	a2b := newBuffer()
 	b2a := newBuffer()
@@ -51,21 +48,10 @@ func (b *buffer) write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (b *buffer) read(p []byte, deadline time.Time) (int, error) {
+func (b *buffer) read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for len(b.data) == 0 && !b.closed {
-		if !deadline.IsZero() {
-			if !time.Now().Before(deadline) {
-				return 0, ErrDeadline
-			}
-			// Poll-wake so deadline expiry is noticed; granularity is
-			// coarse but reads are for protocol streams, not timers.
-			t := time.AfterFunc(time.Until(deadline), b.cond.Broadcast)
-			b.cond.Wait()
-			t.Stop()
-			continue
-		}
 		b.cond.Wait()
 	}
 	if len(b.data) == 0 && b.closed {
@@ -93,20 +79,11 @@ type conn struct {
 	read  *buffer
 	write *buffer
 	name  string
-
-	mu           sync.Mutex
-	readDeadline time.Time
 }
 
 var _ net.Conn = (*conn)(nil)
 
-func (c *conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	dl := c.readDeadline
-	c.mu.Unlock()
-	return c.read.read(p, dl)
-}
-
+func (c *conn) Read(p []byte) (int, error)  { return c.read.read(p) }
 func (c *conn) Write(p []byte) (int, error) { return c.write.write(p) }
 
 // Close shuts both directions: the peer's reads drain then see EOF, and
@@ -126,15 +103,9 @@ func (a pipeAddr) String() string  { return string(a) }
 func (c *conn) LocalAddr() net.Addr  { return pipeAddr(c.name) }
 func (c *conn) RemoteAddr() net.Addr { return pipeAddr(c.name + "-peer") }
 
-func (c *conn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
+// errNoDeadlines is what setting a deadline on the pipe returns.
+var errNoDeadlines = errors.New("interceptor: the pipe has no deadlines")
 
-func (c *conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readDeadline = t
-	c.mu.Unlock()
-	c.read.cond.Broadcast()
-	return nil
-}
-
-// SetWriteDeadline is a no-op: writes never block.
-func (c *conn) SetWriteDeadline(time.Time) error { return nil }
+func (c *conn) SetDeadline(time.Time) error      { return errNoDeadlines }
+func (c *conn) SetReadDeadline(time.Time) error  { return errNoDeadlines }
+func (c *conn) SetWriteDeadline(time.Time) error { return errNoDeadlines }

@@ -2,7 +2,6 @@ package interceptor
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"net"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"eternal/internal/cdr"
 	"eternal/internal/giop"
+	"eternal/internal/orb"
 )
 
 func TestPipeBasicExchange(t *testing.T) {
@@ -108,29 +108,6 @@ func TestPipeCloseGivesEOFAfterDrain(t *testing.T) {
 	}
 }
 
-func TestPipeReadDeadline(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	b.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
-	buf := make([]byte, 4)
-	start := time.Now()
-	_, err := b.Read(buf)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want deadline", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("deadline far too late")
-	}
-	// Clearing the deadline unblocks future reads.
-	b.SetReadDeadline(time.Time{})
-	a.Write([]byte("late"))
-	n, err := b.Read(buf)
-	if err != nil || string(buf[:n]) != "late" {
-		t.Fatalf("got %q, %v", buf[:n], err)
-	}
-}
-
 func TestPipeConcurrentReadersWriters(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
@@ -169,23 +146,20 @@ func (g *groups) diverts(host string) bool {
 }
 
 func TestInterceptorRoutes(t *testing.T) {
-	received := make(chan []byte, 1)
 	var accepted []string
-	ic := New((&groups{hosts: map[string]bool{"group-bank": true}}).diverts, func(host string, mechEnd net.Conn) {
+	var egressed []*giop.Message
+	var mech *Conn
+	ic := New((&groups{hosts: map[string]bool{"group-bank": true}}).diverts, func(host string, c *Conn) func(*giop.Message) {
 		accepted = append(accepted, host)
-		go func() {
-			defer mechEnd.Close()
-			buf := make([]byte, 16)
-			n, _ := mechEnd.Read(buf)
-			received <- append([]byte(nil), buf[:n]...)
-		}()
+		mech = c
+		return func(m *giop.Message) { egressed = append(egressed, m) }
 	}, nil)
 	before := Snapshot()
-	c, err := ic.Dial("group-bank", 4242)
+	raw, err := ic.Dial("group-bank", 4242)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer raw.Close()
 	// Accepted on the dialing goroutine, before Dial returned.
 	if len(accepted) != 1 || accepted[0] != "group-bank" {
 		t.Fatalf("accepted %v before Dial returned, want [group-bank]", accepted)
@@ -193,19 +167,50 @@ func TestInterceptorRoutes(t *testing.T) {
 	if got := Snapshot().DivertedDials - before.DivertedDials; got != 1 {
 		t.Fatalf("diverted dials moved by %d, want 1", got)
 	}
-	c.Write([]byte("diverted"))
-	select {
-	case got := <-received:
-		if string(got) != "diverted" {
-			t.Fatalf("got %q", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("mechanisms never received the bytes")
+	c, ok := raw.(orb.MessageConn)
+	if !ok || raw != net.Conn(mech) {
+		t.Fatalf("Dial returned %T, not the Conn it accepted", raw)
+	}
+	// Whole messages both ways, on the calling goroutine.
+	req := giop.EncodeRequest(giop.Version12, cdr.BigEndian, &giop.RequestHeader{RequestID: 1, ObjectKey: []byte("k"), Operation: "op"}, nil)
+	if err := c.Send(req); err != nil || len(egressed) != 1 || egressed[0] != req {
+		t.Fatalf("Send = %v; the egress handler got %v, want the request itself", err, egressed)
+	}
+	var received []*giop.Message
+	reply := giop.EncodeReply(giop.Version12, cdr.BigEndian, &giop.ReplyHeader{RequestID: 1}, nil)
+	mech.Deliver(reply) // before the ORB has bound the connection: dropped
+	c.Bind(func(m *giop.Message) { received = append(received, m) })
+	mech.Deliver(reply)
+	if len(received) != 1 || received[0] != reply {
+		t.Fatalf("the ORB received %v, want the reply itself, once", received)
+	}
+	if _, err := raw.Write([]byte("bytes")); err == nil {
+		t.Fatal("a diverted connection accepted bytes")
+	}
+	// Once the ORB closes, nothing crosses either way.
+	raw.Close()
+	if mech.Deliver(reply); len(received) != 1 {
+		t.Fatal("delivered to an ORB that closed the connection")
+	}
+	if err := c.Send(req); err == nil || len(egressed) != 1 {
+		t.Fatal("sent on a closed connection")
+	}
+}
+
+// TestInterceptorRefused: an AcceptFunc that returns no egress handler
+// refuses the connection, and Dial fails.
+func TestInterceptorRefused(t *testing.T) {
+	ic := New((&groups{hosts: map[string]bool{"g": true}}).diverts, func(string, *Conn) func(*giop.Message) { return nil }, nil)
+	if _, err := ic.Dial("g", 1); err == nil {
+		t.Fatal("a refused connection dialed")
 	}
 }
 
 func TestInterceptorNoFallback(t *testing.T) {
-	ic := New((&groups{}).diverts, func(string, net.Conn) { t.Error("accepted an undiverted host") }, nil)
+	ic := New((&groups{}).diverts, func(string, *Conn) func(*giop.Message) {
+		t.Error("accepted an undiverted host")
+		return nil
+	}, nil)
 	if _, err := ic.Dial("unknown-host", 1); err == nil {
 		t.Fatal("expected error without fallback")
 	}
@@ -221,7 +226,10 @@ func (f *fakeDialer) Dial(host string, port uint16) (net.Conn, error) {
 
 func TestInterceptorFallback(t *testing.T) {
 	fd := &fakeDialer{}
-	ic := New((&groups{}).diverts, func(string, net.Conn) { t.Error("accepted an undiverted host") }, fd)
+	ic := New((&groups{}).diverts, func(string, *Conn) func(*giop.Message) {
+		t.Error("accepted an undiverted host")
+		return nil
+	}, fd)
 	before := Snapshot()
 	c, err := ic.Dial("plain-host", 80)
 	if err != nil {
@@ -240,7 +248,7 @@ func TestInterceptorFallback(t *testing.T) {
 // host that stops being a replicated target is no longer diverted.
 func TestInterceptorUnregister(t *testing.T) {
 	g := &groups{hosts: map[string]bool{"g": true}}
-	ic := New(g.diverts, func(host string, mechEnd net.Conn) { mechEnd.Close() }, nil)
+	ic := New(g.diverts, func(string, *Conn) func(*giop.Message) { return func(*giop.Message) {} }, nil)
 	c, err := ic.Dial("g", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,23 @@ type Dialer interface {
 	Dial(host string, port uint16) (net.Conn, error)
 }
 
+// MessageConn is a connection that carries whole GIOP messages by function
+// call instead of bytes: Eternal's diverted connections. The client ORB
+// recognises one when it dials and starts no read loop for it. It hands
+// each request to Send on the invoking goroutine, and is handed each
+// message for it through the function it binds, the same receive that a
+// byte stream's read loop calls.
+type MessageConn interface {
+	net.Conn
+	// Bind registers the ORB's receive function. The far end calls it with
+	// each whole message for the ORB, on the far end's goroutine; it never
+	// blocks.
+	Bind(receive func(*giop.Message))
+	// Send hands one whole message to the far end, on the caller's
+	// goroutine.
+	Send(*giop.Message) error
+}
+
 // TCPDialer is the default Dialer: plain TCP, as an unintercepted ORB
 // would use.
 type TCPDialer struct {
@@ -90,11 +107,12 @@ func (o *ORB) Object(r *ior.IOR) (*ObjectRef, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNoProfile, err)
 	}
 	return &ObjectRef{
-		orb:    o,
-		typeID: r.TypeID,
-		host:   p.Host,
-		port:   p.Port,
-		key:    append([]byte(nil), p.ObjectKey...),
+		orb:      o,
+		typeID:   r.TypeID,
+		host:     p.Host,
+		port:     p.Port,
+		endpoint: endpointKey(p.Host, p.Port),
+		key:      append([]byte(nil), p.ObjectKey...),
 	}, nil
 }
 
@@ -139,8 +157,7 @@ func endpointKey(host string, port uint16) string {
 	return fmt.Sprintf("%s:%d", host, port)
 }
 
-func (o *ORB) getConn(host string, port uint16) (*clientConn, error) {
-	key := endpointKey(host, port)
+func (o *ORB) getConn(key, host string, port uint16) (*clientConn, error) {
 	o.mu.Lock()
 	if o.closed {
 		o.mu.Unlock()
@@ -189,7 +206,9 @@ type ObjectRef struct {
 	typeID string
 	host   string
 	port   uint16
-	key    []byte
+	// endpoint names the ORB's connection to host:port.
+	endpoint string
+	key      []byte
 }
 
 // TypeID returns the repository id of the reference.
@@ -211,7 +230,7 @@ func (r *ObjectRef) Invoke(op string, args []byte) ([]byte, error) {
 // InvokeTimeout is Invoke with a per-call timeout overriding the ORB's
 // RequestTimeout (zero waits forever, like an ORB without timeouts).
 func (r *ObjectRef) InvokeTimeout(op string, args []byte, timeout time.Duration) ([]byte, error) {
-	c, err := r.orb.getConn(r.host, r.port)
+	c, err := r.orb.getConn(r.endpoint, r.host, r.port)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +240,7 @@ func (r *ObjectRef) InvokeTimeout(op string, args []byte, timeout time.Duration)
 // InvokeOneway performs a oneway operation: no reply is expected or waited
 // for (CORBA oneway semantics).
 func (r *ObjectRef) InvokeOneway(op string, args []byte) error {
-	c, err := r.orb.getConn(r.host, r.port)
+	c, err := r.orb.getConn(r.endpoint, r.host, r.port)
 	if err != nil {
 		return err
 	}
@@ -234,12 +253,17 @@ type clientConn struct {
 	orb  *ORB
 	key  string
 	conn net.Conn
+	// msgs is conn when it carries whole messages, nil for a byte stream.
+	msgs MessageConn
 
-	writeMu sync.Mutex
+	// sendMu is held from a request's id assignment through its send, so
+	// requests leave the connection in id order: the group's duplicate
+	// filter takes an id below one it has seen for a duplicate.
+	sendMu sync.Mutex
 
 	mu       sync.Mutex
 	nextID   uint32 // the per-connection GIOP request_id counter (§4.2.1)
-	pending  map[uint32]chan *giop.Reply
+	pending  map[uint32]chan *giop.Message
 	closed   bool
 	closeErr error
 
@@ -259,12 +283,17 @@ func newClientConn(o *ORB, raw net.Conn, key string) *clientConn {
 		orb:        o,
 		key:        key,
 		conn:       raw,
-		pending:    make(map[uint32]chan *giop.Reply),
+		pending:    make(map[uint32]chan *giop.Message),
 		aliasByKey: make(map[string]uint32),
 		accepted:   make(map[uint32]bool),
 		nextAlias:  1,
 	}
-	go c.readLoop()
+	if mc, ok := raw.(MessageConn); ok {
+		c.msgs = mc
+		mc.Bind(c.receive)
+	} else {
+		go c.readLoop()
+	}
 	return c
 }
 
@@ -282,13 +311,43 @@ func (c *clientConn) snapshot() ConnStats {
 
 // call performs one invocation over the connection.
 func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, callTimeout time.Duration) ([]byte, error) {
+	id, waiter, err := c.send(fullKey, op, args, twoWay)
+	if err != nil || !twoWay {
+		return nil, err
+	}
+
+	var timeout <-chan time.Time
+	if callTimeout > 0 {
+		t := time.NewTimer(callTimeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case msg, ok := <-waiter:
+		if !ok {
+			return nil, c.closeReason()
+		}
+		return c.processReply(msg)
+	case <-timeout:
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s request_id %d", ErrTimeout, op, id)
+	}
+}
+
+// send assigns a request its id and handshake contexts and sends it; a
+// two-way request's waiter is registered before it leaves.
+func (c *clientConn) send(fullKey []byte, op string, args []byte, twoWay bool) (uint32, chan *giop.Message, error) {
 	opts := c.orb.opts
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 
 	c.mu.Lock()
 	if c.closed {
 		err := c.closeErr
 		c.mu.Unlock()
-		return nil, err
+		return 0, nil, err
 	}
 	id := c.nextID
 	c.nextID++
@@ -315,9 +374,9 @@ func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, c
 		c.handshakeSent = true
 	}
 
-	var waiter chan *giop.Reply
+	var waiter chan *giop.Message
 	if twoWay {
-		waiter = make(chan *giop.Reply, 1)
+		waiter = make(chan *giop.Message, 1)
 		c.pending[id] = waiter
 	}
 	c.mu.Unlock()
@@ -330,40 +389,27 @@ func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, c
 		Operation:        op,
 	}
 	msg := giop.EncodeRequest(opts.Version, opts.Order, hdr, args)
-
-	c.writeMu.Lock()
-	err := giop.WriteMessage(c.conn, msg, 0)
-	c.writeMu.Unlock()
+	var err error
+	if c.msgs != nil {
+		err = c.msgs.Send(msg)
+	} else {
+		err = giop.WriteMessage(c.conn, msg, 0)
+	}
 	c.nRequests.Add(1)
 	if err != nil {
 		c.close(fmt.Errorf("%w: %v", ErrConnClosed, err))
-		return nil, CommFailure()
+		return 0, nil, CommFailure()
 	}
-	if !twoWay {
-		return nil, nil
-	}
-
-	var timeout <-chan time.Time
-	if callTimeout > 0 {
-		t := time.NewTimer(callTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case rep, ok := <-waiter:
-		if !ok {
-			return nil, c.closeReason()
-		}
-		return c.processReply(rep)
-	case <-timeout:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s request_id %d", ErrTimeout, op, id)
-	}
+	return id, waiter, nil
 }
 
-func (c *clientConn) processReply(rep *giop.Reply) ([]byte, error) {
+// processReply parses a reply on its caller's goroutine, so that the
+// receiving side only routes it.
+func (c *clientConn) processReply(msg *giop.Message) ([]byte, error) {
+	rep, err := giop.ParseReply(msg)
+	if err != nil {
+		return nil, Internal()
+	}
 	// Absorb negotiated state from reply contexts.
 	if sc := giop.FindContext(rep.Header.ServiceContexts, giop.SCVendorHandshake); sc != nil {
 		if verb, _, acceptedAliases, err := decodeHandshake(sc); err == nil && verb == verbAccept {
@@ -404,33 +450,40 @@ func (c *clientConn) readLoop() {
 			c.close(fmt.Errorf("%w: %v", ErrConnClosed, err))
 			return
 		}
-		switch msg.Type {
-		case giop.MsgReply:
-			rep, err := giop.ParseReply(msg)
-			if err != nil {
-				continue // malformed reply: drop
-			}
-			c.nReplies.Add(1)
-			c.mu.Lock()
-			waiter, ok := c.pending[rep.Header.RequestID]
-			if ok {
-				delete(c.pending, rep.Header.RequestID)
-			}
-			c.mu.Unlock()
-			if ok {
-				waiter <- rep
-			} else {
-				// The Figure 4 behaviour: a reply whose request_id matches
-				// no outstanding request is silently discarded; whoever was
-				// waiting for the "right" id waits forever.
-				c.nDiscarded.Add(1)
-			}
-		case giop.MsgCloseConnection:
-			c.close(ErrConnClosed)
-			return
-		default:
-			// Clients ignore other message types.
+		c.receive(msg)
+	}
+}
+
+// receive takes one whole message for the connection: readLoop calls it
+// for a byte stream, a MessageConn's far end on its own goroutine. It
+// never blocks: a reply goes, unparsed but for its request id, to its
+// waiter's buffered channel or is discarded.
+func (c *clientConn) receive(msg *giop.Message) {
+	switch msg.Type {
+	case giop.MsgReply:
+		id, err := giop.PeekReply(msg)
+		if err != nil {
+			return // malformed reply: drop
 		}
+		c.nReplies.Add(1)
+		c.mu.Lock()
+		waiter, ok := c.pending[id]
+		if ok {
+			delete(c.pending, id)
+		}
+		c.mu.Unlock()
+		if ok {
+			waiter <- msg
+		} else {
+			// The Figure 4 behaviour: a reply whose request_id matches
+			// no outstanding request is silently discarded; whoever was
+			// waiting for the "right" id waits forever.
+			c.nDiscarded.Add(1)
+		}
+	case giop.MsgCloseConnection:
+		c.close(ErrConnClosed)
+	default:
+		// Clients ignore other message types.
 	}
 }
 
@@ -452,7 +505,7 @@ func (c *clientConn) close(reason error) {
 	c.closed = true
 	c.closeErr = reason
 	waiters := c.pending
-	c.pending = make(map[uint32]chan *giop.Reply)
+	c.pending = make(map[uint32]chan *giop.Message)
 	c.mu.Unlock()
 
 	c.conn.Close()

@@ -389,6 +389,55 @@ func wantHistory(t *testing.T, obj *eternal.ObjectRef, vals ...string) {
 	}
 }
 
+// TestConcurrentInvocationsShareOneConnection: goroutines invoking
+// through one reference share one ORB connection, and every invocation
+// is answered. The request id and the send are one step on the
+// connection: were a later id sent before an earlier one, the group's
+// duplicate filter would drop the earlier request and its caller would
+// time out.
+func TestConcurrentInvocationsShareOneConnection(t *testing.T) {
+	sys := fastSystem(t, "n1", "n2", "n3")
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2}, "n1", "n1", "n2", "n3")
+	const callers, each = 8, 100
+	ops := make([][]history.Op, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := fmt.Sprintf("g%d", g)
+			for i := range each {
+				v := fmt.Sprintf("%s-%d", client, i)
+				e := eternal.NewEncoder(eternal.BigEndian)
+				e.WriteString(v)
+				_, err := obj.InvokeTimeout("set", e.Bytes(), 2*time.Second)
+				ops[g] = append(ops[g], history.Op{Client: client, Value: v, Acked: err == nil})
+			}
+		}()
+	}
+	wg.Wait()
+	var all []history.Op
+	lost := 0
+	for _, o := range ops {
+		for _, op := range o {
+			if !op.Acked {
+				lost++
+			}
+		}
+		all = append(all, o...)
+	}
+	if lost > 0 {
+		t.Errorf("%d of %d invocations were not answered", lost, callers*each)
+	}
+	hist, err := history.Read(obj, 20*time.Second)
+	if err != nil {
+		t.Fatalf("history: %v", err)
+	}
+	if err := history.Check(all, hist); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSystemQuickstartFlow(t *testing.T) {
 	sys := fastSystem(t, "n1", "n2", "n3")
 	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 3, MinReplicas: 2}, "n1", "n1", "n2", "n3")
