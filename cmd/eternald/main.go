@@ -104,6 +104,8 @@ func main() {
 	}
 
 	peers := make(map[string]string)
+	// The configured domain: this node and every peer named.
+	domain := []string{*name}
 	if *peersArg != "" {
 		for _, kv := range strings.Split(*peersArg, ",") {
 			k, v, ok := strings.Cut(kv, "=")
@@ -111,6 +113,7 @@ func main() {
 				log.Fatalf("eternald: bad -peers entry %q", kv)
 			}
 			peers[k] = v
+			domain = append(domain, k)
 		}
 	}
 
@@ -123,6 +126,7 @@ func main() {
 		AuditInterval: *auditInterval,
 	}
 	nodeCfg.Totem.Tick = *tokenTick
+	nodeCfg.Totem.Nodes = domain
 	if *logLevel != "" {
 		level, err := eternal.ParseLogLevel(*logLevel)
 		if err != nil {

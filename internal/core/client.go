@@ -224,7 +224,6 @@ func (ce *clientEntity) forgetPassedLocked() {
 // early reply.
 func (ec *egressConn) writeReply(env *replication.Envelope, local uint32) {
 	node := ec.entity.node
-	node.counters.repliesDelivered.Add(1)
 	msg, err := giop.ParseMessage(env.Payload)
 	if err != nil {
 		return
@@ -234,7 +233,9 @@ func (ec *egressConn) writeReply(env *replication.Envelope, local uint32) {
 			return
 		}
 	}
-	ec.conn.Deliver(msg)
+	if ec.conn.Deliver(msg) {
+		node.counters.repliesDelivered.Add(1)
+	}
 	if latency, ok := node.spans.Finish(env.Trace); ok {
 		node.invocationHist.ObserveDuration(latency)
 	}

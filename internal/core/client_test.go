@@ -245,6 +245,11 @@ func TestRecoveredMidTierContinuesClientNumbering(t *testing.T) {
 			if gotEarly != 0 || wantEarly != 0 {
 				t.Fatalf("early replies kept: %d on %s, %d on n2", gotEarly, tc.onto, wantEarly)
 			}
+			// Counted once the ORB has taken the reply, a moment after
+			// the caller it wakes may have looked.
+			waitUntil(t, "the last relay's reply counted", func() bool {
+				return rt.nodes["n1"].Stats().RepliesDelivered != delivered
+			})
 			if got := rt.nodes["n1"].Stats().RepliesDelivered - delivered; got != 1 {
 				t.Fatalf("outer client's node delivered %d replies to the last relay, want 1", got)
 			}
@@ -377,12 +382,29 @@ func TestClosedClientsLateReplyIsDropped(t *testing.T) {
 		t.Fatalf("add 1 answered %d, want 1", v)
 	}
 
+	late := make(chan struct{})
+	n1.setReplyHook(func(_ string, env *replication.Envelope) {
+		if env.Conn.Group == "slow" {
+			close(late)
+		}
+	})
+	defer n1.setReplyHook(nil)
 	delivered := n1.Stats().RepliesDelivered
 	open()
-	waitUntil(t, "the late reply at n1", func() bool { return n1.Stats().RepliesDelivered == delivered+1 })
+	select {
+	case <-late:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the late reply was never ordered at n1")
+	}
+	// The next replies are delivered behind the late one, which the closed
+	// connection dropped: only they count.
 	for i := int64(2); i <= 4; i++ {
 		if v := add(t, second, 1); v != i {
 			t.Fatalf("add 1 answered %d, want %d", v, i)
 		}
+	}
+	waitUntil(t, "the three replies counted", func() bool { return n1.Stats().RepliesDelivered >= delivered+3 })
+	if got := n1.Stats().RepliesDelivered - delivered; got != 3 {
+		t.Fatalf("replies delivered moved by %d over the late reply and three more, want 3: the dropped one counted", got)
 	}
 }

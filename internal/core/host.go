@@ -316,10 +316,8 @@ func (h *replicaHost) executeRequest(env *replication.Envelope, force, lazy bool
 	if err != nil {
 		return
 	}
-	sess := h.sessionFor(env.Conn)
-	h.recordORBState(env, msg)
-
-	rep := sess.Handle(msg)
+	rep, seen := h.sessionFor(env.Conn).Handle(msg)
+	h.recordORBState(env, seen)
 	if env.Oneway {
 		h.node.spans.MarkOpen(env.Trace, obs.SpanExecuted)
 		return
@@ -361,16 +359,15 @@ func (h *replicaHost) sessionFor(conn replication.ConnID) *orb.Session {
 // recordORBState keeps the per-connection ORB/POA-level state the paper's
 // mechanisms learn by watching the stream: handshake-carrying messages
 // (for replay into recovered replicas, §4.2.2) and the last request id.
-func (h *replicaHost) recordORBState(env *replication.Envelope, msg *giop.Message) {
-	req, err := giop.ParseRequest(msg)
-	if err != nil {
+// What the request carried is what the ORB's own parse of it saw.
+func (h *replicaHost) recordORBState(env *replication.Envelope, seen orb.Seen) {
+	if !seen.Request {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.lastReqID[env.Conn] = env.OpID
-	if giop.FindContext(req.Header.ServiceContexts, giop.SCVendorHandshake) != nil ||
-		giop.FindContext(req.Header.ServiceContexts, giop.SCCodeSets) != nil {
+	if seen.Handshake {
 		h.handshakes[env.Conn] = append(h.handshakes[env.Conn], env.Payload)
 	}
 }
@@ -394,7 +391,7 @@ func (h *replicaHost) invokeOn(client string, id uint32, op string, args []byte)
 		ObjectKey:        []byte("root/" + h.group),
 		Operation:        op,
 	}
-	rep := sess.Handle(giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, args))
+	rep, _ := sess.Handle(giop.EncodeRequest(giop.Version12, cdr.BigEndian, hdr, args))
 	if rep == nil {
 		return nil, fmt.Errorf("core: %s got no reply", op)
 	}
@@ -538,7 +535,7 @@ func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
 	replay := giop.EncodeRequest(msg.Version, msg.Order, &req.Header, nil)
 
 	// The reply confirms the ORB absorbed the negotiation; discard it.
-	if h.sessionFor(sc.Conn).Handle(replay) == nil {
+	if rep, _ := h.sessionFor(sc.Conn).Handle(replay); rep == nil {
 		return
 	}
 	h.node.counters.handshakesReplayed.Add(1)

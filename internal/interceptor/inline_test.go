@@ -30,7 +30,7 @@ func (d streamDialer) Dial(string, uint16) (net.Conn, error) {
 				return
 			}
 			d.seen <- m
-			if ans := d.sess.Handle(m); ans != nil {
+			if ans, _ := d.sess.Handle(m); ans != nil {
 				giop.WriteMessage(s, ans, 0)
 			}
 		}
@@ -104,7 +104,7 @@ func TestClientInlineMatchesStream(t *testing.T) {
 	ic := New(func(string) bool { return true }, func(_ string, c *Conn) func(*giop.Message) {
 		return func(m *giop.Message) {
 			inlineSeen = append(inlineSeen, m)
-			if ans := sess.Handle(m); ans != nil {
+			if ans, _ := sess.Handle(m); ans != nil {
 				c.Deliver(ans)
 			}
 		}

@@ -114,18 +114,20 @@ func (c *Conn) Send(m *giop.Message) error {
 }
 
 // Deliver hands m to the ORB's receive function on the caller's goroutine,
-// which it never blocks. It drops m once the ORB has closed the connection
-// or before the ORB has bound it.
-func (c *Conn) Deliver(m *giop.Message) {
+// which it never blocks, and reports whether the ORB took it. It drops m
+// once the ORB has closed the connection or before the ORB has bound it.
+func (c *Conn) Deliver(m *giop.Message) bool {
 	c.mu.Lock()
 	receive := c.receive
 	if c.closed {
 		receive = nil
 	}
 	c.mu.Unlock()
-	if receive != nil {
-		receive(m)
+	if receive == nil {
+		return false
 	}
+	receive(m)
+	return true
 }
 
 // Hangup closes the connection from the mechanisms' side. The ORB is

@@ -178,18 +178,19 @@ func TestInterceptorRoutes(t *testing.T) {
 	}
 	var received []*giop.Message
 	reply := giop.EncodeReply(giop.Version12, cdr.BigEndian, &giop.ReplyHeader{RequestID: 1}, nil)
-	mech.Deliver(reply) // before the ORB has bound the connection: dropped
+	if mech.Deliver(reply) { // before the ORB has bound the connection: dropped
+		t.Fatal("Deliver reports an unbound ORB took the reply")
+	}
 	c.Bind(func(m *giop.Message) { received = append(received, m) })
-	mech.Deliver(reply)
-	if len(received) != 1 || received[0] != reply {
-		t.Fatalf("the ORB received %v, want the reply itself, once", received)
+	if !mech.Deliver(reply) || len(received) != 1 || received[0] != reply {
+		t.Fatalf("the ORB received %v, want the reply itself, once, and Deliver to say so", received)
 	}
 	if _, err := raw.Write([]byte("bytes")); err == nil {
 		t.Fatal("a diverted connection accepted bytes")
 	}
 	// Once the ORB closes, nothing crosses either way.
 	raw.Close()
-	if mech.Deliver(reply); len(received) != 1 {
+	if mech.Deliver(reply) || len(received) != 1 {
 		t.Fatal("delivered to an ORB that closed the connection")
 	}
 	if err := c.Send(req); err == nil || len(egressed) != 1 {

@@ -309,6 +309,16 @@ func (c *clientConn) snapshot() ConnStats {
 	}
 }
 
+// callTimers recycles the timers two-way calls wait with. The module's
+// go 1.23 timer semantics make this safe: once Stop or Reset returns, the
+// channel holds no value from before, so a pooled timer that fired for one
+// call never times out the next.
+var callTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 // call performs one invocation over the connection.
 func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, callTimeout time.Duration) ([]byte, error) {
 	id, waiter, err := c.send(fullKey, op, args, twoWay)
@@ -318,8 +328,12 @@ func (c *clientConn) call(fullKey []byte, op string, args []byte, twoWay bool, c
 
 	var timeout <-chan time.Time
 	if callTimeout > 0 {
-		t := time.NewTimer(callTimeout)
-		defer t.Stop()
+		t := callTimers.Get().(*time.Timer)
+		t.Reset(callTimeout)
+		defer func() {
+			t.Stop()
+			callTimers.Put(t)
+		}()
 		timeout = t.C
 	}
 	select {

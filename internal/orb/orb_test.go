@@ -309,6 +309,50 @@ func TestMismatchedReplyDiscarded(t *testing.T) {
 	}
 }
 
+// TestTimedOutCallLeavesNoStaleTimeout: two-way calls wait with recycled
+// timers. A call that timed out hands its fired timer back; the calls that
+// follow on the same connection, each likely to wait on that very timer,
+// get their replies, not its old expiry.
+func TestTimedOutCallLeavesNoStaleTimeout(t *testing.T) {
+	gate := make(chan struct{})
+	srv := NewServer(ServerOptions{})
+	srv.RootPOA().Activate("gated", ServantFunc(func(op string, args []byte, _ cdr.ByteOrder) ([]byte, error) {
+		if op == "wait" {
+			<-gate
+		}
+		return args, nil
+	}))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(srv.Close)
+	port := uint16(l.Addr().(*net.TCPAddr).Port)
+	o := client(t, Options{RequestTimeout: 50 * time.Millisecond})
+	obj, err := o.Object(srv.RootPOA().IOR("IDL:Test/Gated:1.0", "127.0.0.1", port, "gated"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obj.Invoke("wait", nil); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("the gated call ended with %v, want a timeout", err)
+	}
+	close(gate)
+	deadline := time.Now().Add(time.Second)
+	for st, _ := o.ConnStats("127.0.0.1", port); st.DiscardedReplies == 0; st, _ = o.ConnStats("127.0.0.1", port) {
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out call's late reply never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := byte(0); i < 20; i++ {
+		got, err := obj.Invoke("echo", []byte{i})
+		if err != nil || !bytes.Equal(got, []byte{i}) {
+			t.Fatalf("call %d after the timeout: %v, %v; want its echo", i, got, err)
+		}
+	}
+}
+
 // TestPOAActivateDeactivate: an activated object answers, and an object id
 // the same POA never activated (or no longer holds) is OBJECT_NOT_EXIST.
 func TestPOAActivateDeactivate(t *testing.T) {

@@ -249,7 +249,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err != nil || msg.Type == giop.MsgCloseConnection {
 			return
 		}
-		if ans := ss.Handle(msg); ans != nil {
+		if ans, _ := ss.Handle(msg); ans != nil {
 			if giop.WriteMessage(conn, ans, 0) != nil {
 				return
 			}
@@ -257,37 +257,46 @@ func (s *Server) ServeConn(conn net.Conn) {
 	}
 }
 
+// Seen is what Handle learnt of a message besides its answer: whether it
+// was a well-formed Request, and whether that request carried a context
+// the session absorbs (code sets or the vendor handshake, §4.2.2). A
+// request the ORB then discards is seen all the same.
+type Seen struct {
+	Request, Handshake bool
+}
+
 // Handle dispatches one complete (reassembled) message received on the
 // session's connection and returns the ORB's answer: a Reply, a
 // LocateReply or a MessageError. It returns nil when the ORB sends
 // nothing — a oneway, a short key the connection never negotiated
-// (§4.2.2), a cancel or close, and anything once the server is closed.
-func (ss *Session) Handle(msg *giop.Message) *giop.Message {
+// (§4.2.2), a cancel or close, and anything once the server is closed,
+// which sees nothing either. Seen says what its parse found.
+func (ss *Session) Handle(msg *giop.Message) (*giop.Message, Seen) {
 	s := ss.srv
 	if s.closed.Load() {
-		return nil
+		return nil, Seen{}
 	}
 	switch msg.Type {
 	case giop.MsgRequest:
 		req, err := giop.ParseRequest(msg)
 		if err != nil {
-			return &giop.Message{Version: msg.Version, Order: cdr.BigEndian, Type: giop.MsgMessageError}
+			return &giop.Message{Version: msg.Version, Order: cdr.BigEndian, Type: giop.MsgMessageError}, Seen{}
 		}
 		return ss.handleRequest(msg, req)
 	case giop.MsgLocateRequest:
 		lr, err := giop.ParseLocateRequest(msg)
 		if err != nil {
-			return nil
+			return nil, Seen{}
 		}
 		status := giop.LocateUnknownObject
 		if _, ok := s.resolveKey(ss.expandKey(lr.ObjectKey)); ok {
 			status = giop.LocateObjectHere
 		}
 		return giop.EncodeLocateReply(msg.Version, cdr.BigEndian,
-			&giop.LocateReplyHeader{RequestID: lr.RequestID, Status: status})
+			&giop.LocateReplyHeader{RequestID: lr.RequestID, Status: status}), Seen{}
 	}
 	// Nothing cancellable in a synchronous dispatch model.
-	return nil
+	return nil, Seen{}
 }
 
 // expandKey resolves negotiated short keys through the connection's alias
@@ -301,7 +310,7 @@ func (ss *Session) expandKey(key []byte) []byte {
 	return ss.aliasTable[alias]
 }
 
-func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Message {
+func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) (*giop.Message, Seen) {
 	s := ss.srv
 	s.nRequests.Add(1)
 	if !ss.sawRequest || req.Header.RequestID > ss.lastRequestID {
@@ -310,14 +319,17 @@ func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Mes
 	}
 
 	// Absorb handshake contexts (the client-server negotiation of §4.2.2).
+	seen := Seen{Request: true}
 	var replyContexts []giop.ServiceContext
 	if sc := giop.FindContext(req.Header.ServiceContexts, giop.SCCodeSets); sc != nil {
+		seen.Handshake = true
 		if cs, err := decodeCodeSetsContext(sc); err == nil {
 			ss.codeSets = cs
 			ss.negotiated = true
 		}
 	}
 	if sc := giop.FindContext(req.Header.ServiceContexts, giop.SCVendorHandshake); sc != nil {
+		seen.Handshake = true
 		if verb, proposals, _, err := decodeHandshake(sc); err == nil && verb == verbNegotiate {
 			accepted := make([]uint32, 0, len(proposals))
 			for _, pr := range proposals {
@@ -335,15 +347,15 @@ func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Mes
 		// of this failure mode, the request is discarded (no reply), so an
 		// unrecovered server replica leaves clients waiting.
 		s.nDiscarded.Add(1)
-		return nil
+		return nil, seen
 	}
 
 	servant, ok := s.resolveKey(fullKey)
 	if !ok {
 		if req.Header.ResponseExpected {
-			return s.reply(msg, req, replyContexts, nil, ObjectNotExist())
+			return s.reply(msg, req, replyContexts, nil, ObjectNotExist()), seen
 		}
-		return nil
+		return nil, seen
 	}
 
 	dispatch := func() (result []byte, err error) {
@@ -364,9 +376,9 @@ func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) *giop.Mes
 	s.dispatchMu.Unlock()
 
 	if !req.Header.ResponseExpected {
-		return nil
+		return nil, seen
 	}
-	return s.reply(msg, req, replyContexts, result, err)
+	return s.reply(msg, req, replyContexts, result, err), seen
 }
 
 func (s *Server) reply(msg *giop.Message, req *giop.Request, scs []giop.ServiceContext, result []byte, err error) *giop.Message {

@@ -12,7 +12,8 @@ import (
 // TestSessionHandleMatchesServeConn: a Session answers each message exactly
 // as ServeConn writes it on a connection, byte for byte and message for
 // message — including answering nothing — so the ordered path, which calls
-// Handle in-line, and TCP share one dispatch.
+// Handle in-line, and TCP share one dispatch. Handle also says which
+// messages were requests and which carried a handshake.
 func TestSessionHandleMatchesServeConn(t *testing.T) {
 	request := func(id uint32, key string, oneway bool, scs ...giop.ServiceContext) *giop.Message {
 		return giop.EncodeRequest(giop.Version12, cdr.BigEndian, &giop.RequestHeader{
@@ -105,7 +106,16 @@ func TestSessionHandleMatchesServeConn(t *testing.T) {
 			written = append(written, m)
 		}
 
-		got := sess.Handle(st.msg)
+		got, seen := sess.Handle(st.msg)
+		// Every well-formed request is seen, the discarded one included;
+		// the two that negotiate carry a handshake.
+		wantSeen := Seen{
+			Request:   st.msg.Type == giop.MsgRequest && st.want != giop.MsgMessageError,
+			Handshake: st.name == "code sets" || st.name == "handshake negotiation",
+		}
+		if seen != wantSeen {
+			t.Fatalf("%s: Handle saw %+v, want %+v", st.name, seen, wantSeen)
+		}
 		switch {
 		case st.want == none:
 			if got != nil || len(written) != 0 {
@@ -118,7 +128,7 @@ func TestSessionHandleMatchesServeConn(t *testing.T) {
 		case st.check != nil:
 			st.check(t, got)
 		}
-		if fenced := sess.Handle(fence); fenced == nil || fenced.Type != giop.MsgLocateReply {
+		if fenced, _ := sess.Handle(fence); fenced == nil || fenced.Type != giop.MsgLocateReply {
 			t.Fatalf("%s: the session did not answer the fence: %v", st.name, fenced)
 		}
 	}

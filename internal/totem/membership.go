@@ -28,13 +28,15 @@ type joinRecord struct {
 }
 
 // membership is the membership part of a member: which ring it is on, who
-// it hears while gathering, and when they are stable enough to form the
-// next ring. It builds the messages; the mechanism sends them, and hands in
-// the one thing a join or a form needs from delivery, the highest sequence
-// number known.
+// it hears while gathering, and when they are complete or stable enough to
+// form the next ring. It builds the messages; the mechanism sends them, and
+// hands in the one thing a join or a form needs from delivery, the highest
+// sequence number known.
 type membership struct {
 	self                    string
 	joinInterval, stableFor time.Duration
+	// nodes is the configured member set, sorted; nil when unknown.
+	nodes []string
 
 	state    int
 	ring     ringIdentity
@@ -47,6 +49,13 @@ type membership struct {
 	aliveKey       string
 	lastJoinSent   time.Time
 	lastAnnounceAt time.Time
+}
+
+// newMembership is the membership part of a fresh member named self.
+func newMembership(self string, cfg Config) *membership {
+	nodes := slices.Clone(cfg.Nodes)
+	slices.Sort(nodes)
+	return &membership{self: self, joinInterval: cfg.JoinInterval, stableFor: cfg.StableFor, nodes: slices.Compact(nodes)}
 }
 
 // gather enters the gather phase: the ring left behind becomes the lineage
@@ -74,12 +83,23 @@ func (m *membership) join(highSeq uint64, now time.Time) *joinMsg {
 func (m *membership) aliveSet(now time.Time) []string {
 	alive := []string{m.self}
 	for a, rec := range m.joinInfo {
-		if now.Sub(rec.seenAt) <= joinExpiryIntervals*m.joinInterval && a != m.self {
+		if m.fresh(rec, now) && a != m.self {
 			alive = append(alive, a)
 		}
 	}
 	slices.Sort(alive)
 	return alive
+}
+
+// fresh reports whether a peer's last join still counts it alive.
+func (m *membership) fresh(rec joinRecord, now time.Time) bool {
+	return now.Sub(rec.seenAt) <= joinExpiryIntervals*m.joinInterval
+}
+
+// alive reports whether a peer is in the alive set.
+func (m *membership) alive(peer string, now time.Time) bool {
+	rec, ok := m.joinInfo[peer]
+	return ok && m.fresh(rec, now)
 }
 
 // recordJoin notes a gather-phase peer and returns the highest sequence
@@ -120,9 +140,7 @@ func (m *membership) install(f *formMsg, now time.Time) (continued bool) {
 
 // propose is the gather phase's tick: once the alive set has stayed the
 // same for stableFor, its smallest address — the representative — forms
-// the next ring (nil otherwise), continuing its own previous ring from the
-// highest sequence number known among that lineage's members (seqHigh is
-// the representative's own).
+// the next ring (nil otherwise).
 func (m *membership) propose(seqHigh uint64, now time.Time) *formMsg {
 	alive := m.aliveSet(now)
 	if key := strings.Join(alive, ","); key != m.aliveKey {
@@ -132,6 +150,41 @@ func (m *membership) propose(seqHigh uint64, now time.Time) *formMsg {
 	if now.Sub(m.stableSince) < m.stableFor || alive[0] != m.self {
 		return nil
 	}
+	return m.form(alive, seqHigh)
+}
+
+// complete is the gather phase's answer to a join: the representative
+// forms the next ring at once (nil otherwise) when the alive set holds
+// every configured node and each peer in it was heard by a current join,
+// one that knows the epoch of the ring this member last installed. A join
+// still in flight from an earlier gather may carry a HighSeq below what
+// its sender delivered since; a current one is final, because a gathering
+// member ignores data. Without a configured set, only propose forms.
+//
+// It runs at every join a gathering member hears, so it decides without
+// building the alive set; a member that is not the representative usually
+// knows at the first configured node.
+func (m *membership) complete(seqHigh uint64, now time.Time) *formMsg {
+	if len(m.nodes) == 0 || m.nodes[0] < m.self && m.alive(m.nodes[0], now) {
+		return nil
+	}
+	for _, n := range m.nodes {
+		if n != m.self && !m.alive(n, now) {
+			return nil
+		}
+	}
+	for a, rec := range m.joinInfo {
+		if m.fresh(rec, now) && (a < m.self || rec.msg.MaxEpoch < m.ring.Epoch) {
+			return nil
+		}
+	}
+	return m.form(m.aliveSet(now), seqHigh)
+}
+
+// form builds the next ring of alive, continuing this member's previous
+// ring from the highest sequence number known among that lineage's members
+// (seqHigh is the representative's own).
+func (m *membership) form(alive []string, seqHigh uint64) *formMsg {
 	for _, a := range alive {
 		if rec, ok := m.joinInfo[a]; ok && rec.msg.PrevRing == m.prevRing && rec.msg.HighSeq > seqHigh {
 			seqHigh = rec.msg.HighSeq
@@ -206,7 +259,7 @@ func (p *Processor) handleJoin(j *joinMsg, now time.Time) {
 	p.membership.learnEpoch(j.MaxEpoch)
 	switch {
 	case j.Sender == p.addr:
-		return
+		// Our own, echoed: it completes a configured set of one.
 	case p.state == stateOperational && j.MaxEpoch < p.ring.Epoch:
 		// A stale join, sent before our ring formed (typically one in
 		// flight from the gather that produced this very ring). Do not
@@ -217,9 +270,23 @@ func (p *Processor) handleJoin(j *joinMsg, now time.Time) {
 	case p.state == stateOperational:
 		// Someone with current knowledge is rejoining or merging: reform.
 		p.enterGather(now, "peer-join")
+		fallthrough
+	default:
+		// A lineage peer may know of more messages than we do.
+		p.seqHigh = max(p.seqHigh, p.membership.recordJoin(j, now))
 	}
-	// A lineage peer may know of more messages than we do.
-	p.seqHigh = max(p.seqHigh, p.membership.recordJoin(j, now))
+	if p.state == stateGather {
+		if f := p.membership.complete(p.seqHigh, now); f != nil {
+			p.formRing(f, now)
+		}
+	}
+}
+
+// formRing announces the ring this member forms as its representative,
+// and installs it.
+func (p *Processor) formRing(f *formMsg, now time.Time) {
+	p.bcastMsg(f)
+	p.installRing(f, now)
 }
 
 func (p *Processor) installRing(f *formMsg, now time.Time) {

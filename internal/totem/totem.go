@@ -14,12 +14,12 @@
 // Membership follows Totem's shape in simplified form: token loss or the
 // arrival of a Join message moves processors into a gather phase where
 // they advertise the set of processors they can hear; when the
-// representative (smallest address) sees a stable set, it forms a new ring
-// and delivery continues. Large application messages are fragmented into
-// MTU-sized chunks, each a separate ordered multicast — exactly the
-// behaviour behind the paper's Figure 6, where recovery time grows with
-// state size because state larger than one Ethernet frame costs multiple
-// multicast messages.
+// representative (smallest address) has heard every configured processor,
+// or else sees a stable set, it forms a new ring and delivery continues.
+// Large application messages are fragmented into MTU-sized chunks, each a
+// separate ordered multicast — exactly the behaviour behind the paper's
+// Figure 6, where recovery time grows with state size because state larger
+// than one Ethernet frame costs multiple multicast messages.
 //
 // Guarantees within one ring lineage (an unbroken chain of reformations):
 // reliable, agreed-order, gap-free delivery. A processor that joins fresh,
@@ -155,8 +155,16 @@ type Config struct {
 	// JoinInterval is the gather-phase Join rebroadcast period (default 40ms).
 	JoinInterval time.Duration
 	// StableFor is how long the alive set must stay unchanged before the
-	// representative forms a ring (default 2*JoinInterval).
+	// representative forms a ring (default 2*JoinInterval), unless Nodes
+	// lets it form sooner.
 	StableFor time.Duration
+	// Nodes is the configured member set: every address the deployment
+	// names, this processor's own included. The representative forms the
+	// next ring at the join that completes it — every one of them heard by
+	// a current join — instead of waiting StableFor; while one has not been
+	// heard, StableFor applies. Nil means the set is unknown: StableFor
+	// always applies. Addresses outside the set may still join.
+	Nodes []string
 	// Tick is the internal timer resolution (default 2ms).
 	Tick time.Duration
 	// Metrics receives the processor's live metrics (packet/byte traffic,
@@ -314,7 +322,7 @@ func Start(cfg Config) (*Processor, error) {
 		submitCh:   make(chan submission, 256),
 		closeCh:    make(chan struct{}),
 		done:       make(chan struct{}),
-		membership: &membership{self: addr, joinInterval: cfg.JoinInterval, stableFor: cfg.StableFor},
+		membership: newMembership(addr, cfg),
 		sendTimes:  make(map[uint64]sendMeta),
 		rotations:  obs.NewRotationLog(0),
 	}
@@ -567,8 +575,7 @@ func (p *Processor) onTick(now time.Time) {
 			p.sendJoin(now)
 		}
 		if f := p.membership.propose(p.seqHigh, now); f != nil {
-			p.bcastMsg(f)
-			p.installRing(f, now)
+			p.formRing(f, now)
 		}
 	case stateOperational:
 		// The representative's beacon must fire even while the token is

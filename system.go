@@ -90,9 +90,13 @@ func (s *System) startNode(addr string) (*core.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Membership learns the configured domain, so the ring forms the
+	// moment every node has joined.
+	tc := s.cfg.Totem
+	tc.Nodes = s.cfg.Nodes
 	n, err := core.Start(core.Config{
 		Transport:     totem.NewSimnetTransport(ep),
-		Totem:         s.cfg.Totem,
+		Totem:         tc,
 		ManagerTick:   s.cfg.ManagerTick,
 		AuditInterval: s.cfg.AuditInterval,
 	})

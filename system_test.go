@@ -311,12 +311,18 @@ func TestWireBytesPerInvocationBudget(t *testing.T) {
 
 func fastSystem(t *testing.T, nodes ...string) *eternal.System {
 	t.Helper()
+	return stableForSystem(t, 20*time.Millisecond, nodes...)
+}
+
+// stableForSystem is fastSystem with the given Totem StableFor.
+func stableForSystem(t *testing.T, stableFor time.Duration, nodes ...string) *eternal.System {
+	t.Helper()
 	sys, err := eternal.NewSystem(eternal.SystemConfig{
 		Nodes: nodes,
 		Totem: totem.Config{
 			TokenLossTimeout: 100 * time.Millisecond,
 			JoinInterval:     10 * time.Millisecond,
-			StableFor:        20 * time.Millisecond,
+			StableFor:        stableFor,
 			Tick:             time.Millisecond,
 		},
 		ManagerTick:    10 * time.Millisecond,
@@ -476,6 +482,43 @@ func TestSystemNodeCrashAndRestart(t *testing.T) {
 		t.Fatalf("restarted replica state = %q", got)
 	}
 	wantHistory(t, obj, "before-crash", "during-outage")
+}
+
+// TestNewSystemDoesNotWaitStableFor: the domain's ring forms the moment
+// every configured node has joined, so a StableFor nobody would wait out
+// does not delay start-up.
+func TestNewSystemDoesNotWaitStableFor(t *testing.T) {
+	start := time.Now()
+	stableForSystem(t, 10*time.Second, "n1", "n2", "n3")
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("NewSystem took %v with StableFor 10s; the configured ring should form at its last join", took)
+	}
+}
+
+// TestRestartNodeDoesNotWaitStableFor: a crashed configured node that comes
+// back completes the set again once its join is current (it has learnt the
+// survivors' epoch), and the ring reforms at that join: the survivors, who
+// alone would wait out StableFor, take it back at once.
+func TestRestartNodeDoesNotWaitStableFor(t *testing.T) {
+	nodes := []string{"n1", "n2", "n3"}
+	sys := stableForSystem(t, 10*time.Second, nodes...)
+	obj := registerGroup(t, sys, eternal.Properties{Style: eternal.Active, InitialReplicas: 2, MinReplicas: 1}, "n1", "n1", "n2")
+	setVal(t, obj, "before-crash")
+	sys.CrashNode("n3")
+	start := time.Now()
+	if _, err := sys.RestartNode("n3"); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if err := sys.Node(n).AwaitView(nodes, 2*time.Second); err != nil {
+			t.Fatalf("%s: %v", n, err)
+		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("the restarted node took %v to rejoin with StableFor 10s", took)
+	}
+	setVal(t, obj, "after-restart")
+	wantHistory(t, obj, "before-crash", "after-restart")
 }
 
 // midTier is a replicated middle-tier object: a server that is also a
