@@ -8,6 +8,7 @@ import (
 
 	"eternal/internal/cdr"
 	"eternal/internal/ftcorba"
+	"eternal/internal/obs"
 	"eternal/internal/orb"
 	"eternal/internal/replication"
 	"eternal/internal/simnet"
@@ -315,11 +316,23 @@ func (w *wedgeable) Invoke(op string, args []byte, order cdr.ByteOrder) ([]byte,
 	return w.counter.Invoke(op, args, order)
 }
 
+// hasEvent reports whether n's flight recorder holds an event of type typ
+// about node's replica of group.
+func hasEvent(n *Node, typ, group, node string) bool {
+	for _, ev := range n.Events(0, 0) {
+		if ev.Type == typ && ev.Group == group && ev.Node == node {
+			return true
+		}
+	}
+	return false
+}
+
 // TestPullMonitorDetectsWedgedReplica wires the full loop: a replica
-// wedges, the is_alive pull monitor (FaultMonitoringInterval) detects it,
-// the FaultNotifier reports it, the faulty replica is removed in the
-// total order, and the Resource Manager re-launches a replacement — all
-// while the healthy replica keeps serving.
+// wedges, the is_alive pull monitor (FaultMonitoringInterval) detects it
+// and reports it to the Replication Manager, which records the suspicion
+// and removes the faulty replica in the total order, and the Resource
+// Manager re-launches a replacement — all while the healthy replica keeps
+// serving.
 func TestPullMonitorDetectsWedgedReplica(t *testing.T) {
 	c := newTestCluster(t, simnet.Config{}, "n1", "n2")
 	// n2's factory produces instances with a local defect.
@@ -342,23 +355,15 @@ func TestPullMonitorDetectsWedgedReplica(t *testing.T) {
 	obj := c.client("n1", "driver", "w")
 	add(t, obj, 1)
 
-	// Watch for the fault report.
-	faults := c.nodes["n2"].faults.Subscribe()
-
 	// Wedge n2's replica. n1 answers, so the client is fine; n2's
 	// dispatcher stays stuck inside the servant, and only the pull
 	// monitor's probe notices.
 	if _, err := obj.Invoke("hang", nil); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case f := <-faults:
-		if f.Group != "w" || f.Node != "n2" {
-			t.Fatalf("fault = %+v", f)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pull monitor never reported the wedged replica")
-	}
+	waitUntil(t, "n2's suspicion of its wedged replica", func() bool {
+		return hasEvent(c.nodes["n2"], obs.EventSuspicion, "w", "n2")
+	})
 	// The managers remove and re-launch the replica on n2.
 	if err := c.nodes["n1"].AwaitRecovered("w", "n2", 20*time.Second); err != nil {
 		t.Fatal(err)
@@ -367,6 +372,46 @@ func TestPullMonitorDetectsWedgedReplica(t *testing.T) {
 	if got := add(t, obj, 1); got != 2 {
 		t.Fatalf("counter = %d", got)
 	}
+}
+
+// TestPullMonitorWatchesPromotedColdPrimary: a cold-passive backup has no
+// instance to monitor until its promotion creates one. From then on it is
+// pull-monitored like any replica: wedged, it is suspected and removed.
+func TestPullMonitorWatchesPromotedColdPrimary(t *testing.T) {
+	c := newTestCluster(t, simnet.Config{}, "n1", "n2")
+	c.nodes["n1"].RegisterFactory("Wedge", func(oid string) ftcorba.Replica {
+		return &wedgeable{}
+	})
+	c.nodes["n2"].RegisterFactory("Wedge", func(oid string) ftcorba.Replica {
+		return &wedgeable{faulty: true}
+	})
+	props := ftcorba.Properties{
+		Style: ftcorba.ColdPassive, InitialReplicas: 2, MinReplicas: 1,
+		CheckpointInterval: time.Hour, FaultMonitoringInterval: 30 * time.Millisecond,
+	}
+	err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
+		Name: "w", TypeName: "Wedge", Props: props, Nodes: []string{"n1", "n2"},
+	}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := c.client("n1", "driver", "w")
+	add(t, obj, 1)
+	if err := c.nodes["n1"].KillReplica("w", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes["n2"].AwaitPromoted("w", "n2", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The promoted primary is the only replica left, so nothing answers
+	// the call that wedges it.
+	go obj.Invoke("hang", nil)
+	waitUntil(t, "n2's suspicion of its wedged replica", func() bool {
+		return hasEvent(c.nodes["n2"], obs.EventSuspicion, "w", "n2")
+	})
+	waitUntil(t, "the wedged replica's removal", func() bool {
+		return hasEvent(c.nodes["n1"], obs.EventMemberRemove, "w", "n2")
+	})
 }
 
 // TestFullStackOverUDP runs two Eternal nodes over real UDP sockets (the

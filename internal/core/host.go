@@ -58,8 +58,10 @@ type dispatchItem struct {
 	// lazyReply: the reply to this itemRequest is insurance only (see
 	// handleRequest) and is submitted lazy.
 	lazyReply bool
-	// bundle for itemApplyCheckpoint.
+	// bundle for itemApplyCheckpoint, decoded from raw, the verified bytes
+	// of its transfer.
 	bundle *recovery.Bundle
+	raw    []byte
 	// xferID for itemCapture.
 	xferID uint64
 	// checkpoint marks an itemCapture triggered by the periodic
@@ -67,10 +69,12 @@ type dispatchItem struct {
 	checkpoint bool
 }
 
-// stateDelivery pairs a decoded set_state bundle with its transfer id, so
-// the dispatcher can stamp the recovery timeline it produces.
+// stateDelivery pairs a decoded set_state bundle (and raw, the verified
+// bytes it was decoded from) with its transfer id, so the dispatcher can
+// stamp the recovery timeline it produces.
 type stateDelivery struct {
 	bundle *recovery.Bundle
+	raw    []byte
 	xferID uint64
 }
 
@@ -157,7 +161,6 @@ func newReplicaHost(n *Node, group string, style ftcorba.ReplicationStyle, withI
 		log:        recovery.NewLog(),
 		ckptMarks:  make(map[uint64]int),
 	}
-	h.log.Instrument(n.recorder, group)
 	if recovering {
 		h.recoverStart = time.Now()
 	}
@@ -205,7 +208,7 @@ func (h *replicaHost) run(recovering bool) {
 			wait := time.Since(h.recoverStart)
 			capture := min(time.Duration(sd.bundle.CaptureNanos), wait)
 			applyStart := time.Now()
-			h.applyState(sd.bundle)
+			h.applyState(sd.bundle, sd.raw)
 			apply := time.Since(applyStart)
 			enqueued := h.q.Len()
 			replayStart := time.Now()
@@ -242,11 +245,6 @@ func (h *replicaHost) process(item dispatchItem) {
 		h.node.spans.MarkOpen(item.env.Trace, obs.SpanDelivered)
 		if item.execute {
 			h.executeRequest(item.env, false, item.lazyReply)
-			if h.style != ftcorba.Active {
-				// The primary executes rather than logs, but its message
-				// count still drives the every-N checkpoint trigger.
-				h.log.NoteExecuted()
-			}
 		} else {
 			h.log.Append(item.env)
 			h.node.counters.requestsLogged.Add(1)
@@ -254,7 +252,7 @@ func (h *replicaHost) process(item dispatchItem) {
 	case itemCapture:
 		h.capture(item.xferID, item.checkpoint)
 	case itemApplyCheckpoint:
-		h.applyCheckpoint(item.bundle, item.xferID)
+		h.applyCheckpoint(item.bundle, item.raw, item.xferID)
 	case itemPromote:
 		h.promote()
 	case itemCheckpointMark:
@@ -454,16 +452,29 @@ func (h *replicaHost) capture(xferID uint64, checkpoint bool) {
 	h.node.sendChunked(h.group, xferID, bundle.Encode())
 }
 
-// applyState is the recovering side (Figure 5 steps v–vi). A cold-passive
-// log holder has no instance: its bundle goes to the log instead.
-func (h *replicaHost) applyState(bundle *recovery.Bundle) {
+// applyState is the recovering side (Figure 5 steps v–vi); raw is the
+// bundle's encoding. A cold-passive log holder has no instance: the bundle
+// goes to its log instead.
+func (h *replicaHost) applyState(bundle *recovery.Bundle, raw []byte) {
 	h.node.counters.stateApplied.Add(1)
 	h.node.logger().Info("state applied", "group", h.group,
 		"appStateBytes", len(bundle.AppState), "handshakes", len(bundle.ORB.ServerConns))
 	if h.replica == nil {
-		h.log.SetCheckpoint(bundle.Encode())
+		h.checkpointLog(raw, h.log.Len())
 	}
 	h.assign(bundle)
+}
+
+// checkpointLog overwrites the log's checkpoint and discards the first
+// keep logged messages, which it subsumes (§3.3's log GC). Only a host
+// without an instance keeps raw, the checkpoint's encoding: a cold
+// backup's promotion is its one reader.
+func (h *replicaHost) checkpointLog(raw []byte, keep int) {
+	if h.replica != nil {
+		raw = nil
+	}
+	dropped := h.log.TruncateTo(raw, keep)
+	h.node.recorder.Record(obs.Event{Type: obs.EventLogGC, Group: h.group, Value: int64(dropped)})
 }
 
 // assign is the paper's central operation: the three kinds of state,
@@ -550,9 +561,9 @@ func (h *replicaHost) replayHandshake(sc recovery.ServerConnState) {
 // application-level snapshot: the backup's ORB must also absorb the
 // clients' handshakes (else, once promoted, it would discard their
 // negotiated short-key requests — the very §4.2.2 failure the paper
-// dissects). The bundle also lands in the log, clearing the messages the
-// checkpoint subsumes (§3.3's GC).
-func (h *replicaHost) applyCheckpoint(bundle *recovery.Bundle, xferID uint64) {
+// dissects). The checkpoint also clears the messages it subsumes from the
+// log (§3.3's GC).
+func (h *replicaHost) applyCheckpoint(bundle *recovery.Bundle, raw []byte, xferID uint64) {
 	mark, ok := h.ckptMarks[xferID]
 	if !ok {
 		// We never saw this capture's marker (the host was created after
@@ -566,7 +577,7 @@ func (h *replicaHost) applyCheckpoint(bundle *recovery.Bundle, xferID uint64) {
 	// set_state (donor died) are orphaned, bounded by failure count.
 	delete(h.ckptMarks, xferID)
 	h.assign(bundle)
-	h.log.TruncateTo(bundle.Encode(), mark)
+	h.checkpointLog(raw, mark)
 }
 
 // promote makes this backup the primary: a cold backup instantiates the
@@ -576,13 +587,14 @@ func (h *replicaHost) applyCheckpoint(bundle *recovery.Bundle, xferID uint64) {
 // suppress the duplicates, clients the old primary never answered get
 // theirs now (§3.2, §3.3).
 func (h *replicaHost) promote() {
-	if h.replica == nil {
+	cold := h.replica == nil
+	if cold {
 		if err := h.instantiate(); err != nil {
 			return
 		}
 		if raw, ok := h.log.Checkpoint(); ok {
 			if bundle, err := recovery.DecodeBundle(raw); err == nil {
-				h.applyState(bundle)
+				h.applyState(bundle, raw)
 			}
 		}
 	}
@@ -590,10 +602,10 @@ func (h *replicaHost) promote() {
 	h.log.Each(func(env *replication.Envelope) {
 		h.executeRequest(env, true, false)
 	})
-	// Reset in place: the Log pointer stays valid for the delivery loop's
-	// concurrent CheckpointDue polls, and the policy/instrumentation
-	// survive into this host's primaryship.
 	h.log.Reset()
+	if cold {
+		h.node.monitorPromoted(h)
+	}
 	h.node.counters.promotions.Add(1)
 	h.node.recorder.Record(obs.Event{
 		Type: obs.EventPromoted, Group: h.group, Node: h.node.addr,

@@ -437,7 +437,6 @@ func (n *Node) hostReplica(g *replication.Group, primary, recovering bool) bool 
 		return false
 	}
 	h.disableORBStateTransfer = n.disableORBStateTransfer.Load()
-	h.log.SetPolicy(props.CheckpointEveryN, props.CheckpointInterval, time.Now())
 	n.hosts[g.Spec.Name] = h
 	n.primaryOf[g.Spec.Name] = primary
 	if !recovering {
@@ -627,7 +626,42 @@ func (n *Node) startMonitor(h *replicaHost, interval time.Duration) {
 	if interval <= 0 || h.replica == nil || h.monitor != nil {
 		return
 	}
-	h.monitor = faultdetect.StartMonitor(h.group, n.addr, interval, h.probeAlive, n.faults)
+	h.monitor = faultdetect.StartMonitor(h.group, n.addr, interval, h.probeAlive, n.reportFault)
+}
+
+// monitorPromoted has the delivery loop start pull-monitoring h, a cold
+// backup whose promotion has just created its instance on the dispatcher.
+// The loop owns h.monitor, and handing the start over through n.calls
+// orders the instance's creation before the monitor reads it. The
+// dispatcher does not wait for the loop.
+func (n *Node) monitorPromoted(h *replicaHost) {
+	start := func() {
+		if g, ok := n.table.Get(h.group); ok && n.hosts[h.group] == h {
+			n.startMonitor(h, g.Spec.Props.FaultMonitoringInterval)
+		}
+	}
+	select {
+	case n.calls <- start:
+	case <-h.done:
+	case <-n.stopCh:
+	}
+}
+
+// reportFault is how a pull monitor reports to the Replication Manager, on
+// the monitor's goroutine: it records the suspicion (a local event: one
+// detector's view, not an agreed position in the total order) and removes
+// the faulty replica in the total order, so the Resource Manager
+// re-launches a replacement if the group drops below its minimum.
+func (n *Node) reportFault(f faultdetect.Fault) {
+	n.recorder.Record(obs.Event{
+		Type: obs.EventSuspicion, At: f.Detected,
+		Group: f.Group, Node: f.Node, Detail: f.Reason,
+	})
+	n.multicast(&replication.Envelope{
+		Kind:  replication.KRemoveMember,
+		Group: f.Group,
+		Node:  f.Node,
+	})
 }
 
 // --- periodic manager duties ---
@@ -651,37 +685,28 @@ func (n *Node) sweep(now time.Time) {
 		// Live consistency audit: the primary's node multicasts the epoch
 		// marker. Scheduling is local but evaluation is not — the mark's
 		// delivery position defines the epoch identically everywhere.
-		if n.audit != nil && g.IsPrimary(n.addr) {
-			if due, ok := n.auditDue[name]; !ok {
-				// First sweep as primary: full interval before the first
-				// mark, so creation and promotion don't burst markers.
-				n.auditDue[name] = now.Add(n.cfg.AuditInterval)
-			} else if now.After(due) {
-				n.auditDue[name] = now.Add(n.cfg.AuditInterval)
-				n.counters.auditMarks.Add(1)
-				n.multicast(&replication.Envelope{
-					Kind:  replication.KAudit,
-					Group: name,
-					Node:  n.addr,
-					OpID:  replication.AuditMark,
-				})
-			}
+		primary := g.IsPrimary(n.addr)
+		if n.audit != nil && n.markDue(markKey{replication.KAudit, name}, primary, n.cfg.AuditInterval, now) {
+			n.counters.auditMarks.Add(1)
+			n.multicast(&replication.Envelope{
+				Kind:  replication.KAudit,
+				Group: name,
+				Node:  n.addr,
+				OpID:  replication.AuditMark,
+			})
 		}
 
-		// Checkpoint scheduler (paper §5: frequency fixed per object at
-		// deployment, extended with an every-N-messages trigger): the
-		// primary's node multicasts the marker when its replica's log
-		// policy says one is due — time elapsed or messages handled,
-		// whichever fires first.
-		if props.Style != ftcorba.Active && g.IsPrimary(n.addr) {
-			if h := n.hosts[name]; h != nil && !h.recovering && h.log.CheckpointDue(now) {
-				h.log.NoteCheckpoint(now)
-				n.multicast(&replication.Envelope{
-					Kind:   replication.KCheckpoint,
-					Group:  name,
-					XferID: n.nextXfer(),
-				})
-			}
+		// Checkpoint scheduler (paper §5: the frequency is fixed per object
+		// at deployment): the passive primary's node multicasts the marker
+		// once its replica is operational.
+		h := n.hosts[name]
+		entitled := primary && props.Style != ftcorba.Active && h != nil && !h.recovering
+		if n.markDue(markKey{replication.KCheckpoint, name}, entitled, props.CheckpointInterval, now) {
+			n.multicast(&replication.Envelope{
+				Kind:   replication.KCheckpoint,
+				Group:  name,
+				XferID: n.nextXfer(),
+			})
 		}
 
 		// Resource Manager (paper §2): maintain MinimumNumberReplicas.
@@ -697,4 +722,28 @@ func (n *Node) sweep(now time.Time) {
 			}
 		}
 	}
+}
+
+// markKey names one per-group schedule of marks: KAudit or KCheckpoint.
+type markKey struct {
+	kind  replication.Kind
+	group string
+}
+
+// markDue reports whether the mark named by key is due at now, and if so
+// schedules the next one interval later. The schedule starts at the first
+// sweep that finds the node entitled to send (the group's primary): a full
+// interval before the first mark, so creation and promotion don't burst
+// marks. A sweep that finds it not entitled forgets the schedule.
+func (n *Node) markDue(key markKey, entitled bool, interval time.Duration, now time.Time) bool {
+	due, ok := n.marksDue[key]
+	switch {
+	case !entitled:
+		delete(n.marksDue, key)
+		return false
+	case ok && !now.After(due):
+		return false
+	}
+	n.marksDue[key] = now.Add(interval)
+	return ok
 }

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"eternal/internal/cdr"
-	"eternal/internal/faultdetect"
 	"eternal/internal/ftcorba"
 	"eternal/internal/interceptor"
 	"eternal/internal/ior"
@@ -121,10 +120,6 @@ type Node struct {
 	// chunkHook is a test-only received-chunk filter (see setChunkHook).
 	chunkHook atomic.Value
 
-	// faults is the FaultNotifier: replica-level pull monitors publish
-	// here, and the node reacts by removing the faulty replica.
-	faults *faultdetect.Notifier
-
 	// replyMarks is the per-connection high-water mark of ordered replies
 	// behind sender-side duplicate-reply suppression.
 	replyMarks *replyMarks
@@ -141,9 +136,10 @@ type Node struct {
 	spans        *obs.SpanRecorder
 	audit        *obs.AuditCollector // nil when AuditInterval < 0
 	traceCounter atomic.Uint64
-	// auditDue schedules the next audit mark per group this node is
-	// primary of (loop-owned, like the table it follows).
-	auditDue map[string]time.Time
+	// marksDue schedules the next audit and checkpoint mark per group this
+	// node is primary of (loop-owned, like the table it follows; see
+	// markDue).
+	marksDue map[markKey]time.Time
 	// lastSeq is the sequence number of the most recent totem delivery,
 	// the anchor stamped onto local flight-recorder events.
 	lastSeq atomic.Uint64
@@ -214,16 +210,14 @@ func Start(cfg Config) (*Node, error) {
 		waiters:    make(map[string][]chan struct{}),
 		signaled:   make(map[string]bool),
 		calls:      make(chan func(), 16),
-		faults:     faultdetect.NewNotifier(),
 		metrics:    metrics,
 		spans:      spans,
 		audit:      audit,
-		auditDue:   make(map[string]time.Time),
+		marksDue:   make(map[markKey]time.Time),
 		stopCh:     make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
 	recorder.SetSeqSource(n.lastSeq.Load)
-	n.faults.AttachRecorder(recorder)
 	n.counters = newNodeCounters(metrics)
 	registerProcessMetrics(metrics)
 	metrics.CounterFunc("eternal_state_chunk_stalls_total",
@@ -274,28 +268,7 @@ func Start(cfg Config) (*Node, error) {
 	n.dispatchDepth = metrics.Gauge("eternal_dispatch_queue_depth",
 		"items queued across this node's replica dispatchers")
 	go n.loop()
-	go n.faultLoop()
 	return n, nil
-}
-
-// faultLoop turns local fault-detector events into group-membership
-// changes: a faulty replica is removed (in the total order), and the
-// Resource Manager re-launches a replacement if the group drops below
-// its minimum.
-func (n *Node) faultLoop() {
-	sub := n.faults.Subscribe()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case f := <-sub:
-			n.multicast(&replication.Envelope{
-				Kind:  replication.KRemoveMember,
-				Group: f.Group,
-				Node:  f.Node,
-			})
-		}
-	}
 }
 
 // Addr returns the node's address.

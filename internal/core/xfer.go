@@ -163,8 +163,10 @@ func (n *Node) handleStateManifest(seq uint64, donor string, env *replication.En
 		asm = x.asm
 	}
 	var bundle *recovery.Bundle
+	var raw []byte
 	if err = asm.SetManifest(m); err == nil {
-		bundle, err = recovery.DecodeBundle(asm.Bytes())
+		raw = asm.Bytes()
+		bundle, err = recovery.DecodeBundle(raw)
 	}
 	if err != nil {
 		n.abandonInbound(seq, donor, env, cure, err)
@@ -172,12 +174,12 @@ func (n *Node) handleStateManifest(seq uint64, donor string, env *replication.En
 	}
 	if cure {
 		select {
-		case h.stateCh <- stateDelivery{bundle: bundle, xferID: env.XferID}:
+		case h.stateCh <- stateDelivery{bundle: bundle, raw: raw, xferID: env.XferID}:
 		default:
 		}
 	}
 	if ckpt {
-		h.q.Push(dispatchItem{kind: itemApplyCheckpoint, bundle: bundle, xferID: env.XferID})
+		h.q.Push(dispatchItem{kind: itemApplyCheckpoint, bundle: bundle, raw: raw, xferID: env.XferID})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strings"
@@ -413,6 +414,13 @@ func newHeldDonorCluster(t *testing.T, addrs ...string) (c *testCluster, donor *
 	return c, donor, open
 }
 
+// checkpointNow multicasts a checkpoint marker for group from n, as n's
+// manager sweep does when n is the primary and the group's checkpoint
+// interval has run out.
+func checkpointNow(n *Node, group string) {
+	n.multicast(&replication.Envelope{Kind: replication.KCheckpoint, Group: group, XferID: n.nextXfer()})
+}
+
 // waitUntil polls cond until it holds, for at most ten seconds.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -594,8 +602,8 @@ func TestTransferCheckpointCuresNobody(t *testing.T) {
 		Name: "ctr", TypeName: "Counter", Nodes: []string{"n1", "n2"},
 		Props: ftcorba.Properties{
 			Style: ftcorba.WarmPassive, InitialReplicas: 2, MinReplicas: 1,
-			// One checkpoint, due after the second write.
-			CheckpointInterval: time.Hour, CheckpointEveryN: 2,
+			// One checkpoint, the one the test marks after the second write.
+			CheckpointInterval: time.Hour,
 		},
 	}, 10*time.Second)
 	if err != nil {
@@ -604,6 +612,7 @@ func TestTransferCheckpointCuresNobody(t *testing.T) {
 	obj := c.client("n4", "driver", "ctr")
 	add(t, obj, 5)
 	add(t, obj, 1)
+	checkpointNow(c.nodes["n1"], "ctr")
 	waitUntil(t, "n1 inside the checkpoint's get_state", donor.inside)
 	wrote := addAsync(obj, 7)
 	waitUntil(t, "the write queued behind n1's capture", func() bool { return queued(c.nodes["n1"], "ctr") })
@@ -716,8 +725,7 @@ func TestStateTransferEverySize(t *testing.T) {
 			}, "n1", "n2")
 			props := ftcorba.Properties{Style: tc.style, InitialReplicas: 2, MinReplicas: 1}
 			if tc.style != ftcorba.Active {
-				props.CheckpointInterval = time.Hour // only the count trigger fires
-				props.CheckpointEveryN = 3
+				props.CheckpointInterval = time.Hour // only the test marks checkpoints
 			}
 			if err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
 				Name: "blob", TypeName: "Blob", Props: props, Nodes: []string{"n1", "n2"},
@@ -739,12 +747,14 @@ func TestStateTransferEverySize(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				// Two checkpoints, each triggered by three logged messages.
+				// Two checkpoints, each marked after three logged messages.
 				transfers = 2
+				checkpointNow(c.nodes["n1"], "blob")
 				awaitSetStates(t, c.nodes["n2"], "blob", 1)
 				for ; pings < 6; pings++ {
 					ping(t, obj)
 				}
+				checkpointNow(c.nodes["n1"], "blob")
 			}
 			awaitSetStates(t, c.nodes["n2"], "blob", transfers)
 			awaitSetStates(t, c.nodes["n1"], "blob", transfers)
@@ -855,60 +865,86 @@ func TestHostileChunkIndex(t *testing.T) {
 	}
 }
 
-// TestCheckpointEveryN drives a warm-passive group whose time-based
-// checkpoint interval would never fire within the test; the every-N
-// message trigger alone must schedule checkpoints.
-func TestCheckpointEveryN(t *testing.T) {
-	c := newXferCluster(t, 0, nil, "n1", "n2")
-	err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
-		Name: "ctr", TypeName: "Counter",
-		Props: ftcorba.Properties{
-			Style:              ftcorba.WarmPassive,
-			InitialReplicas:    2,
-			MinReplicas:        1,
-			CheckpointInterval: time.Hour, // never fires here
-			CheckpointEveryN:   5,
-		},
-		Nodes: []string{"n1", "n2"},
-	}, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := c.client("n1", "driver", "ctr")
-	countCkpts := func() int {
-		ckpts := 0
-		for _, ev := range c.nodes["n2"].Events(0, 0) {
-			if ev.Type == obs.EventCheckpoint && ev.Group == "ctr" {
-				ckpts++
+// TestOnlyAColdBackupKeepsCheckpointBytes: a checkpoint's bytes are read
+// back only by a cold backup's promotion. A warm backup keeps none, since
+// its instance holds the state; a cold backup keeps the verified bytes the
+// donor encoded, not a re-encoding of the bundle decoded from them.
+func TestOnlyAColdBackupKeepsCheckpointBytes(t *testing.T) {
+	for _, style := range []ftcorba.ReplicationStyle{ftcorba.WarmPassive, ftcorba.ColdPassive} {
+		t.Run(style.String(), func(t *testing.T) {
+			c := newXferCluster(t, 0, nil, "n1", "n2")
+			var mu sync.Mutex
+			var streamed []byte // the donor's encoding, as its chunks carry it
+			c.nodes["n2"].setChunkHook(func(env *replication.Envelope) bool {
+				mu.Lock()
+				streamed = append(streamed, env.Payload...)
+				mu.Unlock()
+				return true
+			})
+			err := c.nodes["n1"].CreateGroup(replication.GroupSpec{
+				Name: "ctr", TypeName: "Counter", Nodes: []string{"n1", "n2"},
+				Props: ftcorba.Properties{
+					Style: style, InitialReplicas: 2, MinReplicas: 1, CheckpointInterval: time.Hour,
+				},
+			}, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return ckpts
+			obj := c.client("n1", "driver", "ctr")
+			add(t, obj, 5)
+			checkpointNow(c.nodes["n1"], "ctr")
+			// The backup's dispatcher records the log GC after truncating,
+			// and nothing touches its log after that.
+			waitUntil(t, "n2's log GC", func() bool { return hasEvent(c.nodes["n2"], obs.EventLogGC, "ctr", "") })
+			var log *recovery.Log
+			c.nodes["n2"].onLoop(func() { log = c.nodes["n2"].hosts["ctr"].log })
+			raw, ok := log.Checkpoint()
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case style == ftcorba.WarmPassive && (ok || len(raw) > 0):
+				t.Fatalf("the warm backup keeps %d checkpoint bytes", len(raw))
+			case style == ftcorba.ColdPassive && (!ok || !bytes.Equal(raw, streamed)):
+				t.Fatalf("the cold backup keeps %d bytes (ok=%t), not the %d the donor streamed", len(raw), ok, len(streamed))
+			case len(streamed) == 0:
+				t.Fatal("the donor streamed nothing")
+			}
+		})
 	}
-	// The count trigger is polled by the manager sweep, so each batch of
-	// CheckpointEveryN invocations must be given a few ticks to be noticed
-	// before the next batch lands.
-	deadline := time.Now().Add(10 * time.Second)
-	invoked := 0
-	for countCkpts() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d checkpoints after %d invocations with CheckpointEveryN=5",
-				countCkpts(), invoked)
+}
+
+// TestMarksDueAtTheirInterval: a primary's node schedules its audit and
+// checkpoint marks per group, each a full interval after the first sweep
+// that finds it primary and then an interval after the last, and starts
+// over when it has stopped being primary in between.
+func TestMarksDueAtTheirInterval(t *testing.T) {
+	n := &Node{marksDue: make(map[markKey]time.Time)}
+	ckpt, audit := markKey{replication.KCheckpoint, "g"}, markKey{replication.KAudit, "g"}
+	const interval = 100 * time.Millisecond
+	t0 := time.Now()
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	for i, step := range []struct {
+		key           markKey
+		ms            int
+		entitled, due bool
+	}{
+		{ckpt, 0, true, false}, // the first sweep as primary: a full interval first
+		{ckpt, 50, true, false},
+		{ckpt, 100, true, false},
+		{audit, 100, true, false}, // another kind keeps a schedule of its own
+		{ckpt, 101, true, true},
+		{ckpt, 150, true, false},
+		{ckpt, 202, true, true},
+		{audit, 201, true, true},
+		{ckpt, 250, false, false}, // no longer primary: the schedule is forgotten
+		{ckpt, 400, true, false},  // primary again: a full interval first
+		{ckpt, 450, true, false},
+		{ckpt, 501, true, true},
+	} {
+		if got := n.markDue(step.key, step.entitled, interval, at(step.ms)); got != step.due {
+			t.Fatalf("step %d (%v at %d ms, entitled %t): due = %t, want %t",
+				i, step.key.kind, step.ms, step.entitled, got, step.due)
 		}
-		for i := 0; i < 5; i++ {
-			add(t, obj, 1)
-			invoked++
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	// The backup's log must have been truncated by those checkpoints.
-	logGCs := 0
-	for _, ev := range c.nodes["n2"].Events(0, 0) {
-		if ev.Type == obs.EventLogGC && ev.Group == "ctr" {
-			logGCs++
-		}
-	}
-	if logGCs == 0 {
-		t.Fatal("backup log never garbage-collected")
 	}
 }
 

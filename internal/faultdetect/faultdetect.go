@@ -1,5 +1,5 @@
-// Package faultdetect implements Eternal's fault detectors and fault
-// notifier (paper Figure 1; FT-CORBA's PullMonitorable model).
+// Package faultdetect implements Eternal's replica fault detector (paper
+// Figure 1; FT-CORBA's PullMonitorable model).
 //
 // Two fault classes are detected by different layers:
 //
@@ -11,17 +11,16 @@
 //     object's FaultMonitoringInterval (a user-chosen FT-CORBA property,
 //     paper §2) and reports objects that stop answering.
 //
-// Detected faults are published through the Notifier, the moral
-// equivalent of the FT-CORBA FaultNotifier's event fan-out: the node's
-// Replication Manager subscribes and reacts (removing the replica so the
-// Resource Manager can re-launch it).
+// A monitor reports the fault it detects through the callback it was
+// started with: the node's Replication Manager, which removes the replica
+// so the Resource Manager can re-launch it. That callback is all that is
+// left of the FT-CORBA FaultNotifier, since each monitor has exactly one
+// party to tell.
 package faultdetect
 
 import (
 	"sync"
 	"time"
-
-	"eternal/internal/obs"
 )
 
 // Fault is one detected fault event.
@@ -34,57 +33,6 @@ type Fault struct {
 	Reason string
 	// Detected is when the monitor concluded the replica is faulty.
 	Detected time.Time
-}
-
-// Notifier fans fault events out to subscribers — the FT-CORBA
-// FaultNotifier reduced to its essence.
-type Notifier struct {
-	mu   sync.Mutex
-	subs []chan Fault
-	rec  *obs.Recorder
-}
-
-// AttachRecorder routes every published fault into the flight recorder as
-// a suspicion event (a local event: suspicions are one detector's view,
-// not an agreed position in the total order).
-func (n *Notifier) AttachRecorder(rec *obs.Recorder) {
-	n.mu.Lock()
-	n.rec = rec
-	n.mu.Unlock()
-}
-
-// NewNotifier creates an empty notifier.
-func NewNotifier() *Notifier {
-	return &Notifier{}
-}
-
-// Subscribe returns a channel receiving all subsequent fault events.
-// Slow subscribers lose events rather than blocking detection.
-func (n *Notifier) Subscribe() <-chan Fault {
-	ch := make(chan Fault, 64)
-	n.mu.Lock()
-	n.subs = append(n.subs, ch)
-	n.mu.Unlock()
-	return ch
-}
-
-// Publish delivers a fault event to every subscriber.
-func (n *Notifier) Publish(f Fault) {
-	n.mu.Lock()
-	subs := make([]chan Fault, len(n.subs))
-	copy(subs, n.subs)
-	rec := n.rec
-	n.mu.Unlock()
-	rec.Record(obs.Event{
-		Type: obs.EventSuspicion, At: f.Detected,
-		Group: f.Group, Node: f.Node, Detail: f.Reason,
-	})
-	for _, ch := range subs {
-		select {
-		case ch <- f:
-		default:
-		}
-	}
 }
 
 // Pinger performs one liveness probe of a monitored replica; it returns
@@ -100,7 +48,7 @@ type Monitor struct {
 	node     string
 	interval time.Duration
 	ping     Pinger
-	notifier *Notifier
+	report   func(Fault)
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -109,15 +57,16 @@ type Monitor struct {
 
 // StartMonitor begins pull-monitoring. interval is the FT-CORBA
 // FaultMonitoringInterval, which also bounds one probe. The monitor
-// reports at most one fault, then stops itself — the managers replace
-// the replica, and the replacement gets a fresh monitor.
-func StartMonitor(group, node string, interval time.Duration, ping Pinger, notifier *Notifier) *Monitor {
+// reports at most one fault, calling report on its own goroutine, then
+// stops itself — the managers replace the replica, and the replacement
+// gets a fresh monitor.
+func StartMonitor(group, node string, interval time.Duration, ping Pinger, report func(Fault)) *Monitor {
 	m := &Monitor{
 		group:    group,
 		node:     node,
 		interval: interval,
 		ping:     ping,
-		notifier: notifier,
+		report:   report,
 		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -141,7 +90,7 @@ func (m *Monitor) run() {
 			return
 		case <-ticker.C:
 			if !m.probe() {
-				m.notifier.Publish(Fault{
+				m.report(Fault{
 					Group:    m.group,
 					Node:     m.node,
 					Reason:   "is_alive probe failed",

@@ -97,12 +97,6 @@ type Properties struct {
 	// replication (ignored for active replication, which transfers state
 	// only at recovery — paper §3.3).
 	CheckpointInterval time.Duration
-	// CheckpointEveryN, when positive, additionally schedules a checkpoint
-	// after every N ordered messages handled by the group since the last
-	// one — the incremental trigger that bounds replay-log length under
-	// heavy traffic regardless of the time-based interval. Zero disables
-	// the count trigger.
-	CheckpointEveryN int
 	// FaultMonitoringInterval is the fault detector's polling period.
 	FaultMonitoringInterval time.Duration
 }
@@ -120,9 +114,6 @@ func (p Properties) Validate() error {
 	}
 	if p.Style != Active && p.CheckpointInterval <= 0 {
 		return errors.New("ftcorba: passive replication requires a positive CheckpointInterval")
-	}
-	if p.CheckpointEveryN < 0 {
-		return errors.New("ftcorba: CheckpointEveryN must be non-negative")
 	}
 	return nil
 }

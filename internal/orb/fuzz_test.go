@@ -78,3 +78,71 @@ func FuzzReceive(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSessionHandle feeds a replica's ORB one GIOP message parsed from
+// arbitrary bytes, as a node's dispatcher hands it each ordered request
+// (Session.Handle on giop.ParseMessage). Handle may not panic, may allocate
+// at most the module's small multiple of the input (64 KiB + 16× the
+// input), and any answer it returns must parse as the message it says it
+// is. Each input gets a fresh session of one server, whose servant echoes
+// or raises as orb_test's does.
+func FuzzSessionHandle(f *testing.F) {
+	request := func(v giop.Version, order cdr.ByteOrder, key, op string, oneway bool, scs ...giop.ServiceContext) {
+		f.Add(giop.EncodeRequest(v, order, &giop.RequestHeader{
+			ServiceContexts: scs, RequestID: 1, ResponseExpected: !oneway,
+			ObjectKey: []byte(key), Operation: op,
+		}, []byte{1, 2, 3, 4}).Marshal())
+	}
+	for _, v := range []giop.Version{giop.Version10, giop.Version11, giop.Version12} {
+		for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+			request(v, order, "root/echo-1", "echo", false)
+		}
+		f.Add(giop.EncodeLocateRequest(v, cdr.BigEndian, &giop.LocateRequestHeader{RequestID: 2, ObjectKey: []byte("root/echo-1")}).Marshal())
+	}
+	for _, op := range []string{"fail_user", "fail_system", "no_such_op"} {
+		request(giop.Version12, cdr.BigEndian, "root/echo-1", op, false)
+	}
+	request(giop.Version12, cdr.BigEndian, "root/echo-1", "echo", true)
+	request(giop.Version12, cdr.BigEndian, "root/nope", "echo", false)
+	request(giop.Version12, cdr.BigEndian, string(encodeShortKey(7)), "echo", false)
+	request(giop.Version12, cdr.BigEndian, "root/echo-1", "echo", false,
+		encodeCodeSetsContext(codeSets{Char: CodeSetUTF8, Wchar: CodeSetUTF16}),
+		encodeHandshakeProposal([]keyAlias{{Alias: 7, FullKey: []byte("root/echo-1")}}))
+	f.Add(giop.EncodeLocateRequest(giop.Version12, cdr.BigEndian, &giop.LocateRequestHeader{RequestID: 3, ObjectKey: []byte("root/nope")}).Marshal())
+	f.Add(giop.EncodeCancelRequest(giop.Version12, cdr.BigEndian, 1).Marshal())
+	f.Add((&giop.Message{Version: giop.Version12, Type: giop.MsgRequest, Body: []byte{1, 2}}).Marshal())
+
+	srv := NewServer(ServerOptions{})
+	srv.RootPOA().Activate("echo-1", &echoServant{})
+	f.Cleanup(srv.Close)
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		msg, err := giop.ParseMessage(buf)
+		if err != nil {
+			return
+		}
+		sess := srv.NewSession()
+		var ans *giop.Message
+		if grew := allocated(func() { ans, _ = sess.Handle(msg) }); grew > 64<<10+16*uint64(len(buf)) {
+			t.Fatalf("handling %d bytes allocated %d", len(buf), grew)
+		}
+		if ans == nil {
+			return
+		}
+		got, err := giop.ParseMessage(ans.Marshal())
+		if err != nil {
+			t.Fatalf("the answer does not parse: %v", err)
+		}
+		switch got.Type {
+		case giop.MsgReply:
+			_, err = giop.ParseReply(got)
+		case giop.MsgLocateReply:
+			_, err = giop.ParseLocateReply(got)
+		case giop.MsgMessageError:
+		default:
+			t.Fatalf("Handle answered a message of type %v", got.Type)
+		}
+		if err != nil {
+			t.Fatalf("the %v answer does not parse: %v", got.Type, err)
+		}
+	})
+}

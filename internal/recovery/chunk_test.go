@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"eternal/internal/replication"
 )
@@ -132,46 +131,7 @@ func TestDecodeManifestHostile(t *testing.T) {
 	}
 }
 
-// --- incremental checkpoint policy and ring-backed log ---
-
-func TestLogCheckpointPolicyCount(t *testing.T) {
-	l := NewLog()
-	now := time.Now()
-	l.SetPolicy(3, 0, now)
-	if l.CheckpointDue(now) {
-		t.Fatal("due before any messages")
-	}
-	for i := 0; i < 2; i++ {
-		l.Append(&replication.Envelope{Kind: replication.KRequest})
-	}
-	if l.CheckpointDue(now) {
-		t.Fatal("due after 2 of 3 messages")
-	}
-	l.NoteExecuted() // the primary's execution path counts too
-	if !l.CheckpointDue(now) {
-		t.Fatal("not due after 3 messages")
-	}
-	l.NoteCheckpoint(now)
-	if l.CheckpointDue(now) {
-		t.Fatal("due immediately after NoteCheckpoint")
-	}
-}
-
-func TestLogCheckpointPolicyAge(t *testing.T) {
-	l := NewLog()
-	start := time.Now()
-	l.SetPolicy(0, 100*time.Millisecond, start)
-	if l.CheckpointDue(start.Add(50 * time.Millisecond)) {
-		t.Fatal("due before maxAge")
-	}
-	if !l.CheckpointDue(start.Add(150 * time.Millisecond)) {
-		t.Fatal("not due after maxAge")
-	}
-	l.NoteCheckpoint(start.Add(150 * time.Millisecond))
-	if l.CheckpointDue(start.Add(200 * time.Millisecond)) {
-		t.Fatal("due again too soon")
-	}
-}
+// --- ring-backed log ---
 
 func TestLogEachAndMessagesCopy(t *testing.T) {
 	l := NewLog()
@@ -194,11 +154,12 @@ func TestLogEachAndMessagesCopy(t *testing.T) {
 
 func TestLogTruncateAndReset(t *testing.T) {
 	l := NewLog()
-	l.SetPolicy(10, time.Hour, time.Now())
 	for i := uint32(1); i <= 5; i++ {
 		l.Append(&replication.Envelope{Kind: replication.KRequest, OpID: i})
 	}
-	l.TruncateTo([]byte("ckpt"), 3)
+	if dropped := l.TruncateTo([]byte("ckpt"), 3); dropped != 3 {
+		t.Fatalf("TruncateTo(3) discarded %d", dropped)
+	}
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d after TruncateTo(3)", l.Len())
 	}
@@ -215,11 +176,13 @@ func TestLogTruncateAndReset(t *testing.T) {
 	if _, ok := l.Checkpoint(); ok {
 		t.Fatal("checkpoint survived Reset")
 	}
-	// Policy survives Reset (a promoted backup keeps checkpointing).
-	for i := 0; i < 10; i++ {
-		l.Append(&replication.Envelope{Kind: replication.KRequest})
+	// A checkpoint without bytes (a warm backup's, whose instance holds the
+	// state) still discards what it subsumes.
+	l.Append(&replication.Envelope{Kind: replication.KRequest, OpID: 6})
+	if dropped := l.TruncateTo(nil, 1); dropped != 1 || l.Len() != 0 {
+		t.Fatalf("TruncateTo(nil, 1) discarded %d, Len = %d", dropped, l.Len())
 	}
-	if !l.CheckpointDue(time.Now()) {
-		t.Fatal("policy lost across Reset")
+	if _, ok := l.Checkpoint(); ok {
+		t.Fatal("a checkpoint without bytes kept some")
 	}
 }

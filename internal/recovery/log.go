@@ -1,10 +1,6 @@
 package recovery
 
 import (
-	"sync/atomic"
-	"time"
-
-	"eternal/internal/obs"
 	"eternal/internal/replication"
 	"eternal/internal/ring"
 )
@@ -19,35 +15,19 @@ import (
 // checkpoint; under cold passive replication it is all there is — the
 // replica itself is not instantiated until promotion.
 //
-// Log is confined to the owning replica's dispatcher goroutine, except
-// for the checkpoint-scheduling fields (sinceCkpt, lastCkptNanos), which
-// are atomics so the node's delivery loop can poll CheckpointDue without
-// synchronizing with the dispatcher.
+// Log is plain data, confined to the owning replica's dispatcher
+// goroutine. When checkpoints are taken is the node's decision (its
+// manager sweep), not the log's.
 type Log struct {
-	checkpoint    []byte // encoded Bundle; nil until the first checkpoint
-	hasCheckpoint bool
-	msgs          ring.Buffer[*replication.Envelope]
+	// checkpoint is the last encoded Bundle kept, nil until the first. Only
+	// a host without a replica instance (a cold-passive backup) keeps the
+	// bytes; a warm backup's checkpoint already lives in its instance.
+	checkpoint []byte
+	msgs       ring.Buffer[*replication.Envelope]
 	// totalLogged counts messages ever appended (across GCs).
 	totalLogged uint64
 	// gcRuns counts checkpoint overwrites.
 	gcRuns uint64
-
-	// sinceCkpt counts ordered messages handled since the last checkpoint
-	// was scheduled: appends on a backup, executions on the primary
-	// (NoteExecuted). lastCkptNanos is when the last checkpoint was
-	// scheduled, in wall-clock nanoseconds.
-	sinceCkpt     atomic.Uint64
-	lastCkptNanos atomic.Int64
-	// everyN / maxAgeNanos are the incremental-checkpoint policy: schedule
-	// a new checkpoint after everyN messages or maxAge elapsed, whichever
-	// first. Zero disables that trigger.
-	everyN      uint64
-	maxAgeNanos int64
-
-	// rec, when set, receives a flight-recorder event per checkpoint
-	// overwrite (the §3.3 log GC); group names the owning object group.
-	rec   *obs.Recorder
-	group string
 }
 
 // NewLog creates an empty log.
@@ -55,103 +35,44 @@ func NewLog() *Log {
 	return &Log{}
 }
 
-// Instrument routes the log's garbage-collection events for the named
-// group into the flight recorder. Call before the log is used.
-func (l *Log) Instrument(rec *obs.Recorder, group string) {
-	l.rec = rec
-	l.group = group
-}
-
-// SetPolicy configures incremental checkpointing: a checkpoint becomes
-// due after everyN messages (0 = no count trigger) or maxAge since the
-// last one (0 = no age trigger). The clock starts at now.
-func (l *Log) SetPolicy(everyN int, maxAge time.Duration, now time.Time) {
-	if everyN < 0 {
-		everyN = 0
-	}
-	l.everyN = uint64(everyN)
-	l.maxAgeNanos = int64(maxAge)
-	l.lastCkptNanos.Store(now.UnixNano())
-}
-
-// NoteExecuted counts one ordered message toward the checkpoint policy
-// without logging it — the primary executes messages instead of logging
-// them, but its execution count still drives the every-N trigger.
-func (l *Log) NoteExecuted() { l.sinceCkpt.Add(1) }
-
-// NoteCheckpoint records that a checkpoint was scheduled at now, resetting
-// both policy triggers. Call it when the KCheckpoint marker is multicast,
-// not when the state arrives, so a slow capture doesn't double-trigger.
-func (l *Log) NoteCheckpoint(now time.Time) {
-	l.sinceCkpt.Store(0)
-	l.lastCkptNanos.Store(now.UnixNano())
-}
-
-// CheckpointDue reports whether the policy calls for a new checkpoint at
-// now. Safe to call from any goroutine.
-func (l *Log) CheckpointDue(now time.Time) bool {
-	if l.everyN > 0 && l.sinceCkpt.Load() >= l.everyN {
-		return true
-	}
-	if l.maxAgeNanos > 0 && now.UnixNano()-l.lastCkptNanos.Load() >= l.maxAgeNanos {
-		return true
-	}
-	return false
-}
-
 // Append logs one ordered message (a KRequest delivered after the last
 // checkpoint).
 func (l *Log) Append(env *replication.Envelope) {
 	l.msgs.Push(env)
 	l.totalLogged++
-	l.sinceCkpt.Add(1)
 }
 
-// SetCheckpoint records a new checkpoint, overwriting the previous one
-// and discarding the messages it subsumes (paper §3.3's log GC).
-func (l *Log) SetCheckpoint(bundle []byte) {
-	l.TruncateTo(bundle, l.msgs.Len())
-}
-
-// TruncateTo records a new checkpoint that subsumes only the first
-// keepFrom logged messages: the tail (messages ordered after the
-// checkpoint's capture point but logged before the checkpoint's delivery)
-// survives, because the paper's log holds "the ordered messages that
-// follow that checkpoint" — follow the capture, not the delivery. The
-// subsumed head is popped from the ring, which zeroes the vacated slots
-// so the envelopes are not retained.
-func (l *Log) TruncateTo(bundle []byte, keepFrom int) {
+// TruncateTo records a new checkpoint, overwriting the previous one (nil
+// keeps no bytes), and discards the first keepFrom logged messages, which
+// it subsumes (paper §3.3's log GC). It reports how many it discarded. The
+// tail (messages ordered after the checkpoint's capture point but logged
+// before the checkpoint's delivery) survives, because the paper's log
+// holds "the ordered messages that follow that checkpoint" — follow the
+// capture, not the delivery. The subsumed head is popped from the ring,
+// which zeroes the vacated slots so the envelopes are not retained.
+func (l *Log) TruncateTo(bundle []byte, keepFrom int) int {
 	l.checkpoint = append([]byte(nil), bundle...)
-	l.hasCheckpoint = true
-	if keepFrom > l.msgs.Len() {
-		keepFrom = l.msgs.Len()
-	}
+	keepFrom = min(keepFrom, l.msgs.Len())
 	for i := 0; i < keepFrom; i++ {
 		l.msgs.Pop()
 	}
 	l.gcRuns++
-	if l.rec != nil {
-		l.rec.Record(obs.Event{
-			Type: obs.EventLogGC, Group: l.group, Value: int64(keepFrom),
-		})
-	}
+	return max(keepFrom, 0)
 }
 
 // Reset returns the log to its empty state in place (used when a promoted
-// backup's log has been consumed). The Log pointer stays valid for
-// concurrent CheckpointDue pollers.
+// backup's log has been consumed).
 func (l *Log) Reset() {
 	l.checkpoint = nil
-	l.hasCheckpoint = false
 	for l.msgs.Len() > 0 {
 		l.msgs.Pop()
 	}
 }
 
-// Checkpoint returns the last checkpoint; ok is false before the first
-// one (the replica then replays from its initial state).
+// Checkpoint returns the last checkpoint kept; ok is false before the
+// first one (the replica then replays from its initial state).
 func (l *Log) Checkpoint() ([]byte, bool) {
-	return l.checkpoint, l.hasCheckpoint
+	return l.checkpoint, l.checkpoint != nil
 }
 
 // Each calls f on the ordered messages logged since the last checkpoint,

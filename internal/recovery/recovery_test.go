@@ -161,7 +161,7 @@ func TestLogAppendAndCheckpointGC(t *testing.T) {
 		t.Fatalf("len = %d", l.Len())
 	}
 	// The checkpoint overwrites: messages are garbage-collected.
-	l.SetCheckpoint([]byte("state-at-5"))
+	l.TruncateTo([]byte("state-at-5"), l.Len())
 	if l.Len() != 0 {
 		t.Fatalf("len after checkpoint = %d", l.Len())
 	}
@@ -177,7 +177,7 @@ func TestLogAppendAndCheckpointGC(t *testing.T) {
 		t.Fatalf("messages = %+v", msgs)
 	}
 	// A second checkpoint overwrites the first.
-	l.SetCheckpoint([]byte("state-at-7"))
+	l.TruncateTo([]byte("state-at-7"), l.Len())
 	cp, _ = l.Checkpoint()
 	if string(cp) != "state-at-7" {
 		t.Fatalf("checkpoint = %q", cp)
@@ -191,7 +191,7 @@ func TestLogAppendAndCheckpointGC(t *testing.T) {
 func TestLogCheckpointCopies(t *testing.T) {
 	l := NewLog()
 	buf := []byte("mutable")
-	l.SetCheckpoint(buf)
+	l.TruncateTo(buf, 0)
 	buf[0] = 'X'
 	cp, _ := l.Checkpoint()
 	if string(cp) != "mutable" {
@@ -219,13 +219,13 @@ func TestLogTruncateToKeepsTail(t *testing.T) {
 func TestLogTruncateToBounds(t *testing.T) {
 	l := NewLog()
 	l.Append(env(1))
-	l.TruncateTo([]byte("a"), 99) // beyond the log: clears everything
-	if l.Len() != 0 {
-		t.Fatalf("len = %d", l.Len())
+	// Beyond the log: clears everything.
+	if dropped := l.TruncateTo([]byte("a"), 99); dropped != 1 || l.Len() != 0 {
+		t.Fatalf("discarded %d, len = %d", dropped, l.Len())
 	}
 	l.Append(env(2))
-	l.TruncateTo([]byte("b"), -1) // negative: keeps everything
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
+	// Negative: keeps everything.
+	if dropped := l.TruncateTo([]byte("b"), -1); dropped != 0 || l.Len() != 1 {
+		t.Fatalf("discarded %d, len = %d", dropped, l.Len())
 	}
 }

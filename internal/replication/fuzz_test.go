@@ -109,6 +109,7 @@ func FuzzDecodeFilterState(f *testing.F) {
 func FuzzDecodeTable(f *testing.F) {
 	ds := stateDecoders(f)
 	repeated := bytes.ReplaceAll(ds["table"].good[0], []byte("group-b"), []byte("group-a"))
-	retired := [][]byte{retiredTable(sampleTable(f), false), retiredTable(sampleTable(f), true)}
+	retired := [][]byte{retiredTable(sampleTable(f), false), retiredTable(sampleTable(f), true),
+		countTriggerTable(sampleTable(f), 0), countTriggerTable(sampleTable(f), 5)}
 	fuzzState(f, slices.Concat(ds["table"].good, ds["spec"].good, [][]byte{repeated}, retired), "table", "spec")
 }

@@ -27,7 +27,7 @@ type GroupSpec struct {
 var ErrBadTable = errors.New("replication: bad group spec or table")
 
 // EncodeSpec serializes a group spec: Name and TypeName length-prefixed, the
-// six properties as uvarints (a negative one as its 64-bit two's
+// five properties as uvarints (a negative one as its 64-bit two's
 // complement), the nodes as a list.
 func EncodeSpec(s *GroupSpec) []byte { return appendSpec(nil, s) }
 
@@ -35,7 +35,7 @@ func appendSpec(b []byte, s *GroupSpec) []byte {
 	b = codec.AppendBytes(codec.AppendBytes(b, s.Name), s.TypeName)
 	p := &s.Props
 	for _, v := range []int64{int64(p.Style), int64(p.InitialReplicas), int64(p.MinReplicas),
-		int64(p.CheckpointInterval), int64(p.CheckpointEveryN), int64(p.FaultMonitoringInterval)} {
+		int64(p.CheckpointInterval), int64(p.FaultMonitoringInterval)} {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
 	return codec.AppendStrings(b, s.Nodes)
@@ -54,8 +54,7 @@ func DecodeSpec(buf []byte) (*GroupSpec, error) {
 func readSpec(r *codec.Reader) GroupSpec {
 	return GroupSpec{Name: r.Str(), TypeName: r.Str(), Props: ftcorba.Properties{
 		Style: ftcorba.ReplicationStyle(r.U64()), InitialReplicas: int(r.U64()), MinReplicas: int(r.U64()),
-		CheckpointInterval: time.Duration(r.U64()), CheckpointEveryN: int(r.U64()),
-		FaultMonitoringInterval: time.Duration(r.U64()),
+		CheckpointInterval: time.Duration(r.U64()), FaultMonitoringInterval: time.Duration(r.U64()),
 	}, Nodes: r.Strs()}
 }
 
@@ -281,10 +280,10 @@ func (t *Table) EncodeTable() []byte {
 func DecodeTable(buf []byte) (*Table, error) {
 	r := codec.NewReader(buf)
 	t := NewTable()
-	// A group is at least ten bytes: two empty names, six properties and
+	// A group is at least nine bytes: two empty names, five properties and
 	// two empty counts.
 	prev := ""
-	for i, n := 0, r.Count(10); i < n && r.Err() == nil; i++ {
+	for i, n := 0, r.Count(9); i < n && r.Err() == nil; i++ {
 		g := &Group{Spec: readSpec(&r)}
 		if i > 0 && g.Spec.Name <= prev {
 			r.Fail(errors.New("groups out of name order or repeated"))

@@ -33,7 +33,7 @@ func sampleSpecs() []*GroupSpec {
 		spec(),
 		{Name: "x", Props: ftcorba.Properties{Style: ftcorba.Active, InitialReplicas: 1, MinReplicas: 1}},
 		{Props: ftcorba.Properties{Style: ftcorba.ReplicationStyle(-1), InitialReplicas: math.MinInt,
-			CheckpointInterval: math.MaxInt64, CheckpointEveryN: math.MaxInt, FaultMonitoringInterval: -time.Second}},
+			CheckpointInterval: math.MaxInt64, FaultMonitoringInterval: -time.Second}},
 	}
 }
 
@@ -72,6 +72,29 @@ func retiredTable(t *Table, counters bool) []byte {
 		}
 		if counters {
 			b = binary.AppendUvarint(b, math.MaxUint64)
+		}
+	}
+	return b
+}
+
+// countTriggerTable encodes t in the layout whose specs carried a sixth
+// property, the every-N checkpoint trigger (here everyN), between the
+// checkpoint and monitoring intervals.
+func countTriggerTable(t *Table, everyN uint64) []byte {
+	names := t.Names()
+	b := binary.AppendUvarint(nil, uint64(len(names)))
+	for _, name := range names {
+		g := t.groups[name]
+		b = codec.AppendBytes(codec.AppendBytes(b, g.Spec.Name), g.Spec.TypeName)
+		p := &g.Spec.Props
+		for _, v := range []int64{int64(p.Style), int64(p.InitialReplicas), int64(p.MinReplicas),
+			int64(p.CheckpointInterval), int64(everyN), int64(p.FaultMonitoringInterval)} {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+		b = binary.AppendUvarint(codec.AppendStrings(b, g.Spec.Nodes), uint64(len(g.Members)))
+		for _, m := range g.Members {
+			b = binary.AppendUvarint(codec.AppendBytes(b, m.Node), uint64(m.State))
+			b = binary.AppendUvarint(b, m.XferID)
 		}
 	}
 	return b
@@ -181,7 +204,8 @@ func TestStateDecodersBoundAllocationByTheirInput(t *testing.T) {
 // TestDecodeTableRejectsWhatNoTableHolds: a group named twice (taken, the
 // second would overwrite the first), a member state no node defines, and
 // tables of the retired layouts: members without their add's transfer id,
-// and a transfer-id counter per group, alone or behind another group.
+// a transfer-id counter per group, alone or behind another group, and
+// specs with an every-N checkpoint trigger, set or not.
 func TestDecodeTableRejectsWhatNoTableHolds(t *testing.T) {
 	twice := bytes.ReplaceAll(sampleTable(t).EncodeTable(), []byte("group-b"), []byte("group-a"))
 	unknown := sampleTable(t)
@@ -196,6 +220,10 @@ func TestDecodeTableRejectsWhatNoTableHolds(t *testing.T) {
 		"one group without transfer ids":     retiredTable(one, false),
 		"transfer counter":                   retiredTable(one, true),
 		"transfer counters, a group between": retiredTable(sampleTable(t), true),
+		"count trigger":                      countTriggerTable(one, 5),
+		"count trigger unset":                countTriggerTable(one, 0),
+		"count triggers, a group between":    countTriggerTable(sampleTable(t), 5),
+		"count triggers unset, two groups":   countTriggerTable(sampleTable(t), 0),
 	} {
 		if _, err := DecodeTable(buf); !errors.Is(err, ErrBadTable) {
 			t.Errorf("%s: err = %v, want ErrBadTable", name, err)
