@@ -159,10 +159,12 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The divergence must surface within two audit epochs everywhere.
+	// The divergence must surface within two audit epochs everywhere. Each
+	// node's detection epoch is placed once, when its alarm first shows,
+	// while the epoch is still in its collector's window.
+	detected := make(map[string]bool)
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		alarmed := 0
 		for _, nd := range nodes {
 			for _, ev := range sys.Node(nd).Events(0, 0) {
 				if !strings.HasPrefix(ev.Type, "audit-") {
@@ -171,8 +173,11 @@ func TestAuditDetectsCorruption(t *testing.T) {
 				if ev.Type != obs.EventAuditDivergence {
 					t.Fatalf("%s raised a non-divergence alarm: %+v", nd, ev)
 				}
-				alarmed++
-				epochs := distinctEpochsAfter(sys.Node(nd).Audits(0, 0), baseline)
+				if detected[nd] {
+					continue
+				}
+				s, _ := sys.Node(nd).AuditSummary()
+				epochs := distinctEpochsAfter(s, "reg", baseline)
 				pos := 0
 				for i, ep := range epochs {
 					if ep == uint64(ev.Value) {
@@ -184,13 +189,14 @@ func TestAuditDetectsCorruption(t *testing.T) {
 					t.Fatalf("%s detected at epoch %d, %d epoch(s) after baseline %d (want <= 2; epochs %v)",
 						nd, ev.Value, pos, baseline, epochs)
 				}
+				detected[nd] = true
 			}
 		}
-		if alarmed == len(nodes) {
+		if len(detected) == len(nodes) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d nodes flagged the corruption", alarmed, len(nodes))
+			t.Fatalf("only %d/%d nodes flagged the corruption", len(detected), len(nodes))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -199,16 +205,18 @@ func TestAuditDetectsCorruption(t *testing.T) {
 	}
 }
 
-// distinctEpochsAfter lists the distinct audit epochs > after in the
-// observation feed, ascending (observations arrive in delivery order).
-func distinctEpochsAfter(audits []eternal.AuditObservation, after uint64) []uint64 {
+// distinctEpochsAfter lists the epochs > after of group's retained rows in
+// s that hold at least one report, ascending.
+func distinctEpochsAfter(s eternal.AuditSummary, group string, after uint64) []uint64 {
 	var epochs []uint64
-	for _, o := range audits {
-		if o.Epoch <= after {
+	for _, g := range s.Groups {
+		if g.Group != group {
 			continue
 		}
-		if len(epochs) == 0 || epochs[len(epochs)-1] != o.Epoch {
-			epochs = append(epochs, o.Epoch)
+		for _, row := range g.Epochs {
+			if row.Epoch > after && len(row.Digests) > 0 {
+				epochs = append(epochs, row.Epoch)
+			}
 		}
 	}
 	return epochs

@@ -35,12 +35,13 @@
 // the end-to-end p50 the phases account for), plus each node's
 // token-rotation profile: where the token spends its time.
 //
-// audit scrapes every node's /audit consistency feed, prints each node's
-// live verdict (last epoch, alarm totals, per-group member standing), the
-// alarms in its /events feed, and the cluster-merged per-epoch digest
-// matrix, cross-checking the feeds against each other. Any diverged epoch — or any pair of feeds that
-// disagree about one member's digest — is flagged and makes the exit
-// status non-zero, as does a latched divergence in any node's summary.
+// audit reads every node's audit summary from /healthz and prints each
+// node's live verdict (last epoch, alarm totals, per-group member
+// standing), the alarms in its /events feed, and its collector's retained
+// digest rows, then every member digest two nodes' collectors hold
+// differently for one epoch. Any diverged row, any such conflict and any
+// latched divergence in a node's summary is flagged and makes the exit
+// status non-zero.
 //
 // Any unreachable node is named on stderr and makes the exit status
 // non-zero; reachable nodes' data is still merged and printed.
@@ -51,8 +52,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -129,7 +132,9 @@ func main() {
 		printRotations(os.Stdout, rotationsOf(feeds))
 		printFeedHealth(os.Stdout, feeds, "span")
 	case "audit":
-		feeds, errs := scrapeAudits(client, nodes, *since, *pageSize)
+		reports, errs := scrape(nodes, func(addr string) (core.HealthReport, error) {
+			return fetchHealth(client, addr)
+		})
 		events, eventErrs := scrapeFeeds(client, nodes, 0, *pageSize)
 		for name, err := range eventErrs {
 			if errs[name] == nil {
@@ -137,10 +142,13 @@ func main() {
 			}
 		}
 		failed = reportScrapeErrors(errs)
-		if printAudit(os.Stdout, feeds, itemsOf(events), *group) {
+		summaries := make(map[string]*obs.AuditSummary, len(reports))
+		for name, rep := range reports {
+			summaries[name] = rep.Audit
+		}
+		if printAudit(os.Stdout, summaries, itemsOf(events), *group) {
 			failed = true
 		}
-		printFeedHealth(os.Stdout, feeds, "audit observation")
 		printFeedHealth(os.Stdout, events, "event")
 	default:
 		fatal(fmt.Errorf("unknown command %q (want timeline, status, recovery, trace, critical-path or audit)", cmd))
@@ -169,7 +177,7 @@ func parseNodes(s string) (map[string]string, error) {
 }
 
 // feed is one node's drained journal plus its loss accounting: Last is the
-// last page read — /spans and /audit carry there what is not paginated —
+// last page read — /spans carries there what is not paginated —
 // Dropped its head's lifetime eviction counter, and Gap counts entries that
 // vanished between pages of this scrape (the ring wrapped while we were
 // reading — the resume cursor jumped).
@@ -183,7 +191,6 @@ type feed[P, T any] struct {
 type (
 	eventFeed = feed[core.EventsPage, obs.Event]
 	spanFeed  = feed[core.SpansPage, obs.Span]
-	auditFeed = feed[core.AuditPage, obs.AuditObservation]
 )
 
 // drain reads one node's feed at http://addr/query page by page, resuming
@@ -628,6 +635,25 @@ func printRotations(w io.Writer, rots map[string][]obs.TokenRotation) {
 	}
 }
 
+// fetchHealth reads one node's /healthz report. A 503 is a report too: an
+// unsynced or diverged node says why in its body.
+func fetchHealth(client *http.Client, addr string) (core.HealthReport, error) {
+	var rep core.HealthReport
+	url := fmt.Sprintf("http://%s/healthz", addr)
+	resp, err := client.Get(url)
+	if err != nil {
+		return rep, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
+		return rep, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		return rep, fmt.Errorf("GET %s: %v", url, err)
+	}
+	return rep, nil
+}
+
 func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (failed bool) {
 	names := make([]string, 0, len(nodes))
 	for name := range nodes {
@@ -635,23 +661,9 @@ func printStatus(w io.Writer, client *http.Client, nodes map[string]string) (fai
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		url := fmt.Sprintf("http://%s/healthz", nodes[name])
-		resp, err := client.Get(url)
+		rep, err := fetchHealth(client, nodes[name])
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "eternalctl: %s unreachable: %v\n", name, err)
-			failed = true
-			continue
-		}
-		// 503 is a report too: an unsynced or diverged node says why.
-		var rep core.HealthReport
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-			err = fmt.Errorf("GET %s: %s", url, resp.Status)
-		} else {
-			err = json.NewDecoder(resp.Body).Decode(&rep)
-		}
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eternalctl: %s: bad response: %v\n", name, err)
 			failed = true
 			continue
 		}
@@ -706,32 +718,27 @@ func printAuditSummary(w io.Writer, head string, s *obs.AuditSummary, group stri
 	return s.Diverged
 }
 
-func scrapeAudits(client *http.Client, nodes map[string]string, since uint64, pageSize int) (map[string]auditFeed, map[string]error) {
-	return scrape(nodes, func(addr string) (auditFeed, error) {
-		return drain(client, addr, "audit?", since, pageSize,
-			func(p *core.AuditPage) (core.PageHead, []obs.AuditObservation) { return p.PageHead, p.Audits },
-			func(o obs.AuditObservation) uint64 { return o.Index })
-	})
-}
-
-// printAudit renders the per-node verdicts, each node's alarms (the
-// audit-* events of its flight-recorder feed) and the cluster-merged
-// digest matrix; it reports true when any epoch diverged, any feeds
-// conflict, or any node holds a latched divergence — the caller exits
-// non-zero.
-func printAudit(w io.Writer, feeds map[string]auditFeed, events map[string][]obs.Event, group string) (bad bool) {
-	names := make([]string, 0, len(feeds))
-	for name := range feeds {
+// printAudit renders each node's verdict (nil: audit disabled), its alarms
+// (the audit-* events of its flight-recorder feed) and its collector's
+// retained digest rows, then the conflicts between nodes' rows; it reports
+// true when any row diverged, any two collectors conflict, or any node
+// holds a latched divergence — the caller exits non-zero.
+func printAudit(w io.Writer, summaries map[string]*obs.AuditSummary, events map[string][]obs.Event, group string) (bad bool) {
+	names := make([]string, 0, len(summaries))
+	for name := range summaries {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	enabled := make(map[string]obs.AuditSummary, len(summaries))
+	rows := 0
 	for _, name := range names {
-		f := feeds[name].Last
-		if !f.Enabled {
+		s := summaries[name]
+		if s == nil {
 			fmt.Fprintf(w, "%s: audit disabled\n", name)
 			continue
 		}
-		if printAuditSummary(w, name+": ", &f.Summary, group) {
+		enabled[name] = *s
+		if printAuditSummary(w, name+": ", s, group) {
 			bad = true
 		}
 		for _, ev := range events[name] {
@@ -740,37 +747,39 @@ func printAudit(w io.Writer, feeds map[string]auditFeed, events map[string][]obs
 					kind, ev.Group, orDash(ev.Node), ev.Value, ev.Detail)
 			}
 		}
+		for _, ga := range s.Groups {
+			if group != "" && ga.Group != group {
+				continue
+			}
+			for _, row := range ga.Epochs {
+				rows++
+				var b strings.Builder
+				fmt.Fprintf(&b, "  epoch %6d  %-12s", row.Epoch, ga.Group)
+				for _, node := range slices.Sorted(maps.Keys(row.Digests)) {
+					fmt.Fprintf(&b, "  %s=%08x", node, row.Digests[node])
+				}
+				if row.Diverged {
+					b.WriteString("  ** DIVERGED **")
+					bad = true
+				}
+				fmt.Fprintln(w, b.String())
+			}
+		}
 	}
-
-	rows := obs.MergeAudits(itemsOf(feeds))
-	printed := 0
-	for _, row := range rows {
-		if group != "" && row.Group != group {
+	if rows == 0 {
+		fmt.Fprintln(w, "no audit epochs in the retained windows")
+	}
+	for _, c := range obs.AuditConflicts(enabled) {
+		if group != "" && c.Group != group {
 			continue
 		}
-		printed++
-		members := make([]string, 0, len(row.Digests))
-		for node := range row.Digests {
-			members = append(members, node)
-		}
-		sort.Strings(members)
 		var b strings.Builder
-		fmt.Fprintf(&b, "epoch %6d  %-12s", row.Epoch, row.Group)
-		for _, node := range members {
-			fmt.Fprintf(&b, "  %s=%08x", node, row.Digests[node])
-		}
-		if row.Diverged {
-			fmt.Fprintf(&b, "  ** DIVERGED **")
-			bad = true
-		}
-		if row.Conflicted {
-			fmt.Fprintf(&b, "  ** FEED CONFLICT **")
-			bad = true
+		fmt.Fprintf(&b, "epoch %6d  %-12s %s: ** CONFLICT **", c.Epoch, c.Group, c.Member)
+		for _, node := range slices.Sorted(maps.Keys(c.Digests)) {
+			fmt.Fprintf(&b, "  %s holds %08x", node, c.Digests[node])
 		}
 		fmt.Fprintln(w, b.String())
-	}
-	if printed == 0 {
-		fmt.Fprintln(w, "no audit epochs in the scraped window")
+		bad = true
 	}
 	return bad
 }

@@ -297,14 +297,14 @@ func feedSummary(feeds map[string][]obs.Event) map[string]int {
 // TestAuditListsAlarmsFromEvents: the alarms audit prints under a node are
 // the audit-* events of that node's flight-recorder feed, and only those.
 func TestAuditListsAlarmsFromEvents(t *testing.T) {
-	feeds := map[string]auditFeed{"n1": {Last: core.AuditPage{Enabled: true, Summary: obs.AuditSummary{Divergences: 1, Lags: 1}}}}
+	summaries := map[string]*obs.AuditSummary{"n1": {Divergences: 1, Lags: 1}}
 	events := map[string][]obs.Event{"n1": {
 		{Type: obs.EventAuditDivergence, Group: "g", Value: 12, Detail: "a=00000001 b=00000002"},
 		{Type: obs.EventMemberAdd, Group: "g", Node: "b"},
 		{Type: obs.EventAuditLag, Group: "g", Node: "c", Value: 14},
 	}}
 	var out strings.Builder
-	printAudit(&out, feeds, events, "")
+	printAudit(&out, summaries, events, "")
 	got := out.String()
 	for _, want := range []string{
 		"alarm divergence group=g node=- epoch=12 a=00000001 b=00000002",
@@ -316,6 +316,41 @@ func TestAuditListsAlarmsFromEvents(t *testing.T) {
 	}
 	if strings.Count(got, "alarm ") != 2 {
 		t.Fatalf("audit output lists something besides the two alarms:\n%s", got)
+	}
+}
+
+// TestAuditFailsOnDivergenceConflictOrLatch: audit's verdict is bad when
+// a node's row diverged, when two nodes' collectors hold different digests
+// for one member at one epoch, or when a node's summary holds a latched
+// divergence; rows that agree everywhere are good.
+func TestAuditFailsOnDivergenceConflictOrLatch(t *testing.T) {
+	row := func(epoch uint64, a, b uint32) obs.AuditEpochRow {
+		return obs.AuditEpochRow{Epoch: epoch, Expected: []string{"a", "b"},
+			Digests: map[string]uint32{"a": a, "b": b}, Diverged: a != b}
+	}
+	summary := func(diverged bool, rows ...obs.AuditEpochRow) *obs.AuditSummary {
+		return &obs.AuditSummary{Diverged: diverged, Groups: []obs.AuditGroupStatus{{Group: "g", Epochs: rows}}}
+	}
+	for _, tc := range []struct {
+		name      string
+		summaries map[string]*obs.AuditSummary
+		bad       bool
+		says      string
+	}{
+		{"clean", map[string]*obs.AuditSummary{"n1": summary(false, row(10, 1, 1)), "n2": summary(false, row(10, 1, 1)), "n3": nil},
+			false, "n3: audit disabled"},
+		{"diverged row", map[string]*obs.AuditSummary{"n1": summary(false, row(10, 1, 2))}, true, "** DIVERGED **"},
+		{"conflict", map[string]*obs.AuditSummary{"n1": summary(false, row(10, 1, 1)), "n2": summary(false, row(10, 3, 3))},
+			true, "epoch     10  g            a: ** CONFLICT **  n1 holds 00000001  n2 holds 00000003"},
+		{"latched", map[string]*obs.AuditSummary{"n1": summary(true, row(10, 1, 1))}, true, "n1: DIVERGED"},
+	} {
+		var out strings.Builder
+		if bad := printAudit(&out, tc.summaries, nil, ""); bad != tc.bad {
+			t.Errorf("%s: bad = %v, want %v:\n%s", tc.name, bad, tc.bad, out.String())
+		}
+		if !strings.Contains(out.String(), tc.says) {
+			t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.says, out.String())
+		}
 	}
 }
 

@@ -14,14 +14,14 @@
 // Every node registers the demo "Register" replica type.
 //
 // Add -admin host:port to serve the observability endpoints: /metrics
-// (Prometheus text), /healthz (membership, roles, delivery position and
-// recorder totals; 503 until synchronized), /events (the flight-recorder feed eternalctl merges into
-// a cluster timeline),
-// /spans (per-invocation phase spans and the token-rotation profile,
-// the feed behind eternalctl trace and critical-path), /audit (the
-// consistency-audit digest journal behind eternalctl audit; /healthz
-// reports 503 while a divergence alarm is latched) and /debug/pprof/. The admin server shuts down gracefully on SIGINT or
-// SIGTERM.
+// (Prometheus text), /healthz (membership, roles, delivery position,
+// recorder totals and the consistency audit's verdict and digest rows,
+// behind eternalctl status and audit; 503 until synchronized, and while a
+// divergence alarm is latched), /events (the flight-recorder feed
+// eternalctl merges into a cluster timeline), /spans (per-invocation
+// phase spans and the token-rotation profile, the feed behind eternalctl
+// trace and critical-path) and /debug/pprof/. The admin server shuts down
+// gracefully on SIGINT or SIGTERM.
 package main
 
 import (
@@ -91,7 +91,7 @@ func main() {
 			"MinimumNumberReplicas for -create; below this the Resource Manager re-replicates onto a live node")
 		drive    = flag.Bool("drive", false, "run a demo client loop against the -create group")
 		logLevel = flag.String("log-level", "", "log mechanism events at this level: debug|info|warn|error (empty disables)")
-		admin    = flag.String("admin", "", "serve /metrics, /healthz, /events, /spans, /audit and pprof on this host:port")
+		admin    = flag.String("admin", "", "serve /metrics, /healthz, /events, /spans and pprof on this host:port")
 
 		auditInterval = flag.Duration("audit-interval", 0,
 			"consistency-audit mark period (0 = default 1s, negative disables the audit)")

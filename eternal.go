@@ -131,17 +131,15 @@ type (
 	// TokenRotation is one token-visit profile from the totem rotation
 	// profiler: hold time, retransmission service, pending-queue drain.
 	TokenRotation = obs.TokenRotation
-	// AuditObservation is one consistency-audit report: a member's state
-	// digest at a totally-ordered audit epoch (Node.Audits, /audit).
-	AuditObservation = obs.AuditObservation
-	// AuditSummary is a node's live consistency verdict (/healthz, /audit).
+	// AuditSummary is a node's live consistency verdict, with each group's
+	// retained digest rows (Node.AuditSummary, /healthz).
 	AuditSummary = obs.AuditSummary
 	// AuditGroupStatus is one group's per-member audit standing.
 	AuditGroupStatus = obs.AuditGroupStatus
 	// AuditMemberStatus is one member's last digest, lag and alarm state.
 	AuditMemberStatus = obs.AuditMemberStatus
-	// AuditEpochRow is one group-epoch's cross-node digest matrix
-	// (eternalctl audit).
+	// AuditEpochRow is one retained audit epoch of a group as a node's
+	// collector matched it: expected members, digests, divergence.
 	AuditEpochRow = obs.AuditEpochRow
 )
 
@@ -152,10 +150,9 @@ var (
 	MergeSpans      = obs.MergeSpans
 	AttributePhases = obs.AttributePhases
 	MergeEvents     = obs.MergeEvents
-	// MergeAudits merges per-node audit feeds into per-epoch digest rows,
-	// flagging divergence (members disagree) and conflict (feeds disagree
-	// about one member).
-	MergeAudits = obs.MergeAudits
+	// AuditConflicts compares nodes' audit summaries and lists every
+	// member digest two collectors hold differently for one epoch.
+	AuditConflicts = obs.AuditConflicts
 )
 
 // ParseLogLevel parses "debug", "info", "warn" or "error" into a

@@ -57,7 +57,27 @@ func (k Kind) String() string {
 var (
 	ErrUnsupportedKind = errors.New("anyval: unsupported TypeCode kind")
 	ErrTypeMismatch    = errors.New("anyval: Go value does not match TypeCode")
+	// ErrEmptyElements: a non-empty sequence whose elements occupy no
+	// bytes (null, void, or a struct of such). Its length would be the only
+	// bound on what decoding it allocates, so neither side accepts one.
+	ErrEmptyElements = errors.New("anyval: sequence of elements that occupy no bytes")
 )
+
+// occupiesNoBytes reports whether every value of tc encodes to nothing.
+func occupiesNoBytes(tc *TypeCode) bool {
+	switch tc.Kind {
+	case KindNull, KindVoid:
+		return true
+	case KindStruct:
+		for _, f := range tc.Fields {
+			if !occupiesNoBytes(f.Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
 
 // TypeCode describes the type of an Any value.
 //
@@ -368,6 +388,9 @@ func marshalValue(e *cdr.Encoder, tc *TypeCode, v any) error {
 		if !ok {
 			return mismatch(tc, v)
 		}
+		if len(xs) > 0 && occupiesNoBytes(tc.Elem) {
+			return ErrEmptyElements
+		}
 		e.WriteULong(uint32(len(xs)))
 		for _, x := range xs {
 			if err := marshalValue(e, tc.Elem, x); err != nil {
@@ -443,6 +466,9 @@ func unmarshalValue(d *cdr.Decoder, tc *TypeCode) (any, error) {
 		n, err := d.ReadULong()
 		if err != nil {
 			return nil, err
+		}
+		if n > 0 && occupiesNoBytes(tc.Elem) {
+			return nil, ErrEmptyElements
 		}
 		if uint64(n) > uint64(d.Remaining()) {
 			return nil, cdr.ErrLengthOverflow

@@ -130,6 +130,29 @@ func TestNestedSequenceOfStruct(t *testing.T) {
 	}
 }
 
+// A sequence of values that encode to nothing is refused both ways: the
+// decoder used to accept three nulls followed by three spare bytes, and
+// then refuse the same value's own encoding, which has no spare bytes.
+func TestSequenceOfEmptyElementsRefused(t *testing.T) {
+	empty := StructOf("IDL:Empty:1.0", "Empty", Field{Name: "n", Type: TCNull})
+	for _, elem := range []*TypeCode{TCNull, TCVoid, empty} {
+		a := Any{Type: SequenceOf(elem), Value: []any{nil, nil, nil}}
+		if elem == empty {
+			a.Value = []any{[]any{nil}}
+		}
+		if _, err := a.MarshalBytes(); !errors.Is(err, ErrEmptyElements) {
+			t.Errorf("marshal sequence<%v>: err = %v, want ErrEmptyElements", elem.Kind, err)
+		}
+		if got := roundTrip(t, Any{Type: SequenceOf(elem), Value: []any{}}); len(got.Value.([]any)) != 0 {
+			t.Errorf("empty sequence<%v> came back as %v", elem.Kind, got.Value)
+		}
+	}
+	found := []byte("\x00\x00\x00\x13\x00\x00\x00\f0000\x00\x00\x00\x000000\x00\x00\x00\x03000")
+	if _, err := UnmarshalBytes(found); !errors.Is(err, ErrEmptyElements) {
+		t.Fatalf("unmarshal three nulls: err = %v, want ErrEmptyElements", err)
+	}
+}
+
 func TestTypeMismatchOnMarshal(t *testing.T) {
 	a := Any{Type: TCLong, Value: "not a long"}
 	if _, err := a.MarshalBytes(); !errors.Is(err, ErrTypeMismatch) {

@@ -16,16 +16,15 @@ import (
 //	/metrics  — Prometheus text exposition of the node's registry
 //	/healthz  — JSON: sync status, delivery position, flight-recorder
 //	          totals, live processors, groups and roles, and the audit
-//	          summary (503 while the node has not yet synchronized, or
-//	          while the consistency audit holds a divergence)
+//	          summary with each group's retained digest rows (503 while
+//	          the node has not yet synchronized, or while the consistency
+//	          audit holds a divergence; the alarms themselves are audit-*
+//	          events in /events)
 //	/events   — JSON: flight-recorder events (?since=<index>&n=K), paginated
 //	          by recorder index for eternalctl's cluster-timeline merge
 //	/spans    — JSON: invocation phase spans (?since=<index>&n=K), paginated
 //	          like /events; ?rot=K appends the last K token-rotation
 //	          profiler samples
-//	/audit    — JSON: consistency-audit observations (?since=<index>&n=K),
-//	          paginated like /events, plus the live summary (the alarms
-//	          themselves are audit-* events in /events)
 //	/debug/pprof/ — the standard Go profiling endpoints
 //
 // Every JSON endpoint reports Content-Type: application/json, including
@@ -41,7 +40,6 @@ func (n *Node) AdminHandler() http.Handler {
 	mux.HandleFunc("/healthz", n.serveHealthz)
 	mux.HandleFunc("/events", n.serveEvents)
 	mux.HandleFunc("/spans", n.serveSpans)
-	mux.HandleFunc("/audit", n.serveAudit)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -89,7 +87,8 @@ type HealthReport struct {
 	SyncWaiting []string      `json:"sync_waiting,omitempty"`
 	Groups      []HealthGroup `json:"groups"`
 	// Audit is the consistency-audit summary (last audited epoch, per-
-	// group digest state, alarm totals); nil when the audit is disabled.
+	// group digest state and retained epoch rows, alarm totals); nil when
+	// the audit is disabled.
 	Audit          *obs.AuditSummary `json:"audit,omitempty"`
 	Seq            uint64            `json:"seq"`
 	EventsRecorded uint64            `json:"events_recorded"`
@@ -188,8 +187,8 @@ func (n *Node) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(rep)
 }
 
-// PageHead is what the body of every paginated feed (/events, /spans,
-// /audit) carries besides its entries. Clients resume with ?since=<Next>:
+// PageHead is what the body of every paginated feed (/events, /spans)
+// carries besides its entries. Clients resume with ?since=<Next>:
 // Next is the cursor the next request should pass — the index of the last
 // entry in this page, or the request's own cursor when the page is empty —
 // so a reader survives ring wraparound without silently skipping (a gap
@@ -236,8 +235,8 @@ func pageParams(w http.ResponseWriter, r *http.Request, defCount int) (since uin
 	return since, count, ok
 }
 
-// writePage finishes and sends one page of a journal feed; /events, /spans
-// and /audit all paginate through it. page is a pointer to the body, head
+// writePage finishes and sends one page of a journal feed; /events and
+// /spans both paginate through it. page is a pointer to the body, head
 // and items point at its head and its entries. head.Next arrives holding
 // the request's cursor and leaves holding the one the next request should
 // pass: the index of the page's last entry, or the same cursor when the
@@ -292,27 +291,4 @@ func (n *Node) serveSpans(w http.ResponseWriter, r *http.Request) {
 		page.Rotations = n.proc.Rotations(rot)
 	}
 	writePage(w, &page, &page.PageHead, &page.Spans, func(sp obs.Span) uint64 { return sp.Index })
-}
-
-// AuditPage is the /audit body: one page of the node's consistency-audit
-// observation journal, plus the live summary.
-type AuditPage struct {
-	PageHead
-	Enabled bool                   `json:"enabled"`
-	Summary obs.AuditSummary       `json:"summary"`
-	Audits  []obs.AuditObservation `json:"audits"`
-}
-
-func (n *Node) serveAudit(w http.ResponseWriter, r *http.Request) {
-	since, count, ok := pageParams(w, r, 256)
-	if !ok {
-		return
-	}
-	page := AuditPage{
-		PageHead: PageHead{Node: n.addr, Dropped: n.audit.Dropped(), Next: since},
-		Enabled:  n.audit != nil,
-		Summary:  n.audit.Summary(),
-		Audits:   n.audit.Since(since, count),
-	}
-	writePage(w, &page, &page.PageHead, &page.Audits, func(o obs.AuditObservation) uint64 { return o.Index })
 }

@@ -76,8 +76,8 @@ func awaitAudits(t *testing.T, c *testCluster, want uint64) {
 }
 
 // TestAuditClusterMatchingDigests is the happy path: a 3-way active group
-// under writes audits clean — every node collects the same digests, the
-// cross-node merge finds no divergence, and no alarms fire.
+// under writes audits clean — every node's collector holds the same
+// digests (no conflict between them), no row diverges, and no alarms fire.
 func TestAuditClusterMatchingDigests(t *testing.T) {
 	c := newAuditCluster(t, 25*time.Millisecond, "n1", "n2", "n3")
 	c.createGroup("ctr", ftcorba.Active, []string{"n1", "n2", "n3"}, 1)
@@ -87,7 +87,7 @@ func TestAuditClusterMatchingDigests(t *testing.T) {
 	}
 	awaitAudits(t, c, 6) // at least two full 3-member epochs everywhere
 
-	feeds := make(map[string][]obs.AuditObservation)
+	summaries := make(map[string]obs.AuditSummary)
 	var marks, reports uint64
 	for addr, n := range c.nodes {
 		s, _ := n.AuditSummary()
@@ -97,7 +97,7 @@ func TestAuditClusterMatchingDigests(t *testing.T) {
 		if s.LastEpoch == 0 {
 			t.Fatalf("%s has no audit epoch: %+v", addr, s)
 		}
-		feeds[addr] = n.Audits(0, 0)
+		summaries[addr] = s
 		st := n.Stats()
 		marks += st.AuditMarks
 		reports += st.AuditReports
@@ -105,14 +105,22 @@ func TestAuditClusterMatchingDigests(t *testing.T) {
 	if marks == 0 || reports == 0 {
 		t.Fatalf("marks=%d reports=%d, want both > 0", marks, reports)
 	}
-	rows := obs.MergeAudits(feeds)
-	if len(rows) == 0 {
-		t.Fatal("merge produced no epochs")
+	if conflicts := obs.AuditConflicts(summaries); len(conflicts) != 0 {
+		t.Fatalf("healthy cluster's collectors conflict: %+v", conflicts)
 	}
-	for _, row := range rows {
-		if row.Diverged || row.Conflicted {
-			t.Fatalf("healthy cluster diverged: %+v", row)
+	rows := 0
+	for addr, s := range summaries {
+		for _, g := range s.Groups {
+			for _, row := range g.Epochs {
+				rows++
+				if row.Diverged {
+					t.Fatalf("%s: healthy cluster diverged: %+v", addr, row)
+				}
+			}
 		}
+	}
+	if rows == 0 {
+		t.Fatal("no node holds an audit epoch")
 	}
 }
 
@@ -134,9 +142,13 @@ func TestAuditPassivePrimaryOnly(t *testing.T) {
 		if s.Diverged || s.Divergences+s.Lags > 0 {
 			t.Fatalf("%s alarmed on a healthy passive group: %+v", addr, s)
 		}
-		for _, o := range n.Audits(0, 0) {
-			if o.Group == "wp" {
-				reporters[o.Node] = true
+		for _, g := range s.Groups {
+			for _, row := range g.Epochs {
+				for node := range row.Digests {
+					if g.Group == "wp" {
+						reporters[node] = true
+					}
+				}
 			}
 		}
 	}
@@ -203,67 +215,6 @@ func TestAuditLagsSilentPassivePrimary(t *testing.T) {
 		if s, _ := n.AuditSummary(); s.Diverged || s.Divergences != 0 || s.Lags != 1 {
 			t.Fatalf("%s: summary %+v, want one lag and no divergence", addr, s)
 		}
-	}
-}
-
-// TestAuditEndpoint checks /audit's shape, cursor pagination and the
-// ?alarms query against a live fast-audited group.
-func TestAuditEndpoint(t *testing.T) {
-	c := newAuditCluster(t, 25*time.Millisecond, "a1")
-	c.createGroup("grp", ftcorba.Active, []string{"a1"}, 1)
-	awaitAudits(t, c, 3)
-	srv := httptest.NewServer(c.nodes["a1"].AdminHandler())
-	defer srv.Close()
-
-	var page struct {
-		Node    string                 `json:"node"`
-		Enabled bool                   `json:"enabled"`
-		Summary obs.AuditSummary       `json:"summary"`
-		Next    uint64                 `json:"next"`
-		Audits  []obs.AuditObservation `json:"audits"`
-	}
-	get := func(query string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/audit" + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /audit%s: %d", query, resp.StatusCode)
-		}
-		page.Audits = nil
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	get("")
-	if page.Node != "a1" || !page.Enabled || len(page.Audits) == 0 {
-		t.Fatalf("audit page = %+v", page)
-	}
-	if page.Summary.LastEpoch == 0 || page.Summary.Observations == 0 {
-		t.Fatalf("summary = %+v", page.Summary)
-	}
-	for _, o := range page.Audits {
-		if o.Group != "grp" || o.Node != "a1" || o.Epoch == 0 || o.Seq <= o.Epoch {
-			t.Fatalf("bad observation: %+v", o)
-		}
-	}
-
-	// Cursor pagination: one observation per page, strictly advancing.
-	resp := get("?n=1")
-	if len(page.Audits) != 1 {
-		t.Fatalf("n=1 page has %d audits", len(page.Audits))
-	}
-	first := page.Audits[0].Index
-	if page.Next != first || resp.Header.Get("X-Eternal-Next") != itoa(first) {
-		t.Fatalf("next cursor = %d / %q, want %d", page.Next, resp.Header.Get("X-Eternal-Next"), first)
-	}
-	get("?since=" + itoa(first) + "&n=1")
-	if len(page.Audits) != 1 || page.Audits[0].Index <= first {
-		t.Fatalf("pagination after index %d returned %+v", first, page.Audits)
 	}
 }
 

@@ -85,7 +85,6 @@ type stateDelivery struct {
 type replicaHost struct {
 	node  *Node
 	group string
-	style ftcorba.ReplicationStyle
 
 	// q is the dispatch queue: the node's delivery loop must never block
 	// on a replica whose servant is busy, so items land here and the
@@ -145,11 +144,10 @@ type replicaHost struct {
 	disableORBStateTransfer bool
 }
 
-func newReplicaHost(n *Node, group string, style ftcorba.ReplicationStyle, withInstance, recovering bool) (*replicaHost, error) {
+func newReplicaHost(n *Node, group string, withInstance, recovering bool) (*replicaHost, error) {
 	h := &replicaHost{
 		node:       n,
 		group:      group,
-		style:      style,
 		q:          ring.NewQueue[dispatchItem](),
 		done:       make(chan struct{}),
 		recovering: recovering,
@@ -280,7 +278,7 @@ func (h *replicaHost) auditReport(epoch uint64) {
 		return
 	}
 	filterState := replication.EncodeFilterState(h.reqFilter.Snapshot())
-	totalLogged, _ := h.log.Stats()
+	totalLogged := h.log.Stats()
 	rec := replication.AuditRecord{
 		Epoch:      epoch,
 		LSN:        totalLogged,

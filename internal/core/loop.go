@@ -432,7 +432,7 @@ func (n *Node) handleCreate(seq uint64, env *replication.Envelope) {
 // reports whether the replica could be instantiated.
 func (n *Node) hostReplica(g *replication.Group, primary, recovering bool) bool {
 	props := g.Spec.Props
-	h, err := newReplicaHost(n, g.Spec.Name, props.Style, props.Style != ftcorba.ColdPassive || primary, recovering)
+	h, err := newReplicaHost(n, g.Spec.Name, props.Style != ftcorba.ColdPassive || primary, recovering)
 	if err != nil {
 		return false
 	}
@@ -598,8 +598,7 @@ func (n *Node) handleAudit(seq uint64, env *replication.Envelope) {
 			return
 		}
 		n.noteAuditAlarms(n.audit.Observe(obs.AuditObservation{
-			Group: env.Group, Node: env.Node, Epoch: rec.Epoch, Seq: seq,
-			Digest: rec.Digest, LSN: rec.LSN, StateBytes: rec.StateBytes,
+			Group: env.Group, Node: env.Node, Epoch: rec.Epoch, Digest: rec.Digest,
 		}))
 	}
 }

@@ -240,19 +240,16 @@ func Start(cfg Config) (*Node, error) {
 		func() float64 { return float64(spans.Dropped()) })
 	metrics.CounterFunc("eternal_audit_observations_total",
 		"consistency-audit digests collected (all members, via the total order)",
-		func() float64 { return float64(audit.Total()) })
-	metrics.CounterFunc("eternal_audit_observations_dropped_total",
-		"audit observations evicted to bound the journal",
-		func() float64 { return float64(audit.Dropped()) })
+		func() float64 { return float64(audit.Totals().Observations) })
 	metrics.GaugeFunc("eternal_audit_last_epoch",
 		"most recent consistency-audit epoch observed",
-		func() float64 { return float64(audit.LastEpoch()) })
+		func() float64 { return float64(audit.Totals().LastEpoch) })
 	metrics.CounterFunc("eternal_audit_divergence_alarms_total",
 		"audit divergence alarms: digest mismatch within one epoch",
-		func() float64 { return float64(audit.Summary().Divergences) })
+		func() float64 { return float64(audit.Totals().Divergences) })
 	metrics.CounterFunc("eternal_audit_lag_alarms_total",
 		"audit lag alarms: member silent in more than three completed epochs",
-		func() float64 { return float64(audit.Summary().Lags) })
+		func() float64 { return float64(audit.Totals().Lags) })
 	n.invocationHist = metrics.Histogram("eternal_invocation_seconds",
 		"end-to-end invocation latency: interception to reply delivery", nil)
 	n.recoveryCapture = metrics.Histogram("eternal_recovery_capture_seconds",

@@ -186,15 +186,9 @@ func (n *Node) TokenRotations(max int) []obs.TokenRotation {
 	return n.proc.Rotations(max)
 }
 
-// Audits returns up to max journalled consistency-audit observations
-// with Index > since, oldest first (max <= 0 returns all retained). Nil
-// when the audit is disabled (Config.AuditInterval < 0).
-func (n *Node) Audits(since uint64, max int) []obs.AuditObservation {
-	return n.audit.Since(since, max)
-}
-
-// AuditSummary returns the collector's condensed live state; ok is false
-// when the audit is disabled.
+// AuditSummary returns the collector's condensed live state, each group's
+// retained epoch rows included; ok is false when the audit is disabled
+// (Config.AuditInterval < 0).
 func (n *Node) AuditSummary() (obs.AuditSummary, bool) {
 	if n.audit == nil {
 		return obs.AuditSummary{}, false

@@ -1,10 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -20,38 +20,27 @@ const (
 	AuditLag = "lag"
 )
 
-// auditJournal bounds the observation journal.
-const auditJournal = 1024
-
 // auditLag is the lag threshold: a member missing more than this many
 // completed epochs raises a lag alarm at the next mark.
 const auditLag = 3
 
 // auditEpochWindow bounds the per-group epoch history the matcher keeps,
-// and with it the lag a collector can measure.
+// and with it the lag a collector can measure and the rows its summary
+// publishes.
 const auditEpochWindow = 32
 
 // AuditObservation is one member's digest for one audit epoch, as
-// evaluated at the report's agreed position in the delivery order. Every
-// synchronized node's collector receives the same observations in the
-// same order, so their matching verdicts agree.
+// evaluated at the report's agreed position in the delivery order: the
+// collector's input. Every synchronized node's collector receives the same
+// observations in the same order, so their matching verdicts agree.
 type AuditObservation struct {
-	// Index is the collector-assigned monotonic id (from 1); /audit
-	// paginates by it.
-	Index uint64 `json:"index"`
 	// Group and Node identify the reporting member.
-	Group string `json:"group"`
-	Node  string `json:"node"`
+	Group string
+	Node  string
 	// Epoch is the audit mark's delivery sequence number.
-	Epoch uint64 `json:"epoch"`
-	// Seq is the report's own delivery position.
-	Seq uint64 `json:"seq"`
+	Epoch uint64
 	// Digest is the member's state digest for the epoch.
-	Digest uint32 `json:"digest"`
-	// LSN is the member's checkpoint-log position (diagnostic).
-	LSN uint64 `json:"lsn"`
-	// StateBytes is the digested application-state size.
-	StateBytes uint32 `json:"state_bytes"`
+	Digest uint32
 }
 
 // AuditAlarm is one raised audit condition. Alarms latch: a diverged
@@ -72,7 +61,7 @@ type AuditAlarm struct {
 }
 
 // AuditSummary is the collector's condensed live state, embedded in
-// /healthz and /audit.
+// /healthz.
 type AuditSummary struct {
 	// LastEpoch is the most recent audit epoch observed on any group.
 	LastEpoch uint64 `json:"last_epoch"`
@@ -96,6 +85,24 @@ type AuditGroupStatus struct {
 	// until a complete clean epoch).
 	Diverged bool                `json:"diverged"`
 	Members  []AuditMemberStatus `json:"members,omitempty"`
+	// Epochs is the collector's retained window, ascending: at most
+	// auditEpochWindow rows of the group's digest matrix.
+	Epochs []AuditEpochRow `json:"epochs,omitempty"`
+}
+
+// AuditEpochRow is one retained audit epoch of a group as this node's
+// collector matched it. Every synchronized node's collector matches the
+// same reports at the same positions, so where two nodes' windows overlap
+// their rows agree; AuditConflicts finds where they do not.
+type AuditEpochRow struct {
+	Epoch uint64 `json:"epoch"`
+	// Expected lists, sorted, the members the epoch's mark awaited; empty
+	// for an implicit epoch (a report whose mark this node never saw).
+	Expected []string `json:"expected,omitempty"`
+	// Digests maps reporting member -> digest.
+	Digests map[string]uint32 `json:"digests"`
+	// Diverged: two members reported different digests for this epoch.
+	Diverged bool `json:"diverged,omitempty"`
 }
 
 // AuditMemberStatus is one member's most recent digest and trail state.
@@ -124,6 +131,19 @@ type auditEpoch struct {
 	// participate: their digests are computed at the same agreed position
 	// and must match.
 	reports map[string]uint32
+}
+
+// mixed reports whether digests holds two different values.
+func mixed(digests map[string]uint32) bool {
+	first := true
+	var digest uint32
+	for _, d := range digests {
+		if !first && d != digest {
+			return true
+		}
+		first, digest = false, d
+	}
+	return false
 }
 
 // auditMember is one member's trail state within a group.
@@ -174,22 +194,17 @@ func (g *auditGroup) member(node string) *auditMember {
 type AuditCollector struct {
 	mu sync.Mutex
 
-	obsRing journal[AuditObservation]
-
 	groups    map[string]*auditGroup
 	lastEpoch uint64
 
-	divergences uint64
-	lags        uint64
+	observations uint64
+	divergences  uint64
+	lags         uint64
 }
 
-// NewAuditCollector creates a collector retaining up to auditJournal
-// observations.
+// NewAuditCollector creates a collector with no groups.
 func NewAuditCollector() *AuditCollector {
-	return &AuditCollector{
-		obsRing: newJournal[AuditObservation](auditJournal),
-		groups:  make(map[string]*auditGroup),
-	}
+	return &AuditCollector{groups: make(map[string]*auditGroup)}
 }
 
 func (c *AuditCollector) group(name string) *auditGroup {
@@ -284,12 +299,11 @@ func (c *AuditCollector) Observe(o AuditObservation) []AuditAlarm {
 		g.lastEpoch = o.Epoch
 	}
 	// Otherwise ep may stay nil: the epoch was evicted from the window —
-	// journal the observation but skip matching.
+	// count the observation but skip matching.
 	if o.Epoch > c.lastEpoch {
 		c.lastEpoch = o.Epoch
 	}
-	o.Index = c.obsRing.next
-	c.obsRing.add(o)
+	c.observations++
 
 	m := g.member(o.Node)
 	if o.Epoch >= m.lastEpoch {
@@ -305,12 +319,8 @@ func (c *AuditCollector) Observe(o AuditObservation) []AuditAlarm {
 	ep.reports[o.Node] = o.Digest
 
 	// Divergence matching for this epoch.
-	distinct := make(map[uint32]bool, len(ep.reports))
-	for _, d := range ep.reports {
-		distinct[d] = true
-	}
 	var alarms []AuditAlarm
-	if len(distinct) > 1 {
+	if mixed(ep.reports) {
 		if !g.diverged {
 			g.diverged = true
 			alarms = append(alarms, c.raise(AuditDivergence, o.Group, "", o.Epoch, divergenceDetail(ep)))
@@ -361,45 +371,29 @@ func (c *AuditCollector) MemberRemoved(group, node string) {
 	delete(g.members, node)
 }
 
-// Since returns up to max journalled observations with Index > after,
-// oldest first (max <= 0 returns all retained).
-func (c *AuditCollector) Since(after uint64, max int) []AuditObservation {
+// Totals reports the summary without its per-group state: last epoch,
+// observation and alarm counts, and whether any group is diverged.
+func (c *AuditCollector) Totals() AuditSummary {
 	if c == nil {
-		return nil
+		return AuditSummary{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.obsRing.since(after, max)
+	return c.totals()
 }
 
-// Total reports how many observations were ever collected.
-func (c *AuditCollector) Total() uint64 {
-	if c == nil {
-		return 0
+// totals builds Totals (c.mu held).
+func (c *AuditCollector) totals() AuditSummary {
+	s := AuditSummary{
+		LastEpoch:    c.lastEpoch,
+		Observations: c.observations,
+		Divergences:  c.divergences,
+		Lags:         c.lags,
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.obsRing.total()
-}
-
-// Dropped reports how many observations were evicted to bound the ring.
-func (c *AuditCollector) Dropped() uint64 {
-	if c == nil {
-		return 0
+	for _, g := range c.groups {
+		s.Diverged = s.Diverged || g.diverged
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.obsRing.dropped
-}
-
-// LastEpoch reports the most recent epoch observed on any group.
-func (c *AuditCollector) LastEpoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastEpoch
+	return s
 }
 
 // Summary condenses the collector's live state.
@@ -409,18 +403,10 @@ func (c *AuditCollector) Summary() AuditSummary {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := AuditSummary{
-		LastEpoch:    c.lastEpoch,
-		Observations: c.obsRing.total(),
-		Divergences:  c.divergences,
-		Lags:         c.lags,
-	}
+	s := c.totals()
 	for _, name := range slices.Sorted(maps.Keys(c.groups)) {
 		g := c.groups[name]
 		gs := AuditGroupStatus{Group: name, Epoch: g.lastEpoch, Diverged: g.diverged}
-		if g.diverged {
-			s.Diverged = true
-		}
 		for _, node := range slices.Sorted(maps.Keys(g.members)) {
 			m := g.members[node]
 			gs.Members = append(gs.Members, AuditMemberStatus{
@@ -428,111 +414,63 @@ func (c *AuditCollector) Summary() AuditSummary {
 				Lag: g.missed(node), Lagging: m.lagging,
 			})
 		}
+		for _, ep := range g.epochs {
+			gs.Epochs = append(gs.Epochs, AuditEpochRow{
+				Epoch: ep.epoch, Expected: slices.Sorted(maps.Keys(ep.expected)),
+				Digests: maps.Clone(ep.reports), Diverged: mixed(ep.reports),
+			})
+		}
 		s.Groups = append(s.Groups, gs)
 	}
 	return s
 }
 
-// AuditEpochRow is one (group, epoch) cell of a cluster-merged digest
-// matrix: every node's digest for that epoch, cross-checked across the
-// scraped feeds.
-type AuditEpochRow struct {
-	Group string
-	Epoch uint64
-	// Digests maps reporting node -> consensus digest: when scraped
-	// feeds disagree about a member (Conflicted), the digest most
-	// feeds reported wins, ties broken toward the smallest value, so
-	// the published row does not depend on feed iteration order.
+// AuditConflict is one member's digest at one epoch that two nodes'
+// collectors hold differently.
+type AuditConflict struct {
+	Group  string
+	Epoch  uint64
+	Member string
+	// Digests maps collector node -> the digest its row holds.
 	Digests map[string]uint32
-	// Diverged: two members reported different digests for this epoch
-	// under every consistent reading of the feeds — their candidate
-	// digest sets share no value. A member whose digest merely differs
-	// across feeds (a stale scrape from a partitioned minority, say)
-	// raises Conflicted alone, never a false divergence.
-	Diverged bool
-	// Conflicted: two scraped feeds disagree about one member's digest
-	// for this epoch — a scrape- or transport-level inconsistency, which
-	// the total order should make impossible on a healthy medium (a
-	// partitioned minority's stale feed is the benign cause).
-	Conflicted bool
 }
 
-// MergeAudits merges audit observation feeds scraped from several nodes
-// into per-(group, epoch) rows, sorted by group then epoch. Every node's
-// feed carries all members' reports (they travel the total order), so
-// merging both widens the window and cross-checks the feeds against each
-// other.
-func MergeAudits(feeds map[string][]AuditObservation) []AuditEpochRow {
-	type key struct {
-		group string
-		epoch uint64
+// AuditConflicts compares nodes' summaries, keyed by node, and returns
+// every (group, epoch, member) whose digest two collectors hold
+// differently, sorted by group, epoch and member. The total order forbids
+// one on a healthy medium; a stale collector from a partitioned minority
+// is the benign cause. A collector that lacks an epoch or a member (it
+// synchronized late, or the epoch left its window) conflicts with nobody.
+// A conflict is never a divergence: that is two members' digests in one
+// collector's row.
+func AuditConflicts(summaries map[string]AuditSummary) []AuditConflict {
+	type cell struct {
+		group  string
+		epoch  uint64
+		member string
 	}
-	// Per (group, epoch, member): every digest any feed reported, with
-	// its observation count — the member's candidate set.
-	cand := make(map[key]map[string]map[uint32]int)
-	for _, feed := range feeds {
-		for _, o := range feed {
-			k := key{o.Group, o.Epoch}
-			members, ok := cand[k]
-			if !ok {
-				members = make(map[string]map[uint32]int)
-				cand[k] = members
-			}
-			digests, ok := members[o.Node]
-			if !ok {
-				digests = make(map[uint32]int)
-				members[o.Node] = digests
-			}
-			digests[o.Digest]++
-		}
-	}
-	out := make([]AuditEpochRow, 0, len(cand))
-	for k, members := range cand {
-		row := AuditEpochRow{Group: k.group, Epoch: k.epoch, Digests: make(map[string]uint32, len(members))}
-		sets := make([]map[uint32]int, 0, len(members))
-		for node, digests := range members {
-			if len(digests) > 1 {
-				row.Conflicted = true
-			}
-			// Publish the consensus digest: most observations win,
-			// ties break toward the smallest value, so the row is
-			// independent of feed iteration order.
-			bestN := -1
-			var best uint32
-			for d, n := range digests {
-				if n > bestN || (n == bestN && d < best) {
-					best, bestN = d, n
-				}
-			}
-			row.Digests[node] = best
-			sets = append(sets, digests)
-		}
-		// Two members diverge only when no consistent reading of the
-		// feeds can reconcile them: their candidate sets are disjoint.
-		for i := 0; i < len(sets) && !row.Diverged; i++ {
-			for j := i + 1; j < len(sets); j++ {
-				if disjointDigests(sets[i], sets[j]) {
-					row.Diverged = true
-					break
+	held := make(map[cell]map[string]uint32)
+	for node, s := range summaries {
+		for _, g := range s.Groups {
+			for _, row := range g.Epochs {
+				for member, d := range row.Digests {
+					k := cell{g.Group, row.Epoch, member}
+					if held[k] == nil {
+						held[k] = make(map[string]uint32)
+					}
+					held[k][node] = d
 				}
 			}
 		}
-		out = append(out, row)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Group != out[j].Group {
-			return out[i].Group < out[j].Group
+	var out []AuditConflict
+	for k, byNode := range held {
+		if mixed(byNode) {
+			out = append(out, AuditConflict{Group: k.group, Epoch: k.epoch, Member: k.member, Digests: byNode})
 		}
-		return out[i].Epoch < out[j].Epoch
+	}
+	slices.SortFunc(out, func(a, b AuditConflict) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Epoch, b.Epoch), cmp.Compare(a.Member, b.Member))
 	})
 	return out
-}
-
-func disjointDigests(a, b map[uint32]int) bool {
-	for d := range a {
-		if _, ok := b[d]; ok {
-			return false
-		}
-	}
-	return true
 }

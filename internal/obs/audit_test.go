@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"fmt"
+	"reflect"
+	"testing"
+)
 
 func countKind(alarms []AuditAlarm, kind string) int {
 	n := 0
@@ -13,7 +17,7 @@ func countKind(alarms []AuditAlarm, kind string) int {
 }
 
 func obsAt(group, node string, epoch uint64, digest uint32) AuditObservation {
-	return AuditObservation{Group: group, Node: node, Epoch: epoch, Seq: epoch + 1, Digest: digest}
+	return AuditObservation{Group: group, Node: node, Epoch: epoch, Digest: digest}
 }
 
 func TestAuditDivergenceRaiseLatchClear(t *testing.T) {
@@ -184,7 +188,7 @@ func TestAuditEpochRegression(t *testing.T) {
 	c.BeginEpoch("g", 50, []string{"a", "b"})
 	c.BeginEpoch("g", 40, []string{"a", "b"})
 	c.Observe(obsAt("g", "a", 50, 1))
-	// An observation for an epoch below the window floor is journal-only.
+	// An observation for an epoch below the window floor is counted only.
 	if got := c.Observe(obsAt("g", "b", 40, 2)); len(got) != 0 {
 		t.Fatalf("stale observation alarmed: %+v", got)
 	}
@@ -193,25 +197,49 @@ func TestAuditEpochRegression(t *testing.T) {
 	}
 }
 
-func TestAuditRingPagination(t *testing.T) {
+// TestAuditEpochWindow: the summary publishes the collector's retained
+// window as rows, at most auditEpochWindow per group and ascending, with
+// each row's sorted expectations, digests and divergence; an implicit
+// epoch (a report whose mark the collector never saw) expects nobody.
+func TestAuditEpochWindow(t *testing.T) {
 	c := NewAuditCollector()
-	c.obsRing = newJournal[AuditObservation](4)
-	for i := uint64(1); i <= 6; i++ {
-		c.Observe(obsAt("g", "a", i*10, 1))
+	c.Observe(obsAt("g", "b", 5, 7)) // implicit: no mark for epoch 5
+	for epoch := uint64(10); epoch <= 400; epoch += 10 {
+		c.BeginEpoch("g", epoch, []string{"b", "a"})
+		c.Observe(obsAt("g", "a", epoch, 1))
+		c.Observe(obsAt("g", "b", epoch, 1))
 	}
-	if c.Total() != 6 || c.Dropped() != 2 {
-		t.Fatalf("total=%d dropped=%d, want 6/2", c.Total(), c.Dropped())
+	c.Observe(obsAt("g", "a", 401, 2)) // implicit again, after the marks
+	c.Observe(obsAt("g", "b", 401, 3))
+
+	rows := c.Summary().Groups[0].Epochs
+	if len(rows) != auditEpochWindow {
+		t.Fatalf("%d rows, want the window's %d", len(rows), auditEpochWindow)
 	}
-	all := c.Since(0, 0)
-	if len(all) != 4 || all[0].Index != 3 || all[3].Index != 6 {
-		t.Fatalf("since(0) = %+v", all)
+	for i := 1; i < len(rows); i++ {
+		if rows[i].Epoch <= rows[i-1].Epoch {
+			t.Fatalf("rows not ascending at %d: %d after %d", i, rows[i].Epoch, rows[i-1].Epoch)
+		}
 	}
-	page := c.Since(all[1].Index, 1)
-	if len(page) != 1 || page[0].Index != 5 {
-		t.Fatalf("paged since = %+v", page)
+	if first := rows[0].Epoch; first != 100 {
+		t.Fatalf("oldest retained epoch = %d, want 100 (the newest 32 of 42)", first)
 	}
-	if rest := c.Since(6, 0); len(rest) != 0 {
-		t.Fatalf("past the end = %+v", rest)
+	want := AuditEpochRow{Epoch: 400, Expected: []string{"a", "b"}, Digests: map[string]uint32{"a": 1, "b": 1}}
+	if got := rows[len(rows)-2]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("marked row = %+v, want %+v", got, want)
+	}
+	want = AuditEpochRow{Epoch: 401, Digests: map[string]uint32{"a": 2, "b": 3}, Diverged: true}
+	if got := rows[len(rows)-1]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("implicit row = %+v, want %+v", got, want)
+	}
+	s := c.Summary()
+	if s.Observations != 83 {
+		t.Fatalf("observations = %d, want 83", s.Observations)
+	}
+	// Totals is the same summary without the per-group state.
+	s.Groups = nil
+	if tot := c.Totals(); !reflect.DeepEqual(tot, s) || !tot.Diverged {
+		t.Fatalf("totals = %+v, want %+v (diverged at epoch 401)", tot, s)
 	}
 }
 
@@ -247,19 +275,49 @@ func TestAuditNilCollector(t *testing.T) {
 		t.Fatal("nil Observe")
 	}
 	c.MemberRemoved("g", "a")
-	if c.Since(0, 0) != nil {
-		t.Fatal("nil journal")
-	}
-	if c.Total() != 0 || c.Dropped() != 0 || c.LastEpoch() != 0 {
-		t.Fatal("nil counters")
+	if tot := c.Totals(); tot.LastEpoch != 0 || tot.Observations != 0 {
+		t.Fatalf("nil totals = %+v", tot)
 	}
 	if s := c.Summary(); s.Diverged || s.Observations != 0 {
 		t.Fatalf("nil summary = %+v", s)
 	}
 }
 
-func TestMergeAudits(t *testing.T) {
-	feeds := map[string][]AuditObservation{
+// collectorsSaw feeds each node's collector its observations, as the
+// node's delivery loop would, and returns the nodes' summaries.
+func collectorsSaw(seen map[string][]AuditObservation) map[string]AuditSummary {
+	out := make(map[string]AuditSummary, len(seen))
+	for node, observations := range seen {
+		c := NewAuditCollector()
+		for _, o := range observations {
+			c.Observe(o)
+		}
+		out[node] = c.Summary()
+	}
+	return out
+}
+
+// rowDiverged reports whether any node's row for (group, epoch) is
+// diverged.
+func rowDiverged(summaries map[string]AuditSummary, group string, epoch uint64) bool {
+	for _, s := range summaries {
+		for _, g := range s.Groups {
+			for _, row := range g.Epochs {
+				if g.Group == group && row.Epoch == epoch && row.Diverged {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestAuditConflicts: two collectors agree on one epoch, disagree about
+// one member at the next, and only one of them holds a second group. The
+// disagreement is the one conflict; the epoch whose members differ in a
+// node's own row is diverged there; the rest is clean.
+func TestAuditConflicts(t *testing.T) {
+	summaries := collectorsSaw(map[string][]AuditObservation{
 		"n1": {
 			obsAt("g", "a", 10, 1), obsAt("g", "b", 10, 1),
 			obsAt("g", "a", 20, 2), obsAt("g", "b", 20, 3),
@@ -267,63 +325,52 @@ func TestMergeAudits(t *testing.T) {
 		},
 		"n2": {
 			obsAt("g", "a", 10, 1), obsAt("g", "b", 10, 1),
-			// n2 saw a different digest for a@20 than n1 did: feed conflict.
+			// n2 holds a different digest for a@20 than n1 does.
 			obsAt("g", "a", 20, 7),
 		},
+	})
+	got := AuditConflicts(summaries)
+	want := []AuditConflict{{Group: "g", Epoch: 20, Member: "a", Digests: map[string]uint32{"n1": 2, "n2": 7}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("conflicts = %+v, want %+v", got, want)
 	}
-	rows := MergeAudits(feeds)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %+v", rows)
+	if rowDiverged(summaries, "g", 10) || rowDiverged(summaries, "h", 15) {
+		t.Fatal("a clean epoch diverged")
 	}
-	if rows[0].Group != "g" || rows[0].Epoch != 10 || rows[0].Diverged || rows[0].Conflicted {
-		t.Fatalf("clean row = %+v", rows[0])
-	}
-	if !rows[1].Diverged || !rows[1].Conflicted {
-		t.Fatalf("bad row not flagged = %+v", rows[1])
-	}
-	if rows[2].Group != "h" || rows[2].Diverged {
-		t.Fatalf("h row = %+v", rows[2])
+	if !rowDiverged(summaries, "g", 20) {
+		t.Fatal("n1's row for epoch 20 (a=2, b=3) is not diverged")
 	}
 }
 
-// TestMergeAuditsPartitionedMinorityFeed covers merging with feeds
-// scraped from an isolated minority: a member whose digest differs
-// BETWEEN feeds (the isolated node's stale view of itself vs the
-// majority's) must surface as a feed conflict, never as a false
-// divergence — divergence is reserved for members whose candidate
-// digest sets cannot be reconciled under any reading of the feeds.
-func TestMergeAuditsPartitionedMinorityFeed(t *testing.T) {
-	feeds := map[string][]AuditObservation{
+// TestAuditConflictsStaleMinority: a collector from an isolated minority
+// holds a stale digest for one member. Its disagreement with the majority
+// is a conflict, never a divergence — divergence is two members' digests
+// in one collector's row.
+func TestAuditConflictsStaleMinority(t *testing.T) {
+	summaries := collectorsSaw(map[string][]AuditObservation{
 		// Majority nodes agree: a, b and c all digest 5 at epoch 30.
 		"maj1": {obsAt("g", "a", 30, 5), obsAt("g", "b", 30, 5), obsAt("g", "c", 30, 5)},
 		"maj2": {obsAt("g", "a", 30, 5), obsAt("g", "b", 30, 5), obsAt("g", "c", 30, 5)},
-		// The isolated node's scrape has a stale digest for itself
-		// at the same epoch (recorded while cut off).
+		// The isolated node's collector saw a stale digest for itself at
+		// the same epoch (recorded while cut off).
 		"iso": {obsAt("g", "c", 30, 9)},
+	})
+	got := AuditConflicts(summaries)
+	want := []AuditConflict{{Group: "g", Epoch: 30, Member: "c",
+		Digests: map[string]uint32{"maj1": 5, "maj2": 5, "iso": 9}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("conflicts = %+v, want %+v", got, want)
 	}
-	rows := MergeAudits(feeds)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	row := rows[0]
-	if !row.Conflicted {
-		t.Errorf("stale minority feed must flag a conflict: %+v", row)
-	}
-	if row.Diverged {
-		t.Errorf("feed conflict about one member must not read as member divergence: %+v", row)
-	}
-	// The consensus digest is the majority's, not whichever feed the
-	// map iterated last.
-	if row.Digests["c"] != 5 {
-		t.Errorf("Digests[c] = %d, want the 2-feed majority digest 5", row.Digests["c"])
+	if rowDiverged(summaries, "g", 30) {
+		t.Fatal("a conflict about one member reads as a divergence")
 	}
 }
 
-// TestMergeAuditsPartialMinorityFeed: a minority node that simply
-// missed epochs (partial feed) must not poison the merge — rows it
-// covers merge cleanly, rows it missed stay clean without it.
-func TestMergeAuditsPartialMinorityFeed(t *testing.T) {
-	feeds := map[string][]AuditObservation{
+// TestAuditConflictsLateSyncedNode: a node that synchronized late holds
+// only some epochs, and of those only some members. It conflicts with
+// nobody, and no row diverges.
+func TestAuditConflictsLateSyncedNode(t *testing.T) {
+	summaries := collectorsSaw(map[string][]AuditObservation{
 		"maj1": {
 			obsAt("g", "a", 10, 1), obsAt("g", "b", 10, 1),
 			obsAt("g", "a", 20, 2), obsAt("g", "b", 20, 2),
@@ -332,64 +379,57 @@ func TestMergeAuditsPartialMinorityFeed(t *testing.T) {
 			obsAt("g", "a", 10, 1), obsAt("g", "b", 10, 1),
 			obsAt("g", "a", 20, 2), obsAt("g", "b", 20, 2),
 		},
-		// The minority node rejoined late: it only has epoch 20.
-		"iso": {obsAt("g", "a", 20, 2), obsAt("g", "b", 20, 2)},
+		// The late node saw only b's report for epoch 20.
+		"late": {obsAt("g", "b", 20, 2)},
+	})
+	if got := AuditConflicts(summaries); len(got) != 0 {
+		t.Fatalf("conflicts = %+v, want none", got)
 	}
-	for i, row := range MergeAudits(feeds) {
-		if row.Diverged || row.Conflicted {
-			t.Errorf("row %d flagged despite consistent partial feeds: %+v", i, row)
-		}
-		if len(row.Digests) != 2 {
-			t.Errorf("row %d digests = %+v, want both members", i, row.Digests)
+	for _, epoch := range []uint64{10, 20} {
+		if rowDiverged(summaries, "g", epoch) {
+			t.Fatalf("epoch %d diverged on consistent partial windows", epoch)
 		}
 	}
 }
 
-// TestMergeAuditsGenuineDivergenceStillFlagged: when every feed agrees
-// about each member but the members disagree among themselves, that is
-// real state divergence, with no conflict.
-func TestMergeAuditsGenuineDivergenceStillFlagged(t *testing.T) {
-	feeds := map[string][]AuditObservation{
+// TestAuditConflictsGenuineDivergence: when every collector agrees about
+// each member but the members disagree among themselves, that is a real
+// state divergence: Diverged in every node's row, and no conflict.
+func TestAuditConflictsGenuineDivergence(t *testing.T) {
+	summaries := collectorsSaw(map[string][]AuditObservation{
 		"n1": {obsAt("g", "a", 40, 5), obsAt("g", "b", 40, 8)},
 		"n2": {obsAt("g", "a", 40, 5), obsAt("g", "b", 40, 8)},
+	})
+	if got := AuditConflicts(summaries); len(got) != 0 {
+		t.Fatalf("conflicts = %+v, want none", got)
 	}
-	rows := MergeAudits(feeds)
-	if len(rows) != 1 || !rows[0].Diverged || rows[0].Conflicted {
-		t.Fatalf("rows = %+v, want exactly one diverged, unconflicted row", rows)
+	for node, s := range summaries {
+		if rows := s.Groups[0].Epochs; len(rows) != 1 || !rows[0].Diverged {
+			t.Fatalf("%s rows = %+v, want one diverged row", node, rows)
+		}
 	}
 }
 
-// TestMergeAuditsDeterministic: merging the same feeds repeatedly must
-// produce identical rows — the consensus pick may not depend on map
-// iteration order (the scenario harness compares runs by these rows).
-func TestMergeAuditsDeterministic(t *testing.T) {
-	feeds := map[string][]AuditObservation{
-		"n1": {obsAt("g", "a", 30, 5), obsAt("g", "b", 30, 5), obsAt("g", "c", 30, 5)},
-		"n2": {obsAt("g", "a", 30, 5), obsAt("g", "b", 30, 5), obsAt("g", "c", 30, 5)},
-		"n3": {obsAt("g", "c", 30, 9)},
-		// A pure 1-vs-1 tie about d's digest: smaller value must win.
-		"n4": {obsAt("g", "d", 30, 7)},
-		"n5": {obsAt("g", "d", 30, 3)},
+// TestAuditConflictsDeterministic: the same summaries give the same
+// conflicts every time, sorted by group, epoch and member, whatever the
+// order maps iterate in.
+func TestAuditConflictsDeterministic(t *testing.T) {
+	summaries := collectorsSaw(map[string][]AuditObservation{
+		"n1": {obsAt("h", "a", 30, 5), obsAt("g", "c", 20, 1), obsAt("g", "d", 30, 5), obsAt("g", "c", 30, 5)},
+		"n2": {obsAt("h", "a", 30, 6), obsAt("g", "c", 20, 2), obsAt("g", "d", 30, 6), obsAt("g", "c", 30, 5)},
+		"n3": {obsAt("g", "d", 30, 7)},
+	})
+	base := AuditConflicts(summaries)
+	var cells []string
+	for _, c := range base {
+		cells = append(cells, fmt.Sprintf("%s/%s@%d", c.Group, c.Member, c.Epoch))
 	}
-	base := MergeAudits(feeds)
-	if got := base[0].Digests["d"]; got != 3 {
-		t.Fatalf("tie-break published %d for d, want the smallest digest 3", got)
+	if want := []string{"g/c@20", "g/d@30", "h/a@30"}; !reflect.DeepEqual(cells, want) {
+		t.Fatalf("conflicts at %v, want %v", cells, want)
 	}
 	for i := 0; i < 50; i++ {
-		rows := MergeAudits(feeds)
-		if len(rows) != len(base) {
-			t.Fatalf("iteration %d: %d rows, want %d", i, len(rows), len(base))
-		}
-		for j := range rows {
-			if rows[j].Diverged != base[j].Diverged || rows[j].Conflicted != base[j].Conflicted {
-				t.Fatalf("iteration %d row %d flags changed: %+v vs %+v", i, j, rows[j], base[j])
-			}
-			for n, d := range rows[j].Digests {
-				if base[j].Digests[n] != d {
-					t.Fatalf("iteration %d row %d digest for %s changed: %d vs %d",
-						i, j, n, d, base[j].Digests[n])
-				}
-			}
+		if got := AuditConflicts(summaries); !reflect.DeepEqual(got, base) {
+			t.Fatalf("iteration %d: %+v, want %+v", i, got, base)
 		}
 	}
 }

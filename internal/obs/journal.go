@@ -1,10 +1,10 @@
 package obs
 
 // journal is the bounded ring behind every feed in this package: the
-// flight recorder's events, the span journal, the token-rotation log and
-// the audit collector's observations. Storage is preallocated; entries
-// get contiguous indexes from 1, so a reader paginates by the last index
-// it saw and can tell entries lost to eviction from ones not yet written.
+// flight recorder's events, the span journal and the token-rotation log.
+// Storage is preallocated; entries get contiguous indexes from 1, so a
+// reader paginates by the last index it saw and can tell entries lost to
+// eviction from ones not yet written.
 // Not synchronised — the owning type's mutex covers it.
 type journal[T any] struct {
 	buf     []T

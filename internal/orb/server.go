@@ -201,16 +201,12 @@ func (s *Server) Close() {
 }
 
 // Session is one connection's ORB/POA-level state of paper §4.2 — the
-// last request id seen, the negotiated code sets and the handshake alias
-// table — invisible to servants, essential to correct recovery. ServeConn
+// negotiated code sets and the handshake alias table — invisible to servants, essential to correct recovery. ServeConn
 // keeps one per network connection; Eternal's mechanisms keep one per
 // logical client connection and hand it each ordered request in-line. A
 // Session is not safe for concurrent use.
 type Session struct {
 	srv *Server
-	// lastRequestID is the highest request id seen on the connection.
-	lastRequestID uint32
-	sawRequest    bool
 	// negotiated code sets (from the CodeSets service context).
 	codeSets   codeSets
 	negotiated bool
@@ -218,8 +214,8 @@ type Session struct {
 	aliasTable map[uint32][]byte
 }
 
-// NewSession returns the state of a fresh connection: no request seen,
-// default code sets, no negotiated aliases.
+// NewSession returns the state of a fresh connection: default code sets,
+// no negotiated aliases.
 func (s *Server) NewSession() *Session {
 	return &Session{srv: s, codeSets: defaultCodeSets, aliasTable: make(map[uint32][]byte)}
 }
@@ -313,10 +309,6 @@ func (ss *Session) expandKey(key []byte) []byte {
 func (ss *Session) handleRequest(msg *giop.Message, req *giop.Request) (*giop.Message, Seen) {
 	s := ss.srv
 	s.nRequests.Add(1)
-	if !ss.sawRequest || req.Header.RequestID > ss.lastRequestID {
-		ss.lastRequestID = req.Header.RequestID
-		ss.sawRequest = true
-	}
 
 	// Absorb handshake contexts (the client-server negotiation of §4.2.2).
 	seen := Seen{Request: true}

@@ -26,8 +26,6 @@ type Log struct {
 	msgs       ring.Buffer[*replication.Envelope]
 	// totalLogged counts messages ever appended (across GCs).
 	totalLogged uint64
-	// gcRuns counts checkpoint overwrites.
-	gcRuns uint64
 }
 
 // NewLog creates an empty log.
@@ -56,7 +54,6 @@ func (l *Log) TruncateTo(bundle []byte, keepFrom int) int {
 	for i := 0; i < keepFrom; i++ {
 		l.msgs.Pop()
 	}
-	l.gcRuns++
 	return max(keepFrom, 0)
 }
 
@@ -94,8 +91,7 @@ func (l *Log) Messages() []*replication.Envelope {
 // Len reports the number of logged messages since the last checkpoint.
 func (l *Log) Len() int { return l.msgs.Len() }
 
-// Stats reports lifetime counters: messages ever logged and checkpoint
-// overwrites performed.
-func (l *Log) Stats() (totalLogged, gcRuns uint64) {
-	return l.totalLogged, l.gcRuns
+// Stats reports how many messages were ever logged.
+func (l *Log) Stats() (totalLogged uint64) {
+	return l.totalLogged
 }

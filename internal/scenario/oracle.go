@@ -53,26 +53,37 @@ func (r *runner) quiesceOracle(phase string) {
 	r.fail(phase, "stuck recovery: group never re-stabilized within %s (%s)", quiesceBudget, last)
 }
 
-// scrapeAudits gathers every live node's audit observation feed, the
-// input shape MergeAudits wants.
-func (r *runner) scrapeAudits() map[string][]eternal.AuditObservation {
-	feeds := make(map[string][]eternal.AuditObservation)
+// auditSummaries gathers every live node's audit summary, keyed by node.
+func (r *runner) auditSummaries() map[string]eternal.AuditSummary {
+	out := make(map[string]eternal.AuditSummary)
 	for _, m := range r.sched.Members {
 		if n := r.sys.Node(m); n != nil {
-			if obs := n.Audits(0, 0); len(obs) > 0 {
-				feeds[m] = obs
+			if s, ok := n.AuditSummary(); ok {
+				out[m] = s
 			}
 		}
 	}
-	return feeds
+	return out
 }
 
-// auditOracle demands a spotless MergeAudits matrix within the epoch
-// budget: a digest row covering every operational member, with no
-// divergence (members disagreeing) and no feed conflict (scraped nodes
+// groupRows returns the scenario group's retained epoch rows in s,
+// ascending.
+func groupRows(s eternal.AuditSummary) []eternal.AuditEpochRow {
+	for _, g := range s.Groups {
+		if g.Group == Group {
+			return g.Epochs
+		}
+	}
+	return nil
+}
+
+// auditOracle demands spotless digest rows within the epoch budget: a row
+// of the anchor's collector covering every operational member, with no
+// divergence (members disagreeing) and no conflict (two nodes' collectors
 // disagreeing about one member), at an epoch struck after the phase's
-// faults healed. Matching digests at a totally-ordered audit mark are
-// the proof that all members hold identical object state, so this is
+// faults healed. The anchor is never killed or cut off, so its collector
+// matches every report. Matching digests at a totally-ordered audit mark
+// are the proof that all members hold identical object state, so this is
 // also the identical-final-state oracle. Returns how many audit epochs
 // convergence took (epochsToClean on the phase's log line).
 func (r *runner) auditOracle(phase string) int {
@@ -92,9 +103,9 @@ func (r *runner) auditOracle(phase string) int {
 	}
 	// Only epochs struck after this point reflect the healed cluster.
 	floor := uint64(0)
-	for _, row := range eternal.MergeAudits(r.scrapeAudits()) {
-		if row.Group == Group && row.Epoch > floor {
-			floor = row.Epoch
+	for _, s := range r.auditSummaries() {
+		for _, row := range groupRows(s) {
+			floor = max(floor, row.Epoch)
 		}
 	}
 	complete := func(row eternal.AuditEpochRow) bool {
@@ -105,38 +116,48 @@ func (r *runner) auditOracle(phase string) int {
 		}
 		return true
 	}
+	// ordinal numbers each post-floor epoch in the order the polls first
+	// see it. The budget is longer than a collector's window, so an epoch
+	// may leave the window before the rows come clean; its number stays.
+	ordinal := make(map[uint64]int)
 	deadline := time.Now().Add(auditEpochBudget*auditInterval + 5*time.Second)
 	var lastRow string
 	for time.Now().Before(deadline) {
-		rows := eternal.MergeAudits(r.scrapeAudits())
-		// Distinct post-floor epochs, ascending (MergeAudits sorts).
+		summaries := r.auditSummaries()
+		conflicted := make(map[uint64]bool)
+		for _, c := range eternal.AuditConflicts(summaries) {
+			if c.Group == Group {
+				conflicted[c.Epoch] = true
+			}
+		}
 		clean := 0
-		epochsSeen := 0
-		firstCleanIdx := 0
-		for _, row := range rows {
-			if row.Group != Group || row.Epoch <= floor {
+		firstClean := 0
+		for _, row := range groupRows(summaries[r.anchor]) {
+			if row.Epoch <= floor {
 				continue
 			}
-			epochsSeen++
+			if ordinal[row.Epoch] == 0 {
+				ordinal[row.Epoch] = len(ordinal) + 1
+			}
 			if !complete(row) {
 				continue // stragglers' reports may still be in flight
 			}
 			lastRow = fmt.Sprintf("epoch %d digests=%v diverged=%v conflicted=%v",
-				row.Epoch, row.Digests, row.Diverged, row.Conflicted)
-			if row.Diverged || row.Conflicted {
+				row.Epoch, row.Digests, row.Diverged, conflicted[row.Epoch])
+			if row.Diverged || conflicted[row.Epoch] {
 				clean = 0
 				continue
 			}
 			if clean == 0 {
-				firstCleanIdx = epochsSeen
+				firstClean = ordinal[row.Epoch]
 			}
 			if clean++; clean >= 2 {
-				return firstCleanIdx
+				return firstClean
 			}
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	r.fail(phase, "audit matrix never came clean within %d epochs (last complete row: %s)",
+	r.fail(phase, "audit rows never came clean within %d epochs (last complete row: %s)",
 		auditEpochBudget, lastRow)
 	return auditEpochBudget
 }

@@ -9,10 +9,11 @@
 //     window (skipped for phases that deliberately split the medium,
 //     where concurrent rings legitimately order different events at
 //     overlapping sequence numbers);
-//   - a spotless MergeAudits matrix within a bounded epoch budget — a
-//     complete per-member digest row with no divergence and no feed
-//     conflict, which is also the proof that every member holds
-//     identical object state at a totally-ordered point;
+//   - spotless audit rows within a bounded epoch budget — a complete
+//     per-member digest row in the anchor's collector with no divergence,
+//     and no AuditConflicts between live nodes' collectors, which is also
+//     the proof that every member holds identical object state at a
+//     totally-ordered point;
 //   - acked client writes surviving, in order and once, in the
 //     replicated object's history, and nothing in the history that was
 //     never issued (history.Check);
