@@ -101,6 +101,10 @@ func (r *Reader) Take(n uint64) []byte {
 // Bytes reads a length-prefixed byte run, aliasing the message as Take does.
 func (r *Reader) Bytes() []byte { return r.Take(r.U64()) }
 
+// Rest reads every byte left: a message's last field, whose length is the
+// message's own. It aliases the message as Take does.
+func (r *Reader) Rest() []byte { return r.Take(uint64(len(r.b))) }
+
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string { return string(r.Bytes()) }
 

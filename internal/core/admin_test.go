@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -218,15 +217,7 @@ func TestClientDialsAreCountedAsIntercepted(t *testing.T) {
 	if got := add(t, c.client("a1", "driver", "ctr"), 1); got != 1 {
 		t.Fatalf("add = %d, want 1", got)
 	}
-	var buf strings.Builder
-	c.nodes["a1"].Metrics().WritePrometheus(&buf)
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if v, ok := strings.CutPrefix(line, "eternal_intercepted_dials_total "); ok {
-			if n, err := strconv.ParseFloat(v, 64); err != nil || n < 1 {
-				t.Fatalf("eternal_intercepted_dials_total = %s after a client invoked a group, want >= 1", v)
-			}
-			return
-		}
+	if n := scrapeCounter(t, c.nodes["a1"], "eternal_intercepted_dials_total"); n < 1 {
+		t.Fatalf("eternal_intercepted_dials_total = %d after a client invoked a group, want >= 1", n)
 	}
-	t.Fatalf("no eternal_intercepted_dials_total in /metrics:\n%s", buf.String())
 }

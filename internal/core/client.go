@@ -169,7 +169,7 @@ func (ec *egressConn) forwardRequest(msg *giop.Message) {
 		}
 	}
 	node := ce.node
-	traceID := node.nextTrace()
+	traceID := replication.TraceID(ec.id, logical)
 	node.spans.Begin(traceID, ec.id.Group)
 	env := &replication.Envelope{
 		Kind:    replication.KRequest,

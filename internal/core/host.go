@@ -278,13 +278,7 @@ func (h *replicaHost) auditReport(epoch uint64) {
 		return
 	}
 	filterState := replication.EncodeFilterState(h.reqFilter.Snapshot())
-	totalLogged := h.log.Stats()
-	rec := replication.AuditRecord{
-		Epoch:      epoch,
-		LSN:        totalLogged,
-		Digest:     replication.DigestState(appState, filterState),
-		StateBytes: uint32(len(appState)),
-	}
+	rec := replication.AuditRecord{Epoch: epoch, Digest: replication.DigestState(appState, filterState)}
 	h.node.counters.auditReports.Add(1)
 	h.node.multicast(&replication.Envelope{
 		Kind:    replication.KAudit,

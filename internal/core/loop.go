@@ -364,8 +364,14 @@ func (n *Node) handleEnvelope(seq uint64, sender string, env *replication.Envelo
 }
 
 func (n *Node) handleRequest(seq uint64, sender string, env *replication.Envelope) {
-	n.spans.Annotate(env.Trace, env.Group)
-	n.spans.MarkSeq(env.Trace, obs.SpanOrdered, seq)
+	if n.tracedReqs.FirstDelivery(env.Conn, env.OpID) {
+		// Every copy of one logical invocation — one per replica of a
+		// replicated client — derives its trace id, so only the first one
+		// ordered marks the span: a later one may follow the reply, which
+		// has closed the span it would reopen.
+		n.spans.Annotate(env.Trace, env.Group)
+		n.spans.MarkSeq(env.Trace, obs.SpanOrdered, seq)
+	}
 	g, ok := n.table.Get(env.Group)
 	if !ok {
 		return

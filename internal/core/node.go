@@ -131,11 +131,14 @@ type Node struct {
 	// (sequence-stamped membership/recovery/fault events; its "recovered"
 	// events are the paper's Figure 6, live) and the per-invocation span
 	// journal.
-	metrics      *obs.Registry
-	recorder     *obs.Recorder
-	spans        *obs.SpanRecorder
-	audit        *obs.AuditCollector // nil when AuditInterval < 0
-	traceCounter atomic.Uint64
+	metrics  *obs.Registry
+	recorder *obs.Recorder
+	spans    *obs.SpanRecorder
+	audit    *obs.AuditCollector // nil when AuditInterval < 0
+	// tracedReqs is the highest operation id ordered on each connection
+	// (loop-owned): only the first ordered copy of an invocation marks its
+	// span (see handleRequest).
+	tracedReqs *replication.DupFilter
 	// marksDue schedules the next audit and checkpoint mark per group this
 	// node is primary of (loop-owned, like the table it follows; see
 	// markDue).
@@ -213,6 +216,7 @@ func Start(cfg Config) (*Node, error) {
 		metrics:    metrics,
 		spans:      spans,
 		audit:      audit,
+		tracedReqs: replication.NewDupFilter(),
 		marksDue:   make(map[markKey]time.Time),
 		stopCh:     make(chan struct{}),
 		loopDone:   make(chan struct{}),
@@ -353,13 +357,6 @@ func (n *Node) GroupIOR(name string) (*ior.IOR, error) {
 // they produce.
 func (n *Node) nextXfer() uint64 {
 	return hashName(n.addr)<<32 | (n.xferCounter.Add(1) & 0xFFFFFFFF)
-}
-
-// nextTrace generates a trace id unique across the domain (same scheme as
-// nextXfer); it is stamped into an invocation's envelope at interception
-// and carried by every hop including the reply.
-func (n *Node) nextTrace() uint64 {
-	return hashName(n.addr)<<32 | (n.traceCounter.Add(1) & 0xFFFFFFFF)
 }
 
 // recordRecovery files one completed recovery of a local replica: the

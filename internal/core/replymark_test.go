@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,14 +302,39 @@ var retiredStateRetransmit = []byte{36, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 1, 0
 // replication's TestRetiredCompactEnvelopesAreRejected keeps.
 var retiredSyncState = []byte{33, 2, 0, 2, 'n', '2', 2, 'n', '1', 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'x'}
 
+// scrapeCounter reads one counter off n's /metrics rendering.
+func scrapeCounter(t *testing.T, n *Node, name string) uint64 {
+	t.Helper()
+	var buf strings.Builder
+	n.Metrics().WritePrometheus(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s = %q: %v", name, v, err)
+			}
+			return uint64(f)
+		}
+	}
+	t.Fatalf("no %s in /metrics", name)
+	return 0
+}
+
+// retiredTracedRemoveMember is the same RemoveMember as a node writes it
+// whose envelopes still carry a trace id and their empty fields: kind 29,
+// the last number before the envelope stopped carrying what every node can
+// restate.
+var retiredTracedRemoveMember = []byte{29, 0, 1, 'g', 2, 'n', '2', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+
 // TestRetiredEnvelopeIsCountedAndMovesNothing: a node still writing CDR
 // envelopes shares the ring — Totem's wire is the same — and multicasts a
-// RemoveMember for n2's replica of a live 3-way active group; a node still
-// asking for state chunks again multicasts a retransmit request; a node
-// whose table still carries transfer-id counters answers a sync request.
-// Every node drops all three at their positions in the total order and
-// counts them; no group table and no replica moves, and all three replicas
-// go on serving.
+// RemoveMember for n2's replica of a live 3-way active group, and so does a
+// node whose envelopes still carry trace ids; a node still asking for state
+// chunks again multicasts a retransmit request; a node whose table still
+// carries transfer-id counters answers a sync request. Every node drops all
+// four at their positions in the total order and counts them in
+// eternal_envelopes_rejected_total; no group table and no replica moves,
+// and all three replicas go on serving.
 func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 	all := []string{"n1", "n2", "n3"}
 	c := newTestCluster(t, simnet.Config{}, all...)
@@ -352,7 +379,7 @@ func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 	for _, a := range all {
 		before[a], rejected[a] = state(a, 5), c.nodes[a].Stats().EnvelopesRejected
 	}
-	retired := [][]byte{retiredRemoveMember, retiredStateRetransmit, retiredSyncState}
+	retired := [][]byte{retiredRemoveMember, retiredTracedRemoveMember, retiredStateRetransmit, retiredSyncState}
 	for _, env := range retired {
 		if err := c.nodes["n2"].proc.Multicast(env); err != nil {
 			t.Fatal(err)
@@ -363,6 +390,9 @@ func TestRetiredEnvelopeIsCountedAndMovesNothing(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: rejected %d envelopes, want %d", a, c.nodes[a].Stats().EnvelopesRejected, rejected[a]+uint64(len(retired)))
 			}
+		}
+		if got := scrapeCounter(t, c.nodes[a], "eternal_envelopes_rejected_total"); got != rejected[a]+uint64(len(retired)) {
+			t.Errorf("%s: eternal_envelopes_rejected_total %d, want %d", a, got, rejected[a]+uint64(len(retired)))
 		}
 		if after := state(a, 5); after != before[a] {
 			t.Errorf("%s: group table moved:\n%s\n%s", a, before[a], after)

@@ -116,6 +116,12 @@ func (m *Message) Marshal() []byte {
 // returns the extended slice, letting callers reuse one buffer across
 // messages instead of allocating per Marshal.
 func (m *Message) AppendMarshal(dst []byte) []byte {
+	return append(m.AppendHeader(dst, len(m.Body)), m.Body...)
+}
+
+// AppendHeader appends the 12-byte header AppendMarshal writes before a
+// body of size bytes; m.Body is not read.
+func (m *Message) AppendHeader(dst []byte, size int) []byte {
 	dst = append(dst, magic[:]...)
 	dst = append(dst, m.Version.Major, m.Version.Minor)
 	var flags byte
@@ -126,13 +132,11 @@ func (m *Message) AppendMarshal(dst []byte) []byte {
 		flags |= flagMoreFrag
 	}
 	dst = append(dst, flags, byte(m.Type))
-	size := uint32(len(m.Body))
+	n := uint32(size)
 	if m.Order == cdr.LittleEndian {
-		dst = append(dst, byte(size), byte(size>>8), byte(size>>16), byte(size>>24))
-	} else {
-		dst = append(dst, byte(size>>24), byte(size>>16), byte(size>>8), byte(size))
+		return append(dst, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	}
-	return append(dst, m.Body...)
+	return append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 }
 
 // wireBufPool recycles marshal buffers for WriteTo: the bytes are handed

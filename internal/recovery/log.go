@@ -24,8 +24,6 @@ type Log struct {
 	// bytes; a warm backup's checkpoint already lives in its instance.
 	checkpoint []byte
 	msgs       ring.Buffer[*replication.Envelope]
-	// totalLogged counts messages ever appended (across GCs).
-	totalLogged uint64
 }
 
 // NewLog creates an empty log.
@@ -37,7 +35,6 @@ func NewLog() *Log {
 // checkpoint).
 func (l *Log) Append(env *replication.Envelope) {
 	l.msgs.Push(env)
-	l.totalLogged++
 }
 
 // TruncateTo records a new checkpoint, overwriting the previous one (nil
@@ -90,8 +87,3 @@ func (l *Log) Messages() []*replication.Envelope {
 
 // Len reports the number of logged messages since the last checkpoint.
 func (l *Log) Len() int { return l.msgs.Len() }
-
-// Stats reports how many messages were ever logged.
-func (l *Log) Stats() (totalLogged uint64) {
-	return l.totalLogged
-}

@@ -25,34 +25,31 @@ const (
 type AuditRecord struct {
 	// Epoch is the audit mark's delivery sequence number.
 	Epoch uint64
-	// LSN is the replica's checkpoint-log position (messages ever logged)
-	// at the digest — diagnostic context, deliberately outside the digest
-	// because fresh and recovered replicas legitimately differ in it.
-	LSN uint64
 	// Digest is DigestState over the canonically encoded state.
 	Digest uint32
-	// StateBytes is the size of the application state that was digested.
-	StateBytes uint32
 }
+
+// auditRecordLen is an encoded record's length: Epoch in eight bytes,
+// Digest in four.
+const auditRecordLen = 12
 
 // Encode serializes the record canonically (fixed field order, big-endian:
 // the layout DecodeAuditRecord takes) so encoded records — like the digests
 // they carry — are byte-identical across replicas.
 func (a *AuditRecord) Encode() []byte {
 	be := binary.BigEndian
-	b := be.AppendUint64(be.AppendUint64(make([]byte, 0, 24), a.Epoch), a.LSN)
-	return be.AppendUint32(be.AppendUint32(b, a.Digest), a.StateBytes)
+	return be.AppendUint32(be.AppendUint64(make([]byte, 0, auditRecordLen), a.Epoch), a.Digest)
 }
 
-// DecodeAuditRecord parses an encoded audit record: exactly 24 bytes, Epoch
-// and LSN in eight each, Digest and StateBytes in four each. Any other
-// length, trailing bytes included, is not a record.
+// DecodeAuditRecord parses an encoded audit record: exactly 12 bytes, Epoch
+// in eight and Digest in four. Any other length, trailing bytes included,
+// is not a record.
 func DecodeAuditRecord(buf []byte) (*AuditRecord, error) {
-	if len(buf) != 24 {
-		return nil, fmt.Errorf("%w: audit record not 24 bytes", ErrBadEnvelope)
+	if len(buf) != auditRecordLen {
+		return nil, fmt.Errorf("%w: audit record not %d bytes", ErrBadEnvelope, auditRecordLen)
 	}
 	be := binary.BigEndian
-	return &AuditRecord{Epoch: be.Uint64(buf), LSN: be.Uint64(buf[8:]), Digest: be.Uint32(buf[16:]), StateBytes: be.Uint32(buf[20:])}, nil
+	return &AuditRecord{Epoch: be.Uint64(buf), Digest: be.Uint32(buf[8:])}, nil
 }
 
 // auditTable is the CRC-32C (Castagnoli) table the audit digests use.

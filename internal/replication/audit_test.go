@@ -6,7 +6,7 @@ import (
 )
 
 func TestAuditRecordRoundTrip(t *testing.T) {
-	rec := AuditRecord{Epoch: 12345, LSN: 678, Digest: 0xdeadbeef, StateBytes: 4096}
+	rec := AuditRecord{Epoch: 12345, Digest: 0xdeadbeef}
 	got, err := DecodeAuditRecord(rec.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestAuditRecordDecodeTruncated(t *testing.T) {
 // A record with bytes after it is not a record: decoding it and encoding
 // the result again would not give back what was received.
 func TestAuditRecordDecodeRejectsTrailingBytes(t *testing.T) {
-	raw := append((&AuditRecord{Epoch: 1, LSN: 2, Digest: 3, StateBytes: 4}).Encode(), 0)
+	raw := append((&AuditRecord{Epoch: 1, Digest: 3}).Encode(), 0)
 	if _, err := DecodeAuditRecord(raw); !errors.Is(err, ErrBadEnvelope) {
 		t.Fatalf("err = %v, want ErrBadEnvelope", err)
 	}

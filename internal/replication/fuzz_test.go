@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"eternal/internal/cdr"
+	"eternal/internal/giop"
 )
 
 // allocated reports the bytes f allocated (and whatever the test runtime
@@ -27,17 +30,26 @@ func allocBound(input int) uint64 { return 64<<10 + 16*uint64(input) }
 // the transfer decoders' bound), and whatever it accepts must re-encode to
 // the bytes it came from — one envelope, one spelling.
 func FuzzDecodeEnvelope(f *testing.F) {
+	bench := ConnID{Client: "driver0", Group: "bench"}
 	for _, e := range []*Envelope{
-		{Kind: KRequest, Group: "bank", Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Trace: 0x1234_5678_9abc_def0, Payload: []byte{0xDE, 0xAD}},
+		{Kind: KRequest, Group: "bank", Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Payload: []byte{0xDE, 0xAD}},
 		{Kind: KRequest, Group: "bank", Conn: ConnID{Client: "teller", Group: "bank"}, OpID: 352, Oneway: true},
-		{Kind: KReply, Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Trace: 1, Payload: []byte("reply")},
-		{Kind: KStateChunk, Group: "bank", Node: "n3", OpID: 1<<32 - 1, XferID: 1<<64 - 1, Trace: 1<<64 - 1, Payload: []byte("chunk")},
+		{Kind: KReply, Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Payload: []byte("reply")},
+		{Kind: KStateChunk, Group: "bank", Node: "n3", OpID: 1<<32 - 1, XferID: 1<<64 - 1, Payload: []byte("chunk")},
 		{Kind: KSyncRequest, Node: "n2", Conn: ConnID{Client: "n1", Seq: 4}},
+		// The elided form: whole big-endian GIOP 1.2 messages without
+		// their headers, and a little-endian one that travels whole.
+		{Kind: KRequest, Group: "bench", Conn: bench, OpID: 1000, Payload: ping(giop.Version12, cdr.BigEndian)},
+		{Kind: KReply, Conn: bench, OpID: 1000, Payload: pong(giop.Version12, cdr.BigEndian)},
+		{Kind: KRequest, Group: "bench", Conn: bench, OpID: 1000, Payload: ping(giop.Version12, cdr.LittleEndian)},
 	} {
 		f.Add(e.Encode())
 	}
 	for _, r := range append(retiredCDREnvelopes, retiredCompactEnvelopes...) {
 		f.Add(r.buf)
+	}
+	for _, buf := range retiredTracedEnvelopes {
+		f.Add(buf)
 	}
 	f.Add(retiredStateRetransmit)
 	f.Fuzz(func(t *testing.T, buf []byte) {
@@ -57,10 +69,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 
 // FuzzDecodeAuditRecord: the same for the record a KAudit report carries.
 func FuzzDecodeAuditRecord(f *testing.F) {
-	for _, a := range []AuditRecord{{Epoch: 12345, LSN: 678, Digest: 0xdeadbeef, StateBytes: 4096}, {}} {
+	for _, a := range []AuditRecord{{Epoch: 12345, Digest: 0xdeadbeef}, {}} {
 		f.Add(a.Encode())
 	}
 	f.Add(append((&AuditRecord{Epoch: 1}).Encode(), 0))
+	// The retired 24-byte record: Epoch, LSN, Digest, StateBytes.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x30, 0x39, 0, 0, 0, 0, 0, 0, 0x02, 0xa6, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0x10, 0})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		var a *AuditRecord
 		var err error

@@ -12,7 +12,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"eternal/internal/cdr"
 	"eternal/internal/ftcorba"
+	"eternal/internal/giop"
 )
 
 // sameEnvelope reports whether a and b agree in every field; an empty
@@ -23,17 +25,44 @@ func sameEnvelope(a, b *Envelope) bool {
 	return reflect.DeepEqual(x, y) && bytes.Equal(a.Payload, b.Payload)
 }
 
+// traced sets e's trace id to the one Decode restates, and returns e.
+func traced(e *Envelope) *Envelope {
+	if _, ok := giopType(e.Kind); ok {
+		e.Trace = TraceID(e.Conn, e.OpID)
+	}
+	return e
+}
+
+// ping is the benchmark's invocation as a client's ORB writes it: a two-way
+// "ping" with no arguments on the negotiated 8-byte short key, request id
+// 1000. pong is a replica ORB's reply to it, the servant's 8-byte count.
+func ping(v giop.Version, order cdr.ByteOrder) []byte {
+	return giop.EncodeRequest(v, order, &giop.RequestHeader{RequestID: 1000, ResponseExpected: true,
+		ObjectKey: []byte{'E', 'T', 'O', 1, 0, 0, 0, 1}, Operation: "ping"}, nil).Marshal()
+}
+
+func pong(v giop.Version, order cdr.ByteOrder) []byte {
+	return giop.EncodeReply(v, order, &giop.ReplyHeader{RequestID: 1000}, make([]byte, 8)).Marshal()
+}
+
+// TestEnvelopeRoundTrip: every envelope decodes to what was encoded, its
+// trace id restated from its connection and operation on a request or a
+// reply and 0 on every other kind.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	long := strings.Repeat("n", 300) // a two-byte length, past the header's stack buffer
+	bench := ConnID{Client: "driver0", Group: "bench"}
 	for _, in := range []*Envelope{
 		{Kind: KRequest, Group: "bank", Node: "n1", Conn: ConnID{Client: "teller", Group: "bank", Seq: 2},
-			OpID: 351, Oneway: true, XferID: 9, Trace: 0x1234_5678_9abc_def0, Payload: []byte{0xDE, 0xAD}},
-		{Kind: KReply, Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Trace: 1, Payload: []byte("reply")},
+			OpID: 351, Oneway: true, XferID: 9, Payload: []byte{0xDE, 0xAD}},
+		{Kind: KReply, Conn: ConnID{Client: "teller", Group: "bank", Seq: 2}, OpID: 351, Payload: []byte("reply")},
+		{Kind: KRequest, Group: "bench", Conn: bench, OpID: 1000, Payload: ping(giop.Version12, cdr.BigEndian)},
+		{Kind: KReply, Conn: bench, OpID: 1000, Payload: pong(giop.Version12, cdr.BigEndian)},
 		{Kind: KStateChunk, Group: "bank", Node: "n3", Conn: ConnID{Client: "c", Group: "other", Seq: math.MaxUint64},
-			OpID: math.MaxUint32, XferID: math.MaxUint64, Trace: math.MaxUint64, Payload: make([]byte, 70000)},
+			OpID: math.MaxUint32, XferID: math.MaxUint64, Payload: make([]byte, 70000)},
 		{Kind: KAudit, Group: long, Node: long, Conn: ConnID{Client: long, Group: long + "x"}},
 		{Kind: KSyncRequest},
 	} {
+		traced(in)
 		out, err := Decode(in.Encode())
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
@@ -44,24 +73,98 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceIDSeparatesInvocations: another operation, another dial or
+// another split of the same characters between client and group gives
+// another trace id, and none is 0, the untraced id. (TestEnvelopeRoundTrip
+// checks that Decode restates the id on requests and replies and on
+// nothing else.)
+func TestTraceIDSeparatesInvocations(t *testing.T) {
+	conn := ConnID{Client: "driver0", Group: "bench", Seq: 3}
+	want := TraceID(conn, 1000)
+	for _, other := range []uint64{
+		0,
+		TraceID(conn, 1001),
+		TraceID(ConnID{Client: "driver0", Group: "bench", Seq: 4}, 1000),
+		TraceID(ConnID{Client: "driver0b", Group: "ench", Seq: 3}, 1000),
+	} {
+		if other == want {
+			t.Errorf("trace %#x is shared", want)
+		}
+	}
+}
+
 // TestEnvelopeSizesArePinned prices the benchmark's ping in envelope bytes:
-// a 52-byte GIOP request from client entity driver0 to group bench on its
-// first connection, operation 1000, traced, and its 36-byte reply. In CDR
-// each envelope took 84 bytes beside its payload: 136 and 120 in all.
+// the 52-byte GIOP request from client entity driver0 to group bench on its
+// first connection, operation 1000, and its 36-byte reply. Each travels
+// without its 12-byte GIOP header, which the envelope restates. In CDR each
+// envelope took 84 bytes beside its payload, 136 and 120 in all; in the
+// compact layout with an 8-byte trace id, empty fields and a payload length
+// written out and the GIOP header carried, 82 and 67.
 func TestEnvelopeSizesArePinned(t *testing.T) {
 	conn := ConnID{Client: "driver0", Group: "bench"}
-	trace := uint64(0x9e37_79b9)<<32 | 1000
+	req, rep := ping(giop.Version12, cdr.BigEndian), pong(giop.Version12, cdr.BigEndian)
+	if len(req) != 52 || len(rep) != 36 {
+		t.Fatalf("ping %d bytes, reply %d: want 52 and 36", len(req), len(rep))
+	}
 	for _, tc := range []struct {
 		env  Envelope
 		want int
 	}{
-		// kind, flags, "bench", "", "driver0", seq, op, xfer, trace, payload length
-		{Envelope{Kind: KRequest, Group: "bench", Conn: conn, OpID: 1000, Trace: trace, Payload: make([]byte, 52)}, 1 + 1 + 6 + 1 + 8 + 1 + 2 + 1 + 8 + 1 + 52},
-		// kind, flags, "", "", "driver0", "bench", seq, op, xfer, trace, payload length
-		{Envelope{Kind: KReply, Conn: conn, OpID: 1000, Trace: trace, Payload: make([]byte, 36)}, 1 + 1 + 1 + 1 + 8 + 6 + 1 + 2 + 1 + 8 + 1 + 36},
+		// kind, flags, "bench", "driver0", seq, op, the request's body
+		{Envelope{Kind: KRequest, Group: "bench", Conn: conn, OpID: 1000, Payload: req}, 1 + 1 + 6 + 8 + 1 + 2 + 40},
+		// kind, flags, "driver0", "bench", seq, op, the reply's body
+		{Envelope{Kind: KReply, Conn: conn, OpID: 1000, Payload: rep}, 1 + 1 + 8 + 6 + 1 + 2 + 24},
 	} {
 		if got := len(tc.env.Encode()); got != tc.want {
 			t.Errorf("%v envelope: %d bytes, want %d", tc.env.Kind, got, tc.want)
+		}
+	}
+}
+
+// TestGIOPTravelsWholeUnlessElidable: only a whole big-endian GIOP 1.2
+// message of the envelope's own type loses its header on the wire. A
+// little-endian message, a GIOP 1.0 one, a fragment and its continuation,
+// a reply in a request envelope, a header whose size is not the payload's
+// and a header on a kind that carries no GIOP each travel whole — and every
+// one decodes to the bytes it was.
+func TestGIOPTravelsWholeUnlessElidable(t *testing.T) {
+	conn := ConnID{Client: "driver0", Group: "bench"}
+	long := giop.EncodeRequest(giop.Version12, cdr.BigEndian, &giop.RequestHeader{RequestID: 7,
+		ObjectKey: []byte("root/bench"), Operation: "echo"}, make([]byte, 100))
+	frags := giop.FragmentMessage(long, 64)
+	for _, tc := range []struct {
+		name    string
+		kind    Kind
+		payload []byte
+		elided  bool
+	}{
+		{"1.2 big-endian request", KRequest, ping(giop.Version12, cdr.BigEndian), true},
+		{"1.2 big-endian reply", KReply, pong(giop.Version12, cdr.BigEndian), true},
+		{"empty-bodied request", KRequest, (&giop.Message{Version: giop.Version12, Type: giop.MsgRequest}).Marshal(), true},
+		{"little-endian request", KRequest, ping(giop.Version12, cdr.LittleEndian), false},
+		{"little-endian reply", KReply, pong(giop.Version12, cdr.LittleEndian), false},
+		{"GIOP 1.0 request", KRequest, ping(giop.Version10, cdr.BigEndian), false},
+		{"GIOP 1.1 reply", KReply, pong(giop.Version11, cdr.BigEndian), false},
+		{"first fragment", KRequest, frags[0].Marshal(), false},
+		{"continuation fragment", KRequest, frags[1].Marshal(), false},
+		{"reply in a request envelope", KRequest, pong(giop.Version12, cdr.BigEndian), false},
+		{"size not the payload's", KRequest, append(ping(giop.Version12, cdr.BigEndian), 0), false},
+		{"header alone, short", KRequest, ping(giop.Version12, cdr.BigEndian)[:giop.HeaderLen-1], false},
+		{"request on a chunk", KStateChunk, ping(giop.Version12, cdr.BigEndian), false},
+	} {
+		in := traced(&Envelope{Kind: tc.kind, Group: "bench", Conn: conn, OpID: 7, Payload: tc.payload})
+		bare := len((&Envelope{Kind: tc.kind, Group: "bench", Conn: conn, OpID: 7}).Encode())
+		raw := in.Encode()
+		want := bare + len(tc.payload)
+		if tc.elided {
+			want -= giop.HeaderLen
+		}
+		if len(raw) != want {
+			t.Errorf("%s: %d bytes, want %d", tc.name, len(raw), want)
+		}
+		out, err := Decode(raw)
+		if err != nil || !sameEnvelope(out, in) {
+			t.Errorf("%s: decoded %+v, %v; want %+v", tc.name, out, err, in)
 		}
 	}
 }
@@ -77,30 +180,38 @@ func TestEnvelopeBadKind(t *testing.T) {
 // TestEnvelopeDecodeIsStrict: Decode takes exactly what Encode writes, so a
 // second spelling of the same envelope is no envelope at all.
 func TestEnvelopeDecodeIsStrict(t *testing.T) {
-	good := (&Envelope{Kind: KRequest, Group: "g", Conn: ConnID{Client: "c", Group: "g", Seq: 1}, OpID: 1, Payload: []byte("x")}).Encode()
-	// good is: kind, flags, "g" at 2, "" at 4, "c" at 5, seq at 7, op at 8,
-	// xfer at 9, 8 trace bytes at 10, "x" at 18.
+	conn := ConnID{Client: "c", Group: "g", Seq: 1}
+	good := (&Envelope{Kind: KRequest, Group: "g", Conn: conn, OpID: 1, Payload: []byte("x")}).Encode()
+	// good is: kind, flags, "g" at 2, "c" at 4, seq at 6, op at 7, "x" at 8.
 	with := func(at int, cut int, insert ...byte) []byte {
 		return append(append(append([]byte{}, good[:at]...), insert...), good[at+cut:]...)
+	}
+	flagged := func(raw []byte, set, clear byte) []byte {
+		raw[1] = raw[1]&^clear | set
+		return raw
 	}
 	if _, err := Decode(good); err != nil {
 		t.Fatal(err)
 	}
-	spelt := with(7, 0, 1, 'g')
-	spelt[1] &^= flagSameGroup
+	bare := (&Envelope{Kind: KRequest, Group: "g", Conn: conn, OpID: 1}).Encode()
 	for name, raw := range map[string][]byte{
-		"unknown flag":                 with(1, 1, good[1]|0x80),
-		"connection's group spelt out": spelt,
-		"over-long varint":             with(7, 1, 0x81, 0x00),
-		"operation id past 32 bits":    with(8, 1, 0x80, 0x80, 0x80, 0x80, 0x10),
-		"payload length unbacked":      with(18, 1, 2),
-		"trailing byte":                append(append([]byte{}, good...), 0),
+		"unknown flag":                    with(1, 1, good[1]|0x80),
+		"connection's group spelt out":    flagged(with(6, 0, 1, 'g'), 0, flagSameGroup),
+		"flagged group empty":             with(2, 2, 0),
+		"flagged node empty":              flagged(with(4, 0, 0), flagNode, 0),
+		"flagged transfer id zero":        flagged(with(8, 0, 0), flagXfer, 0),
+		"over-long varint":                with(6, 1, 0x81, 0x00),
+		"operation id past 32 bits":       with(7, 1, 0x80, 0x80, 0x80, 0x80, 0x10),
+		"elidable GIOP header spelt out":  append(bare, ping(giop.Version12, cdr.BigEndian)...),
+		"GIOP header elided from a chunk": flagged(append([]byte{byte(KStateChunk)}, good[1:]...), flagGIOP, 0),
 	} {
 		if _, err := Decode(raw); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("%s: err = %v, want ErrBadEnvelope", name, err)
 		}
 	}
-	for cut := 0; cut < len(good); cut++ {
+	// The payload is the rest of the envelope, so only a cut before it is
+	// a truncation; Totem delivers each envelope whole.
+	for cut := 0; cut < len(good)-1; cut++ {
 		if _, err := Decode(good[:cut]); !errors.Is(err, ErrBadEnvelope) {
 			t.Fatalf("truncation at %d bytes: err = %v", cut, err)
 		}
@@ -319,25 +430,14 @@ var retiredSyncState = []byte{33, 2, 0, 2, 'n', '2', 2, 'n', '1', 1, 0, 1, 0, 0,
 // TestRetiredCompactEnvelopesAreRejected: five of those kinds carry a
 // payload whose layout changed under an unchanged envelope, so all twelve
 // moved to fresh numbers. A node of that layout and this one reject each
-// other's envelopes at the first byte instead of half-working; the same
-// envelope under today's number decodes. Two numbers of that move are
-// retired in their turn and rejected like the rest: StateRetransmit's, 36,
-// and SyncState's, 33, which moved again, to 38, when its table dropped a
-// field.
+// other's envelopes at the first byte instead of half-working. Two numbers
+// of that move were retired in their turn and are rejected like the rest:
+// StateRetransmit's, 36, and SyncState's, 33, which moved again, to 38,
+// when its table dropped a field.
 func TestRetiredCompactEnvelopesAreRejected(t *testing.T) {
-	for i, r := range retiredCompactEnvelopes {
+	for _, r := range retiredCompactEnvelopes {
 		if _, err := Decode(r.buf); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("%s (kind %d): err = %v, want ErrBadEnvelope", r.name, r.buf[0], err)
-		}
-		live := append([]byte{byte(KRequest) + byte(i)}, r.buf[1:]...)
-		switch {
-		case bytes.Equal(live, retiredStateRetransmit):
-			continue
-		case bytes.Equal(live, retiredSyncState):
-			live[0] = byte(KSyncState)
-		}
-		if e, err := Decode(live); err != nil || e.Kind.String() != r.name {
-			t.Errorf("%s as kind %d: %v, %v", r.name, live[0], e, err)
 		}
 	}
 	for _, buf := range [][]byte{retiredSyncState, retiredStateRetransmit} {
@@ -347,9 +447,58 @@ func TestRetiredCompactEnvelopesAreRejected(t *testing.T) {
 	}
 }
 
+// retiredTracedEnvelopes are well-formed envelopes of kinds 26–32, 34, 35,
+// 37 and 38, one per live kind: the layout before this one, which carried an
+// 8-byte trace id, every empty field, a length-prefixed payload and each
+// GIOP message's header. That layout was the compact one above under fresh
+// numbers, so each is the compact envelope of its kind renumbered: 14–25 to
+// 26–37, 21 (SyncState) to 38, and 24 (StateRetransmit) to nothing.
+var retiredTracedEnvelopes = func() map[string][]byte {
+	out := make(map[string][]byte)
+	for i, r := range retiredCompactEnvelopes {
+		switch r.name {
+		case "StateRetransmit":
+			continue
+		case "SyncState":
+			out[r.name] = append([]byte{38}, r.buf[1:]...)
+		default:
+			out[r.name] = append([]byte{26 + byte(i)}, r.buf[1:]...)
+		}
+	}
+	return out
+}()
+
+// TestRetiredTracedEnvelopesAreRejected: when the envelope stopped carrying
+// what every node can restate, every live kind moved again. A node of the
+// old layout and this one reject each other's envelopes at the first byte:
+// an old kind number is refused whatever follows it, a well-formed
+// envelope of today's layout included.
+func TestRetiredTracedEnvelopesAreRejected(t *testing.T) {
+	if len(retiredTracedEnvelopes) != len(kindNames) {
+		t.Fatalf("%d retired envelopes for %d live kinds", len(retiredTracedEnvelopes), len(kindNames))
+	}
+	for k, name := range kindNames {
+		old, ok := retiredTracedEnvelopes[name]
+		if !ok {
+			t.Fatalf("no retired %s envelope", name)
+		}
+		if _, err := Decode(old); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("%s (kind %d): err = %v, want ErrBadEnvelope", name, old[0], err)
+		}
+		live := traced(&Envelope{Kind: k, Group: "g", Node: "n2", OpID: 1, Payload: []byte("x")}).Encode()
+		if _, err := Decode(live); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		live[0] = old[0]
+		if _, err := Decode(live); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("today's %s under kind %d: err = %v, want ErrBadEnvelope", name, old[0], err)
+		}
+	}
+}
+
 func TestQuickEnvelopeRoundTrip(t *testing.T) {
 	kinds := slices.Collect(maps.Keys(kindNames))
-	f := func(k uint8, group, node, client string, sameGroup bool, seq uint64, op uint32, oneway bool, xfer, trace uint64, payload []byte) bool {
+	f := func(k uint8, group, node, client string, sameGroup bool, seq uint64, op uint32, oneway bool, xfer uint64, payload []byte) bool {
 		in := &Envelope{
 			Kind:    kinds[int(k)%len(kinds)],
 			Group:   group,
@@ -358,13 +507,12 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 			OpID:    op,
 			Oneway:  oneway,
 			XferID:  xfer,
-			Trace:   trace,
 			Payload: payload,
 		}
 		if sameGroup {
 			in.Conn.Group = group
 		}
-		out, err := Decode(in.Encode())
+		out, err := Decode(traced(in).Encode())
 		return err == nil && sameEnvelope(out, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

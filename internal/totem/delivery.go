@@ -17,7 +17,10 @@ const maxRtrPerToken = 100
 // may stay unsatisfied before it is declared unrecoverable and skipped.
 const missThreshold = 10
 
+// partial is one sender's message under reassembly: the id of the
+// message its fragment 0 began, the fragments so far and the index due.
 type partial struct {
+	msgID  uint64
 	frags  [][]byte
 	next   uint32
 	broken bool
@@ -258,12 +261,14 @@ func (d *delivery) deliverChunk(seq uint64, c *chunk, now time.Time) int {
 	key := c.Sender
 	pa := d.reasm[key]
 	if c.FragIdx == 0 {
-		pa = &partial{}
+		pa = &partial{msgID: c.MsgID}
 		d.reasm[key] = pa
 	}
-	if pa == nil || pa.broken || pa.next != c.FragIdx {
+	if pa == nil || pa.broken || pa.msgID != c.MsgID || pa.next != c.FragIdx {
 		// A fragment whose predecessors were lost (tombstoned): the whole
-		// message is undeliverable; drop the remainder quietly.
+		// message is undeliverable; drop the remainder quietly. A fragment
+		// of another message means the partial's own tail was lost too, so
+		// it breaks as well: fragment indices alone would splice the two.
 		if pa != nil {
 			pa.broken = true
 		}

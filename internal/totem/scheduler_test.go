@@ -361,3 +361,67 @@ func TestDeliveryAlone(t *testing.T) {
 		t.Fatalf("after a completed rotation at aru 2: GCSeq %d, gcLow %d, %d frames kept", tok.GCSeq, d.gcLow, len(d.store))
 	}
 }
+
+// reassemblyProbe is a lone delivery at member a of ring {a, c}, with the
+// payloads its Ordered hook sees and helpers to hand it fragments of c's
+// messages and the tombstones a member makes for frames nobody can serve.
+type reassemblyProbe struct {
+	d         *delivery
+	ring      ringIdentity
+	now       time.Time
+	delivered []string
+}
+
+func newReassemblyProbe(t *testing.T) *reassemblyProbe {
+	p := &reassemblyProbe{ring: ringIdentity{Epoch: 1, Rep: "a"}, now: time.Unix(1_000, 0)}
+	p.d = newDelivery("a", func(dv *Delivery) { p.delivered = append(p.delivered, string(dv.Payload)) },
+		func(string, int, time.Time) {}, func(uint64, time.Time) {})
+	t.Cleanup(func() { p.d.deliveries.Close(); p.d.views.Close() })
+	p.d.enterRing(Membership{Epoch: 1, Rep: "a", Members: []string{"a", "c"}})
+	return p
+}
+
+// frag delivers fragment idx of c's message id (total fragments) at seq.
+func (p *reassemblyProbe) frag(seq, id uint64, idx, total uint32, payload string) {
+	p.d.accept(&dataMsg{Ring: p.ring, Seq: seq, Chunks: []chunk{{Sender: "c", MsgID: id, FragIdx: idx, FragTotal: total, Payload: []byte(payload)}}}, p.now)
+}
+
+// tombstone skips seq as request does once no member can serve it.
+func (p *reassemblyProbe) tombstone(seq uint64) { p.d.accept(&dataMsg{Ring: p.ring, Seq: seq}, p.now) }
+
+// TestReassemblySpliceAcrossTombstones: fragment 0 of c's message 45, then
+// tombstones for 45/1–3 and 48/0, then 48/1–3. No message is whole, so
+// nothing is delivered — reassembly keyed by sender and fragment index alone
+// glued 45's head to 48's tail and delivered "KLLL". The next whole message
+// is delivered as sent.
+func TestReassemblySpliceAcrossTombstones(t *testing.T) {
+	p := newReassemblyProbe(t)
+	p.frag(1, 45, 0, 4, "K")
+	for seq := uint64(2); seq <= 5; seq++ {
+		p.tombstone(seq)
+	}
+	for i := uint32(1); i <= 3; i++ {
+		p.frag(5+uint64(i), 48, i, 4, "L")
+	}
+	p.frag(9, 51, 0, 2, "M")
+	p.frag(10, 51, 1, 2, "N")
+	if p.d.myAru != 10 || !slices.Equal(p.delivered, []string{"MN"}) {
+		t.Fatalf("aru %d, delivered %q; want aru 10 and only \"MN\"", p.d.myAru, p.delivered)
+	}
+}
+
+// TestReassemblyTombstonedLastFragment: c's two-fragment message 45 loses
+// its last fragment to a tombstone, and message 46's fragment 0 is lost
+// too. 46/1 is the fragment index 45's partial waits for, but not its
+// message: nothing is delivered until 47 arrives whole.
+func TestReassemblyTombstonedLastFragment(t *testing.T) {
+	p := newReassemblyProbe(t)
+	p.frag(1, 45, 0, 2, "K")
+	p.tombstone(2)
+	p.tombstone(3)
+	p.frag(4, 46, 1, 2, "L")
+	p.frag(5, 47, 0, 1, "M")
+	if p.d.myAru != 5 || !slices.Equal(p.delivered, []string{"M"}) {
+		t.Fatalf("aru %d, delivered %q; want aru 5 and only \"M\"", p.d.myAru, p.delivered)
+	}
+}
